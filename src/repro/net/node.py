@@ -127,9 +127,10 @@ class Node:
     def _forward(self, envelope: RoutedEnvelope) -> None:
         """Send a routed envelope one hop toward its destination.
 
-        With the network's ``self_repair`` flag off this is the plain
-        static-table hop (the pre-fault code path, byte-identical).
-        With it on, the per-hop delivery-status callback doubles as a
+        The hop always comes from :meth:`Router.envelope_hop`.  With
+        the network's ``self_repair`` flag off that is all (the
+        pre-fault code path, byte-identical; no route raises).  With it
+        on, the per-hop delivery-status callback doubles as a
         failure detector: a hop that terminally fails because its next
         hop is dead (or its link is down) gets that node/edge excluded
         from the routing view and the envelope re-forwarded along the
@@ -137,18 +138,19 @@ class Node:
         ``repair_budget``.
         """
         network = self.network
-        if not network.self_repair:
+        try:
             hop = network.router.envelope_hop(self.id, envelope)
+        except NetworkError:
+            if not network.self_repair:
+                raise
+            notify_gave_up(envelope.on_status, GIVE_UP_NO_ROUTE)
+            return
+        if not network.self_repair:
             network.radio.transmit(
                 self.id, hop, envelope,
                 network.node(hop).deliver,
                 on_status=envelope._hop_status,
             )
-            return
-        try:
-            hop = network.router.next_hop(self.id, envelope.dst)
-        except NetworkError:
-            notify_gave_up(envelope.on_status, GIVE_UP_NO_ROUTE)
             return
 
         def hop_outcome(status: str, reason: str = "") -> None:

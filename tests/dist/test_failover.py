@@ -201,6 +201,27 @@ class TestSelfRepairingRouting:
         assert not net.router.degraded
         assert net.router.path(0, 8) == net.router.path(0, 8)
 
+    def test_geo_routing_follows_the_liveness_view(self):
+        """routing="geo" under a repairing injector: greedy forwarding
+        until the view degrades, the live table after — and ``path``
+        names the hops ``_forward`` really takes in both states."""
+        net = GridNetwork(5, routing="geo")
+        FaultInjector(net, FaultSchedule().crash(1.0, 1)).arm()
+        got = []
+        net.node(4).register_handler("ping", lambda n, m: got.append(1))
+        assert net.router.path(0, 4) == [0, 1, 2, 3, 4]
+        net.node(0).send_routed(4, Message("ping"))
+        net.run_until(0.9)
+        assert got == [1] and net.metrics.rx_count[1] == 1
+        net.run_until(1.1)  # node 1 is dead and out of the view
+        path = net.router.path(0, 4)
+        assert 1 not in path
+        net.node(0).send_routed(4, Message("ping"))
+        net.run_all()
+        assert got == [1, 1] and net.router.repairs == 0
+        assert net.metrics.rx_count[1] == 1
+        assert net.metrics.total_messages == 4 + len(path) - 1
+
     def test_excluded_edges_route_around(self):
         net = GridNetwork(3, 3)
         hop = net.router.next_hop(0, 8)

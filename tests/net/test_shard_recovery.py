@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.net import checkpoint
 from repro.net.faults import FaultSchedule
 from repro.net.shard import (
     ShardError,
@@ -23,6 +24,7 @@ from repro.net.shard import (
     run,
 )
 from tests.net.test_shard import SPECS, grid_spec
+from tests.net.test_topology_routing import e19_round_spec
 
 BASELINES = {}
 
@@ -114,6 +116,33 @@ class TestWorkerKillRecovery:
                      max_restarts=1, checkpoint="disk", faults=faults)
         assert report.fingerprint() == baseline(name).fingerprint()
         assert report.supervision["restarts"] == 1
+
+    @pytest.mark.parametrize("routing, at_window", [("bfs", 10), ("geo", 42)])
+    def test_half_expanded_routing_tables_survive_restore(
+            self, monkeypatch, routing, at_window):
+        """Routing tables are searches in progress (parent map, queue,
+        cursor) and live in every snapshot: a worker restored while
+        some are half expanded resumes them where they stopped."""
+        spec = e19_round_spec(routing)
+        partial = []
+        real_restore = checkpoint.restore
+
+        def spying_restore(blob, topology):
+            worker = real_restore(blob, topology)
+            partial.append(sum(
+                1 for parents, queue, cursor
+                in worker.network.router._tables.values()
+                if len(parents) > 1 and cursor < len(queue)
+            ))
+            return worker
+
+        monkeypatch.setattr(checkpoint, "restore", spying_restore)
+        faults = FaultSchedule().worker_kill(shard=1, at_window=at_window)
+        report = run(spec, shards=2, inline=True, checkpoint_every=4,
+                     max_restarts=1, faults=faults)
+        assert report.supervision["restarts"] == 1
+        assert len(partial) == 1 and partial[0] > 0
+        assert report.fingerprint() == run(spec, shards=None).fingerprint()
 
     def test_process_mode_sigkill_recovers(self):
         """One fork-mode chaos smoke: a real SIGKILLed worker process,

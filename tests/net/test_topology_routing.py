@@ -1,12 +1,17 @@
 """Tests for topologies, routing, and geographic hashing."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.core.errors import NetworkError
 from repro.net.ght import GeographicHash, stable_hash
+from repro.net.messages import Message
 from repro.net.network import GridNetwork, RandomNetwork
-from repro.net.routing import Router
+from repro.net.node import RoutedEnvelope
+from repro.net.routing import GeoRouter, Router
+from repro.net.shard import WorkloadSpec, run
 from repro.net.topology import (
     GridTopology,
     RandomGeometricTopology,
@@ -108,6 +113,194 @@ class TestRouter:
 
     def test_distance_zero_to_self(self):
         assert Router(GridTopology(3)).hop_distance(4, 4) == 0
+
+
+def _shuffled_graph(n, extra_edges, rng):
+    """A connected graph whose adjacency (insertion) order is random:
+    a random spanning tree plus ``extra_edges`` chords, edges and
+    endpoints shuffled — sorted-neighbor order would differ from it."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    edges = {tuple(rng.sample((nodes[i], rng.choice(nodes[:i])), 2))
+             for i in range(1, n)}
+    while len(edges) < n - 1 + extra_edges:
+        edges.add(tuple(rng.sample(range(n), 2)))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    graph = nx.Graph()
+    graph.add_edges_from(edges)
+    return Topology(graph, {i: (float(i), 0.0) for i in range(n)})
+
+
+def _oracle(router, dst):
+    """The eager table the demand-driven one must reproduce: the full
+    ``nx.bfs_predecessors`` map over the live view of the graph."""
+    graph = router.topology.graph
+    dead_nodes, dead_edges = router._excluded_nodes, router._excluded_edges
+    if dst in dead_nodes:
+        return {}
+    if router.degraded:
+        graph = nx.subgraph_view(
+            graph,
+            filter_node=lambda n: n not in dead_nodes,
+            filter_edge=lambda a, b: (min(a, b), max(a, b)) not in dead_edges,
+        )
+    return dict(nx.bfs_predecessors(graph, dst))
+
+
+def _check_lookup(router, node, dst):
+    """One lookup against the oracle; True when there was no route."""
+    expected = _oracle(router, dst).get(node)
+    if node == dst or expected is None:
+        with pytest.raises(NetworkError):
+            router.next_hop(node, dst)
+    else:
+        assert router.next_hop(node, dst) == expected
+    return expected is None
+
+
+TOPOLOGIES = {
+    "shuffled-sparse": lambda: _shuffled_graph(90, 25, random.Random(1)),
+    "shuffled-dense": lambda: _shuffled_graph(60, 200, random.Random(2)),
+    "grid": lambda: GridTopology(9, 7),
+    "geometric": lambda: RandomGeometricTopology(
+        150, radius=1.8, side=150 ** 0.5, seed=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+class TestDemandDrivenTables:
+    """Differential: every answer of the resumable search equals the
+    entry of the eager per-destination table it replaced."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_before_far_resumes_the_cursor(self, kind, seed):
+        topology = TOPOLOGIES[kind]()
+        rng = random.Random(seed)
+        router = Router(topology)
+        depth = {
+            dst: nx.single_source_shortest_path_length(topology.graph, dst)
+            for dst in rng.sample(topology.node_ids, 6)
+        }
+        pairs = [(node, dst) for dst in depth for node in topology.node_ids]
+        rng.shuffle(pairs)
+        pairs.sort(key=lambda pair: depth[pair[1]][pair[0]])
+        resumed = 0
+        for node, dst in pairs:
+            cursor = router._tables[dst][2] if dst in router._tables else 0
+            _check_lookup(router, node, dst)
+            resumed += 0 < cursor < router._tables[dst][2]
+        assert resumed  # lookups continued half-expanded searches
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_ask_order(self, kind, seed):
+        topology = TOPOLOGIES[kind]()
+        rng = random.Random(100 + seed)
+        router = Router(topology)
+        for _ in range(400):
+            _check_lookup(router, rng.choice(topology.node_ids),
+                          rng.choice(topology.node_ids))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_liveness_changes_interleaved(self, kind, seed):
+        """exclude/restore of nodes and edges between lookups: answers
+        equal the oracle over ``nx.subgraph_view``; unreachable and
+        excluded endpoints raise exactly where the eager tables did."""
+        topology = TOPOLOGIES[kind]()
+        rng = random.Random(200 + seed)
+        router = Router(topology)
+        edges = list(topology.graph.edges)
+        raised = 0
+        for step in range(300):
+            if step % 5 == 0:
+                op = rng.choice((router.exclude, router.restore))
+                op(rng.choice(topology.node_ids[:12]))
+                op = rng.choice((router.exclude_edge, router.restore_edge))
+                a, b = rng.choice(edges[:20])
+                op(*rng.choice(((a, b), (b, a))))
+            node, dst = rng.sample(topology.node_ids[:40], 2)
+            raised += _check_lookup(router, node, dst)
+        assert raised  # dead endpoints and cut-off nodes were asked
+        for node in list(router._excluded_nodes):
+            router.restore(node)
+        for edge in list(router._excluded_edges):
+            router.restore_edge(*edge)
+        assert not router.degraded
+        _check_lookup(router, topology.node_ids[0], topology.node_ids[-1])
+
+
+class TestGeoRouter:
+    def test_greedy_path_is_what_envelopes_follow(self):
+        topology = TOPOLOGIES["geometric"]()
+        router = GeoRouter(topology)
+        rng = random.Random(5)
+        voids = 0
+        for _ in range(60):
+            a, b = rng.sample(topology.node_ids, 2)
+            envelope = RoutedEnvelope(Message("ping"), dst=b)
+            walked = [a]
+            while walked[-1] != b:
+                walked.append(router.envelope_hop(walked[-1], envelope))
+            assert walked == router.path(a, b)
+            assert router.hop_distance(a, b) == len(walked) - 1
+            voids += getattr(envelope, "geo_fallback", False)
+        assert voids  # the BFS escape hatch was exercised too
+
+    def test_degraded_view_is_respected(self):
+        """Greedy forwarding knows nothing of dead nodes: under a
+        degraded view every entry point answers from the live table."""
+        router = GeoRouter(GridTopology(5))
+        assert router.path(0, 4) == [0, 1, 2, 3, 4]
+        router.exclude(1)
+        envelope = RoutedEnvelope(Message("ping"), dst=4)
+        assert router.envelope_hop(0, envelope) == router.next_hop(0, 4) == 5
+        path = router.path(0, 4)
+        assert 1 not in path and path[0] == 0 and path[-1] == 4
+        assert router.hop_distance(0, 4) == len(path) - 1 == 6
+        router.restore(1)
+        router.exclude_edge(1, 2)
+        assert router.path(0, 4)[:3] != [0, 1, 2]
+        with pytest.raises(NetworkError):
+            router.envelope_hop(4, envelope)
+
+
+def e19_round_spec(routing, n=300, tuples=3, seed=1):
+    """The E19 round (two-stream join over a random deployment,
+    r = 1.8, side = sqrt(n), virtual-grid regions) as a WorkloadSpec."""
+    rng = random.Random(seed + 1)
+    publishes = [
+        (0.0, rng.randrange(n), stream, (rng.randrange(3), f"{stream}{i}"))
+        for i in range(tuples) for stream in ("r", "s")
+    ]
+    return WorkloadSpec(
+        topology={"kind": "random", "n": n, "radius": 1.8, "side": n ** 0.5,
+                  "seed": seed},
+        program="j(K, A, B) :- r(K, A), s(K, B).",
+        publishes=publishes, outputs=("j",), seed=seed,
+        strategy="virtual-grid", routing=routing,
+    )
+
+
+class TestRoutingIdentity:
+    """Values recorded with the eager ``nx.bfs_predecessors`` tables
+    (commit 041bdc5): routing is a host-side model, so a change to it
+    must leave every frame of a round where it was."""
+
+    @pytest.mark.parametrize("routing, frames, size, load, events", [
+        ("bfs", 357, 9904, 9, 369),
+        ("geo", 372, 10324, 10, 384),
+    ])
+    def test_e19_round_is_frame_identical(self, routing, frames, size,
+                                          load, events):
+        report = run(e19_round_spec(routing), shards=None)
+        fingerprint = report.fingerprint()
+        assert fingerprint["messages"] == frames
+        assert fingerprint["bytes"] == size
+        assert report.metrics.max_node_load == load
+        assert report.events_processed == events
+        assert fingerprint["rows"]["j"] == (
+            "(2, 'r1', 's2')", "(2, 'r2', 's2')",
+        )
 
 
 class TestGeographicHash:
