@@ -164,11 +164,7 @@ def eval_term(term: Term, registry: BuiltinRegistry = DEFAULT_REGISTRY) -> Any:
         return [eval_term(el, registry) for el in list_elements(term)]
     args = [eval_term(a, registry) for a in term.args]
     if term.functor in _ARITH_IMPL:
-        if not all(isinstance(a, (int, float)) for a in args):
-            raise BuiltinError(
-                f"arithmetic on non-numeric arguments in {term!r}"
-            )
-        return _ARITH_IMPL[term.functor](*args)
+        return apply_arith(term.functor, args, term)
     fn = registry.function(term.functor)
     if fn is not None:
         return fn(*args)
@@ -176,6 +172,16 @@ def eval_term(term: Term, registry: BuiltinRegistry = DEFAULT_REGISTRY) -> Any:
     # the evaluated arguments so nested arithmetic normalizes, e.g.
     # f(D + 1) with D = 2 becomes f(3).
     return FunctionTerm(term.functor, [value_to_term(a) for a in args])
+
+
+def apply_arith(functor: str, args: list, term: Term) -> Any:
+    """Apply an arithmetic functor to its evaluated arguments; ``term``
+    only names the expression in the error."""
+    if not all(isinstance(a, (int, float)) for a in args):
+        raise BuiltinError(
+            f"arithmetic on non-numeric arguments in {term!r}"
+        )
+    return _ARITH_IMPL[functor](*args)
 
 
 def value_to_term(value: Any) -> Term:
@@ -238,7 +244,9 @@ def eval_builtin(
                 f"built-in {literal!r} has unbound arguments under {dict(subst)!r}"
             )
     if lit.is_comparison:
-        holds = _eval_comparison(lit, registry)
+        holds = compare_values(
+            lit.name, eval_term(lit.args[0], registry), eval_term(lit.args[1], registry)
+        )
     else:
         fn = registry.predicate(lit.name)
         if fn is None:
@@ -272,25 +280,24 @@ def _eval_assign(
         yield result
 
 
-def _eval_comparison(lit: BuiltinLiteral, registry: BuiltinRegistry) -> bool:
-    left = eval_term(lit.args[0], registry)
-    right = eval_term(lit.args[1], registry)
+def compare_values(name: str, left: Any, right: Any) -> bool:
+    """The comparison ``left name right`` over evaluated values."""
     lc, rc = _comparable(left), _comparable(right)
-    if lit.name == "=":
+    if name == "=":
         return lc == rc
-    if lit.name == "!=":
+    if name == "!=":
         return lc != rc
     if isinstance(lc, tuple) or isinstance(rc, tuple):
         raise BuiltinError(
-            f"ordered comparison {lit.name!r} on non-numeric values "
+            f"ordered comparison {name!r} on non-numeric values "
             f"{left!r}, {right!r}"
         )
-    if lit.name == "<":
+    if name == "<":
         return left < right
-    if lit.name == "<=":
+    if name == "<=":
         return left <= right
-    if lit.name == ">":
+    if name == ">":
         return left > right
-    if lit.name == ">=":
+    if name == ">=":
         return left >= right
-    raise BuiltinError(f"unknown comparison {lit.name!r}")
+    raise BuiltinError(f"unknown comparison {name!r}")

@@ -14,9 +14,12 @@ Mechanics:
   value names the node(s) storing the fact (the first is the primary;
   facts are also replicated to the primary's neighbors when
   ``replicate_to_neighbors`` is set, so neighbors can join over them);
-* an insertion visible at a node delta-fires the rules there; complete
-  results are sent to their head's placement node carrying the
-  derivation and the instantiated negated subgoals to watch;
+* an insertion visible at a node delta-fires the rules there — each
+  (rule, trigger occurrence) is compiled at ``install()`` into a
+  :class:`~repro.dist.plans.DeltaJoin`, Section V's "list of
+  join-conditions" in program flash; complete results are sent to
+  their head's placement node carrying the derivation and the
+  instantiated negated subgoals to watch;
 * at the placement node a derivation is *valid* while none of its
   watched negated atoms is visible; a fact is visible while it has a
   valid derivation.  Late-arriving blockers retract optimistically
@@ -29,18 +32,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.ast import Program, RelLiteral, Rule
-from ..core.builtins import (
-    BuiltinRegistry,
-    eval_builtin,
-    eval_term,
-    normalize_partial,
-)
-from ..core.errors import EvaluationError, PlanError
-from ..core.eval import _freeze_value, ground_head, order_body
+from ..core.builtins import BuiltinRegistry, eval_term
+from ..core.errors import PlanError
+from ..core.eval import _freeze_value
 from ..core.parser import parse_program
-from ..core.terms import Substitution, Term, term_size, to_term
-from ..core.unify import match_sequences
+from ..core.terms import term_size, to_term
 from ..net.messages import Message
 from ..net.network import SensorNetwork
 from ..net.node import Node
@@ -49,7 +45,7 @@ from ..obs import state as _obs
 from ..obs.spans import span as _span
 from ..streams.tuples import ArgsTuple
 from .gpa import WireDerivation, FactRef
-from .plans import DistributedPlan, RulePlan
+from .plans import DeltaJoin, DistributedPlan
 from ..streams.tuples import TupleID
 
 #: Fixed tuple id used for value-identified facts in localized mode.
@@ -191,6 +187,7 @@ class LocalizedEngine:
     def install(self) -> "LocalizedEngine":
         if self._installed:
             return self
+        self.plan.compile_delta_joins()
         on_result = self._with_telemetry("loc_result", self._on_result)
         on_replica = self._with_telemetry("loc_replica", self._on_replica)
         for node in self.network.nodes.values():
@@ -367,105 +364,47 @@ class LocalizedEngine:
 
     # -- rule firing -----------------------------------------------------------------
 
+    def fire_stored(self, pred: str) -> None:
+        """Fire the rules ``pred`` triggers for every fact of it already
+        stored at a node — how facts installed silently (``seed_edges``)
+        start their derivations."""
+        for node_id in self.network.topology.node_ids:
+            node = self.network.node(node_id)
+            for args in list(self.runtimes[node_id].tables.get(pred, ())):
+                self._fire_rules(node, pred, args, op="add")
+
     def _fire_rules(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
-        for rp, occ in self.plan.positive_triggers.get(pred, ()):
-            self._fire_rule(node, rp, occ, pred, args, op)
+        for join in self.plan.delta_joins.get(pred, ()):
+            self._fire_rule(node, join, args, op)
 
-    def _fire_rule(
-        self, node: Node, rp: RulePlan, occurrence: int,
-        pred: str, args: ArgsTuple, op: str,
-    ) -> None:
-        runtime = self.runtimes[node.id]
-        lit = rp.positive[occurrence]
-        seed = match_sequences(
-            tuple(normalize_partial(a, self.registry) for a in lit.atom.args),
-            args,
-            Substitution(),
-        )
-        if seed is None:
-            return
-        # Localized mode identifies facts by value, not by stream tuple
-        # id: a fixed id keeps derivation identities location-independent
-        # so duplicate firings (primary + replicas) dedupe at the home.
-        trigger_ref = FactRef(pred, args, _VALUE_ID)
-        # Materialize before emitting: locally delivered results mutate
-        # the very tables the enumeration reads.
-        matches = list(
-            self._enumerate_local(runtime, rp, occurrence, seed, trigger_ref, op)
-        )
-        for subst, used in matches:
-            substs = [subst]
-            for bl in rp.builtins:
-                nxt = []
-                for s in substs:
-                    try:
-                        nxt.extend(eval_builtin(bl, s, self.registry))
-                    except EvaluationError:
-                        pass
-                substs = nxt
-            for s in substs:
-                try:
-                    head_args = ground_head(rp.rule, s, self.registry)
-                except EvaluationError:
-                    continue
-                neg_atoms = tuple(
-                    (
-                        nlit.predicate,
-                        tuple(
-                            normalize_partial(a.substitute(s), self.registry)
-                            for a in nlit.atom.args
-                        ),
-                    )
-                    for nlit in rp.negative
+    def _fire_rule(self, node: Node, join: DeltaJoin, args: ArgsTuple, op: str) -> None:
+        tables = self.runtimes[node.id].tables
+        # The join is complete before anything is emitted: locally
+        # delivered results mutate the very tables it reads.
+        if _obs.enabled:
+            stats = [0, 0]  # rows scanned, rows matched
+            results = join.fire(tables, args, self.registry, stats)
+            if stats[0]:
+                _inst.join_selectivity.labels(rule=join.label).observe(
+                    stats[1] / stats[0]
                 )
-                for np, nargs in neg_atoms:
-                    for t in nargs:
-                        if not t.is_ground():
-                            raise PlanError(
-                                "localized mode requires ground negated "
-                                f"subgoals; got {np}{nargs!r}"
-                            )
-                derivation = WireDerivation(rp.rule_id, tuple(used))
-                home = self.placements[rp.head.predicate].primary_node(
-                    head_args, self.registry
-                )
-                msg = LocalResultMsg(
-                    rp.head.predicate, head_args, derivation, neg_atoms, op
-                )
-                if home == node.id:
-                    node.local_deliver(msg)
-                else:
-                    node.send_routed(home, msg)
-
-    def _enumerate_local(
-        self, runtime: LocalRuntime, rp: RulePlan, occurrence: int,
-        seed: Substitution, trigger: FactRef, op: str,
-    ):
-        """Delta-join the trigger against this node's local tables."""
-        others = [
-            (i, lit) for i, lit in enumerate(rp.positive) if i != occurrence
-        ]
-
-        def recurse(idx: int, subst: Substitution, used: List[FactRef]):
-            if idx == len(others):
-                yield subst, list(used)
-                return
-            _i, lit = others[idx]
-            pattern = tuple(
-                normalize_partial(a.substitute(subst), self.registry)
-                for a in lit.atom.args
-            )
-            for row in list(runtime.tables.get(lit.predicate, ())):
-                bindings = match_sequences(pattern, row, Substitution())
-                if bindings is None:
-                    continue
-                s2 = Substitution(subst)
-                s2.update(bindings)
-                used.append(FactRef(lit.predicate, row, _VALUE_ID))
-                yield from recurse(idx + 1, s2, used)
-                used.pop()
-
-        yield from recurse(0, seed, [trigger])
+        else:
+            results = join.fire(tables, args, self.registry)
+        placement = self.placements[join.head_pred]
+        for head_args, used, neg_atoms in results:
+            # Localized mode identifies facts by value, not by stream
+            # tuple id: a fixed id keeps derivation identities
+            # location-independent so duplicate firings (primary +
+            # replicas) dedupe at the home.
+            derivation = WireDerivation(join.rule_id, tuple(
+                FactRef(p, row, _VALUE_ID) for p, row in zip(join.preds, used)
+            ))
+            home = placement.primary_node(head_args, self.registry)
+            msg = LocalResultMsg(join.head_pred, head_args, derivation, neg_atoms, op)
+            if home == node.id:
+                node.local_deliver(msg)
+            else:
+                node.send_routed(home, msg)
 
 
 def logich_program() -> str:

@@ -50,13 +50,9 @@ def build_routing(
         routing_program(bound), network, routing_placements()
     ).install()
     engine.seed_edges("g")
-    # Base routes (rule 1) fire off the seeded edges: trigger them by
-    # re-inserting each node's own edge set through the table-insert
-    # path (seed_edges installed the facts silently).
-    for a in network.topology.node_ids:
-        runtime = engine.runtimes[a]
-        for args in list(runtime.tables.get("g", ())):
-            engine._fire_rules(network.node(a), "g", args, op="add")
+    # Base routes (rule 1) fire off the seeded edges, which seed_edges
+    # installed silently.
+    engine.fire_stored("g")
     return engine
 
 

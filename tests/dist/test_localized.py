@@ -1,18 +1,30 @@
 """Tests for the localized engine: shortest-path trees (Example 3)."""
 
+import pickle
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import PlanError
+from repro import obs
+from repro.core.builtins import eval_builtin, normalize_partial
+from repro.core.errors import EvaluationError, PlanError
+from repro.core.eval import ground_head
+from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
+from repro.core.unify import match_sequences
 from repro.dist.baselines import ProceduralBFS
 from repro.dist.localized import (
     LocalizedEngine,
     Placement,
+    ReplicaMsg,
     build_sptree,
     logich_placements,
     logich_program,
+    logicj_placements,
+    logicj_program,
     visible_rows,
 )
+from repro.dist.routing_app import build_routing
 from repro.net.network import GridNetwork, RandomNetwork
 
 
@@ -158,8 +170,6 @@ def bounded_j_program(bound: int) -> str:
 
 class TestRetraction:
     def _build_bounded(self, net, root):
-        from repro.dist.localized import logicj_placements
-
         bound = net.topology.diameter
         eng = LocalizedEngine(
             bounded_j_program(bound), net, logicj_placements()
@@ -214,3 +224,328 @@ class TestValidation:
         p = Placement(0)
         with pytest.raises(PlanError):
             p.primary_node((Constant("abc"),), None)
+
+    def test_anonymous_negated_subgoal_rejected_at_install(self):
+        """Localized mode watches ground negated atoms only.  The rule
+        used to raise from a message handler mid-run, after earlier
+        matches of the same firing were sent; now it never installs."""
+        program = "p(X, D) :- q(X, D), not r(_, D)."
+        placements = {k: Placement(0) for k in "pqr"}
+        engine = LocalizedEngine(program, GridNetwork(2), placements)
+        with pytest.raises(PlanError, match="ground negated subgoals"):
+            engine.install()
+
+
+# -- compiled delta-joins ------------------------------------------------------
+
+
+def reference_fire(rp, occurrence, tables, args, registry):
+    """The interpretive enumerator ``LocalizedEngine._fire_rule`` ran
+    before delta-joins were compiled (commit 9fe6e71), kept as the
+    oracle: per candidate row it rebuilds the pattern, one-way matches
+    it and extends a Substitution; built-ins go through eval_builtin,
+    the head through ground_head.  Returns the ordered
+    (head args, used facts, negated atoms) of one firing."""
+    lit = rp.positive[occurrence]
+    seed = match_sequences(
+        tuple(normalize_partial(a, registry) for a in lit.atom.args),
+        args,
+        Substitution(),
+    )
+    if seed is None:
+        return []
+    others = [l for i, l in enumerate(rp.positive) if i != occurrence]
+
+    def recurse(idx, subst, used):
+        if idx == len(others):
+            yield subst, tuple(used)
+            return
+        lit = others[idx]
+        pattern = tuple(
+            normalize_partial(a.substitute(subst), registry)
+            for a in lit.atom.args
+        )
+        for row in list(tables.get(lit.predicate, ())):
+            bindings = match_sequences(pattern, row, Substitution())
+            if bindings is None:
+                continue
+            s2 = Substitution(subst)
+            s2.update(bindings)
+            used.append((lit.predicate, row))
+            yield from recurse(idx + 1, s2, used)
+            used.pop()
+
+    out = []
+    for subst, used in list(recurse(0, seed, [(lit.predicate, args)])):
+        substs = [subst]
+        for bl in rp.builtins:
+            nxt = []
+            for s in substs:
+                try:
+                    nxt.extend(eval_builtin(bl, s, registry))
+                except EvaluationError:
+                    pass
+            substs = nxt
+        for s in substs:
+            try:
+                head_args = ground_head(rp.rule, s, registry)
+            except EvaluationError:
+                continue
+            neg_atoms = tuple(
+                (
+                    nlit.predicate,
+                    tuple(
+                        normalize_partial(a.substitute(s), registry)
+                        for a in nlit.atom.args
+                    ),
+                )
+                for nlit in rp.negative
+            )
+            for pred, nargs in neg_atoms:
+                if not all(t.is_ground() for t in nargs):
+                    raise PlanError(f"non-ground negated subgoal {pred}{nargs!r}")
+            out.append((head_args, used, neg_atoms))
+    return out
+
+
+ARITY = {"a": 2, "b": 2, "c": 3}
+VARS = ("X", "Y", "Z", "W")
+ONE_PLUS_ONE = FunctionTerm("+", [Constant(1), Constant(1)])
+
+def weighted(*choices):
+    """Pick a strategy by weight (one_of picks its branches evenly)."""
+    pool = [strategy for weight, strategy in choices for _ in range(weight)]
+    return st.integers(0, len(pool) - 1).flatmap(pool.__getitem__)
+
+
+# Values small enough that random rows join; 1.0 equals 1, "s" makes
+# arithmetic and ordered comparisons raise.
+values = weighted(
+    (12, st.integers(0, 2).map(Constant)),
+    (1, st.sampled_from([Constant("s"), Constant(1.0)])),
+    (2, st.integers(0, 1).map(lambda k: FunctionTerm("f", [Constant(k)]))),
+    (1, st.lists(st.integers(0, 1).map(Constant), max_size=2).map(make_list)),
+    # what insert() stores when handed a raw term: not normalized
+    (1, st.sampled_from([ONE_PLUS_ONE, FunctionTerm("f", [ONE_PLUS_ONE])])),
+)
+
+
+@st.composite
+def rows(draw, pred):
+    arity = ARITY[pred] + draw(weighted((8, st.just(0)), (1, st.sampled_from([-1, 1]))))
+    return tuple(draw(values) for _ in range(arity))
+
+
+@st.composite
+def rules(draw):
+    """One safe rule text: head out(1, ...) so every result is routed to
+    node 1 and a firing at node 0 never delivers locally."""
+    var = st.sampled_from(VARS)
+    pattern_arg = weighted(
+        (12, var),
+        (2, st.sampled_from(["_", "_", "_", "0", "1", "s", "f(0)", "[0, 1]"])),
+        (1, st.one_of(
+            var.map(lambda v: f"f({v})"),
+            st.tuples(var, var).map(lambda ht: f"[{ht[0]} | {ht[1]}]"),
+            var.map(lambda v: f"{v} + 1"),
+        )),
+    )
+    body, bound = [], set()
+    for _ in range(draw(st.integers(1, 3))):
+        pred = draw(st.sampled_from(sorted(ARITY)))
+        args = [draw(pattern_arg) for _ in range(ARITY[pred])]
+        body.append(f"{pred}({', '.join(args)})")
+        bound.update(v for v in VARS if any(v in a for a in args))
+    atoms = [(1, st.sampled_from(["0", "1", "2", "s"]))]
+    if bound:
+        bound_var = st.sampled_from(sorted(bound))
+        atoms += [(6, bound_var), (3, bound_var.map(lambda v: f"{v} + 1"))]
+    expr = weighted(*atoms)
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
+        negated = draw(st.sampled_from(["", "", "not "]))
+        body.append(f"{negated}{draw(expr)} {op} {draw(expr)}")
+    if draw(st.booleans()):
+        body.append(f"N = {draw(expr)}")
+        expr = weighted((4, expr), (1, st.just("N")))
+    if draw(st.booleans()):
+        pred = draw(st.sampled_from(sorted(ARITY)))
+        args = [draw(expr) for _ in range(ARITY[pred])]
+        body.append(f"not {pred}({', '.join(args)})")
+    draw(st.randoms()).shuffle(body)
+    return f"out(1, {draw(expr)}, {draw(expr)}) :- {', '.join(body)}."
+
+
+def differential_engine(rule):
+    """An engine for ``rule`` on four nodes whose node 0 records what
+    it would route instead of sending it."""
+    placements = {p: Placement(0) for p in (*ARITY, "out")}
+    engine = LocalizedEngine(rule, GridNetwork(2), placements).install()
+    sent = []
+    engine.network.node(0).send_routed = lambda home, msg: sent.append((
+        home, msg.pred, msg.args,
+        tuple((f.pred, f.args) for f in msg.derivation.facts),
+        msg.neg_atoms, msg.op,
+    ))
+    return engine, sent
+
+
+def assert_fires_like_interpreter(engine, sent, tables, pred, args, op):
+    """Deliver a replica insert / delete of ``pred(args)`` at node 0 and
+    compare what the engine sends, in order, with the interpretive
+    oracle run on the very table sets the engine read (set order is the
+    match order)."""
+    live = {p: set(rs) for p, rs in tables.items()}
+    # an insert must be new, a delete must be stored
+    (live[pred].discard if op == "ins" else live[pred].add)(args)
+    engine.runtimes[0].tables = live
+    del sent[:]
+    raised = expected_error = None
+    try:
+        engine.network.node(0).local_deliver(ReplicaMsg(pred, args, op))
+    except Exception as exc:
+        raised = type(exc)
+    expected = []
+    try:
+        for rp, occurrence in engine.plan.positive_triggers.get(pred, ()):
+            expected += [
+                (1, "out", head, used, negs, "add" if op == "ins" else "sub")
+                for head, used, negs in reference_fire(
+                    rp, occurrence, live, args, engine.registry
+                )
+            ]
+    except Exception as exc:
+        expected_error = type(exc)
+    assert raised == expected_error
+    if raised is None:
+        assert sent == expected
+    return expected
+
+
+class TestCompiledDeltaJoin:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rule=rules(),
+        tables=st.fixed_dictionaries(
+            {p: st.lists(rows(p), min_size=4, max_size=9) for p in sorted(ARITY)}
+        ),
+        data=st.data(),
+    )
+    def test_matches_interpretive_enumerator(self, rule, tables, data):
+        engine, sent = differential_engine(rule)
+        firings = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(sorted(engine.plan.positive_triggers)),
+                st.integers(0, 8),
+                st.sampled_from(["ins", "del"]),
+            ),
+            min_size=1, max_size=3,
+        ))
+        for pred, pick, op in firings:
+            stored = tables[pred]
+            args = stored[pick] if pick < len(stored) else data.draw(rows(pred))
+            assert_fires_like_interpreter(engine, sent, tables, pred, args, op)
+
+    def test_structural_literals(self):
+        """Complex arguments with variables of their own — matched
+        structurally, their variables read by later literals and the
+        head — with every stored row as the trigger of every literal."""
+        f = lambda *args: FunctionTerm("f", [Constant(a) for a in args])
+        ints = lambda *ks: tuple(Constant(k) for k in ks)
+        tables = {
+            "a": [(f(0), make_list(ints(1, 2))), (f(1), make_list(ints(0))),
+                  (f(1), Constant("nil")), ints(1, 2)],
+            "b": [ints(0, 1), ints(1, 0), ints(1, 2), (f(1), Constant(1))],
+            "c": [(Constant(0), f(1), Constant(2)), ints(1, 1, 2),
+                  (Constant(1), f(0), Constant(0))],
+        }
+        results = 0
+        for rule in [
+            "out(1, X, T) :- a(f(X), [H | T]), b(X, H).",
+            "out(1, H, Z + 1) :- b(X, H), a(f(X), [H | _]), c(X, f(H), Z).",
+            "out(1, X, Y) :- c(X, f(X), Y), b(f(X), Y).",
+            "out(1, X, Y) :- b(X, Y), c(Y, f(X), _), not a(f(X), Y).",
+        ]:
+            engine, sent = differential_engine(rule)
+            for pred in engine.plan.positive_triggers:
+                for args in tables[pred]:
+                    for op in ("ins", "del"):
+                        results += len(assert_fires_like_interpreter(
+                            engine, sent, tables, pred, args, op
+                        ))
+        assert results >= 20  # the cases do derive
+
+    def test_probe_hands_out_stored_row(self):
+        """1 == 1.0, but derivation identities spell their rows: a
+        membership probe that hits must use the stored row, as the
+        scan it replaces did."""
+        engine, sent = differential_engine("out(1, X, Y) :- a(X, Y), b(X, Y).")
+        stored = (Constant(1.0), Constant(2))
+        tables = {"a": [], "b": [stored], "c": []}
+        assert_fires_like_interpreter(
+            engine, sent, tables, "a", (Constant(1), Constant(2)), "ins"
+        )
+        assert repr(sent[0][3][1]) == repr(("b", stored))
+
+    def test_plan_with_delta_joins_pickles(self):
+        net = GridNetwork(3, seed=1)
+        engine, _ = build_sptree(net, root=0, variant="j")
+        net.run_all()
+        plan = pickle.loads(pickle.dumps(engine.plan))
+        tables = engine.runtimes[4].tables
+        for pred, joins in engine.plan.delta_joins.items():
+            for join, copy in zip(joins, plan.delta_joins[pred]):
+                for args in tables[pred]:
+                    assert copy.fire(tables, args, engine.registry) == join.fire(
+                        tables, args, engine.registry
+                    )
+
+    # Recorded on 9fe6e71, the last commit that unified per row:
+    # (frames, bytes, events, rows).
+    @pytest.mark.parametrize("variant,build,root,pin", [
+        ("j", lambda: GridNetwork(14, seed=12), 0, (1820, 66976, 1820, 196)),
+        ("j", lambda: GridNetwork(10, seed=3), 0, (900, 33120, 900, 100)),
+        ("h", lambda: GridNetwork(10, seed=3), 0, (1962, 80856, 1962, 181)),
+        ("h", lambda: GridNetwork(6, seed=11), 0, (610, 25080, 610, 61)),
+        ("j", lambda: RandomNetwork(60, radius=1.8, side=60 ** 0.5, seed=2), 0,
+         (1136, 42712, 1136, 60)),
+    ])
+    def test_traffic_identical_to_interpreter(self, variant, build, root, pin):
+        net = build()
+        engine, pred = build_sptree(net, root=root, variant=variant)
+        net.run_all()
+        assert (
+            net.metrics.total_messages, net.metrics.total_bytes,
+            net.sim.events_processed, len(visible_rows(engine, pred)),
+        ) == pin
+
+    def test_routing_app_rows(self):
+        """Rows only: the frame count of this run already moved with
+        PYTHONHASHSEED on 9fe6e71 (33 307 / 33 315 / 33 317) — table
+        sets iterate in salted-hash order, so sends leave in another
+        order."""
+        net = GridNetwork(5, seed=4)
+        engine = build_routing(net)
+        net.run_all()
+        assert len(visible_rows(engine, "route")) == 5400
+
+    def _selectivity_observations(self):
+        net = GridNetwork(4, seed=1)
+        build_sptree(net, root=0, variant="j")
+        net.run_all()
+        hist = obs.REGISTRY.get("repro_join_selectivity")
+        return {labels: h.count for labels, h in hist.series()}
+
+    def test_join_selectivity_histogram(self):
+        was = obs.enabled()
+        try:
+            obs.disable()
+            obs.reset()
+            assert not any(self._selectivity_observations().values())
+            obs.enable()
+            counts = self._selectivity_observations()
+            assert counts[("jp#r0",)] > 0 and counts[("j#r1",)] > 0
+        finally:
+            obs.reset()
+            if not was:
+                obs.disable()
