@@ -23,7 +23,7 @@ multi-x mean-latency reduction at m=12.
 
 ``--smoke`` shrinks to CI scale; ``--check`` additionally gates the
 simulated latencies and the pipelined speedup against the committed
-``BENCH_e15.json`` baseline (the latency-smoke CI job runs both).
+``BENCH_e15.json`` baseline (the bench-smoke (e15) CI job runs both).
 """
 
 import json

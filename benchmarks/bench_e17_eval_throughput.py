@@ -1,22 +1,19 @@
 #!/usr/bin/env python
-"""E17 — evaluator throughput: columnar batch engine vs. tuple plans
-vs. the seed engine.
+"""E17 — evaluator throughput: the production path vs. the seed oracle.
 
-Runs the same centralized workloads through all three engines (the
-vectorized columnar executor, the tuple-at-a-time compiled plan
-executor, and the original recursive enumerator) and reports wall time,
-derived facts per second, index probes and full scans:
+Runs the same centralized workloads twice — once on the production
+executors (vectorized batch kernels where a firing vectorizes, the
+tuple-at-a-time plan executor where it does not) and once inside
+``seed_engine()`` (the original recursive enumerator) — and reports
+wall time, derived facts per second, index probes and full scans:
 
 * ``tc`` — transitive closure of a random graph (the classic recursive
-  join workload; the columnar engine's headline is the ≥10x
-  facts/sec gain here, the compiled executor's is the ≥3x probe
-  reduction);
+  join workload; the headline is the ≥10x facts/sec gain here);
 * ``sptree`` — the E5 shortest-path-tree (logicH) program on a grid
   graph, exercising the XY stage evaluator, negation and arithmetic.
 
-Every non-seed engine's derived rows are checked identical to the seed
-engine's.  ``--engine {columnar,tuple,seed}`` restricts the run to the
-seed oracle plus the named engine; ``--smoke`` shrinks both workloads
+The production run's derived rows are checked identical to the
+oracle's (the ``identical`` column).  ``--smoke`` shrinks both workloads
 for CI; ``--check`` additionally compares derived-facts/sec against the
 committed ``BENCH_e17.json`` baseline and exits non-zero on a >2x
 regression.
@@ -34,7 +31,9 @@ from harness import report
 
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
-from repro.core.plan import ENGINES, GLOBAL_PLAN_CACHE, use_engine
+from contextlib import nullcontext
+
+from repro.core.plan import GLOBAL_PLAN_CACHE, seed_engine
 
 TC_PROGRAM = """
     tc(X, Y) :- e(X, Y).
@@ -107,8 +106,8 @@ WORKLOADS = {
     },
 }
 
-#: Seed first so every other engine can be checked against its rows.
-ENGINE_ORDER = ("seed", "tuple", "columnar")
+#: Row name -> the context the fixpoint runs in.
+PATHS = {"production": nullcontext, "oracle": seed_engine}
 
 
 def run_once(program_text, facts, idb_preds, reps=1):
@@ -139,7 +138,7 @@ def run_once(program_text, facts, idb_preds, reps=1):
     }
 
 
-def run(smoke=False, engines=ENGINE_ORDER):
+def run(smoke=False):
     scale = "smoke" if smoke else "full"
     reps = 3 if smoke else 1  # smoke is cheap enough to take best-of-3
     rows = []
@@ -147,49 +146,43 @@ def run(smoke=False, engines=ENGINE_ORDER):
     for name, spec in WORKLOADS.items():
         facts = spec[scale]()
         runs = {}
-        for engine in engines:
-            with use_engine(engine):
-                runs[engine] = run_once(
+        for path, context in PATHS.items():
+            with context():
+                runs[path] = run_once(
                     spec["program"], facts, spec["idb"], reps=reps
                 )
-        oracle = runs.get("seed")
+        production, oracle = runs["production"], runs["oracle"]
+        identical = production["rows"] == oracle["rows"]
         results[name] = {}
-        for engine in engines:
-            res = runs[engine]
-            identical = oracle is None or res["rows"] == oracle["rows"]
+        for path, res in runs.items():
             rows.append([
-                name, scale, engine, f"{res['secs'] * 1e3:.1f}",
+                name, scale, path, f"{res['secs'] * 1e3:.1f}",
                 res["derived"], int(res["facts_per_sec"]),
-                res["probes"], res["scans"],
-                ("yes" if identical else "NO") if oracle is not None else "n/a",
+                res["probes"], res["scans"], "yes" if identical else "NO",
             ])
-            results[name][engine] = {
+            results[name][path] = {
                 "identical": identical,
                 "facts_per_sec": res["facts_per_sec"],
                 "probes": res["probes"],
             }
-        if oracle is not None:
-            for engine in engines:
-                if engine == "seed":
-                    continue
-                res = runs[engine]
-                speedup = (
-                    oracle["secs"] / res["secs"] if res["secs"] > 0 else 0.0
-                )
-                probe_ratio = (
-                    oracle["probes"] / res["probes"]
-                    if res["probes"] else float("inf")
-                )
-                results[name][engine]["speedup"] = speedup
-                results[name][engine]["probe_ratio"] = probe_ratio
-                rows.append([
-                    name, scale, f"seed/{engine}", f"{speedup:.2f}x", "", "",
-                    f"{probe_ratio:.1f}x", "", "",
-                ])
+        speedup = (
+            oracle["secs"] / production["secs"]
+            if production["secs"] > 0 else 0.0
+        )
+        probe_ratio = (
+            oracle["probes"] / production["probes"]
+            if production["probes"] else float("inf")
+        )
+        results[name]["production"]["speedup"] = speedup
+        results[name]["production"]["probe_ratio"] = probe_ratio
+        rows.append([
+            name, scale, "oracle/production", f"{speedup:.2f}x", "", "",
+            f"{probe_ratio:.1f}x", "", "",
+        ])
     report(
         "e17_eval_throughput",
-        f"E17: evaluator throughput, columnar vs tuple vs seed ({scale})",
-        ["workload", "scale", "engine", "wall-ms", "derived",
+        f"E17: evaluator throughput, production vs seed oracle ({scale})",
+        ["workload", "scale", "path", "wall-ms", "derived",
          "facts/s", "probes", "scans", "identical"],
         rows,
     )
@@ -198,18 +191,18 @@ def run(smoke=False, engines=ENGINE_ORDER):
 
 def check_baseline(results):
     """Exit non-zero when derived-facts/sec regressed >2x vs the
-    committed per-engine baseline (the CI perf gate)."""
+    committed per-path baseline (the CI perf gate)."""
     with open(BASELINE_PATH) as f:
         baseline = json.load(f)
     failed = False
-    for name, engines in baseline["workloads"].items():
-        for engine, committed in engines.items():
+    for name, paths in baseline["workloads"].items():
+        for path, committed in paths.items():
             floor = committed["facts_per_sec"] / 2.0
             got = (
-                results.get(name, {}).get(engine, {}).get("facts_per_sec", 0.0)
+                results.get(name, {}).get(path, {}).get("facts_per_sec", 0.0)
             )
             status = "ok" if got >= floor else "REGRESSED"
-            print(f"[baseline] {name}/{engine}: {got:.0f} facts/s "
+            print(f"[baseline] {name}/{path}: {got:.0f} facts/s "
                   f"(floor {floor:.0f}) {status}")
             if got < floor:
                 failed = True
@@ -220,34 +213,19 @@ def check_baseline(results):
 def test_e17_shape(benchmark):
     results = benchmark.pedantic(run, kwargs={"smoke": True},
                                  rounds=1, iterations=1)
-    for name, engines in results.items():
-        for engine, res in engines.items():
-            assert res["identical"], f"{name}/{engine}: engines disagree"
-    # The E14 acceptance criterion: ≥3x fewer index probes on transitive
-    # closure with the tuple plan executor, identical results.
-    assert results["tc"]["tuple"]["probe_ratio"] >= 3.0
-    # The batch engine probes once per join step, never more than the
-    # tuple executor's per-binding probing.
-    assert (
-        results["tc"]["columnar"]["probes"]
-        <= results["tc"]["tuple"]["probes"]
-    )
+    for name, paths in results.items():
+        for path, res in paths.items():
+            assert res["identical"], f"{name}/{path}: rows differ from oracle"
+    # Compile-once plans with memoized / per-step probing do at least 3x
+    # fewer index probes than the oracle on transitive closure.
+    assert results["tc"]["production"]["probe_ratio"] >= 3.0
 
 
 if __name__ == "__main__":
-    smoke = "--smoke" in sys.argv
-    engines = ENGINE_ORDER
-    if "--engine" in sys.argv:
-        chosen = sys.argv[sys.argv.index("--engine") + 1]
-        if chosen not in ENGINES:
-            print(f"unknown engine {chosen!r}; pick one of {ENGINES}")
+    results = run(smoke="--smoke" in sys.argv)
+    for name, path_results in results.items():
+        if not path_results["production"]["identical"]:
+            print(f"ERROR: {name}: production rows differ from the oracle's")
             sys.exit(2)
-        engines = ("seed", chosen) if chosen != "seed" else ("seed",)
-    results = run(smoke=smoke, engines=engines)
-    for name, engine_results in results.items():
-        for engine, res in engine_results.items():
-            if not res["identical"]:
-                print(f"ERROR: {name}/{engine}: engines disagree")
-                sys.exit(2)
     if "--check" in sys.argv:
         check_baseline(results)

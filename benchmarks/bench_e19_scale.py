@@ -17,7 +17,7 @@ oracle at n in {100, 1k, 5k, 10k}:
 
 ``--quick`` shrinks to CI scale; ``--check`` additionally compares
 against the committed ``BENCH_e19.json`` floors/ceilings and exits
-non-zero on regression (the scale-smoke CI job runs both together).
+non-zero on regression (the bench-smoke (e19) CI job runs both together).
 """
 
 import random
@@ -286,7 +286,7 @@ def run(sizes=SIZES, tuples=TUPLES, brute_cap=BRUTE_CAP):
 
 def check_baseline(results):
     """Gate measured wall-clocks against the committed floors (CI's
-    scale-smoke job).  Ceilings are deliberately loose — they catch
+    bench-smoke (e19) job).  Ceilings are deliberately loose — they catch
     order-of-magnitude regressions (someone reverting to the O(n^2)
     scan), not scheduler noise."""
     with open(BASELINE_PATH) as f:

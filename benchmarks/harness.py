@@ -15,7 +15,6 @@ import multiprocessing.util
 import os
 import random
 import traceback
-import warnings
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 import repro
@@ -109,8 +108,7 @@ def run_trials(
 ) -> List[Any]:
     """Run ``fn(**trial)`` for each trial dict, in trial order.
 
-    The one trial-running entry point (it replaced the former
-    ``run_trials``/``run_trials_parallel`` pair):
+    The one trial-running entry point:
 
     * ``parallel=None`` runs serially, in order, in this process;
     * ``parallel=k`` fans the trials out over ``k`` worker processes
@@ -260,29 +258,6 @@ def _run_trial(payload) -> Any:
         return ("ok", fn(**kwargs))
     except Exception as exc:
         return ("err", traceback.format_exc(), getattr(exc, "shard", None))
-
-
-def run_trials_parallel(
-    fn: Callable[..., Any],
-    trials: Sequence[Dict],
-    processes: Optional[int] = None,
-    telemetry_name: Optional[str] = None,
-) -> List[Any]:
-    """Deprecated alias for ``run_trials(..., parallel=...)``.
-
-    The serial/parallel split collapsed into one entry point; this thin
-    wrapper keeps old call sites running through one release."""
-    warnings.warn(
-        "run_trials_parallel is deprecated; call "
-        "run_trials(fn, trials, parallel=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if processes is None:
-        processes = min(len(trials), os.cpu_count() or 1)
-    return run_trials(
-        fn, trials, parallel=processes, telemetry_name=telemetry_name
-    )
 
 
 def run_join_workload(

@@ -29,14 +29,7 @@ import networkx as nx
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from ..obs.spans import span as _span
-from .ast import (
-    Atom,
-    BuiltinLiteral,
-    Literal,
-    Program,
-    RelLiteral,
-    Rule,
-)
+from .ast import Atom, BuiltinLiteral, Program, RelLiteral, Rule
 from .builtins import (
     BuiltinRegistry,
     DEFAULT_REGISTRY,
@@ -48,28 +41,11 @@ from .builtins import (
 from .columnar import GLOBAL_INTERNER as _INTERNER
 from .derivations import CachedFactKey, Derivation, DerivationStore, FactKey
 from .errors import EvaluationError, ProgramError
-from .plan import (
-    GLOBAL_PLAN_CACHE,
-    CompiledPlan,
-    PlanCache,
-    compile_rule,
-    engine_mode,
-    order_body,
-    rule_label,
-    seed_engine,
-    seed_mode,
-    use_engine,
-)
+from .plan import GLOBAL_PLAN_CACHE, order_body, rule_label, seed_mode
 from .vector import execute_batch
 from .safety import check_program_safety
-from .stratify import (
-    Analysis,
-    ProgramClass,
-    classify,
-    dependency_graph,
-    recursive_components,
-)
-from .terms import Constant, Substitution, Term, Variable, to_term
+from .stratify import ProgramClass, classify, dependency_graph
+from .terms import Substitution, Term, to_term
 from .unify import match_sequences
 
 ArgsTuple = Tuple[Term, ...]
@@ -397,10 +373,6 @@ def _freeze_value(value):
     return value
 
 
-#: Telemetry label helper (shared with the plan layer).
-_rule_label = rule_label
-
-
 def _total_probes(db: Database) -> int:
     return sum(rel.probes for rel in db._relations.values())
 
@@ -534,10 +506,10 @@ def ground_head(rule: Rule, subst: Substitution, registry: BuiltinRegistry) -> A
     return tuple(out)
 
 
-#: Deltas smaller than this run tuple-at-a-time even under the columnar
-#: engine: the numpy kernels' per-call overhead beats Python loops only
-#: once a few rows amortize it (the incremental evaluator's
-#: one-tuple-at-a-time deltas stay on the tuple path).
+#: Deltas smaller than this run tuple-at-a-time: the numpy kernels'
+#: per-call overhead beats Python loops only once a few rows amortize it
+#: (the incremental evaluator's one-tuple-at-a-time deltas stay on the
+#: tuple path).
 _MIN_BATCH = 4
 
 
@@ -549,13 +521,18 @@ def fire_rule(
 ) -> Iterator[Tuple[ArgsTuple, Derivation]]:
     """Yield (head tuple, derivation) for every body match.
 
-    Under the ``columnar`` engine, vectorizable rules run through the
-    numpy batch executor (:mod:`repro.core.vector`); everything else —
-    other engines, rules the analyzer rejected, calls the kernels bail
-    out of at runtime, tiny deltas — takes the tuple-at-a-time path
-    below, with identical results.
+    Vectorizable rules run through the numpy batch executor
+    (:mod:`repro.core.vector`); everything else — rules the analyzer
+    rejected, calls the kernels bail out of at runtime, tiny deltas —
+    takes the tuple-at-a-time path below, with identical results.
+    Inside a :func:`repro.core.plan.seed_engine` block every firing goes
+    to the oracle instead.
     """
-    if engine_mode() == "columnar" and "initial_subst" not in delta_kwargs:
+    if seed_mode():
+        # The recursive enumerator iterates the live relations, so its
+        # firings are materialized before the caller inserts any head.
+        return iter(list(_fire_rule_tuples(rule, db, registry, **delta_kwargs)))
+    if "initial_subst" not in delta_kwargs:
         plan = GLOBAL_PLAN_CACHE.get(rule)
         program = plan.batch_program()
         if program is not None:
@@ -676,13 +653,227 @@ def _gc_paused():
         gc.enable()
 
 
-class SemiNaiveEvaluator:
+class _BottomUpEvaluator:
+    """The one bottom-up fixpoint driver.
+
+    :meth:`evaluate` walks the condensation of the predicate dependency
+    graph once, in topological order.  A node is either a positive SCC —
+    saturated by the semi-naive routine, aggregate rules first — or a
+    recursive component with negation inside, evaluated stage by stage
+    (Section IV-C).  Every fired head, whichever routine fired it,
+    becomes a row, a fact key and a derivation in :meth:`_absorb`.
+
+    The public subclasses only validate the program class and carry
+    their options.
+    """
+
+    label: str
+    program: Program
+    registry: BuiltinRegistry
+    record_derivations = True
+    max_facts: Optional[int] = None
+    max_stages: int
+    xy = None
+
+    def evaluate(self, db: Database) -> Database:
+        """Evaluate the program to fixpoint over ``db`` (mutated in place,
+        also returned for chaining)."""
+        with _gc_paused():
+            if not _obs.enabled:
+                self._walk(db)
+                return db
+            probes_before = _total_probes(db)
+            scans_before = _total_scans(db)
+            with _span("eval.fixpoint", evaluator=self.label,
+                       rules=len(self.program.rules)) as sp:
+                self._walk(db)
+                probes = _total_probes(db) - probes_before
+                scans = _total_scans(db) - scans_before
+                _inst.join_probes.inc(probes)
+                _inst.relation_scans.inc(scans)
+                sp.set(join_probes=probes, relation_scans=scans)
+        return db
+
+    def _walk(self, db: Database) -> None:
+        for fact in self.program.facts:
+            db.assert_atom(fact)
+        # The XY witness assigns a stage position to exactly the
+        # predicates of the components that recurse through negation.
+        staged = self.xy.stage_position if self.xy is not None else {}
+        condensation = nx.condensation(dependency_graph(self.program))
+        for node in nx.topological_sort(condensation):
+            comp = condensation.nodes[node]["members"]
+            rules = [r for r in self.program.rules if r.head.predicate in comp]
+            if not rules:
+                continue  # base predicates: nothing to derive
+            with _span("eval.stratum", predicates=sorted(comp)):
+                if rules[0].head.predicate in staged:
+                    self._evaluate_component(db, rules)
+                else:
+                    self._evaluate_stratum(db, rules)
+
+    def _absorb(self, db: Database, rule: Rule, firings, deltas) -> int:
+        """Turn ``rule``'s fired heads into rows, fact keys and
+        derivations; rows that are new also land in
+        ``deltas[head predicate]``.  Returns how many were new."""
+        head_pred = rule.head.predicate
+        rel = db.relation(head_pred)
+        record = self.record_derivations
+        derivs_add = db.derivations.add
+        add_row = rel.add_row
+        keys = rel.fact_keys(head_pred) if record else None
+        delta_set = None
+        fired = added = 0
+        for head, derivation in firings:
+            fired += 1
+            is_new, row = add_row(head)
+            if record:
+                if row >= len(keys):
+                    keys.append(CachedFactKey((head_pred, head)))
+                derivs_add(keys[row], derivation)
+            if is_new:
+                added += 1
+                if delta_set is None:
+                    delta_set = deltas.setdefault(head_pred, set())
+                delta_set.add(head)
+        if _obs.enabled and fired:
+            label = rule_label(rule)
+            _inst.rule_firings.labels(rule=label).inc(fired)
+            _inst.rule_derived.labels(rule=label).inc(added)
+        return added
+
+    # -- positive SCCs: semi-naive ---------------------------------------
+
+    def _evaluate_stratum(self, db: Database, rules: List[Rule]) -> None:
+        # Aggregate rules first: stratification guarantees their body
+        # predicates live in strictly lower components, hence are final.
+        for rule in rules:
+            if rule.has_aggregates:
+                rel = db.relation(rule.head.predicate)
+                for head in evaluate_aggregate_rule(rule, db, self.registry):
+                    rel.add(head)
+        rules = [r for r in rules if not r.has_aggregates]
+        registry = self.registry
+
+        # Initial round: full naive evaluation of this component's rules.
+        deltas: Dict[str, Set[ArgsTuple]] = {}
+        rounds = 1
+        for rule in rules:
+            self._absorb(db, rule, fire_rule(rule, db, registry), deltas)
+
+        # The max_facts guard accumulates additions incrementally rather
+        # than re-summing every IDB relation each round.
+        idb_total = None
+        if self.max_facts is not None:
+            idb_total = sum(db.count(p) for p in self.program.idb_predicates())
+
+        # Semi-naive rounds: every occurrence of a predicate that grew in
+        # the previous round ranges over that growth (the delta).  Rules
+        # whose plan never reads a delta predicate are skipped outright.
+        occurrences = [GLOBAL_PLAN_CACHE.get(r).occurrences for r in rules]
+        while deltas:
+            if _obs.enabled:
+                for pred, delta in deltas.items():
+                    _inst.delta_size.labels(predicate=pred).observe(len(delta))
+            if idb_total is not None and idb_total > self.max_facts:
+                raise EvaluationError(
+                    f"fixpoint exceeded max_facts={self.max_facts} "
+                    "(non-terminating recursion through function "
+                    "symbols?)"
+                )
+            new_deltas: Dict[str, Set[ArgsTuple]] = {}
+            rounds += 1
+            round_added = 0
+            for rule, occs in zip(rules, occurrences):
+                # Lazily chained: each delta variant fires only after the
+                # previous one's heads are absorbed.
+                firings = itertools.chain.from_iterable(
+                    fire_rule(
+                        rule, db, registry,
+                        delta_pred=pred, delta_tuples=delta,
+                        delta_occurrence=occ,
+                    )
+                    for pred, delta in deltas.items() if pred in occs
+                    for occ in range(len(occs[pred]))
+                )
+                round_added += self._absorb(db, rule, firings, new_deltas)
+            if idb_total is not None:
+                idb_total += round_added
+            deltas = new_deltas
+        if _obs.enabled:
+            _inst.fixpoint_iterations.labels(evaluator="semi-naive").observe(rounds)
+
+    # -- recursion through negation: stage by stage ----------------------
+
+    def _stage_value(self, pred: str, args: ArgsTuple) -> object:
+        pos = self.xy.stage_position[pred]
+        return eval_term(args[pos], self.registry)
+
+    def _evaluate_component(self, db: Database, rules: List[Rule]) -> None:
+        # Within a stage, predicates saturate in priority order (e.g.
+        # ``H'`` before ``H``).
+        priority = self.xy.priority
+        rules = sorted(
+            rules, key=lambda r: priority.get(r.head.predicate, 0)
+        )
+
+        # Seed stages: run every rule unrestricted once; heads found at
+        # stage s become candidates (inserted only when stage s is
+        # processed, so negation sees complete lower stages).
+        pending: Set[object] = set()
+        for rule in rules:
+            try:
+                for head, _d in fire_rule(rule, db, self.registry):
+                    pending.add(self._stage_value(rule.head.predicate, head))
+            except EvaluationError:
+                continue
+
+        processed: Set[object] = set()
+        while pending:
+            stage = min(pending)  # ascending stage order
+            pending.discard(stage)
+            if stage in processed:
+                continue
+            processed.add(stage)
+            if len(processed) > self.max_stages:
+                raise EvaluationError(
+                    f"XY evaluation exceeded {self.max_stages} stages "
+                    "(non-terminating program?)"
+                )
+            # Saturate the stage: re-fire until no rule adds a row.
+            grew = True
+            while grew:
+                grew = False
+                for rule in rules:
+                    firings = self._stage_firings(
+                        rule, db, stage, pending, processed
+                    )
+                    if self._absorb(db, rule, firings, {}):
+                        grew = True
+        if _obs.enabled:
+            _inst.fixpoint_iterations.labels(evaluator="xy").observe(len(processed))
+
+    def _stage_firings(self, rule, db, stage, pending, processed):
+        """``rule``'s firings whose head lies in ``stage``; later stages
+        they reach are queued in ``pending``."""
+        pred = rule.head.predicate
+        for firing in fire_rule(rule, db, self.registry):
+            head_stage = self._stage_value(pred, firing[0])
+            if head_stage == stage:
+                yield firing
+            elif head_stage > stage and head_stage not in processed:
+                pending.add(head_stage)
+
+
+class SemiNaiveEvaluator(_BottomUpEvaluator):
     """Stratified semi-naive bottom-up evaluation.
 
     Handles non-recursive programs, positive recursion, stratified
     negation and head aggregates.  Records derivations in
     ``db.derivations`` so the incremental maintainer can run afterwards.
     """
+
+    label = "semi-naive"
 
     def __init__(
         self,
@@ -706,196 +897,18 @@ class SemiNaiveEvaluator:
                 f"got {self.analysis.program_class.value}"
             )
 
-    def evaluate(self, db: Database) -> Database:
-        """Evaluate the program to fixpoint over ``db`` (mutated in place,
-        also returned for chaining)."""
-        if not _obs.enabled:
-            with _gc_paused():
-                for fact in self.program.facts:
-                    db.assert_atom(fact)
-                for stratum in self.analysis.strata:
-                    self._evaluate_stratum(db, stratum)
-            return db
-        probes_before = _total_probes(db)
-        scans_before = _total_scans(db)
-        with _span("eval.fixpoint", evaluator="semi-naive",
-                   rules=len(self.program.rules)) as sp, _gc_paused():
-            for fact in self.program.facts:
-                db.assert_atom(fact)
-            for stratum in self.analysis.strata:
-                with _span("eval.stratum", predicates=sorted(stratum)):
-                    self._evaluate_stratum(db, stratum)
-            probes = _total_probes(db) - probes_before
-            scans = _total_scans(db) - scans_before
-            _inst.join_probes.inc(probes)
-            _inst.relation_scans.inc(scans)
-            sp.set(join_probes=probes, relation_scans=scans)
-        return db
 
-    def _evaluate_stratum(self, db: Database, stratum: Set[str]) -> None:
-        rules = [
-            r for r in self.program.rules
-            if r.head.predicate in stratum and not r.has_aggregates
-        ]
-        agg_rules = [
-            r for r in self.program.rules
-            if r.head.predicate in stratum and r.has_aggregates
-        ]
-        # Aggregate rules first: stratification guarantees their body
-        # predicates live in strictly lower strata, hence are final.
-        for rule in agg_rules:
-            rel = db.relation(rule.head.predicate)
-            for head in evaluate_aggregate_rule(rule, db, self.registry):
-                rel.add(head)
-
-        # With compiled plans, firings stream straight out of the
-        # executor (which snapshots its row sources, so the relations
-        # may grow mid-enumeration); the seed engine needs the eager
-        # materialization it shipped with.
-        eager = seed_mode()
-        plans: Optional[List[CompiledPlan]] = (
-            None if eager else [GLOBAL_PLAN_CACHE.get(r) for r in rules]
-        )
-
-        # Initial round: full naive evaluation of this stratum's rules.
-        deltas: Dict[str, Set[ArgsTuple]] = {}
-        rounds = 1
-        for rule in rules:
-            head_pred = rule.head.predicate
-            rel = db.relation(head_pred)
-            fired = added = 0
-            firings = fire_rule(rule, db, self.registry)
-            if eager:
-                firings = iter(list(firings))
-            record = self.record_derivations
-            derivs_add = db.derivations.add
-            add_row = rel.add_row
-            keys = rel.fact_keys(head_pred) if record else None
-            delta_set = None
-            for head, derivation in firings:
-                fired += 1
-                is_new, row = add_row(head)
-                if record:
-                    if row >= len(keys):
-                        keys.append(CachedFactKey((head_pred, head)))
-                    derivs_add(keys[row], derivation)
-                if is_new:
-                    added += 1
-                    if delta_set is None:
-                        delta_set = deltas.setdefault(head_pred, set())
-                    delta_set.add(head)
-            if _obs.enabled and fired:
-                label = _rule_label(rule)
-                _inst.rule_firings.labels(rule=label).inc(fired)
-                _inst.rule_derived.labels(rule=label).inc(added)
-        if _obs.enabled:
-            for pred, delta in deltas.items():
-                _inst.delta_size.labels(predicate=pred).observe(len(delta))
-
-        # The max_facts guard accumulates additions incrementally rather
-        # than re-summing every IDB relation each round.
-        idb_total = None
-        if self.max_facts is not None:
-            idb_total = sum(db.count(p) for p in self.program.idb_predicates())
-
-        # Semi-naive rounds: every occurrence of a predicate that grew in
-        # the previous round ranges over that growth (the delta).  This
-        # covers both recursion and same-stratum chains such as
-        # traj -> completetraj -> parallel.
-        while deltas:
-            if idb_total is not None and idb_total > self.max_facts:
-                raise EvaluationError(
-                    f"fixpoint exceeded max_facts={self.max_facts} "
-                    "(non-terminating recursion through function "
-                    "symbols?)"
-                )
-            new_deltas: Dict[str, Set[ArgsTuple]] = {}
-            rounds += 1
-            round_added = 0
-            for i, rule in enumerate(rules):
-                if plans is not None:
-                    # Skip (rule, delta_pred) pairs outright when the
-                    # plan says the rule never reads the delta predicate.
-                    occurrences = plans[i].occurrences
-                    pairs = [
-                        (pred, delta, len(occurrences[pred]))
-                        for pred, delta in deltas.items()
-                        if pred in occurrences
-                    ]
-                    if not pairs:
-                        continue
-                else:
-                    pairs = [
-                        (
-                            pred,
-                            delta,
-                            sum(
-                                1 for lit in rule.positive_literals()
-                                if lit.predicate == pred
-                            ),
-                        )
-                        for pred, delta in deltas.items()
-                    ]
-                head_pred = rule.head.predicate
-                rel = db.relation(head_pred)
-                fired = added = 0
-                record = self.record_derivations
-                derivs_add = db.derivations.add
-                add_row = rel.add_row
-                keys = rel.fact_keys(head_pred) if record else None
-                delta_set = None
-                for pred, delta, n_occ in pairs:
-                    for occ in range(n_occ):
-                        firings = fire_rule(
-                            rule,
-                            db,
-                            self.registry,
-                            delta_pred=pred,
-                            delta_tuples=delta,
-                            delta_occurrence=occ,
-                        )
-                        if eager:
-                            firings = iter(list(firings))
-                        for head, derivation in firings:
-                            fired += 1
-                            is_new, row = add_row(head)
-                            if record:
-                                if row >= len(keys):
-                                    keys.append(
-                                        CachedFactKey((head_pred, head))
-                                    )
-                                derivs_add(keys[row], derivation)
-                            if is_new:
-                                added += 1
-                                if delta_set is None:
-                                    delta_set = new_deltas.setdefault(
-                                        head_pred, set()
-                                    )
-                                delta_set.add(head)
-                round_added += added
-                if _obs.enabled and fired:
-                    label = _rule_label(rule)
-                    _inst.rule_firings.labels(rule=label).inc(fired)
-                    _inst.rule_derived.labels(rule=label).inc(added)
-            if _obs.enabled:
-                for pred, delta in new_deltas.items():
-                    _inst.delta_size.labels(predicate=pred).observe(len(delta))
-            if idb_total is not None:
-                idb_total += round_added
-            deltas = new_deltas
-        if _obs.enabled:
-            _inst.fixpoint_iterations.labels(evaluator="semi-naive").observe(rounds)
-
-
-class XYEvaluator:
+class XYEvaluator(_BottomUpEvaluator):
     """Stage-by-stage evaluation of XY-stratified programs.
 
     Recursive components that mix recursion and negation are evaluated
     stage by stage in ascending stage order (the sub-table topological
     order of Section IV-C); within a stage, predicates are saturated in
     the per-stage priority order (e.g. ``H'`` before ``H``).  The rest
-    of the program is evaluated stratum-wise around the components.
+    of the program is evaluated semi-naively around the components.
     """
+
+    label = "xy"
 
     def __init__(
         self,
@@ -910,179 +923,9 @@ class XYEvaluator:
         self.analysis = classify(program)
         if self.analysis.program_class == ProgramClass.XY_STRATIFIED:
             self.xy = self.analysis.xy
-        elif self.analysis.strata is not None:
-            self.xy = None  # plain stratified program also accepted
-        else:
+        elif self.analysis.strata is None:
             raise ProgramError("program is not XY-stratified")
-
-    def evaluate(self, db: Database) -> Database:
-        for fact in self.program.facts:
-            db.assert_atom(fact)
-        if self.xy is None:
-            return SemiNaiveEvaluator(self.program, self.registry).evaluate(db)
-        if not _obs.enabled:
-            with _gc_paused():
-                return self._evaluate_xy(db)
-        probes_before = _total_probes(db)
-        scans_before = _total_scans(db)
-        with _span("eval.fixpoint", evaluator="xy",
-                   rules=len(self.program.rules)) as sp, _gc_paused():
-            self._evaluate_xy(db)
-            probes = _total_probes(db) - probes_before
-            scans = _total_scans(db) - scans_before
-            _inst.join_probes.inc(probes)
-            _inst.relation_scans.inc(scans)
-            sp.set(join_probes=probes, relation_scans=scans)
-        return db
-
-    def _evaluate_xy(self, db: Database) -> Database:
-        graph = dependency_graph(self.program)
-        components = [
-            comp for comp in recursive_components(self.program)
-            if any(
-                graph[u][v]["negative"]
-                for u in comp for v in comp if graph.has_edge(u, v)
-            )
-        ]
-        in_component: Dict[str, int] = {}
-        for i, comp in enumerate(components):
-            for pred in comp:
-                in_component[pred] = i
-
-        # Build a super-graph over {component nodes} ∪ {plain predicates}
-        # and evaluate in topological order.
-        super_graph = nx.DiGraph()
-        def node_of(pred: str):
-            return ("C", in_component[pred]) if pred in in_component else ("P", pred)
-
-        for pred in self.program.predicates():
-            super_graph.add_node(node_of(pred))
-        for u, v in graph.edges():
-            nu, nv = node_of(u), node_of(v)
-            if nu != nv:
-                super_graph.add_edge(nu, nv)
-        for node in nx.topological_sort(super_graph):
-            kind, payload = node
-            if kind == "C":
-                self._evaluate_component(db, components[payload])
-            else:
-                self._evaluate_plain(db, payload)
-        return db
-
-    def _evaluate_plain(self, db: Database, predicate: str) -> None:
-        rules = self.program.rules_for(predicate)
-        rel = db.relation(predicate)
-        for rule in rules:
-            if rule.has_aggregates:
-                for head in evaluate_aggregate_rule(rule, db, self.registry):
-                    rel.add(head)
-        changed = True
-        while changed:
-            changed = False
-            for rule in rules:
-                if rule.has_aggregates:
-                    continue
-                fired = added = 0
-                firings = fire_rule(rule, db, self.registry)
-                if seed_mode():
-                    firings = iter(list(firings))
-                derivs_add = db.derivations.add
-                add_row = rel.add_row
-                keys = rel.fact_keys(predicate)
-                for head, derivation in firings:
-                    fired += 1
-                    is_new, row = add_row(head)
-                    if row >= len(keys):
-                        keys.append(CachedFactKey((predicate, head)))
-                    derivs_add(keys[row], derivation)
-                    if is_new:
-                        added += 1
-                        changed = True
-                if _obs.enabled and fired:
-                    label = _rule_label(rule)
-                    _inst.rule_firings.labels(rule=label).inc(fired)
-                    _inst.rule_derived.labels(rule=label).inc(added)
-
-    def _stage_value(self, pred: str, args: ArgsTuple) -> object:
-        pos = self.xy.stage_position[pred]
-        return eval_term(args[pos], self.registry)
-
-    def _evaluate_component(self, db: Database, comp: Set[str]) -> None:
-        rules = [r for r in self.program.rules if r.head.predicate in comp]
-        priority = self.xy.priority
-        preds = sorted(comp, key=lambda p: priority.get(p, 0))
-
-        # Seed stages: run every rule unrestricted once; heads found at
-        # stage s become candidates (inserted only when stage s is
-        # processed, so negation sees complete lower stages).
-        pending_stages: Set[object] = set()
-        for rule in rules:
-            try:
-                for head, _d in fire_rule(rule, db, self.registry):
-                    pending_stages.add(self._stage_value(rule.head.predicate, head))
-            except EvaluationError:
-                continue
-
-        processed: Set[object] = set()
-        stages_done = 0
-        while pending_stages:
-            stage = min(pending_stages)  # ascending stage order
-            pending_stages.discard(stage)
-            if stage in processed:
-                continue
-            processed.add(stage)
-            stages_done += 1
-            if stages_done > self.max_stages:
-                raise EvaluationError(
-                    f"XY evaluation exceeded {self.max_stages} stages "
-                    "(non-terminating program?)"
-                )
-            self._saturate_stage(db, comp, preds, rules, stage, pending_stages, processed)
-        if _obs.enabled:
-            _inst.fixpoint_iterations.labels(evaluator="xy").observe(stages_done)
-
-    def _saturate_stage(
-        self,
-        db: Database,
-        comp: Set[str],
-        preds: List[str],
-        rules: List[Rule],
-        stage: object,
-        pending_stages: Set[object],
-        processed: Set[object],
-    ) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for pred in preds:
-                rel = db.relation(pred)
-                for rule in rules:
-                    if rule.head.predicate != pred:
-                        continue
-                    fired = added = 0
-                    firings = fire_rule(rule, db, self.registry)
-                    if seed_mode():
-                        firings = iter(list(firings))
-                    derivs_add = db.derivations.add
-                    add_row = rel.add_row
-                    keys = rel.fact_keys(pred)
-                    for head, derivation in firings:
-                        fired += 1
-                        head_stage = self._stage_value(pred, head)
-                        if head_stage == stage:
-                            is_new, row = add_row(head)
-                            if row >= len(keys):
-                                keys.append(CachedFactKey((pred, head)))
-                            derivs_add(keys[row], derivation)
-                            if is_new:
-                                added += 1
-                                changed = True
-                        elif head_stage > stage and head_stage not in processed:
-                            pending_stages.add(head_stage)
-                    if _obs.enabled and fired:
-                        label = _rule_label(rule)
-                        _inst.rule_firings.labels(rule=label).inc(fired)
-                        _inst.rule_derived.labels(rule=label).inc(added)
+        # else: a plain stratified program — no staged component to meet
 
 
 def evaluate(

@@ -32,7 +32,6 @@ snapshot misses is re-derived from the next round's delta.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import (
@@ -571,59 +570,34 @@ GLOBAL_PLAN_CACHE = PlanCache()
 
 
 # ---------------------------------------------------------------------------
-# Engine selection
+# The oracle hook
 # ---------------------------------------------------------------------------
 #
-# Three engines share the same semantics (identical derived facts and
-# derivations):
-#
-# * ``columnar`` (default) — compiled plans, with vectorizable rules
-#   executed batch-at-a-time by :mod:`repro.core.vector` and everything
-#   else on the tuple executor;
-# * ``tuple``  — compiled plans, tuple-at-a-time executor only;
-# * ``seed``   — the original recursive enumerator with eager per-rule
-#   materialization, kept as the reference oracle for differential
-#   tests and benchmark baselines.
-#
-# The default can be overridden with the REPRO_ENGINE environment
-# variable (CI runs the core suite once with REPRO_ENGINE=seed so the
-# oracle path cannot rot).
+# Production evaluation is one path: compiled plans, vectorizable
+# firings on the batch kernels of :mod:`repro.core.vector` and the rest
+# on the tuple executor above, chosen per firing from the rule and the
+# size of its delta.  The original recursive enumerator survives as the
+# reference oracle the differential tests and the E17 baseline compare
+# against; this flag is the only switch, read by ``enumerate_rule`` and
+# ``fire_rule`` in :mod:`repro.core.eval`.
 
-ENGINES = ("columnar", "tuple", "seed")
-
-_engine = os.environ.get("REPRO_ENGINE", "columnar")
-if _engine not in ENGINES:
-    raise ValueError(
-        f"REPRO_ENGINE={_engine!r} is not one of {ENGINES}"
-    )
-
-
-def engine_mode() -> str:
-    """The currently selected engine name."""
-    return _engine
+_seed = False
 
 
 def seed_mode() -> bool:
     """True while evaluation is pinned to the seed recursive engine."""
-    return _engine == "seed"
+    return _seed
 
 
 @contextmanager
-def use_engine(name: str):
-    """Pin evaluation to one engine for the duration of the block."""
-    global _engine
-    if name not in ENGINES:
-        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
-    previous = _engine
-    _engine = name
-    try:
-        yield
-    finally:
-        _engine = previous
-
-
 def seed_engine():
     """Route evaluation through the original recursive enumerator with
     eager per-rule materialization — the pre-plan reference engine, kept
     for differential tests and benchmark baselines."""
-    return use_engine("seed")
+    global _seed
+    previous = _seed
+    _seed = True
+    try:
+        yield
+    finally:
+        _seed = previous

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.ast import RelLiteral
 from ..core.builtins import (
@@ -194,6 +194,8 @@ class StoreMsg(Message):
         self.tup = tup
         self.path = path
         self.del_ts = del_ts
+        #: Fault-tolerant mode: hops re-targeted after a terminal failure.
+        self.retargets = 0
 
 
 class JoinToken(Message):
@@ -241,6 +243,8 @@ class JoinToken(Message):
         self.current_pass = 0
         self.region = region or []
         self.direction = 1
+        #: Fault-tolerant mode: hops re-targeted after a terminal failure.
+        self.retargets = 0
 
     def refresh_size(self) -> None:
         self.payload_symbols = (
@@ -280,6 +284,8 @@ class ResultMsg(Message):
         self.op = op  # 'add' | 'sub'
         self.ts = ts
         self.resync = resync
+        #: Serving mode: already chased a migrated placement once.
+        self.re_homed = False
 
 
 class MigrateMsg(Message):
@@ -746,14 +752,19 @@ class GPAEngine:
                     return alt
         return None
 
-    def _send_store(self, node: Node, msg: StoreMsg, nxt: int) -> None:
-        """Forward a storage message to its next region member.  In
-        fault-tolerant mode the delivery callback is a failure
-        detector: a hop that terminally fails (the member died with
-        the message in flight, or no live route remains) re-targets
-        from the sending member — the dead member goes back on the
-        path so the next pop skips it and replication continues past
-        the gap, instead of silently truncating the region."""
+    def _send_retargeting(self, node: Node, msg, nxt: int,
+                          budget: Callable[[], int],
+                          resume: Callable[[], None]) -> None:
+        """Forward a path-carrying message (storage message or join
+        token) to its next region member.  In fault-tolerant mode the
+        delivery callback is a failure detector: a hop that terminally
+        fails (the member died with the message in flight, or no live
+        route remains) puts the member back on the path and calls
+        ``resume`` at the sending member — the next pop skips the dead
+        member or substitutes a live mate, so the traversal continues
+        past the gap instead of silently truncating.  Past ``budget()``
+        re-targets (read when the failure is reported) the message is
+        left stranded."""
         if not self.fault_tolerant:
             node.send_routed(nxt, msg, on_status=self._track_delivery)
             return
@@ -762,38 +773,34 @@ class GPAEngine:
             self._track_delivery(status, reason)
             if status != "gave_up":
                 return
-            msg.retargets = getattr(msg, "retargets", 0) + 1
-            if msg.retargets > 2 * (len(msg.path) + 2):
+            msg.retargets += 1
+            if msg.retargets > budget():
                 return  # stranded: repeated re-targets keep failing
             msg.path.insert(0, nxt)
+            resume()
+
+        node.send_routed(nxt, msg, on_status=outcome)
+
+    def _send_store(self, node: Node, msg: StoreMsg, nxt: int) -> None:
+        """Forward a storage message; after a terminal hop failure
+        replication continues with the next live member of its path."""
+        def resume() -> None:
             follow = self._pop_storage_hop(msg.path)
             if follow is not None:
                 self._send_store(node, msg, follow)
 
-        node.send_routed(nxt, msg, on_status=outcome)
+        self._send_retargeting(
+            node, msg, nxt, lambda: 2 * (len(msg.path) + 2), resume
+        )
 
     def _send_token(self, node: Node, token: JoinToken, nxt: int) -> None:
-        """Forward a join token to its next member, with the same
-        in-flight failure recovery as :meth:`_send_store`: a terminal
-        hop failure puts the member back on the path and re-targets
-        from the sender, so a member that died mid-flight is
-        substituted by a live storage-region mate on the next pop and
+        """Forward a join token; a member that died mid-flight is
+        substituted by a live storage-region mate on the next pop, so
         the token — with every partial result it carries — survives."""
-        if not self.fault_tolerant:
-            node.send_routed(nxt, token, on_status=self._track_delivery)
-            return
-
-        def outcome(status: str, reason: str = "") -> None:
-            self._track_delivery(status, reason)
-            if status != "gave_up":
-                return
-            token.retargets = getattr(token, "retargets", 0) + 1
-            if token.retargets > 2 * max(1, len(token.region)):
-                return  # stranded (e.g. the sender is isolated)
-            token.path.insert(0, nxt)
-            self._continue_token(node, token)
-
-        node.send_routed(nxt, token, on_status=outcome)
+        self._send_retargeting(
+            node, token, nxt, lambda: 2 * max(1, len(token.region)),
+            lambda: self._continue_token(node, token),
+        )
 
     def _continue_token(self, node: Node, token: JoinToken) -> None:
         """Move a join token to its next (live) member, or finish the
@@ -1084,7 +1091,7 @@ class GPAEngine:
         win = runtime.windows.get(pred)
         if win is None:
             return []
-        if getattr(token, "retro", False):
+        if token.retro:
             out = list(win)  # every resident replica, live or deleted
         else:
             out = win.live_at(token.update_ts)
@@ -1101,7 +1108,7 @@ class GPAEngine:
         arbitrarily without the barrier delay).  ``parked_seen`` keys on
         the full token context so continuation re-traversals do not
         double-park."""
-        retro = getattr(token, "retro", False)
+        retro = token.retro
         trigger = token.trigger
         tkey = (trigger.pred, trigger.args, repr(trigger.tuple_id))
         for partial in token.partials:
@@ -1396,7 +1403,7 @@ class GPAEngine:
             # current home chases the placement once, so migrated
             # regions never fragment.
             home = self.ght.node_for_fact(msg.pred, msg.args)
-            if home != node.id and not getattr(msg, "re_homed", False):
+            if home != node.id and not msg.re_homed:
                 msg.re_homed = True
                 node.send_routed(home, msg, on_status=self._track_delivery)
                 return
@@ -1415,7 +1422,7 @@ class GPAEngine:
         # result had its first derivation long ago.
         publisher = True
         if self.fault_tolerant:
-            if getattr(msg, "resync", False):
+            if msg.resync:
                 publisher = False
             else:
                 primary = self.ght.primary_for_key(

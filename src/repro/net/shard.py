@@ -373,22 +373,16 @@ class ShardRadio(Radio):
     energy accounting, loss fate, delay draw, per-link FIFO ordering)
     always runs in the sending shard — so per-link frame order and the
     keyed RNG stream positions are exactly the single-process ones —
-    and the fixed arrival time ships with the record.  Reliable
-    transfers are intercepted one level up (:meth:`transmit`) only to
-    remember the pending message and callback; the whole send-side
-    retry state machine (:class:`ReliableTransport`) runs unmodified.
+    and the fixed arrival time ships with the record.  The whole
+    send-side retry state machine (:class:`ReliableTransport`) runs
+    unmodified; its receiver half and ack conclusion are bound to the
+    records on the other side (:meth:`ShardWorker._inject`).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: Border records produced since the last window barrier.
         self.outbox: List[tuple] = []
-        #: (src, dst, msg_id) -> (message, on_status) for in-flight
-        #: reliable transfers whose receiver is remote; consumed when
-        #: the ack record comes back.  (Entries for transfers that give
-        #: up or lose their sender linger until the run ends — bounded
-        #: by the number of failed transfers, and never replayed.)
-        self._rel_ctx: Dict[Tuple[int, int, int], tuple] = {}
         self._local_ids: Optional[Set[int]] = None
         self._freeze: Callable = lambda message: message
 
@@ -407,21 +401,6 @@ class ShardRadio(Radio):
                 "Node.deliver destinations can cross a shard border"
             )
 
-    def transmit(self, src_id, dst_id, message, deliver,
-                 reliable=None, on_status=None) -> None:
-        if reliable is None:
-            reliable = self.reliable
-        if reliable and self._is_remote(dst_id):
-            # Remember the message/callback so the ack record (which
-            # carries neither) can conclude the transfer exactly as
-            # ReliableTransport._on_ack would.
-            self._require_stub_deliver(dst_id, deliver)
-            self._rel_ctx[(src_id, dst_id, message.msg_id)] = (message, on_status)
-            self.transport.send(src_id, dst_id, message, deliver, on_status)
-            return
-        super().transmit(src_id, dst_id, message, deliver,
-                         reliable=reliable, on_status=on_status)
-
     def _send_frame(self, src_id, dst_id, message, deliver) -> None:
         if not self._is_remote(dst_id):
             super()._send_frame(src_id, dst_id, message, deliver)
@@ -431,10 +410,15 @@ class ShardRadio(Radio):
             return  # died on the sender side: nothing crosses
         if isinstance(message, AckMsg):
             mode = ACK
-        elif (src_id, dst_id, message.msg_id) in self.transport._pending:
-            mode = REL  # a reliable data frame (first attempt or retry)
         else:
-            mode = DATA
+            transfer = self.transport._pending.get(
+                (src_id, dst_id, message.msg_id)
+            )
+            if transfer is None:
+                mode = DATA
+            else:
+                mode = REL  # a reliable data frame (first attempt or retry)
+                deliver = transfer.deliver
             self._require_stub_deliver(dst_id, deliver)
         self.outbox.append((mode, arrival, src_id, dst_id, self._freeze(message)))
 
@@ -560,53 +544,23 @@ class ShardWorker:
         if mode == DATA:
             deliver = self.network.nodes[dst].deliver
         elif mode == REL:
-            deliver = functools.partial(self._receive_reliable, src, dst)
+            # The transport's own receiver half; its ack goes back to the
+            # remote sender as an ACK record (lost, charged and
+            # FIFO-ordered like any frame, exactly as in one process).
+            deliver = functools.partial(
+                self.radio.transport._on_data,
+                (src, dst, message.msg_id), self.network.nodes[dst].deliver,
+            )
         elif mode == ACK:
-            deliver = functools.partial(self._conclude_ack, src, dst)
+            deliver = functools.partial(
+                self.radio.transport._on_ack, (dst, src, message.acked_msg_id)
+            )
         else:
             raise ShardError(f"unknown border-record mode {mode!r}")
         self.network.sim.schedule_at(
             arrival,
             functools.partial(self.radio._frame_arrival, src, dst, message, deliver),
         )
-
-    def _receive_reliable(self, src: int, dst: int, message) -> None:
-        """Receiver half of a border-crossing reliable data frame —
-        the exact dedup/ack/deliver sequence of
-        :meth:`ReliableTransport._on_data`, minus the sender-side
-        closure (which stayed in the sending shard)."""
-        transport = self.radio.transport
-        dedup_key = (src, message.msg_id)
-        seen = transport._seen[dst]
-        fresh = dedup_key not in seen
-        if fresh:
-            seen.add(dedup_key)
-        else:
-            self.radio.metrics.record_dup()
-            self.radio._emit("dup", src, dst, message)
-        ack = AckMsg(src, message.msg_id)
-        # src is remote by construction, so this ack becomes an ACK
-        # border record back to the sending shard (and is subject to
-        # loss/energy/FIFO like any frame, exactly as in one process).
-        self.radio._send_frame(dst, src, ack, _ack_needs_no_deliver)
-        if fresh:
-            self.network.nodes[dst].deliver(message)
-
-    def _conclude_ack(self, ack_src: int, ack_dst: int, ack) -> None:
-        """An ack record arrived back at the original sender's shard —
-        the exact conclusion sequence of
-        :meth:`ReliableTransport._on_ack`."""
-        key = (ack_dst, ack_src, ack.acked_msg_id)
-        transport = self.radio.transport
-        state = transport._pending.get(key)
-        if state is None or state.acked:
-            return  # duplicate ack, or transfer already concluded
-        state.acked = True
-        self.radio.metrics.record_ack()
-        message, on_status = self.radio._rel_ctx.pop(key, (ack, None))
-        self.radio._emit("ack", ack_dst, ack_src, message, attempt=state.attempt)
-        if on_status is not None:
-            on_status("delivered")
 
     # -- results ----------------------------------------------------------
 
@@ -624,10 +578,6 @@ class ShardWorker:
             "border_in": self.border_in,
             "border_out": self.border_out,
         }
-
-
-def _ack_needs_no_deliver(_message) -> None:  # pragma: no cover
-    raise NetworkError("a border ack's deliver callable must never run")
 
 
 # ---------------------------------------------------------------------------

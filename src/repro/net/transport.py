@@ -100,14 +100,23 @@ class AckMsg(Message):
 
 
 class _Transfer:
-    """In-flight reliable transfer state (one per un-acked frame)."""
+    """In-flight reliable transfer state (one per un-acked frame).  It
+    carries the frame and its callbacks, so every step of the protocol
+    is callable from the transfer key alone — which is all a shard
+    border record brings back."""
 
-    __slots__ = ("acked", "attempt", "timeout")
+    __slots__ = ("acked", "attempt", "timeout", "message", "deliver",
+                 "on_status")
 
-    def __init__(self, timeout: float):
+    def __init__(self, timeout: float, message: Message,
+                 deliver: Callable[[Message], None],
+                 on_status: Optional[StatusCallback]):
         self.acked = False
         self.attempt = 0
         self.timeout = timeout
+        self.message = message
+        self.deliver = deliver
+        self.on_status = on_status
 
 
 class TransportConfig:
@@ -195,22 +204,25 @@ class ReliableTransport:
         on_status: Optional[StatusCallback] = None,
     ) -> None:
         key = (src, dst, message.msg_id)
-        self._pending[key] = _Transfer(self.initial_timeout)
-        self._attempt(key, src, dst, message, deliver, on_status)
+        self._pending[key] = _Transfer(
+            self.initial_timeout, message, deliver, on_status
+        )
+        self._attempt(key)
 
-    def _attempt(self, key, src, dst, message, deliver, on_status) -> None:
+    def _attempt(self, key) -> None:
+        src, dst, _ = key
         state = self._pending[key]
         state.attempt += 1
         attempt = state.attempt
         if attempt > 1:
             self.radio.metrics.record_retry()
-            self.radio._emit("retry", src, dst, message, attempt=attempt)
+            self.radio._emit("retry", src, dst, state.message, attempt=attempt)
         # Partials (not lambdas) throughout this state machine: pending
         # frames and retry timers live in the event queue, which shard
         # checkpoints pickle mid-run (see repro.net.checkpoint).
         self.radio._send_frame(
-            src, dst, message,
-            functools.partial(self._on_data, key, src, dst, deliver, on_status),
+            src, dst, state.message,
+            functools.partial(self._on_data, key, state.deliver),
         )
         # Exponential backoff with jitter: the timeout for the *next*
         # attempt grows even if this one succeeds (the timer just
@@ -224,16 +236,14 @@ class ReliableTransport:
         )
         state.timeout *= self.config.backoff
         self.radio.sim.schedule(
-            timeout,
-            functools.partial(
-                self._on_timeout, key, src, dst, message, deliver, on_status
-            ),
+            timeout, functools.partial(self._on_timeout, key)
         )
 
-    def _on_timeout(self, key, src, dst, message, deliver, on_status) -> None:
+    def _on_timeout(self, key) -> None:
         state = self._pending.get(key)
         if state is None:
             return  # already concluded
+        src, dst, _ = key
         if state.acked:
             del self._pending[key]
             return
@@ -251,19 +261,23 @@ class ReliableTransport:
                 GIVE_UP_DEAD if not self.radio.is_alive(dst) else GIVE_UP_BUDGET
             )
             self.radio._emit(
-                "give_up", src, dst, message, attempt=state.attempt,
+                "give_up", src, dst, state.message, attempt=state.attempt,
                 detail=reason,
             )
-            notify_gave_up(on_status, reason)
+            notify_gave_up(state.on_status, reason)
             return
-        self._attempt(key, src, dst, message, deliver, on_status)
+        self._attempt(key)
 
     # -- receiver side ---------------------------------------------------
 
-    def _on_data(self, key, src, dst, deliver, on_status, message) -> None:
-        """A reliable frame physically arrived at ``dst``.  (``message``
-        is last so the send path can bind everything else in a partial
-        and let the radio supply the frame.)"""
+    def _on_data(self, key, deliver, message) -> None:
+        """A reliable frame physically arrived at its destination:
+        dedup, ack, deliver.  Runs where the receiver lives — for a
+        frame that crossed a shard border that is not where the
+        transfer is pending, hence ``deliver`` as an argument.
+        (``message`` is last so the send path can bind everything else
+        in a partial and let the radio supply the frame.)"""
+        src, dst, _ = key
         dedup_key = (src, message.msg_id)
         seen = self._seen[dst]
         fresh = dedup_key not in seen
@@ -276,19 +290,19 @@ class ReliableTransport:
             self.radio._emit("dup", src, dst, message)
         ack = AckMsg(src, message.msg_id)
         self.radio._send_frame(
-            dst, src, ack,
-            functools.partial(self._on_ack, key, src, dst, message, on_status),
+            dst, src, ack, functools.partial(self._on_ack, key)
         )
         if fresh:
             deliver(message)
 
-    def _on_ack(self, key, src, dst, message, on_status, _frame=None) -> None:
+    def _on_ack(self, key, _frame=None) -> None:
         """An ack physically arrived back at the original sender."""
         state = self._pending.get(key)
         if state is None or state.acked:
             return  # duplicate ack, or transfer already concluded
         state.acked = True
         self.radio.metrics.record_ack()
-        self.radio._emit("ack", src, dst, message, attempt=state.attempt)
-        if on_status is not None:
-            on_status("delivered")
+        src, dst, _ = key
+        self.radio._emit("ack", src, dst, state.message, attempt=state.attempt)
+        if state.on_status is not None:
+            state.on_status("delivered")

@@ -23,7 +23,8 @@ from .registry import COUNT_BUCKETS, REGISTRY
 
 rule_firings = REGISTRY.counter(
     "repro_rule_firings_total",
-    "Head tuples produced by rule bodies (before dedup), by rule",
+    "Head tuples produced by rule bodies (before dedup; in a staged XY "
+    "component, those inside the stage being saturated), by rule",
     labelnames=("rule",),
 )
 rule_derived = REGISTRY.counter(
@@ -33,7 +34,8 @@ rule_derived = REGISTRY.counter(
 )
 fixpoint_iterations = REGISTRY.histogram(
     "repro_fixpoint_iterations",
-    "Semi-naive rounds until a stratum reaches fixpoint",
+    "Semi-naive rounds until a positive SCC reaches fixpoint; stages "
+    "of an XY component",
     labelnames=("evaluator",),
     buckets=COUNT_BUCKETS,
 )

@@ -1,25 +1,34 @@
 """Three-way differential tests for the vectorized batch executor.
 
-The columnar batch engine must compute bit-identical fixpoints —
+Production evaluation (batch kernels where a firing vectorizes, the
+tuple executor where it does not) must compute bit-identical fixpoints —
 derived rows *and* recorded derivations — to both the tuple-at-a-time
-compiled executor and the seed recursive enumerator, on every program
-shape it claims to support, and must *fall back* (not diverge) on the
-shapes it does not: exact integers beyond float64 range, sub-batch
-deltas, unsupported step forms.  ``VECTOR_STATS`` makes the coverage
-observable, so these tests also pin when vectorization actually
-happened versus when the tuple executor quietly took over.
+compiled executor alone (the ``tuple_executor`` fixture) and the seed
+recursive enumerator, on every program shape it claims to support, and
+must *fall back* (not diverge) on the shapes it does not: exact integers
+beyond float64 range, sub-batch deltas, unsupported step forms.
+``VECTOR_STATS`` makes the coverage observable, so these tests also pin
+when vectorization actually happened versus when the tuple executor
+quietly took over.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.derivations import CachedFactKey, Derivation, DerivationStore
+from repro.core import eval as core_eval
 from repro.core.eval import Database, XYEvaluator, evaluate
 from repro.core.parser import parse_program
-from repro.core.plan import ENGINES, GLOBAL_PLAN_CACHE, use_engine
+from repro.core.plan import GLOBAL_PLAN_CACHE, seed_engine
+from repro.core.stratify import ProgramClass, classify
 from repro.core.vector import VECTOR_STATS
+
+#: Production-only assertions (vectorization counters) make no sense
+#: inside the oracle leg's seed_engine() block.
+pytestmark = pytest.mark.production
 
 TC = "tc(X, Y) :- e(X, Y). tc(X, Z) :- e(X, Y), tc(Y, Z)."
 
@@ -28,6 +37,12 @@ LOGICH = """
     h(a, X, 1) :- g(a, X).
     hp(Y, D + 1) :- h(_, Y, Dp), D + 1 > Dp, h(_, X, D), g(X, Y).
     h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
+"""
+
+PARITY = """
+    even(a).
+    odd(Y) :- even(X), g(X, Y).
+    even(Y) :- odd(X), g(X, Y).
 """
 
 
@@ -39,13 +54,15 @@ def snapshot(db):
     return rows, derivs
 
 
-def fixpoint(program_text, facts, engine, evaluator=None):
+def fixpoint(program_text, facts, executor=nullcontext, evaluator=None):
+    """Snapshot of the fixpoint computed inside ``executor()`` — the
+    production path as is, ``tuple_executor`` or ``seed_engine``."""
     program = parse_program(program_text)
     db = Database()
     for pred, args in facts:
         db.assert_fact(pred, args)
     GLOBAL_PLAN_CACHE.clear()
-    with use_engine(engine):
+    with executor():
         if evaluator is not None:
             evaluator(program).evaluate(db)
         else:
@@ -53,14 +70,12 @@ def fixpoint(program_text, facts, engine, evaluator=None):
     return snapshot(db)
 
 
-def assert_all_engines_agree(program_text, facts, evaluator=None):
-    snaps = {
-        engine: fixpoint(program_text, facts, engine, evaluator)
-        for engine in ENGINES
-    }
-    assert snaps["columnar"] == snaps["seed"]
-    assert snaps["tuple"] == snaps["seed"]
-    return snaps["seed"]
+def assert_all_engines_agree(tuple_executor, program_text, facts,
+                             evaluator=None):
+    oracle = fixpoint(program_text, facts, seed_engine, evaluator)
+    assert fixpoint(program_text, facts, evaluator=evaluator) == oracle
+    assert fixpoint(program_text, facts, tuple_executor, evaluator) == oracle
+    return oracle
 
 
 def random_graph(n_nodes, n_edges, seed):
@@ -78,27 +93,32 @@ class TestThreeWayDifferential:
         n_nodes=st.integers(2, 14),
         n_edges=st.integers(1, 40),
     )
-    def test_transitive_closure_random_graphs(self, seed, n_nodes, n_edges):
-        assert_all_engines_agree(TC, random_graph(n_nodes, n_edges, seed))
+    def test_transitive_closure_random_graphs(
+            self, tuple_executor, seed, n_nodes, n_edges):
+        assert_all_engines_agree(
+            tuple_executor, TC, random_graph(n_nodes, n_edges, seed))
 
-    def test_repeated_variables(self):
+    def test_repeated_variables(self, tuple_executor):
         rows, _ = assert_all_engines_agree(
+            tuple_executor,
             "loop(X) :- e(X, X). meet(X, Y) :- e(X, Y), e(Y, X).",
             [("e", (1, 1)), ("e", (1, 2)), ("e", (2, 1)), ("e", (3, 4))],
         )
         assert rows["loop"] == {(1,)}
         assert rows["meet"] == {(1, 1), (1, 2), (2, 1)}
 
-    def test_constants_in_body_and_head(self):
+    def test_constants_in_body_and_head(self, tuple_executor):
         rows, _ = assert_all_engines_agree(
+            tuple_executor,
             "out(X, tag) :- e(root, X). flag(yes) :- e(root, leaf).",
             [("e", ("root", "leaf")), ("e", ("leaf", "other"))],
         )
         assert rows["out"] == {("leaf", "tag")}
         assert rows["flag"] == {("yes",)}
 
-    def test_comparisons_and_head_arithmetic(self):
+    def test_comparisons_and_head_arithmetic(self, tuple_executor):
         rows, _ = assert_all_engines_agree(
+            tuple_executor,
             """
             up(X, Y + 1) :- e(X, Y), X < Y.
             mid(X) :- e(X, Y), Y >= 2, Y * 2 < 10.
@@ -108,8 +128,9 @@ class TestThreeWayDifferential:
         assert rows["up"] == {(1, 3), (2, 5)}
         assert rows["mid"] == {(1,), (3,), (2,), (4,)}
 
-    def test_negation_with_wildcards(self):
+    def test_negation_with_wildcards(self, tuple_executor):
         rows, _ = assert_all_engines_agree(
+            tuple_executor,
             """
             covered(X) :- v(X), e(X, _).
             sink(X) :- v(X), not e(X, _).
@@ -120,8 +141,9 @@ class TestThreeWayDifferential:
         assert rows["sink"] == {(3,)}
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), m=st.integers(2, 5))
-    def test_xy_logich_grids(self, seed, m):
+    @given(seed=st.integers(0, 10_000), m=st.integers(2, 5),
+           with_parity=st.booleans())
+    def test_xy_logich_grids(self, tuple_executor, seed, m, with_parity):
         rng = random.Random(seed)
         names = ["a"] + [f"n{i}" for i in range(1, m * 2)]
         facts = []
@@ -130,46 +152,95 @@ class TestThreeWayDifferential:
                 if u != v:
                     facts.append(("g", (u, v)))
                     facts.append(("g", (v, u)))
+        # A positive mutually recursive pair beside the staged component
+        # keeps the class XY-stratified and must be saturated around it.
+        text = LOGICH + PARITY if with_parity else LOGICH
+        assert classify(parse_program(text)).program_class \
+            == ProgramClass.XY_STRATIFIED
         assert_all_engines_agree(
-            LOGICH, sorted(set(facts)),
+            tuple_executor, text, sorted(set(facts)),
             evaluator=lambda program: XYEvaluator(program),
         )
 
 
 class TestFallbacks:
-    def test_huge_integers_fall_back_identically(self):
+    def test_huge_integers_fall_back_identically(self, tuple_executor):
         """Integers beyond 2**53 are outside exact float64 range: the
         batch kernels must hand the rule back to the tuple executor and
         still produce the seed engine's exact-arithmetic answer."""
         big = 2 ** 60
         before = VECTOR_STATS["fallback_steps"]
         rows, _ = assert_all_engines_agree(
+            tuple_executor,
             "next(X + 1) :- e(X).",
             [("e", (big,)), ("e", (7,))],
         )
         assert rows["next"] == {(big + 1,), (8,)}
         assert VECTOR_STATS["fallback_steps"] > before
 
-    def test_small_deltas_use_tuple_path_identically(self):
+    def test_small_deltas_use_tuple_path_identically(self, tuple_executor):
         # Below _MIN_BATCH the dispatcher skips vectorization entirely;
         # results must not depend on which side ran.
-        rows, _ = assert_all_engines_agree(TC, [("e", (0, 1)), ("e", (1, 2))])
+        rows, _ = assert_all_engines_agree(
+            tuple_executor, TC, [("e", (0, 1)), ("e", (1, 2))])
         assert rows["tc"] == {(0, 1), (1, 2), (0, 2)}
+
+
+class TestRoutes:
+    """``fire_rule`` picks an executor per firing; every route of one
+    program's fixpoint must land in the oracle's snapshot."""
+
+    PROGRAM = TC + """
+        skip(X, Z) :- e(X, Y), e(Y + 1, Z).
+        next(X + 1) :- w(X).
+    """
+
+    def test_every_route_reaches_the_oracle_snapshot(self, monkeypatch):
+        facts = [("e", (i, i + 1)) for i in range(12)]
+        facts += [("w", (2 ** 60,)), ("w", (7,))]
+        oracle = fixpoint(self.PROGRAM, facts, seed_engine)
+
+        routes = {"batch": 0, "forced-fallback": 0,
+                  "small-delta": 0, "not-vectorizable": 0}
+        batch, tuples = core_eval.execute_batch, core_eval._fire_rule_tuples
+        declined = []
+
+        def spy_batch(plan, *args, **kwargs):
+            results = batch(plan, *args, **kwargs)
+            if results is None:
+                declined.append(plan.rule)
+            routes["batch" if results is not None else "forced-fallback"] += 1
+            return results
+
+        def spy_tuples(rule, db, registry, **delta):
+            if rule in declined:
+                declined.remove(rule)
+            elif GLOBAL_PLAN_CACHE.get(rule).batch_program() is None:
+                routes["not-vectorizable"] += 1
+            else:
+                assert len(delta["delta_tuples"]) < core_eval._MIN_BATCH
+                routes["small-delta"] += 1
+            return tuples(rule, db, registry, **delta)
+
+        monkeypatch.setattr(core_eval, "execute_batch", spy_batch)
+        monkeypatch.setattr(core_eval, "_fire_rule_tuples", spy_tuples)
+        assert fixpoint(self.PROGRAM, facts) == oracle
+        assert all(routes.values()), routes
 
 
 class TestVectorStats:
     def test_columnar_tc_is_actually_vectorized(self):
         before = dict(VECTOR_STATS)
-        rows, _ = fixpoint(TC, random_graph(12, 40, seed=5), "columnar")
+        rows, _ = fixpoint(TC, random_graph(12, 40, seed=5))
         assert VECTOR_STATS["batch_calls"] > before["batch_calls"]
         assert VECTOR_STATS["vectorized_steps"] > before["vectorized_steps"]
         # Every distinct derived tuple came out of some batch emission.
         produced = VECTOR_STATS["batch_rows"] - before["batch_rows"]
         assert produced >= len(rows["tc"])
 
-    def test_tuple_engine_never_touches_batch_kernels(self):
+    def test_tuple_engine_never_touches_batch_kernels(self, tuple_executor):
         before = dict(VECTOR_STATS)
-        fixpoint(TC, random_graph(12, 40, seed=5), "tuple")
+        fixpoint(TC, random_graph(12, 40, seed=5), tuple_executor)
         assert VECTOR_STATS["batch_calls"] == before["batch_calls"]
         assert VECTOR_STATS["fallback_steps"] == before["fallback_steps"]
 
@@ -180,8 +251,8 @@ class TestVectorStats:
         # derived rows or their provenance.
         facts = random_graph(10, 60, seed=7)
         before = VECTOR_STATS["emit_dedup_rows"]
-        expected = fixpoint(TC, facts, "seed")
-        got = fixpoint(TC, facts, "columnar")
+        expected = fixpoint(TC, facts, seed_engine)
+        got = fixpoint(TC, facts)
         assert got == expected
         assert VECTOR_STATS["emit_dedup_rows"] > before
 

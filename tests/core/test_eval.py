@@ -13,6 +13,8 @@ from repro.core.eval import (
     order_body,
 )
 from repro.core.parser import parse_program, parse_rule
+from repro.core.plan import seed_engine
+from repro.core.stratify import ProgramClass, classify
 from repro.core.terms import Constant
 
 LOGICH = """
@@ -356,6 +358,36 @@ class TestXYEvaluation:
         evaluate(parse_program(LOGICH), db)
         depths = {row[1]: row[2] for row in db.rows("h")}
         assert depths == {"a": 0, "b": 1, "c": 1}
+
+    def test_positive_mutual_recursion_beside_the_staged_component(self):
+        # Was NetworkXUnfeasible: the even/odd 2-cycle is a recursive
+        # component without negation, so it is not staged — it has to be
+        # saturated as one positive SCC around logicH's component.
+        program = parse_program(LOGICH + """
+            even(0).
+            odd(Y) :- even(X), succ(X, Y).
+            even(Y) :- odd(X), succ(X, Y).
+        """)
+        assert classify(program).program_class == ProgramClass.XY_STRATIFIED
+
+        def run():
+            db = self.graph_db([("a", "b"), ("b", "c"), ("c", "d")])
+            for i in range(9):
+                db.assert_fact("succ", (i, i + 1))
+            evaluate(program, db)
+            return (
+                {p: db.rows(p) for p in db.predicates()},
+                {f: set(ds) for f, ds in db.derivations._derivations.items()},
+            )
+
+        rows, derivations = run()
+        assert rows["even"] == {(i,) for i in range(0, 10, 2)}
+        assert rows["odd"] == {(i,) for i in range(1, 10, 2)}
+        assert rows["h"] == {
+            ("a", "a", 0), ("a", "b", 1), ("b", "c", 2), ("c", "d", 3)
+        }
+        with seed_engine():
+            assert run() == (rows, derivations)
 
     def test_xy_evaluator_accepts_stratified(self):
         db = Database()

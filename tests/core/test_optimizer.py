@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.eval import Database, evaluate
-from repro.core.plan import use_engine
 from repro.core.optimizer import (
     Statistics,
     estimate_extension,
@@ -116,7 +115,7 @@ class TestSemanticsPreserved:
         evaluate(optimize_program(program, stats), opt)
         assert plain.rows("tri") == opt.rows("tri")
 
-    def test_ordering_reduces_probes(self):
+    def test_ordering_reduces_probes(self, tuple_executor):
         """The point of the exercise: fewer index probes with the
         selective relation first.  Pinned to the tuple executor — the
         batch engine probes once per step regardless of ordering, so
@@ -128,7 +127,7 @@ class TestSemanticsPreserved:
         db.assert_fact("tiny", (7,))
         stats = Statistics.from_database(db)
 
-        with use_engine("tuple"):
+        with tuple_executor():
             plain = db.copy()
             evaluate(program, plain)
             plain_probes = sum(

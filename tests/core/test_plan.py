@@ -34,7 +34,6 @@ from repro.core.plan import (
     compile_rule,
     seed_engine,
     seed_mode,
-    use_engine,
 )
 from repro.core.terms import Constant, Substitution, Variable
 from repro.workloads.trajectories import TRAJECTORY_PROGRAM, trajectory_registry
@@ -397,9 +396,9 @@ class TestPlanCache:
         cache.get(rules[0])     # misses again
         assert cache.misses == 4
 
-    def test_global_cache_used_by_evaluator(self):
-        # Pinned: the seed engine never consults the plan cache.
-        with use_engine("tuple"):
+    @pytest.mark.production
+    def test_global_cache_used_by_evaluator(self, tuple_executor):
+        with tuple_executor():
             GLOBAL_PLAN_CACHE.clear()
             db = Database()
             db.assert_fact("e", (1, 2))
@@ -416,8 +415,8 @@ class TestPlanCache:
 
 class TestSeedEngineToggle:
     def test_seed_engine_restores_flag(self):
-        # Engine-relative: under REPRO_ENGINE=seed the ambient mode is
-        # already seed, so only assert restoration to the prior state.
+        # Relative to the ambient mode: the oracle leg (--oracle) runs
+        # this test inside a seed_engine() block of its own.
         ambient = seed_mode()
         with seed_engine():
             assert seed_mode()
@@ -425,13 +424,9 @@ class TestSeedEngineToggle:
                 assert seed_mode()
             assert seed_mode()
         assert seed_mode() == ambient
-        with use_engine("tuple"):
-            assert not seed_mode()
-            with seed_engine():
-                assert seed_mode()
-            assert not seed_mode()
 
-    def test_probe_reduction_on_transitive_closure(self):
+    @pytest.mark.production
+    def test_probe_reduction_on_transitive_closure(self, tuple_executor):
         """The headline property: the compiled executor's memoized
         probing does strictly less index work than the seed engine on
         the same workload, with identical results.
@@ -452,7 +447,7 @@ class TestSeedEngineToggle:
                 db.relation(p).probes for p in db.predicates()
             )
 
-        with use_engine("tuple"):
+        with tuple_executor():
             compiled_rows, compiled_probes = probes_of()
         with seed_engine():
             seed_rows, seed_probes = probes_of()

@@ -4,9 +4,9 @@ The columnar storage / batch-execution engine replaces the innards of
 ``Relation`` and the compiled plan executor, but every layer above —
 the distributed E1-style joins, the lossy-completeness trials, the
 reliable-transport retransmission schedules, the multi-tenant serving
-stack — must be *byte-identical* whichever engine is selected.  These
-tests run representative E1/E7/E18/E21 workloads twice, once under the
-columnar engine and once under the seed engine, and compare complete
+stack — must be *byte-identical* to the seed oracle's.  These
+tests run representative E1/E7/E18/E21 workloads twice, once on the
+production executors and once under the seed engine, and compare complete
 fingerprints: derived rows, message counts, energy totals, per-tenant
 result sets.  They extend the pinning pattern of
 ``test_fault_rng_identity`` from "defaults unchanged" to "engine choice
@@ -25,16 +25,15 @@ sys.path.insert(0, BENCH_DIR)
 
 from harness import run_join_workload  # noqa: E402
 
-from repro.core.plan import seed_engine, use_engine  # noqa: E402
+from repro.core.plan import seed_engine  # noqa: E402
 from repro.net.network import GridNetwork  # noqa: E402
 from repro.serve import QueryServer  # noqa: E402
 
 
 def per_engine(run):
-    """Run ``run()`` under the columnar and the seed engine; return both
-    fingerprints for comparison."""
-    with use_engine("columnar"):
-        columnar = run()
+    """Run ``run()`` on the production executors and under the seed
+    engine; return both fingerprints for comparison."""
+    columnar = run()
     with seed_engine():
         seed = run()
     return columnar, seed

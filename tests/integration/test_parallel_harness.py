@@ -4,8 +4,7 @@ Every bench trial is a module-level function fully determined by its
 arguments (each seeds its own RNGs), so fanning the grid across worker
 processes must return the exact same list — order, values, Nones and
 all.  This pins the contract ``run_trials`` documents and the benches
-rely on, plus the deprecation wrapper kept for the old
-``run_trials_parallel`` entry point.
+rely on.
 """
 
 import os
@@ -19,7 +18,7 @@ BENCH_DIR = os.path.join(
 )
 sys.path.insert(0, os.path.abspath(BENCH_DIR))
 
-from harness import TrialError, run_trials, run_trials_parallel  # noqa: E402
+from harness import TrialError, run_trials  # noqa: E402
 
 
 def square_plus(x, offset):
@@ -76,12 +75,6 @@ def test_shards_knob_merged_into_trials():
         (x, 4) for x in range(4)
     ]
     assert trials == [dict(x=x) for x in range(4)]
-
-
-def test_legacy_wrapper_warns_and_delegates():
-    with pytest.warns(DeprecationWarning, match="run_trials_parallel"):
-        result = run_trials_parallel(square_plus, TRIALS, processes=2)
-    assert result == run_trials(square_plus, TRIALS)
 
 
 def test_unified_runner_emits_no_deprecation_warnings():

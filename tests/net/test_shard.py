@@ -252,7 +252,8 @@ class TestShardRadio:
         )
         (mode, _arrival, src, dst, message), = network.radio.outbox
         assert (mode, src, dst) == ("rel", 1, 2)
-        assert (1, 2, message.msg_id) in network.radio._rel_ctx
+        pending = network.radio.transport._pending[(1, 2, message.msg_id)]
+        assert pending.message is message
 
     def test_records_pickle_roundtrip(self):
         network = _border_radio()
