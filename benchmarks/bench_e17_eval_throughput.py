@@ -17,6 +17,13 @@ oracle's (the ``identical`` column).  ``--smoke`` shrinks both workloads
 for CI; ``--check`` additionally compares derived-facts/sec against the
 committed ``BENCH_e17.json`` baseline and exits non-zero on a >2x
 regression.
+
+Both scales end with the ``sptree`` scaling rows: logicH on an 8x8 and a
+16x16 grid (4.2x the derived facts) on the production path.  The ratio
+of the two wall times does not depend on the host, so ``--check`` gates
+it absolutely (``BENCH_e17.json`` ``scaling``): a stage driver that
+re-joins the whole database at every stage reads 10.7, one that fires
+on the stage frontier about 6.
 """
 
 import json
@@ -106,6 +113,9 @@ WORKLOADS = {
     },
 }
 
+#: Grid sides of the logicH scaling rows.
+SCALING_GRIDS = (8, 16)
+
 #: Row name -> the context the fixpoint runs in.
 PATHS = {"production": nullcontext, "oracle": seed_engine}
 
@@ -179,6 +189,7 @@ def run(smoke=False):
             name, scale, "oracle/production", f"{speedup:.2f}x", "", "",
             f"{probe_ratio:.1f}x", "", "",
         ])
+    results["scaling"] = run_scaling(rows)
     report(
         "e17_eval_throughput",
         f"E17: evaluator throughput, production vs seed oracle ({scale})",
@@ -187,6 +198,40 @@ def run(smoke=False):
         rows,
     )
     return results
+
+
+def run_scaling(rows):
+    """logicH on the :data:`SCALING_GRIDS` on the production path, best
+    of 5 with the two grids interleaved (a host-speed excursion that
+    covers one round is dropped from both sides of the ratio); the
+    larger grid's rows are checked against one oracle run."""
+    idb = WORKLOADS["sptree"]["idb"]
+    m_small, m_large = SCALING_GRIDS
+    rounds = [
+        [run_once(SPTREE_PROGRAM, sptree_facts(m), idb) for m in SCALING_GRIDS]
+        for _ in range(5)
+    ]
+    small, large = (
+        min(runs, key=lambda res: res["secs"]) for runs in zip(*rounds)
+    )
+    with seed_engine():
+        oracle = run_once(SPTREE_PROGRAM, sptree_facts(m_large), idb)
+    identical = large["rows"] == oracle["rows"]
+    for m, path, res in ((m_small, "production", small),
+                         (m_large, "production", large),
+                         (m_large, "oracle", oracle)):
+        rows.append([
+            "sptree", f"{m}x{m}", path, f"{res['secs'] * 1e3:.1f}",
+            res["derived"], int(res["facts_per_sec"]),
+            res["probes"], res["scans"], "yes" if identical else "NO",
+        ])
+    ratio = large["secs"] / small["secs"]
+    rows.append([
+        "sptree", f"{m_large}x{m_large}/{m_small}x{m_small}", "production",
+        f"{ratio:.2f}x", f"{large['derived'] / small['derived']:.2f}x",
+        "", "", "", "",
+    ])
+    return {"production": {"identical": identical, "ratio": ratio}}
 
 
 def check_baseline(results):
@@ -206,6 +251,13 @@ def check_baseline(results):
                   f"(floor {floor:.0f}) {status}")
             if got < floor:
                 failed = True
+    ratio = results["scaling"]["production"]["ratio"]
+    ceiling = baseline["scaling"]["sptree_wall_ratio_max"]
+    status = "ok" if ratio <= ceiling else "REGRESSED"
+    print(f"[baseline] sptree {SCALING_GRIDS[1]}/{SCALING_GRIDS[0]} grid "
+          f"wall ratio: {ratio:.2f} (ceiling {ceiling}) {status}")
+    if ratio > ceiling:
+        failed = True
     if failed:
         sys.exit(1)
 

@@ -45,7 +45,7 @@ from .plan import GLOBAL_PLAN_CACHE, order_body, rule_label, seed_mode
 from .vector import execute_batch
 from .safety import check_program_safety
 from .stratify import ProgramClass, classify, dependency_graph
-from .terms import Substitution, Term, to_term
+from .terms import Constant, Substitution, Term, to_term
 from .unify import match_sequences
 
 ArgsTuple = Tuple[Term, ...]
@@ -266,6 +266,17 @@ class Relation:
                 CachedFactKey((pred, args)) for args in rows[len(keys):]
             )
         return keys
+
+    def keys_of(self, pred: str, tuples: Iterable[ArgsTuple]) -> List[tuple]:
+        """Fact keys of ``tuples``: for a stored tuple the key object of
+        :meth:`fact_keys` (one per fact, however many derivations name
+        it), a fresh key otherwise."""
+        keys, row_of = self.fact_keys(pred), self._row_of.get
+        out = []
+        for args in tuples:
+            row = row_of(args)
+            out.append(CachedFactKey((pred, args)) if row is None else keys[row])
+        return out
 
     def np_column(self, pos: int):
         """Id column ``pos`` as an int64 array (tombstones included)."""
@@ -810,59 +821,119 @@ class _BottomUpEvaluator:
         return eval_term(args[pos], self.registry)
 
     def _evaluate_component(self, db: Database, rules: List[Rule]) -> None:
-        # Within a stage, predicates saturate in priority order (e.g.
-        # ``H'`` before ``H``).
-        priority = self.xy.priority
-        rules = sorted(
-            rules, key=lambda r: priority.get(r.head.predicate, 0)
-        )
+        """Saturate one staged component, stage by stage, semi-naively.
 
-        # Seed stages: run every rule unrestricted once; heads found at
-        # stage s become candidates (inserted only when stage s is
-        # processed, so negation sees complete lower stages).
-        pending: Set[object] = set()
-        for rule in rules:
-            try:
-                for head, _d in fire_rule(rule, db, self.registry):
-                    pending.add(self._stage_value(rule.head.predicate, head))
-            except EvaluationError:
-                continue
+        A rule with a frontier literal (:meth:`XYStratification.frontier`:
+        a row at stage ``t`` yields heads at exactly ``t + k``) fires at
+        stage ``s`` as a delta firing over the rows of stage ``s - k``
+        only, read from the relation's own index on the stage column; its
+        predicate growing at ``t`` (base facts count, at their own stage)
+        schedules stage ``t + k``.  A rule with a constant head stage
+        fires at that stage only.  Any other rule fires unrestricted at
+        every stage, and is enumerated up front and after each stage that
+        grew for the later stages it reaches.  ``head stage == stage`` is
+        checked on every firing.
 
-        processed: Set[object] = set()
+        One pass in priority order *is* the stage's fixpoint, with no
+        confirming re-fire: negation sees complete lower stages, and
+        ``_order_same_stage`` admits only acyclic same-stage dependencies,
+        so nothing a rule read at this stage grows after it fired.
+        """
+        xy = self.xy
+        rules = sorted(rules, key=lambda r: xy.priority.get(r.head.predicate, 0))
+        frontiers = [self._frontier(rule) for rule in rules]
+        fixed = [
+            term.value if isinstance(term, Constant) else None
+            for term in (xy.stage_term(rule.head) for rule in rules)
+        ]
+        #: stage -> {(rule index, source stage)}: the frontiers feeding it.
+        pending: Dict[object, Set[Tuple[int, object]]] = {
+            stage: set() for stage in fixed if stage is not None
+        }
+
+        def grew(pred: str, t: object) -> None:
+            for i, frontier in enumerate(frontiers):
+                if frontier is not None and frontier[0] == pred:
+                    pending.setdefault(t + frontier[2], set()).add((i, t))
+
+        def enumerate_unrestricted(stage: object) -> None:
+            for i, rule in enumerate(rules):
+                if frontiers[i] is None and fixed[i] is None:
+                    for _ in self._stage_firings(rule, db, stage, pending):
+                        pass
+
+        for pred in sorted({f[0] for f in frontiers if f is not None}):
+            pos = xy.stage_position[pred]
+            for t in {eval_term(row[pos], self.registry)
+                      for row in db.relation(pred) if pos < len(row)}:
+                grew(pred, t)
+        enumerate_unrestricted(None)
+
+        stages = 0
         while pending:
-            stage = min(pending)  # ascending stage order
-            pending.discard(stage)
-            if stage in processed:
-                continue
-            processed.add(stage)
-            if len(processed) > self.max_stages:
+            stage = min(pending)  # ascending: whatever it schedules is later
+            stages += 1
+            if stages > self.max_stages:
                 raise EvaluationError(
                     f"XY evaluation exceeded {self.max_stages} stages "
                     "(non-terminating program?)"
                 )
-            # Saturate the stage: re-fire until no rule adds a row.
-            grew = True
-            while grew:
-                grew = False
-                for rule in rules:
-                    firings = self._stage_firings(
-                        rule, db, stage, pending, processed
-                    )
-                    if self._absorb(db, rule, firings, {}):
-                        grew = True
+            with _span("eval.stage", stage=stage) as sp:
+                sources = pending[stage]
+                fired: List[Tuple[str, int]] = []
+                grown: Dict[str, Set[ArgsTuple]] = {}
+                for i, (rule, frontier) in enumerate(zip(rules, frontiers)):
+                    delta = {}
+                    if frontier is not None:
+                        pred, occurrence, _k = frontier
+                        rel, pos = db.relation(pred), xy.stage_position[pred]
+                        rows = [
+                            row for j, t in sources if j == i
+                            for row in rel.lookup([(pos, value_to_term(t))])
+                        ]
+                        if not rows:
+                            continue
+                        fired.append((pred, len(rows)))
+                        delta = dict(delta_pred=pred, delta_tuples=rows,
+                                     delta_occurrence=occurrence)
+                    elif fixed[i] is not None and fixed[i] != stage:
+                        continue
+                    firings = self._stage_firings(rule, db, stage, pending, **delta)
+                    if self._absorb(db, rule, firings, grown):
+                        grew(rule.head.predicate, stage)
+                del pending[stage]
+                if grown:
+                    enumerate_unrestricted(stage)
+                if sp is not None:
+                    for pred, size in fired:
+                        _inst.delta_size.labels(predicate=pred).observe(size)
+                    sp.set(frontier_rows=sum(size for _p, size in fired),
+                           added=sum(len(rows) for rows in grown.values()))
         if _obs.enabled:
-            _inst.fixpoint_iterations.labels(evaluator="xy").observe(len(processed))
+            _inst.fixpoint_iterations.labels(evaluator="xy").observe(stages)
 
-    def _stage_firings(self, rule, db, stage, pending, processed):
-        """``rule``'s firings whose head lies in ``stage``; later stages
-        they reach are queued in ``pending``."""
+    def _frontier(self, rule: Rule) -> Optional[Tuple[str, int, int]]:
+        """``rule``'s frontier literal as ``(predicate, delta occurrence,
+        k)``, or None."""
+        found = self.xy.frontier(rule)
+        if found is None:
+            return None
+        lit, k = found
+        plan = GLOBAL_PLAN_CACHE.get(rule)
+        occurrences = [plan.steps[i].literal for i in plan.occurrences[lit.predicate]]
+        return lit.predicate, occurrences.index(lit), k
+
+    def _stage_firings(self, rule, db, stage, pending, **delta):
+        """``rule``'s firings whose head lies in ``stage``; the later
+        stages they reach (every stage, when ``stage`` is None) are
+        scheduled in ``pending``."""
         pred = rule.head.predicate
-        for firing in fire_rule(rule, db, self.registry):
+        for firing in fire_rule(rule, db, self.registry, **delta):
             head_stage = self._stage_value(pred, firing[0])
             if head_stage == stage:
                 yield firing
-            elif head_stage > stage and head_stage not in processed:
-                pending.add(head_stage)
+            elif stage is None or head_stage > stage:
+                pending.setdefault(head_stage, set())
 
 
 class SemiNaiveEvaluator(_BottomUpEvaluator):

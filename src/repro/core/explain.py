@@ -16,6 +16,7 @@ from .errors import ProgramError, SafetyError
 from .eval import order_body
 from .safety import check_rule_safety
 from .stratify import ProgramClass, classify
+from .terms import Constant
 
 
 def explain(program: Program) -> str:
@@ -50,6 +51,10 @@ def explain(program: Program) -> str:
         lines.append(f"  stage arguments: {stages}")
         order = sorted(analysis.xy.priority, key=analysis.xy.priority.get)
         lines.append(f"  per-stage order: {' < '.join(order)}")
+        lines.append("  stage firing:")
+        lines.extend(
+            f"    {line}" for line in _stage_firing(program, analysis.xy)
+        )
     if analysis.program_class is ProgramClass.LOCALLY_NONRECURSIVE_REQUIRED:
         lines.append(
             "  WARNING: only locally non-recursive executions are correct"
@@ -71,6 +76,33 @@ def explain(program: Program) -> str:
             f"{' , '.join(parts) or '(facts)'}{agg}"
         )
     return "\n".join(lines)
+
+
+def _stage_firing(program: Program, xy) -> List[str]:
+    """One line per rule of a staged component: its literals over the
+    component with their stage relative to the head's, and what the
+    stage driver fires it on."""
+    out = []
+    for rule in program.rules:
+        if rule not in xy.offsets:
+            continue
+        frontier = xy.frontier(rule)
+        parts = []
+        for lit, k in xy.offsets[rule]:
+            below = "<stage" if k is None else f"stage-{k}" if k else "stage"
+            parts.append(
+                ("not " if lit.negated else "") + f"{lit.predicate}[{below}]"
+                + (" (frontier)" if frontier and lit is frontier[0] else "")
+            )
+        line = f"r{rule.rule_id}: {rule.head.predicate} <- {', '.join(parts)}"
+        if frontier is None:
+            head_stage = xy.stage_term(rule.head)
+            line += ("; " if parts else "") + (
+                f"at stage {head_stage!r} only"
+                if isinstance(head_stage, Constant) else "unrestricted"
+            )
+        out.append(line)
+    return out
 
 
 def explain_distributed(engine) -> str:

@@ -129,18 +129,29 @@ def stratify(program: Program) -> List[Set[str]]:
 # ---------------------------------------------------------------------------
 
 
+#: Per rule of a staged component, its body literals over the component
+#: with their stage offset below the head (see :class:`XYStratification`).
+Offsets = Dict[Rule, List[Tuple[RelLiteral, Optional[int]]]]
+
+
 class XYStratification:
     """Witness that a program is XY-stratified.
 
     ``stage_position`` maps each recursive predicate to the argument
     position acting as its stage; ``priority`` orders predicates *within*
     a stage (lower priority evaluates first), e.g. ``H'`` before ``H`` in
-    the paper's logicH program.
+    the paper's logicH program.  ``offsets`` maps each rule of a staged
+    component to its ``(body literal, k)`` pairs over the component's
+    predicates: the literal sits a constant ``k >= 0`` stages below the
+    head (``V + b`` against ``V + c``, ``k = c - b``), or ``None`` when
+    only a comparison subgoal proves it lower.
     """
 
-    def __init__(self, stage_position: Dict[str, int], priority: Dict[str, int]):
+    def __init__(self, stage_position: Dict[str, int],
+                 priority: Dict[str, int], offsets: Offsets):
         self.stage_position = dict(stage_position)
         self.priority = dict(priority)
+        self.offsets = dict(offsets)
 
     def stage_term(self, rule_head_or_lit) -> Optional[Term]:
         pred = rule_head_or_lit.predicate
@@ -150,6 +161,20 @@ class XYStratification:
         atom = getattr(rule_head_or_lit, "atom", rule_head_or_lit)
         return atom.args[pos]
 
+    def frontier(self, rule: Rule) -> Optional[Tuple[RelLiteral, int]]:
+        """The literal the stage driver restricts to one stage's rows
+        when it fires ``rule``: the first positive literal a constant
+        ``k`` below the head whose stage argument is the bare stage
+        variable — a row at stage ``t`` then yields heads at exactly
+        ``t + k``, whatever the number type.  ``None``: no such literal,
+        the rule fires unrestricted."""
+        for lit, k in self.offsets.get(rule, ()):
+            if k is not None and not lit.negated and isinstance(
+                self.stage_term(lit), Variable
+            ):
+                return lit, k
+        return None
+
     def __repr__(self) -> str:
         return (
             f"XYStratification(stage={self.stage_position!r}, "
@@ -157,27 +182,17 @@ class XYStratification:
         )
 
 
-def _stage_delta(head_term: Term, body_term: Term) -> Optional[str]:
-    """Relation of a body stage term to the head stage term.
-
-    Returns ``'same'`` when syntactically equal, ``'lower'`` when the
-    head term is ``V + c`` (c > 0) and the body term is ``V`` (or a
-    smaller increment of V), ``None`` when unprovable.
-    """
+def _stage_offset(head_term: Term, body_term: Term) -> Optional[int]:
+    """How many stages the body stage term sits below the head's, when
+    that is a constant: 0 when syntactically equal, ``c - b`` when the
+    head term is ``V + c`` and the body term ``V + b`` with ``b <= c``;
+    ``None`` when unprovable."""
     if body_term == head_term:
-        return "same"
+        return 0
     base, inc = _split_increment(head_term)
     bbase, binc = _split_increment(body_term)
-    if base is not None and base == bbase and binc is not None and inc is not None:
-        if binc < inc:
-            return "lower"
-        if binc == inc:
-            return "same"
-        return None
-    if isinstance(body_term, Constant) and isinstance(head_term, Constant):
-        if _is_number(body_term) and _is_number(head_term):
-            if body_term.value < head_term.value:
-                return "lower"
+    if base is not None and base == bbase and binc <= inc:
+        return inc - binc
     return None
 
 
@@ -201,8 +216,14 @@ def _is_number(term: Term) -> bool:
 
 
 def _body_implies_lower(rule: Rule, head_stage: Term, body_stage: Term) -> bool:
-    """True when a comparison subgoal proves ``body_stage < head_stage``,
+    """True when the body stage is provably below the head stage without
+    a constant offset: two numeric constants, or a comparison subgoal,
     e.g. ``(d+1) > d'`` in the logicH program."""
+    if (
+        _is_number(body_stage) and _is_number(head_stage)
+        and body_stage.value < head_stage.value
+    ):
+        return True
     for lit in rule.builtin_literals():
         if lit.negated or len(lit.args) != 2:
             continue
@@ -225,8 +246,7 @@ def find_xy_stratification(program: Program) -> Optional[XYStratification]:
     """
     graph = dependency_graph(program)
     arities = {p: max(a) for p, a in program.arities().items()}
-    stage_position: Dict[str, int] = {}
-    priority: Dict[str, int] = {}
+    witness: Tuple[Dict[str, int], Dict[str, int], Offsets] = ({}, {}, {})
 
     for comp in recursive_components(program):
         has_negative = any(
@@ -240,26 +260,30 @@ def find_xy_stratification(program: Program) -> Optional[XYStratification]:
         assignment = _solve_component(program, comp, arities)
         if assignment is None:
             return None
-        positions, prio = assignment
-        stage_position.update(positions)
-        priority.update(prio)
-    return XYStratification(stage_position, priority)
+        for found, part in zip(witness, assignment):
+            found.update(part)
+    return XYStratification(*witness)
 
 
 def _solve_component(
     program: Program, comp: Set[str], arities: Dict[str, int]
-) -> Optional[Tuple[Dict[str, int], Dict[str, int]]]:
+) -> Optional[Tuple[Dict[str, int], Dict[str, int], Offsets]]:
     preds = sorted(comp)
     rules = [r for r in program.rules if r.head.predicate in comp]
     choices = [range(arities[p]) for p in preds]
     for combo in itertools.product(*choices):
         positions = dict(zip(preds, combo))
-        ok, same_stage_edges = _check_assignment(rules, comp, positions)
-        if not ok:
+        offsets = _check_assignment(rules, comp, positions)
+        if offsets is None:
             continue
-        prio = _order_same_stage(preds, same_stage_edges)
+        # Dependencies at equal stage must form an acyclic per-stage order.
+        prio = _order_same_stage(preds, [
+            (lit.predicate, rule.head.predicate)
+            for rule, literals in offsets.items()
+            for lit, k in literals if k == 0
+        ])
         if prio is not None:
-            return positions, prio
+            return positions, prio, offsets
     return None
 
 
@@ -267,35 +291,29 @@ def _check_assignment(
     rules: Sequence[Rule],
     comp: Set[str],
     positions: Dict[str, int],
-) -> Tuple[bool, List[Tuple[str, str]]]:
-    """Check one stage-position assignment.
-
-    Returns (ok, same_stage_edges) where same_stage_edges records
-    body-pred -> head-pred dependencies at equal stage (these must form
-    an acyclic per-stage order).
-    """
-    same_edges: List[Tuple[str, str]] = []
+) -> Optional[Offsets]:
+    """Check one stage-position assignment: the offsets it gives, or
+    None when some literal cannot be proved at or below its head's
+    stage."""
+    offsets: Offsets = {}
     for rule in rules:
-        head_pred = rule.head.predicate
-        head_pos = positions[head_pred]
+        head_pos = positions[rule.head.predicate]
         if head_pos >= rule.head.arity:
-            return False, []
+            return None
         head_stage = rule.head.args[head_pos]
+        literals = offsets[rule] = []
         for lit in rule.body:
             if not isinstance(lit, RelLiteral) or lit.predicate not in comp:
                 continue
             body_pos = positions[lit.predicate]
             if body_pos >= lit.atom.arity:
-                return False, []
+                return None
             body_stage = lit.atom.args[body_pos]
-            relation = _stage_delta(head_stage, body_stage)
-            if relation is None and _body_implies_lower(rule, head_stage, body_stage):
-                relation = "lower"
-            if relation is None:
-                return False, []
-            if relation == "same":
-                same_edges.append((lit.predicate, head_pred))
-    return True, same_edges
+            k = _stage_offset(head_stage, body_stage)
+            if k is None and not _body_implies_lower(rule, head_stage, body_stage):
+                return None
+            literals.append((lit, k))
+    return offsets
 
 
 def _order_same_stage(

@@ -54,7 +54,7 @@ from .columnar import (
     MAX_EXACT_INT,
     SMALL_INT,
 )
-from .derivations import CachedFactKey, Derivation
+from .derivations import Derivation
 from .plan import _CONST, _VAR, BuiltinStep, RelStep
 from .terms import Constant, FunctionTerm, Term, Variable
 
@@ -310,10 +310,12 @@ class _RelSource:
 class _DeltaSource:
     """Columnar view of one call's semi-naive delta set, built once."""
 
-    __slots__ = ("terms_rows", "arity", "ragged", "_cols", "_sorted", "_keys")
+    __slots__ = ("terms_rows", "arity", "ragged", "_cols", "_sorted", "_keys",
+                 "_rel")
 
-    def __init__(self, rows):
+    def __init__(self, rows, rel):
         self.terms_rows = rows
+        self._rel = rel  # the relation the delta predicate is stored in
         arities = {len(r) for r in rows}
         self.ragged = len(arities) > 1
         self.arity = arities.pop() if len(arities) == 1 else None
@@ -352,9 +354,7 @@ class _DeltaSource:
     def fact_keys(self, pred):
         keys = self._keys.get(pred)
         if keys is None:
-            keys = self._keys[pred] = [
-                CachedFactKey((pred, r)) for r in self.terms_rows
-            ]
+            keys = self._keys[pred] = self._rel.keys_of(pred, self.terms_rows)
         return keys
 
 
@@ -699,7 +699,9 @@ def execute_batch(
             if type(op) is _JoinOp:
                 if op.step_idx == delta_step:
                     if delta_src is None:
-                        delta_src = _DeltaSource(list(delta_tuples or ()))
+                        delta_src = _DeltaSource(
+                            list(delta_tuples or ()), db.relation(op.predicate)
+                        )
                     if delta_src.ragged:
                         raise _Fallback
                     src, is_delta = delta_src, True

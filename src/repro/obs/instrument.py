@@ -41,7 +41,8 @@ fixpoint_iterations = REGISTRY.histogram(
 )
 delta_size = REGISTRY.histogram(
     "repro_delta_tuples",
-    "Per-round delta sizes (new tuples per predicate per round)",
+    "Delta sizes: new tuples per predicate per semi-naive round; "
+    "frontier rows per delta firing per XY stage",
     labelnames=("predicate",),
     buckets=COUNT_BUCKETS,
 )

@@ -313,3 +313,15 @@ class TestRelationDifferential:
         keys2 = rel.fact_keys("t")
         assert keys2 is keys  # grown in place, one key object per row
         assert keys2[row_b] == ("t", const_tuple((3, 4)))
+
+    def test_keys_of_hands_out_the_stored_key_object(self):
+        rel = Relation("t")
+        _, row = rel.add_row(const_tuple((1, 2)))
+        stored, fresh = rel.keys_of(
+            "t", [const_tuple((1, 2)), const_tuple((9, 9))]
+        )
+        assert stored is rel.fact_keys("t")[row]
+        assert fresh == ("t", const_tuple((9, 9)))
+        rel.discard(const_tuple((1, 2)))  # a dead row has no key to share
+        (again,) = rel.keys_of("t", [const_tuple((1, 2))])
+        assert again == stored and again is not stored

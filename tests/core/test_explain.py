@@ -35,6 +35,21 @@ class TestExplain:
         assert "stage arguments" in text
         assert "hp < h" in text
 
+    def test_xy_stage_firing_names_the_frontier_or_the_fallback(self):
+        lines = explain(parse_program(LOGICH + """
+            q(X, E) :- h(_, X, D), jump(D, E), E > D.
+            h(X, X, D + 2) :- base(X, D), q(X, D + 1), not q(X, D + 2).
+        """)).splitlines()
+        firing = [l.strip() for l in lines[lines.index("  stage firing:") + 1:]]
+        assert firing[:5] == [
+            "r0: h <- at stage 1 only",
+            "r1: hp <- h[<stage], h[stage-1] (frontier)",
+            "r2: h <- h[stage-1] (frontier), not hp[stage]",
+            "r3: q <- h[<stage]; unrestricted",
+            # D is bound outside the component: q(X, D + 1) is no frontier
+            "r4: h <- q[stage-1], not q[stage]; unrestricted",
+        ]
+
     def test_unsafe_program_flagged(self):
         text = explain(parse_program("p(X, Y) :- q(X)."))
         assert "UNSAFE" in text

@@ -51,6 +51,29 @@ class TestEvalInstrumentation:
         names = [r["name"] for r in obs.SINK.records if r["type"] == "span"]
         assert "eval.fixpoint" in names and "eval.stratum" in names
 
+    def test_xy_stages_report_their_frontier(self, telemetry):
+        db = Database()
+        for u, v in [("a", "b"), ("b", "c"), ("c", "d")]:
+            db.assert_fact("g", (u, v))
+            db.assert_fact("g", (v, u))
+        evaluate(parse_program("""
+            h(a, a, 0).
+            h(a, X, 1) :- g(a, X).
+            hp(Y, D + 1) :- h(_, Y, Dp), D + 1 > Dp, h(_, X, D), g(X, Y).
+            h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).
+        """), db)
+        stages = [r["attrs"] for r in obs.SINK.records
+                  if r["type"] == "span" and r["name"] == "eval.stage"]
+        # Both recursive rules read h[stage-1]: one h row per stage, twice.
+        assert stages == [
+            {"stage": s, "frontier_rows": 2, "added": added}
+            for s, added in [(1, 1), (2, 2), (3, 2), (4, 1)]
+        ]
+        deltas = obs.REGISTRY.get("repro_delta_tuples")
+        assert deltas.labels(predicate="h").count == 8
+        iters = obs.REGISTRY.get("repro_fixpoint_iterations")
+        assert iters.labels(evaluator="xy").sum == 4
+
     def test_disabled_records_nothing(self):
         obs.disable()
         obs.reset()
