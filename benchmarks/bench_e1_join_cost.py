@@ -11,11 +11,24 @@ scale with N = m^2 per tuple and dominate everything; PA scales with m
 and stays far below them; the centroid/centralized schemes have
 comparable or lower *totals* at small scale but concentrate load on the
 server (see E3 for the hotspot story).
+
+``--smoke`` shrinks to CI scale; ``--check`` additionally compares the
+smoke table with ``benchmarks/BENCH_e1.json`` for equality — the counts
+are simulated, so a frame, a byte or a hotspot that moved is a change of
+behaviour, not noise.
 """
+
+import json
+import os
+import sys
 
 import pytest
 
 from harness import report, run_join_workload
+
+BASELINE_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "BENCH_e1.json"
+)
 
 STRATEGIES = ["pa", "centroid", "centralized", "broadcast", "local-storage"]
 SIZES = [6, 8, 10, 12]
@@ -36,7 +49,12 @@ def run(sizes=SIZES, tuples=TUPLES):
                 net.metrics.total_bytes, net.metrics.max_node_load,
                 "yes" if correct else "NO",
             ])
-            results[(m, strategy)] = net.metrics.total_messages
+            results[(m, strategy)] = {
+                "messages": net.metrics.total_messages,
+                "bytes": net.metrics.total_bytes,
+                "max_load": net.metrics.max_node_load,
+                "correct": correct,
+            }
     report(
         "e1_join_cost",
         "E1: two-stream join cost by strategy and grid size "
@@ -49,21 +67,40 @@ def run(sizes=SIZES, tuples=TUPLES):
 
 def test_e1_shape(benchmark):
     results = benchmark.pedantic(run, args=([6, 8], 8), rounds=1, iterations=1)
+    messages = {key: cell["messages"] for key, cell in results.items()}
     # PA beats both degenerate GPA baselines at every size.
     for m in (6, 8):
-        assert results[(m, "pa")] < results[(m, "broadcast")]
-        assert results[(m, "pa")] < results[(m, "local-storage")]
+        assert messages[(m, "pa")] < messages[(m, "broadcast")]
+        assert messages[(m, "pa")] < messages[(m, "local-storage")]
     # The degenerate baselines blow up faster with network size.
     assert (
-        results[(8, "broadcast")] / results[(6, "broadcast")]
-        > results[(8, "pa")] / results[(6, "pa")]
+        messages[(8, "broadcast")] / messages[(6, "broadcast")]
+        > messages[(8, "pa")] / messages[(6, "pa")]
     )
 
 
-if __name__ == "__main__":
-    import sys
+def check_baseline(results):
+    """Every cell of the committed smoke table, compared for equality."""
+    with open(BASELINE_PATH) as f:
+        baseline = json.load(f)["smoke"]
+    table = {f"{m}x{m}/{strategy}": cell for (m, strategy), cell in results.items()}
+    failed = set(baseline) ^ set(table)
+    for key in sorted(failed):
+        print(f"[e1] {key}: in only one of the run and BENCH_e1.json FAIL")
+    for key, want in baseline.items():
+        got = table.get(key)
+        if got is not None and got != want:
+            print(f"[e1] {key}: {got} (committed {want}) FAIL")
+            failed.add(key)
+    if failed:
+        sys.exit(1)
+    print(f"[e1] {len(baseline)} cells identical to BENCH_e1.json OK")
 
+
+if __name__ == "__main__":
     if "--smoke" in sys.argv:
-        run(sizes=[6, 8], tuples=8)
+        results = run(sizes=[6, 8], tuples=8)
+        if "--check" in sys.argv:
+            check_baseline(results)
     else:
         run()

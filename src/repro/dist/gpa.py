@@ -37,23 +37,16 @@ import itertools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.ast import RelLiteral
-from ..core.builtins import (
-    BuiltinRegistry,
-    eval_builtin,
-    eval_term,
-    normalize_partial,
-    value_to_term,
-)
-from ..core.errors import EvaluationError, NetworkError, PlanError
-from ..core.eval import _freeze_value, ground_head
+from ..core.builtins import BuiltinRegistry, eval_term
+from ..core.errors import NetworkError, PlanError
+from ..core.eval import _freeze_value
 from ..core.parser import parse_program
 from ..core.stratify import (
     NeedsBarriers,
     classify_coordination,
     dependency_graph,
 )
-from ..core.terms import Substitution, Term, Variable, term_size, to_term
-from ..core.unify import match_sequences
+from ..core.terms import term_size
 from ..net.messages import Message
 from ..net.network import SensorNetwork
 from ..obs import instrument as _inst
@@ -62,7 +55,7 @@ from ..obs.spans import span as _span
 from ..net.node import Node
 from ..streams.tuples import ArgsTuple, StreamTuple, TupleID
 from ..streams.windows import SlidingWindow, WindowParams
-from .plans import DistributedPlan, RulePlan
+from .plans import DistributedPlan, RulePlan, bind, conclude, matching, probe
 from .regions import RegionStrategy, make_strategy
 
 #: A sliding window narrower than this is treated as semantically
@@ -81,7 +74,7 @@ _PIPELINE_WINDOW_FLOOR = 1e6
 class FactRef:
     """A reference to a joined fact: predicate, ground args, tuple id."""
 
-    __slots__ = ("pred", "args", "tuple_id")
+    __slots__ = ("pred", "args", "tuple_id", "_ident")
 
     def __init__(self, pred: str, args: ArgsTuple, tuple_id: TupleID):
         self.pred = pred
@@ -90,6 +83,15 @@ class FactRef:
 
     def key(self):
         return (self.pred, self.args)
+
+    def identity(self):
+        """``(pred, repr(args), repr(tuple_id))``, spelled once per
+        reference (a reference is immutable)."""
+        try:
+            return self._ident
+        except AttributeError:
+            self._ident = (self.pred, repr(self.args), repr(self.tuple_id))
+            return self._ident
 
     def size(self) -> int:
         return 2 + sum(term_size(a) for a in self.args)
@@ -111,19 +113,20 @@ class FactRef:
 class WireDerivation:
     """A derivation as shipped in result messages: rule id + fact refs."""
 
-    __slots__ = ("rule_id", "facts")
+    __slots__ = ("rule_id", "facts", "_ident")
 
     def __init__(self, rule_id: int, facts: Tuple[FactRef, ...]):
         self.rule_id = rule_id
         self.facts = facts
 
     def identity(self):
-        return (
-            self.rule_id,
-            tuple(sorted(
-                (f.pred, repr(f.args), repr(f.tuple_id)) for f in self.facts
-            )),
-        )
+        try:
+            return self._ident
+        except AttributeError:
+            self._ident = (
+                self.rule_id, tuple(sorted(f.identity() for f in self.facts))
+            )
+            return self._ident
 
     def size(self) -> int:
         return 1 + 2 * len(self.facts)
@@ -133,41 +136,50 @@ class WireDerivation:
 
 
 class Partial:
-    """A partial result: bindings + facts used + covered subgoal indexes."""
+    """A partial result: the rule's registers (``mask`` says which are
+    bound, see :meth:`RulePlan.step`) + facts used + covered subgoal
+    indexes.  Immutable, so its key and size are computed once."""
 
-    __slots__ = ("subst", "used", "covered")
+    __slots__ = ("regs", "mask", "used", "covered", "_key", "_size")
 
-    def __init__(self, subst: Substitution, used: Tuple[FactRef, ...], covered: frozenset):
-        self.subst = subst
+    def __init__(self, regs: list, mask: int, used: Tuple[FactRef, ...], covered: frozenset):
+        self.regs = regs
+        self.mask = mask
         self.used = used
         self.covered = covered
+        self._key = (covered, frozenset(
+            (f.pred, f.args, f.identity()[2]) for f in used
+        ))
+        self._size = sum(f.size() for f in used) or 1
 
     def dedup_key(self):
-        return (self.covered, frozenset((f.pred, f.args, repr(f.tuple_id)) for f in self.used))
+        return self._key
 
     def size(self) -> int:
-        return sum(f.size() for f in self.used) or 1
+        return self._size
 
 
 class Candidate:
     """A complete positive join awaiting negation checks along the path."""
 
-    __slots__ = ("head_args", "derivation", "neg_patterns", "result_op")
+    __slots__ = ("head_args", "derivation", "neg_patterns", "result_op", "_size")
 
     def __init__(
         self,
         head_args: ArgsTuple,
         derivation: WireDerivation,
-        neg_patterns: List[Tuple[str, Tuple[Term, ...]]],
+        neg_patterns: List[Tuple[str, tuple]],
         result_op: str,
     ):
         self.head_args = head_args
         self.derivation = derivation
+        #: (predicate, probe) per negated subgoal, see repro.dist.plans.
         self.neg_patterns = neg_patterns
         self.result_op = result_op
+        self._size = sum(term_size(a) for a in head_args) + derivation.size()
 
     def size(self) -> int:
-        return sum(term_size(a) for a in self.head_args) + self.derivation.size()
+        return self._size
 
 
 class GatherMsg(Message):
@@ -249,8 +261,8 @@ class JoinToken(Message):
     def refresh_size(self) -> None:
         self.payload_symbols = (
             1
-            + sum(p.size() for p in self.partials)
-            + sum(c.size() for c in self.candidates)
+            + sum([p._size for p in self.partials])
+            + sum([c._size for c in self.candidates])
         )
 
 
@@ -547,6 +559,12 @@ class GPAEngine:
                 verdict = fallback or self.coordination.kind
                 _inst.coordfree_programs.labels(verdict=verdict).inc()
         self.mode = mode
+        #: Join-region work: window rows compared with a subgoal, rows
+        #: that matched, and steps that had to unify structurally
+        #: (``match_sequences``, for a subgoal like ``r([H | T])``).
+        self.rows_scanned = 0
+        self.rows_matched = 0
+        self.structural_steps = 0
         self.runtimes: Dict[int, NodeRuntime] = {}
         self._installed = False
 
@@ -764,11 +782,8 @@ class GPAEngine:
         member or substitutes a live mate, so the traversal continues
         past the gap instead of silently truncating.  Past ``budget()``
         re-targets (read when the failure is reported) the message is
-        left stranded."""
-        if not self.fault_tolerant:
-            node.send_routed(nxt, msg, on_status=self._track_delivery)
-            return
-
+        left stranded.  Callers send directly outside fault-tolerant
+        mode."""
         def outcome(status: str, reason: str = "") -> None:
             self._track_delivery(status, reason)
             if status != "gave_up":
@@ -784,6 +799,10 @@ class GPAEngine:
     def _send_store(self, node: Node, msg: StoreMsg, nxt: int) -> None:
         """Forward a storage message; after a terminal hop failure
         replication continues with the next live member of its path."""
+        if not self.fault_tolerant:
+            node.send_routed(nxt, msg, on_status=self._track_delivery)
+            return
+
         def resume() -> None:
             follow = self._pop_storage_hop(msg.path)
             if follow is not None:
@@ -797,6 +816,9 @@ class GPAEngine:
         """Forward a join token; a member that died mid-flight is
         substituted by a live storage-region mate on the next pop, so
         the token — with every partial result it carries — survives."""
+        if not self.fault_tolerant:
+            node.send_routed(nxt, token, on_status=self._track_delivery)
+            return
         self._send_retargeting(
             node, token, nxt, lambda: 2 * max(1, len(token.region)),
             lambda: self._continue_token(node, token),
@@ -812,7 +834,8 @@ class GPAEngine:
             self._send_token(node, token, nxt)
             return
         for cand in token.candidates:
-            self._emit_result(node, rp, cand, token.update_ts)
+            self._emit(node, rp, cand.head_args, cand.derivation,
+                       cand.result_op, token.update_ts)
         token.candidates = []
         token.partials = []
         if _obs.enabled:
@@ -920,6 +943,23 @@ class GPAEngine:
         for rp, occ in self.plan.negative_triggers.get(tup.predicate, ()):
             self._launch_token(node_id, rp, occ, trigger, True, op, update_ts)
 
+    def _seed(self, rp: RulePlan, occurrence: int, trigger: FactRef, negated: bool) -> Optional[Partial]:
+        """The partial result a token starts with: the triggering
+        subgoal matched against the update, None when it does not match.
+        A step binds only what the rule reads outside its subgoal, so
+        variables local to a triggering negated subgoal (e.g. wildcards)
+        stay free and blocker re-checks range over every live tuple of
+        the stream, not just the one that triggered."""
+        step = rp.step(occurrence, 0, negated)
+        regs = [None] * len(rp.slots)
+        seed = matching(probe(step, regs, self.registry), (trigger,))
+        if not seed:
+            return None
+        regs = bind(step, regs, *seed[0])
+        if negated:
+            return Partial(regs, step.after, (), frozenset())
+        return Partial(regs, step.after, (trigger,), frozenset([occurrence]))
+
     def _launch_token(
         self,
         node_id: int,
@@ -930,34 +970,9 @@ class GPAEngine:
         op: str,
         update_ts: float,
     ) -> None:
-        lit = rp.negative[occurrence] if negated else rp.positive[occurrence]
-        seed = match_sequences(
-            tuple(normalize_partial(a, self.registry) for a in lit.atom.args),
-            trigger.args,
-            Substitution(),
-        )
-        if seed is None:
+        partial = self._seed(rp, occurrence, trigger, negated)
+        if partial is None:
             return  # the update does not even match the subgoal pattern
-        if negated:
-            # Keep only bindings for variables the rest of the rule
-            # shares with the triggering negated subgoal: variables
-            # local to it (e.g. wildcards) must stay free so blocker
-            # re-checks range over every live tuple of the stream, not
-            # just the one that triggered.
-            shared: Set[Variable] = set(rp.head.variables())
-            for other in rp.positive:
-                shared.update(other.variables())
-            for other in rp.builtins:
-                shared.update(other.variables())
-            for i, other in enumerate(rp.negative):
-                if i != occurrence:
-                    shared.update(other.variables())
-            seed = Substitution(
-                {v: t for v, t in seed.items() if v in shared}
-            )
-            partial = Partial(seed, (), frozenset())
-        else:
-            partial = Partial(seed, (trigger,), frozenset([occurrence]))
         exclude = trigger.tuple_id if (negated and op == "del") else None
         region = list(self.strategy.join_path(node_id))
         path = list(region)
@@ -1048,6 +1063,7 @@ class GPAEngine:
     def _on_join(self, node: Node, token: JoinToken) -> None:
         rp = self.plan.by_id[token.rule_id]
         runtime = self.runtimes[node.id]
+        before = (self.rows_scanned, self.rows_matched) if _obs.enabled else None
         self._strike_candidates(runtime, rp, token)
         allowed = None
         if token.pass_indexes is not None:
@@ -1081,23 +1097,34 @@ class GPAEngine:
         # replicas that arrive after the token has passed can extend it.
         if token.rule_id in self._streamed_rules and token.partials:
             self._park_partials(runtime, rp, token)
+        if before is not None and self.rows_scanned != before[0]:
+            _inst.join_selectivity.labels(rule=rp.label).observe(
+                (self.rows_matched - before[1]) / (self.rows_scanned - before[0])
+            )
         # End of the join region (path exhausted): emit surviving
         # candidates, discard the remaining partial results (Section
         # III-A).  Both that and the forward-to-next-member move live in
         # _continue_token so in-flight failure recovery can re-enter it.
         self._continue_token(node, token)
 
-    def _visible(self, runtime: NodeRuntime, pred: str, token: JoinToken) -> List[StreamTuple]:
+    def _matches(self, runtime: NodeRuntime, token: JoinToken, pred: str, pattern: tuple) -> list:
+        """``matching`` over the replicas of ``pred`` stored here, in
+        window order, cut down to those visible to the token's update —
+        match first (few rows do), Theorem 3 liveness second."""
         win = runtime.windows.get(pred)
         if win is None:
-            return []
-        if token.retro:
-            out = list(win)  # every resident replica, live or deleted
-        else:
-            out = win.live_at(token.update_ts)
+            return ()
+        found = matching(pattern, win)
+        self.rows_scanned += len(win)
+        self.rows_matched += len(found)
+        if pattern[-1] is not None:  # the normalized match_sequences pattern
+            self.structural_steps += 1
+        if found and not token.retro:  # retro: every replica, live or deleted
+            window = self.window_params.window
+            found = [m for m in found if m[0].is_live_at(token.update_ts, window)]
         if token.exclude_id is not None and pred == token.trigger.pred:
-            out = [t for t in out if t.tuple_id != token.exclude_id]
-        return out
+            found = [m for m in found if m[0].tuple_id != token.exclude_id]
+        return found
 
     # -- pipelined mode: parked partials and continuations -------------------
 
@@ -1110,12 +1137,13 @@ class GPAEngine:
         double-park."""
         retro = token.retro
         trigger = token.trigger
-        tkey = (trigger.pred, trigger.args, repr(trigger.tuple_id))
+        tkey = (
+            token.rule_id, token.op, token.update_ts,
+            (trigger.pred, trigger.args, trigger.identity()[2]),
+            repr(token.exclude_id), retro,
+        )
         for partial in token.partials:
-            key = (
-                token.rule_id, token.op, token.update_ts, tkey,
-                repr(token.exclude_id), retro, partial.dedup_key(),
-            )
+            key = tkey + (partial.dedup_key(),)
             if key in runtime.parked_seen:
                 continue
             runtime.parked_seen.add(key)
@@ -1161,25 +1189,14 @@ class GPAEngine:
             return
         if entry.op == "del" and tup.tuple_id == entry.trigger.tuple_id:
             return  # a deleted trigger joins only as the trigger
+        partial = entry.partial
         extended: List[Partial] = []
         for idx, lit in enumerate(rp.positive):
-            if idx in entry.partial.covered or lit.predicate != tup.predicate:
+            if idx in partial.covered or lit.predicate != tup.predicate:
                 continue
-            pattern = tuple(
-                normalize_partial(a.substitute(entry.partial.subst), self.registry)
-                for a in lit.atom.args
-            )
-            bindings = match_sequences(pattern, tup.args, Substitution())
-            if bindings is None:
-                continue
-            subst = Substitution(entry.partial.subst)
-            subst.update(bindings)
-            extended.append(Partial(
-                subst,
-                entry.partial.used
-                + (FactRef(tup.predicate, tup.args, tup.tuple_id),),
-                entry.partial.covered | {idx},
-            ))
+            step = rp.step(idx, partial.mask)
+            for match in matching(probe(step, partial.regs, self.registry), (tup,)):
+                extended.append(self._extended(partial, idx, step, *match))
         if not extended:
             return
         done = all(len(p.covered) == rp.n_positive for p in extended)
@@ -1222,34 +1239,24 @@ class GPAEngine:
                 still_partial.append(p)
         token.partials = still_partial
         queue = list(token.partials)
+        # A deleted trigger joins only as the trigger.
+        deleted = (
+            token.trigger.tuple_id
+            if token.op == "del" and not token.trigger_negated else None
+        )
         while queue:
             partial = queue.pop()
-            for idx, lit in enumerate(rp.positive):
+            for idx in range(rp.n_positive):
                 if idx in partial.covered:
                     continue
                 if allowed is not None and idx not in allowed:
                     continue
-                pattern = tuple(
-                    normalize_partial(a.substitute(partial.subst), self.registry)
-                    for a in lit.atom.args
-                )
-                for tup in self._visible(runtime, lit.predicate, token):
-                    if (
-                        not token.trigger_negated
-                        and token.op == "del"
-                        and tup.tuple_id == token.trigger.tuple_id
-                    ):
-                        continue  # a deleted trigger joins only as the trigger
-                    bindings = match_sequences(pattern, tup.args, Substitution())
-                    if bindings is None:
+                step = rp.step(idx, partial.mask)
+                pattern = probe(step, partial.regs, self.registry)
+                for match in self._matches(runtime, token, step.pred, pattern):
+                    if match[0].tuple_id == deleted:
                         continue
-                    subst = Substitution(partial.subst)
-                    subst.update(bindings)
-                    new = Partial(
-                        subst,
-                        partial.used + (FactRef(lit.predicate, tup.args, tup.tuple_id),),
-                        partial.covered | {idx},
-                    )
+                    new = self._extended(partial, idx, step, *match)
                     key = new.dedup_key()
                     if key in seen:
                         continue
@@ -1262,6 +1269,14 @@ class GPAEngine:
         for partial in complete:
             self._complete_partial(runtime, rp, token, partial, node)
 
+    def _extended(self, partial: Partial, idx: int, step, tup, bindings) -> Partial:
+        """``partial`` joined with a replica its subgoal ``idx`` matched."""
+        return Partial(
+            bind(step, partial.regs, tup, bindings), step.after,
+            partial.used + (FactRef(step.pred, tup.args, tup.tuple_id),),
+            partial.covered | {idx},
+        )
+
     def _complete_partial(
         self,
         runtime: NodeRuntime,
@@ -1271,63 +1286,43 @@ class GPAEngine:
         node: Node,
     ) -> None:
         # Built-ins run locally once all positive subgoals are bound.
-        substs = [partial.subst]
-        for lit in rp.builtins:
-            next_substs = []
-            for s in substs:
-                try:
-                    next_substs.extend(eval_builtin(lit, s, self.registry))
-                except EvaluationError:
-                    continue
-            substs = next_substs
-            if not substs:
+        builtins, head, negs = rp.conclusion(partial.mask)
+        regs = partial.regs[:]  # assignments write registers
+        head_args = conclude(builtins, head, regs, self.registry)
+        if head_args is None:
+            return
+        derivation = WireDerivation(rp.rule_id, partial.used)
+        result_op = self._result_op(token)
+        neg_patterns = [
+            (step.pred, probe(step, regs, self.registry)) for step in negs
+        ]
+        if token.trigger_negated:
+            if token.op == "ins":
+                # Subtract: a new blocker kills matching derivations;
+                # no further negation checks needed (idempotent).
+                self._emit(node, rp, head_args, derivation, "sub", token.update_ts)
                 return
-        for subst in substs:
-            try:
-                head_args = ground_head(rp.rule, subst, self.registry)
-            except EvaluationError:
-                continue
-            derivation = WireDerivation(rp.rule_id, partial.used)
-            result_op = self._result_op(token)
-            neg_patterns = [
-                (
-                    lit.predicate,
-                    tuple(
-                        normalize_partial(a.substitute(subst), self.registry)
-                        for a in lit.atom.args
-                    ),
-                )
-                for lit in rp.negative
-            ]
-            if token.trigger_negated:
-                if token.op == "ins":
-                    # Subtract: a new blocker kills matching derivations;
-                    # no further negation checks needed (idempotent).
-                    self._emit(node, rp, head_args, derivation, "sub", token.update_ts)
-                    continue
-                # Deletion of a blocker: re-derivations must pass every
-                # negated subgoal (including the trigger's own stream,
-                # minus the deleted tuple, handled via exclude_id).
-                cand = Candidate(head_args, derivation, neg_patterns, "add")
-                if self._blocked_here(runtime, token, cand):
-                    continue
+            # Deletion of a blocker: re-derivations must pass every
+            # negated subgoal (including the trigger's own stream,
+            # minus the deleted tuple, handled via exclude_id).
+            cand = Candidate(head_args, derivation, neg_patterns, "add")
+            if not self._blocked_here(runtime, token, cand):
                 token.candidates.append(cand)
-            elif rp.has_negation:
-                cand = Candidate(head_args, derivation, neg_patterns, result_op)
-                if result_op == "sub":
-                    # Deleting a positive support: subtraction needs no
-                    # negation re-checks.
-                    self._emit(node, rp, head_args, derivation, "sub", token.update_ts)
-                    continue
-                if self._blocked_here(runtime, token, cand):
-                    continue
+        elif rp.has_negation:
+            if result_op == "sub":
+                # Deleting a positive support: subtraction needs no
+                # negation re-checks.
+                self._emit(node, rp, head_args, derivation, "sub", token.update_ts)
+                return
+            cand = Candidate(head_args, derivation, neg_patterns, result_op)
+            if not self._blocked_here(runtime, token, cand):
                 token.candidates.append(cand)
-            else:
-                if token.rule_id in self._streamed_rules:
-                    self.streamed_derivations += 1
-                    if _obs.enabled:
-                        _inst.pipeline_streamed.inc()
-                self._emit(node, rp, head_args, derivation, result_op, token.update_ts)
+        else:
+            if token.rule_id in self._streamed_rules:
+                self.streamed_derivations += 1
+                if _obs.enabled:
+                    _inst.pipeline_streamed.inc()
+            self._emit(node, rp, head_args, derivation, result_op, token.update_ts)
 
     def _result_op(self, token: JoinToken) -> str:
         if token.trigger_negated:
@@ -1342,14 +1337,10 @@ class GPAEngine:
         ]
 
     def _blocked_here(self, runtime: NodeRuntime, token: JoinToken, cand: Candidate) -> bool:
-        for pred, pattern in cand.neg_patterns:
-            for tup in self._visible(runtime, pred, token):
-                if match_sequences(pattern, tup.args, Substitution()) is not None:
-                    return True
-        return False
-
-    def _emit_result(self, node: Node, rp: RulePlan, cand: Candidate, ts: float) -> None:
-        self._emit(node, rp, cand.head_args, cand.derivation, cand.result_op, ts)
+        return any(
+            self._matches(runtime, token, pred, pattern)
+            for pred, pattern in cand.neg_patterns
+        )
 
     def _emit(
         self,

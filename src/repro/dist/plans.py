@@ -6,16 +6,18 @@ and the built-in filters — this is the read-only "list of join
 conditions" a real deployment would place in program flash, consumed by
 the generic join component on every node.
 
-For localized mode the list is compiled one step further:
-:class:`DeltaJoin` is one (rule, trigger occurrence) with the rule's
-variables turned into register slots and every argument classified once,
-so a node runs a delta-join without unifying.
+Both distributed modes run it compiled one step further: the rule's
+variables are register slots and a subgoal's arguments are classified
+once per set of registers bound before it (:meth:`RulePlan.step`), so a
+node joins without unifying.  Localized mode fixes the join order per
+trigger (:class:`DeltaJoin`); a GPA token joins in whatever order its
+path meets the replicas (:func:`probe`, :func:`matching`, :func:`bind`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.ast import BuiltinLiteral, Literal, Program, RelLiteral, Rule
 from ..core.builtins import (
@@ -65,6 +67,17 @@ class RulePlan:
             raise PlanError(
                 f"rule {rule!r} has no positive relational subgoal"
             )
+        self.label = rule_label(rule)
+        # One register per variable, whatever order the subgoals are
+        # joined in.  A set of bound registers is a bit mask over the
+        # slots; steps and conclusions are compiled per mask, on first use.
+        self.uses = Counter(
+            var for part in (rule.head, *rule.body) for var in part.variables()
+        )
+        self.slots: Dict[Variable, int] = {
+            var: slot for slot, var in enumerate(self.uses)
+        }
+        self._compiled: Dict[Any, tuple] = {}
 
     @property
     def has_negation(self) -> bool:
@@ -73,6 +86,36 @@ class RulePlan:
     @property
     def n_positive(self) -> int:
         return len(self.positive)
+
+    def step(self, idx: int, mask: int, negated: bool = False) -> "Step":
+        """Subgoal ``idx`` (of ``negative`` when ``negated``) compiled
+        against the registers in ``mask``."""
+        key = (idx, mask, negated)
+        step = self._compiled.get(key)
+        if step is None:
+            lit = (self.negative if negated else self.positive)[idx]
+            step = self._compiled[key] = _compile_literal(
+                lit, mask, self.slots, self.uses
+            )
+        return step
+
+    def conclusion(self, mask: int) -> tuple:
+        """What follows a complete positive match whose registers are
+        ``mask``: (built-in steps, head expressions, negated subgoals as
+        steps against the registers the built-ins leave bound)."""
+        found = self._compiled.get(mask)
+        if found is None:
+            bound = _bound(self.slots, mask)
+            builtins = tuple(
+                _compile_builtin(bl, bound, self.slots) for bl in self.builtins
+            )
+            head = tuple(_compile_expr(a, bound) for a in self.head.args)
+            after = sum(1 << slot for slot in bound.values())
+            negs = tuple(
+                self.step(i, after, True) for i in range(len(self.negative))
+            )
+            found = self._compiled[mask] = (builtins, head, negs)
+        return found
 
     def positive_predicates(self) -> Set[str]:
         return {lit.predicate for lit in self.positive}
@@ -160,13 +203,12 @@ class DistributedPlan:
 
 
 # ---------------------------------------------------------------------------
-# Compiled delta-joins (localized mode)
+# Compiled joins (both distributed modes)
 # ---------------------------------------------------------------------------
 #
-# A DeltaJoin is plain data — tuples of opcodes, slot numbers and terms,
-# no closures — so a DistributedPlan that carries them still pickles.
-# Every rule variable that is read again gets a register slot holding
-# the ground term it is bound to.
+# Everything compiled is plain data — tuples of opcodes, slot numbers
+# and terms, no closures — so a DistributedPlan that carries it still
+# pickles.  A register holds the ground term its variable is bound to.
 #
 # Expressions over the registers:
 #   (_SLOT, slot)                           a variable
@@ -183,92 +225,108 @@ _SLOT, _VALUE, _ARITH, _TERM = range(4)
 #   (_CALL, name, negated, (expr, ...))     a registered predicate
 _ASSIGN, _CMP, _CALL = range(3)
 
-# A positive literal is (predicate, arity, known, binds, rechecks,
-# structural):
-#   known       ((position, expr), ...)  arguments whose value is fixed
-#               before the scan: constants, variables bound by an earlier
-#               literal, complex terms over such variables
-#   binds       ((position, slot), ...)  first occurrence of a variable
-#   rechecks    ((position, first position), ...)  a repeated variable
-#               first bound in this same literal: the two arguments of
-#               the row must be equal (unnormalized, as one-way matching
-#               compares them)
-#   structural  None, or (args, bound pairs, fresh pairs) for a literal
-#               with a complex argument that has a variable of its own
-#               (say [H | T] or f(X)): the whole literal is matched with
-#               match_sequences, as before it was compiled
+
+class Step(NamedTuple):
+    """A subgoal compiled against a set of bound registers."""
+
+    pred: str
+    arity: int
+    #: ((position, expr), ...): arguments whose value is fixed before
+    #: the scan — constants, bound variables, complex terms over them.
+    known: tuple
+    #: ((position, slot), ...): first occurrence of an unbound variable
+    #: that the rule reads again outside this subgoal (``_`` never is).
+    binds: tuple
+    #: ((position, first position), ...): a repeated variable first met
+    #: in this same subgoal — the two arguments of the row must be equal
+    #: (unnormalized, as one-way matching compares them).
+    rechecks: tuple
+    #: None, or (args, bound pairs, fresh pairs) for a subgoal with a
+    #: complex argument that has an unbound variable ([H | T], f(X)):
+    #: the whole subgoal goes through match_sequences, as it used to.
+    structural: Optional[tuple]
+    #: The bound registers once the step has matched.
+    after: int
 
 
-def _slot_of(var: Variable, slots: Dict[Variable, int]) -> int:
-    if var not in slots:
+def _bound(slots: Dict[Variable, int], mask: int) -> Dict[Variable, int]:
+    return {var: slot for var, slot in slots.items() if mask >> slot & 1}
+
+
+def _slot_of(var: Variable, bound: Dict[Variable, int]) -> int:
+    if var not in bound:
         raise PlanError(
             f"variable {var!r} is bound by no positive subgoal or "
             "assignment before it is read"
         )
-    return slots[var]
+    return bound[var]
 
 
-def _compile_expr(term: Term, slots: Dict[Variable, int]) -> tuple:
+def _compile_expr(term: Term, bound: Dict[Variable, int]) -> tuple:
     if isinstance(term, Constant):
         return (_VALUE, term)
     if isinstance(term, Variable):
-        return (_SLOT, _slot_of(term, slots))
+        return (_SLOT, _slot_of(term, bound))
     if term.functor in ARITH_FUNCTORS:
         return (
             _ARITH, term.functor,
-            tuple(_compile_expr(a, slots) for a in term.args), term,
+            tuple(_compile_expr(a, bound) for a in term.args), term,
         )
-    pairs = {var: _slot_of(var, slots) for var in term.variables()}
+    pairs = {var: _slot_of(var, bound) for var in term.variables()}
     return (_TERM, term, tuple(pairs.items()))
 
 
 def _compile_literal(
-    lit: RelLiteral, slots: Dict[Variable, int], uses: Dict[Variable, int]
-) -> tuple:
-    """Compile one positive literal against the variables bound so far,
-    giving slots to the variables it binds.  A variable that occurs once
-    in the whole rule (``_`` always does) is never read: no slot."""
+    lit: RelLiteral, mask: int, slots: Dict[Variable, int],
+    uses: Dict[Variable, int],
+) -> Step:
+    """Compile one subgoal against the registers in ``mask``."""
     args = lit.atom.args
-    entry = set(slots)
+    bound = _bound(slots, mask)
+    local = Counter(lit.variables())
+    fresh = {
+        var: slots[var] for var in local
+        if var not in bound and uses[var] > local[var]
+    }
+    after = mask | sum(1 << slot for slot in fresh.values())
     if any(
-        isinstance(a, FunctionTerm) and not entry.issuperset(a.variables())
+        isinstance(a, FunctionTerm) and not bound.keys() >= set(a.variables())
         for a in args
     ):
-        bound = tuple((v, slots[v]) for v in entry.intersection(lit.variables()))
-        fresh = []
-        for var in lit.variables():
-            if var not in slots and uses[var] > 1:
-                slots[var] = len(slots)
-                fresh.append((var, slots[var]))
-        return (lit.predicate, len(args), (), (), (), (args, bound, tuple(fresh)))
+        pairs = tuple((var, bound[var]) for var in local if var in bound)
+        structural = (args, pairs, tuple(fresh.items()))
+        return Step(lit.predicate, len(args), (), (), (), structural, after)
     known, binds, rechecks = [], [], []
     first_at: Dict[Variable, int] = {}
     for pos, arg in enumerate(args):
-        if not isinstance(arg, Variable) or arg in entry:
-            known.append((pos, _compile_expr(arg, slots)))
+        if not isinstance(arg, Variable) or arg in bound:
+            known.append((pos, _compile_expr(arg, bound)))
         elif arg in first_at:
             rechecks.append((pos, first_at[arg]))
-        elif uses[arg] > 1:
+        else:
             first_at[arg] = pos
-            slots[arg] = len(slots)
-            binds.append((pos, slots[arg]))
-    return (
+            if arg in fresh:
+                binds.append((pos, fresh[arg]))
+    return Step(
         lit.predicate, len(args), tuple(known), tuple(binds), tuple(rechecks),
-        None,
+        None, after,
     )
 
 
-def _compile_builtin(bl: BuiltinLiteral, slots: Dict[Variable, int]) -> tuple:
+def _compile_builtin(
+    bl: BuiltinLiteral, bound: Dict[Variable, int], slots: Dict[Variable, int]
+) -> tuple:
+    """Compile one built-in; an assignment adds its target to ``bound``."""
     if bl.name == "=" and not bl.negated:
         # order_body admits "=" only as a test of two bound sides or as
         # an assignment to a bare variable.
         left, right = bl.args
         for target, source in ((left, right), (right, left)):
-            if isinstance(target, Variable) and target not in slots:
-                expr = _compile_expr(source, slots)
-                slots[target] = len(slots)
+            if isinstance(target, Variable) and target not in bound:
+                expr = _compile_expr(source, bound)
+                bound[target] = slots[target]
                 return (_ASSIGN, slots[target], expr)
-    exprs = tuple(_compile_expr(a, slots) for a in bl.args)
+    exprs = tuple(_compile_expr(a, bound) for a in bl.args)
     return (_CMP if bl.is_comparison else _CALL, bl.name, bl.negated, exprs)
 
 
@@ -305,18 +363,20 @@ def _eval_term(expr: tuple, regs: list, registry: BuiltinRegistry) -> Term:
     return value_to_term(_eval(expr, regs, registry))
 
 
+def _structural_pattern(structural: tuple, regs: list, registry) -> tuple:
+    args, bound, _fresh = structural
+    subst = Substitution((var, regs[slot]) for var, slot in bound)
+    return tuple(normalize_partial(a.substitute(subst), registry) for a in args)
+
+
 def _structural_rows(structural: tuple, table, regs: list, registry):
     """Rows matching a structural literal, each yielded after the
     literal's own variables are bound."""
-    args, bound, fresh = structural
-    subst = Substitution((var, regs[slot]) for var, slot in bound)
-    pattern = tuple(
-        normalize_partial(a.substitute(subst), registry) for a in args
-    )
+    pattern = _structural_pattern(structural, regs, registry)
     for row in table:
         bindings = match_sequences(pattern, row)
         if bindings is not None:
-            for var, slot in fresh:
+            for var, slot in structural[2]:
                 regs[slot] = bindings[var]
             yield row
 
@@ -343,6 +403,97 @@ def _scan_rows(table, arity: int, want: list, rechecks: tuple) -> list:
     return rows
 
 
+def conclude(builtins: tuple, head: tuple, regs: list, registry) -> Optional[tuple]:
+    """Head arguments of one complete positive match, assignments
+    written to ``regs`` — None when a built-in fails or it or the head
+    raises EvaluationError, the errors ``eval_builtin`` and
+    ``ground_head`` callers swallowed."""
+    try:
+        for step in builtins:
+            if step[0] == _ASSIGN:
+                regs[step[1]] = _eval_term(step[2], regs, registry)
+                continue
+            kind, name, negated, exprs = step
+            if kind == _CMP:
+                holds = compare_values(
+                    name, *[_eval(a, regs, registry) for a in exprs]
+                )
+            else:
+                fn = registry.predicate(name)
+                if fn is None:
+                    raise BuiltinError(f"unknown built-in predicate {name!r}")
+                holds = bool(fn(*[_eval(a, regs, registry) for a in exprs]))
+            if holds == negated:
+                return None
+        return tuple([_eval_term(a, regs, registry) for a in head])
+    except EvaluationError:
+        return None
+
+
+# -- GPA mode: a token visit is probe() once per carried partial result and
+# uncovered subgoal, matching() over the node's window, bind() per match
+
+
+def probe(step: Step, regs: list, registry: BuiltinRegistry) -> tuple:
+    """A step's subgoal under ``regs``, ready to be compared with
+    stored tuples: (arity, values, terms, rechecks, pattern) — the known
+    arguments evaluated, ((position, Constant.value), ...) and
+    ((position, other ground term), ...), or for a structural step only
+    the normalized pattern.  Raises what normalizing the pattern raised."""
+    _pred, arity, known, _binds, rechecks, structural, _after = step
+    if structural is not None:
+        return (arity, (), (), (), _structural_pattern(structural, regs, registry))
+    values, terms = [], []
+    for pos, expr in known:
+        term = _eval_term(expr, regs, registry)
+        if term.__class__ is Constant:
+            values.append((pos, term.value))
+        else:
+            terms.append((pos, term))
+    return (arity, values, terms, rechecks, None)
+
+
+def matching(probe: tuple, tuples) -> list:
+    """``(tuple, bindings)`` for every stream tuple of ``tuples`` (any
+    object with ``args``) the probe matches, in order; ``bindings`` is
+    None unless the step is structural.  :func:`_scan_rows`' loop."""
+    arity, values, terms, rechecks, pattern = probe
+    if pattern is not None:
+        pairs = [(tup, match_sequences(pattern, tup.args)) for tup in tuples]
+        return [pair for pair in pairs if pair[1] is not None]
+    found = []
+    for tup in tuples:
+        row = tup.args
+        if len(row) != arity:
+            continue
+        for pos, value in values:
+            term = row[pos]
+            if term.__class__ is not Constant or term.value != value:
+                break
+        else:
+            if terms and any(row[pos] != term for pos, term in terms):
+                continue
+            if rechecks and any(row[pos] != row[first] for pos, first in rechecks):
+                continue
+            found.append((tup, None))
+    return found
+
+
+def bind(step: Step, regs: list, tup, bindings) -> list:
+    """The registers after ``step`` matched ``tup``: a copy of ``regs``
+    with the step's variables set from the stored tuple's own arguments
+    (1 == 1.0, and derivation identities spell their rows)."""
+    regs = regs[:]
+    if bindings is None:
+        row = tup.args
+        for pos, slot in step.binds:
+            regs[slot] = row[pos]
+    else:
+        for var, slot in step.structural[2]:
+            regs[slot] = bindings[var]
+    return regs
+
+
 class DeltaJoin:
     """One rule's delta-join for one trigger occurrence, compiled once.
 
@@ -365,36 +516,31 @@ class DeltaJoin:
     )
 
     def __init__(self, rp: RulePlan, occurrence: int):
-        rule = rp.rule
         self.rule_id = rp.rule_id
-        self.label = rule_label(rule)
+        self.label = rp.label
         self.head_pred = rp.head.predicate
-        ordered = [rp.positive[occurrence]] + [
-            lit for i, lit in enumerate(rp.positive) if i != occurrence
+        order = [occurrence] + [
+            i for i in range(rp.n_positive) if i != occurrence
         ]
         #: Predicate of each row of a match's ``used`` tuple.
-        self.preds = tuple(lit.predicate for lit in ordered)
-        uses = Counter(
-            var for part in (rule.head, *rule.body) for var in part.variables()
-        )
-        slots: Dict[Variable, int] = {}
-        self.literals = tuple(
-            _compile_literal(lit, slots, uses) for lit in ordered
-        )
-        self.builtins = tuple(_compile_builtin(bl, slots) for bl in rp.builtins)
-        self.head = tuple(_compile_expr(a, slots) for a in rp.head.args)
-        for nlit in rp.negative:
-            free = [v for v in nlit.variables() if v not in slots]
-            if free:
+        self.preds = tuple(rp.positive[i].predicate for i in order)
+        mask, literals = 0, []
+        for i in order:
+            literals.append(rp.step(i, mask))
+            mask = literals[-1].after
+        self.literals = tuple(literals)
+        self.builtins, self.head, negs = rp.conclusion(mask)
+        for nlit, step in zip(rp.negative, negs):
+            if step.structural is not None or len(step.known) != step.arity:
+                free = [v for v in nlit.variables() if not step.after >> rp.slots[v] & 1]
                 raise PlanError(
                     "localized mode requires ground negated subgoals; "
-                    f"{nlit!r} in rule {rule!r} leaves {free!r} unbound"
+                    f"{nlit!r} in rule {rp.rule!r} leaves {free!r} unbound"
                 )
         self.negs = tuple(
-            (nlit.predicate, tuple(_compile_expr(a, slots) for a in nlit.atom.args))
-            for nlit in rp.negative
+            (step.pred, tuple(expr for _pos, expr in step.known)) for step in negs
         )
-        self.n_slots = len(slots)
+        self.n_slots = len(rp.slots)
 
     def fire(
         self, tables: Dict[str, Set[tuple]], args: tuple,
@@ -416,16 +562,19 @@ class DeltaJoin:
         )
         out = []
         for regs, used in matches:
-            concluded = self._conclude(regs, registry)
-            if concluded is not None:
-                head, negs = concluded
-                out.append((head, used, negs))
+            # Errors normalizing a negated atom propagate, as they did.
+            head = conclude(self.builtins, self.head, regs, registry)
+            if head is not None:
+                out.append((head, used, tuple([
+                    (pred, tuple([_eval_term(a, regs, registry) for a in exprs]))
+                    for pred, exprs in self.negs
+                ])))
         return out
 
     def _join(self, depth, table, tables, regs, used, registry, stats,
               matches) -> None:
         literals = self.literals
-        _pred, arity, known, binds, rechecks, structural = literals[depth]
+        _pred, arity, known, binds, rechecks, structural, _after = literals[depth]
         scanned = len(table)
         if structural is not None:
             rows = _structural_rows(structural, table, regs, registry)
@@ -436,8 +585,8 @@ class DeltaJoin:
                 # of a scan.  On a hit, hand out the stored row, not the
                 # probe that equals it (1 == 1.0, and derivation
                 # identities spell their rows).
-                probe = tuple([term for _pos, term in want])
-                rows = [row for row in table if row == probe] if probe in table else ()
+                full = tuple([term for _pos, term in want])
+                rows = [row for row in table if row == full] if full in table else ()
                 scanned = 1
             else:
                 rows = _scan_rows(table, arity, want, rechecks)
@@ -459,37 +608,6 @@ class DeltaJoin:
                     used, registry, stats, matches,
                 )
             used.pop()
-
-    def _conclude(self, regs: list, registry: BuiltinRegistry):
-        """(head args, negated atoms) of one positive match — None when
-        a built-in fails or it or the head raises EvaluationError, the
-        errors ``eval_builtin`` and ``ground_head`` callers swallowed.
-        Errors normalizing a negated atom propagate, as they did."""
-        try:
-            for step in self.builtins:
-                if step[0] == _ASSIGN:
-                    regs[step[1]] = _eval_term(step[2], regs, registry)
-                    continue
-                kind, name, negated, exprs = step
-                if kind == _CMP:
-                    holds = compare_values(
-                        name, *[_eval(a, regs, registry) for a in exprs]
-                    )
-                else:
-                    fn = registry.predicate(name)
-                    if fn is None:
-                        raise BuiltinError(f"unknown built-in predicate {name!r}")
-                    holds = bool(fn(*[_eval(a, regs, registry) for a in exprs]))
-                if holds == negated:
-                    return None
-            head = tuple([_eval_term(a, regs, registry) for a in self.head])
-        except EvaluationError:
-            return None
-        negs = tuple([
-            (pred, tuple([_eval_term(a, regs, registry) for a in exprs]))
-            for pred, exprs in self.negs
-        ])
-        return head, negs
 
     def __repr__(self) -> str:
         return f"DeltaJoin({self.label}, trigger {self.preds[0]})"

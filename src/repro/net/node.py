@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
 from ..core.errors import NetworkError
 from ..obs import instrument as _inst
 from ..obs import state as _obs
+from . import messages as _messages
 from .messages import Message
 from .sim import LocalClock
 from .transport import (
@@ -44,7 +45,7 @@ class RoutedEnvelope(Message):
     inner message at construction).
     """
 
-    __slots__ = ("inner", "on_status", "repair_budget")
+    __slots__ = ("inner", "on_status", "repair_budget", "geo_fallback")
 
     def __init__(
         self,
@@ -52,17 +53,21 @@ class RoutedEnvelope(Message):
         dst: int,
         on_status: Optional[StatusCallback] = None,
     ):
-        super().__init__(
-            ROUTED,
-            dst=dst,
-            payload_symbols=inner.payload_symbols,
-            category=inner.category,
-        )
+        # Message.__init__, written out: one envelope per routed send.
+        self.kind = ROUTED
+        self.dst = dst
+        self.payload_symbols = inner.payload_symbols
+        self.category = inner.category
+        self.msg_id = next(_messages._msg_counter)
+        self.hops = 0
         self.inner = inner
         self.on_status = on_status
         #: Remaining next-hop re-selections the self-repair failure
         #: detector may spend on this envelope before giving up.
         self.repair_budget = 3
+        #: Geographic routing: set once the envelope has left greedy
+        #: forwarding for the tables (see GeoRouter.envelope_hop).
+        self.geo_fallback = False
 
     def _hop_status(self, status: str, reason: str = "") -> None:
         """Per-hop transport outcome: only terminal failure propagates
@@ -109,14 +114,13 @@ class Node:
 
     def deliver(self, message: Message) -> None:
         """Entry point for messages arriving over the radio."""
-        if isinstance(message, RoutedEnvelope):
-            if message.dst == self.id:
-                if message.on_status is not None:
-                    message.on_status("delivered")
-                self.deliver(message.inner)
-            else:
+        while isinstance(message, RoutedEnvelope):
+            if message.dst != self.id:
                 self._forward(message)
-            return
+                return
+            if message.on_status is not None:
+                message.on_status("delivered")
+            message = message.inner
         handler = self._handlers.get(message.kind)
         if handler is None:
             raise NetworkError(
@@ -145,10 +149,11 @@ class Node:
                 raise
             notify_gave_up(envelope.on_status, GIVE_UP_NO_ROUTE)
             return
+        # network.node(hop) only when the hop is a remote shard's stub.
+        peer = network.nodes.get(hop) or network.node(hop)
         if not network.self_repair:
             network.radio.transmit(
-                self.id, hop, envelope,
-                network.node(hop).deliver,
+                self.id, hop, envelope, peer.deliver,
                 on_status=envelope._hop_status,
             )
             return
@@ -174,9 +179,7 @@ class Node:
             self._forward(envelope)
 
         network.radio.transmit(
-            self.id, hop, envelope,
-            network.node(hop).deliver,
-            on_status=hop_outcome,
+            self.id, hop, envelope, peer.deliver, on_status=hop_outcome,
         )
 
     # -- sending ------------------------------------------------------------

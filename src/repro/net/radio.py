@@ -148,8 +148,10 @@ class Radio:
         # down link are dropped at the sender, like any other loss.
         self._down_links: set = set()
         #: RadioEvent observers (the one subscription point for traces,
-        #: telemetry, tests, ...).
+        #: telemetry, tests, ...).  subscribe / unsubscribe keep
+        #: ``_watched``: whether anyone but the telemetry bridge listens.
         self.observers: List[RadioObserver] = []
+        self._watched = False
         # First-order contention model (TOSSIM-ish CSMA behaviour): a
         # frame whose airtime at the receiver overlaps a frame from a
         # *different* sender is lost (the earlier frame captures the
@@ -171,10 +173,14 @@ class Radio:
     def subscribe(self, observer: RadioObserver) -> RadioObserver:
         """Register an observer for every :class:`RadioEvent`."""
         self.observers.append(observer)
+        self._watched = self._watched or observer is not _inst.observe_radio_event
         return observer
 
     def unsubscribe(self, observer: RadioObserver) -> None:
         self.observers.remove(observer)
+        self._watched = any(
+            o is not _inst.observe_radio_event for o in self.observers
+        )
 
     def _emit(
         self,
@@ -185,16 +191,10 @@ class Radio:
         attempt: int = 0,
         detail: str = "",
     ) -> None:
-        # Fast path: when telemetry is off and the only observer is the
-        # auto-subscribed telemetry bridge (which would no-op anyway),
-        # skip building the RadioEvent entirely — this runs for every
-        # frame of every simulation.
-        observers = self.observers
-        if (
-            not _obs.enabled
-            and len(observers) == 1
-            and observers[0] is _inst.observe_radio_event
-        ):
+        # Telemetry off and only the auto-subscribed telemetry bridge
+        # listening (it would no-op anyway): build no RadioEvent.  The
+        # two frame halves test this themselves before they call.
+        if not (self._watched or _obs.enabled):
             return
         ev = RadioEvent(
             time=self.sim.now,
@@ -385,14 +385,19 @@ class Radio:
         draw plus per-link FIFO ordering).  Returns the arrival time,
         or ``None`` when the frame dies before reaching the air at the
         receiver."""
-        if not self.is_alive(src_id):
+        # Per frame of every simulation: is_alive, _emit's no-listener
+        # test, _check_battery and airtime are written out, each reading
+        # its attribute now (tests and the fault injector change them).
+        dead = self.death_time
+        if src_id in dead:
             return None  # dead nodes transmit nothing
-        sim = self.sim
         size = message.size_bytes
         self.metrics.record_tx(src_id, size, message.category)
-        self._emit("tx", src_id, dst_id, message)
-        self._check_battery(src_id)
-        if not self.is_alive(dst_id):
+        if self._watched or _obs.enabled:
+            self._emit("tx", src_id, dst_id, message)
+        if self.battery_capacity is not None:
+            self._check_battery(src_id)
+        if dst_id in dead:
             self._drop(src_id, dst_id, message, reason="dead")
             return None  # nobody listening
         if self._down_links and (src_id, dst_id) in self._down_links:
@@ -408,7 +413,7 @@ class Radio:
         delay = self.delay_base + self.frame_rng.uniform(
             src_id, dst_id, 0, self.delay_jitter
         )
-        arrival = sim.now + delay
+        arrival = self.sim.now + delay
         link = (src_id, dst_id)
         previous = self._last_arrival.get(link)
         if previous is not None and arrival <= previous:
@@ -416,7 +421,7 @@ class Radio:
         self._last_arrival[link] = arrival
         message.hops += 1
         if self.collisions:
-            start = arrival - self.airtime(size)
+            start = arrival - size * self._airtime_per_byte
             prev = self._channel.get(dst_id)
             if prev is not None and prev[1] != src_id and start < prev[0]:
                 self.collision_count += 1
@@ -441,12 +446,14 @@ class Radio:
         deliver: Callable[[Message], None],
     ) -> None:
         """Receiver half of one frame, run at its arrival time."""
-        if not self.is_alive(dst_id):
+        if dst_id in self.death_time:
             self._drop(src_id, dst_id, message, reason="dead")
             return  # died while the frame was in the air
         self.metrics.record_rx(dst_id, message.size_bytes)
-        self._emit("rx", src_id, dst_id, message)
-        self._check_battery(dst_id)
+        if self._watched or _obs.enabled:
+            self._emit("rx", src_id, dst_id, message)
+        if self.battery_capacity is not None:
+            self._check_battery(dst_id)
         deliver(message)
 
     def _drop(self, src: int, dst: int, message: Message, reason: str = "") -> None:

@@ -133,7 +133,13 @@ class Router:
         per-envelope forwarding state (the geographic router's
         greedy-then-fallback mode).  The base router ignores the
         envelope beyond its destination."""
-        return self.next_hop(node, envelope.dst)
+        dst = envelope.dst
+        table = self._tables.get(dst)
+        if table is not None:
+            hop = table[0].get(node)
+            if hop is not None and node != dst:
+                return hop
+        return self.next_hop(node, dst)
 
     def hop_distance(self, a: int, b: int) -> int:
         """Hop count of :meth:`path` (0 when a == b)."""
@@ -165,8 +171,8 @@ class GeoRouter(Router):
     matters: a stateless per-hop fallback could bounce between a greedy
     hop and a table hop forever, while table-only forwarding strictly
     shrinks the hop count and must terminate.  The fallback is tracked
-    on the envelope (set lazily via its ``__dict__`` escape hatch), so
-    concurrent envelopes don't interfere.  Voids are *not* rare on
+    on the envelope (``RoutedEnvelope.geo_fallback``), so concurrent
+    envelopes don't interfere.  Voids are *not* rare on
     sparse unit-disk deployments: the 20 000-node E19b round (r = 1.8)
     falls back for 342 destinations.  Their searches stop once the node
     at the void is found, at 200 319 parents together (median 118 per
@@ -200,7 +206,7 @@ class GeoRouter(Router):
     def envelope_hop(self, node: int, envelope) -> int:
         if node == envelope.dst:
             raise NetworkError(f"node {node} routing to itself")
-        if not (self.degraded or getattr(envelope, "geo_fallback", False)):
+        if not (self.degraded or envelope.geo_fallback):
             hop = self.greedy_hop(node, envelope.dst)
             if hop is not None:
                 return hop

@@ -71,15 +71,18 @@ class Simulator:
         processed by two consecutive windows.
         """
         processed = 0
-        while self._queue:
-            when, _seq, callback = self._queue[0]
+        queue = self._queue
+        pop = heapq.heappop
+        while queue and (max_events is None or processed < max_events):
+            event = pop(queue)
+            when = event[0]
             if until is not None and (when > until if inclusive else when >= until):
+                # Not due in this call: back it goes, under the same
+                # (time, sequence) key, so the order is untouched.
+                heapq.heappush(queue, event)
                 break
-            if max_events is not None and processed >= max_events:
-                break
-            heapq.heappop(self._queue)
             self._now = when
-            callback()
+            event[2]()
             processed += 1
         if until is not None and self._now < until:
             self._now = until

@@ -52,6 +52,10 @@ class GridIndex:
         for node_id in sorted(positions):
             x, y = positions[node_id]
             self._cells[(int(x // cell), int(y // cell))].append(node_id)
+        # Bounding box of the occupied cells, for _max_ring.
+        xs = [cx for cx, _cy in self._cells] or [0]
+        ys = [cy for _cx, cy in self._cells] or [0]
+        self._box = (min(xs), max(xs), min(ys), max(ys))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -174,11 +178,11 @@ class GridIndex:
         return [n for _, n in best]
 
     def _max_ring(self, cx: int, cy: int) -> int:
-        """Chebyshev distance from (cx, cy) to the farthest occupied
-        cell — the ring at which expansion can always stop."""
-        return max(
-            max(abs(x - cx), abs(y - cy)) for x, y in self._cells
-        )
+        """Chebyshev distance from (cx, cy) to the farthest corner of
+        the occupied cells' bounding box — no occupied cell lies past
+        it, so ring expansion can always stop there."""
+        x0, x1, y0, y1 = self._box
+        return max(cx - x0, x1 - cx, cy - y0, y1 - cy)
 
     def disk_edges(self, radius: float) -> List[Tuple[int, int]]:
         """All pairs ``(i, j)`` with ``i < j`` and distance <= ``radius``,

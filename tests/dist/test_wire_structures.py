@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.terms import Constant, Substitution
+from repro.core.terms import Constant
 from repro.dist.gpa import (
     Candidate,
     FactRef,
@@ -51,15 +51,15 @@ class TestWireDerivation:
 
 class TestPartial:
     def test_dedup_key_covers_and_ids(self):
-        p1 = Partial(Substitution(), (ref(),), frozenset([0]))
-        p2 = Partial(Substitution(), (ref(),), frozenset([0]))
+        p1 = Partial([], 0, (ref(),), frozenset([0]))
+        p2 = Partial([], 0, (ref(),), frozenset([0]))
         assert p1.dedup_key() == p2.dedup_key()
-        p3 = Partial(Substitution(), (ref(),), frozenset([1]))
+        p3 = Partial([], 0, (ref(),), frozenset([1]))
         assert p1.dedup_key() != p3.dedup_key()
 
     def test_size_positive(self):
-        assert Partial(Substitution(), (), frozenset()).size() == 1
-        assert Partial(Substitution(), (ref(),), frozenset([0])).size() == 3
+        assert Partial([], 0, (), frozenset()).size() == 1
+        assert Partial([], 0, (ref(),), frozenset([0])).size() == 3
 
 
 class TestMessages:
@@ -72,7 +72,7 @@ class TestMessages:
         token = JoinToken(
             rule_id=0, op="ins", update_ts=1.0, trigger=ref(),
             trigger_negated=False,
-            partials=[Partial(Substitution(), (ref(),), frozenset([0]))],
+            partials=[Partial([], 0, (ref(),), frozenset([0]))],
             candidates=[], path=[1, 2], exclude_id=None,
         )
         token.refresh_size()

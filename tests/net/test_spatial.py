@@ -115,6 +115,27 @@ class TestGridIndexDifferential:
         )[:k]
         assert index.nearest_k((qx, qy), k) == brute
 
+    @pytest.mark.parametrize("query", [
+        (-40.0, 55.0), (9.5, 0.2), (0.1, 9.9), (4.0, 4.0), (3.0, 200.0),
+        (9.0, 9.0),
+    ])
+    def test_irregular_occupancy(self, query):
+        # An L of occupied cells: the bounding box's far corner and its
+        # middle are empty, and queries lie in the empty corner, in the
+        # hollow and far outside the box.  Ring expansion stops at the
+        # box, which may only over-estimate the farthest occupied cell.
+        positions = {i: (float(i), 0.0) for i in range(10)}
+        positions.update({10 + i: (0.0, float(i + 1)) for i in range(9)})
+        positions[30] = (0.0, 1.0)  # a distance tie with node 10
+        for cell in (0.7, 1.0, 3.0):
+            index = GridIndex(positions, cell)
+            brute = sorted(
+                positions, key=lambda i: (math.dist(positions[i], query), i)
+            )
+            assert index.nearest(query) == brute[0]
+            assert index.nearest_k(query, 5) == brute[:5]
+            assert index.nearest_k(query, 40) == brute
+
     def test_nearest_k_validates_inputs(self):
         index = GridIndex({0: (0.0, 0.0)}, 1.0)
         with pytest.raises(ValueError):

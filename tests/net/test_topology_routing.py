@@ -243,7 +243,7 @@ class TestGeoRouter:
                 walked.append(router.envelope_hop(walked[-1], envelope))
             assert walked == router.path(a, b)
             assert router.hop_distance(a, b) == len(walked) - 1
-            voids += getattr(envelope, "geo_fallback", False)
+            voids += envelope.geo_fallback
         assert voids  # the BFS escape hatch was exercised too
 
     def test_degraded_view_is_respected(self):
