@@ -18,17 +18,11 @@ are simulated, so a frame, a byte or a hotspot that moved is a change of
 behaviour, not noise.
 """
 
-import json
-import os
 import sys
 
 import pytest
 
-from harness import report, run_join_workload
-
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_e1.json"
-)
+from harness import check_exact_table, report, run_join_workload
 
 STRATEGIES = ["pa", "centroid", "centralized", "broadcast", "local-storage"]
 SIZES = [6, 8, 10, 12]
@@ -79,28 +73,13 @@ def test_e1_shape(benchmark):
     )
 
 
-def check_baseline(results):
-    """Every cell of the committed smoke table, compared for equality."""
-    with open(BASELINE_PATH) as f:
-        baseline = json.load(f)["smoke"]
-    table = {f"{m}x{m}/{strategy}": cell for (m, strategy), cell in results.items()}
-    failed = set(baseline) ^ set(table)
-    for key in sorted(failed):
-        print(f"[e1] {key}: in only one of the run and BENCH_e1.json FAIL")
-    for key, want in baseline.items():
-        got = table.get(key)
-        if got is not None and got != want:
-            print(f"[e1] {key}: {got} (committed {want}) FAIL")
-            failed.add(key)
-    if failed:
-        sys.exit(1)
-    print(f"[e1] {len(baseline)} cells identical to BENCH_e1.json OK")
-
-
 if __name__ == "__main__":
     if "--smoke" in sys.argv:
         results = run(sizes=[6, 8], tuples=8)
         if "--check" in sys.argv:
-            check_baseline(results)
+            check_exact_table("e1", {
+                f"{m}x{m}/{strategy}": cell
+                for (m, strategy), cell in results.items()
+            })
     else:
         run()

@@ -9,16 +9,20 @@ subtraction, and re-derivation on blocker removal.
 Expected shape: the in-network result tracks the centralized oracle
 exactly at every churn level, with cost growing roughly linearly in the
 number of updates.
+
+``--smoke`` shrinks to CI scale; ``--check`` additionally compares the
+smoke table with ``benchmarks/BENCH_e6.json`` for equality (simulated
+counts: a frame or a byte that moved is a change of behaviour).
 """
 
-import math
+import sys
 
 import pytest
 
 import repro
 from repro.dist.gpa import GPAEngine
 from repro.workloads import BattlefieldWorkload
-from harness import report
+from harness import check_exact_table, report
 
 COVER = 3.0
 PROGRAM = f"""
@@ -50,7 +54,10 @@ def run_epochs(m: int, epochs: int, withdraw: bool, seed: int = 11):
         net.run_all()
     oracle = BattlefieldWorkload.uncovered_oracle(live, COVER)
     got = engine.rows("uncov")
-    return got == oracle, len(oracle), net.metrics.total_messages, len(detections)
+    return (
+        got == oracle, len(oracle), net.metrics.total_messages,
+        len(detections), net.metrics.category_bytes.get("join", 0),
+    )
 
 
 def run(m=8, epoch_list=(2, 4, 6)):
@@ -58,15 +65,21 @@ def run(m=8, epoch_list=(2, 4, 6)):
     results = {}
     for epochs in epoch_list:
         for withdraw in (False, True):
-            correct, alerts, msgs, updates = run_epochs(m, epochs, withdraw)
+            correct, alerts, msgs, updates, join_bytes = run_epochs(
+                m, epochs, withdraw
+            )
             label = "with-deletions" if withdraw else "insert-only"
-            rows.append([epochs, label, updates, alerts, msgs,
+            rows.append([epochs, label, updates, alerts, msgs, join_bytes,
                          "yes" if correct else "NO"])
-            results[(epochs, withdraw)] = (correct, msgs, updates)
+            results[(epochs, label)] = {
+                "updates": updates, "alerts": alerts, "messages": msgs,
+                "join_bytes": join_bytes, "correct": correct,
+            }
     report(
         "e6_negation",
         f"E6: uncovered-vehicle query on a {m}x{m} grid",
-        ["epochs", "mode", "updates", "alerts", "messages", "matches-oracle"],
+        ["epochs", "mode", "updates", "alerts", "messages", "join-bytes",
+         "matches-oracle"],
         rows,
     )
     return results
@@ -74,12 +87,22 @@ def run(m=8, epoch_list=(2, 4, 6)):
 
 def test_e6_correct_under_churn(benchmark):
     results = benchmark.pedantic(run, args=(6, (2, 4)), rounds=1, iterations=1)
-    assert all(correct for correct, _m, _u in results.values())
+    assert all(cell["correct"] for cell in results.values())
     # Cost grows with updates (roughly linear: within 4x of proportional).
-    c2, m2, u2 = results[(2, False)]
-    c4, m4, u4 = results[(4, False)]
-    assert m4 / m2 <= 4 * (u4 / u2)
+    two, four = results[(2, "insert-only")], results[(4, "insert-only")]
+    assert (
+        four["messages"] / two["messages"]
+        <= 4 * (four["updates"] / two["updates"])
+    )
 
 
 if __name__ == "__main__":
-    run()
+    if "--smoke" in sys.argv:
+        results = run(6, (2, 4))
+        if "--check" in sys.argv:
+            check_exact_table("e6", {
+                f"{epochs}/{label}": cell
+                for (epochs, label), cell in results.items()
+            })
+    else:
+        run()

@@ -14,6 +14,7 @@ import multiprocessing
 import multiprocessing.util
 import os
 import random
+import sys
 import traceback
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -75,6 +76,28 @@ def record_results(name: str, headers: Sequence[str], rows: Iterable[Sequence]) 
         json.dump(payload, f, indent=2, default=repr)
     telemetry_report(name)
     return path
+
+
+def check_exact_table(name: str, table: Dict[str, Any]) -> None:
+    """Compare a ``--smoke`` table, cell by cell and for equality, with
+    the ``"smoke"`` table committed in ``benchmarks/BENCH_<name>.json``;
+    exit non-zero when a cell differs or exists on one side only.  The
+    counts are simulated — deterministic per seed — so a frame, a byte
+    or a row that moved is a change of behaviour, not noise."""
+    baseline_file = f"BENCH_{name}.json"
+    with open(os.path.join(os.path.dirname(RESULTS_DIR), baseline_file)) as f:
+        baseline = json.load(f)["smoke"]
+    failed = set(baseline) ^ set(table)
+    for key in sorted(failed):
+        print(f"[{name}] {key}: in only one of the run and {baseline_file} FAIL")
+    for key, want in baseline.items():
+        got = table.get(key)
+        if got is not None and got != want:
+            print(f"[{name}] {key}: {got} (committed {want}) FAIL")
+            failed.add(key)
+    if failed:
+        sys.exit(1)
+    print(f"[{name}] {len(baseline)} cells identical to {baseline_file} OK")
 
 
 def telemetry_report(name: str, **manifest_extra) -> Optional[Dict[str, str]]:
@@ -272,13 +295,15 @@ def run_join_workload(
     window: float = 1e9,
     reliable: bool = False,
     mode: str = "barrier",
+    scheme: str = "one-pass",
     **net_kwargs,
 ):
     """Run a uniform multi-stream join on an m x m grid; returns
     (engine, network, expected_rows).  ``reliable=True`` turns on the
     per-hop ack/retransmit transport (E18); ``mode="pipelined"`` asks
-    the engine for barrier-free streaming (E24); extra keyword
-    arguments go to the network constructor."""
+    the engine for barrier-free streaming (E24); ``scheme="multi-pass"``
+    joins one stream per traversal of the join region (E4); extra
+    keyword arguments go to the network constructor."""
     if program is None:
         head_vars = ", ".join(f"V{i}" for i in range(len(streams)))
         body = ", ".join(f"{s}(K, V{i})" for i, s in enumerate(streams))
@@ -288,7 +313,7 @@ def run_join_workload(
     )
     engine = GPAEngine(
         parse_program(program), net, strategy=strategy, window=window,
-        mode=mode,
+        mode=mode, scheme=scheme,
     ).install()
     rng = random.Random(seed + 1)
     facts = []

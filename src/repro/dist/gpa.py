@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.ast import RelLiteral
 from ..core.builtins import BuiltinRegistry, eval_term
@@ -211,7 +211,11 @@ class StoreMsg(Message):
 
 
 class JoinToken(Message):
-    """Join-phase message traversing a join region."""
+    """Join-phase message traversing a join region.  The header —
+    ``rule_id``, ``op``, ``update_ts``, ``trigger``, ``exclude_id``,
+    ``retro``, ``region`` — is never written after construction: parked
+    partials refer to their token for it, and a continuation token
+    shares its parent's ``region`` list."""
 
     def __init__(
         self,
@@ -265,6 +269,31 @@ class JoinToken(Message):
             + sum([c._size for c in self.candidates])
         )
 
+    def header(self) -> tuple:
+        """The never-written fields as a key (``parked_seen``)."""
+        trigger = self.trigger
+        return (
+            self.rule_id, self.op, self.update_ts,
+            (trigger.pred, trigger.args, trigger.identity()[2]),
+            repr(self.exclude_id), self.retro,
+        )
+
+    def sees(self, tup: StreamTuple, window: float) -> bool:
+        """Theorem 3's visibility rule, consulted nowhere else: the
+        update joins ``tup`` only if it was generated in ``(update_ts -
+        window, update_ts]`` and not deleted before ``update_ts`` —
+        never the tuple a negated deletion excludes, and for a retro
+        token every resident replica.  The timestamps are data, not
+        arrival times, so a replica landing after the token has passed
+        (pipelined mode) gets the barrier schedule's answer."""
+        if (
+            self.exclude_id is not None
+            and tup.tuple_id == self.exclude_id
+            and tup.predicate == self.trigger.pred
+        ):
+            return False
+        return self.retro or tup.is_live_at(self.update_ts, window)
+
 
 class ResultMsg(Message):
     """A complete result routed to its hash node (or, in
@@ -312,7 +341,7 @@ class MigrateMsg(Message):
         derivations: List["WireDerivation"],
         tuple_id: Optional[TupleID],
         visible: bool,
-        subs: Optional[Set[tuple]] = None,
+        subs: Set[tuple],
     ):
         size = (
             1
@@ -329,7 +358,7 @@ class MigrateMsg(Message):
         self.visible = visible
         # Pipelined mode: subtraction tombstones travel with the fact so
         # an annihilated derivation cannot resurface at the new home.
-        self.subs = subs or set()
+        self.subs = subs
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +369,7 @@ class MigrateMsg(Message):
 class DerivedFact:
     """State of one derived fact at its hash node.
 
-    ``subs_seen`` (pipelined mode only) makes result accounting
+    ``subs_seen`` (filled in pipelined mode only) makes result accounting
     commutative for streamed monotone rules: a subtraction arriving
     before its addition leaves a tombstone that annihilates the add
     whenever it lands.  A monotone derivation is never legitimately
@@ -354,38 +383,7 @@ class DerivedFact:
         self.derivations: Dict[tuple, WireDerivation] = {}
         self.tuple_id: Optional[TupleID] = None
         self.visible = False
-        self.subs_seen: Optional[Set[tuple]] = None
-
-
-class ParkedPartial:
-    """Pipelined mode: an incomplete partial result left behind at a
-    join-region node, waiting for replicas that have not arrived yet.
-    A late store extends it and spawns a continuation token."""
-
-    __slots__ = (
-        "rule_id", "op", "update_ts", "trigger", "exclude_id", "retro",
-        "region", "partial",
-    )
-
-    def __init__(
-        self,
-        rule_id: int,
-        op: str,
-        update_ts: float,
-        trigger: FactRef,
-        exclude_id: Optional[TupleID],
-        retro: bool,
-        region: List[int],
-        partial: Partial,
-    ):
-        self.rule_id = rule_id
-        self.op = op
-        self.update_ts = update_ts
-        self.trigger = trigger
-        self.exclude_id = exclude_id
-        self.retro = retro
-        self.region = region
-        self.partial = partial
+        self.subs_seen: Set[tuple] = set()
 
 
 class NodeRuntime:
@@ -397,10 +395,12 @@ class NodeRuntime:
         self.node = node
         self.windows: Dict[str, SlidingWindow] = {}
         self.derived: Dict[Tuple[str, ArgsTuple], DerivedFact] = {}
-        #: Pipelined mode: parked partials keyed by the predicate whose
-        #: arrival could extend them, plus a dedup set so re-traversals
-        #: (continuation tokens) never double-park the same partial.
-        self.parked: Dict[str, List[ParkedPartial]] = {}
+        #: Pipelined mode: incomplete partial results left behind here,
+        #: each a ``(token, partial)`` pair listed under every predicate
+        #: whose arrival could extend it (a late store does, and spawns
+        #: a continuation token), plus a dedup set so re-traversals
+        #: never double-park the same partial.
+        self.parked: Dict[str, List[Tuple[JoinToken, Partial]]] = {}
         self.parked_seen: Set[tuple] = set()
 
     def window(self, pred: str) -> SlidingWindow:
@@ -410,13 +410,31 @@ class NodeRuntime:
             self.windows[pred] = win
         return win
 
-    def memory_tuples(self) -> int:
-        return sum(w.memory_tuples() for w in self.windows.values()) + len(self.derived)
+    def fact(self, pred: str, args: ArgsTuple) -> DerivedFact:
+        """The derived fact ``pred(args)`` homed here, created on first
+        use."""
+        fact = self.derived.get((pred, args))
+        if fact is None:
+            fact = self.derived[(pred, args)] = DerivedFact()
+        return fact
+
+    def memory_tuples(self, include_derived: bool = True) -> int:
+        """Resident window replicas and parked partials (one listed
+        under two predicates is one), plus the derived result table
+        unless ``include_derived`` is False."""
+        parked = {id(e) for entries in self.parked.values() for e in entries}
+        return (
+            sum(w.memory_tuples() for w in self.windows.values())
+            + len(parked)
+            + (len(self.derived) if include_derived else 0)
+        )
 
 
 class _TelemetryDispatch:
-    """A phase handler wrapped with a span + message counter (see
-    :meth:`GPAEngine._with_telemetry`)."""
+    """A phase handler wrapped with a span + message counter; the
+    disabled path is a single flag check per message.  A picklable
+    callable (not a closure) because node handler tables ride inside
+    shard checkpoints."""
 
     __slots__ = ("engine", "phase", "handler")
 
@@ -565,6 +583,22 @@ class GPAEngine:
         self.rows_scanned = 0
         self.rows_matched = 0
         self.structural_steps = 0
+        #: (predicate, latency) samples: local time at the hash node
+        #: minus the triggering update's timestamp, for every first
+        #: derivation — the result-freshness metric.
+        self.latency_samples: List[Tuple[str, float]] = []
+        #: Delivery outcomes of this engine's routed phase messages:
+        #: 'delivered' fires when a routed message reaches its
+        #: destination node (any mode); 'gave_up' when a hop exhausts
+        #: its retry budget (reliable mode only) — the signal that
+        #: results may be incomplete despite reliability.
+        self.delivery_status: Dict[str, int] = {"delivered": 0, "gave_up": 0}
+        #: Why give-ups happened: 'dead' (next hop down when the retry
+        #: budget ran out), 'budget' (link just too lossy), 'no_route'
+        #: (no live path at all).
+        self.give_up_reasons: Dict[str, int] = {}
+        self._gather_requests: Dict[int, Set[tuple]] = {}
+        self._gather_counter = itertools.count()
         self.runtimes: Dict[int, NodeRuntime] = {}
         self._installed = False
 
@@ -614,7 +648,7 @@ class GPAEngine:
             ("gpa_migrate", "placement", self._on_migrate),
         ]
         wrapped = [
-            (kind + self._kind_suffix, self._with_telemetry(phase, handler))
+            (kind + self._kind_suffix, _TelemetryDispatch(self, phase, handler))
             for kind, phase, handler in handlers
         ]
         for node in self.network.nodes.values():
@@ -622,22 +656,6 @@ class GPAEngine:
             self.runtimes[node.id] = runtime
             for kind, handler in wrapped:
                 node.register_handler(kind, handler)
-        self._gather_requests: Dict[int, Set[tuple]] = {}
-        self._gather_counter = itertools.count()
-        #: (predicate, latency) samples: local time at the hash node
-        #: minus the triggering update's timestamp, for every first
-        #: derivation — the result-freshness metric.
-        self.latency_samples: List[Tuple[str, float]] = []
-        #: Delivery outcomes of this engine's routed phase messages:
-        #: 'delivered' fires when a routed message reaches its
-        #: destination node (any mode); 'gave_up' when a hop exhausts
-        #: its retry budget (reliable mode only) — the signal that
-        #: results may be incomplete despite reliability.
-        self.delivery_status: Dict[str, int] = {"delivered": 0, "gave_up": 0}
-        #: Why give-ups happened: 'dead' (next hop down when the retry
-        #: budget ran out), 'budget' (link just too lossy), 'no_route'
-        #: (no live path at all).
-        self.give_up_reasons: Dict[str, int] = {}
         self._installed = True
         return self
 
@@ -676,24 +694,35 @@ class GPAEngine:
     def runtime(self, node_id: int) -> NodeRuntime:
         return self.runtimes[node_id]
 
-    # -- telemetry ---------------------------------------------------------
+    # -- the way out of a node -----------------------------------------------
 
-    def _with_telemetry(self, phase: str, handler):
-        """Wrap a phase handler with a span + message counter; the
-        disabled path is a single flag check per message.  A picklable
-        callable (not a closure) because node handler tables ride
-        inside shard checkpoints."""
-        return _TelemetryDispatch(self, phase, handler)
-
-    def _tag(self, msg: Message) -> Message:
+    def _tag(self, msg: Message, repair: bool = False) -> Message:
         """Namespace a phase message for this engine's tenant: the kind
         suffix routes it to this engine's handlers on shared nodes, the
         ``tenant`` attribute lets the serving layer attribute radio
-        traffic per tenant.  Identity (no-op) for single-tenant runs."""
+        traffic per tenant.  Identity (no-op) for single-tenant runs.
+        With telemetry on the message is also stamped with its launch
+        time for :meth:`_observe_phase` — unless it is ``repair``
+        traffic, which is message-costed under that category and is no
+        phase of its own."""
         if self.tenant is not None:
             msg.kind += self._kind_suffix
             msg.tenant = self.tenant
+        if repair:
+            msg.category = "repair"
+        elif _obs.enabled:
+            msg._obs_born = self.network.sim.now
         return msg
+
+    def _post(self, node: Node, target: int, msg: Message, repair: bool = False) -> None:
+        """A freshly built message leaves ``node`` for ``target``:
+        tagged, handed over in place when the target is the node itself
+        (no radio cost, not counted as a delivery), routed otherwise."""
+        self._tag(msg, repair)
+        if target == node.id:
+            node.local_deliver(msg)
+        else:
+            node.send_routed(target, msg, on_status=self._track_delivery)
 
     def _observe_phase(self, phase: str, msg: Message) -> None:
         """Record a completed phase's simulated latency (launch →
@@ -734,105 +763,91 @@ class GPAEngine:
 
     # -- phase orchestration -------------------------------------------------
 
-    def _pop_storage_hop(self, path: List[int]) -> Optional[int]:
-        """Next storage-path member to visit.  In fault-tolerant mode
-        dead members are skipped — replicas continue past a dead node
-        to the rest of the region (its copy is just unreachable until
-        it recovers and re-syncs).  Default mode is exactly
-        ``path.pop(0)``."""
-        if not self.fault_tolerant:
-            return path.pop(0)
+    def _live_mate(self, member: int, repair: Optional[str] = None) -> Optional[int]:
+        """The first live storage-region mate of ``member`` (nearest
+        first), None when the strategy has no such structure or every
+        mate is dead.  A mate holds the member's replicated window —
+        PA's invariant, every storage region meets every join region —
+        so it can stand in for it; ``repair`` names the stand-in for the
+        repair counters."""
         radio = self.network.radio
-        while path:
-            nxt = path.pop(0)
-            if radio.is_alive(nxt):
-                return nxt
-        return None
-
-    def _pop_join_hop(self, path: List[int]) -> Optional[int]:
-        """Next join-path member to visit.  In fault-tolerant mode a
-        dead member is *substituted* by its nearest live storage-region
-        mate (which holds the same replicas — PA's intersection
-        invariant survives the swap); with no live mate it is skipped.
-        Default mode is exactly ``path.pop(0)``."""
-        if not self.fault_tolerant:
-            return path.pop(0)
-        radio = self.network.radio
-        while path:
-            nxt = path.pop(0)
-            if radio.is_alive(nxt):
-                return nxt
-            for alt in self.strategy.join_alternates(nxt):
-                if radio.is_alive(alt):
+        for mate in self.strategy.join_alternates(member):
+            if radio.is_alive(mate):
+                if repair is not None:
                     self.region_repairs += 1
                     if _obs.enabled:
-                        _inst.tree_repairs.labels(kind="join").inc()
-                    return alt
+                        _inst.tree_repairs.labels(kind=repair).inc()
+                return mate
         return None
 
-    def _send_retargeting(self, node: Node, msg, nxt: int,
-                          budget: Callable[[], int],
-                          resume: Callable[[], None]) -> None:
-        """Forward a path-carrying message (storage message or join
-        token) to its next region member.  In fault-tolerant mode the
-        delivery callback is a failure detector: a hop that terminally
-        fails (the member died with the message in flight, or no live
-        route remains) puts the member back on the path and calls
-        ``resume`` at the sending member — the next pop skips the dead
-        member or substitutes a live mate, so the traversal continues
-        past the gap instead of silently truncating.  Past ``budget()``
-        re-targets (read when the failure is reported) the message is
-        left stranded.  Callers send directly outside fault-tolerant
-        mode."""
+    def _next_member(self, path: List[int], substitute: bool) -> Optional[int]:
+        """Pop the next region member to visit — exactly ``path.pop(0)``
+        outside fault-tolerant mode.  Inside it a dead storage member is
+        skipped (replicas continue past it; its copy is unreachable
+        until it recovers and re-syncs) and a dead join member is
+        *substituted* by a live storage-region mate, or skipped when it
+        has none.  None when the path runs out."""
+        if not self.fault_tolerant:
+            return path.pop(0)
+        radio = self.network.radio
+        while path:
+            nxt = path.pop(0)
+            if radio.is_alive(nxt):
+                return nxt
+            if substitute:
+                mate = self._live_mate(nxt, "join")
+                if mate is not None:
+                    return mate
+        return None
+
+    def _advance(self, node: Node, msg, nxt: Optional[int] = None) -> bool:
+        """Move a storage message or a join token from ``node`` to the
+        next member of its region (``nxt`` when the caller popped it
+        already); False when the path is exhausted.
+
+        In fault-tolerant mode the delivery callback is a failure
+        detector: a hop that terminally fails (the member died with the
+        message in flight, or no live route remains) puts the member
+        back on the path and walks on from the sending member — the
+        next pop skips the dead member or substitutes a live mate, so
+        the traversal, with every partial result a token carries,
+        continues past the gap instead of silently truncating.  Past
+        its budget of re-targets (read when the failure is reported)
+        the message is left stranded."""
+        is_token = isinstance(msg, JoinToken)
+        if nxt is None:
+            nxt = self._next_member(msg.path, is_token) if msg.path else None
+            if nxt is None:
+                return False
+        if is_token:
+            msg.refresh_size()
+        if not self.fault_tolerant:
+            node.send_routed(nxt, msg, on_status=self._track_delivery)
+            return True
+
         def outcome(status: str, reason: str = "") -> None:
             self._track_delivery(status, reason)
             if status != "gave_up":
                 return
             msg.retargets += 1
-            if msg.retargets > budget():
+            members = max(1, len(msg.region)) if is_token else len(msg.path) + 2
+            if msg.retargets > 2 * members:
                 return  # stranded: repeated re-targets keep failing
             msg.path.insert(0, nxt)
-            resume()
+            if is_token:
+                self._continue_token(node, msg)
+            else:
+                self._advance(node, msg)
 
         node.send_routed(nxt, msg, on_status=outcome)
-
-    def _send_store(self, node: Node, msg: StoreMsg, nxt: int) -> None:
-        """Forward a storage message; after a terminal hop failure
-        replication continues with the next live member of its path."""
-        if not self.fault_tolerant:
-            node.send_routed(nxt, msg, on_status=self._track_delivery)
-            return
-
-        def resume() -> None:
-            follow = self._pop_storage_hop(msg.path)
-            if follow is not None:
-                self._send_store(node, msg, follow)
-
-        self._send_retargeting(
-            node, msg, nxt, lambda: 2 * (len(msg.path) + 2), resume
-        )
-
-    def _send_token(self, node: Node, token: JoinToken, nxt: int) -> None:
-        """Forward a join token; a member that died mid-flight is
-        substituted by a live storage-region mate on the next pop, so
-        the token — with every partial result it carries — survives."""
-        if not self.fault_tolerant:
-            node.send_routed(nxt, token, on_status=self._track_delivery)
-            return
-        self._send_retargeting(
-            node, token, nxt, lambda: 2 * max(1, len(token.region)),
-            lambda: self._continue_token(node, token),
-        )
+        return True
 
     def _continue_token(self, node: Node, token: JoinToken) -> None:
         """Move a join token to its next (live) member, or finish the
         traversal at ``node`` when the path is exhausted."""
-        rp = self.plan.by_id[token.rule_id]
-        nxt = self._pop_join_hop(token.path) if token.path else None
-        if nxt is not None:
-            token.refresh_size()
-            self._send_token(node, token, nxt)
+        if self._advance(node, token):
             return
+        rp = self.plan.by_id[token.rule_id]
         for cand in token.candidates:
             self._emit(node, rp, cand.head_args, cand.derivation,
                        cand.result_op, token.update_ts)
@@ -861,87 +876,52 @@ class GPAEngine:
         # Storage phase: replicate / deletion-mark along the region.
         for path in self.strategy.storage_paths(node_id):
             path = list(path)
-            first = self._pop_storage_hop(path)
+            first = self._next_member(path, False)
             if first is None:
                 continue  # every member dead: nothing to replicate to
-            msg = self._tag(StoreMsg(op, tup, path, del_ts))
-            if _obs.enabled:
-                msg._obs_born = self.network.sim.now
-            self._send_store(node, msg, first)
+            self._advance(node, self._tag(StoreMsg(op, tup, path, del_ts)), first)
 
-        # Join phase: after tau_s + tau_c (Theorem 3's delay) — except
-        # that in pipelined mode the streamed (monotone) rules launch in
-        # the same causal chain as the store.  Negation rules keep the
-        # delay even under a win-move verdict: their stratum's deletions
-        # and blocker stores must be placed before they anti-join.
-        if not self.plan.consumed(tup.predicate):
-            return
-        delay = self.window_params.join_delay
+        # Join phase, one launch per release time that has a rule: after
+        # tau_s + tau_c (Theorem 3's delay) — except that in pipelined
+        # mode the streamed (monotone) rules launch in the same causal
+        # chain as the store.  Negation rules keep the delay even under
+        # a win-move verdict: their stratum's deletions and blocker
+        # stores must be placed before they anti-join.
+        pos = self.plan.positive_triggers.get(tup.predicate, ())
+        releases = {rp.rule_id in self._streamed_rules for rp, _ in pos}
+        if tup.predicate in self.plan.negative_triggers:
+            releases.add(False)
         update_ts = tup.generation_ts if op == "ins" else del_ts
-        if self._streamed_rules:
-            pos = self.plan.positive_triggers.get(tup.predicate, ())
-            neg = self.plan.negative_triggers.get(tup.predicate, ())
-            if any(rp.rule_id in self._streamed_rules for rp, _ in pos):
-                self.network.sim.schedule(
-                    0.0,
-                    functools.partial(
-                        self._launch_join_phases, node_id, tup, op, update_ts,
-                        subset="streamed",
-                    ),
-                )
-            if neg or any(
-                rp.rule_id not in self._streamed_rules for rp, _ in pos
-            ):
-                self.network.sim.schedule(
-                    delay,
-                    functools.partial(
-                        self._launch_join_phases, node_id, tup, op, update_ts,
-                        subset="barrier",
-                    ),
-                )
-            return
-        self.network.sim.schedule(
-            delay,
-            functools.partial(self._launch_join_phases, node_id, tup, op, update_ts),
-        )
+        for streamed in sorted(releases, reverse=True):
+            self.network.sim.schedule(
+                0.0 if streamed else self.window_params.join_delay,
+                functools.partial(
+                    self._launch_join_phases, node_id, tup, op, update_ts, streamed
+                ),
+            )
 
     def _launch_join_phases(
-        self,
-        node_id: int,
-        tup: StreamTuple,
-        op: str,
-        update_ts: float,
-        subset: Optional[str] = None,
+        self, node_id: int, tup: StreamTuple, op: str, update_ts: float, streamed: bool
     ) -> None:
+        """Launch the tokens of the rules ``tup`` triggers that are
+        released now: the streamed ones, or all the others (negation
+        rules are never streamed)."""
         if self.fault_tolerant and not self.network.radio.is_alive(node_id):
             # The origin died while the join delay elapsed — but its
             # storage-region mates hold the trigger replica, and every
             # join region meets every storage region (PA's invariant),
             # so a live mate can run the phase in its stead (its own
             # join region is just as valid a traversal).
-            alt = next(
-                (a for a in self.strategy.join_alternates(node_id)
-                 if self.network.radio.is_alive(a)),
-                None,
-            )
-            if alt is None:
+            node_id = self._live_mate(node_id, "launch")
+            if node_id is None:
                 return  # no region structure (or the whole row is dead)
-            self.region_repairs += 1
-            if _obs.enabled:
-                _inst.tree_repairs.labels(kind="launch").inc()
-            node_id = alt
         trigger = FactRef(tup.predicate, tup.args, tup.tuple_id)
         for rp, occ in self.plan.positive_triggers.get(tup.predicate, ()):
-            streamed = rp.rule_id in self._streamed_rules
-            if subset == "streamed" and not streamed:
-                continue
-            if subset == "barrier" and streamed:
-                continue
-            self._launch_token(node_id, rp, occ, trigger, False, op, update_ts)
-        if subset == "streamed":
-            return  # negation rules are never streamed
-        for rp, occ in self.plan.negative_triggers.get(tup.predicate, ()):
-            self._launch_token(node_id, rp, occ, trigger, True, op, update_ts)
+            if (rp.rule_id in self._streamed_rules) == streamed:
+                self._launch_token(node_id, rp, occ, trigger, False, op, update_ts)
+        if not streamed:
+            for rp, occ in self.plan.negative_triggers.get(tup.predicate, ()):
+                self._launch_token(node_id, rp, occ, trigger, True, op, update_ts)
 
     def _seed(self, rp: RulePlan, occurrence: int, trigger: FactRef, negated: bool) -> Optional[Partial]:
         """The partial result a token starts with: the triggering
@@ -1023,17 +1003,14 @@ class GPAEngine:
             region=region,
             retro=retro,
         ))
-        token.refresh_size()
-        if _obs.enabled:
-            token._obs_born = self.network.sim.now
         node = self.network.node(node_id)
-        first = self._pop_join_hop(token.path)
+        first = self._next_member(token.path, True)
         if first is None:
             return  # the whole join region (and every mate) is dead
         if first == node_id:
             node.local_deliver(token)
         else:
-            self._send_token(node, token, first)
+            self._advance(node, token, first)
 
     # -- handlers --------------------------------------------------------------
 
@@ -1052,19 +1029,18 @@ class GPAEngine:
         else:
             window.mark_deleted(msg.tup.tuple_id, msg.del_ts)
         window.expire(node.clock.now())
-        if msg.path:
-            nxt = self._pop_storage_hop(msg.path)
-            if nxt is not None:
-                self._send_store(node, msg, nxt)
-                return
-        if _obs.enabled:
+        if not self._advance(node, msg) and _obs.enabled:
             self._observe_phase("storage", msg)
 
     def _on_join(self, node: Node, token: JoinToken) -> None:
         rp = self.plan.by_id[token.rule_id]
         runtime = self.runtimes[node.id]
         before = (self.rows_scanned, self.rows_matched) if _obs.enabled else None
-        self._strike_candidates(runtime, rp, token)
+        if token.candidates:
+            token.candidates = [
+                c for c in token.candidates
+                if not self._blocked_here(runtime, token, c)
+            ]
         allowed = None
         if token.pass_indexes is not None:
             allowed = {token.pass_indexes[token.current_pass]}
@@ -1119,11 +1095,9 @@ class GPAEngine:
         self.rows_matched += len(found)
         if pattern[-1] is not None:  # the normalized match_sequences pattern
             self.structural_steps += 1
-        if found and not token.retro:  # retro: every replica, live or deleted
+        if found:
             window = self.window_params.window
-            found = [m for m in found if m[0].is_live_at(token.update_ts, window)]
-        if token.exclude_id is not None and pred == token.trigger.pred:
-            found = [m for m in found if m[0].tuple_id != token.exclude_id]
+            found = [m for m in found if token.sees(m[0], window)]
         return found
 
     # -- pipelined mode: parked partials and continuations -------------------
@@ -1135,61 +1109,71 @@ class GPAEngine:
         arbitrarily without the barrier delay).  ``parked_seen`` keys on
         the full token context so continuation re-traversals do not
         double-park."""
-        retro = token.retro
-        trigger = token.trigger
-        tkey = (
-            token.rule_id, token.op, token.update_ts,
-            (trigger.pred, trigger.args, trigger.identity()[2]),
-            repr(token.exclude_id), retro,
-        )
+        header = token.header()
         for partial in token.partials:
-            key = tkey + (partial.dedup_key(),)
+            key = header + (partial.dedup_key(),)
             if key in runtime.parked_seen:
                 continue
             runtime.parked_seen.add(key)
-            entry = ParkedPartial(
-                token.rule_id, token.op, token.update_ts, trigger,
-                token.exclude_id, retro, list(token.region), partial,
-            )
             wanted = {
                 lit.predicate for idx, lit in enumerate(rp.positive)
                 if idx not in partial.covered
             }
             for pred in wanted:
-                runtime.parked.setdefault(pred, []).append(entry)
+                runtime.parked.setdefault(pred, []).append((token, partial))
+
+    def _reclaim_parked(self, runtime: NodeRuntime, entries: list, now: float) -> int:
+        """Drop from ``entries`` (one of ``runtime.parked``'s lists) the
+        partials nothing can extend any more at local time ``now``, with
+        their ``parked_seen`` keys; returns the keys dropped.
+
+        An update with timestamp tau joins only tuples its token
+        :meth:`~JoinToken.sees`.  For an ordinary entry those were
+        generated by tau, so by tau + tau_s + tau_c their replica is
+        here or never will be (why barrier mode may join then).  A retro
+        entry — the deletion, at tau, of a tuple T — must also subtract
+        the adds that raced T's deletion mark: a partner meets an
+        unmarked replica of T only if it was generated before the mark
+        was everywhere, tau + tau_s + tau_c, and its own replica lands
+        here at most tau_s + tau_c later.  ``storage_time`` past tau,
+        what :meth:`SlidingWindow.expire` grants the trigger itself,
+        covers both where tau_j + tau_w >= tau_s + tau_c (PA on a grid);
+        a strategy with a long storage and a short join region gets the
+        larger bound.  At the default window nothing is ever that old."""
+        params = self.window_params
+        horizon = now - max(params.storage_time, 2 * params.join_delay)
+        stale = [e for e in entries if e[0].update_ts <= horizon]
+        if not stale:
+            return 0
+        entries[:] = [e for e in entries if e[0].update_ts > horizon]
+        before = len(runtime.parked_seen)
+        runtime.parked_seen.difference_update(
+            token.header() + (partial.dedup_key(),) for token, partial in stale
+        )
+        return before - len(runtime.parked_seen)
 
     def _pipeline_catchup(self, node: Node, runtime: NodeRuntime, tup: StreamTuple) -> None:
         """A replica just landed: extend every parked partial waiting on
-        its predicate.  Extensions re-enter the join machinery as
+        its predicate (and reclaim the ones too old to be waiting for
+        anything).  Extensions re-enter the join machinery as
         continuation tokens, so completions emit and still-incomplete
         combinations traverse (and re-park along) the region."""
         entries = runtime.parked.get(tup.predicate)
         if not entries:
             return
+        self._reclaim_parked(runtime, entries, node.clock.now())
         for entry in list(entries):
             self._extend_parked(node, runtime, entry, tup)
 
     def _extend_parked(
-        self, node: Node, runtime: NodeRuntime, entry: ParkedPartial, tup: StreamTuple
+        self, node: Node, runtime: NodeRuntime, entry: tuple, tup: StreamTuple
     ) -> None:
-        rp = self.plan.by_id[entry.rule_id]
-        # The late arrival obeys the same Theorem 3 visibility rule a
-        # token visit would have applied — generation and deletion
-        # timestamps are data, not arrival times, so checking them now
-        # gives the same answer the barrier schedule would have.
-        if not entry.retro and not tup.is_live_at(
-            entry.update_ts, self.window_params.window
-        ):
+        token, partial = entry
+        if not token.sees(tup, self.window_params.window):
             return
-        if (
-            entry.exclude_id is not None
-            and tup.predicate == entry.trigger.pred
-            and tup.tuple_id == entry.exclude_id
-        ):
-            return
-        if entry.op == "del" and tup.tuple_id == entry.trigger.tuple_id:
+        if token.op == "del" and tup.tuple_id == token.trigger.tuple_id:
             return  # a deleted trigger joins only as the trigger
-        partial = entry.partial
+        rp = self.plan.by_id[token.rule_id]
         extended: List[Partial] = []
         for idx, lit in enumerate(rp.positive):
             if idx in partial.covered or lit.predicate != tup.predicate:
@@ -1200,23 +1184,19 @@ class GPAEngine:
         if not extended:
             return
         done = all(len(p.covered) == rp.n_positive for p in extended)
-        token = self._tag(JoinToken(
-            rule_id=entry.rule_id,
-            op=entry.op,
-            update_ts=entry.update_ts,
-            trigger=entry.trigger,
+        self._post(node, node.id, JoinToken(
+            rule_id=token.rule_id,
+            op=token.op,
+            update_ts=token.update_ts,
+            trigger=token.trigger,
             trigger_negated=False,
             partials=extended,
             candidates=[],
-            path=[] if done else [n for n in entry.region if n != node.id],
-            exclude_id=entry.exclude_id,
-            region=list(entry.region),
-            retro=entry.retro,
+            path=[] if done else [n for n in token.region if n != node.id],
+            exclude_id=token.exclude_id,
+            region=token.region,
+            retro=token.retro,
         ))
-        token.refresh_size()
-        if _obs.enabled:
-            token._obs_born = self.network.sim.now
-        node.local_deliver(token)
 
     def _extend_partials(
         self,
@@ -1296,45 +1276,29 @@ class GPAEngine:
         neg_patterns = [
             (step.pred, probe(step, regs, self.registry)) for step in negs
         ]
-        if token.trigger_negated:
-            if token.op == "ins":
-                # Subtract: a new blocker kills matching derivations;
-                # no further negation checks needed (idempotent).
-                self._emit(node, rp, head_args, derivation, "sub", token.update_ts)
-                return
-            # Deletion of a blocker: re-derivations must pass every
-            # negated subgoal (including the trigger's own stream,
-            # minus the deleted tuple, handled via exclude_id).
+        if rp.has_negation and result_op == "add":
+            # An inserted positive support, or the deletion of a blocker
+            # (a negated trigger implies has_negation): the derivation
+            # must pass every negated subgoal along the region — for a
+            # deleted blocker including the trigger's own stream, minus
+            # the deleted tuple (exclude_id).
             cand = Candidate(head_args, derivation, neg_patterns, "add")
             if not self._blocked_here(runtime, token, cand):
                 token.candidates.append(cand)
-        elif rp.has_negation:
-            if result_op == "sub":
-                # Deleting a positive support: subtraction needs no
-                # negation re-checks.
-                self._emit(node, rp, head_args, derivation, "sub", token.update_ts)
-                return
-            cand = Candidate(head_args, derivation, neg_patterns, result_op)
-            if not self._blocked_here(runtime, token, cand):
-                token.candidates.append(cand)
-        else:
-            if token.rule_id in self._streamed_rules:
-                self.streamed_derivations += 1
-                if _obs.enabled:
-                    _inst.pipeline_streamed.inc()
-            self._emit(node, rp, head_args, derivation, result_op, token.update_ts)
+            return
+        # A subtraction — a deleted positive support, or a new blocker
+        # killing matching derivations — needs no negation checks
+        # (idempotent); a rule without negation has none to make.
+        if token.rule_id in self._streamed_rules:
+            self.streamed_derivations += 1
+            if _obs.enabled:
+                _inst.pipeline_streamed.inc()
+        self._emit(node, rp, head_args, derivation, result_op, token.update_ts)
 
     def _result_op(self, token: JoinToken) -> str:
         if token.trigger_negated:
             return "sub" if token.op == "ins" else "add"
         return "add" if token.op == "ins" else "sub"
-
-    def _strike_candidates(self, runtime: NodeRuntime, rp: RulePlan, token: JoinToken) -> None:
-        if not token.candidates:
-            return
-        token.candidates = [
-            c for c in token.candidates if not self._blocked_here(runtime, token, c)
-        ]
 
     def _blocked_here(self, runtime: NodeRuntime, token: JoinToken, cand: Candidate) -> bool:
         return any(
@@ -1353,35 +1317,21 @@ class GPAEngine:
     ) -> None:
         pred = rp.head.predicate
         if not self.fault_tolerant:
-            home = self.ght.node_for_fact(pred, head_args)
-            msg = self._tag(ResultMsg(pred, head_args, derivation, op, ts))
-            if _obs.enabled:
-                msg._obs_born = self.network.sim.now
-            if home == node.id:
-                node.local_deliver(msg)
-            else:
-                node.send_routed(home, msg, on_status=self._track_delivery)
-            return
-        # Fault-tolerant: fan out to every live replica-set member; the
-        # current primary (first live member) is the one that will
-        # publish downstream (see _on_result).
-        radio = self.network.radio
-        replica_set = self.ght.nodes_for_fact(pred, head_args)
-        live = [r for r in replica_set if radio.is_alive(r)]
-        if not live:
-            return  # the whole replica set is down: the result is lost
-        if live[0] != replica_set[0]:
-            self.ght_failovers += 1
-            if _obs.enabled:
-                _inst.ght_failovers.inc()
-        for target in live:
-            msg = self._tag(ResultMsg(pred, head_args, derivation, op, ts))
-            if _obs.enabled:
-                msg._obs_born = self.network.sim.now
-            if target == node.id:
-                node.local_deliver(msg)
-            else:
-                node.send_routed(target, msg, on_status=self._track_delivery)
+            targets = (self.ght.node_for_fact(pred, head_args),)
+        else:
+            # Fan out to every live replica-set member; the current
+            # primary (first live member) is the one that will publish
+            # downstream (see _on_result).  With the whole replica set
+            # down the result is lost.
+            radio = self.network.radio
+            replica_set = self.ght.nodes_for_fact(pred, head_args)
+            targets = [r for r in replica_set if radio.is_alive(r)]
+            if targets and targets[0] != replica_set[0]:
+                self.ght_failovers += 1
+                if _obs.enabled:
+                    _inst.ght_failovers.inc()
+        for target in targets:
+            self._post(node, target, ResultMsg(pred, head_args, derivation, op, ts))
 
     # -- derived table management ------------------------------------------------
 
@@ -1398,12 +1348,7 @@ class GPAEngine:
                 msg.re_homed = True
                 node.send_routed(home, msg, on_status=self._track_delivery)
                 return
-        runtime = self.runtimes[node.id]
-        key = (msg.pred, msg.args)
-        fact = runtime.derived.get(key)
-        if fact is None:
-            fact = DerivedFact()
-            runtime.derived[key] = fact
+        fact = self.runtimes[node.id].fact(msg.pred, msg.args)
         ident = msg.derivation.identity()
         # In fault-tolerant mode every live replica stores the result,
         # but only the *current primary* (first live replica-set
@@ -1431,7 +1376,7 @@ class GPAEngine:
         # accounting their delay schedule already serializes.
         commutative = msg.derivation.rule_id in self._streamed_rules
         if msg.op == "add":
-            if commutative and fact.subs_seen and ident in fact.subs_seen:
+            if commutative and ident in fact.subs_seen:
                 return  # annihilated by an earlier-arriving subtraction
             if ident in fact.derivations:
                 return  # duplicate result (replication/multi-path): ignored
@@ -1452,8 +1397,6 @@ class GPAEngine:
                 self._publish_derived(node, msg.pred, msg.args, fact, op="ins")
         else:
             if commutative:
-                if fact.subs_seen is None:
-                    fact.subs_seen = set()
                 if ident in fact.subs_seen:
                     return  # duplicate subtraction (retro over-coverage)
                 fact.subs_seen.add(ident)
@@ -1472,20 +1415,12 @@ class GPAEngine:
     def _on_migrate(self, node: Node, msg: MigrateMsg) -> None:
         """Receive a migrated derived fact at its new home, merging on
         derivation identity (idempotent against duplicate shipments)."""
-        runtime = self.runtimes[node.id]
-        key = (msg.pred, msg.args)
-        fact = runtime.derived.get(key)
-        if fact is None:
-            fact = DerivedFact()
-            runtime.derived[key] = fact
+        fact = self.runtimes[node.id].fact(msg.pred, msg.args)
         for derivation in msg.derivations:
             fact.derivations.setdefault(derivation.identity(), derivation)
-        if msg.subs:
-            if fact.subs_seen is None:
-                fact.subs_seen = set()
-            fact.subs_seen.update(msg.subs)
-            for ident in msg.subs:
-                fact.derivations.pop(ident, None)
+        fact.subs_seen.update(msg.subs)
+        for ident in msg.subs:
+            fact.derivations.pop(ident, None)
         if fact.tuple_id is None:
             fact.tuple_id = msg.tuple_id
         fact.visible = fact.visible or msg.visible
@@ -1508,15 +1443,10 @@ class GPAEngine:
         for (pred, args), fact in list(runtime.derived.items()):
             if self.ght.key_for_fact(pred, args) not in keys:
                 continue
-            msg = self._tag(MigrateMsg(
+            self._post(node, new_home, MigrateMsg(
                 pred, args, list(fact.derivations.values()),
-                fact.tuple_id, fact.visible,
-                subs=set(fact.subs_seen) if fact.subs_seen else None,
+                fact.tuple_id, fact.visible, set(fact.subs_seen),
             ))
-            if new_home == old_home:
-                node.local_deliver(msg)
-            else:
-                node.send_routed(new_home, msg, on_status=self._track_delivery)
             del runtime.derived[(pred, args)]
             moved += 1
         return moved
@@ -1563,35 +1493,25 @@ class GPAEngine:
                     self.resyncs += 1
                     if _obs.enabled:
                         _inst.ght_resyncs.inc()
-                    node = self.network.node(holder)
                     for derivation in list(fact.derivations.values()):
-                        msg = self._tag(ResultMsg(
+                        self._post(runtime.node, recovered, ResultMsg(
                             pred, args, derivation, "add",
                             self.network.sim.now, resync=True,
-                        ))
-                        node.send_routed(
-                            recovered, msg, on_status=self._track_delivery
-                        )
-        donor = next(
-            (alt for alt in self.strategy.join_alternates(recovered)
-             if radio.is_alive(alt)),
-            None,
-        )
+                        ), repair=True)
+        donor = self._live_mate(recovered)
         if donor is None:
             return  # no storage-region structure (or no live mate)
         donor_rt = self.runtimes[donor]
         recovered_rt = self.runtimes[recovered]
-        node = self.network.node(donor)
         for pred, window in donor_rt.windows.items():
             have = recovered_rt.windows.get(pred)
             for tup in list(window):
                 if have is not None and have.get(tup.tuple_id) is not None:
                     continue
-                msg = self._tag(StoreMsg("ins", tup, [], None))
-                msg.category = "repair"
                 self.resyncs += 1
-                node.send_routed(
-                    recovered, msg, on_status=self._track_delivery
+                self._post(
+                    donor_rt.node, recovered, StoreMsg("ins", tup, [], None),
+                    repair=True,
                 )
 
     def refresh_soft_state(self) -> None:
@@ -1607,22 +1527,19 @@ class GPAEngine:
             origin = runtime.node.id
             if not radio.is_alive(origin):
                 continue
-            node = self.network.node(origin)
-            now = node.clock.now()
+            now = runtime.node.clock.now()
             for window in runtime.windows.values():
                 for tup in window.live_at(now):
                     if tup.tuple_id.source != origin:
                         continue  # a replica: its origin re-advertises
                     for path in self.strategy.storage_paths(origin):
                         path = list(path)
-                        first = self._pop_storage_hop(path)
-                        if first is None:
-                            continue
-                        msg = self._tag(StoreMsg("ins", tup, path, None))
-                        msg.category = "repair"
-                        node.send_routed(
-                            first, msg, on_status=self._track_delivery
-                        )
+                        first = self._next_member(path, False)
+                        if first is not None:
+                            self._post(
+                                runtime.node, first,
+                                StoreMsg("ins", tup, path, None), repair=True,
+                            )
 
     def _publish_derived(self, node: Node, pred: str, args: ArgsTuple, fact: DerivedFact, op: str) -> None:
         """A derived tuple becomes a generation/deletion of the derived
@@ -1644,27 +1561,13 @@ class GPAEngine:
         rows received at the sink after the network drains.
         """
         self._require_installed()
-        with _span("gpa.gather_all", sim=self.network.sim, pred=pred,
-                   sink=sink):
-            return self._gather(pred, sink)
-
-    def _gather(self, pred: str, sink: int) -> Set[tuple]:
         request_id = next(self._gather_counter)
         self._gather_requests[request_id] = set()
-        sink_node = self.network.node(sink)
-        for runtime in self.runtimes.values():
-            for (p, args), fact in runtime.derived.items():
-                if p != pred or not fact.visible:
-                    continue
-                msg = self._tag(GatherMsg(p, args, request_id))
-                if _obs.enabled:
-                    msg._obs_born = self.network.sim.now
-                source = self.network.node(runtime.node.id)
-                if source.id == sink:
-                    source.local_deliver(msg)
-                else:
-                    source.send_routed(sink, msg, on_status=self._track_delivery)
-        self.network.run_all()
+        with _span("gpa.gather_all", sim=self.network.sim, pred=pred,
+                   sink=sink):
+            for home, _pred, args, _fact in self._visible(pred):
+                self._post(home, sink, GatherMsg(pred, args, request_id))
+            self.network.run_all()
         return self._gather_requests.pop(request_id)
 
     def _on_gather(self, node: Node, msg: GatherMsg) -> None:
@@ -1673,11 +1576,23 @@ class GPAEngine:
         rows = self._gather_requests.get(msg.request_id)
         if rows is None:
             return  # stale report from an earlier request
-        rows.add(tuple(
-            _freeze_value(eval_term(a, self.registry)) for a in msg.args
-        ))
+        rows.add(self._row(msg.args))
 
     # -- observer API (no message cost: test/bench instrumentation) ---------------
+
+    def _row(self, args: ArgsTuple) -> tuple:
+        return tuple(_freeze_value(eval_term(a, self.registry)) for a in args)
+
+    def _visible(self, pred: Optional[str] = None, live_only: bool = False):
+        """``(home node, pred, args, fact)`` of every visible derived
+        fact — of one predicate, at live nodes only, on request."""
+        radio = self.network.radio
+        for runtime in self.runtimes.values():
+            if live_only and not radio.is_alive(runtime.node.id):
+                continue
+            for (p, args), fact in runtime.derived.items():
+                if fact.visible and (pred is None or p == pred):
+                    yield runtime.node, p, args, fact
 
     def rows(self, pred: str, live_only: bool = False) -> Set[tuple]:
         """All visible derived facts for ``pred`` as Python value
@@ -1685,17 +1600,10 @@ class GPAEngine:
         currently-live nodes — the churn experiments' completeness
         measure (a fact stored solely at dead nodes is not retrievable,
         which is exactly what replication is supposed to prevent)."""
-        out = set()
-        radio = self.network.radio
-        for runtime in self.runtimes.values():
-            if live_only and not radio.is_alive(runtime.node.id):
-                continue
-            for (p, args), fact in runtime.derived.items():
-                if p == pred and fact.visible:
-                    out.add(tuple(
-                        _freeze_value(eval_term(a, self.registry)) for a in args
-                    ))
-        return out
+        return {
+            self._row(args)
+            for _home, _pred, args, _fact in self._visible(pred, live_only)
+        }
 
     def derived_count(self, pred: str) -> int:
         return len(self.rows(pred))
@@ -1719,16 +1627,15 @@ class GPAEngine:
             return (f.pred, repr(f.args), repr(f.tuple_id))
 
         out: Dict[tuple, Set[tuple]] = {}
-        for runtime in self.runtimes.values():
-            for (pred, args), fact in runtime.derived.items():
-                if not fact.visible or not fact.derivations:
-                    continue
-                idents = out.setdefault((pred, repr(args)), set())
-                for d in fact.derivations.values():
-                    idents.add((
-                        d.rule_id,
-                        tuple(sorted(ref_key(f) for f in d.facts)),
-                    ))
+        for _home, pred, args, fact in self._visible():
+            if not fact.derivations:
+                continue
+            idents = out.setdefault((pred, repr(args)), set())
+            for d in fact.derivations.values():
+                idents.add((
+                    d.rule_id,
+                    tuple(sorted(ref_key(f) for f in d.facts)),
+                ))
         return {key: tuple(sorted(vals)) for key, vals in out.items()}
 
     def latency_report(self, pred: Optional[str] = None) -> Dict[str, float]:
@@ -1747,24 +1654,25 @@ class GPAEngine:
         }
 
     def memory_report(self, include_derived: bool = True) -> Dict[int, int]:
-        """Per-node resident tuples (window replicas, plus the derived
-        result tables unless ``include_derived`` is False)."""
-        out = {}
-        for nid, rt in self.runtimes.items():
-            tuples = sum(w.memory_tuples() for w in rt.windows.values())
-            if include_derived:
-                tuples += len(rt.derived)
-            out[nid] = tuples
-        return out
+        """Per-node resident tuples (window replicas and, in pipelined
+        mode, parked partials, plus the derived result tables unless
+        ``include_derived`` is False)."""
+        return {
+            nid: rt.memory_tuples(include_derived)
+            for nid, rt in self.runtimes.items()
+        }
 
     def expire_all(self) -> int:
-        """Force an expiry sweep on every node's windows (normally
-        expiry is piggybacked on stores); returns tuples reclaimed."""
+        """Force an expiry sweep on every node's windows and parked
+        partials (normally expiry is piggybacked on stores); returns
+        tuples and partials reclaimed."""
         reclaimed = 0
-        for nid, rt in self.runtimes.items():
-            now = self.network.node(nid).clock.now()
+        for rt in self.runtimes.values():
+            now = rt.node.clock.now()
             for window in rt.windows.values():
                 reclaimed += len(window.expire(now))
+            for entries in rt.parked.values():
+                reclaimed += self._reclaim_parked(rt, entries, now)
         return reclaimed
 
     def settle(self, max_events: int = 10_000_000) -> None:

@@ -183,7 +183,8 @@ def reference_extend(engine, runtime, rp, token, node, allowed=None):
         reference_complete(engine, runtime, rp, token, partial, node)
 
 
-def reference_extend_parked(engine, node, runtime, entry, tup):
+def reference_extend_parked(engine, node, runtime, parked, tup):
+    entry, partial = parked  # the token that parked it: read for its header
     rp = engine.plan.by_id[entry.rule_id]
     if not entry.retro and not tup.is_live_at(
         entry.update_ts, engine.window_params.window
@@ -199,21 +200,21 @@ def reference_extend_parked(engine, node, runtime, entry, tup):
         return
     extended = []
     for idx, lit in enumerate(rp.positive):
-        if idx in entry.partial.covered or lit.predicate != tup.predicate:
+        if idx in partial.covered or lit.predicate != tup.predicate:
             continue
         pattern = tuple(
-            normalize_partial(a.substitute(entry.partial.regs), engine.registry)
+            normalize_partial(a.substitute(partial.regs), engine.registry)
             for a in lit.atom.args
         )
         bindings = match_sequences(pattern, tup.args, Substitution())
         if bindings is None:
             continue
-        subst = Substitution(entry.partial.regs)
+        subst = Substitution(partial.regs)
         subst.update(bindings)
         extended.append(Partial(
             subst, 0,
-            entry.partial.used + (FactRef(tup.predicate, tup.args, tup.tuple_id),),
-            entry.partial.covered | {idx},
+            partial.used + (FactRef(tup.predicate, tup.args, tup.tuple_id),),
+            partial.covered | {idx},
         ))
     if not extended:
         return
