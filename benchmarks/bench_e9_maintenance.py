@@ -13,6 +13,8 @@ Expected shape: identical final results; DRed's per-deletion work
 subtraction work, and the gap widens with more redundancy.
 """
 
+import sys
+
 import pytest
 
 from repro.core.incremental import (
@@ -20,7 +22,7 @@ from repro.core.incremental import (
     IncrementalEvaluator,
 )
 from repro.core.parser import parse_program
-from harness import report
+from harness import check_exact_table, report
 
 TC = "t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z)."
 
@@ -82,4 +84,10 @@ def test_e9_dred_pays_rederivation(benchmark):
 
 
 if __name__ == "__main__":
-    run()
+    # The full table takes a fraction of a second: --smoke runs it too.
+    results = run()
+    if "--check" in sys.argv:
+        check_exact_table("e9", {
+            str(shortcuts): {"sod": sod, "dred": dred}
+            for shortcuts, (sod, dred) in results.items()
+        })

@@ -281,9 +281,6 @@ class Rule:
             lit.predicate for lit in self.body if isinstance(lit, RelLiteral)
         }
 
-    def head_variables(self) -> Set[Variable]:
-        return set(self.head.variables())
-
     def variables(self) -> Set[Variable]:
         out = set(self.head.variables())
         for lit in self.body:
@@ -374,9 +371,6 @@ class Program:
 
     def rules_for(self, predicate: str) -> List[Rule]:
         return [r for r in self.rules if r.head.predicate == predicate]
-
-    def rules_using(self, predicate: str) -> List[Rule]:
-        return [r for r in self.rules if predicate in r.body_predicates()]
 
     def arities(self) -> Dict[str, Set[int]]:
         """Map predicate name to the set of arities it is used with."""

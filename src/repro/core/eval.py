@@ -681,7 +681,6 @@ class _BottomUpEvaluator:
     label: str
     program: Program
     registry: BuiltinRegistry
-    record_derivations = True
     max_facts: Optional[int] = None
     max_stages: int
     xy = None
@@ -729,19 +728,17 @@ class _BottomUpEvaluator:
         ``deltas[head predicate]``.  Returns how many were new."""
         head_pred = rule.head.predicate
         rel = db.relation(head_pred)
-        record = self.record_derivations
         derivs_add = db.derivations.add
         add_row = rel.add_row
-        keys = rel.fact_keys(head_pred) if record else None
+        keys = rel.fact_keys(head_pred)
         delta_set = None
         fired = added = 0
         for head, derivation in firings:
             fired += 1
             is_new, row = add_row(head)
-            if record:
-                if row >= len(keys):
-                    keys.append(CachedFactKey((head_pred, head)))
-                derivs_add(keys[row], derivation)
+            if row >= len(keys):
+                keys.append(CachedFactKey((head_pred, head)))
+            derivs_add(keys[row], derivation)
             if is_new:
                 added += 1
                 if delta_set is None:
@@ -950,12 +947,10 @@ class SemiNaiveEvaluator(_BottomUpEvaluator):
         self,
         program: Program,
         registry: Optional[BuiltinRegistry] = None,
-        record_derivations: bool = True,
         max_facts: Optional[int] = None,
     ):
         self.program = program
         self.registry = registry or DEFAULT_REGISTRY
-        self.record_derivations = record_derivations
         # Function symbols make recursion potentially non-terminating
         # (Section IV-C warns about this); the guard turns an infinite
         # fixpoint into a diagnosable error.

@@ -410,13 +410,15 @@ class DRedEvaluator:
         self.stats.facts_deleted += 1
         # Phase 1: over-deletion — transitively delete everything with a
         # derivation through the deleted fact (ignoring alternatives).
+        # Both phases walk in a stated order (supporters sorted, then
+        # over-deletion order): the work counted depends on it.
         overdeleted: List[FactKey] = []
         frontier: Deque[FactKey] = deque([(predicate, args_t)])
         store = self.db.derivations
         seen: Set[FactKey] = {(predicate, args_t)}
         while frontier:
             fact = frontier.popleft()
-            for dependent in list(store.supporters(fact)):
+            for dependent in sorted(store.supporters(fact), key=repr):
                 if dependent in seen:
                     continue
                 if any(d.uses(fact) for d in store.derivations_of(dependent)):
@@ -430,7 +432,7 @@ class DRedEvaluator:
         store.discard_fact((predicate, args_t))
         # Phase 2: re-derivation — repeatedly try to re-derive
         # over-deleted facts from the surviving database.
-        remaining = set(overdeleted)
+        remaining = dict.fromkeys(overdeleted)
         changed = True
         while changed and remaining:
             changed = False
@@ -445,7 +447,7 @@ class DRedEvaluator:
                     if rederived:
                         self.db.relation(pred).add(fargs)
                         self.stats.facts_rederived += 1
-                        remaining.discard((pred, fargs))
+                        del remaining[(pred, fargs)]
                         changed = True
                         break
         # Facts that could not be re-derived stay deleted; their own

@@ -431,18 +431,10 @@ class CompiledPlan:
 # ---------------------------------------------------------------------------
 
 
-def compile_rule(rule: Rule, stats=None) -> CompiledPlan:
-    """Compile ``rule`` into a :class:`CompiledPlan`.
-
-    When ``stats`` (a :class:`repro.core.optimizer.Statistics`) is
-    given, positive subgoals are first reordered by the cost-based
-    optimizer; either way the greedy :func:`order_body` interleaving of
-    built-ins and negation runs on top.
-    """
-    if stats is not None:
-        from .optimizer import optimize_rule
-
-        rule = optimize_rule(rule, stats)
+def compile_rule(rule: Rule) -> CompiledPlan:
+    """Compile ``rule`` into a :class:`CompiledPlan`: the greedy
+    :func:`order_body` interleaving of subgoals, built-ins and
+    negation, each step classified once."""
     ordered = order_body(rule)
     steps: List[object] = []
     occurrences: Dict[str, List[int]] = {}
@@ -459,33 +451,24 @@ def compile_rule(rule: Rule, stats=None) -> CompiledPlan:
     )
 
 
+#: Plans a :class:`PlanCache` keeps before it evicts the oldest.
+_MAX_PLANS = 4096
+
+
 class PlanCache:
     """Shared cache of compiled plans, keyed by (rule, rule_id).
 
     Rules are immutable and hashable, so the rule object itself is a
     sound cache key; ``rule_id`` is added because two textually equal
     rules with different ids must keep distinct derivation labels.
-    Plans compiled against optimizer statistics are keyed by the
-    statistics object's identity — call :meth:`invalidate` after
-    refreshing statistics in place.
 
-    **Namespaces** (multi-tenant serving): ``namespace=`` partitions
-    the key space.  Tenants that compile identical rules under the same
-    namespace share one CompiledPlan; a tenant whose compilation
-    context differs (e.g. different safety annotations) passes a
-    distinct namespace and never collides with a same-text rule
-    compiled under another.  ``namespace=None`` is the default
-    (single-tenant) namespace.
-
-    The cache is thread-safe: :class:`~repro.serve.server.QueryServer`
-    admits tenants concurrently, so lookup/compile/insert runs under a
-    lock (compilation is cheap relative to evaluation, so holding the
-    lock across ``compile_rule`` keeps every miss compiled exactly
-    once).
+    The cache is thread-safe: one instance serves the whole process, so
+    lookup/compile/insert runs under a lock (compilation is cheap
+    relative to evaluation, so holding the lock across ``compile_rule``
+    keeps every miss compiled exactly once).
     """
 
-    def __init__(self, max_size: int = 4096):
-        self.max_size = max_size
+    def __init__(self):
         self._plans: Dict[object, CompiledPlan] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -494,14 +477,8 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def get(self, rule: Rule, stats=None, namespace: Optional[str] = None) -> CompiledPlan:
-        key = (
-            (rule, rule.rule_id)
-            if stats is None
-            else (rule, rule.rule_id, id(stats))
-        )
-        if namespace is not None:
-            key = (namespace, key)
+    def get(self, rule: Rule) -> CompiledPlan:
+        key = (rule, rule.rule_id)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -512,57 +489,18 @@ class PlanCache:
             self.misses += 1
             if _obs.enabled:
                 _inst.plan_cache_misses.inc()
-            plan = compile_rule(rule, stats=stats)
-            if len(self._plans) >= self.max_size:
+            plan = compile_rule(rule)
+            if len(self._plans) >= _MAX_PLANS:
                 # FIFO eviction: drop the oldest insertion.
                 self._plans.pop(next(iter(self._plans)))
             self._plans[key] = plan
             return plan
 
-    def namespace(self, tag: str) -> "PlanNamespace":
-        """A view of this cache bound to one namespace tag."""
-        return PlanNamespace(self, tag)
-
-    def invalidate(self, rule: Optional[Rule] = None) -> None:
-        """Drop cached plans — all of them, or every variant of one
-        rule (across every namespace)."""
-        with self._lock:
-            if rule is None:
-                self._plans.clear()
-                return
-            stale = [
-                key for key in self._plans
-                if self._rule_of(key) == (rule, rule.rule_id)
-            ]
-            for key in stale:
-                del self._plans[key]
-
-    @staticmethod
-    def _rule_of(key) -> tuple:
-        # Namespaced keys nest the plain key one level down.
-        if len(key) == 2 and isinstance(key[0], str):
-            key = key[1]
-        return (key[0], key[1])
-
     def clear(self) -> None:
-        self.invalidate()
+        with self._lock:
+            self._plans.clear()
         self.hits = 0
         self.misses = 0
-
-
-class PlanNamespace:
-    """One namespace of a shared :class:`PlanCache` — what a tenant
-    session compiles through.  Same-rule lookups inside one namespace
-    share plans; different namespaces never collide."""
-
-    __slots__ = ("cache", "tag")
-
-    def __init__(self, cache: PlanCache, tag: str):
-        self.cache = cache
-        self.tag = tag
-
-    def get(self, rule: Rule, stats=None) -> CompiledPlan:
-        return self.cache.get(rule, stats=stats, namespace=self.tag)
 
 
 #: The process-wide cache every evaluator compiles through.

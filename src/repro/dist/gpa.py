@@ -213,9 +213,17 @@ class StoreMsg(Message):
 class JoinToken(Message):
     """Join-phase message traversing a join region.  The header —
     ``rule_id``, ``op``, ``update_ts``, ``trigger``, ``exclude_id``,
-    ``retro``, ``region`` — is never written after construction: parked
-    partials refer to their token for it, and a continuation token
-    shares its parent's ``region`` list."""
+    ``retro``, ``region``, ``stages`` — is never written after
+    construction: parked partials refer to their token for it, and a
+    continuation token shares its parent's ``region`` list.
+
+    ``path`` is the itinerary still ahead, every pass over the region
+    laid end to end; ``stages`` is ``((end, joins), ...)``: a visit with
+    at least ``end`` members still ahead belongs to the stage and may
+    join the subgoals in ``joins`` (None: any; empty: none, a return
+    pass that only strikes candidates).  A member skipped dead,
+    substituted or put back by a re-target is a position like any
+    other, so no fault moves a turn."""
 
     def __init__(
         self,
@@ -228,10 +236,9 @@ class JoinToken(Message):
         candidates: List[Candidate],
         path: List[int],
         exclude_id: Optional[TupleID],
-        first_pass_nodes: Optional[int] = None,
-        pass_indexes: Optional[List[int]] = None,
         region: Optional[List[int]] = None,
         retro: bool = False,
+        stages: Tuple[Tuple[int, Optional[tuple]], ...] = ((0, None),),
     ):
         super().__init__("gpa_join", payload_symbols=1, category="join")
         self.rule_id = rule_id
@@ -249,16 +256,8 @@ class JoinToken(Message):
         self.candidates = candidates
         self.path = path
         self.exclude_id = exclude_id
-        # For negation rules the region is traversed out and back; the
-        # forward pass computes joins, the return pass only strikes
-        # candidates, so partials are dropped at the turning point.
-        self.first_pass_nodes = first_pass_nodes
-        # Multiple-pass scheme (Section III-A): each iteration joins one
-        # data stream with the partial results of the previous pass.
-        self.pass_indexes = pass_indexes  # None => one-pass scheme
-        self.current_pass = 0
         self.region = region or []
-        self.direction = 1
+        self.stages = stages
         #: Fault-tolerant mode: hops re-targeted after a terminal failure.
         self.retargets = 0
 
@@ -282,14 +281,21 @@ class JoinToken(Message):
         """Theorem 3's visibility rule, consulted nowhere else: the
         update joins ``tup`` only if it was generated in ``(update_ts -
         window, update_ts]`` and not deleted before ``update_ts`` —
-        never the tuple a negated deletion excludes, and for a retro
-        token every resident replica.  The timestamps are data, not
-        arrival times, so a replica landing after the token has passed
-        (pipelined mode) gets the barrier schedule's answer."""
+        never the tuple a negated deletion excludes, never its own
+        deleted trigger (which joins only as the trigger), and for a
+        retro token every other resident replica.  The timestamps are
+        data, not arrival times, so a replica landing after the token
+        has passed (pipelined mode) gets the barrier schedule's answer."""
         if (
             self.exclude_id is not None
             and tup.tuple_id == self.exclude_id
             and tup.predicate == self.trigger.pred
+        ):
+            return False
+        if (
+            self.op == "del"
+            and not self.trigger_negated
+            and tup.tuple_id == self.trigger.tuple_id
         ):
             return False
         return self.retro or tup.is_live_at(self.update_ts, window)
@@ -872,14 +878,7 @@ class GPAEngine:
         else:
             window.mark_deleted(tup.tuple_id, del_ts)
         window.expire(node.clock.now())
-
-        # Storage phase: replicate / deletion-mark along the region.
-        for path in self.strategy.storage_paths(node_id):
-            path = list(path)
-            first = self._next_member(path, False)
-            if first is None:
-                continue  # every member dead: nothing to replicate to
-            self._advance(node, self._tag(StoreMsg(op, tup, path, del_ts)), first)
+        self._replicate(node, op, tup, del_ts)
 
         # Join phase, one launch per release time that has a rule: after
         # tau_s + tau_c (Theorem 3's delay) — except that in pipelined
@@ -899,6 +898,20 @@ class GPAEngine:
                     self._launch_join_phases, node_id, tup, op, update_ts, streamed
                 ),
             )
+
+    def _replicate(
+        self, node: Node, op: str, tup: StreamTuple, del_ts: Optional[float], repair: bool = False
+    ) -> None:
+        """Storage phase: replicate (or deletion-mark) ``tup`` from
+        ``node`` along its storage region.  A path with no live member
+        costs nothing, not even a message id, and the first hop leaves
+        through :meth:`_advance` like every later one — re-targeted if
+        it fails."""
+        for path in self.strategy.storage_paths(node.id):
+            path = list(path)
+            first = self._next_member(path, False)
+            if first is not None:
+                self._advance(node, self._tag(StoreMsg(op, tup, path, del_ts), repair), first)
 
     def _launch_join_phases(
         self, node_id: int, tup: StreamTuple, op: str, update_ts: float, streamed: bool
@@ -956,28 +969,34 @@ class GPAEngine:
         exclude = trigger.tuple_id if (negated and op == "del") else None
         region = list(self.strategy.join_path(node_id))
         path = list(region)
-        first_pass = None
-        pass_indexes = None
+        stages = ((0, None),)
+        turn = len(region) - 1  # members of every leg after the first
         needs_full_anti_join = rp.has_negation and (
             (not negated and op == "ins") or (negated and op == "del")
         )
-        if needs_full_anti_join and len(path) > 1:
+        if needs_full_anti_join:
             # Out-and-back traversal: a candidate born anywhere on the
             # forward pass is checked against every node of the region
             # on the way back (blockers may be stored behind it).
-            first_pass = len(path)
-            path = path + list(reversed(path[:-1]))
+            path += region[-2::-1]
+            stages = ((turn, None), (0, ()))
         elif (
             self.scheme == "multi-pass"
             and not negated
             and not rp.has_negation
             and rp.n_positive > 2
         ):
-            # Multiple-pass scheme: one stream joined per traversal, in
-            # plan order (the trigger's occurrence is already covered).
-            pass_indexes = [
-                i for i in range(rp.n_positive) if i != occurrence
-            ]
+            # Multiple-pass scheme (Section III-A): each traversal joins
+            # one stream, in plan order (the trigger's occurrence is
+            # already covered), with the partial results of the one
+            # before, walking the region back and forth.
+            joins = [i for i in range(rp.n_positive) if i != occurrence]
+            for leg in range(1, len(joins)):
+                path += region[-2::-1] if leg % 2 else region[1:]
+            stages = tuple(
+                (turn * (len(joins) - 1 - leg), (idx,))
+                for leg, idx in enumerate(joins)
+            )
         # Pipelined deletions on streamed rules go out as retro tokens:
         # they subtract every derivation using the deleted trigger
         # (all semantically dead), including adds that raced ahead of
@@ -998,10 +1017,9 @@ class GPAEngine:
             candidates=[],
             path=path,
             exclude_id=exclude,
-            first_pass_nodes=first_pass,
-            pass_indexes=pass_indexes,
             region=region,
             retro=retro,
+            stages=stages,
         ))
         node = self.network.node(node_id)
         first = self._next_member(token.path, True)
@@ -1041,34 +1059,19 @@ class GPAEngine:
                 c for c in token.candidates
                 if not self._blocked_here(runtime, token, c)
             ]
-        allowed = None
-        if token.pass_indexes is not None:
-            allowed = {token.pass_indexes[token.current_pass]}
-        self._extend_partials(runtime, rp, token, node, allowed)
-        if token.first_pass_nodes is not None:
-            token.first_pass_nodes -= 1
-            if token.first_pass_nodes <= 0:
-                token.partials = []  # turning point: joins are done
-        # Multiple-pass scheme: when a traversal ends, start the next
-        # iteration walking the region back the other way.  The turning
-        # node itself participates in the new pass (it may hold the next
-        # stream's replicas), hence the re-extension here.
-        while (
-            token.pass_indexes is not None
-            and not token.path
-            and token.current_pass + 1 < len(token.pass_indexes)
-        ):
-            token.current_pass += 1
-            token.direction *= -1
-            seq = (
-                token.region if token.direction > 0
-                else list(reversed(token.region))
-            )
-            token.path = seq[1:]  # we are standing at seq[0]
-            self._extend_partials(
-                runtime, rp, token, node,
-                {token.pass_indexes[token.current_pass]},
-            )
+        # The visit's stage is read off the itinerary still ahead; where
+        # a stage ends the same node opens the next one too (it may hold
+        # the next stream's replicas).  Joining nothing, carry nothing.
+        ahead = len(token.path)
+        for end, joins in token.stages:
+            if end > ahead:
+                continue  # a stage that ended behind this visit
+            if joins == ():
+                token.partials = []
+            else:
+                self._extend_partials(runtime, rp, token, node, joins)
+            if end < ahead:
+                break
         # Pipelined: whatever is still incomplete stays parked here so
         # replicas that arrive after the token has passed can extend it.
         if token.rule_id in self._streamed_rules and token.partials:
@@ -1171,8 +1174,6 @@ class GPAEngine:
         token, partial = entry
         if not token.sees(tup, self.window_params.window):
             return
-        if token.op == "del" and tup.tuple_id == token.trigger.tuple_id:
-            return  # a deleted trigger joins only as the trigger
         rp = self.plan.by_id[token.rule_id]
         extended: List[Partial] = []
         for idx, lit in enumerate(rp.positive):
@@ -1219,11 +1220,6 @@ class GPAEngine:
                 still_partial.append(p)
         token.partials = still_partial
         queue = list(token.partials)
-        # A deleted trigger joins only as the trigger.
-        deleted = (
-            token.trigger.tuple_id
-            if token.op == "del" and not token.trigger_negated else None
-        )
         while queue:
             partial = queue.pop()
             for idx in range(rp.n_positive):
@@ -1234,8 +1230,6 @@ class GPAEngine:
                 step = rp.step(idx, partial.mask)
                 pattern = probe(step, partial.regs, self.registry)
                 for match in self._matches(runtime, token, step.pred, pattern):
-                    if match[0].tuple_id == deleted:
-                        continue
                     new = self._extended(partial, idx, step, *match)
                     key = new.dedup_key()
                     if key in seen:
@@ -1530,16 +1524,8 @@ class GPAEngine:
             now = runtime.node.clock.now()
             for window in runtime.windows.values():
                 for tup in window.live_at(now):
-                    if tup.tuple_id.source != origin:
-                        continue  # a replica: its origin re-advertises
-                    for path in self.strategy.storage_paths(origin):
-                        path = list(path)
-                        first = self._next_member(path, False)
-                        if first is not None:
-                            self._post(
-                                runtime.node, first,
-                                StoreMsg("ins", tup, path, None), repair=True,
-                            )
+                    if tup.tuple_id.source == origin:  # else a replica
+                        self._replicate(runtime.node, "ins", tup, None, repair=True)
 
     def _publish_derived(self, node: Node, pred: str, args: ArgsTuple, fact: DerivedFact, op: str) -> None:
         """A derived tuple becomes a generation/deletion of the derived

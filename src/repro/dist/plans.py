@@ -117,12 +117,6 @@ class RulePlan:
             found = self._compiled[mask] = (builtins, head, negs)
         return found
 
-    def positive_predicates(self) -> Set[str]:
-        return {lit.predicate for lit in self.positive}
-
-    def negative_predicates(self) -> Set[str]:
-        return {lit.predicate for lit in self.negative}
-
     def __repr__(self) -> str:
         return f"RulePlan(#{self.rule_id}: {self.rule!r})"
 

@@ -88,12 +88,6 @@ class RegionStrategy:
         """Upper bound on hops for any join phase (for tau_j)."""
         raise NotImplementedError
 
-    def _routed_length(self, path: Sequence[int]) -> int:
-        hops = 0
-        for a, b in zip(path, path[1:]):
-            hops += self.network.router.hop_distance(a, b)
-        return hops
-
 
 class PerpendicularRegions(RegionStrategy):
     """The paper's PA on an m x n grid: storage along the row, join along

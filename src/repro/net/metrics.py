@@ -11,7 +11,7 @@ benchmarks can break costs down by phase.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .energy import EnergyModel
 
@@ -116,12 +116,6 @@ class MetricsCollector:
     def max_node_load(self) -> int:
         """Transmissions at the busiest node — the hotspot metric."""
         return max(self.tx_count.values(), default=0)
-
-    def load_of(self, node_id: int) -> int:
-        return self.tx_count.get(node_id, 0)
-
-    def load_distribution(self) -> List[int]:
-        return sorted(self.tx_count.values(), reverse=True)
 
     def load_imbalance(self, n_nodes: Optional[int] = None) -> float:
         """max/mean transmission load (1.0 = perfectly balanced).

@@ -151,21 +151,10 @@ class SensorNetwork:
         """The k nodes closest to a geographic point."""
         return self.topology.nearest_nodes(point, k)
 
-    def nodes_within(self, point, radius: float):
-        """Node ids within Euclidean ``radius`` of ``point``."""
-        return self.topology.within_radius(point, radius)
-
     @property
     def tau_c(self) -> float:
         """Bound on the clock difference between any two nodes."""
         return self.clock_skew
-
-    def phase_bound(self, max_hops: Optional[int] = None, per_hop_work: float = 0.0) -> float:
-        """Conservative completion-time bound for a phase traversing at
-        most ``max_hops`` hops (default: network diameter + 1), with
-        optional per-hop processing time."""
-        hops = (self.topology.diameter + 1) if max_hops is None else max_hops
-        return hops * (self.radio.max_hop_delay + per_hop_work) * 1.25
 
     # -- running --------------------------------------------------------------
 

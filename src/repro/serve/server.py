@@ -3,15 +3,13 @@
 :class:`QueryServer` admits N concurrent deductive programs (tenants)
 over one shared simulated network and runs them in epochs:
 
-1. **admission** — a tenant arrives with a program, budgets and a
-   safety annotation; the server validates and compiles the rules
-   through a shared, namespace-partitioned plan cache (identical rules
-   under the same annotation share CompiledPlans across tenants) and
-   installs a tenant-namespaced :class:`~repro.dist.gpa.GPAEngine`
-   whose GHT lookups go through the tenant's keyspace partition.
-   Refusals (duplicate id, capacity, uncompilable program) raise
-   :class:`~repro.serve.session.AdmissionError` without touching the
-   network.
+1. **admission** — a tenant arrives with a program and budgets; the
+   server validates it by compiling the very engine that will run it, a
+   tenant-namespaced :class:`~repro.dist.gpa.GPAEngine` whose GHT
+   lookups go through the tenant's keyspace partition, and installs
+   that.  Refusals (duplicate id, capacity, a program GPA cannot run)
+   raise :class:`~repro.serve.session.AdmissionError` without touching
+   the network.
 2. **epoch loop** — each epoch the scheduler interleaves every running
    tenant's next publish batch over the epoch window; the network
    drains; each tenant's output predicates are gathered to the sink
@@ -29,9 +27,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import ProgramError, ReproError
-from ..core.parser import parse_program
-from ..core.plan import PlanCache
+from ..core.errors import ReproError
 from ..dist.gpa import GPAEngine
 from ..obs import instrument as _inst
 from ..obs import state as _obs
@@ -79,16 +75,12 @@ class QueryServer:
         batch: int = 4,
         max_tenants: int = 16,
         placement: bool = True,
-        coarse_regions: bool = True,
         sink: int = 0,
-        plan_cache: Optional[PlanCache] = None,
         strategy: str = "pa",
-        placer_kwargs: Optional[dict] = None,
         mode: str = "barrier",
     ):
         self.network = network
         self.max_tenants = max_tenants
-        self.coarse_regions = coarse_regions
         self.sink = sink
         self.strategy = strategy
         #: Default evaluation mode for admitted tenants.  With
@@ -99,12 +91,8 @@ class QueryServer:
         #: :meth:`report`).  A per-tenant ``mode=`` in ``admit(...)``
         #: overrides the server default.
         self.mode = mode
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.scheduler = EpochScheduler(epoch=epoch, batch=batch)
-        self.placer = (
-            AdaptivePlacer(network, sink=sink, **(placer_kwargs or {}))
-            if placement else None
-        )
+        self.placer = AdaptivePlacer(network, sink=sink) if placement else None
         self.meter = TenantMeter()
         network.radio.subscribe(self.meter)
         self.sessions: Dict[str, TenantSession] = {}
@@ -121,48 +109,44 @@ class QueryServer:
         program,
         max_facts: int = 10_000,
         max_messages: int = 1_000_000,
-        safety: str = "default",
         outputs: Optional[Sequence[str]] = None,
         **engine_kwargs,
     ) -> TenantSession:
         """Admit one tenant, or raise :class:`AdmissionError`.
 
-        ``safety`` names the tenant's compilation context: tenants with
-        identical rules under the same annotation share compiled plans;
-        a different annotation compiles into a disjoint plan-cache
-        namespace and never collides.  Thread-safe — admission may run
-        concurrently with other admissions.
+        The program is validated by compiling the tenant's engine —
+        parse, safety, stratification, the distributed plan — which
+        registers nothing on the network; only an admitted tenant is
+        installed.  Thread-safe — admission may run concurrently with
+        other admissions.
         """
+        engine_kwargs.setdefault("mode", self.mode)
         try:
-            if isinstance(program, str):
-                program = parse_program(program)
-            namespace = self.plan_cache.namespace(safety)
-            for rule in program.rules:
-                namespace.get(rule)  # admission-time validation + warm-up
-        except ReproError as exc:
-            self._reject(tenant, "invalid_program", str(exc))
-        with self._lock:
-            if tenant in self.sessions:
-                self._reject(tenant, "duplicate")
-            if len(self.sessions) >= self.max_tenants:
-                self._reject(tenant, "capacity")
-            engine_kwargs.setdefault("mode", self.mode)
             engine = GPAEngine(
                 program,
                 self.network,
                 strategy=self.strategy,
                 tenant=tenant,
-                ght=self.network.ght.partition(
-                    tenant, coarse=self.coarse_regions
-                ),
+                # One storage region per result predicate: the unit the
+                # adaptive placer migrates.
+                ght=self.network.ght.partition(tenant, coarse=True),
                 **engine_kwargs,
-            ).install()
+            )
+        except ReproError as exc:
+            self._reject(tenant, "invalid_program", str(exc))
+        program = engine.plan.program
+        with self._lock:
+            if tenant in self.sessions:
+                self._reject(tenant, "duplicate")
+            if len(self.sessions) >= self.max_tenants:
+                self._reject(tenant, "capacity")
+            engine.install()
             if outputs is None:
                 outputs = tuple(sorted(program.idb_predicates()))
             session = TenantSession(
                 tenant, program, engine,
                 TenantBudget(max_facts, max_messages),
-                namespace, tuple(outputs), index=len(self.sessions),
+                tuple(outputs), index=len(self.sessions),
             )
             self.sessions[tenant] = session
             return session

@@ -3,10 +3,9 @@
 A session is what admission hands back: the tenant's parsed program,
 its private :class:`~repro.dist.gpa.GPAEngine` (handler kinds
 namespaced with the tenant id, GHT lookups through the tenant's
-keyspace partition), the plan-cache namespace it compiles through, and
-its resource budgets.  Sessions never touch each other's state — the
-only shared objects are the network substrate and the plan cache, both
-of which are tenant-safe by construction.
+keyspace partition) and its resource budgets.  Sessions never touch
+each other's state — the only shared object is the network substrate,
+which is tenant-safe by construction.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class TenantSession:
         program,
         engine,
         budget: TenantBudget,
-        plan_namespace,
         outputs: Tuple[str, ...],
         index: int,
     ):
@@ -73,10 +71,6 @@ class TenantSession:
         self.program = program
         self.engine = engine
         self.budget = budget
-        #: The :class:`~repro.core.plan.PlanNamespace` this tenant's
-        #: rules compiled through — tenants with identical rules under
-        #: the same namespace share CompiledPlans.
-        self.plan_namespace = plan_namespace
         #: Output predicates gathered to the sink every epoch.
         self.outputs = outputs
         #: Admission order (the scheduler's deterministic lane).

@@ -10,13 +10,15 @@ Two kinds of coverage:
   incremental evaluator under insertions and deletions.
 * **Unit tests** — selectivity-aware ``Relation`` probing, plan
   structure (ordering, argument templates, delta occurrences), and the
-  plan cache (hits/misses, eviction, invalidation).
+  plan cache (hits/misses, eviction, concurrent lookups).
 """
 
 import random
+import threading
 
 import pytest
 
+from repro.core import plan as plan_module
 from repro.core.derivations import Derivation
 from repro.core.eval import (
     Database,
@@ -364,29 +366,19 @@ class TestPlanCache:
         else:
             assert len(cache) == 2
 
-    def test_invalidate_single_rule(self):
-        cache = PlanCache()
-        program = parse_program("p(X) :- q(X). r(X) :- s(X).")
-        a, b = program.rules
-        cache.get(a)
-        cache.get(b)
-        cache.invalidate(a)
-        assert len(cache) == 1
-        cache.get(a)
-        assert cache.misses == 3  # recompiled after invalidation
-
-    def test_invalidate_all_and_clear(self):
+    def test_clear_drops_plans_and_counters(self):
         cache = PlanCache()
         rule = parse_program("p(X) :- q(X).").rules[0]
         cache.get(rule)
-        cache.invalidate()
-        assert len(cache) == 0
         cache.get(rule)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
+        cache.get(rule)
+        assert cache.misses == 1  # recompiled
 
-    def test_fifo_eviction(self):
-        cache = PlanCache(max_size=2)
+    def test_fifo_eviction(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "_MAX_PLANS", 2)
+        cache = PlanCache()
         rules = parse_program(
             "a(X) :- q(X). b(X) :- q(X). c(X) :- q(X)."
         ).rules
@@ -395,6 +387,35 @@ class TestPlanCache:
         assert len(cache) == 2  # oldest evicted
         cache.get(rules[0])     # misses again
         assert cache.misses == 4
+
+    def test_concurrent_compiles_miss_once_per_rule(self):
+        # 8 threads x 40 lookups over 2 rules: every lookup must return
+        # the one shared plan of its rule and the miss counter must
+        # equal the number of rules.
+        cache = PlanCache()
+        rules = parse_program("p(X) :- q(X). r(X) :- s(X).").rules
+        plans = [set() for _ in rules]
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            try:
+                barrier.wait()
+                for i in range(40):
+                    which = i % len(rules)
+                    plans[which].add(id(cache.get(rules[which])))
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert all(len(ids) == 1 for ids in plans)
+        assert cache.misses == len(rules)
+        assert cache.hits == 8 * 40 - len(rules)
 
     @pytest.mark.production
     def test_global_cache_used_by_evaluator(self, tuple_executor):

@@ -4,11 +4,13 @@ the recovery half of the E20 fault-injection subsystem."""
 import pytest
 
 from repro.core.parser import parse_program
-from repro.dist.gpa import GPAEngine
+from repro.dist.gpa import GPAEngine, StoreMsg
 from repro.dist.regions import make_strategy
 from repro.net.faults import FaultInjector, FaultSchedule
 from repro.net.messages import Message
 from repro.net.network import GridNetwork
+
+from .test_gpa_walk import kill_in_flight, oracle_rows
 
 PROGRAM = "j(K, A, B) :- r(K, A), s(K, B)."
 
@@ -293,3 +295,188 @@ class TestDeliveryReportReasons:
         assert report["gave_up"] >= 1
         assert sum(report["reason"].values()) == report["gave_up"]
         assert "no_route" in report["reason"]
+
+
+def _sweep(program, pubs, dead=None, **engine_kwargs):
+    """Local Storage on a 3x3 grid: every tuple stays at its source and
+    a token sweeps ``_dfs_walk(net, 0) = [0, 1, 2, 5, 8, 4, 7, 3, 6]``.
+    ``dead`` is killed first; it holds nothing and has no mates, so the
+    walk just skips it."""
+    net = GridNetwork(3, 3, reliable=True, self_repair=True)
+    engine = GPAEngine(
+        parse_program(program), net, strategy="local-storage",
+        fault_tolerant=True, **engine_kwargs,
+    ).install()
+    if dead is not None:
+        net.radio.kill(dead)
+    for node, pred, args in pubs:
+        engine.publish(node, pred, args)
+        net.run_all()
+    return engine
+
+
+class TestSkippedMemberKeepsTheTurns:
+    """A member skipped dead is one visit fewer, not a later turn: the
+    token's stage follows from where it is on its itinerary."""
+
+    def test_out_and_back_turns_at_the_far_end(self):
+        """Counted in visits, the turn came one node late: the join was
+        repeated on the first node of the return pass and the duplicate
+        candidate never met the blocker stored at the far end."""
+        program = "r(X) :- a(X), c(X), not b(X)."
+        pubs = [(6, "b", (1,)), (3, "c", (1,)), (0, "a", (1,))]
+        expected = oracle_rows(program, [(p, a) for _, p, a in pubs], "r")
+        assert expected == set()
+        assert _sweep(program, pubs).rows("r") == expected
+        assert _sweep(program, pubs, dead=8).rows("r") == expected
+
+    def test_multi_pass_survives_a_dead_tail(self):
+        """A pass whose last member is dead used to end the whole
+        traversal; the later passes are further along the same path."""
+        program = "j(X, A, B, C) :- r(X, A), s(X, B), t(X, C)."
+        pubs = [(2, "s", (1, "s")), (5, "t", (1, "t")), (0, "r", (1, "r"))]
+        expected = oracle_rows(program, [(p, a) for _, p, a in pubs], "j")
+        assert expected == {(1, "r", "s", "t")}
+        healthy = _sweep(program, pubs, scheme="multi-pass")
+        faulty = _sweep(program, pubs, dead=6, scheme="multi-pass")
+        assert healthy.rows("j") == faulty.rows("j") == expected
+
+
+class TestRepairStoreFirstHop:
+    def test_refresh_retargets_past_a_member_killed_in_flight(self):
+        """A soft-state refresh leaves its origin through the same walk
+        as any storage message: the first member dies with the frame in
+        the air, the store is re-targeted once and goes on."""
+        net = GridNetwork(6, seed=13, reliable=True, self_repair=True)
+        engine = GPAEngine(
+            parse_program(PROGRAM), net, strategy="pa", fault_tolerant=True
+        ).install()
+        origin, victim = net.grid.node_at(1, 2), net.grid.node_at(2, 2)
+        behind = [net.grid.node_at(x, 2) for x in (3, 4, 5)]
+        engine.publish(origin, "zzz", (1,))  # not consumed: storage only
+        net.run_all()
+        for member in behind:  # as if a partition had cut them off
+            del engine.runtimes[member].windows["zzz"]
+        stores = {}  # the two repair stores, west and east, by identity
+
+        def watch(ev):
+            msg = getattr(ev.message, "inner", ev.message)
+            if isinstance(msg, StoreMsg):
+                stores[id(msg)] = msg
+
+        net.radio.subscribe(watch)
+        state = kill_in_flight(net, victim, "repair")
+        engine.refresh_soft_state()
+        net.run_all()
+        assert not state["armed"] and not net.radio.is_alive(victim)
+        for member in behind:
+            assert len(engine.runtimes[member].windows["zzz"]) == 1
+        report = engine.delivery_report()
+        assert report["gave_up"] == 1 and sum(report["reason"].values()) == 1
+        assert sorted(m.retargets for m in stores.values()) == [0, 1]
+
+
+def _fixed_region(net, region):
+    """A strategy whose every join region is ``region`` (nothing is
+    replicated)."""
+    strategy = make_strategy("local-storage", net)
+    strategy.join_path = lambda origin: list(region)
+    return strategy
+
+
+class _VisitLog(GPAEngine):
+    """Records ``[member, subgoal sets live partials could join there,
+    partials carried on]`` per join-token visit, and each token."""
+
+    def install(self):
+        self.tokens, self.visits = [], []
+        return super().install()
+
+    def _on_join(self, node, token):
+        self.tokens.append(token)
+        self.visits.append([node.id, [], None])
+        super()._on_join(node, token)
+
+    def _extend_partials(self, runtime, rp, token, node, allowed=None):
+        if token.partials:
+            self.visits[-1][1].append(allowed and tuple(allowed))
+        super()._extend_partials(runtime, rp, token, node, allowed)
+
+    def _continue_token(self, node, token):
+        self.visits[-1][2] = bool(token.partials and token.path)
+        super()._continue_token(node, token)
+
+
+def _visits_at_17011d4(kind, region, others):
+    """The same record from the two encodings this replaced: a counter
+    of visits (``first_pass_nodes``) for out-and-back, a pass number
+    with the path rebuilt at each turn for multi-pass."""
+    if kind == "out-and-back" and len(region) > 1:
+        path = region + region[:-1][::-1]
+        left = len(region)
+        visits = []
+        for i, member in enumerate(path):
+            joins = [None] if left > 0 else []
+            left -= 1
+            visits.append([member, joins, left > 0])
+        return visits
+    if kind != "multi-pass":
+        return [
+            [member, [None], i + 1 < len(region)]
+            for i, member in enumerate(region)
+        ]
+    visits, path, current, direction = [], list(region), 0, 1
+    while path:
+        member = path.pop(0)
+        joins = [(others[current],)]
+        while not path and current + 1 < len(others):
+            current += 1
+            direction *= -1
+            path = (region if direction > 0 else region[::-1])[1:]
+            joins.append((others[current],))
+        visits.append([member, joins, bool(path)])
+    return visits
+
+
+class TestItinerary:
+    """What ``_launch_token`` lays out and ``_on_join`` reads back,
+    visit by visit: only the trigger is published, so its partial never
+    completes and is carried for as long as the traversal lets it."""
+
+    @pytest.mark.parametrize("region", [[0], [0, 1], [0, 1, 2, 5, 8]])
+    @pytest.mark.parametrize("subgoals", [3, 4])
+    @pytest.mark.parametrize("kind", ["one-pass", "out-and-back", "multi-pass"])
+    def test_visits_match_the_old_counters(self, kind, subgoals, region):
+        body = ["r(X)", "s(X)", "t(X)", "u(X)"][:subgoals]
+        if kind == "out-and-back":
+            body.append("not b(X)")
+        net = GridNetwork(3, 3)
+        engine = _VisitLog(
+            parse_program(f"j(X) :- {', '.join(body)}."), net,
+            strategy=_fixed_region(net, region),
+            scheme="multi-pass" if kind == "multi-pass" else "one-pass",
+        ).install()
+        engine.publish(0, "s", (1,))
+        net.run_all()
+        others = [i for i in range(subgoals) if i != 1]
+        assert engine.visits == _visits_at_17011d4(kind, region, others)
+        assert len({id(t) for t in engine.tokens}) == 1
+
+    def test_a_continuation_token_is_one_stage(self):
+        """r's token passes (1, 3) before s's replica lands there; the
+        partial parked for it goes on as a token of its own."""
+        net = GridNetwork(6, seed=13)
+        engine = _VisitLog(
+            parse_program(PROGRAM), net, strategy="pa", mode="pipelined"
+        ).install()
+        engine.publish(net.grid.node_at(5, 3), "s", (1, "b"))
+        net.run_until(1e-3)
+        engine.publish(net.grid.node_at(1, 0), "r", (1, "a"))
+        net.run_all()
+        assert engine.rows("j") == {(1, "a", "b")}
+        launched, *continued = {
+            id(t): t for t in engine.tokens if t.trigger.pred == "r"
+        }.values()
+        assert continued and all(t.region is launched.region for t in continued)
+        assert launched.stages == ((0, None),)
+        assert all(t.stages == ((0, None),) for t in continued)

@@ -13,7 +13,6 @@ import pytest
 from repro import obs
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
-from repro.core.plan import PlanCache
 from repro.net.network import GridNetwork
 from repro.obs import instrument as _inst
 from repro.serve import AdmissionError, QueryServer, TenantBudget
@@ -94,22 +93,21 @@ class TestAdmission:
         with pytest.raises(AdmissionError, match="unknown"):
             server.session("ghost")
 
-    def test_identical_rules_share_compiled_plans(self):
-        cache = PlanCache()
-        server = QueryServer(GridNetwork(4), plan_cache=cache)
-        server.admit("a", PROG)
-        misses_after_first = cache.misses
-        server.admit("b", PROG)
-        assert cache.misses == misses_after_first  # second admit: all hits
-        assert cache.hits >= 1
-
-    def test_distinct_safety_annotations_do_not_collide(self):
-        cache = PlanCache()
-        server = QueryServer(GridNetwork(4), plan_cache=cache)
-        server.admit("a", PROG, safety="strict")
-        misses = cache.misses
-        server.admit("b", PROG, safety="relaxed")
-        assert cache.misses == 2 * misses  # recompiled, disjoint namespace
+    @pytest.mark.parametrize("program", [
+        "total(sum<V>) :- reading(V).",           # head aggregate
+        "win(X) :- move(X, Y), not win(Y).",      # negation in a cycle
+    ])
+    def test_program_gpa_cannot_run_is_rejected(self, program):
+        """Admission compiles the engine that will run the program, so
+        what the distributed compiler refuses is a refusal, not an
+        escaping ``PlanError``."""
+        server = QueryServer(GridNetwork(4))
+        with pytest.raises(AdmissionError, match="invalid_program"):
+            server.admit("t", program)
+        assert not server.sessions
+        assert server.rejections == [("t", "invalid_program")]
+        # Nothing was installed under the tenant's id: it can come back.
+        assert server.admit("t", PROG).state == "running"
 
 
 class TestIsolationAndExactness:
