@@ -276,11 +276,6 @@ class Rule:
     def builtin_literals(self) -> List[BuiltinLiteral]:
         return [lit for lit in self.body if isinstance(lit, BuiltinLiteral)]
 
-    def body_predicates(self) -> Set[str]:
-        return {
-            lit.predicate for lit in self.body if isinstance(lit, RelLiteral)
-        }
-
     def variables(self) -> Set[Variable]:
         out = set(self.head.variables())
         for lit in self.body:

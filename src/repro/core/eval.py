@@ -41,7 +41,13 @@ from .builtins import (
 from .columnar import GLOBAL_INTERNER as _INTERNER
 from .derivations import CachedFactKey, Derivation, DerivationStore, FactKey
 from .errors import EvaluationError, ProgramError
-from .plan import GLOBAL_PLAN_CACHE, order_body, rule_label, seed_mode
+from .plan import (
+    GLOBAL_PLAN_CACHE,
+    _eval_term,
+    order_body,
+    rule_label,
+    seed_mode,
+)
 from .vector import execute_batch
 from .safety import check_program_safety
 from .stratify import ProgramClass, classify, dependency_graph
@@ -107,6 +113,12 @@ class Relation:
 
     def __contains__(self, args: ArgsTuple) -> bool:
         return args in self._row_of
+
+    def stored(self, args: ArgsTuple) -> Optional[ArgsTuple]:
+        """The stored tuple equal to ``args`` — in its own spelling,
+        which may differ (``1 == 1.0``) — or None."""
+        row = self._row_of.get(args)
+        return None if row is None else self._terms_rows[row]
 
     def add(self, args: ArgsTuple) -> bool:
         """Insert; returns True when the tuple is new."""
@@ -395,10 +407,6 @@ def _total_scans(db: Database) -> int:
 # ---------------------------------------------------------------------------
 # Rule enumeration
 # ---------------------------------------------------------------------------
-#
-# ``order_body`` lives in :mod:`repro.core.plan` now (re-exported above):
-# the compiled-plan layer computes each rule's ordering exactly once and
-# the evaluators reach it through :data:`GLOBAL_PLAN_CACHE`.
 
 
 def enumerate_rule(
@@ -410,30 +418,43 @@ def enumerate_rule(
     delta_occurrence: Optional[int] = None,
     initial_subst: Optional[Substitution] = None,
 ) -> Iterator[Tuple[Substitution, List[FactKey]]]:
-    """Enumerate satisfying substitutions of ``rule``'s body.
+    """Enumerate satisfying substitutions of ``rule``'s body, for
+    callers that read variables by name.
 
     When ``delta_pred`` is given, the ``delta_occurrence``-th positive
     occurrence of that predicate ranges over ``delta_tuples`` instead of
-    the stored relation (the semi-naive rewriting).  Yields the
-    substitution and the list of positive facts used (the derivation).
-
-    Evaluation normally runs through the compiled plan of the rule
-    (cached in :data:`GLOBAL_PLAN_CACHE`); inside a
+    the stored relation (the semi-naive rewriting).  Yields a
+    substitution — ``initial_subst`` (its variables start out bound)
+    plus every variable the rule reads more than once, every named one
+    for an aggregate rule, read off the registers of the rule's compiled
+    plan (cached in :data:`GLOBAL_PLAN_CACHE`) once per match — and the
+    list of positive facts used (the derivation).  Inside a
     :func:`repro.core.plan.seed_engine` block the original recursive
-    enumerator below is used instead.
+    enumerator below runs instead.
     """
     if seed_mode():
-        return enumerate_rule_recursive(
+        yield from enumerate_rule_recursive(
             rule, db, registry, delta_pred, delta_tuples,
             delta_occurrence, initial_subst,
         )
-    return GLOBAL_PLAN_CACHE.get(rule).execute(
-        db, registry,
-        delta_pred=delta_pred,
-        delta_tuples=delta_tuples,
-        delta_occurrence=delta_occurrence,
-        initial_subst=initial_subst,
-    )
+        return
+    plan = GLOBAL_PLAN_CACHE.get(rule)
+    base = Substitution(initial_subst or ())
+    regs: List[Optional[Term]] = [None] * len(plan.slots)
+    mask = 0
+    for var, term in base.items():
+        slot = plan.slots.get(var)
+        if slot is not None:
+            regs[slot] = term
+            mask |= 1 << slot
+    for used in plan.execute(
+        db, registry, regs, mask, delta_pred, delta_tuples, delta_occurrence
+    ):
+        subst = Substitution(base)
+        for var, slot in plan.slots.items():
+            if regs[slot] is not None:
+                subst[var] = regs[slot]
+        yield subst, list(used)
 
 
 def enumerate_rule_recursive(
@@ -542,21 +563,21 @@ def fire_rule(
     if seed_mode():
         # The recursive enumerator iterates the live relations, so its
         # firings are materialized before the caller inserts any head.
-        return iter(list(_fire_rule_tuples(rule, db, registry, **delta_kwargs)))
-    if "initial_subst" not in delta_kwargs:
-        plan = GLOBAL_PLAN_CACHE.get(rule)
-        program = plan.batch_program()
-        if program is not None:
-            delta_tuples = delta_kwargs.get("delta_tuples")
-            if delta_tuples is None or len(delta_tuples) >= _MIN_BATCH:
-                results = execute_batch(
-                    plan, program, db, registry,
-                    delta_pred=delta_kwargs.get("delta_pred"),
-                    delta_tuples=delta_tuples,
-                    delta_occurrence=delta_kwargs.get("delta_occurrence"),
-                )
-                if results is not None:
-                    return iter(results)
+        rule_id = rule.rule_id if rule.rule_id is not None else -1
+        return iter([
+            (ground_head(rule, subst, registry), Derivation(rule_id, used))
+            for subst, used in enumerate_rule_recursive(
+                rule, db, registry, **delta_kwargs
+            )
+        ])
+    plan = GLOBAL_PLAN_CACHE.get(rule)
+    program = plan.batch_program()
+    if program is not None:
+        delta_tuples = delta_kwargs.get("delta_tuples")
+        if delta_tuples is None or len(delta_tuples) >= _MIN_BATCH:
+            results = execute_batch(plan, program, db, registry, **delta_kwargs)
+            if results is not None:
+                return iter(results)
     return _fire_rule_tuples(rule, db, registry, **delta_kwargs)
 
 
@@ -566,9 +587,17 @@ def _fire_rule_tuples(
     registry: BuiltinRegistry,
     **delta_kwargs,
 ) -> Iterator[Tuple[ArgsTuple, Derivation]]:
-    for subst, used in enumerate_rule(rule, db, registry, **delta_kwargs):
-        head = ground_head(rule, subst, registry)
-        yield head, Derivation(rule.rule_id if rule.rule_id is not None else -1, used)
+    plan = GLOBAL_PLAN_CACHE.get(rule)
+    head = plan.program()[1]
+    regs: List[Optional[Term]] = [None] * len(plan.slots)
+    rule_id = rule.rule_id if rule.rule_id is not None else -1
+    for used in plan.execute(db, registry, regs, **delta_kwargs):
+        if head is None:  # raised per match, as ground_head raises it
+            raise EvaluationError(f"head of {rule!r} not ground")
+        yield (
+            tuple([_eval_term(a, regs, registry) for a in head]),
+            Derivation(rule_id, used),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +946,7 @@ class _BottomUpEvaluator:
             return None
         lit, k = found
         plan = GLOBAL_PLAN_CACHE.get(rule)
-        occurrences = [plan.steps[i].literal for i in plan.occurrences[lit.predicate]]
+        occurrences = [plan.body[i] for i in plan.occurrences[lit.predicate]]
         return lit.predicate, occurrences.index(lit), k
 
     def _stage_firings(self, rule, db, stage, pending, **delta):

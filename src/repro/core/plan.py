@@ -1,28 +1,21 @@
-"""Compiled rule plans and the selectivity-aware join executor.
+"""Compiled rule plans: the one rule compiler and the central join executor.
 
-Section II-B frames the framework's optimization story as compilation:
-a deductive program is analyzed *once* and turned into an efficient
-evaluation plan, rather than re-planned on every rule firing.  This
-module is that layer for the centralized engine:
+Section V of the paper compiles a program once into the read-only "list
+of join conditions" a generic join component consumes (Fig. 3).  This
+module is that compiler, for every engine: :func:`order_body` orders a
+rule's subgoals and :class:`CompiledPlan` gives each variable a register
+and classifies each subgoal per set of registers bound before it
+(:class:`Step`: which arguments are fixed before the scan, which bind,
+which re-check), with built-ins and head as expression tuples over the
+registers.  Three consumers read the same steps — the tuple executor
+here (:meth:`CompiledPlan.execute`), the batch kernels of
+:mod:`repro.core.vector` and the distributed joins of
+:mod:`repro.dist.plans` — and all compile through one :class:`PlanCache`.
+:func:`seed_engine` routes evaluation through the original recursive
+enumerator instead, the reference oracle of the differential tests.
 
-* :func:`order_body` — the greedy subgoal ordering (moved here from
-  ``eval.py``; still re-exported there for compatibility);
-* :class:`CompiledPlan` — an immutable per-rule plan: the body ordering
-  computed once, each literal argument classified at compile time as
-  constant / bare variable / complex term, the positive occurrences of
-  every predicate precomputed for the semi-naive delta rewriting, and
-  an iterative (explicit-stack) join executor that replaces the
-  per-call recursive generator the seed engine used;
-* :class:`PlanCache` — the shared per-program plan cache the
-  evaluators (`SemiNaiveEvaluator`, `XYEvaluator`,
-  `IncrementalEvaluator`) all compile through, with hit/miss counters;
-* :func:`seed_engine` — a context manager that routes evaluation
-  through the original recursive enumerator with eager materialization,
-  kept as the reference baseline for differential tests and the E17
-  benchmark.
-
-The executor also performs *probe memoization*: within one rule
-execution, identical probe patterns against the same subgoal reuse the
+The tuple executor performs *probe memoization*: within one rule
+execution, identical probes against the same subgoal reuse the
 matched-row list instead of re-probing the relation index, and the
 semi-naive delta occurrence is joined through a transient per-execution
 hash index instead of a linear scan per outer row.  Both are safe
@@ -33,35 +26,32 @@ snapshot misses is re-derived from the next round's delta.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from contextlib import contextmanager
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from .ast import BuiltinLiteral, Literal, RelLiteral, Rule
 from .builtins import (
     BuiltinRegistry,
-    DEFAULT_REGISTRY,
-    eval_builtin,
+    apply_arith,
+    compare_values,
+    eval_term,
     normalize_partial,
+    value_to_term,
 )
 from .derivations import FactKey
-from .errors import ProgramError
-from .terms import Constant, FunctionTerm, Substitution, Term, Variable
+from .errors import BuiltinError, PlanError, ProgramError
+from .terms import (
+    ARITH_FUNCTORS,
+    Constant,
+    FunctionTerm,
+    Substitution,
+    Term,
+    Variable,
+)
 from .unify import match_sequences
-
-ArgsTuple = Tuple[Term, ...]
-
-_EMPTY_SUBST = Substitution()
 
 
 def rule_label(rule: Rule) -> str:
@@ -69,11 +59,6 @@ def rule_label(rule: Rule) -> str:
     if rule.rule_id is not None:
         return f"{rule.head.predicate}#r{rule.rule_id}"
     return rule.head.predicate
-
-
-# ---------------------------------------------------------------------------
-# Body ordering (absorbed from eval.py)
-# ---------------------------------------------------------------------------
 
 
 def order_body(rule: Rule) -> List[Literal]:
@@ -132,323 +117,495 @@ def order_body(rule: Rule) -> List[Literal]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled steps
+# The rule compiler
+# ---------------------------------------------------------------------------
+#
+# A rule's variables are register slots and a set of bound registers is
+# a bit mask over them.  Everything compiled is plain data — tuples of
+# opcodes, slot numbers and terms, no closures — so a plan still
+# pickles.  A register holds the ground term its variable is bound to.
+#
+# Expressions over the registers:
+#   (_SLOT, slot)                           a variable
+#   (_VALUE, constant)                      a Constant of the rule text
+#   (_ARITH, functor, (expr, ...), term)    arithmetic; term names it in errors
+#   (_TERM, term, ((variable, slot), ...))  anything else (cons lists, f(X),
+#                                           registered functions): substitute
+#                                           and eval_term
+_SLOT, _VALUE, _ARITH, _TERM = range(4)
+
+# Built-in steps:
+#   (_ASSIGN, slot, expr)                   V = expr with V unbound
+#   (_CMP, name, negated, (left, right))    a comparison
+#   (_CALL, name, negated, (expr, ...))     a registered predicate
+_ASSIGN, _CMP, _CALL = range(3)
+
+
+class Step(NamedTuple):
+    """A subgoal compiled against a set of bound registers."""
+
+    pred: str
+    arity: int
+    #: ((position, expr), ...): arguments whose value is fixed before
+    #: the scan — constants, bound variables, complex terms over them.
+    known: tuple
+    #: ((position, slot), ...): first occurrence of an unbound variable
+    #: that the rule reads again outside this subgoal (``_`` never is).
+    binds: tuple
+    #: ((position, first position), ...): a repeated variable first met
+    #: in this same subgoal — the two arguments of the row must be equal
+    #: (unnormalized, as one-way matching compares them).
+    rechecks: tuple
+    #: None, or (args, bound pairs, fresh pairs) for a subgoal with a
+    #: complex argument that has an unbound variable ([H | T], f(X)):
+    #: the whole subgoal goes through match_sequences.
+    structural: Optional[tuple]
+    #: The bound registers once the step has matched.
+    after: int
+
+
+def _bound(slots: Dict[Variable, int], mask: int) -> Dict[Variable, int]:
+    return {var: slot for var, slot in slots.items() if mask >> slot & 1}
+
+
+def _slot_of(var: Variable, bound: Dict[Variable, int]) -> int:
+    if var not in bound:
+        raise PlanError(
+            f"variable {var!r} is bound by no positive subgoal or "
+            "assignment before it is read"
+        )
+    return bound[var]
+
+
+def _compile_expr(term: Term, bound: Dict[Variable, int]) -> tuple:
+    if isinstance(term, Constant):
+        return (_VALUE, term)
+    if isinstance(term, Variable):
+        return (_SLOT, _slot_of(term, bound))
+    if term.functor in ARITH_FUNCTORS:
+        return (
+            _ARITH, term.functor,
+            tuple(_compile_expr(a, bound) for a in term.args), term,
+        )
+    pairs = {var: _slot_of(var, bound) for var in term.variables()}
+    return (_TERM, term, tuple(pairs.items()))
+
+
+def _compile_literal(
+    lit: RelLiteral, mask: int, slots: Dict[Variable, int],
+    uses: Dict[Variable, int],
+) -> Step:
+    """Compile one subgoal against the registers in ``mask``."""
+    args = lit.atom.args
+    bound = _bound(slots, mask)
+    local = Counter(lit.variables())
+    fresh = {
+        var: slots[var] for var in local
+        if var not in bound and uses[var] > local[var]
+    }
+    after = mask | sum(1 << slot for slot in fresh.values())
+    if any(
+        isinstance(a, FunctionTerm) and not bound.keys() >= set(a.variables())
+        for a in args
+    ):
+        pairs = tuple((var, bound[var]) for var in local if var in bound)
+        structural = (args, pairs, tuple(fresh.items()))
+        return Step(lit.predicate, len(args), (), (), (), structural, after)
+    known, binds, rechecks = [], [], []
+    first_at: Dict[Variable, int] = {}
+    for pos, arg in enumerate(args):
+        if not isinstance(arg, Variable) or arg in bound:
+            known.append((pos, _compile_expr(arg, bound)))
+        elif arg in first_at:
+            rechecks.append((pos, first_at[arg]))
+        else:
+            first_at[arg] = pos
+            if arg in fresh:
+                binds.append((pos, fresh[arg]))
+    return Step(
+        lit.predicate, len(args), tuple(known), tuple(binds), tuple(rechecks),
+        None, after,
+    )
+
+
+def _compile_builtin(
+    bl: BuiltinLiteral, bound: Dict[Variable, int], slots: Dict[Variable, int]
+) -> tuple:
+    """Compile one built-in; an assignment adds its target to ``bound``."""
+    if bl.name == "=" and not bl.negated:
+        # order_body admits "=" only as a test of two bound sides or as
+        # an assignment to a bare variable.
+        left, right = bl.args
+        for target, source in ((left, right), (right, left)):
+            if isinstance(target, Variable) and target not in bound:
+                expr = _compile_expr(source, bound)
+                bound[target] = slots[target]
+                return (_ASSIGN, slots[target], expr)
+    exprs = tuple(_compile_expr(a, bound) for a in bl.args)
+    return (_CMP if bl.is_comparison else _CALL, bl.name, bl.negated, exprs)
+
+
+# ---------------------------------------------------------------------------
+# Running compiled steps
 # ---------------------------------------------------------------------------
 
-#: Compile-time argument classes: a ground constant (pre-normalized when
-#: registry-independent), a bare variable (substitute, normalize only if
-#: the binding is a function term), or a complex term (substitute +
-#: normalize every time, exactly like the seed enumerator).
-_CONST, _VAR, _COMPLEX = 0, 1, 2
+
+def _eval(expr: tuple, regs: list, registry: BuiltinRegistry) -> Any:
+    """The value ``eval_term`` gives the expression's term under the
+    bindings in ``regs``."""
+    kind = expr[0]
+    if kind == _SLOT:
+        term = regs[expr[1]]
+        if term.__class__ is Constant:
+            return term.value
+        return eval_term(term, registry)
+    if kind == _VALUE:
+        return expr[1].value
+    if kind == _ARITH:
+        return apply_arith(
+            expr[1], [_eval(a, regs, registry) for a in expr[2]], expr[3]
+        )
+    subst = Substitution((var, regs[slot]) for var, slot in expr[2])
+    return eval_term(expr[1].substitute(subst), registry)
 
 
-class BuiltinStep:
-    """A built-in subgoal: evaluated through :func:`eval_builtin`."""
+def _eval_term(expr: tuple, regs: list, registry: BuiltinRegistry) -> Term:
+    """``value_to_term(_eval(expr))`` — what ``normalize_partial`` and
+    ``ground_head`` make of a ground argument.  A constant is its own
+    normal form."""
+    kind = expr[0]
+    if kind == _VALUE:
+        return expr[1]
+    if kind == _SLOT:
+        term = regs[expr[1]]
+        if term.__class__ is Constant:
+            return term
+    return value_to_term(_eval(expr, regs, registry))
 
-    __slots__ = ("literal",)
 
-    def __init__(self, literal: BuiltinLiteral):
-        self.literal = literal
+def run_builtin(step: tuple, regs: list, registry: BuiltinRegistry) -> bool:
+    """Does the built-in ``step`` hold under ``regs``?  An assignment
+    writes its target register and holds.  Raises what evaluating the
+    arguments raises (``BuiltinError``, ``ZeroDivisionError``)."""
+    if step[0] == _ASSIGN:
+        regs[step[1]] = _eval_term(step[2], regs, registry)
+        return True
+    kind, name, negated, exprs = step
+    if kind == _CMP:
+        holds = compare_values(name, *[_eval(a, regs, registry) for a in exprs])
+    else:
+        fn = registry.predicate(name)
+        if fn is None:
+            raise BuiltinError(f"unknown built-in predicate {name!r}")
+        holds = bool(fn(*[_eval(a, regs, registry) for a in exprs]))
+    return holds != negated
 
 
-class RelStep:
-    """A relational subgoal with its argument template precompiled."""
+def _structural_pattern(structural: tuple, regs: list, registry) -> tuple:
+    args, bound, _fresh = structural
+    subst = Substitution((var, regs[slot]) for var, slot in bound)
+    return tuple(normalize_partial(a.substitute(subst), registry) for a in args)
 
-    __slots__ = ("literal", "predicate", "negated", "arg_plan")
 
-    def __init__(self, literal: RelLiteral):
-        self.literal = literal
-        self.predicate = literal.predicate
-        self.negated = literal.negated
-        plan = []
-        for arg in literal.atom.args:
-            if isinstance(arg, Constant):
-                # Plain constants normalize to themselves regardless of
-                # the registry, so fold them once at compile time.
-                plan.append((_CONST, normalize_partial(arg)))
-            elif isinstance(arg, Variable):
-                plan.append((_VAR, arg))
-            else:
-                plan.append((_COMPLEX, arg))
-        self.arg_plan: Tuple[Tuple[int, Term], ...] = tuple(plan)
+def _structural_matches(pattern: tuple, table) -> list:
+    """``(row, bindings)`` for every row of ``table`` the structural
+    ``pattern`` matches one-way."""
+    pairs = [(row, match_sequences(pattern, row)) for row in table]
+    return [pair for pair in pairs if pair[1] is not None]
 
-    def pattern(self, subst: Substitution, registry: BuiltinRegistry) -> ArgsTuple:
-        """Instantiate the probe pattern under ``subst`` (normalized the
-        same way the seed enumerator normalized it)."""
-        out = []
-        for kind, payload in self.arg_plan:
-            if kind == _CONST:
-                out.append(payload)
-            elif kind == _VAR:
-                term = payload.substitute(subst)
-                if isinstance(term, FunctionTerm):
-                    term = normalize_partial(term, registry)
-                out.append(term)
-            else:
-                out.append(normalize_partial(payload.substitute(subst), registry))
-        return tuple(out)
+
+def _structural_rows(matches: list, fresh: tuple, regs: list):
+    """The rows of ``matches``, each yielded after the subgoal's own
+    variables are bound from its bindings."""
+    for row, bindings in matches:
+        for var, slot in fresh:
+            regs[slot] = bindings[var]
+        yield row
+
+
+def _scan_rows(table, arity: int, want: list, rechecks: tuple) -> list:
+    """Rows of ``table`` with ``arity`` arguments that carry the terms
+    of ``want`` at their positions and agree on repeated variables."""
+    values = [(pos, t.value) for pos, t in want if t.__class__ is Constant]
+    terms = [(pos, t) for pos, t in want if t.__class__ is not Constant]
+    rows = []
+    for row in table:
+        if len(row) != arity:
+            continue
+        for pos, value in values:
+            term = row[pos]
+            if term.__class__ is not Constant or term.value != value:
+                break
+        else:
+            if terms and any(row[pos] != term for pos, term in terms):
+                continue
+            if rechecks and any(row[pos] != row[first] for pos, first in rechecks):
+                continue
+            rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # The compiled plan
 # ---------------------------------------------------------------------------
 
-#: Sentinel distinguishing "batch analysis not run yet" from "analyzed:
-#: not vectorizable" (None).
-_BATCH_UNSET = object()
+# What a body position is to the central executor: a positive subgoal
+# (its rows join), a negated one (an existence probe) or a built-in.
+_JOIN, _NOT, _TEST = range(3)
+
+#: What a built-in or negated subgoal that holds yields: one empty row.
+_HOLDS = ((),)
 
 
 class CompiledPlan:
-    """An immutable evaluation plan for one rule.
+    """One rule, compiled: everything any engine reads of it.
 
-    The body ordering, argument templates and delta-occurrence positions
-    are computed once at compile time; :meth:`execute` runs the join
-    with an explicit stack (no recursion) and per-execution probe
-    memoization.
+    ``body`` is :func:`order_body`'s result, computed here and nowhere
+    else; ``positive`` / ``negative`` / ``builtins`` partition it in
+    that order.  A subgoal is compiled per set of registers bound before
+    it, on first use (:meth:`step`), so the subgoals can be joined in
+    any order: the central executors take them in ``body`` order
+    (:meth:`program`), the distributed engines as
+    :class:`repro.dist.plans.RulePlan` says.
     """
 
-    __slots__ = ("rule", "steps", "occurrences", "label", "_batch")
+    __slots__ = (
+        "rule", "label", "body", "positive", "negative", "builtins",
+        "occurrences", "uses", "slots", "_compiled", "_programs", "_batch",
+    )
 
-    def __init__(self, rule: Rule, steps: Sequence[object],
-                 occurrences: Dict[str, Tuple[int, ...]]):
+    def __init__(self, rule: Rule):
         self.rule = rule
-        self.steps = tuple(steps)
-        self.occurrences = occurrences
         self.label = rule_label(rule)
-        self._batch = _BATCH_UNSET
+        self.body: Tuple[Literal, ...] = tuple(order_body(rule))
+        self.positive: List[RelLiteral] = []
+        self.negative: List[RelLiteral] = []
+        self.builtins: List[BuiltinLiteral] = []
+        #: predicate -> body positions of its positive occurrences, the
+        #: semi-naive delta variants of the rule.
+        self.occurrences: Dict[str, Tuple[int, ...]] = {}
+        for i, lit in enumerate(self.body):
+            if isinstance(lit, BuiltinLiteral):
+                self.builtins.append(lit)
+            elif lit.negated:
+                self.negative.append(lit)
+            else:
+                self.positive.append(lit)
+                occs = self.occurrences.get(lit.predicate, ())
+                self.occurrences[lit.predicate] = occs + (i,)
+        # One register per variable, whatever order the subgoals are
+        # joined in.  A variable gets its register written only if the
+        # rule reads it again (see Step.binds).
+        self.uses = Counter(
+            var for part in (rule.head, *rule.body) for var in part.variables()
+        )
+        if rule.has_aggregates:
+            # All-solutions semantics tells valuations apart by every
+            # named body variable, read again or not.
+            for var in self.uses:
+                if not var.is_anonymous:
+                    self.uses[var] += 1
+        self.slots: Dict[Variable, int] = {
+            var: slot for slot, var in enumerate(self.uses)
+        }
+        #: (index, mask, negated) -> Step; a RulePlan adds mask ->
+        #: conclusion.
+        self._compiled: Dict[Any, tuple] = {}
+        self._programs: Dict[int, tuple] = {}
 
-    def occurrence_count(self, predicate: str) -> int:
-        """Positive occurrences of ``predicate`` in the ordered body —
-        the number of semi-naive delta variants of this rule."""
-        return len(self.occurrences.get(predicate, ()))
+    def __getstate__(self):
+        # A copy analyzes its own batch program: this one's holds the
+        # term ids of this process's interner.
+        kept = (name for name in self.__slots__ if name != "_batch")
+        return None, {name: getattr(self, name) for name in kept}
+
+    def step(self, idx: int, mask: int, negated: bool = False) -> Step:
+        """Subgoal ``idx`` of ``positive`` (of ``negative`` when
+        ``negated``) compiled against the registers in ``mask``."""
+        key = (idx, mask, negated)
+        step = self._compiled.get(key)
+        if step is None:
+            lit = (self.negative if negated else self.positive)[idx]
+            step = self._compiled[key] = _compile_literal(
+                lit, mask, self.slots, self.uses
+            )
+        return step
+
+    def program(self, mask: int = 0) -> Tuple[tuple, Optional[tuple]]:
+        """The rule as the central executors run it, subgoals in
+        ``body`` order starting from the registers in ``mask``:
+        ``((kind, step, index), ...)`` — ``_JOIN`` / ``_NOT`` with the
+        :class:`Step` and its index in ``positive`` / ``negative``,
+        ``_TEST`` with a built-in step — and the head expressions, None
+        when the head keeps an unbound variable (an aggregate's
+        placeholder, or the rule is unsafe)."""
+        found = self._programs.get(mask)
+        if found is None:
+            ops, start, index = [], mask, [0, 0, 0]
+            for lit in self.body:
+                if isinstance(lit, BuiltinLiteral):
+                    kind = _TEST
+                    step = _compile_builtin(lit, _bound(self.slots, mask), self.slots)
+                    if step[0] == _ASSIGN:
+                        mask |= 1 << step[1]
+                else:
+                    kind = _NOT if lit.negated else _JOIN
+                    step = self.step(index[kind], mask, lit.negated)
+                    if kind == _JOIN:  # a negated subgoal binds nothing
+                        mask = step.after
+                ops.append((kind, step, index[kind]))
+                index[kind] += 1
+            try:
+                bound = _bound(self.slots, mask)
+                head = tuple(_compile_expr(a, bound) for a in self.rule.head.args)
+            except PlanError:
+                head = None
+            found = self._programs[start] = (tuple(ops), head)
+        return found
 
     def batch_program(self):
         """The vectorized form of this plan (see
         :func:`repro.core.vector.analyze_plan`), or None when the rule
         cannot be batch-executed.  Analyzed once, lazily — a benign
         race recomputes the same immutable value."""
-        program = self._batch
-        if program is _BATCH_UNSET:
+        try:
+            return self._batch
+        except AttributeError:
             from .vector import analyze_plan
 
             program = self._batch = analyze_plan(self)
-        return program
+            return program
 
-    # -- execution -------------------------------------------------------
-
-    def execute(
-        self,
-        db,
-        registry: BuiltinRegistry,
-        delta_pred: Optional[str] = None,
-        delta_tuples: Optional[Set[ArgsTuple]] = None,
-        delta_occurrence: Optional[int] = None,
-        initial_subst: Optional[Substitution] = None,
-    ) -> Iterator[Tuple[Substitution, List[FactKey]]]:
-        """Enumerate satisfying substitutions of the rule body.
-
-        Same contract as the seed ``enumerate_rule``: when
-        ``delta_pred`` is given, the ``delta_occurrence``-th positive
-        occurrence of that predicate ranges over ``delta_tuples``
-        instead of the stored relation.  Yields the substitution and the
-        list of positive facts used (the derivation).
-        """
-        steps = self.steps
-        n = len(steps)
-        base = Substitution(initial_subst) if initial_subst else Substitution()
-        if n == 0:
-            yield base, []
-            return
-        delta_step = -1
+    def delta_step(self, delta_pred, delta_occurrence) -> int:
+        """Body position of the ``delta_occurrence``-th positive
+        occurrence of ``delta_pred`` — the subgoal that ranges over the
+        delta tuples instead of the stored relation (the semi-naive
+        rewriting) — or -1."""
         if delta_pred is not None and delta_occurrence is not None:
             occs = self.occurrences.get(delta_pred, ())
             if delta_occurrence < len(occs):
-                delta_step = occs[delta_occurrence]
-        # Per-execution caches: probe-pattern -> matched rows, plus the
+                return occs[delta_occurrence]
+        return -1
+
+    def execute(
+        self, db, registry: BuiltinRegistry, regs: List[Optional[Term]],
+        mask: int = 0, delta_pred: Optional[str] = None,
+        delta_tuples=None, delta_occurrence: Optional[int] = None,
+    ) -> Iterator[List[FactKey]]:
+        """The register nested loop over :meth:`program`: yields once
+        per body match, ``regs`` (one entry per slot, those of ``mask``
+        bound by the caller) holding its bindings, the yielded list its
+        facts, one per positive subgoal in ``positive`` order — the
+        derivation.  Both lists are rewritten in place from one match to
+        the next.  See :meth:`delta_step` for the delta arguments.
+        Raises what a built-in raises on the match that reaches it."""
+        ops = self.program(mask)[0]
+        used = [None] * len(self.positive)
+        if not ops:
+            yield used
+            return
+        delta_step = self.delta_step(delta_pred, delta_occurrence)
+        delta = delta_tuples or ()
+        # Per-execution caches: probe -> matched rows, plus the
         # transient hash index over the delta tuples.  stats counts
         # (candidate rows scanned, rows matched) for the selectivity
         # histogram.
         memo: Dict[object, object] = {}
         stats = [0, 0]
-        used: List[FactKey] = []
-        iters: List[Optional[Iterator]] = [None] * n
-        pushed = [False] * n
-        depth = 0
-        last = n - 1
-        iters[0] = self._step_results(
-            0, base, db, registry, memo, delta_step, delta_tuples, stats
-        )
+        iters = [None] * len(ops)
+        last = len(ops) - 1
+        depth, entering = 0, True
         try:
             while depth >= 0:
-                item = next(iters[depth], None)
-                if pushed[depth]:
-                    used.pop()
-                    pushed[depth] = False
-                if item is None:
-                    iters[depth] = None
+                kind, step, index = ops[depth]
+                if entering:
+                    iters[depth] = self._enter(
+                        kind, step, depth, regs, db, registry, memo, stats,
+                        delta if depth == delta_step else None,
+                    )
+                row = next(iters[depth], None)
+                if row is None:
                     depth -= 1
+                    entering = False
                     continue
-                s2, fact = item
-                if fact is not None:
-                    used.append(fact)
-                    pushed[depth] = True
-                if depth == last:
-                    yield s2, list(used)
-                    continue
-                depth += 1
-                iters[depth] = self._step_results(
-                    depth, s2, db, registry, memo, delta_step, delta_tuples, stats
-                )
-                pushed[depth] = False
+                if kind == _JOIN:
+                    for pos, slot in step.binds:
+                        regs[slot] = row[pos]
+                    used[index] = (step.pred, row)
+                entering = depth < last
+                if entering:
+                    depth += 1
+                else:
+                    yield used
         finally:
             if _obs.enabled and stats[0]:
                 _inst.join_selectivity.labels(rule=self.label).observe(
                     stats[1] / stats[0]
                 )
 
-    def _step_results(
-        self, idx, subst, db, registry, memo, delta_step, delta_tuples, stats
-    ) -> Iterator[Tuple[Substitution, Optional[FactKey]]]:
-        step = self.steps[idx]
-        if type(step) is BuiltinStep:
-            return (
-                (s2, None) for s2 in eval_builtin(step.literal, subst, registry)
+    def _enter(self, kind, step, depth, regs, db, registry, memo, stats, delta):
+        """An iterator over the ways body position ``depth`` holds under
+        ``regs``: the rows a positive subgoal matches — stored ones, or
+        those of ``delta`` for the delta occurrence; a structural
+        subgoal binds its own variables row by row — and one empty row
+        for a built-in or negated subgoal that holds."""
+        if kind == _TEST:
+            return iter(_HOLDS if run_builtin(step, regs, registry) else ())
+        structural = step.structural
+        if structural is None:
+            probe = tuple(
+                [_eval_term(expr, regs, registry) for _pos, expr in step.known]
             )
-        pattern = step.pattern(subst, registry)
-        if step.negated:
-            return self._negation_result(step, idx, pattern, subst, db, memo)
-        if idx == delta_step:
-            matches = self._delta_matches(idx, pattern, delta_tuples, memo, stats)
         else:
-            matches = self._relation_matches(step, idx, pattern, db, memo, stats)
-        return self._bind_matches(matches, subst, step.predicate)
-
-    @staticmethod
-    def _bind_matches(matches, subst, predicate):
-        for row, bindings in matches:
-            s2 = Substitution(subst)
-            if bindings:
-                s2.update(bindings)
-            yield s2, (predicate, row)
-
-    def _relation_matches(self, step, idx, pattern, db, memo, stats):
-        """Matched (row, bindings) pairs for a positive stored subgoal,
-        memoized per probe pattern and snapshotted (safe to consume
-        while the caller streams new facts into the relation)."""
-        key = (idx, pattern)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        rel = db.relation(step.predicate)
-        bound = [(pos, t) for pos, t in enumerate(pattern) if t.is_ground()]
-        if len(bound) == len(pattern):
-            # Fully ground: a point lookup — counts as one probe (per
-            # distinct pattern, thanks to the memo) but touches no bucket.
-            rel.probes += 1
-            out: Tuple = ((pattern, None),) if pattern in rel else ()
-            stats[0] += 1
-            stats[1] += len(out)
-        else:
-            if bound:
-                rows = rel.lookup(bound)
+            probe = _structural_pattern(structural, regs, registry)
+        key = (depth, probe)
+        found = memo.get(key)
+        if found is None:
+            if structural is None:
+                want = [(pos, t) for (pos, _expr), t in zip(step.known, probe)]
             else:
-                rows = rel.scan()
-            matched = []
-            for row in rows:
-                bindings = match_sequences(pattern, row, _EMPTY_SUBST)
-                if bindings is not None:
-                    matched.append((row, bindings))
-            stats[0] += len(rows)
-            stats[1] += len(matched)
-            out = tuple(matched)
-        memo[key] = out
-        return out
-
-    def _delta_matches(self, idx, pattern, delta_tuples, memo, stats):
-        """Matched (row, bindings) pairs against the delta set, joined
-        through a transient per-execution hash index on the first
-        runtime-ground pattern position."""
-        key = ("d", idx, pattern)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        rows: Iterable[ArgsTuple] = delta_tuples or ()
-        probe_pos = -1
-        for pos, term in enumerate(pattern):
-            if term.is_ground():
-                probe_pos = pos
-                break
-        if probe_pos >= 0:
-            index_key = ("di", idx, probe_pos)
-            index = memo.get(index_key)
-            if index is None:
-                index = {}
-                for row in rows:
-                    if probe_pos < len(row):
-                        index.setdefault(row[probe_pos], []).append(row)
-                memo[index_key] = index
-            rows = index.get(pattern[probe_pos], ())
-        matched = []
-        scanned = 0
-        for row in rows:
-            scanned += 1
-            bindings = match_sequences(pattern, row, _EMPTY_SUBST)
-            if bindings is not None:
-                matched.append((row, bindings))
-        stats[0] += scanned
-        stats[1] += len(matched)
-        out = tuple(matched)
-        memo[key] = out
-        return out
-
-    def _negation_result(self, step, idx, pattern, subst, db, memo):
-        key = ("n", idx, pattern)
-        exists = memo.get(key)
-        if exists is None:
-            rel = db.relation(step.predicate)
-            bound = [(pos, t) for pos, t in enumerate(pattern) if t.is_ground()]
-            if len(bound) == len(pattern):
+                want = [(pos, t) for pos, t in enumerate(probe) if t.is_ground()]
+            if delta is None and len(want) == step.arity:
+                # Every argument is fixed: a point lookup — one probe
+                # (per distinct probe, thanks to the memo) that touches
+                # no bucket.  On a hit, hand out the stored row, not the
+                # probe that equals it (1 == 1.0, and derivations spell
+                # their rows).
+                rel = db.relation(step.pred)
                 rel.probes += 1
-                exists = pattern in rel
-            elif bound:
-                exists = any(
-                    match_sequences(pattern, row, _EMPTY_SUBST) is not None
-                    for row in rel.lookup(bound)
-                )
+                row = rel.stored(probe)
+                found, scanned = (() if row is None else (row,)), 1
             else:
-                exists = any(
-                    match_sequences(pattern, row, _EMPTY_SUBST) is not None
-                    for row in rel.scan()
-                )
-            memo[key] = exists
-        if exists:
-            return iter(())
-        return iter(((subst, None),))
-
-
-# ---------------------------------------------------------------------------
-# Compilation
-# ---------------------------------------------------------------------------
-
-
-def compile_rule(rule: Rule) -> CompiledPlan:
-    """Compile ``rule`` into a :class:`CompiledPlan`: the greedy
-    :func:`order_body` interleaving of subgoals, built-ins and
-    negation, each step classified once."""
-    ordered = order_body(rule)
-    steps: List[object] = []
-    occurrences: Dict[str, List[int]] = {}
-    for i, lit in enumerate(ordered):
-        if isinstance(lit, BuiltinLiteral):
-            steps.append(BuiltinStep(lit))
-        else:
-            assert isinstance(lit, RelLiteral)
-            steps.append(RelStep(lit))
-            if not lit.negated:
-                occurrences.setdefault(lit.predicate, []).append(i)
-    return CompiledPlan(
-        rule, steps, {p: tuple(ix) for p, ix in occurrences.items()}
-    )
+                if delta is None:
+                    rel = db.relation(step.pred)
+                    table = rel.lookup(want) if want else rel.scan()
+                elif want:
+                    # One bucket of a transient per-execution hash index
+                    # of the delta tuples on the first fixed position.
+                    pos, term = want[0]
+                    index = memo.get(depth)
+                    if index is None:
+                        index = memo[depth] = {}
+                        for row in delta:
+                            if pos < len(row):
+                                index.setdefault(row[pos], []).append(row)
+                    table = index.get(term, ())
+                else:
+                    table = delta
+                scanned = len(table)
+                if structural is None:
+                    found = _scan_rows(table, step.arity, want, step.rechecks)
+                else:
+                    found = _structural_matches(probe, table)
+            memo[key] = found
+            if kind == _JOIN:
+                stats[0] += scanned
+                stats[1] += len(found)
+        if kind == _NOT:
+            return iter(() if found else _HOLDS)
+        if structural is not None:
+            return _structural_rows(found, structural[2], regs)
+        return iter(found)
 
 
 #: Plans a :class:`PlanCache` keeps before it evicts the oldest.
@@ -464,7 +621,7 @@ class PlanCache:
 
     The cache is thread-safe: one instance serves the whole process, so
     lookup/compile/insert runs under a lock (compilation is cheap
-    relative to evaluation, so holding the lock across ``compile_rule``
+    relative to evaluation, so holding the lock across the compile
     keeps every miss compiled exactly once).
     """
 
@@ -489,7 +646,7 @@ class PlanCache:
             self.misses += 1
             if _obs.enabled:
                 _inst.plan_cache_misses.inc()
-            plan = compile_rule(rule)
+            plan = CompiledPlan(rule)
             if len(self._plans) >= _MAX_PLANS:
                 # FIFO eviction: drop the oldest insertion.
                 self._plans.pop(next(iter(self._plans)))

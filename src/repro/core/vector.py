@@ -2,11 +2,13 @@
 
 The tuple-at-a-time executor in :mod:`repro.core.plan` enumerates one
 binding at a time through Python-level probe loops.  This module runs
-the *same* plans over whole batches at once: the current set of partial
-bindings is a struct-of-arrays (one int64 id column per bound variable,
-ids from :data:`repro.core.columnar.GLOBAL_INTERNER`), and every step —
-equality join, negation, builtin comparison/assignment — is a numpy
-kernel over those columns.  Joins probe a relation through a cached
+the *same* compiled steps (:meth:`CompiledPlan.program
+<repro.core.plan.CompiledPlan.program>`) over whole batches at once: the
+current set of partial bindings is a struct-of-arrays (one int64 id
+column per bound register, ids from
+:data:`repro.core.columnar.GLOBAL_INTERNER`), and every step — equality
+join, negation, builtin comparison/assignment — is a numpy kernel over
+those columns.  Joins probe a relation through a cached
 ``(sorted ids, row order)`` snapshot per (relation, position, version):
 ``searchsorted`` yields per-batch-row match ranges which are expanded
 into (batch row, relation row) pairs without a Python loop.
@@ -20,8 +22,9 @@ A rule is *vectorizable* when every step fits the supported shapes:
 * head arguments that are constants, ground terms, bound variables, or
   arithmetic expressions.
 
-:func:`analyze_plan` decides this once per plan and returns None
-otherwise — the caller then uses the tuple executor.  Vectorizable
+:func:`analyze_plan` decides this once per plan, from the step and
+expression tuples the rule compiler produced, and returns None otherwise
+— the caller then uses the tuple executor.  Vectorizable
 rules can still bail *at runtime* (:class:`_Fallback`): non-numeric ids
 reaching arithmetic, integers beyond float64's exact range (2**53),
 ``//``/``mod`` operands at or above 2**25, zero divisors, ragged
@@ -38,7 +41,7 @@ canonical term instances, so results are equal (as terms) to what
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -49,14 +52,12 @@ from .columnar import (
     F_FN,
     F_INT,
     F_NUM,
-    F_SMALL,
     GLOBAL_INTERNER,
     MAX_EXACT_INT,
     SMALL_INT,
 )
 from .derivations import Derivation
-from .plan import _CONST, _VAR, BuiltinStep, RelStep
-from .terms import Constant, FunctionTerm, Term, Variable
+from .plan import _ARITH, _ASSIGN, _CALL, _CMP, _NOT, _SLOT, _TEST, _VALUE
 
 #: Module-level mirror of the obs counters, always on (cheap) so tests
 #: and benchmarks can read vectorization coverage without telemetry.
@@ -82,48 +83,28 @@ class _Fallback(Exception):
 # ---------------------------------------------------------------------------
 
 
-class _JoinOp:
-    __slots__ = (
-        "step_idx", "predicate", "negated", "arity",
-        "ground_specs", "out_specs", "dup_specs",
-    )
+class _JoinOp(NamedTuple):
+    """A relational subgoal's :class:`~repro.core.plan.Step`, its
+    constants interned."""
 
-    def __init__(self, step_idx, predicate, negated, arity,
-                 ground_specs, out_specs, dup_specs):
-        self.step_idx = step_idx
-        self.predicate = predicate
-        self.negated = negated
-        self.arity = arity
-        #: merged probe columns, pattern order: ("c", pos, id) for
-        #: constants, ("v", pos, var) for already-bound variables.
-        self.ground_specs = ground_specs
-        #: (pos, var) — first occurrences of unbound variables.
-        self.out_specs = out_specs
-        #: (pos, first_pos) — intra-atom variable repeats: the relation
-        #: row must carry equal ids at both positions.
-        self.dup_specs = dup_specs
-
-
-class _TestOp:
-    __slots__ = ("name", "negated", "left", "right")
-
-    def __init__(self, name, negated, left, right):
-        self.name = name
-        self.negated = negated
-        self.left = left
-        self.right = right
-
-
-class _AssignOp:
-    __slots__ = ("var", "expr")
-
-    def __init__(self, var, expr):
-        self.var = var
-        self.expr = expr
+    step_idx: int
+    predicate: str
+    negated: bool
+    arity: int
+    #: merged probe columns, pattern order: ("c", pos, id) for
+    #: constants, ("v", pos, slot) for already-bound variables.
+    ground_specs: list
+    #: (pos, slot) — the step's ``binds``.
+    out_specs: tuple
+    #: (pos, first_pos) — the step's ``rechecks``: the relation row
+    #: must carry equal ids at both positions.
+    dup_specs: tuple
 
 
 class BatchProgram:
-    """The vectorized form of one CompiledPlan."""
+    """The vectorized form of one CompiledPlan: a :class:`_JoinOp` per
+    relational subgoal, the plan's own ``_ASSIGN`` / ``_CMP`` step per
+    built-in, and the head specs."""
 
     __slots__ = ("ops", "head")
 
@@ -132,136 +113,76 @@ class BatchProgram:
         self.head = head
 
 
-def _build_expr(term: Term, bound) -> Optional[tuple]:
-    """An arithmetic expression tree over numeric constants and bound
-    variables, or None when the term does not vectorize."""
-    if isinstance(term, Constant):
-        v = term.value
-        if (
+def _vectorizes(expr: tuple) -> bool:
+    """Can :func:`_eval_expr` run the compiled expression: arithmetic
+    over registers and numeric constants inside float64's exact range?"""
+    kind = expr[0]
+    if kind == _SLOT:
+        return True
+    if kind == _VALUE:
+        v = expr[1].value
+        return (
             isinstance(v, (int, float))
             and not isinstance(v, bool)
             and v == v
             and abs(v) <= MAX_EXACT_INT
-        ):
-            return ("num", v)
-        return None
-    if isinstance(term, Variable):
-        return ("var", term) if term in bound else None
-    if isinstance(term, FunctionTerm):
-        f = term.functor
-        if f in ("abs", "neg"):
-            if len(term.args) != 1:
-                return None
-        elif f in ("+", "-", "*", "/", "//", "mod", "min", "max"):
-            if len(term.args) != 2:
-                return None
-        else:
-            return None
-        children = []
-        for a in term.args:
-            child = _build_expr(a, bound)
-            if child is None:
-                return None
-            children.append(child)
-        return ("op", f, tuple(children))
-    return None
-
-
-def _analyze_rel(step: RelStep, step_idx: int, bound) -> Optional[_JoinOp]:
-    ground: List[tuple] = []
-    out: List[tuple] = []
-    dups: List[tuple] = []
-    seen: Dict[Variable, int] = {}
-    for pos, (kind, payload) in enumerate(step.arg_plan):
-        if kind == _CONST:
-            ground.append(("c", pos, GLOBAL_INTERNER.intern(payload)))
-        elif kind == _VAR:
-            if payload in bound:
-                ground.append(("v", pos, payload))
-            elif payload in seen:
-                dups.append((pos, seen[payload]))
-            else:
-                seen[payload] = pos
-                if not step.negated:
-                    out.append((pos, payload))
-                # In a negated subgoal an unbound variable is a free
-                # (unconstrained) position — order_body only admits
-                # anonymous ones there.
-        else:
-            return None  # nested term in the pattern
-    return _JoinOp(step_idx, step.predicate, step.negated,
-                   len(step.arg_plan), ground, out, dups)
-
-
-_COMPARISONS = ("<", "<=", ">", ">=", "=", "!=")
-
-
-def _analyze_builtin(literal, bound) -> Optional[object]:
-    name = literal.name
-    if len(literal.args) != 2 or name not in _COMPARISONS:
-        return None
-    left, right = literal.args
-    if name == "=" and not literal.negated:
-        left_vars = set(left.variables())
-        right_vars = set(right.variables())
-        if not (left_vars <= bound and right_vars <= bound):
-            # Assignment form: mirror eval_builtin's dispatch — the
-            # unbound side must be a bare variable.
-            if isinstance(left, Variable) and left not in bound and right_vars <= bound:
-                expr = _build_expr(right, bound)
-                return None if expr is None else _AssignOp(left, expr)
-            if isinstance(right, Variable) and right not in bound and left_vars <= bound:
-                expr = _build_expr(left, bound)
-                return None if expr is None else _AssignOp(right, expr)
-            return None  # structural unification — tuple path
-    le = _build_expr(left, bound)
-    re = _build_expr(right, bound)
-    if le is None or re is None:
-        return None
-    return _TestOp(name, literal.negated, le, re)
+        )
+    if kind == _ARITH:
+        functor, args = expr[1], expr[2]
+        return len(args) == (1 if functor in ("abs", "neg") else 2) and all(
+            map(_vectorizes, args)
+        )
+    return False  # a term that goes through eval_term
 
 
 def analyze_plan(plan) -> Optional[BatchProgram]:
     """The BatchProgram for ``plan``, or None when any step (or the
     head) falls outside the vectorizable shapes."""
     rule = plan.rule
-    if rule.has_aggregates:
+    steps, head_exprs = plan.program()
+    if rule.has_aggregates or head_exprs is None:
         return None
-    bound: set = set()
     ops: List[object] = []
-    for step_idx, step in enumerate(plan.steps):
-        if type(step) is BuiltinStep:
-            op = _analyze_builtin(step.literal, bound)
-            if op is None:
+    for step_idx, (kind, step, _index) in enumerate(steps):
+        if kind == _TEST:
+            # The kernels run assignments and comparisons; a registered
+            # predicate is called row by row.
+            exprs = (step[2],) if step[0] == _ASSIGN else step[3]
+            if step[0] == _CALL or not all(map(_vectorizes, exprs)):
                 return None
-            ops.append(op)
-            if isinstance(op, _AssignOp):
-                bound.add(op.var)
+            ops.append(step)
             continue
-        assert isinstance(step, RelStep)
-        op = _analyze_rel(step, step_idx, bound)
-        if op is None:
-            return None
-        ops.append(op)
-        if not op.negated:
-            bound.update(v for _, v in op.out_specs)
+        if step.structural is not None:
+            return None  # nested term in the pattern
+        ground: List[tuple] = []
+        for pos, expr in step.known:
+            if expr[0] == _VALUE:
+                ground.append(("c", pos, GLOBAL_INTERNER.intern(expr[1])))
+            elif expr[0] == _SLOT:
+                ground.append(("v", pos, expr[1]))
+            else:
+                return None  # a computed argument in the pattern
+        # In a negated subgoal an unbound variable is a free
+        # (unconstrained) position — order_body only admits anonymous
+        # ones there.
+        ops.append(_JoinOp(
+            step_idx, step.pred, kind == _NOT, step.arity, ground,
+            () if kind == _NOT else step.binds, step.rechecks,
+        ))
     head: List[tuple] = []
-    for arg in rule.head.args:
-        if isinstance(arg, Variable):
-            if arg not in bound:
-                return None
-            head.append(("var", arg))
-        elif isinstance(arg, Constant):
+    for arg, expr in zip(rule.head.args, head_exprs):
+        if expr[0] == _SLOT:
+            head.append(("var", expr[1]))
+        elif expr[0] == _VALUE:
             head.append(("const", GLOBAL_INTERNER.intern(arg)))
         elif arg.is_ground():
             # Ground function term: may involve registered functions,
             # so normalize at execution time with the live registry.
             head.append(("gconst", arg))
-        else:
-            expr = _build_expr(arg, bound)
-            if expr is None:
-                return None
+        elif _vectorizes(expr):
             head.append(("expr", expr))
+        else:
+            return None
     return BatchProgram(tuple(ops), tuple(head))
 
 
@@ -368,7 +289,8 @@ class _State:
 
     def __init__(self):
         self.n = 1
-        self.cols: Dict[Variable, np.ndarray] = {}
+        #: register slot -> id column
+        self.cols: Dict[int, np.ndarray] = {}
         #: one [predicate, source, row-number array] per positive
         #: join, in step order — the provenance columns.
         self.prov: List[list] = []
@@ -390,17 +312,19 @@ def _check_int_range(res):
 
 
 def _eval_expr(expr, state):
-    """Evaluate an expression tree to (float64 array-or-scalar, is_int).
+    """Evaluate a compiled expression (``_VALUE`` / ``_SLOT`` /
+    ``_ARITH``, see :mod:`repro.core.plan`) to (float64 array-or-scalar,
+    is_int).
 
     is_int mirrors Python's type propagation: int op int stays int
     (except ``/``), anything touching a float is float.  All integer
     intermediates are checked against float64's exact range.
     """
     kind = expr[0]
-    if kind == "num":
-        v = expr[1]
+    if kind == _VALUE:
+        v = expr[1].value
         return float(v), isinstance(v, int)
-    if kind == "var":
+    if kind == _SLOT:
         ids = state.cols[expr[1]]
         flags = GLOBAL_INTERNER.flags_of(ids)
         if not (flags & F_NUM).all():
@@ -520,8 +444,8 @@ def _exec_join(op, src, state, counters, is_delta):
     state.stats[0] += total
     state.stats[1] += len(batch_idx)
     state.gather(batch_idx)
-    for pos, var in op.out_specs:
-        state.cols[var] = src.np_col(pos)[rel_rows]
+    for pos, slot in op.out_specs:
+        state.cols[slot] = src.np_col(pos)[rel_rows]
     state.prov.append([op.predicate, src, rel_rows])
     state.n = len(rel_rows)
 
@@ -555,9 +479,9 @@ def _exec_negation(op, src, state, counters, is_delta):
 
 
 def _exec_test(op, state):
-    left, _li = _eval_expr(op.left, state)
-    right, _ri = _eval_expr(op.right, state)
-    name = op.name
+    _kind, name, negated, (left, right) = op
+    left, _li = _eval_expr(left, state)
+    right, _ri = _eval_expr(right, state)
     if name == "=":
         mask = left == right
     elif name == "!=":
@@ -570,7 +494,7 @@ def _exec_test(op, state):
         mask = left > right
     else:
         mask = left >= right
-    if op.negated:
+    if negated:
         mask = np.logical_not(mask)
     if np.ndim(mask) == 0:
         if not bool(mask):
@@ -582,8 +506,9 @@ def _exec_test(op, state):
 
 
 def _exec_assign(op, state):
-    values, is_int = _eval_expr(op.expr, state)
-    state.cols[op.var] = GLOBAL_INTERNER.intern_numeric(values, is_int, state.n)
+    _kind, slot, expr = op
+    values, is_int = _eval_expr(expr, state)
+    state.cols[slot] = GLOBAL_INTERNER.intern_numeric(values, is_int, state.n)
 
 
 def _materialize_heads(id_cols, terms, n):
@@ -684,11 +609,7 @@ def execute_batch(
     in that case nothing was emitted and no counter was committed, so
     the caller can re-run the call on the tuple executor.
     """
-    delta_step = -1
-    if delta_pred is not None and delta_occurrence is not None:
-        occs = plan.occurrences.get(delta_pred, ())
-        if delta_occurrence < len(occs):
-            delta_step = occs[delta_occurrence]
+    delta_step = plan.delta_step(delta_pred, delta_occurrence)
     delta_src: Optional[_DeltaSource] = None
     state = _State()
     counters: Dict[int, list] = {}
@@ -711,7 +632,7 @@ def execute_batch(
                     _exec_negation(op, src, state, counters, is_delta)
                 else:
                     _exec_join(op, src, state, counters, is_delta)
-            elif type(op) is _TestOp:
+            elif op[0] == _CMP:
                 _exec_test(op, state)
             else:
                 _exec_assign(op, state)

@@ -6,78 +6,64 @@ and the built-in filters — this is the read-only "list of join
 conditions" a real deployment would place in program flash, consumed by
 the generic join component on every node.
 
-Both distributed modes run it compiled one step further: the rule's
-variables are register slots and a subgoal's arguments are classified
-once per set of registers bound before it (:meth:`RulePlan.step`), so a
-node joins without unifying.  Localized mode fixes the join order per
-trigger (:class:`DeltaJoin`); a GPA token joins in whatever order its
-path meets the replicas (:func:`probe`, :func:`matching`, :func:`bind`).
+The rule compiler is :mod:`repro.core.plan`'s, shared with the central
+engine: the rule's variables are register slots and a subgoal's
+arguments are classified once per set of registers bound before it
+(:meth:`CompiledPlan.step <repro.core.plan.CompiledPlan.step>`), so a
+node joins without unifying.  This module is the distributed consumer of
+those steps.  Localized mode fixes the join order per trigger
+(:class:`DeltaJoin`); a GPA token joins in whatever order its path meets
+the replicas (:func:`probe`, :func:`matching`, :func:`bind`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.ast import BuiltinLiteral, Literal, Program, RelLiteral, Rule
-from ..core.builtins import (
-    BuiltinRegistry,
-    DEFAULT_REGISTRY,
-    apply_arith,
-    compare_values,
-    eval_term,
-    normalize_partial,
-    value_to_term,
+from ..core.ast import BuiltinLiteral, Program, RelLiteral, Rule
+from ..core.builtins import BuiltinRegistry, DEFAULT_REGISTRY
+from ..core.errors import EvaluationError, PlanError
+from ..core.plan import (
+    GLOBAL_PLAN_CACHE,
+    Step,
+    _bound,
+    _compile_builtin,
+    _compile_expr,
+    _eval_term,
+    _scan_rows,
+    _structural_matches,
+    _structural_pattern,
+    _structural_rows,
+    run_builtin,
 )
-from ..core.errors import BuiltinError, EvaluationError, PlanError
-from ..core.eval import order_body
-from ..core.plan import rule_label
 from ..core.safety import check_program_safety
 from ..core.stratify import Analysis, ProgramClass, classify
-from ..core.terms import (
-    ARITH_FUNCTORS,
-    Constant,
-    FunctionTerm,
-    Substitution,
-    Term,
-    Variable,
-)
+from ..core.terms import Constant
 from ..core.unify import match_sequences
 
 
 class RulePlan:
-    """One rule, compiled: join order, negations, built-ins."""
+    """One rule as the distributed engines join it: the process-wide
+    :class:`~repro.core.plan.CompiledPlan` of the rule (so a rule the
+    central engine also evaluates is ordered and classified once),
+    required to have something that can trigger it."""
 
     def __init__(self, rule: Rule):
+        plan = GLOBAL_PLAN_CACHE.get(rule)
+        if not plan.positive:
+            raise PlanError(f"rule {rule!r} has no positive relational subgoal")
         self.rule = rule
         self.rule_id = rule.rule_id if rule.rule_id is not None else -1
         self.head = rule.head
-        ordered = order_body(rule)
-        self.positive: List[RelLiteral] = [
-            lit for lit in ordered
-            if isinstance(lit, RelLiteral) and not lit.negated
-        ]
-        self.negative: List[RelLiteral] = [
-            lit for lit in ordered if isinstance(lit, RelLiteral) and lit.negated
-        ]
-        self.builtins: List[BuiltinLiteral] = [
-            lit for lit in ordered if isinstance(lit, BuiltinLiteral)
-        ]
-        if not self.positive:
-            raise PlanError(
-                f"rule {rule!r} has no positive relational subgoal"
-            )
-        self.label = rule_label(rule)
-        # One register per variable, whatever order the subgoals are
-        # joined in.  A set of bound registers is a bit mask over the
-        # slots; steps and conclusions are compiled per mask, on first use.
-        self.uses = Counter(
-            var for part in (rule.head, *rule.body) for var in part.variables()
-        )
-        self.slots: Dict[Variable, int] = {
-            var: slot for slot, var in enumerate(self.uses)
-        }
-        self._compiled: Dict[Any, tuple] = {}
+        self.label = plan.label
+        self.positive: List[RelLiteral] = plan.positive
+        self.negative: List[RelLiteral] = plan.negative
+        self.builtins: List[BuiltinLiteral] = plan.builtins
+        self.slots = plan.slots
+        #: The plan's own step cache and compiler: a subgoal compiled
+        #: for one engine is compiled for all.
+        self._compiled = plan._compiled
+        self.step = plan.step
 
     @property
     def has_negation(self) -> bool:
@@ -86,18 +72,6 @@ class RulePlan:
     @property
     def n_positive(self) -> int:
         return len(self.positive)
-
-    def step(self, idx: int, mask: int, negated: bool = False) -> "Step":
-        """Subgoal ``idx`` (of ``negative`` when ``negated``) compiled
-        against the registers in ``mask``."""
-        key = (idx, mask, negated)
-        step = self._compiled.get(key)
-        if step is None:
-            lit = (self.negative if negated else self.positive)[idx]
-            step = self._compiled[key] = _compile_literal(
-                lit, mask, self.slots, self.uses
-            )
-        return step
 
     def conclusion(self, mask: int) -> tuple:
         """What follows a complete positive match whose registers are
@@ -197,227 +171,18 @@ class DistributedPlan:
 
 
 # ---------------------------------------------------------------------------
-# Compiled joins (both distributed modes)
+# Joining compiled steps (both distributed modes)
 # ---------------------------------------------------------------------------
-#
-# Everything compiled is plain data — tuples of opcodes, slot numbers
-# and terms, no closures — so a DistributedPlan that carries it still
-# pickles.  A register holds the ground term its variable is bound to.
-#
-# Expressions over the registers:
-#   (_SLOT, slot)                           a variable
-#   (_VALUE, constant)                      a Constant of the rule text
-#   (_ARITH, functor, (expr, ...), term)    arithmetic; term names it in errors
-#   (_TERM, term, ((variable, slot), ...))  anything else (cons lists, f(X),
-#                                           registered functions): substitute
-#                                           and eval_term
-_SLOT, _VALUE, _ARITH, _TERM = range(4)
-
-# Built-in steps, run in order_body order once the positive join is complete:
-#   (_ASSIGN, slot, expr)                   V = expr with V unbound
-#   (_CMP, name, negated, (left, right))    a comparison
-#   (_CALL, name, negated, (expr, ...))     a registered predicate
-_ASSIGN, _CMP, _CALL = range(3)
-
-
-class Step(NamedTuple):
-    """A subgoal compiled against a set of bound registers."""
-
-    pred: str
-    arity: int
-    #: ((position, expr), ...): arguments whose value is fixed before
-    #: the scan — constants, bound variables, complex terms over them.
-    known: tuple
-    #: ((position, slot), ...): first occurrence of an unbound variable
-    #: that the rule reads again outside this subgoal (``_`` never is).
-    binds: tuple
-    #: ((position, first position), ...): a repeated variable first met
-    #: in this same subgoal — the two arguments of the row must be equal
-    #: (unnormalized, as one-way matching compares them).
-    rechecks: tuple
-    #: None, or (args, bound pairs, fresh pairs) for a subgoal with a
-    #: complex argument that has an unbound variable ([H | T], f(X)):
-    #: the whole subgoal goes through match_sequences, as it used to.
-    structural: Optional[tuple]
-    #: The bound registers once the step has matched.
-    after: int
-
-
-def _bound(slots: Dict[Variable, int], mask: int) -> Dict[Variable, int]:
-    return {var: slot for var, slot in slots.items() if mask >> slot & 1}
-
-
-def _slot_of(var: Variable, bound: Dict[Variable, int]) -> int:
-    if var not in bound:
-        raise PlanError(
-            f"variable {var!r} is bound by no positive subgoal or "
-            "assignment before it is read"
-        )
-    return bound[var]
-
-
-def _compile_expr(term: Term, bound: Dict[Variable, int]) -> tuple:
-    if isinstance(term, Constant):
-        return (_VALUE, term)
-    if isinstance(term, Variable):
-        return (_SLOT, _slot_of(term, bound))
-    if term.functor in ARITH_FUNCTORS:
-        return (
-            _ARITH, term.functor,
-            tuple(_compile_expr(a, bound) for a in term.args), term,
-        )
-    pairs = {var: _slot_of(var, bound) for var in term.variables()}
-    return (_TERM, term, tuple(pairs.items()))
-
-
-def _compile_literal(
-    lit: RelLiteral, mask: int, slots: Dict[Variable, int],
-    uses: Dict[Variable, int],
-) -> Step:
-    """Compile one subgoal against the registers in ``mask``."""
-    args = lit.atom.args
-    bound = _bound(slots, mask)
-    local = Counter(lit.variables())
-    fresh = {
-        var: slots[var] for var in local
-        if var not in bound and uses[var] > local[var]
-    }
-    after = mask | sum(1 << slot for slot in fresh.values())
-    if any(
-        isinstance(a, FunctionTerm) and not bound.keys() >= set(a.variables())
-        for a in args
-    ):
-        pairs = tuple((var, bound[var]) for var in local if var in bound)
-        structural = (args, pairs, tuple(fresh.items()))
-        return Step(lit.predicate, len(args), (), (), (), structural, after)
-    known, binds, rechecks = [], [], []
-    first_at: Dict[Variable, int] = {}
-    for pos, arg in enumerate(args):
-        if not isinstance(arg, Variable) or arg in bound:
-            known.append((pos, _compile_expr(arg, bound)))
-        elif arg in first_at:
-            rechecks.append((pos, first_at[arg]))
-        else:
-            first_at[arg] = pos
-            if arg in fresh:
-                binds.append((pos, fresh[arg]))
-    return Step(
-        lit.predicate, len(args), tuple(known), tuple(binds), tuple(rechecks),
-        None, after,
-    )
-
-
-def _compile_builtin(
-    bl: BuiltinLiteral, bound: Dict[Variable, int], slots: Dict[Variable, int]
-) -> tuple:
-    """Compile one built-in; an assignment adds its target to ``bound``."""
-    if bl.name == "=" and not bl.negated:
-        # order_body admits "=" only as a test of two bound sides or as
-        # an assignment to a bare variable.
-        left, right = bl.args
-        for target, source in ((left, right), (right, left)):
-            if isinstance(target, Variable) and target not in bound:
-                expr = _compile_expr(source, bound)
-                bound[target] = slots[target]
-                return (_ASSIGN, slots[target], expr)
-    exprs = tuple(_compile_expr(a, bound) for a in bl.args)
-    return (_CMP if bl.is_comparison else _CALL, bl.name, bl.negated, exprs)
-
-
-def _eval(expr: tuple, regs: list, registry: BuiltinRegistry) -> Any:
-    """The value ``eval_term`` gives the expression's term under the
-    bindings in ``regs``."""
-    kind = expr[0]
-    if kind == _SLOT:
-        term = regs[expr[1]]
-        if term.__class__ is Constant:
-            return term.value
-        return eval_term(term, registry)
-    if kind == _VALUE:
-        return expr[1].value
-    if kind == _ARITH:
-        return apply_arith(
-            expr[1], [_eval(a, regs, registry) for a in expr[2]], expr[3]
-        )
-    subst = Substitution((var, regs[slot]) for var, slot in expr[2])
-    return eval_term(expr[1].substitute(subst), registry)
-
-
-def _eval_term(expr: tuple, regs: list, registry: BuiltinRegistry) -> Term:
-    """``value_to_term(_eval(expr))`` — what ``normalize_partial`` and
-    ``ground_head`` make of a ground argument.  A constant is its own
-    normal form."""
-    kind = expr[0]
-    if kind == _VALUE:
-        return expr[1]
-    if kind == _SLOT:
-        term = regs[expr[1]]
-        if term.__class__ is Constant:
-            return term
-    return value_to_term(_eval(expr, regs, registry))
-
-
-def _structural_pattern(structural: tuple, regs: list, registry) -> tuple:
-    args, bound, _fresh = structural
-    subst = Substitution((var, regs[slot]) for var, slot in bound)
-    return tuple(normalize_partial(a.substitute(subst), registry) for a in args)
-
-
-def _structural_rows(structural: tuple, table, regs: list, registry):
-    """Rows matching a structural literal, each yielded after the
-    literal's own variables are bound."""
-    pattern = _structural_pattern(structural, regs, registry)
-    for row in table:
-        bindings = match_sequences(pattern, row)
-        if bindings is not None:
-            for var, slot in structural[2]:
-                regs[slot] = bindings[var]
-            yield row
-
-
-def _scan_rows(table, arity: int, want: list, rechecks: tuple) -> list:
-    """Rows of ``table`` with ``arity`` arguments that carry the terms
-    of ``want`` at their positions and agree on repeated variables."""
-    values = [(pos, t.value) for pos, t in want if t.__class__ is Constant]
-    terms = [(pos, t) for pos, t in want if t.__class__ is not Constant]
-    rows = []
-    for row in table:
-        if len(row) != arity:
-            continue
-        for pos, value in values:
-            term = row[pos]
-            if term.__class__ is not Constant or term.value != value:
-                break
-        else:
-            if terms and any(row[pos] != term for pos, term in terms):
-                continue
-            if rechecks and any(row[pos] != row[first] for pos, first in rechecks):
-                continue
-            rows.append(row)
-    return rows
 
 
 def conclude(builtins: tuple, head: tuple, regs: list, registry) -> Optional[tuple]:
     """Head arguments of one complete positive match, assignments
     written to ``regs`` — None when a built-in fails or it or the head
-    raises EvaluationError, the errors ``eval_builtin`` and
-    ``ground_head`` callers swallowed."""
+    raises EvaluationError: a node drops the match where the central
+    engine raises."""
     try:
         for step in builtins:
-            if step[0] == _ASSIGN:
-                regs[step[1]] = _eval_term(step[2], regs, registry)
-                continue
-            kind, name, negated, exprs = step
-            if kind == _CMP:
-                holds = compare_values(
-                    name, *[_eval(a, regs, registry) for a in exprs]
-                )
-            else:
-                fn = registry.predicate(name)
-                if fn is None:
-                    raise BuiltinError(f"unknown built-in predicate {name!r}")
-                holds = bool(fn(*[_eval(a, regs, registry) for a in exprs]))
-            if holds == negated:
+            if not run_builtin(step, regs, registry):
                 return None
         return tuple([_eval_term(a, regs, registry) for a in head])
     except EvaluationError:
@@ -450,7 +215,9 @@ def probe(step: Step, regs: list, registry: BuiltinRegistry) -> tuple:
 def matching(probe: tuple, tuples) -> list:
     """``(tuple, bindings)`` for every stream tuple of ``tuples`` (any
     object with ``args``) the probe matches, in order; ``bindings`` is
-    None unless the step is structural.  :func:`_scan_rows`' loop."""
+    None unless the step is structural.  The loop of
+    :func:`repro.core.plan._scan_rows`, kept apart: a token visit pays
+    twice as much to go through one written for plain rows."""
     arity, values, terms, rechecks, pattern = probe
     if pattern is not None:
         pairs = [(tup, match_sequences(pattern, tup.args)) for tup in tuples]
@@ -571,7 +338,10 @@ class DeltaJoin:
         _pred, arity, known, binds, rechecks, structural, _after = literals[depth]
         scanned = len(table)
         if structural is not None:
-            rows = _structural_rows(structural, table, regs, registry)
+            pattern = _structural_pattern(structural, regs, registry)
+            rows = _structural_rows(
+                _structural_matches(pattern, table), structural[2], regs
+            )
         else:
             want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in known]
             if len(want) == arity:

@@ -128,8 +128,5 @@ class LocalClock:
         """Local time at this node."""
         return self._sim.now + self.skew
 
-    def to_global(self, local_time: float) -> float:
-        return local_time - self.skew
-
     def __repr__(self) -> str:
         return f"LocalClock(skew={self.skew:+.4f})"

@@ -65,34 +65,26 @@ class TenantMeter:
             _inst.tenant_msgs.labels(tenant=tenant).inc()
 
 
+#: Values every caller used (src, benchmarks, examples and tests): the
+#: epoch length in simulated time units, publishes per tenant per epoch,
+#: the node results are gathered at, every tenant engine's region
+#: strategy.
+_EPOCH = 0.5
+_BATCH = 4
+_SINK = 0
+_STRATEGY = "pa"
+
+#: Tenants a server admits before it refuses with "capacity".
+_MAX_TENANTS = 16
+
+
 class QueryServer:
     """Admits and serves concurrent tenant programs on one network."""
 
-    def __init__(
-        self,
-        network,
-        epoch: float = 0.5,
-        batch: int = 4,
-        max_tenants: int = 16,
-        placement: bool = True,
-        sink: int = 0,
-        strategy: str = "pa",
-        mode: str = "barrier",
-    ):
+    def __init__(self, network, placement: bool = True):
         self.network = network
-        self.max_tenants = max_tenants
-        self.sink = sink
-        self.strategy = strategy
-        #: Default evaluation mode for admitted tenants.  With
-        #: ``mode="pipelined"`` every tenant's program goes through the
-        #: coordination-freeness classifier at admission; qualifying
-        #: tenants stream derivations without phase barriers, the rest
-        #: fall back to barrier mode per their verdict (visible in
-        #: :meth:`report`).  A per-tenant ``mode=`` in ``admit(...)``
-        #: overrides the server default.
-        self.mode = mode
-        self.scheduler = EpochScheduler(epoch=epoch, batch=batch)
-        self.placer = AdaptivePlacer(network, sink=sink) if placement else None
+        self.scheduler = EpochScheduler(epoch=_EPOCH, batch=_BATCH)
+        self.placer = AdaptivePlacer(network, sink=_SINK) if placement else None
         self.meter = TenantMeter()
         network.radio.subscribe(self.meter)
         self.sessions: Dict[str, TenantSession] = {}
@@ -117,15 +109,19 @@ class QueryServer:
         The program is validated by compiling the tenant's engine —
         parse, safety, stratification, the distributed plan — which
         registers nothing on the network; only an admitted tenant is
-        installed.  Thread-safe — admission may run concurrently with
-        other admissions.
+        installed.  ``engine_kwargs`` go to the tenant's
+        :class:`~repro.dist.gpa.GPAEngine`: with ``mode="pipelined"`` the
+        program goes through the coordination-freeness classifier; a
+        qualifying tenant streams derivations without phase barriers,
+        any other falls back to barrier mode per its verdict (visible
+        in :meth:`report`).  Thread-safe — admission may run
+        concurrently with other admissions.
         """
-        engine_kwargs.setdefault("mode", self.mode)
         try:
             engine = GPAEngine(
                 program,
                 self.network,
-                strategy=self.strategy,
+                strategy=_STRATEGY,
                 tenant=tenant,
                 # One storage region per result predicate: the unit the
                 # adaptive placer migrates.
@@ -138,7 +134,7 @@ class QueryServer:
         with self._lock:
             if tenant in self.sessions:
                 self._reject(tenant, "duplicate")
-            if len(self.sessions) >= self.max_tenants:
+            if len(self.sessions) >= _MAX_TENANTS:
                 self._reject(tenant, "capacity")
             engine.install()
             if outputs is None:
@@ -201,7 +197,7 @@ class QueryServer:
             if not session.active:
                 continue
             for pred in session.outputs:
-                session.results[pred] = session.engine.gather(pred, self.sink)
+                session.results[pred] = session.engine.gather(pred, _SINK)
 
     def _enforce_budgets(self) -> None:
         for session in self.sessions.values():

@@ -17,10 +17,10 @@ timestamp) until the same bound passes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.terms import Term
-from .tuples import ArgsTuple, StreamTuple, TupleID
+from .tuples import StreamTuple, TupleID
 
 
 class WindowParams:
@@ -94,10 +94,6 @@ class SlidingWindow:
             t for t in self._tuples.values()
             if t.is_live_at(when, self.params.window)
         ]
-
-    def match_live(self, when: float, probe: Callable[[ArgsTuple], bool]) -> List[StreamTuple]:
-        """Live tuples whose arguments satisfy ``probe``."""
-        return [t for t in self.live_at(when) if probe(t.args)]
 
     def expire(self, now: float) -> List[StreamTuple]:
         """Drop tuples whose storage time has fully elapsed; returns what

@@ -20,10 +20,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.derivations import CachedFactKey, Derivation, DerivationStore
 from repro.core import eval as core_eval
-from repro.core.eval import Database, XYEvaluator, evaluate
+from repro.core.errors import BuiltinError, EvaluationError
+from repro.core.eval import (
+    Database,
+    XYEvaluator,
+    enumerate_rule,
+    evaluate,
+    ground_head,
+)
 from repro.core.parser import parse_program
 from repro.core.plan import GLOBAL_PLAN_CACHE, seed_engine
 from repro.core.stratify import ProgramClass, classify
+from repro.core.terms import Constant, Substitution, Variable
 from repro.core.vector import VECTOR_STATS
 
 #: Production-only assertions (vectorization counters) make no sense
@@ -134,11 +142,122 @@ class TestThreeWayDifferential:
             """
             covered(X) :- v(X), e(X, _).
             sink(X) :- v(X), not e(X, _).
+            source(X) :- v(X), not e(_, X).
+            quiet(X) :- v(X), not e(_, _).
             """,
             [("v", (1,)), ("v", (2,)), ("v", (3,)),
              ("e", (1, 2)), ("e", (2, 3))],
         )
         assert rows["sink"] == {(3,)}
+        assert rows["source"] == {(1,)}
+        assert rows["quiet"] == set()
+
+    def test_repeat_beside_a_bound_occurrence(self, tuple_executor):
+        # Y repeats inside the subgoal that first meets it, next to X,
+        # bound by then; the last subgoal repeats both, all bound.
+        rows, _ = assert_all_engines_agree(
+            tuple_executor,
+            "t(X, Y) :- v(X), e(X, Y, Y), e(Y, X, X).",
+            [("v", (1,)), ("v", (2,)), ("v", (3,)),
+             ("e", (1, 2, 2)), ("e", (2, 1, 1)), ("e", (1, 3, 2)),
+             ("e", (3, 3, 3)), ("e", (2, 2, 1))],
+        )
+        assert rows["t"] == {(1, 2), (2, 1), (3, 3)}
+
+    def test_int_float_join_keys_spell_the_stored_row(self, tuple_executor):
+        # 1 == 1.0 joins; a derivation names the stored spelling of each
+        # row — also for c(X), a point lookup once X is bound.
+        text = "out(X, K) :- a(X), b(X, K), c(X)."
+        facts = [("a", (1,)), ("b", (1.0, "k")), ("b", (2, "z")), ("c", (1.0,))]
+        assert_all_engines_agree(tuple_executor, text, facts)
+        for executor in (nullcontext, tuple_executor, seed_engine):
+            rows, derivs = fixpoint(text, facts, executor)
+            assert rows["out"] == {(1, "k")}
+            assert {repr(d) for ds in derivs.values() for d in ds} == {
+                "<rule 0: a('1',), b('1.0', 'k'), c('1.0',)>"
+            }
+
+    def test_list_pattern_with_bound_head(self, tuple_executor):
+        rows, _ = assert_all_engines_agree(
+            tuple_executor,
+            "tail(H, T) :- v(H), l([H | T]).",
+            [("v", (1,)), ("v", (2,)), ("v", (4,)),
+             ("l", ([1, 2, 3],)), ("l", ([2],)), ("l", ([3, 1],))],
+        )
+        assert rows["tail"] == {(1, (2, 3)), (2, "nil")}
+
+    def test_assignment_feeding_a_probe_or_testing_it(self, tuple_executor):
+        # With q(Y) textually first Y is bound when "=" runs: a test.
+        rows, _ = assert_all_engines_agree(
+            tuple_executor,
+            """
+            fed(X, Y) :- p(X), Y = X + 1, q(Y).
+            tested(X, Y) :- q(Y), p(X), Y = X + 1.
+            """,
+            [("p", (i,)) for i in range(6)] + [("q", (2,)), ("q", (5,)), ("q", (9,))],
+        )
+        assert rows["fed"] == rows["tested"] == {(1, 2), (4, 5)}
+
+    def test_aggregate_counts_once_read_variables(self, tuple_executor):
+        # All-solutions semantics: (1, a) and (1, b) are two valuations
+        # although nothing reads Y again.
+        rows, _ = assert_all_engines_agree(
+            tuple_executor,
+            "n(count(X)) :- p(X, Y). m(X, count(Y)) :- p(X, Y), p(_, Y).",
+            [("p", (1, "a")), ("p", (1, "b")), ("p", (2, "a"))],
+        )
+        assert rows["n"] == {(3,)}
+        assert rows["m"] == {(1, 2), (2, 1)}
+
+    @pytest.mark.parametrize("text, facts, error", [
+        ("bad(X) :- p(X), X < 3.", [("p", ((1, 2),))], BuiltinError),
+        ("bad(X) :- p(X), q(Y), X < Y.",
+         [("p", (1,)), ("q", ((1, 2),)), ("q", (3,))], BuiltinError),
+        ("bad(X / Y) :- d(X, Y).", [("d", (4, 2)), ("d", (1, 0))],
+         ZeroDivisionError),
+        ("bad(X) :- d(X, Y), X mod Y > 0.", [("d", (1, 0))], ZeroDivisionError),
+    ])
+    def test_errors_raise_alike(self, tuple_executor, text, facts, error):
+        for executor in (seed_engine, nullcontext, tuple_executor):
+            with pytest.raises(error):
+                fixpoint(text, facts, executor)
+
+    def test_unsafe_head_raises_alike(self, tuple_executor):
+        # evaluate() refuses an unsafe program; a rule fired directly
+        # raises on its first match, and only then.
+        rule = parse_program("bad(X, Y) :- p(X).").rules[0]
+        for executor in (seed_engine, nullcontext, tuple_executor):
+            db = Database()
+            with executor():
+                assert list(core_eval.fire_rule(rule, db, db.registry)) == []
+                db.assert_fact("p", (1,))
+                with pytest.raises(EvaluationError):
+                    list(core_eval.fire_rule(rule, db, db.registry))
+
+    @pytest.mark.parametrize("bound", [
+        {"Z": 3}, {"Y": 2}, {"X": 1, "Z": 5}, {"Z": 9},
+    ])
+    def test_initial_subst_binds_a_later_subgoal(self, bound):
+        rule = parse_program("out(X, Z) :- a(X, Y), b(Y, Z), Z > X.").rules[0]
+        db = Database()
+        for pred, args in [("a", (1, 2)), ("a", (2, 2)), ("a", (4, 7)),
+                           ("b", (2, 3)), ("b", (2, 5)), ("b", (7, 3))]:
+            db.assert_fact(pred, args)
+        seed = Substitution(
+            {Variable(name): Constant(value) for name, value in bound.items()}
+        )
+
+        def matches():
+            return sorted(
+                (repr(ground_head(rule, subst, db.registry)), repr(used))
+                for subst, used in enumerate_rule(
+                    rule, db, db.registry, initial_subst=seed)
+            )
+
+        production = matches()
+        with seed_engine():
+            assert matches() == production
+        assert bool(production) == (bound != {"Z": 9})
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 5),

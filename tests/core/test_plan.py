@@ -9,16 +9,19 @@ Two kinds of coverage:
   XY-stratified stage programs, function-symbol workloads, and the
   incremental evaluator under insertions and deletions.
 * **Unit tests** — selectivity-aware ``Relation`` probing, plan
-  structure (ordering, argument templates, delta occurrences), and the
+  structure (delta occurrences), the one compiler the distributed
+  engines share (one ``order_body`` call per rule, pickling), and the
   plan cache (hits/misses, eviction, concurrent lookups).
 """
 
+import pickle
 import random
 import threading
 
 import pytest
 
 from repro.core import plan as plan_module
+from repro.core.builtins import DEFAULT_REGISTRY
 from repro.core.derivations import Derivation
 from repro.core.eval import (
     Database,
@@ -32,12 +35,13 @@ from repro.core.incremental import IncrementalEvaluator
 from repro.core.parser import parse_program
 from repro.core.plan import (
     GLOBAL_PLAN_CACHE,
+    CompiledPlan,
     PlanCache,
-    compile_rule,
     seed_engine,
     seed_mode,
 )
 from repro.core.terms import Constant, Substitution, Variable
+from repro.dist import plans as dist_plans
 from repro.workloads.trajectories import TRAJECTORY_PROGRAM, trajectory_registry
 
 LOGICH = """
@@ -299,15 +303,14 @@ class TestSelectivityAwareRelation:
 class TestCompiledPlanStructure:
     def test_occurrence_counts(self):
         rule = parse_program("tc(X, Z) :- e(X, Y), tc(Y, Z).").rules[0]
-        plan = compile_rule(rule)
-        assert plan.occurrence_count("e") == 1
-        assert plan.occurrence_count("tc") == 1
-        assert plan.occurrence_count("absent") == 0
+        plan = CompiledPlan(rule)
+        assert plan.occurrences == {"e": (0,), "tc": (1,)}
+        assert plan.delta_step("tc", 0) == 1
+        assert plan.delta_step("tc", 1) == plan.delta_step("absent", 0) == -1
 
     def test_double_occurrence(self):
         rule = parse_program("p(X, Z) :- e(X, Y), e(Y, Z).").rules[0]
-        plan = compile_rule(rule)
-        assert plan.occurrence_count("e") == 2
+        assert CompiledPlan(rule).occurrences == {"e": (0, 1)}
 
     def test_delta_occurrences_partition_matches(self):
         # Summing matches over each delta occurrence must reproduce the
@@ -343,6 +346,60 @@ class TestCompiledPlanStructure:
         assert len(matches) == 1
         subst, used = matches[0]
         assert used == [("e", (Constant(1), Constant(2)))]
+
+
+class TestOneCompiler:
+    """The distributed engines join the central engine's plans."""
+
+    def test_distributed_steps_are_the_core_steps(self):
+        assert dist_plans.Step is plan_module.Step
+
+    @pytest.mark.production
+    def test_a_rule_is_ordered_once(self, monkeypatch):
+        ordered = []
+        order_body = plan_module.order_body
+
+        def counting(rule):
+            ordered.append(rule)
+            return order_body(rule)
+
+        monkeypatch.setattr(plan_module, "order_body", counting)
+        GLOBAL_PLAN_CACHE.clear()
+        program = parse_program(
+            "tc(X, Y) :- e(X, Y). tc(X, Z) :- e(X, Y), tc(Y, Z)."
+        )
+        db = Database()
+        for i in range(6):
+            db.assert_fact("e", (i, i + 1))
+        evaluate(program, db)
+        plan = dist_plans.DistributedPlan(program)
+        plan.compile_delta_joins()
+        assert ordered == program.rules
+        assert plan.rule_plans[1].step(0, 0) is (
+            GLOBAL_PLAN_CACHE.get(program.rules[1]).step(0, 0)
+        )
+
+    def test_distributed_plan_pickles_after_batch_analysis(self):
+        program = parse_program("j(K, A, B) :- r(K, A), s(K, B).")
+        plan = dist_plans.DistributedPlan(program)
+        plan.compile_delta_joins()
+        central = GLOBAL_PLAN_CACHE.get(program.rules[0])
+        assert central.batch_program() is not None
+        copy = pickle.loads(pickle.dumps(plan))
+        rp, was = copy.rule_plans[0], plan.rule_plans[0]
+        assert rp._compiled == was._compiled and rp._compiled
+        assert rp.step(1, 0) == was.step(1, 0)
+        # The batch program holds this process's interner ids: the copy
+        # re-analyzes, in whatever process it lands in.
+        assert not hasattr(rp.step.__self__, "_batch")
+        assert rp.step.__self__.batch_program() is not None
+        row = lambda *values: tuple(Constant(v) for v in values)
+        fired = copy.delta_joins["r"][0].fire(
+            {"s": {row(1, "b"), row(2, "c")}}, row(1, "a"), DEFAULT_REGISTRY
+        )
+        assert fired == [
+            (row(1, "a", "b"), (row(1, "a"), row(1, "b")), ()),
+        ]
 
 
 class TestPlanCache:

@@ -13,6 +13,7 @@ from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
 from repro.dist.gpa import GPAEngine
 from repro.net.network import GridNetwork, RandomNetwork
+from repro.workloads import BattlefieldWorkload
 
 JOIN2 = "j(X, A, B) :- r(X, A), s(X, B)."
 JOIN3 = "j(X, A, B, C) :- r(X, A), s(X, B), t(X, C)."
@@ -117,6 +118,32 @@ class TestNegationAndDeletion:
         eng.retract(7, "r", (1, "a"), tid)
         net.run_all()
         assert eng.rows("j") == set()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="F7: same-instant sub applied before its add in _on_result",
+)
+@pytest.mark.parametrize("seed", [4, 7, 20])
+def test_battlefield_epochs_match_oracle(seed):
+    """E6's insert-only configuration (``bench_e6_negation.run_epochs(8,
+    6, False, seed)``) on the seeds where a detection's "add" and the
+    "sub" its cover triggers reach the hash node in one instant."""
+    cover = 3.0
+    net = GridNetwork(8, seed=seed)
+    engine = GPAEngine(
+        parse_program(UNCOV.replace("<= 50", f"<= {cover}")), net, strategy="pa"
+    ).install()
+    detections = BattlefieldWorkload(
+        net.topology, n_enemy=3, n_friendly=2, epochs=6, seed=seed
+    ).detections()
+    for when, node, pred, args in detections:
+        net.run_until(when)
+        engine.publish(node, pred, args)
+    net.run_all()
+    assert engine.rows("uncov") == BattlefieldWorkload.uncovered_oracle(
+        detections, cover
+    )
 
 
 class TestDerivedChains:

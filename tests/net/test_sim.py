@@ -88,8 +88,3 @@ class TestLocalClock:
         sim.schedule(1.0, lambda: None)
         sim.run_all()
         assert clock.now() == 1.25
-
-    def test_to_global_roundtrip(self):
-        sim = Simulator()
-        clock = LocalClock(sim, skew=-0.1)
-        assert clock.to_global(clock.now()) == sim.now

@@ -16,6 +16,7 @@ from repro.core.parser import parse_program
 from repro.net.network import GridNetwork
 from repro.obs import instrument as _inst
 from repro.serve import AdmissionError, QueryServer, TenantBudget
+from repro.serve import server as serve_server
 
 PROG = "j(K, A, B) :- r(K, A), s(K, B)."
 
@@ -47,11 +48,11 @@ def oracle(pubs, program=PROG, pred="j"):
     return db.rows(pred)
 
 
-def serve_tenants(loads, m=5, **server_kwargs):
+def serve_tenants(loads, m=5, **engine_kwargs):
     net = GridNetwork(m)
-    server = QueryServer(net, **server_kwargs)
+    server = QueryServer(net)
     for tenant, pubs in loads.items():
-        server.admit(tenant, PROG, outputs=("j",))
+        server.admit(tenant, PROG, outputs=("j",), **engine_kwargs)
         server.submit(tenant, pubs)
     server.run()
     return net, server
@@ -72,8 +73,9 @@ class TestAdmission:
             server.admit("alice", PROG)
         assert ("alice", "duplicate") in server.rejections
 
-    def test_capacity_rejection_is_graceful(self):
-        server = QueryServer(GridNetwork(4), max_tenants=2)
+    def test_capacity_rejection_is_graceful(self, monkeypatch):
+        monkeypatch.setattr(serve_server, "_MAX_TENANTS", 2)
+        server = QueryServer(GridNetwork(4))
         server.admit("a", PROG)
         server.admit("b", PROG)
         with pytest.raises(AdmissionError, match="capacity"):
@@ -233,8 +235,9 @@ class TestTelemetry:
         assert _inst.tenant_msgs.labels(tenant="a").value > 0
         assert _inst.tenant_result_latency.labels(tenant="a").count > 0
 
-    def test_rejections_counted(self, telemetry):
-        server = QueryServer(GridNetwork(4), max_tenants=1)
+    def test_rejections_counted(self, telemetry, monkeypatch):
+        monkeypatch.setattr(serve_server, "_MAX_TENANTS", 1)
+        server = QueryServer(GridNetwork(4))
         server.admit("a", PROG)
         with pytest.raises(AdmissionError):
             server.admit("b", PROG)
@@ -259,11 +262,11 @@ class TestReport:
 
 
 class TestPipelinedAdmission:
-    """E24 through the serving layer: the server's default evaluation
-    mode flows into every admitted tenant, per-tenant overrides win,
-    and the report surfaces each tenant's coordination verdict."""
+    """E24 through the serving layer: a tenant is admitted in the
+    evaluation mode it asks for, and the report surfaces each tenant's
+    coordination verdict."""
 
-    def test_server_mode_flows_into_tenants(self):
+    def test_admitted_mode_reaches_the_engine(self):
         rng = random.Random(6)
         loads = {"a": two_stream_pubs(rng, 4, 25)}
         _, server = serve_tenants(loads, mode="pipelined")
@@ -274,10 +277,10 @@ class TestPipelinedAdmission:
         assert report["tenants"]["a"]["mode"] == "pipelined"
         assert report["tenants"]["a"]["coordination"] == "monotone"
 
-    def test_per_tenant_mode_override(self):
-        server = QueryServer(GridNetwork(5), mode="pipelined")
-        server.admit("fast", PROG)
-        server.admit("slow", PROG, mode="barrier")
+    def test_modes_are_per_tenant(self):
+        server = QueryServer(GridNetwork(5))
+        server.admit("fast", PROG, mode="pipelined")
+        server.admit("slow", PROG)
         assert server.session("fast").engine.mode == "pipelined"
         assert server.session("slow").engine.mode == "barrier"
         report = server.report()
@@ -285,9 +288,9 @@ class TestPipelinedAdmission:
         assert report["tenants"]["slow"]["coordination"] is None
 
     def test_fallback_tenant_reports_its_reason(self):
-        server = QueryServer(GridNetwork(5), mode="pipelined")
+        server = QueryServer(GridNetwork(5))
         three_way = "j(K, A, B, C) :- r(K, A), s(K, B), t(K, C)."
-        server.admit("multi", three_way, scheme="multi-pass")
+        server.admit("multi", three_way, scheme="multi-pass", mode="pipelined")
         engine = server.session("multi").engine
         assert engine.mode == "barrier"
         report = server.report()

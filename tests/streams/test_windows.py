@@ -87,15 +87,6 @@ class TestSlidingWindow:
         win.store(tup(0.0))
         assert win.expire(now=p.storage_time - 0.01) == []
 
-    def test_match_live(self):
-        win = SlidingWindow("s", params())
-        win.store(tup(1.0, seq=1, value="a"))
-        win.store(tup(2.0, seq=2, value="b"))
-        from repro.core.terms import Constant
-
-        matched = win.match_live(3.0, lambda args: args[0] == Constant("a"))
-        assert len(matched) == 1
-
 
 @given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30), st.floats(1.0, 20.0))
 def test_live_tuples_always_inside_window(timestamps, window):
