@@ -12,7 +12,10 @@ number of updates.
 
 ``--smoke`` shrinks to CI scale; ``--check`` additionally compares the
 smoke table with ``benchmarks/BENCH_e6.json`` for equality (simulated
-counts: a frame or a byte that moved is a change of behaviour).
+counts: a frame or a byte that moved is a change of behaviour) and
+sweeps the 8x8, 6-epoch configuration over seeds 0-24, with and
+without withdrawals, failing on any row set that is not the oracle's
+(the table's own cells all run one seed).
 """
 
 import sys
@@ -104,5 +107,13 @@ if __name__ == "__main__":
                 f"{epochs}/{label}": cell
                 for (epochs, label), cell in results.items()
             })
+            wrong = [
+                (seed, withdraw)
+                for seed in range(25) for withdraw in (False, True)
+                if not run_epochs(8, 6, withdraw, seed=seed)[0]
+            ]
+            if wrong:
+                sys.exit(f"e6: rows differ from the oracle at (seed, withdraw) {wrong}")
+            print("e6: seeds 0-24 at (8, 6), both modes: every row set is the oracle's")
     else:
         run()

@@ -17,7 +17,10 @@ The complete Section III/IV machinery:
   set makes it a deletion (Section IV-B);
 * **timestamp discipline** — an update with timestamp tau joins only
   tuples generated in ``(tau - tau_w, tau]`` and not deleted before
-  ``tau`` (Theorem 3), which serializes simultaneous updates;
+  ``tau`` (Theorem 3), which serializes simultaneous updates, and
+  ranks its results at the hash node: a subtraction cancels the same
+  derivation's additions stamped no later, whichever arrives first
+  (:meth:`DerivedFact.apply`);
 * **pipelined mode** — when :func:`~repro.core.stratify.classify_coordination`
   proves the program coordination-free (CALM / win-move analysis),
   ``mode="pipelined"`` drops Theorem 3's tau_s + tau_c launch delay for
@@ -80,9 +83,6 @@ class FactRef:
         self.pred = pred
         self.args = args
         self.tuple_id = tuple_id
-
-    def key(self):
-        return (self.pred, self.args)
 
     def identity(self):
         """``(pred, repr(args), repr(tuple_id))``, spelled once per
@@ -243,12 +243,7 @@ class JoinToken(Message):
         super().__init__("gpa_join", payload_symbols=1, category="join")
         self.rule_id = rule_id
         self.op = op                  # 'ins' | 'del' (the triggering update)
-        # Pipelined deletions: a retro token matches *every* resident
-        # replica (live, deleted, any timestamp) — it subtracts each
-        # derivation using the deleted trigger, all of which are
-        # semantically dead, so over-matching is sound and covers adds
-        # that raced ahead of the deletion mark.
-        self.retro = retro
+        self.retro = retro            # a pipelined deletion, see _launch_token
         self.update_ts = update_ts
         self.trigger = trigger
         self.trigger_negated = trigger_negated
@@ -300,6 +295,19 @@ class JoinToken(Message):
             return False
         return self.retro or tup.is_live_at(self.update_ts, window)
 
+    def stamp(self, join_delay: float) -> float:
+        """What this update's results rank by at their hash node
+        (:meth:`DerivedFact.apply`): its timestamp — except that a
+        deleted positive support must outrank every addition naming it,
+        and a pipelined partner generated before the deletion mark was
+        everywhere, ``update_ts + tau_s + tau_c`` (as argued in
+        :meth:`GPAEngine._horizon`), adds under its own, later stamp.
+        The deleted tuple's id never returns, so over-ranking its
+        subtractions cancels nothing."""
+        if self.op == "del" and not self.trigger_negated:
+            return self.update_ts + join_delay
+        return self.update_ts
+
 
 class ResultMsg(Message):
     """A complete result routed to its hash node (or, in
@@ -336,35 +344,30 @@ class ResultMsg(Message):
 
 
 class MigrateMsg(Message):
-    """Adaptive placement (E21): one derived fact's whole state —
-    derivation set, tuple id, visibility — shipped from its old home to
-    the node its storage region was just pinned to."""
+    """Adaptive placement (E21): one derived fact's whole state — its
+    tuple id and its ledger, a bag of ``(op, derivation, stamp)``
+    updates, tombstones included (unsized) — shipped from its old home
+    to the node its storage region was just pinned to."""
 
     def __init__(
         self,
         pred: str,
         args: ArgsTuple,
-        derivations: List["WireDerivation"],
+        updates: List[Tuple[str, "WireDerivation", float]],
         tuple_id: Optional[TupleID],
-        visible: bool,
-        subs: Set[tuple],
     ):
         size = (
             1
             + sum(term_size(a) for a in args)
-            + sum(d.size() for d in derivations)
+            + sum(d.size() for op, d, _stamp in updates if op == "add")
         )
         super().__init__(
             "gpa_migrate", payload_symbols=size, category="placement"
         )
         self.pred = pred
         self.args = args
-        self.derivations = derivations
+        self.updates = updates
         self.tuple_id = tuple_id
-        self.visible = visible
-        # Pipelined mode: subtraction tombstones travel with the fact so
-        # an annihilated derivation cannot resurface at the new home.
-        self.subs = subs
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +376,58 @@ class MigrateMsg(Message):
 
 
 class DerivedFact:
-    """State of one derived fact at its hash node.
+    """State of one derived fact at its hash node: the live derivation
+    set (visible while there is one) and the ``ledger`` that decides it
+    — per derivation identity the top-ranked ``(op, derivation, stamp)``
+    received: an 'add' is a live derivation under the stamp it was added
+    with, a 'sub' a tombstone under the highest it was subtracted with."""
 
-    ``subs_seen`` (filled in pipelined mode only) makes result accounting
-    commutative for streamed monotone rules: a subtraction arriving
-    before its addition leaves a tombstone that annihilates the add
-    whenever it lands.  A monotone derivation is never legitimately
-    re-added after subtraction, so tombstones are permanent and
-    order-independence is exact.
-    """
-
-    __slots__ = ("derivations", "tuple_id", "visible", "subs_seen")
+    __slots__ = ("derivations", "ledger", "tuple_id")
 
     def __init__(self):
         self.derivations: Dict[tuple, WireDerivation] = {}
+        self.ledger: Dict[tuple, Tuple[str, WireDerivation, float]] = {}
         self.tuple_id: Optional[TupleID] = None
-        self.visible = False
-        self.subs_seen: Set[tuple] = set()
+
+    @property
+    def visible(self) -> bool:
+        return bool(self.derivations)
+
+    def apply(self, op: str, derivation: WireDerivation, stamp: float) -> None:
+        """The one way a derivation set changes (results, migrated
+        state, anti-entropy): a subtraction stamped tau cancels every
+        addition of its identity stamped <= tau, whichever lands first;
+        a later-stamped addition survives it.  Only the top-ranked
+        update per identity, by ``(stamp, is a sub)``, need be kept, and
+        every arrival order — duplicates included — ends in one state.
+
+        :meth:`JoinToken.stamp` makes it the paper's order.  A blocker
+        born at b subtracts a derivation only if its token sees the
+        support (generated <= b), and the support's own add exists only
+        if its token did not see the blocker (stamp < b): the sub
+        outranks it.  The re-add after the blocker's deletion carries
+        the deletion time, > b, and survives a late sub(b).  ``sees``
+        compares the same timestamps, so its tau_c covers skew here."""
+        ident = derivation.identity()
+        held = self.ledger.get(ident)
+        if held is not None and (stamp, op == "sub") <= (held[2], held[0] == "sub"):
+            return  # outranked, or a duplicate (replication, retro over-coverage)
+        self.ledger[ident] = (op, derivation, stamp)
+        if op == "add":
+            self.derivations[ident] = derivation
+        else:
+            self.derivations.pop(ident, None)
+
+    def expire(self, horizon: float) -> int:
+        """Forget the tombstones stamped at or before ``horizon``
+        (:meth:`GPAEngine._horizon`); returns how many."""
+        stale = [
+            ident for ident, (op, _d, stamp) in self.ledger.items()
+            if op == "sub" and stamp <= horizon
+        ]
+        for ident in stale:
+            del self.ledger[ident]
+        return len(stale)
 
 
 class NodeRuntime:
@@ -426,14 +464,16 @@ class NodeRuntime:
 
     def memory_tuples(self, include_derived: bool = True) -> int:
         """Resident window replicas and parked partials (one listed
-        under two predicates is one), plus the derived result table
-        unless ``include_derived`` is False."""
+        under two predicates is one), plus — unless ``include_derived``
+        is False — the derived result table and the tombstones its
+        facts still hold."""
         parked = {id(e) for entries in self.parked.values() for e in entries}
-        return (
-            sum(w.memory_tuples() for w in self.windows.values())
-            + len(parked)
-            + (len(self.derived) if include_derived else 0)
-        )
+        resident = sum(w.memory_tuples() for w in self.windows.values()) + len(parked)
+        if include_derived:
+            resident += len(self.derived) + sum(
+                len(f.ledger) - len(f.derivations) for f in self.derived.values()
+            )
+        return resident
 
 
 class _TelemetryDispatch:
@@ -618,9 +658,8 @@ class GPAEngine:
         bound assumes the generation itself happened on the delayed
         schedule.  So any rule whose head (transitively) feeds a
         negation rule's body must not stream either: streaming it would
-        move downstream generation timestamps earlier and reorder the
-        negation rule's add/sub arrivals.  The monotone fragment outside
-        that cone streams.
+        move downstream generation timestamps earlier.  The monotone
+        fragment outside that cone streams.
         """
         import networkx as nx
 
@@ -696,9 +735,6 @@ class GPAEngine:
         report: Dict[str, object] = dict(self.delivery_status)
         report["reason"] = dict(self.give_up_reasons)
         return report
-
-    def runtime(self, node_id: int) -> NodeRuntime:
-        return self.runtimes[node_id]
 
     # -- the way out of a node -----------------------------------------------
 
@@ -856,7 +892,7 @@ class GPAEngine:
         rp = self.plan.by_id[token.rule_id]
         for cand in token.candidates:
             self._emit(node, rp, cand.head_args, cand.derivation,
-                       cand.result_op, token.update_ts)
+                       cand.result_op, token.stamp(self.window_params.join_delay))
         token.candidates = []
         token.partials = []
         if _obs.enabled:
@@ -998,10 +1034,11 @@ class GPAEngine:
                 for leg, idx in enumerate(joins)
             )
         # Pipelined deletions on streamed rules go out as retro tokens:
-        # they subtract every derivation using the deleted trigger
-        # (all semantically dead), including adds that raced ahead of
-        # the deletion mark — parked retro partials keep subtracting as
-        # late partners arrive.
+        # they match every resident replica (live, deleted, any
+        # timestamp) and subtract each derivation using the deleted
+        # trigger — all semantically dead, so over-matching is sound —
+        # including adds that raced ahead of the deletion mark; parked
+        # retro partials keep subtracting as late partners arrive.
         retro = (
             not negated
             and op == "del"
@@ -1125,16 +1162,16 @@ class GPAEngine:
             for pred in wanted:
                 runtime.parked.setdefault(pred, []).append((token, partial))
 
-    def _reclaim_parked(self, runtime: NodeRuntime, entries: list, now: float) -> int:
-        """Drop from ``entries`` (one of ``runtime.parked``'s lists) the
-        partials nothing can extend any more at local time ``now``, with
-        their ``parked_seen`` keys; returns the keys dropped.
+    def _horizon(self, now: float) -> float:
+        """The update timestamp at or before which, at local time
+        ``now``, no join can still extend a parked partial or produce an
+        addition a tombstone must cancel.
 
         An update with timestamp tau joins only tuples its token
-        :meth:`~JoinToken.sees`.  For an ordinary entry those were
+        :meth:`~JoinToken.sees`.  For an ordinary update those were
         generated by tau, so by tau + tau_s + tau_c their replica is
         here or never will be (why barrier mode may join then).  A retro
-        entry — the deletion, at tau, of a tuple T — must also subtract
+        update — the deletion, at tau, of a tuple T — must also subtract
         the adds that raced T's deletion mark: a partner meets an
         unmarked replica of T only if it was generated before the mark
         was everywhere, tau + tau_s + tau_c, and its own replica lands
@@ -1144,7 +1181,12 @@ class GPAEngine:
         a strategy with a long storage and a short join region gets the
         larger bound.  At the default window nothing is ever that old."""
         params = self.window_params
-        horizon = now - max(params.storage_time, 2 * params.join_delay)
+        return now - max(params.storage_time, 2 * params.join_delay)
+
+    def _reclaim_parked(self, runtime: NodeRuntime, entries: list, horizon: float) -> int:
+        """Drop from ``entries`` (one of ``runtime.parked``'s lists) the
+        partials of updates at or before ``horizon`` (:meth:`_horizon`),
+        with their ``parked_seen`` keys; returns the keys dropped."""
         stale = [e for e in entries if e[0].update_ts <= horizon]
         if not stale:
             return 0
@@ -1164,7 +1206,7 @@ class GPAEngine:
         entries = runtime.parked.get(tup.predicate)
         if not entries:
             return
-        self._reclaim_parked(runtime, entries, node.clock.now())
+        self._reclaim_parked(runtime, entries, self._horizon(node.clock.now()))
         for entry in list(entries):
             self._extend_parked(node, runtime, entry, tup)
 
@@ -1287,7 +1329,8 @@ class GPAEngine:
             self.streamed_derivations += 1
             if _obs.enabled:
                 _inst.pipeline_streamed.inc()
-        self._emit(node, rp, head_args, derivation, result_op, token.update_ts)
+        self._emit(node, rp, head_args, derivation, result_op,
+                   token.stamp(self.window_params.join_delay))
 
     def _result_op(self, token: JoinToken) -> str:
         if token.trigger_negated:
@@ -1343,81 +1386,44 @@ class GPAEngine:
                 node.send_routed(home, msg, on_status=self._track_delivery)
                 return
         fact = self.runtimes[node.id].fact(msg.pred, msg.args)
-        ident = msg.derivation.identity()
+        was_visible = fact.visible
+        fact.apply(msg.op, msg.derivation, msg.ts)
+        if fact.visible == was_visible:
+            return  # neither a first derivation nor the last one gone
+        if fact.visible:
+            fact.tuple_id = TupleID(node.id, node.clock.now(), node.next_seq())
         # In fault-tolerant mode every live replica stores the result,
         # but only the *current primary* (first live replica-set
         # member) publishes downstream generations/deletions and
         # records latency — otherwise k replicas would start k derived
         # streams.  Resync (anti-entropy) traffic never publishes: the
         # result had its first derivation long ago.
-        publisher = True
-        if self.fault_tolerant:
-            if msg.resync:
-                publisher = False
-            else:
-                primary = self.ght.primary_for_key(
-                    self.ght.key_for_fact(msg.pred, msg.args),
-                    self.network.radio,
-                )
-                publisher = primary == node.id
-        # Streamed (monotone) rules use commutative accounting: without
-        # the barrier delay a subtraction can land before the addition
-        # it cancels, so subs leave permanent tombstones instead of
-        # being dropped when absent.  Monotonicity guarantees a
-        # subtracted derivation is never legitimately re-added, so the
-        # final state is order-independent.  Barrier-mode rules (and the
-        # negation rules of a win-move program) keep the legacy
-        # accounting their delay schedule already serializes.
-        commutative = msg.derivation.rule_id in self._streamed_rules
-        if msg.op == "add":
-            if commutative and ident in fact.subs_seen:
-                return  # annihilated by an earlier-arriving subtraction
-            if ident in fact.derivations:
-                return  # duplicate result (replication/multi-path): ignored
-            fact.derivations[ident] = msg.derivation
-            if not fact.visible:
-                fact.visible = True
-                fact.tuple_id = TupleID(node.id, node.clock.now(), node.next_seq())
-                if not publisher:
-                    return
-                latency = max(0.0, node.clock.now() - msg.ts)
-                self.latency_samples.append((msg.pred, latency))
-                if _obs.enabled:
-                    _inst.result_latency.labels(predicate=msg.pred).observe(latency)
-                    if self.tenant is not None:
-                        _inst.tenant_result_latency.labels(
-                            tenant=self.tenant
-                        ).observe(latency)
-                self._publish_derived(node, msg.pred, msg.args, fact, op="ins")
-        else:
-            if commutative:
-                if ident in fact.subs_seen:
-                    return  # duplicate subtraction (retro over-coverage)
-                fact.subs_seen.add(ident)
-                if ident not in fact.derivations:
-                    return  # tombstone parked: the add will be annihilated
-            elif ident not in fact.derivations:
-                return  # subtracting an absent derivation: no-op
-            del fact.derivations[ident]
-            if not fact.derivations and fact.visible:
-                fact.visible = False
-                if publisher:
-                    self._publish_derived(node, msg.pred, msg.args, fact, op="del")
+        if msg.resync or (self.fault_tolerant and node.id != self.ght.primary_for_key(
+            self.ght.key_for_fact(msg.pred, msg.args), self.network.radio
+        )):
+            return
+        if not fact.visible:
+            self._publish_derived(node, msg.pred, msg.args, fact, op="del")
+            return
+        latency = max(0.0, node.clock.now() - msg.ts)
+        self.latency_samples.append((msg.pred, latency))
+        if _obs.enabled:
+            _inst.result_latency.labels(predicate=msg.pred).observe(latency)
+            if self.tenant is not None:
+                _inst.tenant_result_latency.labels(tenant=self.tenant).observe(latency)
+        self._publish_derived(node, msg.pred, msg.args, fact, op="ins")
 
     # -- adaptive placement (serving mode, E21) -----------------------------
 
     def _on_migrate(self, node: Node, msg: MigrateMsg) -> None:
-        """Receive a migrated derived fact at its new home, merging on
-        derivation identity (idempotent against duplicate shipments)."""
+        """Receive a migrated derived fact at its new home: its ledger
+        is applied like any other updates, so a duplicate shipment or a
+        result that overtook the move changes nothing."""
         fact = self.runtimes[node.id].fact(msg.pred, msg.args)
-        for derivation in msg.derivations:
-            fact.derivations.setdefault(derivation.identity(), derivation)
-        fact.subs_seen.update(msg.subs)
-        for ident in msg.subs:
-            fact.derivations.pop(ident, None)
+        for update in msg.updates:
+            fact.apply(*update)
         if fact.tuple_id is None:
             fact.tuple_id = msg.tuple_id
-        fact.visible = fact.visible or msg.visible
 
     def migrate_derived(self, old_home: int, new_home: int, keys: Set[str]) -> int:
         """Ship every derived fact resident at ``old_home`` whose GHT
@@ -1438,8 +1444,7 @@ class GPAEngine:
             if self.ght.key_for_fact(pred, args) not in keys:
                 continue
             self._post(node, new_home, MigrateMsg(
-                pred, args, list(fact.derivations.values()),
-                fact.tuple_id, fact.visible, set(fact.subs_seen),
+                pred, args, list(fact.ledger.values()), fact.tuple_id
             ))
             del runtime.derived[(pred, args)]
             moved += 1
@@ -1456,8 +1461,8 @@ class GPAEngine:
         * **derived facts** — for every visible derived fact whose GHT
           replica set contains the recovered node, the first live
           holder re-sends the fact's derivations as ``resync`` result
-          messages (the receiver's derivation-identity dedup absorbs
-          anything it already had);
+          messages under the stamps they are stored with (the receiver's
+          ledger absorbs what it had, and keeps what it had cancelled);
         * **base windows** — the recovered node's storage-region mates
           hold exactly the replicated window it missed while it was
           down (PA's rows replicate row-wide), so the nearest live
@@ -1487,10 +1492,10 @@ class GPAEngine:
                     self.resyncs += 1
                     if _obs.enabled:
                         _inst.ght_resyncs.inc()
-                    for derivation in list(fact.derivations.values()):
+                    for ident, derivation in list(fact.derivations.items()):
                         self._post(runtime.node, recovered, ResultMsg(
                             pred, args, derivation, "add",
-                            self.network.sim.now, resync=True,
+                            fact.ledger[ident][2], resync=True,
                         ), repair=True)
         donor = self._live_mate(recovered)
         if donor is None:
@@ -1614,8 +1619,6 @@ class GPAEngine:
 
         out: Dict[tuple, Set[tuple]] = {}
         for _home, pred, args, fact in self._visible():
-            if not fact.derivations:
-                continue
             idents = out.setdefault((pred, repr(args)), set())
             for d in fact.derivations.values():
                 idents.add((
@@ -1649,20 +1652,17 @@ class GPAEngine:
         }
 
     def expire_all(self) -> int:
-        """Force an expiry sweep on every node's windows and parked
-        partials (normally expiry is piggybacked on stores); returns
-        tuples and partials reclaimed."""
+        """Force an expiry sweep on every node's windows, parked
+        partials and tombstones (normally expiry is piggybacked on
+        stores); returns tuples, partials and tombstones reclaimed."""
         reclaimed = 0
         for rt in self.runtimes.values():
             now = rt.node.clock.now()
+            horizon = self._horizon(now)
             for window in rt.windows.values():
                 reclaimed += len(window.expire(now))
             for entries in rt.parked.values():
-                reclaimed += self._reclaim_parked(rt, entries, now)
+                reclaimed += self._reclaim_parked(rt, entries, horizon)
+            for fact in rt.derived.values():
+                reclaimed += fact.expire(horizon)
         return reclaimed
-
-    def settle(self, max_events: int = 10_000_000) -> None:
-        """Drain all pending phases."""
-        with _span("gpa.settle", sim=self.network.sim,
-                   strategy=self.strategy_name):
-            self.network.run_all(max_events)

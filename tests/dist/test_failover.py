@@ -114,6 +114,37 @@ class TestAntiEntropy:
         ]
         assert stored and stored[0].visible
 
+    def test_resync_does_not_resurrect_a_cancelled_derivation(self):
+        """A replica that slept through a retraction keeps the stale
+        derivation and re-sends it when a peer recovers — under the
+        stamp it is stored with, so the peer's tombstone still outranks
+        it."""
+        rs = _result_replica_set(ght_replicas=3)
+        net = GridNetwork(6, seed=13, ght_replicas=3)
+        engine = GPAEngine(
+            parse_program(PROGRAM), net, strategy="pa", fault_tolerant=True
+        ).install()
+        schedule = (
+            FaultSchedule().crash(20.0, rs[1]).recover(40.0, rs[1])
+            .crash(60.0, rs[0]).recover(80.0, rs[0])
+        )
+        engine.attach_faults(FaultInjector(net, schedule).arm())
+        origin = net.grid.node_at(1, 2)
+        tid = engine.publish(origin, "r", (1, "a"))
+        engine.publish(net.grid.node_at(4, 5), "s", (1, "b"))
+        net.run_until(30.0)
+        engine.retract(origin, "r", (1, "a"), tid)  # rs[1] is down: missed
+        net.run_until(50.0)
+        resyncs = engine.resyncs
+        net.run_all()
+        assert engine.resyncs > resyncs  # rs[1] re-sent its copy to rs[0]
+        (stale,), (cancelled,) = (
+            [f for (pred, _), f in engine.runtimes[n].derived.items() if pred == "j"]
+            for n in (rs[1], rs[0])
+        )
+        assert stale.visible and stale.derivations
+        assert not cancelled.visible and not cancelled.derivations
+
     def test_recovered_storage_member_resyncs_window(self):
         """A storage-region member that was dead during replication
         receives the missed window tuples from a live row-mate on

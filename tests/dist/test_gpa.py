@@ -120,30 +120,36 @@ class TestNegationAndDeletion:
         assert eng.rows("j") == set()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="F7: same-instant sub applied before its add in _on_result",
-)
-@pytest.mark.parametrize("seed", [4, 7, 20])
-def test_battlefield_epochs_match_oracle(seed):
-    """E6's insert-only configuration (``bench_e6_negation.run_epochs(8,
-    6, False, seed)``) on the seeds where a detection's "add" and the
-    "sub" its cover triggers reach the hash node in one instant."""
+@pytest.mark.parametrize("m, epochs, withdraw, seed", [
+    (8, 6, False, 4), (8, 6, False, 7), (8, 6, False, 20), (8, 6, False, 45),
+    (10, 8, False, 9), (10, 8, False, 17), (8, 6, True, 4), (10, 8, True, 17),
+])
+def test_battlefield_epochs_match_oracle(m, epochs, withdraw, seed):
+    """E6's configurations (``bench_e6_negation.run_epochs``) on cells
+    where a one-pass "sub" — a cover arriving — overtakes the
+    out-and-back "add" of the detection it cancels on the way to the
+    hash node: the sub is stamped later, and the stamp decides."""
     cover = 3.0
-    net = GridNetwork(8, seed=seed)
+    net = GridNetwork(m, seed=seed)
     engine = GPAEngine(
         parse_program(UNCOV.replace("<= 50", f"<= {cover}")), net, strategy="pa"
     ).install()
-    detections = BattlefieldWorkload(
-        net.topology, n_enemy=3, n_friendly=2, epochs=6, seed=seed
+    live = BattlefieldWorkload(
+        net.topology, n_enemy=3, n_friendly=2, epochs=epochs, seed=seed
     ).detections()
-    for when, node, pred, args in detections:
+    friendly = []
+    for when, node, pred, args in live:
         net.run_until(when)
-        engine.publish(node, pred, args)
+        tid = engine.publish(node, pred, args)
+        if args[0] == "friendly":
+            friendly.append((node, args, tid))
     net.run_all()
-    assert engine.rows("uncov") == BattlefieldWorkload.uncovered_oracle(
-        detections, cover
-    )
+    if withdraw:
+        for node, args, tid in friendly[::2]:  # withdraw half the cover
+            engine.retract(node, "veh", args, tid)
+            live = [d for d in live if (d[1], d[3]) != (node, args)]
+        net.run_all()
+    assert engine.rows("uncov") == BattlefieldWorkload.uncovered_oracle(live, cover)
 
 
 class TestDerivedChains:
@@ -274,10 +280,26 @@ class TestSlidingWindows:
         parked = [r - w for r, w in zip(resident, window_tuples)]
         assert parked[0] == 30
         assert parked[39] <= parked[19] and max(parked) <= 5 * parked[0]
+        # A retraction's subtractions stay as tombstones in both modes
+        # (a retro token subtracts more than was ever added), counted
+        # with the derived tables until the same horizon passes.
+        def tombstones(engine):
+            return sum(
+                len(fact.ledger) - len(fact.derivations)
+                for rt in engine.runtimes.values() for fact in rt.derived.values()
+            )
+
+        assert tombstones(eng) >= tombstones(barrier) > 0
+        assert sum(eng.memory_report().values()) == (
+            sum(eng.memory_report(include_derived=False).values())
+            + sum(len(rt.derived) for rt in eng.runtimes.values())
+            + tombstones(eng)
+        )
         net.run_until(net.now + 10.0)
         eng.expire_all()
         assert not any(rt.parked_seen for rt in eng.runtimes.values())
         assert sum(eng.memory_report(include_derived=False).values()) == 0
+        assert tombstones(eng) == 0
 
 
 class TestRobustness:

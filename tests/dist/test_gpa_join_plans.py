@@ -96,6 +96,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
             continue
         derivation = WireDerivation(rp.rule_id, partial.used)
         result_op = engine._result_op(token)
+        stamp = token.stamp(engine.window_params.join_delay)
         neg_patterns = [
             (
                 lit.predicate,
@@ -108,7 +109,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
         ]
         if token.trigger_negated:
             if token.op == "ins":
-                engine._emit(node, rp, head_args, derivation, "sub", token.update_ts)
+                engine._emit(node, rp, head_args, derivation, "sub", stamp)
                 continue
             cand = Candidate(head_args, derivation, neg_patterns, "add")
             if reference_blocked(runtime, token, cand):
@@ -117,7 +118,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
         elif rp.has_negation:
             cand = Candidate(head_args, derivation, neg_patterns, result_op)
             if result_op == "sub":
-                engine._emit(node, rp, head_args, derivation, "sub", token.update_ts)
+                engine._emit(node, rp, head_args, derivation, "sub", stamp)
                 continue
             if reference_blocked(runtime, token, cand):
                 continue
@@ -125,7 +126,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
         else:
             if token.rule_id in engine._streamed_rules:
                 engine.streamed_derivations += 1
-            engine._emit(node, rp, head_args, derivation, result_op, token.update_ts)
+            engine._emit(node, rp, head_args, derivation, result_op, stamp)
 
 
 def reference_extend(engine, runtime, rp, token, node, allowed=None):

@@ -130,6 +130,27 @@ class TestDifferentialExactness:
         pubs = gen(random.Random(17))
         assert_exact(program, pubs, heads, dels=4)
 
+    @pytest.mark.parametrize("n1, n2, eps", [
+        (27, 7, 0.001), (27, 15, 0.005), (0, 7, 0.001), (0, 7, 0.02),
+        (0, 7, 0.05), (7, 0, 0.05), (0, 63, 0.005), (7, 56, 0.001),
+        (0, 36, 0.001), (27, 36, 0.02), (0, 7, 0.1), (27, 7, 0.2),
+    ])
+    def test_add_racing_a_deletion_mark_is_cancelled(self, n1, n2, eps):
+        """``s`` is generated ``eps`` after ``r``'s deletion and meets
+        replicas of ``r`` the mark has not reached: its add carries its
+        own, later timestamp, and the retro token's subs must outrank it
+        (:meth:`JoinToken.stamp`) in whichever order the two arrive.
+        Past ``join_delay`` (0.165 here) the mark is everywhere."""
+        net = GridNetwork(8, seed=3)
+        engine = GPAEngine(parse_program(JOIN2), net, mode="pipelined").install()
+        tid = engine.publish(n1, "r", (1, "a"))
+        net.run_all()
+        engine.retract(n1, "r", (1, "a"), tid)
+        net.run_until(net.sim.now + eps)
+        engine.publish(n2, "s", (1, "b"))
+        net.run_all()
+        assert engine.rows("j") == set()
+
     def test_winmove_negation_cone_held_back(self):
         """Under a win-move verdict the monotone rules *outside* the
         negation cone stream; the rules feeding the negation keep

@@ -1,10 +1,14 @@
-"""Unit tests for the GPA wire structures (Fig. 1/3's data items)."""
+"""Unit tests for the GPA wire structures (Fig. 1/3's data items) and
+the derived-fact ledger they are applied to."""
+
+from itertools import permutations
 
 import pytest
 
 from repro.core.terms import Constant
 from repro.dist.gpa import (
     Candidate,
+    DerivedFact,
     FactRef,
     GatherMsg,
     JoinToken,
@@ -24,9 +28,6 @@ class TestFactRef:
     def test_equality_includes_id(self):
         assert ref() == ref()
         assert ref(ts=2.0) != ref(ts=1.0)
-
-    def test_key_excludes_id(self):
-        assert ref(ts=1.0).key() == ref(ts=2.0).key()
 
     def test_size(self):
         assert ref().size() == 3  # 2 + one atomic arg
@@ -92,3 +93,76 @@ class TestMessages:
         msg = GatherMsg("j", (Constant(1), Constant("a")), request_id=3)
         assert msg.kind == "gpa_gather"
         assert msg.payload_symbols == 3
+
+
+JOIN_DELAY = 0.165
+
+
+def stamp(op, negated, update_ts=1.0):
+    return JoinToken(
+        rule_id=0, op=op, update_ts=update_ts, trigger=ref(),
+        trigger_negated=negated, partials=[], candidates=[], path=[],
+        exclude_id=None,
+    ).stamp(JOIN_DELAY)
+
+
+def test_only_a_deleted_support_is_stamped_ahead():
+    assert stamp("ins", False) == stamp("ins", True) == stamp("del", True) == 1.0
+    assert stamp("del", False) == 1.0 + JOIN_DELAY
+
+
+#: What the subtractions of a support deleted at 1.0 are stamped.
+DELETED_AT = stamp("del", False)
+
+
+class TestDerivedFactLedger:
+    """``DerivedFact.apply`` is order-independent: every arrival order
+    of one identity's stamped updates ends in the state timestamp order
+    gives — with no network, on the method itself."""
+
+    DERIVATION = WireDerivation(0, (ref("r"), ref("s")))
+
+    def replay(self, script):
+        fact = DerivedFact()
+        for op, stamp in script:
+            fact.apply(op, self.DERIVATION, stamp)
+        return (
+            set(fact.derivations),
+            {ident: (op, stamp) for ident, (op, _d, stamp) in fact.ledger.items()},
+        )
+
+    @pytest.mark.parametrize("script, outcome", [
+        # A blocker born at b cancels the support's add, stamped before it
+        # (or, were it possible, with it: a sub wins the tie).
+        ([("add", 0.0), ("sub", 0.3)], ("sub", 0.3)),
+        ([("add", 0.3), ("sub", 0.3)], ("sub", 0.3)),
+        # Blocker in, out (the re-add carries the deletion time), in again.
+        ([("add", 0.0), ("sub", 0.3), ("add", 0.5), ("sub", 0.7)], ("sub", 0.7)),
+        # ... or a second blocker that died before the first: the re-add,
+        # stamped with the later deletion, survives both.
+        ([("add", 0.0), ("sub", 0.3), ("add", 0.9), ("sub", 0.7)], ("add", 0.9)),
+        # Fault-tolerant replica sets deliver every result k times.
+        ([("add", 0.0), ("sub", 0.3)] * 3, ("sub", 0.3)),
+        ([("add", 0.0), ("sub", 0.3), ("add", 0.5)] * 2, ("add", 0.5)),
+        # A deleted support (at 1.0): the add that raced its deletion
+        # mark is stamped inside join_delay and goes; one stamped past
+        # it names a tuple id that never returns, and would stay.
+        ([("add", 0.2), ("sub", DELETED_AT), ("add", 1.1)], ("sub", DELETED_AT)),
+        ([("add", 0.2), ("sub", DELETED_AT), ("add", 1.2)], ("add", 1.2)),
+    ])
+    def test_every_arrival_order_ends_in_timestamp_order(self, script, outcome):
+        ident = self.DERIVATION.identity()
+        expected = ({ident} if outcome[0] == "add" else set(), {ident: outcome})
+        in_order = sorted(script, key=lambda update: (update[1], update[0] == "sub"))
+        assert self.replay(in_order) == expected
+        for order in permutations(script):
+            assert self.replay(order) == expected, order
+
+    def test_expire_forgets_tombstones_only(self):
+        live, dead = WireDerivation(0, (ref(),)), WireDerivation(1, (ref(),))
+        fact = DerivedFact()
+        fact.apply("add", live, 0.1)
+        fact.apply("sub", dead, 0.2)
+        assert fact.expire(0.1) == 0
+        assert fact.expire(0.2) == 1
+        assert set(fact.ledger) == set(fact.derivations) == {live.identity()}

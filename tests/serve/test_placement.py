@@ -16,7 +16,7 @@ import pytest
 from repro.core.errors import NetworkError
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
-from repro.dist.gpa import GPAEngine
+from repro.dist.gpa import GPAEngine, ResultMsg
 from repro.net.ght import GeographicHash, GHTPartition
 from repro.net.network import GridNetwork
 from repro.serve import AdaptivePlacer, QueryServer
@@ -163,6 +163,31 @@ class TestMigrateDerived:
         net.run_all()
         assert net.metrics.total_messages > before
         assert net.metrics.category_tx["placement"] > 0
+
+    def test_tombstones_travel_with_a_migrated_fact(self):
+        """A derivation cancelled at the old home stays cancelled at the
+        new one: a late copy of its add is still outranked there."""
+        net, engine = self.engine_with_results()
+        tid = engine.publish(5, "r", (0, "gone"))
+        net.run_all()
+        key = engine.ght.region_key("j")
+        old_home = engine.ght.node_for_key(key)
+        new_home = (old_home + 3) % 16
+        late = [
+            ResultMsg(pred, args, derivation, "add", tid.timestamp)
+            for (pred, args), fact in engine.runtimes[old_home].derived.items()
+            for derivation in fact.derivations.values() if "gone" in repr(args)
+        ]
+        assert late
+        engine.retract(5, "r", (0, "gone"), tid)
+        net.run_all()
+        rows = engine.rows("j")
+        engine.ght.place(key, new_home)
+        engine.migrate_derived(old_home, new_home, {key})
+        net.run_all()
+        for msg in late:
+            engine._on_result(net.node(new_home), msg)
+        assert engine.rows("j") == rows
 
     def test_new_results_land_at_migrated_home(self):
         net, engine = self.engine_with_results()
