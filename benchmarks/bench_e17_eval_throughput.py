@@ -12,11 +12,13 @@ wall time, derived facts per second, index probes and full scans:
 * ``sptree`` — the E5 shortest-path-tree (logicH) program on a grid
   graph, exercising the XY stage evaluator, negation and arithmetic.
 
-The production run's derived rows are checked identical to the
-oracle's (the ``identical`` column).  ``--smoke`` shrinks both workloads
-for CI; ``--check`` additionally compares derived-facts/sec against the
-committed ``BENCH_e17.json`` baseline and exits non-zero on a >2x
-regression.
+The production run's derived rows and derivation store are checked
+identical to the oracle's (the ``identical`` column).  ``--smoke``
+shrinks both workloads for CI; ``--check`` additionally gates against
+the committed ``BENCH_e17.json`` baseline: ``tc`` on the oracle/production
+wall ratio (``speedup_min``; both paths run on the same host, so the
+ratio does not depend on it), ``sptree`` on derived-facts/sec with a 2x
+margin.
 
 Both scales end with the ``sptree`` scaling rows: logicH on an 8x8 and a
 16x16 grid (4.2x the derived facts) on the production path.  The ratio
@@ -140,12 +142,20 @@ def run_once(program_text, facts, idb_preds, reps=1):
     derived = sum(db.count(p) for p in idb_preds)
     return {
         "rows": {p: db.rows(p) for p in idb_preds},
+        "store": db.derivations.snapshot(),
         "secs": secs,
         "derived": derived,
         "facts_per_sec": derived / secs if secs > 0 else float("inf"),
         "probes": sum(db.relation(p).probes for p in db.predicates()),
         "scans": sum(db.relation(p).scans for p in db.predicates()),
     }
+
+
+def same_fixpoint(production, oracle):
+    """The ``identical`` column: the same derived rows and the same
+    derivation store, every fact with every derivation."""
+    return (production["rows"] == oracle["rows"]
+            and production["store"] == oracle["store"])
 
 
 def run(smoke=False):
@@ -162,7 +172,7 @@ def run(smoke=False):
                     spec["program"], facts, spec["idb"], reps=reps
                 )
         production, oracle = runs["production"], runs["oracle"]
-        identical = production["rows"] == oracle["rows"]
+        identical = same_fixpoint(production, oracle)
         results[name] = {}
         for path, res in runs.items():
             rows.append([
@@ -216,7 +226,7 @@ def run_scaling(rows):
     )
     with seed_engine():
         oracle = run_once(SPTREE_PROGRAM, sptree_facts(m_large), idb)
-    identical = large["rows"] == oracle["rows"]
+    identical = same_fixpoint(large, oracle)
     for m, path, res in ((m_small, "production", small),
                          (m_large, "production", large),
                          (m_large, "oracle", oracle)):
@@ -235,13 +245,21 @@ def run_scaling(rows):
 
 
 def check_baseline(results):
-    """Exit non-zero when derived-facts/sec regressed >2x vs the
+    """Exit non-zero when a workload's oracle/production wall ratio fell
+    below its ``speedup_min``, or derived-facts/sec regressed >2x vs the
     committed per-path baseline (the CI perf gate)."""
     with open(BASELINE_PATH) as f:
         baseline = json.load(f)
     failed = False
     for name, paths in baseline["workloads"].items():
         for path, committed in paths.items():
+            if path == "speedup_min":
+                got = results[name]["production"]["speedup"]
+                status = "ok" if got >= committed else "REGRESSED"
+                print(f"[baseline] {name}: oracle/production wall {got:.2f} "
+                      f"(floor {committed}) {status}")
+                failed |= got < committed
+                continue
             floor = committed["facts_per_sec"] / 2.0
             got = (
                 results.get(name, {}).get(path, {}).get("facts_per_sec", 0.0)
@@ -267,7 +285,8 @@ def test_e17_shape(benchmark):
                                  rounds=1, iterations=1)
     for name, paths in results.items():
         for path, res in paths.items():
-            assert res["identical"], f"{name}/{path}: rows differ from oracle"
+            assert res["identical"], \
+                f"{name}/{path}: rows or store differ from oracle"
     # Compile-once plans with memoized / per-step probing do at least 3x
     # fewer index probes than the oracle on transitive closure.
     assert results["tc"]["production"]["probe_ratio"] >= 3.0
@@ -277,7 +296,8 @@ if __name__ == "__main__":
     results = run(smoke="--smoke" in sys.argv)
     for name, path_results in results.items():
         if not path_results["production"]["identical"]:
-            print(f"ERROR: {name}: production rows differ from the oracle's")
+            print(f"ERROR: {name}: production rows or derivation store "
+                  "differ from the oracle's")
             sys.exit(2)
     if "--check" in sys.argv:
         check_baseline(results)

@@ -11,42 +11,71 @@ A derived tuple lives exactly as long as its derivation set is
 non-empty; correctness requires that every remaining derivation unfolds
 to a valid proof tree, which holds for non-recursive, XY-stratified and
 locally non-recursive programs (Section IV-C).
+
+**The recording format.**  The store keeps no Python object per
+derivation.  A fact is recorded as a *fact ref*, the flat tuple
+``(pred, id_1, ..., id_n)`` of its predicate and the ids
+:data:`repro.core.columnar.GLOBAL_INTERNER` gives its arguments; a
+derivation as a *record*, the flat tuple ``(rule_id, ref_1, ..., ref_k)``.
+Both hash and compare in C, so recording a derivation runs no Python
+``__hash__``.  A ref is stable: id equality is term equality (``1`` and
+``1.0`` share a ref, as they share a row) and ids are append-only for
+the life of the process, so a fact keeps its ref when it is deleted and
+re-added, and a fact that is not stored has one too
+(:class:`~repro.core.incremental.IncrementalEvaluator` records a
+derivation before it inserts the fact).
+
+This module is the one reader and writer of that format.  Callers speak
+:data:`FactKey` and :class:`Derivation`; :class:`DerivationStore`
+translates at its boundary, spelling a stored fact the way its relation
+stores it.  The batch executor hands over a whole vectorized rule call
+as one :class:`FiringBatch`, whose body refs come from per-row ref
+caches (:func:`fact_refs`), so recording a batch builds one tuple per
+firing and nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import islice, repeat
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from .columnar import GLOBAL_INTERNER
 from .terms import Term
 
 #: A fact is identified by its predicate and ground argument tuple.
 FactKey = Tuple[str, Tuple[Term, ...]]
 
-
-class CachedFactKey(tuple):
-    """A fact key (``(pred, args)`` tuple) that caches its hash.
-
-    Equal to — and hash-compatible with — the plain tuples used
-    everywhere else, but dict/set operations pay one attribute read
-    instead of re-walking the argument terms through their Python-level
-    ``__hash__`` methods.  The evaluator creates one per stored row and
-    reuses it across every derivation that references the row, which is
-    where the saving comes from.  (Tuple subclasses cannot declare
-    ``__slots__``, so instances carry a small dict for the cache.)
-    """
-
-    def __init__(self, _content=()):
-        self._h = tuple.__hash__(self)
-
-    def __hash__(self):
-        try:
-            return self._h
-        except AttributeError:  # unpickled instances skip __init__
-            h = self._h = tuple.__hash__(self)
-            return h
-
-
 _set = object.__setattr__
+
+
+def fact_refs(pred: str, columns: Sequence[Sequence[int]], n: int) -> List[tuple]:
+    """The refs of ``n`` facts of ``pred`` whose argument ids are
+    ``columns`` (one id sequence per argument position)."""
+    return list(zip(repeat(pred, n), *columns))
+
+
+def fact_ref(fact: FactKey) -> tuple:
+    """``fact``'s ref, interning terms never seen before."""
+    pred, args = fact
+    return (pred, *map(GLOBAL_INTERNER.intern, args))
+
+
+def _find(fact: FactKey) -> tuple:
+    """``fact``'s ref for a lookup, interning nothing: a term never
+    interned reads as None, and a ref holding None matches no record."""
+    pred, args = fact
+    return (pred, *map(GLOBAL_INTERNER.get, args))
 
 
 class Derivation:
@@ -58,7 +87,7 @@ class Derivation:
         _set(self, "rule_id", rule_id)
         body = tuple(body_facts)
         _set(self, "body_facts", body)
-        # Every derivation lands in a DerivationStore set, so it is
+        # Derivations the store hands out land in frozensets, so each is
         # hashed at least once; computing eagerly skips the exception
         # dance a lazy slot would cost on the first call.
         _set(self, "_hash", hash((rule_id, body)))
@@ -90,60 +119,163 @@ class Derivation:
         return f"<rule {self.rule_id}: {facts}>"
 
 
+class FiringBatch:
+    """Every firing of one vectorized rule call, in id space.
+
+    ``heads`` are the distinct head tuples in the order of their first
+    firing; ``index`` gives each firing's position in ``heads``; ``body``
+    holds one ``(pred, source, rows)`` per positive subgoal, ``rows`` the
+    row number each firing matched in ``source`` — anything with a
+    row-aligned ``refs()`` and ``terms_rows``.  Iterating yields the
+    ``(head, Derivation)`` pairs the tuple executor would, in firing
+    order.
+    """
+
+    __slots__ = ("rule_id", "heads", "index", "body")
+
+    def __init__(self, rule_id: int, heads: List[tuple], index: List[int],
+                 body: List[tuple]):
+        self.rule_id = rule_id
+        self.heads = heads
+        self.index = index
+        self.body = body
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def records(self) -> Iterator[tuple]:
+        """One record per firing, in firing order."""
+        columns = [
+            map(source.refs().__getitem__, rows.tolist())
+            for _pred, source, rows in self.body
+        ]
+        return zip(repeat(self.rule_id, len(self.index)), *columns)
+
+    def __iter__(self) -> Iterator[Tuple[tuple, Derivation]]:
+        columns = [
+            [(pred, row) for row in map(source.terms_rows.__getitem__, rows.tolist())]
+            for pred, source, rows in self.body
+        ]
+        bodies = zip(*columns) if columns else repeat((), len(self.index))
+        heads, rule_id = self.heads, self.rule_id
+        for i, body in zip(self.index, bodies):
+            yield heads[i], Derivation(rule_id, body)
+
+
 class DerivationStore:
     """Maps each derived fact to its set of derivations, with a reverse
     index from supporting facts to the facts they support (for efficient
-    deletion cascades)."""
+    deletion cascades).
 
-    def __init__(self):
-        self._derivations: Dict[FactKey, Set[Derivation]] = {}
-        #: Reverse index, or None while unbuilt.  Only the deletion
-        #: paths read it, so bulk forward evaluation skips the two dict
-        #: updates per recorded derivation entirely; the index is
-        #: materialized from ``_derivations`` on first deletion-path
-        #: access and maintained incrementally from then on.
-        self._supports: Optional[Dict[FactKey, Set[FactKey]]] = None
+    ``relations`` — a :class:`~repro.core.eval.Database`'s, for its own
+    store — maps a predicate to its relation; a fact handed out is
+    spelled the way its relation stores it (``relation.stored(args)``),
+    a fact no relation stores as the interner first met its terms.
+    """
 
-    def _support_index(self) -> Dict[FactKey, Set[FactKey]]:
-        idx = self._supports
-        if idx is None:
-            idx = self._supports = {}
-            for fact, derivs in self._derivations.items():
-                for derivation in derivs:
-                    for body_fact in derivation.body_facts:
-                        deps = idx.get(body_fact)
-                        if deps is None:
-                            idx[body_fact] = {fact}
-                        else:
-                            deps.add(fact)
-        return idx
+    def __init__(self, relations: Optional[Mapping[str, object]] = None):
+        #: head ref -> set of records.
+        self._records: Dict[tuple, Set[tuple]] = {}
+        #: body ref -> head refs with a record through it, or None while
+        #: unbuilt.  Only the deletion paths read it, so forward
+        #: evaluation skips it entirely; it is built from ``_records`` on
+        #: first deletion-path access and kept exact by every later
+        #: ``add`` and removal.
+        self._supports: Optional[Dict[tuple, Set[tuple]]] = None
+        self._relations = relations if relations is not None else {}
+
+    # -- translation at the boundary -------------------------------------
+
+    def _fact(self, ref: tuple) -> FactKey:
+        pred = ref[0]
+        args = tuple(map(GLOBAL_INTERNER.terms.__getitem__, islice(ref, 1, None)))
+        rel = self._relations.get(pred)
+        stored = rel.stored(args) if rel is not None else None
+        return pred, (args if stored is None else stored)
+
+    def _derivation(self, record: tuple, fact=None) -> Derivation:
+        return Derivation(record[0], map(fact or self._fact, islice(record, 1, None)))
+
+    @staticmethod
+    def _record(derivation: Derivation) -> tuple:
+        return (derivation.rule_id, *map(fact_ref, derivation.body_facts))
+
+    @staticmethod
+    def _find_record(derivation: Derivation) -> tuple:
+        return (derivation.rule_id, *map(_find, derivation.body_facts))
+
+    # -- the reverse index -----------------------------------------------
+
+    def _support_index(self) -> Dict[tuple, Set[tuple]]:
+        if self._supports is None:
+            self._supports = {}
+            for head, records in self._records.items():
+                self._link(head, records)
+        return self._supports
+
+    def _link(self, head: tuple, records: Iterable[tuple]) -> None:
+        supports = self._supports
+        for record in records:
+            for body in islice(record, 1, None):
+                deps = supports.get(body)
+                if deps is None:
+                    supports[body] = {head}
+                else:
+                    deps.add(head)
+
+    def _unlink(self, head: tuple, dropped: Iterable[tuple], kept: Set[tuple]) -> None:
+        """``head`` lost the records ``dropped`` and keeps ``kept``: it
+        leaves the index entry of every body ref no kept record uses."""
+        supports = self._supports
+        if supports is None:
+            return
+        still = {body for record in kept for body in islice(record, 1, None)}
+        for record in dropped:
+            for body in islice(record, 1, None):
+                deps = supports.get(body)
+                if deps is not None and body not in still:
+                    deps.discard(head)
+                    if not deps:
+                        del supports[body]
+
+    # -- recording -------------------------------------------------------
 
     def add(self, fact: FactKey, derivation: Derivation) -> bool:
         """Record a derivation; returns True if the fact is new."""
-        existing = self._derivations.get(fact)
+        head, record = fact_ref(fact), self._record(derivation)
+        existing = self._records.get(head)
         if existing is None:
-            self._derivations[fact] = {derivation}
+            self._records[head] = {record}
             new = True
         else:
             before = len(existing)
-            existing.add(derivation)
+            existing.add(record)
             if len(existing) == before:
                 return False
             new = False
-        supports = self._supports
-        if supports is not None:
-            for body_fact in derivation.body_facts:
-                deps = supports.get(body_fact)
-                if deps is None:
-                    supports[body_fact] = {fact}
-                else:
-                    deps.add(fact)
+        if self._supports is not None:
+            self._link(head, (record,))
         return new
 
+    def add_batch(self, head_refs: List[tuple], batch: FiringBatch) -> None:
+        """Record every firing of ``batch``, ``head_refs`` the refs of its
+        ``heads``.  A built reverse index is dropped, to be rebuilt by the
+        next deletion-path call."""
+        store, get = self._records, self._records.get
+        heads = map(head_refs.__getitem__, batch.index)
+        for head, record in zip(heads, batch.records()):
+            existing = get(head)
+            if existing is None:
+                store[head] = {record}
+            else:
+                existing.add(record)
+        self._supports = None
+
+    # -- deletion --------------------------------------------------------
+
     def supporters(self, fact: FactKey) -> Set[FactKey]:
-        """Facts with at least one derivation through ``fact`` (treat the
-        returned set as read-only)."""
-        return self._support_index().get(fact, set())
+        """Facts with at least one derivation through ``fact``."""
+        return set(map(self._fact, self._support_index().get(_find(fact), ())))
 
     def remove_derivation(self, fact: FactKey, derivation: Derivation) -> bool:
         """Subtract one derivation from ``fact``'s set (Section IV-B).
@@ -151,60 +283,71 @@ class DerivationStore:
         Returns True when the set became empty (the fact must be
         deleted).  Subtracting an absent derivation is a no-op.
         """
-        derivs = self._derivations.get(fact)
-        if derivs is None or derivation not in derivs:
+        head, record = _find(fact), self._find_record(derivation)
+        records = self._records.get(head)
+        if records is None or record not in records:
             return False
-        derivs.discard(derivation)
-        if self._supports is not None:
-            for body_fact in derivation.body_facts:
-                if not any(d.uses(body_fact) for d in derivs):
-                    deps = self._supports.get(body_fact)
-                    if deps is not None:
-                        deps.discard(fact)
-        if derivs:
+        records.discard(record)
+        self._unlink(head, (record,), records)
+        if records:
             return False
-        del self._derivations[fact]
+        del self._records[head]
         return True
 
     def remove_support(self, removed: FactKey) -> List[FactKey]:
         """Delete every derivation that uses ``removed``; return the facts
         whose derivation sets became empty (they must now be deleted)."""
         supports = self._support_index()
+        ref = _find(removed)
         emptied: List[FactKey] = []
-        for dependent in list(supports.get(removed, ())):
-            derivs = self._derivations.get(dependent)
-            if derivs is None:
-                continue
-            kept = {d for d in derivs if not d.uses(removed)}
+        for head in supports.pop(ref, ()):
+            records = self._records[head]
+            dropped = {record for record in records if ref in record}
+            kept = records - dropped
+            self._unlink(head, dropped, kept)
             if kept:
-                self._derivations[dependent] = kept
+                self._records[head] = kept
             else:
-                del self._derivations[dependent]
-                emptied.append(dependent)
-        supports.pop(removed, None)
+                del self._records[head]
+                emptied.append(self._fact(head))
         return emptied
 
     def discard_fact(self, fact: FactKey) -> None:
         """Forget a fact entirely (used when the fact is deleted)."""
-        derivs = self._derivations.pop(fact, None)
-        if derivs and self._supports is not None:
-            for d in derivs:
-                for body_fact in d.body_facts:
-                    deps = self._supports.get(body_fact)
-                    if deps is not None:
-                        deps.discard(fact)
+        head = _find(fact)
+        records = self._records.pop(head, None)
+        if records:
+            self._unlink(head, records, set())
+
+    # -- reading ---------------------------------------------------------
 
     def derivations_of(self, fact: FactKey) -> FrozenSet[Derivation]:
-        return frozenset(self._derivations.get(fact, ()))
+        records = self._records.get(_find(fact), ())
+        return frozenset(map(self._derivation, records))
 
     def has_fact(self, fact: FactKey) -> bool:
-        return fact in self._derivations
+        return _find(fact) in self._records
 
     def facts(self) -> Iterator[FactKey]:
-        return iter(self._derivations)
+        return map(self._fact, self._records)
+
+    def snapshot(self) -> Dict[FactKey, FrozenSet[Derivation]]:
+        """Every recorded fact with its derivations, as plain values."""
+        spelled: Dict[tuple, FactKey] = {}
+
+        def fact(ref: tuple) -> FactKey:
+            found = spelled.get(ref)
+            if found is None:
+                found = spelled[ref] = self._fact(ref)
+            return found
+
+        return {
+            fact(head): frozenset(self._derivation(record, fact) for record in records)
+            for head, records in self._records.items()
+        }
 
     def __len__(self) -> int:
-        return len(self._derivations)
+        return len(self._records)
 
 
 class ProofNode:
@@ -264,17 +407,15 @@ def build_proof_tree(
 def is_locally_nonrecursive(store: DerivationStore) -> bool:
     """Runtime check for local non-recursion: no directed cycles in the
     tuple-level derivation graph (Section IV-C, [6])."""
-    graph: Dict[FactKey, Set[FactKey]] = {}
-    for fact in store.facts():
-        deps: Set[FactKey] = set()
-        for derivation in store.derivations_of(fact):
-            deps.update(derivation.body_facts)
-        graph[fact] = deps
+    graph: Dict[tuple, Set[tuple]] = {
+        head: {body for record in records for body in islice(record, 1, None)}
+        for head, records in store._records.items()
+    }
 
     WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[FactKey, int] = {}
+    color: Dict[tuple, int] = {}
 
-    def visit(node: FactKey) -> bool:
+    def visit(node: tuple) -> bool:
         color[node] = GRAY
         for dep in graph.get(node, ()):
             state = color.get(dep, WHITE)

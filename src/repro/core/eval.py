@@ -39,7 +39,14 @@ from .builtins import (
     value_to_term,
 )
 from .columnar import GLOBAL_INTERNER as _INTERNER
-from .derivations import CachedFactKey, Derivation, DerivationStore, FactKey
+from .derivations import (
+    Derivation,
+    DerivationStore,
+    FactKey,
+    FiringBatch,
+    fact_ref,
+    fact_refs,
+)
 from .errors import EvaluationError, ProgramError
 from .plan import (
     GLOBAL_PLAN_CACHE,
@@ -95,9 +102,9 @@ class Relation:
         #: bumped on every mutation; keys the numpy snapshot caches.
         self._version = 0
         self._snapshots: Dict[object, Tuple[int, object]] = {}
-        #: predicate -> row-aligned ``(pred, args)`` fact keys, grown
-        #: lazily; batch emission reuses one key object per stored row.
-        self._fact_keys: Dict[str, List[tuple]] = {}
+        #: row number -> fact ref (see repro.core.derivations), grown
+        #: lazily; every derivation recorded through a row shares it.
+        self._refs: List[tuple] = []
         #: Number of index probes — a cheap work metric for the
         #: join-ordering experiments.
         self.probes = 0
@@ -262,32 +269,27 @@ class Relation:
         self._snapshots[key] = (self._version, value)
         return value
 
-    def fact_keys(self, pred: str) -> List[tuple]:
-        """Row-aligned ``(pred, args)`` fact keys (tombstones included),
-        extended lazily as rows are added.  Rows are append-only, so the
-        prefix built on earlier calls stays valid; sharing one key object
-        per row keeps batch emission from re-allocating (and the
-        derivation store from re-hashing) the same key thousands of
-        times."""
-        keys = self._fact_keys.get(pred)
-        if keys is None:
-            keys = self._fact_keys[pred] = []
-        rows = self._terms_rows
-        if len(keys) < len(rows):
-            keys.extend(
-                CachedFactKey((pred, args)) for args in rows[len(keys):]
-            )
-        return keys
+    def refs(self) -> List[tuple]:
+        """Row-aligned fact refs (tombstones included), built from the id
+        columns for the rows added since the last call.  Rows are
+        append-only, so earlier entries stay valid."""
+        refs, start = self._refs, len(self._refs)
+        end = len(self._terms_rows)
+        if start < end and self._cols is None:  # ragged: no id columns
+            refs += [fact_ref((self.name, args)) for args in self._terms_rows[start:]]
+        elif start < end:
+            refs += fact_refs(self.name, [col[start:] for col in self._cols],
+                              end - start)
+        return refs
 
-    def keys_of(self, pred: str, tuples: Iterable[ArgsTuple]) -> List[tuple]:
-        """Fact keys of ``tuples``: for a stored tuple the key object of
-        :meth:`fact_keys` (one per fact, however many derivations name
-        it), a fresh key otherwise."""
-        keys, row_of = self.fact_keys(pred), self._row_of.get
+    def refs_of(self, tuples: Iterable[ArgsTuple]) -> List[tuple]:
+        """The fact refs of ``tuples``: a stored tuple's is its row's
+        (one object per fact, however many derivations name it)."""
+        refs, row_of = self.refs(), self._row_of.get
         out = []
         for args in tuples:
             row = row_of(args)
-            out.append(CachedFactKey((pred, args)) if row is None else keys[row])
+            out.append(fact_ref((self.name, args)) if row is None else refs[row])
         return out
 
     def np_column(self, pos: int):
@@ -333,7 +335,7 @@ class Database:
     def __init__(self, registry: BuiltinRegistry = DEFAULT_REGISTRY):
         self.registry = registry
         self._relations: Dict[str, Relation] = {}
-        self.derivations = DerivationStore()
+        self.derivations = DerivationStore(self._relations)
 
     def relation(self, predicate: str) -> Relation:
         rel = self._relations.get(predicate)
@@ -550,15 +552,17 @@ def fire_rule(
     db: Database,
     registry: BuiltinRegistry,
     **delta_kwargs,
-) -> Iterator[Tuple[ArgsTuple, Derivation]]:
-    """Yield (head tuple, derivation) for every body match.
+) -> Iterable[Tuple[ArgsTuple, Derivation]]:
+    """(head tuple, derivation) for every body match.
 
     Vectorizable rules run through the numpy batch executor
-    (:mod:`repro.core.vector`); everything else — rules the analyzer
-    rejected, calls the kernels bail out of at runtime, tiny deltas —
-    takes the tuple-at-a-time path below, with identical results.
-    Inside a :func:`repro.core.plan.seed_engine` block every firing goes
-    to the oracle instead.
+    (:mod:`repro.core.vector`), whose whole call comes back as one
+    :class:`~repro.core.derivations.FiringBatch` — iterating it yields
+    the pairs; everything else — rules the analyzer rejected, calls the
+    kernels bail out of at runtime, tiny deltas — takes the
+    tuple-at-a-time path below, with identical results.  Inside a
+    :func:`repro.core.plan.seed_engine` block every firing goes to the
+    oracle instead.
     """
     if seed_mode():
         # The recursive enumerator iterates the live relations, so its
@@ -577,7 +581,7 @@ def fire_rule(
         if delta_tuples is None or len(delta_tuples) >= _MIN_BATCH:
             results = execute_batch(plan, program, db, registry, **delta_kwargs)
             if results is not None:
-                return iter(results)
+                return results
     return _fire_rule_tuples(rule, db, registry, **delta_kwargs)
 
 
@@ -675,8 +679,8 @@ def _apply_aggregate(function: str, values: List) -> object:
 def _gc_paused():
     """Pause the cyclic garbage collector for the span of a fixpoint.
 
-    The fixpoint loops allocate heavily (head tuples, derivations, fact
-    keys) but create no reference cycles — everything is reclaimed by
+    The fixpoint loops allocate heavily (head tuples, derivation records,
+    fact refs) but create no reference cycles — everything is reclaimed by
     reference counting the moment it dies.  Left enabled, the collector
     re-scans the ever-growing derivation store on every full pass, a
     measurable superlinear drag on large evaluations (1.4x wall time on
@@ -701,7 +705,7 @@ class _BottomUpEvaluator:
     saturated by the semi-naive routine, aggregate rules first — or a
     recursive component with negation inside, evaluated stage by stage
     (Section IV-C).  Every fired head, whichever routine fired it,
-    becomes a row, a fact key and a derivation in :meth:`_absorb`.
+    becomes a row and a derivation in :meth:`_absorb`.
 
     The public subclasses only validate the program class and carry
     their options.
@@ -752,32 +756,39 @@ class _BottomUpEvaluator:
                     self._evaluate_stratum(db, rules)
 
     def _absorb(self, db: Database, rule: Rule, firings, deltas) -> int:
-        """Turn ``rule``'s fired heads into rows, fact keys and
-        derivations; rows that are new also land in
-        ``deltas[head predicate]``.  Returns how many were new."""
+        """Turn ``rule``'s fired heads into rows and derivations; rows
+        that are new also land in ``deltas[head predicate]``.  Returns
+        how many were new.
+
+        A :class:`FiringBatch` is matched against the relation once per
+        distinct head and recorded in one call; (head, derivation) pairs
+        one at a time, each head stored before the next pair is drawn
+        (the tuple executor may be reading the relation it grows)."""
         head_pred = rule.head.predicate
         rel = db.relation(head_pred)
-        derivs_add = db.derivations.add
         add_row = rel.add_row
-        keys = rel.fact_keys(head_pred)
-        delta_set = None
-        fired = added = 0
-        for head, derivation in firings:
-            fired += 1
-            is_new, row = add_row(head)
-            if row >= len(keys):
-                keys.append(CachedFactKey((head_pred, head)))
-            derivs_add(keys[row], derivation)
-            if is_new:
-                added += 1
-                if delta_set is None:
-                    delta_set = deltas.setdefault(head_pred, set())
-                delta_set.add(head)
+        if type(firings) is FiringBatch:
+            fired = len(firings)
+            added = [add_row(head) for head in firings.heads]
+            new = [head for head, (is_new, _row) in zip(firings.heads, added)
+                   if is_new]
+            refs = rel.refs()
+            db.derivations.add_batch([refs[row] for _new, row in added], firings)
+        else:
+            fired, new = 0, []
+            record = db.derivations.add
+            for head, derivation in firings:
+                fired += 1
+                if add_row(head)[0]:
+                    new.append(head)
+                record((head_pred, head), derivation)
+        if new:
+            deltas.setdefault(head_pred, set()).update(new)
         if _obs.enabled and fired:
             label = rule_label(rule)
             _inst.rule_firings.labels(rule=label).inc(fired)
-            _inst.rule_derived.labels(rule=label).inc(added)
-        return added
+            _inst.rule_derived.labels(rule=label).inc(len(new))
+        return len(new)
 
     # -- positive SCCs: semi-naive ---------------------------------------
 
@@ -822,18 +833,15 @@ class _BottomUpEvaluator:
             rounds += 1
             round_added = 0
             for rule, occs in zip(rules, occurrences):
-                # Lazily chained: each delta variant fires only after the
-                # previous one's heads are absorbed.
-                firings = itertools.chain.from_iterable(
-                    fire_rule(
-                        rule, db, registry,
-                        delta_pred=pred, delta_tuples=delta,
-                        delta_occurrence=occ,
-                    )
-                    for pred, delta in deltas.items() if pred in occs
-                    for occ in range(len(occs[pred]))
-                )
-                round_added += self._absorb(db, rule, firings, new_deltas)
+                # Each delta variant fires only after the previous one's
+                # heads are absorbed.
+                for pred, delta in deltas.items():
+                    for occ in range(len(occs.get(pred, ()))):
+                        firings = fire_rule(
+                            rule, db, registry, delta_pred=pred,
+                            delta_tuples=delta, delta_occurrence=occ,
+                        )
+                        round_added += self._absorb(db, rule, firings, new_deltas)
             if idb_total is not None:
                 idb_total += round_added
             deltas = new_deltas

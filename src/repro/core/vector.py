@@ -33,15 +33,17 @@ any probe counter is committed, so the tuple executor re-runs the call
 with identical semantics (including raising the same errors Python
 arithmetic would).
 
-Derived facts and derivations are constructed from the interner's
-canonical term instances, so results are equal (as terms) to what
-:func:`repro.core.eval.ground_head` builds row by row.
+A call's firings leave as one
+:class:`~repro.core.derivations.FiringBatch`: head tuples are built once
+per distinct head from the interner's canonical term instances, so they
+are equal (as terms) to what :func:`repro.core.eval.ground_head` builds
+row by row, and the derivations stay row numbers into the sources until
+the store turns them into records.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .columnar import (
     MAX_EXACT_INT,
     SMALL_INT,
 )
-from .derivations import Derivation
+from .derivations import FiringBatch
 from .plan import _ARITH, _ASSIGN, _CALL, _CMP, _NOT, _SLOT, _TEST, _VALUE
 
 #: Module-level mirror of the obs counters, always on (cheap) so tests
@@ -224,14 +226,14 @@ class _RelSource:
     def sorted_probe(self, pos):
         return self.rel.sorted_probe(pos)
 
-    def fact_keys(self, pred):
-        return self.rel.fact_keys(pred)
+    def refs(self):
+        return self.rel.refs()
 
 
 class _DeltaSource:
     """Columnar view of one call's semi-naive delta set, built once."""
 
-    __slots__ = ("terms_rows", "arity", "ragged", "_cols", "_sorted", "_keys",
+    __slots__ = ("terms_rows", "arity", "ragged", "_cols", "_sorted", "_refs",
                  "_rel")
 
     def __init__(self, rows, rel):
@@ -242,7 +244,7 @@ class _DeltaSource:
         self.arity = arities.pop() if len(arities) == 1 else None
         self._cols: Dict[int, np.ndarray] = {}
         self._sorted: Dict[int, tuple] = {}
-        self._keys: Dict[str, list] = {}
+        self._refs = None
 
     @property
     def live_count(self):
@@ -272,11 +274,10 @@ class _DeltaSource:
             self._sorted[pos] = cached
         return cached
 
-    def fact_keys(self, pred):
-        keys = self._keys.get(pred)
-        if keys is None:
-            keys = self._keys[pred] = self._rel.keys_of(pred, self.terms_rows)
-        return keys
+    def refs(self):
+        if self._refs is None:
+            self._refs = self._rel.refs_of(self.terms_rows)
+        return self._refs
 
 
 # ---------------------------------------------------------------------------
@@ -511,60 +512,39 @@ def _exec_assign(op, state):
     state.cols[slot] = GLOBAL_INTERNER.intern_numeric(values, is_int, state.n)
 
 
-def _materialize_heads(id_cols, terms, n):
-    """Head tuples for the batch, deduplicated in id space.
+def _group_heads(arrays, n):
+    """Group the batch's firings by head row: (each firing's group, the
+    first firing of every group), groups in first-firing order.
 
-    Result batches are frequently dominated by repeated head rows (a
-    join producing the same head binding through many body matches).
-    Since every column is already interned, duplicate rows can be
-    detected on the integer id matrix with one ``np.unique`` — each
-    distinct head is materialized into a tuple exactly once and
-    duplicate rows share that object.  Equal ids mean equal terms, so
-    the emitted values are unchanged; only the allocation count drops.
+    A join often derives one head through many body matches; since
+    every column is interned, equal heads are equal id rows and one
+    ``np.unique`` finds them — each distinct head is materialized, and
+    matched against its relation, once.  Batches under
+    ``_EMIT_DEDUP_MIN_ROWS`` skip the sort (it costs more than it saves)
+    and make every firing a group of its own.
     """
-    if not id_cols:
-        return itertools.repeat((), n)
-    arrays = [col for col in id_cols if not isinstance(col, int)]
-    if n >= _EMIT_DEDUP_MIN_ROWS and arrays:
-        matrix = np.column_stack(arrays)
-        uniq, inverse = np.unique(matrix, axis=0, return_inverse=True)
-        if len(uniq) < n:
-            VECTOR_STATS["emit_dedup_rows"] += n - len(uniq)
-            uniq_lists = uniq.T.tolist()
-            u = len(uniq)
-            cols = []
-            vi = 0
-            for col in id_cols:
-                if isinstance(col, int):
-                    cols.append([terms[col]] * u)
-                else:
-                    cols.append([terms[tid] for tid in uniq_lists[vi]])
-                    vi += 1
-            uniq_heads = list(zip(*cols))
-            return [uniq_heads[i] for i in inverse.tolist()]
-    cols = []
-    for col in id_cols:
-        if isinstance(col, int):
-            cols.append([terms[col]] * n)
-        else:
-            cols.append([terms[tid] for tid in col.tolist()])
-    return list(zip(*cols))
+    if not arrays:  # a constant head: one for every firing
+        return [0] * n, np.zeros(1, dtype=np.int64)
+    if n < _EMIT_DEDUP_MIN_ROWS:
+        return list(range(n)), np.arange(n)
+    _uniq, first, inverse = np.unique(
+        np.column_stack(arrays), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    VECTOR_STATS["emit_dedup_rows"] += n - len(order)
+    return rank[inverse.ravel()].tolist(), first[order]
 
 
-def _emit(plan, prog, state, registry):
-    """Materialize (head tuple, Derivation) pairs from the final batch.
-
-    Column-at-a-time: head term columns and per-join body-fact-key
-    columns are built as flat lists, then zipped row-wise at C speed;
-    duplicate head rows are collapsed in id space first (see
-    :func:`_materialize_heads`).  Body fact keys come from the sources'
-    per-row caches, so duplicate provenance references share one key
-    object instead of allocating (and later re-hashing) a fresh
-    ``(pred, args)`` tuple per firing.
+def _emit(plan, prog, state, registry) -> FiringBatch:
+    """The final batch as a :class:`FiringBatch`: the distinct heads
+    (:func:`_group_heads`) as term tuples, built a column at a time, and
+    each positive join's matched rows — the records are made from the
+    sources' per-row ref caches when the batch is stored.
     """
     interner = GLOBAL_INTERNER
     n = state.n
-    terms = interner.terms
     id_cols: List[object] = []  # per head position: int id or id array
     for spec in prog.head:
         kind = spec[0]
@@ -582,17 +562,19 @@ def _emit(plan, prog, state, registry):
         else:  # expr
             values, is_int = _eval_expr(spec[1], state)
             id_cols.append(interner.intern_numeric(values, is_int, n))
-    heads = _materialize_heads(id_cols, terms, n)
-    body_cols: List[list] = []
-    for pred, src, rows in state.prov:
-        keys = src.fact_keys(pred)
-        body_cols.append([keys[r] for r in rows.tolist()])
-    bodies = zip(*body_cols) if body_cols else itertools.repeat((), n)
-    rule_id = plan.rule.rule_id if plan.rule.rule_id is not None else -1
-    return [
-        (head, Derivation(rule_id, body))
-        for head, body in zip(heads, bodies)
+    arrays = [col for col in id_cols if not isinstance(col, int)]
+    index, first = _group_heads(arrays, n)
+    u = len(first)
+    columns = [
+        [col] * u if isinstance(col, int) else col[first].tolist()
+        for col in id_cols
     ]
+    term = interner.terms.__getitem__
+    heads = list(zip(*[map(term, col) for col in columns])) if columns else [()] * u
+    rule_id = plan.rule.rule_id
+    return FiringBatch(
+        rule_id if rule_id is not None else -1, heads, index, state.prov
+    )
 
 
 def execute_batch(
@@ -603,11 +585,12 @@ def execute_batch(
     delta_pred: Optional[str] = None,
     delta_tuples=None,
     delta_occurrence: Optional[int] = None,
-) -> Optional[List[Tuple[tuple, Derivation]]]:
-    """Run one vectorized rule call; same contract as
-    ``fire_rule`` but materialized.  Returns None on runtime fallback —
-    in that case nothing was emitted and no counter was committed, so
-    the caller can re-run the call on the tuple executor.
+) -> Optional[Union[FiringBatch, list]]:
+    """Run one vectorized rule call; same contract as ``fire_rule`` but
+    materialized — a :class:`FiringBatch`, or ``[]`` when nothing
+    matched.  Returns None on runtime fallback — in that case nothing
+    was emitted and no counter was committed, so the caller can re-run
+    the call on the tuple executor.
     """
     delta_step = plan.delta_step(delta_pred, delta_occurrence)
     delta_src: Optional[_DeltaSource] = None

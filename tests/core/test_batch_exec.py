@@ -13,13 +13,16 @@ quietly took over.
 """
 
 import random
+from collections import Counter
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.derivations import CachedFactKey, Derivation, DerivationStore
+from repro.core.derivations import Derivation, DerivationStore
 from repro.core import eval as core_eval
+from repro.core import vector as core_vector
 from repro.core.errors import BuiltinError, EvaluationError
 from repro.core.eval import (
     Database,
@@ -54,12 +57,13 @@ PARITY = """
 """
 
 
+def fact(pred, *values):
+    return pred, tuple(Constant(v) for v in values)
+
+
 def snapshot(db):
     rows = {p: db.rows(p) for p in db.predicates()}
-    derivs = {
-        fact: set(ds) for fact, ds in db.derivations._derivations.items() if ds
-    }
-    return rows, derivs
+    return rows, db.derivations.snapshot()
 
 
 def fixpoint(program_text, facts, executor=nullcontext, evaluator=None):
@@ -176,6 +180,16 @@ class TestThreeWayDifferential:
             assert {repr(d) for ds in derivs.values() for d in ds} == {
                 "<rule 0: a('1',), b('1.0', 'k'), c('1.0',)>"
             }
+
+    def test_batch_heads_into_a_ragged_relation(self, tuple_executor):
+        # p already holds a row of another arity, so it has no id columns
+        # to read the new rows' refs from.
+        rows, derivs = assert_all_engines_agree(
+            tuple_executor, "p(X) :- q(X).",
+            [("p", (0, 0))] + [("q", (i,)) for i in range(6)],
+        )
+        assert rows["p"] == {(0, 0)} | {(i,) for i in range(6)}
+        assert len(derivs) == 6
 
     def test_list_pattern_with_bound_head(self, tuple_executor):
         rows, _ = assert_all_engines_agree(
@@ -376,73 +390,81 @@ class TestVectorStats:
         assert VECTOR_STATS["emit_dedup_rows"] > before
 
 
-class TestCachedFactKey:
-    def test_plain_tuple_interop(self):
-        plain = ("p", (1, 2))
-        cached = CachedFactKey(plain)
-        assert cached == plain
-        assert hash(cached) == hash(plain)
-        d = {cached: "via-cached"}
-        assert d[plain] == "via-cached"
-        d[plain] = "via-plain"
-        assert d[cached] == "via-plain" and len(d) == 1
-        assert plain in {cached} and cached in {plain}
+class TestFiringBatch:
+    def test_heads_are_grouped_in_first_firing_order(self):
+        # Relations append rows per distinct head, so groups must come in
+        # the order their heads first fired — not np.unique's sort order.
+        first_col = np.array([9, 3, 9, 5] * 4, dtype=np.int64)
+        second_col = np.array([1, 1, 1, 2] * 4, dtype=np.int64)
+        index, first = core_vector._group_heads([first_col, second_col], 16)
+        assert index == [0, 1, 0, 2] * 4
+        assert first.tolist() == [0, 1, 3]
 
-    def test_derivations_mix_key_flavours(self):
-        store = DerivationStore()
-        cached = CachedFactKey(("p", (1,)))
-        assert store.add(cached, Derivation(0, [("e", (1,))]))
-        # The same fact via a plain tuple: recognized, deduplicated.
-        assert not store.add(("p", (1,)), Derivation(0, [("e", (1,))]))
-        assert store.has_fact(("p", (1,)))
-        assert len(store.derivations_of(cached)) == 1
+    def test_iterating_a_batch_yields_the_tuple_executor_pairs(self):
+        db = Database()
+        for pred, args in random_graph(8, 30, seed=3):
+            db.assert_fact(pred, args)
+        program = parse_program(TC)
+        evaluate(program, db)
+        rule = program.rules[1]
+        delta = set(db.relation("e"))
+        batch = core_eval.fire_rule(rule, db, db.registry, delta_pred="e",
+                                    delta_tuples=delta, delta_occurrence=0)
+        assert type(batch) is core_eval.FiringBatch
+        tuples = core_eval._fire_rule_tuples(
+            rule, db, db.registry, delta_pred="e", delta_tuples=delta,
+            delta_occurrence=0)
+        assert Counter(batch) == Counter(tuples)
 
 
 class TestLazySupportIndex:
     @staticmethod
     def toy_store():
         store = DerivationStore()
-        store.add(("tc", (1, 2)), Derivation(0, [("e", (1, 2))]))
-        store.add(("tc", (1, 3)), Derivation(1, [("e", (1, 2)), ("tc", (2, 3))]))
-        store.add(("tc", (2, 3)), Derivation(0, [("e", (2, 3))]))
+        store.add(fact("tc", 1, 2), Derivation(0, [fact("e", 1, 2)]))
+        store.add(fact("tc", 1, 3),
+                  Derivation(1, [fact("e", 1, 2), fact("tc", 2, 3)]))
+        store.add(fact("tc", 2, 3), Derivation(0, [fact("e", 2, 3)]))
         return store
 
     @staticmethod
-    def brute_supporters(store, fact):
+    def brute_supporters(store, supporter):
         return {
             dependent
             for dependent in store.facts()
             for d in store.derivations_of(dependent)
-            if d.uses(fact)
+            if d.uses(supporter)
         }
 
     def test_index_unbuilt_until_deletion_path(self):
         store = self.toy_store()
         assert store._supports is None  # forward evaluation: no index
-        supporters = store.supporters(("e", (1, 2)))
+        supporters = store.supporters(fact("e", 1, 2))
         assert store._supports is not None
-        assert supporters == {("tc", (1, 2)), ("tc", (1, 3))}
+        assert supporters == {fact("tc", 1, 2), fact("tc", 1, 3)}
 
     def test_lazy_build_matches_brute_force(self):
         store = self.toy_store()
-        for fact in [("e", (1, 2)), ("e", (2, 3)), ("tc", (2, 3)),
-                     ("tc", (1, 3)), ("nope", (9,))]:
-            assert store.supporters(fact) == self.brute_supporters(store, fact)
+        for supporter in [fact("e", 1, 2), fact("e", 2, 3), fact("tc", 2, 3),
+                          fact("tc", 1, 3), fact("nope", 9)]:
+            assert store.supporters(supporter) == \
+                self.brute_supporters(store, supporter)
 
     def test_adds_after_build_maintain_index(self):
         store = self.toy_store()
-        store.supporters(("e", (1, 2)))  # force build
-        store.add(("tc", (0, 2)), Derivation(1, [("e", (0, 1)), ("tc", (1, 2))]))
-        assert store.supporters(("tc", (1, 2))) == \
-            self.brute_supporters(store, ("tc", (1, 2)))
+        store.supporters(fact("e", 1, 2))  # force build
+        store.add(fact("tc", 0, 2),
+                  Derivation(1, [fact("e", 0, 1), fact("tc", 1, 2)]))
+        assert store.supporters(fact("tc", 1, 2)) == \
+            self.brute_supporters(store, fact("tc", 1, 2))
 
     def test_remove_support_equivalent_built_early_or_late(self):
         def cascade(build_early):
             store = self.toy_store()
             if build_early:
-                store.supporters(("e", (1, 2)))
-            emptied = store.remove_support(("e", (1, 2)))
-            return sorted(emptied), sorted(store.facts())
+                store.supporters(fact("e", 1, 2))
+            emptied = store.remove_support(fact("e", 1, 2))
+            return sorted(emptied, key=repr), sorted(store.facts(), key=repr)
 
         assert cascade(build_early=True) == cascade(build_early=False)
 
@@ -450,7 +472,7 @@ class TestLazySupportIndex:
         for build_first in (False, True):
             store = self.toy_store()
             if build_first:
-                store.supporters(("e", (1, 2)))
-            store.discard_fact(("tc", (1, 3)))
-            assert not store.has_fact(("tc", (1, 3)))
-            assert store.supporters(("tc", (2, 3))) == set()
+                store.supporters(fact("e", 1, 2))
+            store.discard_fact(fact("tc", 1, 3))
+            assert not store.has_fact(fact("tc", 1, 3))
+            assert store.supporters(fact("tc", 2, 3)) == set()

@@ -303,25 +303,30 @@ class TestRelationDifferential:
         assert len(live2) == 1
         assert GLOBAL_INTERNER.term(int(rel.np_column(0)[live2[0]])) == Constant(3)
 
-    def test_fact_keys_are_row_aligned_and_cached(self):
+    @staticmethod
+    def ref(pred, values):
+        return (pred, *[GLOBAL_INTERNER.get(t) for t in const_tuple(values)])
+
+    def test_refs_are_row_aligned_and_cached(self):
         rel = Relation("t")
         _, row_a = rel.add_row(const_tuple((1, 2)))
-        keys = rel.fact_keys("t")
-        assert keys[row_a] == ("t", const_tuple((1, 2)))
-        assert hash(keys[row_a]) == hash(("t", const_tuple((1, 2))))
+        refs = rel.refs()
+        assert refs[row_a] == self.ref("t", (1, 2))
         _, row_b = rel.add_row(const_tuple((3, 4)))
-        keys2 = rel.fact_keys("t")
-        assert keys2 is keys  # grown in place, one key object per row
-        assert keys2[row_b] == ("t", const_tuple((3, 4)))
+        rel.discard(const_tuple((1, 2)))
+        assert rel.refs() is refs  # grown in place, one ref per row
+        assert refs == [self.ref("t", (1, 2)), self.ref("t", (3, 4))]
+        # Deleted and re-added, in another spelling: a new row, the same ref.
+        _, row_c = rel.add_row(const_tuple((1.0, 2)))
+        assert row_c != row_a and rel.refs()[row_c] == refs[row_a]
 
-    def test_keys_of_hands_out_the_stored_key_object(self):
+    def test_delta_refs_name_the_stored_rows(self):
+        from repro.core.vector import _DeltaSource
+
         rel = Relation("t")
         _, row = rel.add_row(const_tuple((1, 2)))
-        stored, fresh = rel.keys_of(
-            "t", [const_tuple((1, 2)), const_tuple((9, 9))]
-        )
-        assert stored is rel.fact_keys("t")[row]
-        assert fresh == ("t", const_tuple((9, 9)))
-        rel.discard(const_tuple((1, 2)))  # a dead row has no key to share
-        (again,) = rel.keys_of("t", [const_tuple((1, 2))])
-        assert again == stored and again is not stored
+        delta = _DeltaSource([const_tuple((1.0, 2)), const_tuple((9, 9))], rel)
+        stored, fresh = delta.refs()
+        assert stored is rel.refs()[row]  # one ref object per stored fact
+        fresh_ids = [GLOBAL_INTERNER.get(Constant(9))] * 2
+        assert fresh == ("t", *fresh_ids)  # a row the relation does not hold

@@ -83,6 +83,28 @@ class TestDerivationStore:
         assert store.remove_support(fact("e", 1)) == []
 
 
+class TestExactReverseIndex:
+    """``supporters(f)`` is exactly the facts with a derivation through
+    ``f``, also after ``remove_support`` took derivations away."""
+
+    def test_emptied_fact_leaves_its_other_supporters(self):
+        store = DerivationStore()
+        store.add(fact("d", 1), Derivation(0, [fact("a", 1), fact("b", 1)]))
+        assert store.supporters(fact("b", 1)) == {fact("d", 1)}  # index built
+        assert store.remove_support(fact("a", 1)) == [fact("d", 1)]
+        assert store.supporters(fact("b", 1)) == set()
+
+    def test_surviving_derivations_no_longer_through_a_supporter(self):
+        store = DerivationStore()
+        store.add(fact("d", 1), Derivation(0, [fact("a", 1), fact("b", 1)]))
+        store.add(fact("d", 1), Derivation(1, [fact("c", 1)]))
+        assert store.supporters(fact("b", 1)) == {fact("d", 1)}
+        assert store.remove_support(fact("a", 1)) == []
+        assert store.has_fact(fact("d", 1))
+        assert store.supporters(fact("b", 1)) == set()
+        assert store.supporters(fact("c", 1)) == {fact("d", 1)}
+
+
 class TestProofTrees:
     def test_base_fact_is_leaf(self):
         store = DerivationStore()

@@ -377,7 +377,7 @@ class TestXYEvaluation:
             evaluate(program, db)
             return (
                 {p: db.rows(p) for p in db.predicates()},
-                {f: set(ds) for f, ds in db.derivations._derivations.items()},
+                db.derivations.snapshot(),
             )
 
         rows, derivations = run()

@@ -56,10 +56,7 @@ def snapshot(db):
     """Everything the evaluator computed: rows per predicate plus the
     full derivation store."""
     rows = {p: db.rows(p) for p in db.predicates()}
-    derivs = {
-        fact: set(ds) for fact, ds in db.derivations._derivations.items() if ds
-    }
-    return rows, derivs
+    return rows, db.derivations.snapshot()
 
 
 def run_both(program_text, facts, registry=None, evaluator=None):
