@@ -10,35 +10,54 @@ Expected shape: all three compute the exact BFS tree; logicJ costs
 roughly half of logicH (smaller tuples, one fewer attribute to carry);
 the declarative translations stay within a small constant factor of the
 hand-written procedural code.
+
+``--smoke`` runs the grid table plus one logicJ random-geometric cell
+(60 nodes, radius 1.8); ``--check`` additionally compares that table
+with ``benchmarks/BENCH_e5.json`` for equality — the counts are
+simulated, so a frame or a byte that moved is a change of behaviour.
 """
+
+import sys
 
 import networkx as nx
 import pytest
 
 import repro
 from repro.dist import ProceduralBFS, build_sptree, visible_rows
-from harness import report
+from harness import check_exact_table, report
 
 SIZES = [4, 6, 8]
 
 
-def run_grid(m: int, variant: str):
-    net = repro.GridNetwork(m, seed=m)
+def bfs_tree_cell(net, variant: str, root: int = 0):
+    """Build the tree from ``root`` with ``variant`` ('h', 'j' or
+    'procedural') and return (correct, metrics)."""
     if variant == "procedural":
-        bfs = ProceduralBFS(net, root=0).install()
+        bfs = ProceduralBFS(net, root=root).install()
         bfs.start()
         net.run_all()
         rows = bfs.tree_rows()
     else:
-        engine, pred = build_sptree(net, root=0, variant=variant)
+        engine, pred = build_sptree(net, root=root, variant=variant)
         net.run_all()
         rows = visible_rows(engine, pred)
         if variant == "h":
             rows = {(y, d) for (_x, y, d) in rows}
     truth = set(
-        nx.single_source_shortest_path_length(net.topology.graph, 0).items()
+        nx.single_source_shortest_path_length(net.topology.graph, root).items()
     )
     return rows == truth, net.metrics
+
+
+def run_grid(m: int, variant: str):
+    return bfs_tree_cell(repro.GridNetwork(m, seed=m), variant)
+
+
+def run_random(n: int = 60, seed: int = 2):
+    """logicJ on a random-geometric deployment at radius 1.8 and unit
+    density (the cell ``test_localized.py`` pins)."""
+    net = repro.RandomNetwork(n, radius=1.8, side=n ** 0.5, seed=seed)
+    return bfs_tree_cell(net, "j")
 
 
 def run(sizes=SIZES):
@@ -66,6 +85,20 @@ def run(sizes=SIZES):
     return results
 
 
+def smoke_table():
+    table = {
+        f"{m}x{m}/{variant}": {"frames": frames, "bytes": bytes_, "correct": correct}
+        for (m, variant), (frames, bytes_, correct) in run().items()
+    }
+    correct, metrics = run_random()
+    table["random60-r1.8-seed2/j"] = {
+        "frames": metrics.total_messages, "bytes": metrics.total_bytes,
+        "correct": correct,
+    }
+    print(f"  random 60 nodes r=1.8 seed 2, logicJ: {table['random60-r1.8-seed2/j']}")
+    return table
+
+
 def test_e5_shape(benchmark):
     results = benchmark.pedantic(run, args=([4, 6],), rounds=1, iterations=1)
     for key, (msgs, bytes_, correct) in results.items():
@@ -79,4 +112,9 @@ def test_e5_shape(benchmark):
 
 
 if __name__ == "__main__":
-    run()
+    if "--smoke" in sys.argv:
+        table = smoke_table()
+        if "--check" in sys.argv:
+            check_exact_table("e5", table)
+    else:
+        run()

@@ -1,6 +1,7 @@
 """Distributed in-network evaluation.
 
-Two engines share the compiled plan layer:
+Two engines share the compiled plan layer (:mod:`repro.dist.plans`) and
+the timestamp-ranked derived-fact ledger (:mod:`repro.dist.derived`):
 
 * :class:`GPAEngine` — stream joins via the (Generalized) Perpendicular
   Approach with pluggable storage/join regions, sliding windows,
@@ -13,16 +14,15 @@ Two engines share the compiled plan layer:
 from .aggregates import DistributedAggregate, local_values
 from .baselines import ProceduralBFS
 from .codegen import Deployment, ProgramImage, image_for
+from .derived import DerivedFact, FactRef, WireDerivation
 from .gpa import (
     Candidate,
-    FactRef,
     GPAEngine,
     JoinToken,
     NodeRuntime,
     Partial,
     ResultMsg,
     StoreMsg,
-    WireDerivation,
 )
 from .localized import (
     LocalResultMsg,
@@ -54,7 +54,8 @@ from .regions import (
 
 __all__ = [
     "DistributedAggregate", "local_values", "Deployment", "ProgramImage",
-    "image_for", "ProceduralBFS", "Candidate", "FactRef", "GPAEngine", "JoinToken",
+    "image_for", "ProceduralBFS", "Candidate", "DerivedFact", "FactRef",
+    "GPAEngine", "JoinToken",
     "NodeRuntime", "Partial", "ResultMsg", "StoreMsg", "WireDerivation",
     "LocalResultMsg", "LocalizedEngine", "Placement", "ReplicaMsg",
     "build_sptree", "logich_placements", "logich_program",

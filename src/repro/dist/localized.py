@@ -20,12 +20,21 @@ Mechanics:
   join-conditions" in program flash; complete results are sent to
   their head's placement node carrying the derivation and the
   instantiated negated subgoals to watch;
-* at the placement node a derivation is *valid* while none of its
-  watched negated atoms is visible; a fact is visible while it has a
-  valid derivation.  Late-arriving blockers retract optimistically
-  accepted facts (and the retraction cascades), implementing the
-  paper's "wait before finalizing a derived fact — it may be retracted
-  later" discipline for XY-stratified programs.
+* a result carries its firing's stamp (:func:`_stamp`); at the
+  placement node the fact is the ledger GPA's hash nodes keep
+  (:class:`~repro.dist.derived.DerivedFact`), which ranks each
+  identity's adds and subs by stamp, so a sub that overtakes its add
+  still cancels it.  A base fact is its own rule -1 derivation:
+  ``seed`` adds it, ``retract`` subtracts it;
+* a live derivation is *valid* while none of its watched negated atoms
+  is visible; a fact is visible while it has a valid derivation.
+  Late-arriving blockers retract optimistically accepted facts (and the
+  retraction cascades), implementing the paper's "wait before
+  finalizing a derived fact — it may be retracted later" discipline for
+  XY-stratified programs.
+
+Tables and watch index are insertion-ordered dicts: the order a node
+fires and sends in does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -43,10 +52,9 @@ from ..net.node import Node
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from ..obs.spans import span as _span
-from ..streams.tuples import ArgsTuple
-from .gpa import WireDerivation, FactRef
+from ..streams.tuples import ArgsTuple, TupleID
+from .derived import DerivedFact, FactRef, WireDerivation
 from .plans import DeltaJoin, DistributedPlan
-from ..streams.tuples import TupleID
 
 #: Fixed tuple id used for value-identified facts in localized mode.
 _VALUE_ID = TupleID(0, 0.0, 0)
@@ -83,17 +91,24 @@ class Placement:
         return f"Placement(arg {self.attr}{extra}{nbr})"
 
 
-class LocalResultMsg(Message):
-    """A candidate derivation shipped to its fact's placement node."""
+def _stamp(node: Node) -> tuple:
+    """One firing's stamp: totally ordered across nodes, strictly
+    increasing along the node's own firings.  Ranking by it converges:
+    the top-ranked update for an identity is some node's last firing,
+    and a node's last firing reflects its final view (an add while its
+    tables hold every row used, a sub once one left).  ``sim.now``
+    alone would not do: a delete and a re-insert at one node in one
+    instant would tie, and ``(stamp, is a sub)`` ranks the sub on top."""
+    return (node.clock.now(), node.id, node.next_seq())
 
-    def __init__(
-        self,
-        pred: str,
-        args: ArgsTuple,
-        derivation: WireDerivation,
-        neg_atoms: Tuple[Tuple[str, ArgsTuple], ...],
-        op: str,
-    ):
+
+class LocalResultMsg(Message):
+    """A candidate derivation shipped to its fact's placement node,
+    stamped by the firing that produced it (unsized, as
+    ``ResultMsg.ts``)."""
+
+    def __init__(self, pred: str, args: ArgsTuple, derivation: WireDerivation,
+                 neg_atoms: Tuple[Tuple[str, ArgsTuple], ...], op: str, stamp: tuple):
         size = (
             1 + sum(term_size(a) for a in args) + derivation.size()
             + 2 * len(neg_atoms)
@@ -104,6 +119,7 @@ class LocalResultMsg(Message):
         self.derivation = derivation
         self.neg_atoms = neg_atoms
         self.op = op  # 'add' | 'sub'
+        self.stamp = stamp
 
 
 class ReplicaMsg(Message):
@@ -119,15 +135,16 @@ class ReplicaMsg(Message):
         self.op = op  # 'ins' | 'del'
 
 
-class PlacedFact:
-    """Placement-node state of one fact."""
+class PlacedFact(DerivedFact):
+    """Placement-node state of one fact: its ledger, plus the negated
+    atoms each live derivation watches and whether the fact is visible
+    (it has a live derivation none of whose atoms is stored)."""
 
-    __slots__ = ("base", "derivations", "visible")
+    __slots__ = ("watched", "visible")
 
     def __init__(self):
-        self.base = False  # seeded base fact (unconditionally derivable)
-        # identity -> (derivation, neg_atoms)
-        self.derivations: Dict[tuple, Tuple[WireDerivation, tuple]] = {}
+        super().__init__()
+        self.watched: Dict[tuple, tuple] = {}  # live identity -> atoms
         self.visible = False
 
 
@@ -135,15 +152,16 @@ class LocalRuntime:
     """One node's tables and watch index."""
 
     def __init__(self):
-        # pred -> set of visible args (primaries and replicas alike)
-        self.tables: Dict[str, Set[ArgsTuple]] = {}
+        # pred -> {row: stored row} of visible facts (primaries and
+        # replicas alike)
+        self.tables: Dict[str, Dict[ArgsTuple, ArgsTuple]] = {}
         # facts whose primary placement is this node
         self.placed: Dict[Tuple[str, ArgsTuple], PlacedFact] = {}
-        # negated-atom key -> {(fact_key, derivation identity)}
-        self.watches: Dict[Tuple[str, ArgsTuple], Set[tuple]] = {}
+        # negated-atom key -> {(fact_key, derivation identity): None}
+        self.watches: Dict[Tuple[str, ArgsTuple], Dict[tuple, None]] = {}
 
-    def table(self, pred: str) -> Set[ArgsTuple]:
-        return self.tables.setdefault(pred, set())
+    def table(self, pred: str) -> Dict[ArgsTuple, ArgsTuple]:
+        return self.tables.setdefault(pred, {})
 
     def memory_tuples(self) -> int:
         return sum(len(t) for t in self.tables.values())
@@ -161,7 +179,7 @@ class LocalizedEngine:
         }
         engine = LocalizedEngine(LOGICH, net, placements).install()
         engine.seed_edges("g")
-        engine.insert(root, "h", (root, root, 0))
+        engine.seed(root, "h", (root, root, 0))
         net.run_all()
     """
 
@@ -218,31 +236,23 @@ class LocalizedEngine:
         for a in self.network.topology.node_ids:
             for b in self.network.topology.neighbors(a):
                 args = (to_term(a), to_term(b))
-                self.runtimes[a].table(pred).add(args)
-                self.runtimes[b].table(pred).add(args)
+                self.runtimes[a].table(pred).setdefault(args, args)
+                self.runtimes[b].table(pred).setdefault(args, args)
 
     def seed(self, node_id: int, pred: str, args: Iterable) -> None:
-        """Install a base fact directly at a node (no radio cost)."""
-        args_t = tuple(to_term(a) for a in args)
-        runtime = self.runtimes[node_id]
-        fact = runtime.placed.setdefault((pred, args_t), PlacedFact())
-        fact.base = True
-        self._recompute_visibility(self.network.node(node_id), pred, args_t)
+        """Install a base fact directly at a node (no radio cost): add
+        its rule -1 derivation."""
+        self._base(node_id, pred, args, "add")
 
-    def insert(self, node_id: int, pred: str, args: Iterable) -> None:
-        """A base fact is generated at ``node_id``; if its placement is
-        elsewhere, it is routed there first (paying messages)."""
+    def retract(self, node_id: int, pred: str, args: Iterable) -> None:
+        """Withdraw a seeded base fact: subtract its rule -1 derivation."""
+        self._base(node_id, pred, args, "sub")
+
+    def _base(self, node_id: int, pred: str, args: Iterable, op: str) -> None:
         args_t = tuple(to_term(a) for a in args)
-        home = self.placements[pred].primary_node(args_t, self.registry)
-        derivation = WireDerivation(
-            -1, (FactRef(pred, args_t, _VALUE_ID),)
-        )
-        msg = LocalResultMsg(pred, args_t, derivation, (), "add")
         node = self.network.node(node_id)
-        if home == node_id:
-            node.local_deliver(msg)
-        else:
-            node.send_routed(home, msg)
+        derivation = WireDerivation(-1, (FactRef(pred, args_t, _VALUE_ID),))
+        self._apply(node, pred, args_t, op, derivation, (), _stamp(node))
 
     def memory_report(self) -> Dict[int, int]:
         """Per-node resident tuples — Section V's claim is that the
@@ -252,89 +262,67 @@ class LocalizedEngine:
             for node_id, runtime in self.runtimes.items()
         }
 
-    def retract(self, node_id: int, pred: str, args: Iterable) -> None:
-        """Withdraw a seeded/base fact."""
-        args_t = tuple(to_term(a) for a in args)
-        runtime = self.runtimes[node_id]
-        fact = runtime.placed.get((pred, args_t))
-        if fact is None or not fact.base:
-            return
-        fact.base = False
-        self._recompute_visibility(self.network.node(node_id), pred, args_t)
-
     # -- result handling --------------------------------------------------------
 
     def _on_result(self, node: Node, msg: LocalResultMsg) -> None:
-        runtime = self.runtimes[node.id]
-        key = (msg.pred, msg.args)
-        fact = runtime.placed.setdefault(key, PlacedFact())
-        ident = msg.derivation.identity()
-        if msg.op == "add":
-            if ident in fact.derivations:
-                return
-            fact.derivations[ident] = (msg.derivation, msg.neg_atoms)
-            for atom in msg.neg_atoms:
-                runtime.watches.setdefault(atom, set()).add((key, ident))
-        else:
-            entry = fact.derivations.pop(ident, None)
-            if entry is None:
-                return
-            for atom in entry[1]:
-                watchers = runtime.watches.get(atom)
-                if watchers is not None:
-                    watchers.discard((key, ident))
-        self._recompute_visibility(node, msg.pred, msg.args)
+        self._apply(node, msg.pred, msg.args, msg.op, msg.derivation,
+                    msg.neg_atoms, msg.stamp)
 
-    def _derivation_valid(self, runtime: LocalRuntime, neg_atoms) -> bool:
-        for pred, args in neg_atoms:
-            if args in runtime.tables.get(pred, ()):
-                return False
-        return True
-
-    def _recompute_visibility(self, node: Node, pred: str, args: ArgsTuple) -> None:
+    def _apply(self, node: Node, pred: str, args: ArgsTuple, op: str,
+               derivation: WireDerivation, neg_atoms: tuple, stamp: tuple) -> None:
+        """Rank one stamped update into the fact's ledger; only an
+        identity whose liveness flipped touches the watch index."""
         runtime = self.runtimes[node.id]
         key = (pred, args)
         fact = runtime.placed.get(key)
         if fact is None:
-            return
-        now_visible = fact.base or any(
-            self._derivation_valid(runtime, neg_atoms)
-            for _d, neg_atoms in fact.derivations.values()
-        )
-        if now_visible == fact.visible:
-            return
-        fact.visible = now_visible
-        if now_visible:
-            self._table_insert(node, pred, args, propagate_replicas=True)
+            fact = runtime.placed[key] = PlacedFact()
+        ident = derivation.identity()
+        was_live = ident in fact.derivations
+        fact.apply(op, derivation, stamp)
+        if (ident in fact.derivations) == was_live:
+            return  # outranked, a duplicate, or a tombstone raised
+        entry = (key, ident)
+        if was_live:
+            for atom in fact.watched.pop(ident):
+                runtime.watches[atom].pop(entry, None)
         else:
-            self._table_delete(node, pred, args, propagate_replicas=True)
+            fact.watched[ident] = neg_atoms
+            for atom in neg_atoms:
+                runtime.watches.setdefault(atom, {})[entry] = None
+        self._recompute_visibility(node, pred, args)
+
+    def _recompute_visibility(self, node: Node, pred: str, args: ArgsTuple) -> None:
+        runtime = self.runtimes[node.id]
+        fact = runtime.placed.get((pred, args))
+        if fact is None:
+            return
+        now_visible = any(
+            not any(a in runtime.tables.get(p, ()) for p, a in neg_atoms)
+            for neg_atoms in fact.watched.values()
+        )
+        if now_visible != fact.visible:
+            fact.visible = now_visible
+            op = "ins" if now_visible else "del"
+            self._table_update(node, pred, args, op, propagate_replicas=True)
 
     # -- table updates: the delta-firing core -------------------------------------
 
-    def _table_insert(self, node: Node, pred: str, args: ArgsTuple,
+    def _table_update(self, node: Node, pred: str, args: ArgsTuple, op: str,
                       propagate_replicas: bool) -> None:
-        runtime = self.runtimes[node.id]
-        table = runtime.table(pred)
-        if args in table:
+        """Insert ('ins') or delete ('del') a visible row and delta-fire
+        the rules it triggers."""
+        table = self.runtimes[node.id].table(pred)
+        if (args in table) == (op == "ins"):
             return
-        table.add(args)
+        if op == "ins":
+            table[args] = args
+        else:
+            del table[args]
         if propagate_replicas:
-            self._send_replicas(node, pred, args, "ins")
+            self._send_replicas(node, pred, args, op)
         self._check_watchers(node, pred, args)
-        self._fire_rules(node, pred, args, op="add")
-
-    def _table_delete(self, node: Node, pred: str, args: ArgsTuple,
-                      propagate_replicas: bool) -> None:
-        runtime = self.runtimes[node.id]
-        table = runtime.table(pred)
-        if args not in table:
-            return
-        # Fire deletions while the fact is still bindable, then remove.
-        table.discard(args)
-        if propagate_replicas:
-            self._send_replicas(node, pred, args, "del")
-        self._check_watchers(node, pred, args)
-        self._fire_rules(node, pred, args, op="sub")
+        self._fire_rules(node, pred, args, "add" if op == "ins" else "sub")
 
     def _send_replicas(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
         placement = self.placements[pred]
@@ -345,20 +333,13 @@ class LocalizedEngine:
             if extra != node.id and extra not in targets:
                 targets.append(extra)
         for target in targets:
-            msg = ReplicaMsg(pred, args, op)
-            node.send_routed(target, msg)
+            node.send_routed(target, ReplicaMsg(pred, args, op))
 
     def _on_replica(self, node: Node, msg: ReplicaMsg) -> None:
-        if msg.op == "ins":
-            self._table_insert(node, msg.pred, msg.args, propagate_replicas=False)
-        else:
-            self._table_delete(node, msg.pred, msg.args, propagate_replicas=False)
+        self._table_update(node, msg.pred, msg.args, msg.op, propagate_replicas=False)
 
     def _check_watchers(self, node: Node, pred: str, args: ArgsTuple) -> None:
-        runtime = self.runtimes[node.id]
-        watchers = runtime.watches.get((pred, args))
-        if not watchers:
-            return
+        watchers = self.runtimes[node.id].watches.get((pred, args), ())
         for fact_key, _ident in list(watchers):
             self._recompute_visibility(node, fact_key[0], fact_key[1])
 
@@ -390,6 +371,9 @@ class LocalizedEngine:
                 )
         else:
             results = join.fire(tables, args, self.registry)
+        if not results:
+            return
+        stamp = _stamp(node)
         placement = self.placements[join.head_pred]
         for head_args, used, neg_atoms in results:
             # Localized mode identifies facts by value, not by stream
@@ -400,11 +384,9 @@ class LocalizedEngine:
                 FactRef(p, row, _VALUE_ID) for p, row in zip(join.preds, used)
             ))
             home = placement.primary_node(head_args, self.registry)
-            msg = LocalResultMsg(join.head_pred, head_args, derivation, neg_atoms, op)
-            if home == node.id:
-                node.local_deliver(msg)
-            else:
-                node.send_routed(home, msg)
+            node.send_routed(home, LocalResultMsg(  # in place if home is here
+                join.head_pred, head_args, derivation, neg_atoms, op, stamp
+            ))
 
 
 def logich_program() -> str:

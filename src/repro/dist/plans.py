@@ -260,10 +260,10 @@ class DeltaJoin:
 
     The trigger literal comes first, then the rule's other positive
     literals in textual order; a literal whose arguments are all fixed
-    by then is a membership probe, any other scans the node's table
-    ``set`` itself, so matches come out in the order nested loops over
-    those sets give.  Built-ins, head and negated atoms are evaluated
-    from the registers per complete match.
+    by then is one lookup, any other scans the node's table itself, so
+    matches come out in the order nested loops over those tables give.
+    Built-ins, head and negated atoms are evaluated from the registers
+    per complete match.
 
     Tables must hold ground rows (they do: rows are ground heads or
     seeded values).  Every variable of a negated atom is then bound to
@@ -304,12 +304,13 @@ class DeltaJoin:
         self.n_slots = len(rp.slots)
 
     def fire(
-        self, tables: Dict[str, Set[tuple]], args: tuple,
+        self, tables: Dict[str, Dict[tuple, tuple]], args: tuple,
         registry: BuiltinRegistry, stats: Optional[List[int]] = None,
     ) -> List[Tuple[tuple, tuple, tuple]]:
         """Delta-join the trigger fact ``args`` against a node's
-        ``tables``: one ``(head args, used rows, negated atoms)`` per
-        derivation, in match order.  ``used`` lines up with ``preds``.
+        ``tables`` (pred -> {row: stored row}): one ``(head args, used
+        rows, negated atoms)`` per derivation, in match order.  ``used``
+        lines up with ``preds``.
 
         The join is complete before any match is concluded, so a
         caller may change the tables while it consumes the result.
@@ -318,7 +319,7 @@ class DeltaJoin:
         """
         matches: List[Tuple[list, tuple]] = []
         self._join(
-            0, (args,), tables, [None] * self.n_slots, [], registry, stats,
+            0, {args: args}, tables, [None] * self.n_slots, [], registry, stats,
             matches,
         )
         out = []
@@ -345,12 +346,12 @@ class DeltaJoin:
         else:
             want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in known]
             if len(want) == arity:
-                # Every argument is fixed: one membership probe instead
-                # of a scan.  On a hit, hand out the stored row, not the
-                # probe that equals it (1 == 1.0, and derivation
-                # identities spell their rows).
-                full = tuple([term for _pos, term in want])
-                rows = [row for row in table if row == full] if full in table else ()
+                # Every argument is fixed: one lookup instead of a scan.
+                # On a hit, hand out the stored row, not the probe that
+                # equals it (1 == 1.0, and derivation identities spell
+                # their rows).
+                stored = table.get(tuple([term for _pos, term in want]))
+                rows = () if stored is None else (stored,)
                 scanned = 1
             else:
                 rows = _scan_rows(table, arity, want, rechecks)

@@ -15,14 +15,8 @@ from repro.core.eval import ground_head
 from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
 from repro.core.unify import match_sequences
 from repro.dist import plans
-from repro.dist.gpa import (
-    Candidate,
-    FactRef,
-    GPAEngine,
-    JoinToken,
-    Partial,
-    WireDerivation,
-)
+from repro.dist.derived import FactRef, WireDerivation
+from repro.dist.gpa import Candidate, GPAEngine, JoinToken, Partial
 from repro.net.messages import Message
 from repro.net.network import GridNetwork
 

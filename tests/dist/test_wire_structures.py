@@ -6,17 +6,22 @@ from itertools import permutations
 import pytest
 
 from repro.core.terms import Constant
+from repro.dist.derived import DerivedFact, FactRef, WireDerivation
 from repro.dist.gpa import (
     Candidate,
-    DerivedFact,
-    FactRef,
     GatherMsg,
     JoinToken,
     Partial,
     ResultMsg,
     StoreMsg,
-    WireDerivation,
 )
+from repro.dist.localized import (
+    LocalResultMsg,
+    LocalRuntime,
+    LocalizedEngine,
+    Placement,
+)
+from repro.net.network import GridNetwork
 from repro.streams.tuples import StreamTuple, TupleID
 
 
@@ -115,17 +120,61 @@ def test_only_a_deleted_support_is_stamped_ahead():
 DELETED_AT = stamp("del", False)
 
 
+DERIVATION = WireDerivation(0, (ref("r"), ref("s")))
+
+
+def replay_ledger(script):
+    """The script applied to a bare ledger."""
+    fact = DerivedFact()
+    for op, stamp in script:
+        fact.apply(op, DERIVATION, stamp)
+    return fact
+
+
+class PlacementNode:
+    """The script delivered as ``LocalResultMsg``s to a localized
+    placement node, the derivation watching ``b(0)``; checks that the
+    fact is visible and watches ``b(0)`` exactly while it has a live
+    derivation."""
+
+    ARGS = (Constant(0),)
+    BLOCKER = ("b", ARGS)
+
+    def __init__(self):
+        placements = {p: Placement(0) for p in "qrsb"}
+        self.engine = LocalizedEngine(
+            "q(X) :- r(X), s(X), not b(X).", GridNetwork(1), placements
+        ).install()
+
+    def __call__(self, script):
+        engine = self.engine
+        runtime = engine.runtimes[0] = LocalRuntime()
+        node = engine.network.node(0)
+        for op, stamp in script:
+            engine._on_result(node, LocalResultMsg(
+                "q", self.ARGS, DERIVATION, (self.BLOCKER,), op, stamp
+            ))
+        fact = runtime.placed[("q", self.ARGS)]
+        live = bool(fact.derivations)
+        assert fact.visible == live == (self.ARGS in runtime.tables.get("q", {}))
+        watching = {atom: list(w) for atom, w in runtime.watches.items() if w}
+        key = (("q", self.ARGS), DERIVATION.identity())
+        assert watching == ({self.BLOCKER: [key]} if live else {})
+        return fact
+
+
 class TestDerivedFactLedger:
     """``DerivedFact.apply`` is order-independent: every arrival order
     of one identity's stamped updates ends in the state timestamp order
-    gives — with no network, on the method itself."""
+    gives — on the method itself, and through a localized placement
+    node's result handler."""
 
-    DERIVATION = WireDerivation(0, (ref("r"), ref("s")))
+    @pytest.fixture(params=["ledger", "placement-node"])
+    def replay(self, request):
+        return replay_ledger if request.param == "ledger" else PlacementNode()
 
-    def replay(self, script):
-        fact = DerivedFact()
-        for op, stamp in script:
-            fact.apply(op, self.DERIVATION, stamp)
+    @staticmethod
+    def outcome_of(fact):
         return (
             set(fact.derivations),
             {ident: (op, stamp) for ident, (op, _d, stamp) in fact.ledger.items()},
@@ -150,13 +199,13 @@ class TestDerivedFactLedger:
         ([("add", 0.2), ("sub", DELETED_AT), ("add", 1.1)], ("sub", DELETED_AT)),
         ([("add", 0.2), ("sub", DELETED_AT), ("add", 1.2)], ("add", 1.2)),
     ])
-    def test_every_arrival_order_ends_in_timestamp_order(self, script, outcome):
-        ident = self.DERIVATION.identity()
+    def test_every_arrival_order_ends_in_timestamp_order(self, replay, script, outcome):
+        ident = DERIVATION.identity()
         expected = ({ident} if outcome[0] == "add" else set(), {ident: outcome})
         in_order = sorted(script, key=lambda update: (update[1], update[0] == "sub"))
-        assert self.replay(in_order) == expected
+        assert self.outcome_of(replay(in_order)) == expected
         for order in permutations(script):
-            assert self.replay(order) == expected, order
+            assert self.outcome_of(replay(order)) == expected, order
 
     def test_expire_forgets_tombstones_only(self):
         live, dead = WireDerivation(0, (ref(),)), WireDerivation(1, (ref(),))
