@@ -5,9 +5,9 @@ Theorem 3 buys correctness with delays: under barrier evaluation a
 join phase starts only tau_s + tau_c after the storage phase, and the
 phases themselves take hops.  The pipelined mode (E24) keeps the
 theorem's *data-dependent* timestamp discipline but drops the
-*arrival-time* wait for programs the coordination-freeness classifier
-clears — stored replicas trigger join tokens immediately and
-derivations stream hop-by-hop.
+*arrival-time* wait for every rule the release analysis lets stream
+(``core.stratify.rule_releases``) — stored replicas trigger join tokens
+immediately and derivations stream hop-by-hop.
 
 This bench measures end-to-end latency from an update's timestamp to
 its first derived result at the hash node, across grid sizes, both
@@ -20,6 +20,12 @@ Expected shape: barrier latency grows linearly in the grid side m for
 every scheme and is dominated by the fixed tau_s + tau_c wait;
 pipelined latency is pure propagation, so the gap *widens* with m —
 multi-x mean-latency reduction at m=12.
+
+The ``mixed`` cell (PA) runs a 3-way join under the multiple-pass
+scheme, which holds Theorem 3's delay, beside an independent 2-way join
+``pair``: the held rule must not cost ``pair`` its streaming.  It
+asserts identical rows, derivation stores and frame counts across
+modes and reports ``pair``'s latency.
 
 ``--smoke`` shrinks to CI scale; ``--check`` additionally gates the
 simulated latencies and the pipelined speedup against the committed
@@ -42,6 +48,10 @@ SIZES = [6, 8, 10, 12]
 SMOKE_SIZES = [6, 12]
 STRATEGIES = ("pa", "centralized")
 MODES = ("barrier", "pipelined")
+MIXED = (
+    "j(K, A, B, C) :- r(K, A), s(K, B), t(K, C). "
+    "pair(A, B) :- p(K, A), q(K, B)."
+)
 
 
 def run(sizes=SIZES, tuples=10):
@@ -62,30 +72,15 @@ def run(sizes=SIZES, tuples=10):
                 per_mode[mode] = engine
             barrier, pipelined = per_mode["barrier"], per_mode["pipelined"]
             assert pipelined.mode == "pipelined", (
-                f"pipelined run fell back ({pipelined.pipeline_fallback}) at "
+                f"pipelined run held {pipelined.releases} at "
                 f"m={m} strategy={strategy}"
             )
             assert barrier.derivation_store() == pipelined.derivation_store(), (
                 f"derivation stores diverged at m={m} strategy={strategy}"
             )
-            b_lat = barrier.latency_report("j")
-            p_lat = pipelined.latency_report("j")
-            speedup = (
-                b_lat["mean"] / p_lat["mean"] if p_lat["mean"] > 0 else 0.0
-            )
-            rows.append([
-                f"{m}x{m}", strategy, b_lat["count"],
-                b_lat["mean"], b_lat["max"],
-                p_lat["mean"], p_lat["max"],
-                f"{speedup:.2f}x", "yes",
-            ])
-            results[(m, strategy)] = {
-                "barrier_mean": b_lat["mean"],
-                "barrier_max": b_lat["max"],
-                "pipelined_mean": p_lat["mean"],
-                "pipelined_max": p_lat["max"],
-                "speedup": speedup,
-            }
+            results[(m, strategy)] = _cell(rows, m, strategy, barrier, pipelined, "j")
+        barrier, pipelined = _run_mixed(m, tuples)
+        results[(m, "mixed")] = _cell(rows, m, "mixed", barrier, pipelined, "pair")
     report(
         "e15_latency",
         "E15: update-to-result latency, barrier vs pipelined "
@@ -95,6 +90,51 @@ def run(sizes=SIZES, tuples=10):
         rows,
     )
     return results
+
+
+def _cell(rows, m, label, barrier, pipelined, pred):
+    """One table row and gate entry: ``pred``'s latency in both modes."""
+    b_lat = barrier.latency_report(pred)
+    p_lat = pipelined.latency_report(pred)
+    speedup = b_lat["mean"] / p_lat["mean"] if p_lat["mean"] > 0 else 0.0
+    rows.append([
+        f"{m}x{m}", label, b_lat["count"],
+        b_lat["mean"], b_lat["max"],
+        p_lat["mean"], p_lat["max"],
+        f"{speedup:.2f}x", "yes",
+    ])
+    return {
+        "barrier_mean": b_lat["mean"],
+        "barrier_max": b_lat["max"],
+        "pipelined_mean": p_lat["mean"],
+        "pipelined_max": p_lat["max"],
+        "speedup": speedup,
+    }
+
+
+def _run_mixed(m, tuples):
+    """The mixed cell: the multi-pass ``j`` holds, ``pair`` streams."""
+    runs = {}
+    for mode in MODES:
+        engine, net, expected = run_join_workload(
+            m, "pa", tuples_per_stream=tuples,
+            streams=("r", "s", "t", "p", "q"), key_domain=3,
+            program=MIXED, seed=m, mode=mode, scheme="multi-pass",
+        )
+        assert engine.rows("j") == expected, (
+            f"{mode} rows diverged from the oracle at m={m} mixed"
+        )
+        runs[mode] = (engine, net.metrics.total_messages)
+    (barrier, b_frames), (pipelined, p_frames) = runs["barrier"], runs["pipelined"]
+    held = {pipelined.plan.by_id[rid].head.predicate: why
+            for rid, why in pipelined.releases.items() if why is not None}
+    assert held == {"j": "multi-pass"}, f"m={m} mixed held {held}"
+    assert barrier.rows("pair") == pipelined.rows("pair")
+    assert barrier.derivation_store() == pipelined.derivation_store(), (
+        f"derivation stores diverged at m={m} mixed"
+    )
+    assert b_frames == p_frames, f"frames {b_frames} != {p_frames} at m={m} mixed"
+    return barrier, pipelined
 
 
 def check_baseline(results):
@@ -159,6 +199,8 @@ def test_e15_latency_scales_with_m(benchmark):
     assert pa12["barrier_mean"] < 6 * pa6["barrier_mean"]
     # The headline: pipelining at least halves mean latency at m=12.
     assert pa12["speedup"] >= 2.0
+    # A held multi-pass join leaves its neighbour streaming.
+    assert results[(12, "mixed")]["speedup"] >= 1.8
 
 
 if __name__ == "__main__":

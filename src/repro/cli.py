@@ -27,7 +27,7 @@ from .core.builtins import BuiltinRegistry, DEFAULT_REGISTRY
 from .core.errors import ReproError
 from .core.eval import Database, evaluate
 from .core.parser import Parser, parse_atom, parse_program
-from .core.stratify import classify, classify_coordination
+from .core.stratify import classify, rule_releases
 from .core.topdown import TopDownEvaluator
 
 HELP = """\
@@ -35,7 +35,7 @@ Enter rules/facts ending with '.', queries as '?- goal.', or commands:
   :rules            list the current program
   :facts PRED       list stored facts for PRED
   :eval             bottom-up evaluate the whole program
-  :classify         show the evaluation class + coordination verdict
+  :classify         show the evaluation class + each rule's release
   :explain          show the evaluation plan (safety, strata, join order)
   :load FILE        load rules from a file
   :metrics [on|off|reset]  telemetry snapshot / toggle / zero counters
@@ -97,15 +97,12 @@ class Shell:
             counts = ", ".join(f"{p}: {self.db.count(p)}" for p in idb)
             return f"evaluated. {counts}" if idb else "evaluated."
         if cmd == ":classify":
-            analysis = classify(self.program).program_class.value
-            verdict = classify_coordination(self.program)
-            if verdict.coordination_free:
-                coord = f"coordination-free ({verdict.kind})"
-            else:
-                coord = (
-                    f"needs barriers ({verdict.reason}): {verdict.detail}"
-                )
-            return f"{analysis}\ncoordination: {coord}"
+            releases = rule_releases(self.program)
+            lines = [classify(self.program).program_class.value]
+            for rule in self.program.rules:
+                why = releases[rule.rule_id]
+                lines.append(f"{rule!r}  {'stream' if why is None else f'hold ({why})'}")
+            return "\n".join(lines)
         if cmd == ":explain":
             from .core.explain import explain
 

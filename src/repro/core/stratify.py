@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -377,7 +377,7 @@ def classify(program: Program) -> Analysis:
 
 
 # ---------------------------------------------------------------------------
-# Coordination-freeness (CALM / win-move analysis)
+# Release: which rules may stream (CALM / win-move analysis)
 # ---------------------------------------------------------------------------
 
 #: Built-ins whose truth can flip when facts disappear (they observe the
@@ -385,119 +385,60 @@ def classify(program: Program) -> Analysis:
 #: binding).  The stock registry has none — every comparison and
 #: arithmetic built-in is a pure function of its bound arguments, hence
 #: monotone — but deployments registering e.g. a ``missing/1`` probe add
-#: its name here so :func:`classify_coordination` refuses to stream it.
+#: its name here so :func:`rule_releases` holds the rules calling it.
 NONMONOTONE_BUILTINS: Set[str] = set()
 
 
-class CoordFree:
-    """Verdict: the program needs no coordination — its distributed
-    fixpoint is the same under eager (pipelined) and barriered
-    evaluation.
+def rule_releases(
+    program: Program,
+    mode: str = "pipelined",
+    multi_pass: Collection[int] = (),
+    windowed: Collection[str] = (),
+) -> Dict[int, Optional[str]]:
+    """Decide, per rule (by ``rule_id``), whether it may stream — launch
+    its joins in the causal chain of the triggering store — or must keep
+    Theorem 3's tau_s + tau_c delay.  None means it streams; otherwise
+    the value says why it holds.
 
-    ``kind`` is ``'monotone'`` (no negation/aggregation at all: the
-    CALM-theorem case) or ``'win-move'`` (stratified negation whose
-    negated subgoals are guarded by positive ones, the shape Zinn et
-    al. prove coordination-free: monotone rules stream eagerly while
-    the negation rules keep their stratum's delay).
+    ``mode="barrier"`` holds every rule (``"barrier"``).  Otherwise a
+    rule holds when its own result depends on arrival order: it negates
+    (``"negation"``), aggregates (``"aggregation"``), calls a
+    :data:`NONMONOTONE_BUILTINS` member (``"nonmonotone-builtin"``) or is
+    one of the ``multi_pass`` rules, which join one stream per traversal
+    in a fixed order (``"multi-pass"``).  The body predicates of the
+    first three are *sensitive*: the anti-join's correctness bounds when
+    a blocker is placed relative to its generation time, so nothing
+    feeding it may move generations earlier.  ``windowed`` predicates
+    (derived streams re-consumed under a finite window, whose edges are
+    measured against generation stamps) are sensitive too.  A rule whose
+    head is sensitive, or an ancestor of a sensitive predicate, holds
+    with ``"feeds <pred>"``.  Every other rule streams — the monotone
+    fragment outside the negation cone, as Zinn et al.'s "Win-Move is
+    Coordination-Free (Sometimes)" locates coordination.
     """
-
-    __slots__ = ("kind",)
-
-    coordination_free = True
-
-    def __init__(self, kind: str):
-        self.kind = kind
-
-    def __repr__(self) -> str:
-        return f"CoordFree({self.kind})"
-
-
-class NeedsBarriers:
-    """Verdict: the program must keep Theorem 3's phase barriers.
-
-    ``reason`` is a stable machine-readable code (one of
-    :data:`NeedsBarriers.REASONS`); ``detail`` names the blocking rule
-    or literal for humans.
-    """
-
-    __slots__ = ("reason", "detail")
-
-    coordination_free = False
-
-    REASONS = (
-        "aggregation",
-        "negation-through-recursion",
-        "unguarded-negation",
-        "nonmonotone-builtin",
-    )
-
-    def __init__(self, reason: str, detail: str):
-        if reason not in self.REASONS:
-            raise ValueError(f"unknown NeedsBarriers reason {reason!r}")
-        self.reason = reason
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        return f"NeedsBarriers({self.reason}: {self.detail})"
-
-
-def _unguarded_negation(rule: Rule) -> Optional[RelLiteral]:
-    """A negated subgoal is *guarded* when every one of its variables is
-    bound by some positive subgoal of the same rule — the win-move shape
-    (``win(X) :- move(X, Y), not win(Y)`` guards ``Y`` via ``move``).
-    An unguarded negated literal ranges over the full (possibly still
-    arriving) extent of its stream, so its truth cannot be decided
-    eagerly.  Returns the first offender, or None."""
-    positive_vars: Set[Variable] = set()
-    for lit in rule.positive_literals():
-        positive_vars.update(lit.variables())
-    for lit in rule.negative_literals():
-        if any(v not in positive_vars for v in lit.variables()):
-            return lit
-    return None
-
-
-def classify_coordination(program: Program):
-    """Decide whether ``program`` can be evaluated without phase
-    barriers.
-
-    Returns :class:`CoordFree` for monotone programs (no negation, no
-    aggregation, no non-monotone built-ins — the CALM-theorem case) and
-    for win-move-shaped programs (stratified negation with every negated
-    subgoal guarded by positive bindings, per "Win-Move is
-    Coordination-Free (Sometimes)").  Everything else gets a
-    :class:`NeedsBarriers` verdict whose ``reason``/``detail`` name the
-    blocking construct.
-    """
+    if mode == "barrier":
+        return {rule.rule_id: "barrier" for rule in program.rules}
+    sensitive = set(windowed)
+    releases: Dict[int, Optional[str]] = {}
     for rule in program.rules:
-        if rule.has_aggregates:
-            return NeedsBarriers(
-                "aggregation",
-                f"rule for {rule.head.predicate!r} aggregates over its "
-                "derivations; an eager aggregate could be observed "
-                "before its group is complete",
-            )
-        for lit in rule.builtin_literals():
-            if lit.name in NONMONOTONE_BUILTINS:
-                return NeedsBarriers(
-                    "nonmonotone-builtin",
-                    f"rule for {rule.head.predicate!r} calls "
-                    f"non-monotone built-in {lit.name!r}",
-                )
-    try:
-        stratify(program)
-    except StratificationError as exc:
-        return NeedsBarriers("negation-through-recursion", str(exc))
-    has_negation = False
-    for rule in program.rules:
-        offender = _unguarded_negation(rule)
-        if offender is not None:
-            return NeedsBarriers(
-                "unguarded-negation",
-                f"rule for {rule.head.predicate!r}: negated subgoal "
-                f"{offender!r} has variables not bound by any positive "
-                "subgoal",
-            )
         if rule.negative_literals():
-            has_negation = True
-    return CoordFree("win-move" if has_negation else "monotone")
+            why = "negation"
+        elif rule.has_aggregates:
+            why = "aggregation"
+        elif any(lit.name in NONMONOTONE_BUILTINS for lit in rule.builtin_literals()):
+            why = "nonmonotone-builtin"
+        else:
+            releases[rule.rule_id] = "multi-pass" if rule.rule_id in multi_pass else None
+            continue
+        releases[rule.rule_id] = why
+        sensitive.update(lit.predicate for lit in rule.body if isinstance(lit, RelLiteral))
+    graph = dependency_graph(program)
+    feeds = {pred: pred for pred in sensitive}
+    for pred in sorted(sensitive):
+        for upstream in nx.ancestors(graph, pred):
+            feeds.setdefault(upstream, pred)
+    for rule in program.rules:
+        fed = feeds.get(rule.head.predicate)
+        if releases[rule.rule_id] is None and fed is not None:
+            releases[rule.rule_id] = f"feeds {fed}"
+    return releases

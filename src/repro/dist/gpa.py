@@ -21,10 +21,11 @@ The complete Section III/IV machinery:
   ranks its results at the hash node: a subtraction cancels the same
   derivation's additions stamped no later, whichever arrives first
   (:meth:`DerivedFact.apply`);
-* **pipelined mode** — when :func:`~repro.core.stratify.classify_coordination`
-  proves the program coordination-free (CALM / win-move analysis),
-  ``mode="pipelined"`` drops Theorem 3's tau_s + tau_c launch delay for
-  the monotone rules: join tokens launch in the same causal chain as the
+* **pipelined mode** — ``mode="pipelined"`` drops Theorem 3's tau_s +
+  tau_c launch delay for every rule
+  :func:`~repro.core.stratify.rule_releases` lets stream (CALM /
+  win-move analysis, per rule; the others keep it, each with its reason
+  in ``releases``): join tokens launch in the same causal chain as the
   triggering store, incomplete partial results *park* at join-region
   nodes and are extended by late-arriving replicas (spawning
   continuation tokens), and deletions launch *retro* tokens that
@@ -43,11 +44,7 @@ from ..core.builtins import BuiltinRegistry, eval_term
 from ..core.errors import NetworkError, PlanError
 from ..core.eval import _freeze_value
 from ..core.parser import parse_program
-from ..core.stratify import (
-    NeedsBarriers,
-    classify_coordination,
-    dependency_graph,
-)
+from ..core.stratify import rule_releases
 from ..core.terms import term_size
 from ..net.messages import Message
 from ..net.network import SensorNetwork
@@ -62,10 +59,10 @@ from .plans import DistributedPlan, RulePlan, bind, conclude, matching, probe
 from .regions import RegionStrategy, make_strategy
 
 #: A sliding window narrower than this is treated as semantically
-#: finite: when the program re-consumes its own derived streams, the
-#: engine then keeps barrier mode (derived tuples are stamped at first
-#: derivation, which pipelining moves earlier — a finite window could
-#: cut differently across modes).  The default window (1e9) is far
+#: finite: the rules feeding a re-consumed derived stream then keep
+#: Theorem 3's delay (derived tuples are stamped at first derivation,
+#: which streaming moves earlier — a finite window could cut
+#: differently across modes).  The default window (1e9) is far
 #: above it, i.e. effectively infinite.
 _PIPELINE_WINDOW_FLOOR = 1e6
 
@@ -456,57 +453,42 @@ class GPAEngine:
             self.strategy_name = strategy
         hop = network.radio.max_hop_delay
         tau_s = self.strategy.storage_hops_bound() * hop * 1.25 + hop
+        #: Rules the multiple-pass scheme joins (Section III-A): one
+        #: traversal per stream they join, in plan order.  A negating
+        #: rule walks out and back instead; with two streams there is
+        #: one left to join, so the schemes coincide.
+        self._multi_pass: Set[int] = {
+            rp.rule_id for rp in self.plan.rule_plans
+            if scheme == "multi-pass" and not rp.has_negation and rp.n_positive > 2
+        }
         # Negation rules traverse the join region out and back (x2);
-        # the multiple-pass scheme traverses it once per joined stream.
-        passes = 2
-        if self.scheme == "multi-pass":
-            passes = max(
-                passes,
-                max((rp.n_positive for rp in self.plan.rule_plans), default=2),
-            )
+        # a multi-pass rule traverses it once per joined stream.
+        passes = max(
+            (self.plan.by_id[rid].n_positive for rid in self._multi_pass), default=2
+        )
         tau_j = passes * self.strategy.join_hops_bound() * hop * 1.25 + hop
         self.window_params = WindowParams(
             window=window, tau_s=tau_s, tau_c=network.tau_c, tau_j=tau_j
         )
-        #: Pipelined mode (CALM / win-move): the requested mode, the
-        #: coordination verdict, why the engine fell back to barriers
-        #: (None when it did not), and which rules stream eagerly.
-        #: ``mode`` holds the *effective* mode; with ``_streamed_rules``
-        #: empty every pipelined code path is dormant, so barrier runs
-        #: are byte-identical to the pre-pipelining engine.
-        self.requested_mode = mode
-        self.coordination = None
-        self.pipeline_fallback: Optional[str] = None
+        #: Per rule (by id): None when it streams, else why it keeps
+        #: Theorem 3's delay (:func:`rule_releases`; the ``mode``
+        #: argument is a ceiling).  ``self.mode`` is the effective mode;
+        #: with ``_streamed_rules`` empty every pipelined code path is
+        #: dormant, so barrier runs are byte-identical to the
+        #: pre-pipelining engine.
+        self.releases = rule_releases(
+            self.plan.program, mode, self._multi_pass,
+            windowed={p for p in self.plan.idb if self.plan.consumed(p)}
+            if window < _PIPELINE_WINDOW_FLOOR else (),
+        )
+        self._streamed_rules: Set[int] = {
+            rid for rid, why in self.releases.items() if why is None
+        }
+        self.mode = "pipelined" if self._streamed_rules else "barrier"
         self.streamed_derivations = 0
-        self._streamed_rules: Set[int] = set()
-        if mode == "pipelined":
-            self.coordination = classify_coordination(self.plan.program)
-            fallback: Optional[str] = None
-            if isinstance(self.coordination, NeedsBarriers):
-                fallback = self.coordination.reason
-            elif self.scheme == "multi-pass":
-                # The multiple-pass scheme joins one stream per
-                # traversal in a fixed order; parking/continuations
-                # assume the one-pass any-order join.
-                fallback = "multi-pass-scheme"
-            elif window < _PIPELINE_WINDOW_FLOOR and any(
-                self.plan.consumed(p) for p in self.plan.idb
-            ):
-                # A finite window measures membership against the
-                # update's timestamp; derived tuples are stamped at
-                # first derivation, which pipelining moves earlier, so
-                # window edges could cut differently across modes when
-                # derived streams are re-consumed.
-                fallback = "finite-window"
-            if fallback is not None:
-                mode = "barrier"
-                self.pipeline_fallback = fallback
-            else:
-                self._streamed_rules = self._streamable_rules()
-            if _obs.enabled:
-                verdict = fallback or self.coordination.kind
-                _inst.coordfree_programs.labels(verdict=verdict).inc()
-        self.mode = mode
+        if _obs.enabled:
+            for why in self.releases.values():
+                _inst.coordfree_programs.labels(verdict=why or "stream").inc()
         #: Join-region work: window rows compared with a subgoal, rows
         #: that matched, and steps that had to unify structurally
         #: (``match_sequences``, for a subgoal like ``r([H | T])``).
@@ -531,36 +513,6 @@ class GPAEngine:
         self._gather_counter = itertools.count()
         self.runtimes: Dict[int, NodeRuntime] = {}
         self._installed = False
-
-    def _streamable_rules(self) -> Set[int]:
-        """Which rules may evaluate eagerly under a CoordFree verdict.
-
-        All monotone rules stream in a fully monotone program.  Under a
-        win-move verdict the negation rules keep Theorem 3's schedule —
-        their anti-join correctness argument bounds when a blocker's
-        replicas are placed relative to its *generation* time, and that
-        bound assumes the generation itself happened on the delayed
-        schedule.  So any rule whose head (transitively) feeds a
-        negation rule's body must not stream either: streaming it would
-        move downstream generation timestamps earlier.  The monotone
-        fragment outside that cone streams.
-        """
-        import networkx as nx
-
-        graph = dependency_graph(self.plan.program)
-        neg_inputs: Set[str] = set()
-        for rp in self.plan.rule_plans:
-            if rp.has_negation:
-                neg_inputs.update(lit.predicate for lit in rp.positive)
-                neg_inputs.update(lit.predicate for lit in rp.negative)
-        blocked: Set[str] = set(neg_inputs)
-        for pred in neg_inputs:
-            if pred in graph:
-                blocked.update(nx.ancestors(graph, pred))
-        return {
-            rp.rule_id for rp in self.plan.rule_plans
-            if not rp.has_negation and rp.head.predicate not in blocked
-        }
 
     # -- installation -----------------------------------------------------
 
@@ -802,10 +754,10 @@ class GPAEngine:
 
         # Join phase, one launch per release time that has a rule: after
         # tau_s + tau_c (Theorem 3's delay) — except that in pipelined
-        # mode the streamed (monotone) rules launch in the same causal
-        # chain as the store.  Negation rules keep the delay even under
-        # a win-move verdict: their stratum's deletions and blocker
-        # stores must be placed before they anti-join.
+        # mode the streamed rules launch in the same causal chain as the
+        # store.  Negation rules always keep the delay: their stratum's
+        # deletions and blocker stores must be placed before they
+        # anti-join.
         pos = self.plan.positive_triggers.get(tup.predicate, ())
         releases = {rp.rule_id in self._streamed_rules for rp, _ in pos}
         if tup.predicate in self.plan.negative_triggers:
@@ -900,12 +852,7 @@ class GPAEngine:
             # on the way back (blockers may be stored behind it).
             path += region[-2::-1]
             stages = ((turn, None), (0, ()))
-        elif (
-            self.scheme == "multi-pass"
-            and not negated
-            and not rp.has_negation
-            and rp.n_positive > 2
-        ):
+        elif rp.rule_id in self._multi_pass:
             # Multiple-pass scheme (Section III-A): each traversal joins
             # one stream, in plan order (the trigger's occurrence is
             # already covered), with the partial results of the one
@@ -1275,7 +1222,7 @@ class GPAEngine:
         if fact.visible == was_visible:
             return  # neither a first derivation nor the last one gone
         if fact.visible:
-            fact.tuple_id = TupleID(node.id, node.clock.now(), node.next_seq())
+            fact.tuple_id = TupleID(node.id, node.clock.now(), node.next_minted_seq())
         # In fault-tolerant mode every live replica stores the result,
         # but only the *current primary* (first live replica-set
         # member) publishes downstream generations/deletions and

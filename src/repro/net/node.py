@@ -85,6 +85,7 @@ class Node:
         self.clock = clock
         self._handlers: Dict[str, Handler] = {}
         self._seq = 0
+        self._minted = 0
         self._neighbors: Optional[Sequence[int]] = None
 
     # -- identity ---------------------------------------------------------
@@ -104,6 +105,14 @@ class Node:
         """Per-node sequence counter (disambiguates same-instant tuples)."""
         self._seq += 1
         return self._seq
+
+    def next_minted_seq(self) -> int:
+        """Sequence number for the id of a derived fact this node mints.
+        Counts down from -1, apart from :meth:`next_seq`: a base tuple's
+        id never depends on what its node derived before, and a minted
+        id never equals a base one."""
+        self._minted -= 1
+        return self._minted
 
     # -- handlers -----------------------------------------------------------
 

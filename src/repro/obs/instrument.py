@@ -272,9 +272,9 @@ phase_latency = REGISTRY.histogram(
 )
 coordfree_programs = REGISTRY.counter(
     "repro_coordfree_programs_total",
-    "Coordination-freeness verdicts handed out when pipelined "
-    "evaluation is requested, by verdict ('monotone' | 'win-move' | a "
-    "NeedsBarriers reason code | an engine fallback code)",
+    "Release decisions handed out per rule at engine construction, by "
+    "verdict ('stream' | the reason the rule keeps Theorem 3's delay: "
+    "'barrier', 'negation', 'multi-pass', 'feeds <pred>', ...)",
     labelnames=("verdict",),
 )
 pipeline_streamed = REGISTRY.counter(

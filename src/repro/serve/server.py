@@ -110,11 +110,10 @@ class QueryServer:
         parse, safety, stratification, the distributed plan — which
         registers nothing on the network; only an admitted tenant is
         installed.  ``engine_kwargs`` go to the tenant's
-        :class:`~repro.dist.gpa.GPAEngine`: with ``mode="pipelined"`` the
-        program goes through the coordination-freeness classifier; a
-        qualifying tenant streams derivations without phase barriers,
-        any other falls back to barrier mode per its verdict (visible
-        in :meth:`report`).  Thread-safe — admission may run
+        :class:`~repro.dist.gpa.GPAEngine`: with ``mode="pipelined"``
+        each rule the release analysis clears streams derivations
+        without phase barriers and every other keeps them, with its
+        reason (visible in :meth:`report`).  Thread-safe — admission may run
         concurrently with other admissions.
         """
         try:
@@ -231,10 +230,9 @@ class QueryServer:
                 "messages": self.meter.tx.get(session.tenant, 0),
                 "results": sum(len(r) for r in session.results.values()),
                 "mode": engine.mode,
-                "coordination": (
-                    None if engine.coordination is None
-                    else engine.pipeline_fallback or engine.coordination.kind
-                ),
+                "coordination": {
+                    rid: why or "stream" for rid, why in engine.releases.items()
+                },
             }
         out: Dict[str, object] = {
             "epochs": self.epochs_run,

@@ -65,18 +65,22 @@ class TestCommands:
     def test_classify(self, shell):
         feed(shell, "p(X) :- q(X).")
         out = shell.handle(":classify")
-        assert out.startswith("nonrecursive")
-        assert "coordination: coordination-free (monotone)" in out
+        assert out.splitlines() == ["nonrecursive", "p(X) :- q(X).  stream"]
 
-    def test_classify_reports_barrier_verdict(self, shell):
+    def test_classify_holds_an_aggregate(self, shell):
         feed(shell, "total(count(_)) :- obs(X).")
         out = shell.handle(":classify")
-        assert "needs barriers (aggregation)" in out
+        assert out.splitlines()[-1].endswith("  hold (aggregation)")
 
-    def test_classify_reports_win_move(self, shell):
+    def test_classify_holds_the_negation_cone(self, shell):
         feed(shell, "reach(Y) :- move(X, Y).",
-             "lose(X) :- move(X, Y), not reach(X).")
-        assert "coordination-free (win-move)" in shell.handle(":classify")
+             "lose(X) :- move(X, Y), not reach(X).",
+             "pair(A, B) :- p(A, K), q(B, K).")
+        assert shell.handle(":classify").splitlines()[1:] == [
+            "reach(Y) :- move(X, Y).  hold (feeds reach)",
+            "lose(X) :- move(X, Y), not reach(X).  hold (negation)",
+            "pair(A, B) :- p(A, K), q(B, K).  stream",
+        ]
 
     def test_reset(self, shell):
         feed(shell, "q(1).", "p(X) :- q(X).")

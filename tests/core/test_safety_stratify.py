@@ -7,15 +7,13 @@ from repro.core.parser import parse_program, parse_rule
 from repro.core.safety import check_program_safety, check_rule_safety, safe_variables
 from repro.core.stratify import (
     NONMONOTONE_BUILTINS,
-    CoordFree,
-    NeedsBarriers,
     ProgramClass,
     classify,
-    classify_coordination,
     dependency_graph,
     find_xy_stratification,
     is_recursive,
     recursive_components,
+    rule_releases,
     stratify,
 )
 from repro.core.terms import Variable
@@ -193,78 +191,100 @@ class TestXYDetection:
         assert xy.stage_position == {"j": 1, "jp": 1}
 
 
-class TestClassifyCoordination:
-    """The coordination-freeness classifier behind pipelined mode."""
+def releases_by_head(text, **kwargs):
+    program = parse_program(text)
+    releases = rule_releases(program, **kwargs)
+    return {rule.head.predicate: releases[rule.rule_id] for rule in program.rules}
 
-    def test_monotone_program_is_coordination_free(self):
-        verdict = classify_coordination(parse_program(
+
+class TestRuleReleases:
+    """The per-rule release decision behind pipelined mode: None when a
+    rule streams, else why it keeps Theorem 3's delay."""
+
+    def test_monotone_program_streams(self):
+        assert releases_by_head(
             "tc(X, Y) :- e(X, Y). tc(X, Z) :- e(X, Y), tc(Y, Z)."
-        ))
-        assert isinstance(verdict, CoordFree)
-        assert verdict.coordination_free is True
-        assert verdict.kind == "monotone"
+        ) == {"tc": None}
 
-    def test_guarded_negation_is_win_move(self):
-        verdict = classify_coordination(parse_program(
+    def test_barrier_mode_holds_every_rule(self):
+        assert releases_by_head(
+            "p(X) :- q(X). r(X) :- p(X), not s(X).", mode="barrier"
+        ) == {"p": "barrier", "r": "barrier"}
+
+    def test_guarded_negation_holds_its_cone(self):
+        assert releases_by_head(
             """
             reach(Y) :- move(X, Y).
             lose(X) :- move(X, Y), not reach(X).
+            pair(A, B) :- p(A, K), q(B, K).
             """
-        ))
-        assert isinstance(verdict, CoordFree)
-        assert verdict.kind == "win-move"
+        ) == {"reach": "feeds reach", "lose": "negation", "pair": None}
 
-    def test_aggregation_reason(self):
-        verdict = classify_coordination(parse_program(
-            "shortest(Y, min(D)) :- path(Y, D)."
-        ))
-        assert isinstance(verdict, NeedsBarriers)
-        assert verdict.coordination_free is False
-        assert verdict.reason == "aggregation"
-        assert "'shortest'" in verdict.detail
+    def test_feeds_names_the_sensitive_predicate(self):
+        assert releases_by_head(
+            """
+            a(X) :- e(X).
+            b(X) :- a(X).
+            d(X) :- f(X), not b(X).
+            """
+        ) == {"a": "feeds b", "b": "feeds b", "d": "negation"}
 
-    def test_negation_through_recursion_reason(self):
-        verdict = classify_coordination(parse_program(
-            "p(X) :- q(X), not p(X)."
-        ))
-        assert isinstance(verdict, NeedsBarriers)
-        assert verdict.reason == "negation-through-recursion"
+    def test_negation_through_recursion_holds_only_the_cycle(self):
+        assert releases_by_head(
+            "win(X) :- move(X, Y), not win(Y). top(X) :- win(X)."
+        ) == {"win": "negation", "top": None}
 
-    def test_unguarded_negation_reason(self):
-        # Y appears only under the negation: its extent cannot be
-        # decided eagerly.  (The safety checker rejects this shape at
-        # plan time; the classifier must still name it for callers that
-        # classify before planning.)
-        verdict = classify_coordination(parse_program(
-            "lonely(X) :- node(X), not linked(X, Y)."
-        ))
-        assert isinstance(verdict, NeedsBarriers)
-        assert verdict.reason == "unguarded-negation"
-        assert "'lonely'" in verdict.detail
-        assert "not bound" in verdict.detail
+    def test_wildcard_negation(self):
+        assert releases_by_head(
+            """
+            linked(X, Y) :- edge(X, Y).
+            lonely(X) :- node(X), not linked(X, _).
+            top(X) :- lonely(X).
+            """
+        ) == {"linked": "feeds linked", "lonely": "negation", "top": None}
 
-    def test_nonmonotone_builtin_reason(self, monkeypatch):
+    def test_aggregation_holds(self):
+        assert releases_by_head(
+            "path(Y, D) :- hop(Y, D). shortest(Y, min(D)) :- path(Y, D)."
+        ) == {"path": "feeds path", "shortest": "aggregation"}
+
+    def test_multi_pass_holds_alone(self):
+        # A fixed-order join holds itself; what feeds and consumes it
+        # may still stream.
+        program = parse_program(
+            """
+            r(K, A) :- r0(K, A).
+            j(K, A, B, C) :- r(K, A), s(K, B), t(K, C).
+            top(K) :- j(K, A, B, C).
+            """
+        )
+        j = program.rules[1].rule_id
+        releases = rule_releases(program, multi_pass={j})
+        assert releases == {rule.rule_id: None for rule in program.rules} | {
+            j: "multi-pass"
+        }
+
+    def test_windowed_predicates_hold_their_feeders(self):
+        assert releases_by_head(
+            """
+            tc(X, Y) :- e(X, Y).
+            tc(X, Z) :- e(X, Y), tc(Y, Z).
+            far(X) :- tc(X, Y), tc(Y, X).
+            """,
+            windowed={"tc"},
+        ) == {"tc": "feeds tc", "far": None}
+
+    def test_nonmonotone_builtin_holds(self, monkeypatch):
         # The hook set ships empty; registering a built-in as
-        # non-monotone must flip the verdict for programs calling it.
-        program = parse_program("p(X) :- q(X), X > 3.")
-        assert isinstance(classify_coordination(program), CoordFree)
+        # non-monotone must hold the rules calling it and their feeders.
+        text = "q(X) :- r(X). p(X) :- q(X), X > 3."
+        assert releases_by_head(text) == {"q": None, "p": None}
         import sys
         stratify_mod = sys.modules["repro.core.stratify"]
         monkeypatch.setattr(stratify_mod, "NONMONOTONE_BUILTINS", {">"})
-        verdict = classify_coordination(program)
-        assert isinstance(verdict, NeedsBarriers)
-        assert verdict.reason == "nonmonotone-builtin"
-        assert "'>'" in verdict.detail
-
-    def test_every_reason_code_is_reachable_and_valid(self):
-        assert set(NeedsBarriers.REASONS) == {
-            "aggregation", "negation-through-recursion",
-            "unguarded-negation", "nonmonotone-builtin",
+        assert releases_by_head(text) == {
+            "q": "feeds q", "p": "nonmonotone-builtin",
         }
-
-    def test_unknown_reason_rejected(self):
-        with pytest.raises(ValueError, match="unknown NeedsBarriers"):
-            NeedsBarriers("network-down", "nope")
 
     def test_nonmonotone_builtins_hook_default_empty(self):
         assert NONMONOTONE_BUILTINS == set()

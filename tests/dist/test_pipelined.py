@@ -1,15 +1,15 @@
 """Pipelined (barrier-free) GPA evaluation — the E24 exactness contract.
 
-The one property everything here leans on: for programs the
-coordination-freeness classifier clears, ``mode="pipelined"`` must be
-*oracle-exact* — same final rows AND same derivation store as barrier
-mode on the same workload, because Theorem 3's timestamp discipline is
-data-dependent, not arrival-time-dependent.  The differential battery
-covers the E1 (grid join), E7/E18 (loss + reliable transport), E15
-(latency) and E20 (fault injector) workload families, deletions
-included, plus a Hypothesis sweep over random programs asserting
-classifier *soundness*: every CoordFree verdict really does yield
-identical fixpoints across modes.
+The one property everything here leans on: every rule the release
+analysis (:func:`repro.core.stratify.rule_releases`) lets stream runs
+*oracle-exact* under ``mode="pipelined"`` — same final rows AND same
+derivation store as barrier mode on the same workload, because Theorem
+3's timestamp discipline is data-dependent, not arrival-time-dependent.
+The differential battery covers the E1 (grid join), E7/E18 (loss +
+reliable transport), E15 (latency) and E20 (fault injector) workload
+families, deletions included; programs mixing held rules (negation,
+multi-pass joins, finite windows) with streamed ones; and a Hypothesis
+sweep over random programs, schemes, windows and staggered publishes.
 """
 
 import random
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.errors import PlanError
 from repro.core.parser import parse_program
-from repro.core.stratify import CoordFree, NeedsBarriers, classify_coordination
 from repro.dist.gpa import GPAEngine
 from repro.net.faults import FaultInjector, FaultSchedule
 from repro.net.network import GridNetwork
@@ -74,21 +73,26 @@ WORKLOADS = {
 
 
 def run_mode(program_text, pubs, mode, m=6, strategy="pa", dels=0,
-             engine_kwargs=None, **net_kwargs):
+             engine_kwargs=None, seed=3, stagger=False, **net_kwargs):
     """One full workload run: publish everything, drain, optionally
-    retract ``dels`` random published tuples, drain again."""
-    net = GridNetwork(m, seed=3, **net_kwargs)
+    retract ``dels`` random published tuples, drain again.  With
+    ``stagger`` the simulation runs U(0, 0.05) s after a publish with
+    probability 0.3, so publishes interleave with derivations."""
+    net = GridNetwork(m, seed=seed, **net_kwargs)
     engine = GPAEngine(
         parse_program(program_text), net, strategy=strategy, mode=mode,
         **(engine_kwargs or {}),
     ).install()
     rng = random.Random(7)
+    pause = random.Random(seed)
     nodes = sorted(net.nodes)
     published = []
     for pred, args in pubs:
         nid = rng.choice(nodes)
         tid = engine.publish(nid, pred, args)
         published.append((nid, pred, args, tid))
+        if stagger and pause.random() < 0.3:
+            net.run_until(net.sim.now + pause.uniform(0, 0.05))
     net.run_all()
     if dels:
         for nid, pred, args, tid in random.Random(8).sample(published, dels):
@@ -97,14 +101,20 @@ def run_mode(program_text, pubs, mode, m=6, strategy="pa", dels=0,
     return engine
 
 
+def held(engine):
+    """The rules that keep Theorem 3's delay, by head, with the reason."""
+    return {
+        (engine.plan.by_id[rid].head.predicate, why)
+        for rid, why in engine.releases.items() if why is not None
+    }
+
+
 def assert_exact(program_text, pubs, heads, expect_streaming=True, **kw):
     """The differential: barrier and pipelined runs of the same
     workload agree on every head's rows and on the derivation store."""
     barrier = run_mode(program_text, pubs, "barrier", **kw)
     pipelined = run_mode(program_text, pubs, "pipelined", **kw)
-    assert pipelined.mode == "pipelined", (
-        f"unexpected fallback: {pipelined.pipeline_fallback}"
-    )
+    assert pipelined.mode == "pipelined", held(pipelined)
     for head in heads:
         assert pipelined.rows(head) == barrier.rows(head), head
     assert pipelined.derivation_store() == barrier.derivation_store()
@@ -152,18 +162,12 @@ class TestDifferentialExactness:
         assert engine.rows("j") == set()
 
     def test_winmove_negation_cone_held_back(self):
-        """Under a win-move verdict the monotone rules *outside* the
-        negation cone stream; the rules feeding the negation keep
-        barrier scheduling (streaming them would reorder the negation
-        rule's add/sub arrivals)."""
+        """The monotone rules *outside* the negation cone stream; the
+        rules feeding the negation keep barrier scheduling (streaming
+        them would reorder the negation rule's add/sub arrivals)."""
         program, heads, gen = WORKLOADS["winmove-mixed"]
         _, pipelined = assert_exact(program, gen(random.Random(17)), heads)
-        assert pipelined.coordination.kind == "win-move"
-        streamed_heads = {
-            pipelined.plan.by_id[rid].head.predicate
-            for rid in pipelined._streamed_rules
-        }
-        assert streamed_heads == {"pair"}
+        assert held(pipelined) == {("reach", "feeds reach"), ("lose", "negation")}
 
 
 class TestUnderLossAndFaults:
@@ -226,58 +230,124 @@ class TestLatencyWins:
         assert p["max"] <= b["max"]
 
 
-class TestFallbacks:
-    """Programs (or configurations) the classifier or engine cannot
-    clear run in barrier mode, with the verdict recorded."""
+#: A side join no held rule reaches: it must stream beside each of them.
+PAIR = "pair(A, B) :- p(K, A), q(K, B)."
 
-    def test_negation_through_recursion_falls_back(self):
-        net = GridNetwork(4, seed=1)
-        engine = GPAEngine(
-            parse_program("win(X) :- move(X, Y), not win(Y)."), net,
-            mode="pipelined", allow_local_nonrecursive=True,
-        )
-        assert engine.requested_mode == "pipelined"
-        assert engine.mode == "barrier"
-        assert engine.pipeline_fallback == "negation-through-recursion"
-        assert isinstance(engine.coordination, NeedsBarriers)
+#: Programs that once sent every rule back to barriers, each with the
+#: rules that still hold, by head and reason.  In each the side join
+#: streams and so does every rule outside the held rules' cone — a
+#: feeder of the multi-pass join, a consumer of a held rule's results.
+MIXED = {
+    "multi-pass": (
+        """
+        r(K, A) :- r0(K, A).
+        j(K, A, B, C) :- r(K, A), s(K, B), t(K, C).
+        top(K, A) :- j(K, A, B, C).
+        """,
+        {"scheme": "multi-pass"},
+        {("j", "multi-pass")},
+    ),
+    "finite-window": (TC, {"window": 10.0}, {("tc", "feeds tc")}),
+    "win-move": (
+        """
+        win(X) :- move(X, Y), not win(Y).
+        top(X, K) :- win(X), p(X, K).
+        """,
+        {"allow_local_nonrecursive": True},
+        {("win", "negation")},
+    ),
+    "wildcard-negation": (
+        """
+        lone(X) :- n(X), not g(X, _).
+        top(X, K) :- lone(X), p(X, K).
+        """,
+        {},
+        {("lone", "negation")},
+    ),
+}
 
-    def test_multi_pass_scheme_falls_back(self):
-        net = GridNetwork(4, seed=1)
-        engine = GPAEngine(
-            parse_program(JOIN3), net, scheme="multi-pass", mode="pipelined",
-        )
-        assert engine.mode == "barrier"
-        assert engine.pipeline_fallback == "multi-pass-scheme"
-        assert isinstance(engine.coordination, CoordFree)
 
-    def test_finite_window_with_idb_consumption_falls_back(self):
-        net = GridNetwork(4, seed=1)
+def mixed_pubs(name, seed):
+    rng = random.Random(seed)
+    pubs = stream_pubs(rng, ("p", "q"), 5)
+    if name == "multi-pass":
+        pubs += stream_pubs(rng, ("r0", "s", "t"), 4)
+    elif name == "finite-window":
+        pubs += edge_pubs(rng, 8, domain=5)
+    elif name == "win-move":
+        # A DAG: moves only go up, so win/lose is decided bottom-up.
+        pubs += [("move", tuple(sorted(rng.sample(range(6), 2)))) for _ in range(8)]
+        pubs += [("p", (x, "w")) for x in range(6)]
+    else:
+        pubs += [("n", (x,)) for x in range(5)]
+        pubs += [("g", (rng.randrange(5), rng.randrange(3))) for _ in range(4)]
+        pubs += [("p", (x, "w")) for x in range(5)]
+    return pubs
+
+
+class TestMixedPrograms:
+    """A rule whose result depends on arrival order holds Theorem 3's
+    delay, and so does whatever feeds it; the rest of the program
+    streams beside it, exactly."""
+
+    @pytest.mark.parametrize("name", sorted(MIXED))
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dels", [0, 4])
+    def test_held_rules_named_and_the_rest_streams_exactly(self, name, seed, dels):
+        program, kwargs, holds = MIXED[name]
+        program = program + PAIR
+        heads = parse_program(program).idb_predicates()
+        _, pipelined = assert_exact(
+            program, mixed_pubs(name, seed), heads, m=5, seed=seed, dels=dels,
+            engine_kwargs=kwargs,
+        )
+        assert held(pipelined) == holds
+
+    def test_multi_pass_beside_a_stream_under_loss(self):
+        program, kwargs, _ = MIXED["multi-pass"]
+        assert_exact(
+            program + PAIR, mixed_pubs("multi-pass", 2), ("j", "top", "pair"),
+            m=5, dels=4, engine_kwargs=kwargs, loss_rate=0.15, reliable=True,
+        )
+
+    def test_a_fully_held_program_runs_in_barrier_mode(self):
         engine = GPAEngine(
-            parse_program(TC), net, window=10.0, mode="pipelined",
+            parse_program(JOIN3), GridNetwork(4, seed=1),
+            scheme="multi-pass", mode="pipelined",
         )
         assert engine.mode == "barrier"
-        assert engine.pipeline_fallback == "finite-window"
+        assert held(engine) == {("j", "multi-pass")}
 
     def test_finite_window_without_idb_consumption_streams(self):
-        net = GridNetwork(4, seed=1)
         engine = GPAEngine(
-            parse_program(JOIN2), net, window=10.0, mode="pipelined",
+            parse_program(JOIN2), GridNetwork(4, seed=1), window=10.0,
+            mode="pipelined",
         )
         assert engine.mode == "pipelined"
-        assert engine.pipeline_fallback is None
+        assert held(engine) == set()
 
-    def test_fallback_engine_still_correct(self):
-        pubs = WORKLOADS["join3"][2](random.Random(17))
-        barrier = run_mode(JOIN3, pubs, "barrier",
-                           engine_kwargs={"scheme": "multi-pass"})
-        fallen = run_mode(JOIN3, pubs, "pipelined",
-                          engine_kwargs={"scheme": "multi-pass"})
-        assert fallen.mode == "barrier"
-        assert fallen.rows("j") == barrier.rows("j")
+    def test_barrier_mode_holds_every_rule(self):
+        engine = GPAEngine(parse_program(TC), GridNetwork(3))
+        assert set(engine.releases.values()) == {"barrier"}
+        assert engine.mode == "barrier"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(PlanError, match="unknown evaluation mode"):
             GPAEngine(parse_program(JOIN2), GridNetwork(3), mode="turbo")
+
+
+def test_derived_ids_leave_the_publish_sequence_alone():
+    """A fact minted at a hash node takes no number from the node's
+    publish counter, so a base tuple's id does not depend on what its
+    node derived before — and a minted id never equals a base one."""
+    net = GridNetwork(3, seed=1)
+    engine = GPAEngine(parse_program("b(X) :- e(X, Y)."), net).install()
+    engine.publish(0, "e", (1, 2))
+    net.run_all()
+    (home,) = {nid for nid, rt in engine.runtimes.items() if rt.derived}
+    (fact,) = engine.runtimes[home].derived.values()
+    assert fact.tuple_id.source == home and fact.tuple_id.seq < 0
+    assert engine.publish(home, "e", (3, 4)).seq == 1
 
 
 class TestObservability:
@@ -291,7 +361,7 @@ class TestObservability:
         if not was:
             obs.disable()
 
-    def test_streamed_and_verdict_counters(self, telemetry):
+    def test_streamed_and_release_counters(self, telemetry):
         program, heads, gen = WORKLOADS["join2"]
         engine = run_mode(program, gen(random.Random(17)), "pipelined")
         streamed = obs.REGISTRY.get(
@@ -299,36 +369,39 @@ class TestObservability:
         )
         assert streamed.value == engine.streamed_derivations > 0
         verdicts = obs.REGISTRY.get("repro_coordfree_programs_total")
-        assert verdicts.labels(verdict="monotone").value == 1
+        assert verdicts.labels(verdict="stream").value == 1
         lat = obs.REGISTRY.get("repro_phase_latency_seconds")
         assert lat.labels(
             phase="join", strategy="pa", mode="pipelined"
         ).count > 0
 
-    def test_fallback_verdict_counted(self, telemetry):
+    def test_held_rules_counted_by_reason(self, telemetry):
         GPAEngine(
-            parse_program(TC), GridNetwork(3), window=10.0, mode="pipelined",
+            parse_program(TC + PAIR), GridNetwork(3), window=10.0,
+            mode="pipelined",
         )
         verdicts = obs.REGISTRY.get("repro_coordfree_programs_total")
-        assert verdicts.labels(verdict="finite-window").value == 1
+        assert verdicts.labels(verdict="feeds tc").value == 2
+        assert verdicts.labels(verdict="stream").value == 1
 
 
-# -- classifier soundness: CoordFree => identical fixpoints ------------------
+# -- pipelined is exact on random programs ----------------------------------
 
-#: Rule pool mixing monotone shapes, guarded negation, aggregation and
-#: negation-through-recursion; random subsets exercise every verdict.
+#: Rule pool mixing monotone shapes, recursion, guarded and wildcard
+#: negation and a 3-way join (multi-pass under that scheme); random
+#: subsets, schemes and windows exercise every release.
 RULE_POOL = [
     "a(X, Y) :- e(X, Y).",
     "a(X, Z) :- e(X, Y), a(Y, Z).",
     "b(X) :- e(X, Y).",
     "c(X, Y) :- e(X, Y), f(Y).",
     "d(X) :- f(X), not b(X).",
-    "g(Y, min(X)) :- e(X, Y).",
-    "h(X) :- f(X), not h(X).",
+    "t(X, Z) :- a(X, Y), e(Y, Z), f(Z).",
+    "k(X) :- f(X), not a(X, _).",
 ]
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     picks=st.lists(
         st.integers(0, len(RULE_POOL) - 1), min_size=1, max_size=4,
@@ -339,29 +412,26 @@ RULE_POOL = [
         min_size=2, max_size=6,
     ),
     flags=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    scheme=st.sampled_from(["one-pass", "multi-pass"]),
+    window=st.sampled_from([1e9, 10.0]),
+    dels=st.integers(0, 2),
+    seed=st.integers(0, 11),
 )
-def test_classifier_soundness_random_programs(picks, edges, flags):
-    program = parse_program(" ".join(RULE_POOL[i] for i in sorted(picks)))
-    verdict = classify_coordination(program)
-    if isinstance(verdict, NeedsBarriers):
-        # Soundness says nothing here; the verdict just has to be one
-        # of the stable reason codes.
-        assert verdict.reason in NeedsBarriers.REASONS
-        return
-    assert isinstance(verdict, CoordFree)
+def test_pipelined_is_exact_on_random_programs(
+    picks, edges, flags, scheme, window, dels, seed
+):
+    text = " ".join(RULE_POOL[i] for i in sorted(picks))
+    program = parse_program(text)
     pubs = [("e", edge) for edge in edges] + [("f", (v,)) for v in flags]
     pubs = [(p, a) for p, a in pubs if p in program.edb_predicates()]
-    engines = {}
-    for mode in ("barrier", "pipelined"):
-        try:
-            engines[mode] = run_mode(
-                " ".join(RULE_POOL[i] for i in sorted(picks)),
-                pubs, mode, m=4,
-            )
-        except PlanError:
-            # Unplannable either way (e.g. no consumed streams);
-            # soundness is about plans that run.
-            return
+    engines = {
+        mode: run_mode(
+            text, pubs, mode, m=4, seed=seed, stagger=True,
+            dels=min(dels, len(pubs)),
+            engine_kwargs={"scheme": scheme, "window": window},
+        )
+        for mode in ("barrier", "pipelined")
+    }
     for head in sorted(program.idb_predicates()):
         assert engines["pipelined"].rows(head) == engines["barrier"].rows(head)
     assert (

@@ -264,7 +264,7 @@ class TestReport:
 class TestPipelinedAdmission:
     """E24 through the serving layer: a tenant is admitted in the
     evaluation mode it asks for, and the report surfaces each tenant's
-    coordination verdict."""
+    release per rule."""
 
     def test_admitted_mode_reaches_the_engine(self):
         rng = random.Random(6)
@@ -275,7 +275,7 @@ class TestPipelinedAdmission:
         assert server.results("a", "j") == oracle(loads["a"])
         report = server.report()
         assert report["tenants"]["a"]["mode"] == "pipelined"
-        assert report["tenants"]["a"]["coordination"] == "monotone"
+        assert report["tenants"]["a"]["coordination"] == {0: "stream"}
 
     def test_modes_are_per_tenant(self):
         server = QueryServer(GridNetwork(5))
@@ -285,17 +285,30 @@ class TestPipelinedAdmission:
         assert server.session("slow").engine.mode == "barrier"
         report = server.report()
         assert report["tenants"]["slow"]["mode"] == "barrier"
-        assert report["tenants"]["slow"]["coordination"] is None
+        assert report["tenants"]["slow"]["coordination"] == {0: "barrier"}
 
-    def test_fallback_tenant_reports_its_reason(self):
+    def test_held_rules_report_their_reasons(self):
+        server = QueryServer(GridNetwork(5))
+        mixed = (
+            "j(K, A, B, C) :- r(K, A), s(K, B), t(K, C). "
+            "pair(A, B) :- p(K, A), q(K, B)."
+        )
+        server.admit("multi", mixed, scheme="multi-pass", mode="pipelined")
+        engine = server.session("multi").engine
+        assert engine.mode == "pipelined"
+        report = server.report()
+        assert report["tenants"]["multi"]["mode"] == "pipelined"
+        assert report["tenants"]["multi"]["coordination"] == {
+            0: "multi-pass", 1: "stream",
+        }
+
+    def test_fully_held_tenant_runs_barriers(self):
         server = QueryServer(GridNetwork(5))
         three_way = "j(K, A, B, C) :- r(K, A), s(K, B), t(K, C)."
         server.admit("multi", three_way, scheme="multi-pass", mode="pipelined")
-        engine = server.session("multi").engine
-        assert engine.mode == "barrier"
         report = server.report()
         assert report["tenants"]["multi"]["mode"] == "barrier"
-        assert report["tenants"]["multi"]["coordination"] == "multi-pass-scheme"
+        assert report["tenants"]["multi"]["coordination"] == {0: "multi-pass"}
 
     def test_pipelined_and_barrier_tenants_agree(self):
         rng = random.Random(9)
