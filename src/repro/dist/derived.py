@@ -2,7 +2,13 @@
 :class:`WireDerivation` (rule id + :class:`FactRef` of each fact used)
 travels to its head's hash or placement node, where the fact's
 derivation set has one writer, :meth:`DerivedFact.apply`, ranking every
-update by the timestamp it carries (Section IV-B), not by arrival."""
+update by the timestamp it carries (Section IV-B), not by arrival.
+
+A reference and a derivation are their own identity: they compare by
+term equality (``1`` and ``1.0`` are one fact, as in the central
+store) and hash once, and a derivation lists its facts in body order,
+so the ledger, the localized watch index and ``derivation_store`` key
+on the derivation itself."""
 
 from __future__ import annotations
 
@@ -13,61 +19,75 @@ from ..streams.tuples import ArgsTuple, TupleID
 
 
 class FactRef:
-    """A reference to a joined fact: predicate, ground args, tuple id."""
+    """A reference to a joined fact: predicate, ground args, tuple id.
+    Equal references are one dictionary key: args compare as terms
+    (``1`` and ``1.0`` are one fact, as in the central store)."""
 
-    __slots__ = ("pred", "args", "tuple_id", "_ident")
+    __slots__ = ("pred", "args", "tuple_id", "_hash")
 
     def __init__(self, pred: str, args: ArgsTuple, tuple_id: TupleID):
         self.pred = pred
         self.args = args
         self.tuple_id = tuple_id
 
-    def identity(self):
-        """``(pred, repr(args), repr(tuple_id))``, spelled once per
-        reference (a reference is immutable)."""
-        try:
-            return self._ident
-        except AttributeError:
-            self._ident = (self.pred, repr(self.args), repr(self.tuple_id))
-            return self._ident
+    def __reduce__(self):
+        # Rebuild through the constructor: a cached hash of string
+        # terms is only valid in the process that computed it.
+        return (FactRef, (self.pred, self.args, self.tuple_id))
 
     def size(self) -> int:
         return 2 + sum(term_size(a) for a in self.args)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FactRef)
-            and (self.pred, self.args, self.tuple_id)
-            == (other.pred, other.args, other.tuple_id)
+            and self.pred == other.pred
+            and self.tuple_id == other.tuple_id
+            and self.args == other.args
         )
 
     def __hash__(self):
-        return hash((self.pred, self.args, self.tuple_id))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.pred, self.args, self.tuple_id))
+            return self._hash
 
     def __repr__(self):
         return f"{self.pred}{tuple(map(repr, self.args))}"
 
 
 class WireDerivation:
-    """A derivation as shipped in result messages: rule id + fact refs."""
+    """A derivation as shipped in result messages: rule id + a fact ref
+    per positive subgoal, in body order — the central record's
+    ``(rule_id, ref_1, ..., ref_k)``.  Equal derivations are one
+    dictionary key."""
 
-    __slots__ = ("rule_id", "facts", "_ident")
+    __slots__ = ("rule_id", "facts", "_hash")
 
     def __init__(self, rule_id: int, facts: Tuple[FactRef, ...]):
         self.rule_id = rule_id
         self.facts = facts
 
-    def identity(self):
-        try:
-            return self._ident
-        except AttributeError:
-            self._ident = (
-                self.rule_id, tuple(sorted(f.identity() for f in self.facts))
-            )
-            return self._ident
+    def __reduce__(self):
+        return (WireDerivation, (self.rule_id, self.facts))
 
     def size(self) -> int:
         return 1 + 2 * len(self.facts)
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, WireDerivation)
+            and self.rule_id == other.rule_id
+            and self.facts == other.facts
+        )
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.rule_id, self.facts))
+            return self._hash
 
     def __repr__(self):
         return f"<r{self.rule_id}: {list(self.facts)!r}>"
@@ -76,7 +96,7 @@ class WireDerivation:
 class DerivedFact:
     """State of one derived fact where it is stored: the live derivation
     set (visible while there is one) and the ``ledger`` that decides it
-    — per derivation identity the top-ranked ``(op, derivation, stamp)``
+    — per derivation the top-ranked ``(op, derivation, stamp)``
     received: an 'add' is a live derivation under the stamp it was added
     with, a 'sub' a tombstone under the highest it was subtracted with.
     Stamps are floats in ``GPAEngine``, ``(time, node, seq)`` tuples in
@@ -85,8 +105,8 @@ class DerivedFact:
     __slots__ = ("derivations", "ledger", "tuple_id")
 
     def __init__(self):
-        self.derivations: Dict[tuple, WireDerivation] = {}
-        self.ledger: Dict[tuple, Tuple[str, WireDerivation, object]] = {}
+        self.derivations: Dict[WireDerivation, WireDerivation] = {}
+        self.ledger: Dict[WireDerivation, Tuple[str, WireDerivation, object]] = {}
         self.tuple_id: Optional[TupleID] = None
 
     @property
@@ -96,11 +116,11 @@ class DerivedFact:
     def apply(self, op: str, derivation: WireDerivation, stamp) -> None:
         """The one way a derivation set changes (results, migrated
         state, anti-entropy, base facts): a subtraction stamped tau
-        cancels every addition of its identity stamped <= tau, whichever
-        lands first; a later-stamped addition survives it.  Only the
-        top-ranked update per identity, by ``(stamp, is a sub)``, need be
-        kept, and every arrival order — duplicates included — ends in
-        one state.
+        cancels every addition of an equal derivation stamped <= tau,
+        whichever lands first; a later-stamped addition survives it.
+        Only the top-ranked update per derivation, by ``(stamp, is a
+        sub)``, need be kept, and every arrival order — duplicates
+        included — ends in one state.
 
         :meth:`~repro.dist.gpa.JoinToken.stamp` makes it the paper's
         order.  A blocker born at b subtracts a derivation only if its
@@ -110,23 +130,22 @@ class DerivedFact:
         carries the deletion time, > b, and survives a late sub(b).
         ``sees`` compares the same timestamps, so its tau_c covers skew
         here."""
-        ident = derivation.identity()
-        held = self.ledger.get(ident)
+        held = self.ledger.get(derivation)
         if held is not None and (stamp, op == "sub") <= (held[2], held[0] == "sub"):
             return  # outranked, or a duplicate (replication, retro over-coverage)
-        self.ledger[ident] = (op, derivation, stamp)
+        self.ledger[derivation] = (op, derivation, stamp)
         if op == "add":
-            self.derivations[ident] = derivation
+            self.derivations[derivation] = derivation
         else:
-            self.derivations.pop(ident, None)
+            self.derivations.pop(derivation, None)
 
     def expire(self, horizon: float) -> int:
         """Forget the tombstones stamped at or before ``horizon``
         (:meth:`~repro.dist.gpa.GPAEngine._horizon`); returns how many."""
         stale = [
-            ident for ident, (op, _d, stamp) in self.ledger.items()
+            d for d, (op, _d, stamp) in self.ledger.items()
             if op == "sub" and stamp <= horizon
         ]
-        for ident in stale:
-            del self.ledger[ident]
+        for d in stale:
+            del self.ledger[d]
         return len(stale)

@@ -73,23 +73,26 @@ _PIPELINE_WINDOW_FLOOR = 1e6
 
 class Partial:
     """A partial result: the rule's registers (``mask`` says which are
-    bound, see :meth:`RulePlan.step`) + facts used + covered subgoal
-    indexes.  Immutable, so its key and size are computed once."""
+    bound, see :meth:`RulePlan.step`) + the fact used per positive
+    subgoal, in body order (None where the subgoal is still unmatched;
+    ``missing`` counts those).  Immutable, so its size is computed once;
+    ``used`` is its dedup key: equal facts in equal positions are one
+    partial result."""
 
-    __slots__ = ("regs", "mask", "used", "covered", "_key", "_size")
+    __slots__ = ("regs", "mask", "used", "missing", "_size")
 
-    def __init__(self, regs: list, mask: int, used: Tuple[FactRef, ...], covered: frozenset):
+    def __init__(self, regs: list, mask: int, used: Tuple[Optional[FactRef], ...]):
         self.regs = regs
         self.mask = mask
         self.used = used
-        self.covered = covered
-        self._key = (covered, frozenset(
-            (f.pred, f.args, f.identity()[2]) for f in used
-        ))
-        self._size = sum(f.size() for f in used) or 1
-
-    def dedup_key(self):
-        return self._key
+        missing = size = 0
+        for f in used:
+            if f is None:
+                missing += 1
+            else:
+                size += f.size()
+        self.missing = missing
+        self._size = size or 1
 
     def size(self) -> int:
         return self._size
@@ -201,11 +204,9 @@ class JoinToken(Message):
 
     def header(self) -> tuple:
         """The never-written fields as a key (``parked_seen``)."""
-        trigger = self.trigger
         return (
-            self.rule_id, self.op, self.update_ts,
-            (trigger.pred, trigger.args, trigger.identity()[2]),
-            repr(self.exclude_id), self.retro,
+            self.rule_id, self.op, self.update_ts, self.trigger,
+            self.exclude_id, self.retro,
         )
 
     def sees(self, tup: StreamTuple, window: float) -> bool:
@@ -821,9 +822,10 @@ class GPAEngine:
         if not seed:
             return None
         regs = bind(step, regs, *seed[0])
-        if negated:
-            return Partial(regs, step.after, (), frozenset())
-        return Partial(regs, step.after, (trigger,), frozenset([occurrence]))
+        used = [None] * rp.n_positive
+        if not negated:
+            used[occurrence] = trigger
+        return Partial(regs, step.after, tuple(used))
 
     def _launch_token(
         self,
@@ -982,13 +984,13 @@ class GPAEngine:
         double-park."""
         header = token.header()
         for partial in token.partials:
-            key = header + (partial.dedup_key(),)
+            key = header + (partial.used,)
             if key in runtime.parked_seen:
                 continue
             runtime.parked_seen.add(key)
             wanted = {
-                lit.predicate for idx, lit in enumerate(rp.positive)
-                if idx not in partial.covered
+                lit.predicate for lit, f in zip(rp.positive, partial.used)
+                if f is None
             }
             for pred in wanted:
                 runtime.parked.setdefault(pred, []).append((token, partial))
@@ -1024,7 +1026,7 @@ class GPAEngine:
         entries[:] = [e for e in entries if e[0].update_ts > horizon]
         before = len(runtime.parked_seen)
         runtime.parked_seen.difference_update(
-            token.header() + (partial.dedup_key(),) for token, partial in stale
+            token.header() + (partial.used,) for token, partial in stale
         )
         return before - len(runtime.parked_seen)
 
@@ -1050,14 +1052,14 @@ class GPAEngine:
         rp = self.plan.by_id[token.rule_id]
         extended: List[Partial] = []
         for idx, lit in enumerate(rp.positive):
-            if idx in partial.covered or lit.predicate != tup.predicate:
+            if partial.used[idx] is not None or lit.predicate != tup.predicate:
                 continue
             step = rp.step(idx, partial.mask)
             for match in matching(probe(step, partial.regs, self.registry), (tup,)):
                 extended.append(self._extended(partial, idx, step, *match))
         if not extended:
             return
-        done = all(len(p.covered) == rp.n_positive for p in extended)
+        done = not any(p.missing for p in extended)
         self._post(node, node.id, JoinToken(
             rule_id=token.rule_id,
             op=token.op,
@@ -1080,14 +1082,14 @@ class GPAEngine:
         node: Node,
         allowed: Optional[Set[int]] = None,
     ) -> None:
-        seen: Set[tuple] = {p.dedup_key() for p in token.partials}
+        seen: Set[tuple] = {p.used for p in token.partials}
         complete: List[Partial] = []
         # A freshly launched token may carry an already-complete partial
         # (single-subgoal rule): convert it here, once, and stop
         # forwarding it.
         still_partial = []
         for p in token.partials:
-            if len(p.covered) == rp.n_positive:
+            if not p.missing:
                 complete.append(p)
             else:
                 still_partial.append(p)
@@ -1095,8 +1097,9 @@ class GPAEngine:
         queue = list(token.partials)
         while queue:
             partial = queue.pop()
+            used = partial.used
             for idx in range(rp.n_positive):
-                if idx in partial.covered:
+                if used[idx] is not None:
                     continue
                 if allowed is not None and idx not in allowed:
                     continue
@@ -1104,11 +1107,10 @@ class GPAEngine:
                 pattern = probe(step, partial.regs, self.registry)
                 for match in self._matches(runtime, token, step.pred, pattern):
                     new = self._extended(partial, idx, step, *match)
-                    key = new.dedup_key()
-                    if key in seen:
+                    if new.used in seen:
                         continue
-                    seen.add(key)
-                    if len(new.covered) == rp.n_positive:
+                    seen.add(new.used)
+                    if not new.missing:
                         complete.append(new)
                     else:
                         queue.append(new)
@@ -1118,10 +1120,10 @@ class GPAEngine:
 
     def _extended(self, partial: Partial, idx: int, step, tup, bindings) -> Partial:
         """``partial`` joined with a replica its subgoal ``idx`` matched."""
+        used = partial.used
         return Partial(
             bind(step, partial.regs, tup, bindings), step.after,
-            partial.used + (FactRef(step.pred, tup.args, tup.tuple_id),),
-            partial.covered | {idx},
+            used[:idx] + (FactRef(step.pred, tup.args, tup.tuple_id),) + used[idx + 1:],
         )
 
     def _complete_partial(
@@ -1430,33 +1432,29 @@ class GPAEngine:
     def derived_count(self, pred: str) -> int:
         return len(self.rows(pred))
 
-    def derivation_store(self) -> Dict[tuple, tuple]:
+    def derivation_store(self) -> Dict[Tuple[str, ArgsTuple], Set[WireDerivation]]:
         """The final derivation store in a mode-independent normal form,
         for differential (barrier vs. pipelined) comparison.
 
-        Every visible derived fact maps to its sorted derivation
-        identities.  References to *base* facts keep their full tuple
-        id; references to *derived* facts are normalized to
-        ``(pred, args)`` — a derived tuple's id is a fresh stamp minted
-        at its first derivation, whose wall-clock necessarily differs
-        between evaluation modes while the logical tuple is the same.
+        Every visible derived fact ``(pred, args)`` maps to its set of
+        derivations.  References to *base* facts keep their full tuple
+        id; references to *derived* facts read ``"derived"`` instead —
+        a derived tuple's id is a fresh stamp minted at its first
+        derivation, whose wall-clock necessarily differs between
+        evaluation modes while the logical tuple is the same.
         """
         idb = self.plan.idb
 
-        def ref_key(f: FactRef):
-            if f.pred in idb:
-                return (f.pred, repr(f.args), "derived")
-            return (f.pred, repr(f.args), repr(f.tuple_id))
+        def normal(f: FactRef) -> FactRef:
+            return FactRef(f.pred, f.args, "derived") if f.pred in idb else f
 
-        out: Dict[tuple, Set[tuple]] = {}
+        out: Dict[Tuple[str, ArgsTuple], Set[WireDerivation]] = {}
         for _home, pred, args, fact in self._visible():
-            idents = out.setdefault((pred, repr(args)), set())
-            for d in fact.derivations.values():
-                idents.add((
-                    d.rule_id,
-                    tuple(sorted(ref_key(f) for f in d.facts)),
-                ))
-        return {key: tuple(sorted(vals)) for key, vals in out.items()}
+            out.setdefault((pred, args), set()).update(
+                WireDerivation(d.rule_id, tuple(map(normal, d.facts)))
+                for d in fact.derivations
+            )
+        return out
 
     def latency_report(self, pred: Optional[str] = None) -> Dict[str, float]:
         """Mean / max result latency (update timestamp → first

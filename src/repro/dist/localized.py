@@ -23,7 +23,7 @@ Mechanics:
 * a result carries its firing's stamp (:func:`_stamp`); at the
   placement node the fact is the ledger GPA's hash nodes keep
   (:class:`~repro.dist.derived.DerivedFact`), which ranks each
-  identity's adds and subs by stamp, so a sub that overtakes its add
+  derivation's adds and subs by stamp, so a sub that overtakes its add
   still cancels it.  A base fact is its own rule -1 derivation:
   ``seed`` adds it, ``retract`` subtracts it;
 * a live derivation is *valid* while none of its watched negated atoms
@@ -144,7 +144,7 @@ class PlacedFact(DerivedFact):
 
     def __init__(self):
         super().__init__()
-        self.watched: Dict[tuple, tuple] = {}  # live identity -> atoms
+        self.watched: Dict[WireDerivation, tuple] = {}  # live derivation -> atoms
         self.visible = False
 
 
@@ -157,7 +157,7 @@ class LocalRuntime:
         self.tables: Dict[str, Dict[ArgsTuple, ArgsTuple]] = {}
         # facts whose primary placement is this node
         self.placed: Dict[Tuple[str, ArgsTuple], PlacedFact] = {}
-        # negated-atom key -> {(fact_key, derivation identity): None}
+        # negated-atom key -> {(fact_key, derivation): None}
         self.watches: Dict[Tuple[str, ArgsTuple], Dict[tuple, None]] = {}
 
     def table(self, pred: str) -> Dict[ArgsTuple, ArgsTuple]:
@@ -270,24 +270,23 @@ class LocalizedEngine:
 
     def _apply(self, node: Node, pred: str, args: ArgsTuple, op: str,
                derivation: WireDerivation, neg_atoms: tuple, stamp: tuple) -> None:
-        """Rank one stamped update into the fact's ledger; only an
-        identity whose liveness flipped touches the watch index."""
+        """Rank one stamped update into the fact's ledger; only a
+        derivation whose liveness flipped touches the watch index."""
         runtime = self.runtimes[node.id]
         key = (pred, args)
         fact = runtime.placed.get(key)
         if fact is None:
             fact = runtime.placed[key] = PlacedFact()
-        ident = derivation.identity()
-        was_live = ident in fact.derivations
+        was_live = derivation in fact.derivations
         fact.apply(op, derivation, stamp)
-        if (ident in fact.derivations) == was_live:
+        if (derivation in fact.derivations) == was_live:
             return  # outranked, a duplicate, or a tombstone raised
-        entry = (key, ident)
+        entry = (key, derivation)
         if was_live:
-            for atom in fact.watched.pop(ident):
+            for atom in fact.watched.pop(derivation):
                 runtime.watches[atom].pop(entry, None)
         else:
-            fact.watched[ident] = neg_atoms
+            fact.watched[derivation] = neg_atoms
             for atom in neg_atoms:
                 runtime.watches.setdefault(atom, {})[entry] = None
         self._recompute_visibility(node, pred, args)
@@ -340,7 +339,7 @@ class LocalizedEngine:
 
     def _check_watchers(self, node: Node, pred: str, args: ArgsTuple) -> None:
         watchers = self.runtimes[node.id].watches.get((pred, args), ())
-        for fact_key, _ident in list(watchers):
+        for fact_key, _derivation in list(watchers):
             self._recompute_visibility(node, fact_key[0], fact_key[1])
 
     # -- rule firing -----------------------------------------------------------------
@@ -377,9 +376,9 @@ class LocalizedEngine:
         placement = self.placements[join.head_pred]
         for head_args, used, neg_atoms in results:
             # Localized mode identifies facts by value, not by stream
-            # tuple id: a fixed id keeps derivation identities
-            # location-independent so duplicate firings (primary +
-            # replicas) dedupe at the home.
+            # tuple id: a fixed id keeps derivations location-independent
+            # so duplicate firings (primary + replicas) dedupe at the
+            # home.
             derivation = WireDerivation(join.rule_id, tuple(
                 FactRef(p, row, _VALUE_ID) for p, row in zip(join.preds, used)
             ))

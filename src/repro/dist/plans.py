@@ -243,7 +243,7 @@ def matching(probe: tuple, tuples) -> list:
 def bind(step: Step, regs: list, tup, bindings) -> list:
     """The registers after ``step`` matched ``tup``: a copy of ``regs``
     with the step's variables set from the stored tuple's own arguments
-    (1 == 1.0, and derivation identities spell their rows)."""
+    (1 == 1.0: the stored spelling travels on)."""
     regs = regs[:]
     if bindings is None:
         row = tup.args
@@ -262,6 +262,8 @@ class DeltaJoin:
     literals in textual order; a literal whose arguments are all fixed
     by then is one lookup, any other scans the node's table itself, so
     matches come out in the order nested loops over those tables give.
+    Each row lands in its literal's body position (``order``), so a
+    match's ``used`` is in body order, as a derivation lists its facts.
     Built-ins, head and negated atoms are evaluated from the registers
     per complete match.
 
@@ -272,8 +274,8 @@ class DeltaJoin:
     """
 
     __slots__ = (
-        "rule_id", "label", "head_pred", "preds", "literals", "builtins",
-        "head", "negs", "n_slots",
+        "rule_id", "label", "head_pred", "preds", "order", "literals",
+        "builtins", "head", "negs", "n_slots",
     )
 
     def __init__(self, rp: RulePlan, occurrence: int):
@@ -283,8 +285,10 @@ class DeltaJoin:
         order = [occurrence] + [
             i for i in range(rp.n_positive) if i != occurrence
         ]
-        #: Predicate of each row of a match's ``used`` tuple.
-        self.preds = tuple(rp.positive[i].predicate for i in order)
+        #: Body position of each literal, in join order.
+        self.order = tuple(order)
+        #: Predicate of each row of a match's ``used`` tuple (body order).
+        self.preds = tuple(lit.predicate for lit in rp.positive)
         mask, literals = 0, []
         for i in order:
             literals.append(rp.step(i, mask))
@@ -310,7 +314,7 @@ class DeltaJoin:
         """Delta-join the trigger fact ``args`` against a node's
         ``tables`` (pred -> {row: stored row}): one ``(head args, used
         rows, negated atoms)`` per derivation, in match order.  ``used``
-        lines up with ``preds``.
+        is in body order and lines up with ``preds``.
 
         The join is complete before any match is concluded, so a
         caller may change the tables while it consumes the result.
@@ -319,8 +323,8 @@ class DeltaJoin:
         """
         matches: List[Tuple[list, tuple]] = []
         self._join(
-            0, {args: args}, tables, [None] * self.n_slots, [], registry, stats,
-            matches,
+            0, {args: args}, tables, [None] * self.n_slots,
+            [None] * len(self.literals), registry, stats, matches,
         )
         out = []
         for regs, used in matches:
@@ -336,6 +340,7 @@ class DeltaJoin:
     def _join(self, depth, table, tables, regs, used, registry, stats,
               matches) -> None:
         literals = self.literals
+        position = self.order[depth]
         _pred, arity, known, binds, rechecks, structural, _after = literals[depth]
         scanned = len(table)
         if structural is not None:
@@ -347,9 +352,8 @@ class DeltaJoin:
             want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in known]
             if len(want) == arity:
                 # Every argument is fixed: one lookup instead of a scan.
-                # On a hit, hand out the stored row, not the probe that
-                # equals it (1 == 1.0, and derivation identities spell
-                # their rows).
+                # A hit hands out the stored row, which equals the probe
+                # as a term (1 == 1.0) and names the same fact.
                 stored = table.get(tuple([term for _pos, term in want]))
                 rows = () if stored is None else (stored,)
                 scanned = 1
@@ -364,15 +368,14 @@ class DeltaJoin:
                 counted[1] += 1
             for pos, slot in binds:
                 regs[slot] = row[pos]
-            used.append(row)
+            used[position] = row
             if deeper == len(literals):
                 matches.append((regs[:], tuple(used)))
             else:
                 self._join(
-                    deeper, tables.get(literals[deeper][0], ()), tables, regs,
+                    deeper, tables.get(literals[deeper][0], {}), tables, regs,
                     used, registry, stats, matches,
                 )
-            used.pop()
 
     def __repr__(self) -> str:
-        return f"DeltaJoin({self.label}, trigger {self.preds[0]})"
+        return f"DeltaJoin({self.label}, trigger {self.preds[self.order[0]]})"

@@ -6,7 +6,10 @@ and a derived stream (Section III-B: duplicates are detected at the
 hashed location and are not re-generated).  Classic geographic hash
 tables (GHT) hash a key to a position and store at the node nearest
 that position; we do exactly that with a process-independent hash
-(Python's builtin ``hash`` is salted, so md5 it is).
+(Python's builtin ``hash`` is salted, so md5 it is).  A fact's key is
+spelled in one place, :meth:`GeographicHash.key_for_fact`, under which
+equal facts spell equal keys: ``1``, ``1.0`` and ``True`` are one term,
+so they are spelled ``1`` wherever they occur.
 
 Failover (E20): with ``replicas=k > 1`` a key's *replica set* is its
 k-nearest nodes (GHT's "perimeter refresh" stores at the home node's
@@ -33,10 +36,11 @@ Serving extensions (E21):
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
-from ..core.terms import Term
+from ..core.terms import Constant, FunctionTerm, Term
 from .topology import Position, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,6 +51,27 @@ def stable_hash(data: str) -> int:
     """Deterministic 64-bit hash of a string (same across processes)."""
     digest = hashlib.md5(data.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _int_spelled(term: Term) -> Term:
+    """``term`` with each bool or integral float constant spelled as its
+    int (inside function terms too); ``term`` itself when nothing
+    changes, so its repr is the one it always had.  A constant tuple's
+    items keep their spelling: respelling them would move the homes of
+    today's float coordinates, ``(3.0, 4.5)``.  (Equal tuples still
+    share one key per process: the first spelling the memo of
+    :meth:`GeographicHash.key_for_fact` met.)"""
+    if term.__class__ is Constant:
+        value = term.value
+        if value.__class__ is bool or value.__class__ is float and value.is_integer():
+            return Constant(int(value))
+        return term
+    if term.__class__ is FunctionTerm:
+        args = tuple(map(_int_spelled, term.args))
+        if all(map(operator.is_, args, term.args)):
+            return term
+        return FunctionTerm(term.functor, args)
+    return term
 
 
 class GeographicHash:
@@ -72,6 +97,9 @@ class GeographicHash:
         # key -> pinned home node (adaptive placement).  Empty in every
         # non-serving run, so the hash path pays one truthiness check.
         self._overrides: Dict[str, int] = {}
+        # (pred, args) -> key.  Equal facts are one dict key, so a
+        # repeat lookup of any spelling of a fact is one hit.
+        self._fact_keys: Dict[Tuple[str, Tuple[Term, ...]], str] = {}
 
     def position_for(self, key: str) -> Position:
         """Map a key to a position inside the deployment bounding box."""
@@ -155,11 +183,18 @@ class GeographicHash:
 
     def node_for_fact(self, predicate: str, args: Tuple[Term, ...]) -> int:
         """Home node for a derived fact (predicate + ground arguments)."""
-        return self.node_for_key(f"{predicate}/{args!r}")
+        return self.node_for_key(self.key_for_fact(predicate, args))
 
     def key_for_fact(self, predicate: str, args: Tuple[Term, ...]) -> str:
-        """The GHT key a derived fact hashes under."""
-        return f"{predicate}/{args!r}"
+        """The GHT key a derived fact hashes under: ``pred/args`` with
+        every bool and integral float spelled as its int, so facts equal
+        as terms share a home (memoized)."""
+        fact = (predicate, args)
+        key = self._fact_keys.get(fact)
+        if key is None:
+            key = f"{predicate}/{tuple(map(_int_spelled, args))!r}"
+            self._fact_keys[fact] = key
+        return key
 
     def nodes_for_fact(self, predicate: str, args: Tuple[Term, ...]) -> Tuple[int, ...]:
         """Replica set for a derived fact."""
@@ -199,7 +234,7 @@ class GHTPartition:
     def key_for_fact(self, predicate: str, args: Tuple[Term, ...]) -> str:
         if self.coarse:
             return f"{self.tenant}:{predicate}"
-        return f"{self.tenant}:{predicate}/{args!r}"
+        return f"{self.tenant}:{self.base.key_for_fact(predicate, args)}"
 
     def region_key(self, predicate: str) -> str:
         """The coarse (per-predicate) region key, regardless of the

@@ -1,0 +1,162 @@
+"""One fact identity from the central store to the wire: ``1`` and
+``1.0`` are one fact, and a derivation is its rule plus one fact per
+positive subgoal in body order.  Central evaluation, ``GPAEngine`` (both
+modes; the self-join under both join schemes too) and
+``LocalizedEngine`` must end with the same rows and the same
+derivations of every derived fact."""
+
+import pytest
+
+from repro.core.eval import Database, evaluate
+from repro.core.parser import parse_program
+from repro.core.terms import Constant
+from repro.dist.gpa import GPAEngine
+from repro.dist.localized import LocalizedEngine, Placement
+from repro.net.network import GridNetwork
+
+MEET = """
+    h(N, X) :- a(N, X).
+    h(N, X) :- b(N, X).
+    q(N, X, Y) :- h(N, X), c(N, X, Y).
+"""
+
+SELF_JOIN = "q(1) :- e(X, Y), e(Y, X)."
+
+
+def terms(args):
+    return tuple(Constant(a) for a in args)
+
+
+def central(program, facts):
+    """Rows and ``{(pred, args): {(rule id, body facts)}}`` of central
+    evaluation over ``facts``."""
+    db = Database()
+    for pred, args in facts:
+        db.assert_fact(pred, args)
+    parsed = parse_program(program)
+    evaluate(parsed, db)
+    rows = {p: db.rows(p) for p in parsed.idb_predicates()}
+    store = {
+        fact: {(d.rule_id, d.body_facts) for d in derivations}
+        for fact, derivations in db.derivations.snapshot().items()
+    }
+    return rows, store
+
+
+def run_gpa(program, steps, mode, scheme):
+    """Publish / retract ``steps`` on a 4x4 grid, draining after each."""
+    net = GridNetwork(4, seed=3)
+    engine = GPAEngine(program, net, mode=mode, scheme=scheme).install()
+    ids = {}
+    for i, (op, pred, args) in enumerate(steps):
+        node = (5 * i) % 16
+        if op == "publish":
+            ids[(pred, args)] = (node, engine.publish(node, pred, args))
+        else:
+            node, tid = ids[(pred, args)]
+            engine.retract(node, pred, args, tid)
+        net.run_all()
+    rows = {p: engine.rows(p) for p in engine.plan.idb}
+    return rows, stored(
+        (key, fact) for runtime in engine.runtimes.values()
+        for key, fact in runtime.derived.items() if fact.visible
+    )
+
+
+def run_localized(program, steps):
+    """The same steps as base facts seeded at (and withdrawn from) the
+    node their first argument names."""
+    net = GridNetwork(2, seed=3)
+    parsed = parse_program(program)
+    preds = parsed.idb_predicates() | parsed.edb_predicates()
+    engine = LocalizedEngine(
+        parsed, net, {p: Placement(0, replicate_to_neighbors=True) for p in preds}
+    ).install()
+    for op, pred, args in steps:
+        node = args[0]
+        if op == "publish":
+            engine.seed(node, pred, args)
+        else:
+            engine.retract(node, pred, args)
+        net.run_all()
+    idb = engine.plan.idb
+    placed = [
+        (key, fact) for runtime in engine.runtimes.values()
+        for key, fact in runtime.placed.items() if key[0] in idb and fact.visible
+    ]
+    rows = {p: set() for p in idb}
+    for (pred, args), _fact in placed:
+        rows[pred].add(tuple(a.value for a in args))
+    return rows, stored(placed)
+
+
+def stored(facts):
+    """``{(pred, args): {(rule id, body facts)}}`` of the visible
+    derived facts where they are stored; a fact stored twice is a wrong
+    answer (two homes for one fact)."""
+    store = {}
+    for key, fact in facts:
+        assert key not in store, f"{key} is stored twice"
+        store[key] = {
+            (d.rule_id, tuple((f.pred, f.args) for f in d.facts))
+            for d in fact.derivations.values()
+        }
+    return store
+
+
+def final_facts(steps):
+    live = {}
+    for op, pred, args in steps:
+        if op == "publish":
+            live[(pred, args)] = None
+        else:
+            del live[(pred, args)]
+    return [(pred, args) for pred, args in live]
+
+
+def engines(program, steps, schemes=("one-pass",)):
+    runs = {
+        f"gpa {mode} {scheme}": run_gpa(program, steps, mode, scheme)
+        for mode in ("barrier", "pipelined") for scheme in schemes
+    }
+    runs["localized"] = run_localized(program, steps)
+    return runs
+
+
+A, B, C = ("a", (0, 1)), ("b", (0, 1.0)), ("c", (0, 1, 5))
+
+MEET_CASES = {
+    # The retractions must cancel every q, whichever spelling of h
+    # derived it.
+    "retracted": [("publish", *A), ("publish", *B), ("publish", *C),
+                  ("retract", *A), ("retract", *B)],
+    # h(0, 1) and h(0, 1.0) come from different rules and stay: one fact
+    # with two derivations, at one GHT home.
+    "different rules": [("publish", *A), ("publish", *B), ("publish", *C)],
+    # Only one of them is withdrawn: the other keeps h and q.
+    "one withdrawn": [("publish", *B), ("publish", *C), ("publish", *A),
+                      ("retract", *A)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEET_CASES))
+def test_one_and_one_point_zero_meet(case):
+    steps = MEET_CASES[case]
+    rows, store = central(MEET, final_facts(steps))
+    if case == "retracted":
+        assert rows["q"] == set() and store == {}
+    else:
+        assert rows["q"] == {(0, 1, 5)}
+        assert len(store[("h", terms((0, 1)))]) == 1 + (case == "different rules")
+    for name, got in engines(MEET, steps).items():
+        assert got == (rows, store), name
+
+
+def test_self_join_stores_match_central():
+    """Both subgoals of a self-join can match either fact: central
+    records two derivations of q(1), and so must the wire."""
+    steps = [("publish", "e", (0, 1)), ("publish", "e", (1, 0))]
+    rows, store = central(SELF_JOIN, final_facts(steps))
+    assert len(store[("q", terms((1,)))]) == 2
+    for name, got in engines(SELF_JOIN, steps, ("one-pass", "multi-pass")).items():
+        assert got == (rows, store), name

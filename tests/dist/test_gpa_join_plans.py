@@ -27,6 +27,11 @@ from repro.net.network import GridNetwork
 # keys are the production ones.
 
 
+def with_fact(used, idx, ref):
+    """``used`` (one slot per positive subgoal) with ``ref`` in slot ``idx``."""
+    return used[:idx] + (ref,) + used[idx + 1:]
+
+
 def reference_seed(engine, rp, occurrence, trigger, negated):
     lit = rp.negative[occurrence] if negated else rp.positive[occurrence]
     seed = match_sequences(
@@ -46,8 +51,8 @@ def reference_seed(engine, rp, occurrence, trigger, negated):
             if i != occurrence:
                 shared.update(other.variables())
         seed = Substitution({v: t for v, t in seed.items() if v in shared})
-        return Partial(seed, 0, (), frozenset())
-    return Partial(seed, 0, (trigger,), frozenset([occurrence]))
+        return Partial(seed, 0, (None,) * rp.n_positive)
+    return Partial(seed, 0, with_fact((None,) * rp.n_positive, occurrence, trigger))
 
 
 def reference_visible(runtime, pred, token):
@@ -127,11 +132,11 @@ def reference_extend(engine, runtime, rp, token, node, allowed=None):
     """``GPAEngine._extend_partials`` as it unified per row: the pattern
     rebuilt per partial and subgoal, every visible tuple one-way matched,
     a Substitution copied per match."""
-    seen = {p.dedup_key() for p in token.partials}
+    seen = {p.used for p in token.partials}
     complete = []
     still_partial = []
     for p in token.partials:
-        if len(p.covered) == rp.n_positive:
+        if not p.missing:
             complete.append(p)
         else:
             still_partial.append(p)
@@ -140,7 +145,7 @@ def reference_extend(engine, runtime, rp, token, node, allowed=None):
     while queue:
         partial = queue.pop()
         for idx, lit in enumerate(rp.positive):
-            if idx in partial.covered:
+            if partial.used[idx] is not None:
                 continue
             if allowed is not None and idx not in allowed:
                 continue
@@ -160,16 +165,13 @@ def reference_extend(engine, runtime, rp, token, node, allowed=None):
                     continue
                 subst = Substitution(partial.regs)
                 subst.update(bindings)
-                new = Partial(
-                    subst, 0,
-                    partial.used + (FactRef(lit.predicate, tup.args, tup.tuple_id),),
-                    partial.covered | {idx},
-                )
-                key = new.dedup_key()
-                if key in seen:
+                new = Partial(subst, 0, with_fact(
+                    partial.used, idx, FactRef(lit.predicate, tup.args, tup.tuple_id)
+                ))
+                if new.used in seen:
                     continue
-                seen.add(key)
-                if len(new.covered) == rp.n_positive:
+                seen.add(new.used)
+                if not new.missing:
                     complete.append(new)
                 else:
                     queue.append(new)
@@ -195,7 +197,7 @@ def reference_extend_parked(engine, node, runtime, parked, tup):
         return
     extended = []
     for idx, lit in enumerate(rp.positive):
-        if idx in partial.covered or lit.predicate != tup.predicate:
+        if partial.used[idx] is not None or lit.predicate != tup.predicate:
             continue
         pattern = tuple(
             normalize_partial(a.substitute(partial.regs), engine.registry)
@@ -206,14 +208,12 @@ def reference_extend_parked(engine, node, runtime, parked, tup):
             continue
         subst = Substitution(partial.regs)
         subst.update(bindings)
-        extended.append(Partial(
-            subst, 0,
-            partial.used + (FactRef(tup.predicate, tup.args, tup.tuple_id),),
-            partial.covered | {idx},
-        ))
+        extended.append(Partial(subst, 0, with_fact(
+            partial.used, idx, FactRef(tup.predicate, tup.args, tup.tuple_id)
+        )))
     if not extended:
         return
-    done = all(len(p.covered) == rp.n_positive for p in extended)
+    done = not any(p.missing for p in extended)
     token = engine._tag(JoinToken(
         rule_id=entry.rule_id, op=entry.op, update_ts=entry.update_ts,
         trigger=entry.trigger, trigger_negated=False, partials=extended,

@@ -255,7 +255,8 @@ def reference_fire(rp, occurrence, tables, args, registry):
     oracle: per candidate row it rebuilds the pattern, one-way matches
     it and extends a Substitution; built-ins go through eval_builtin,
     the head through ground_head.  Returns the ordered
-    (head args, used facts, negated atoms) of one firing."""
+    (head args, used facts, negated atoms) of one firing, the used
+    facts in body order."""
     lit = rp.positive[occurrence]
     seed = match_sequences(
         tuple(normalize_partial(a, registry) for a in lit.atom.args),
@@ -265,10 +266,16 @@ def reference_fire(rp, occurrence, tables, args, registry):
     if seed is None:
         return []
     others = [l for i, l in enumerate(rp.positive) if i != occurrence]
+    body_position = [occurrence] + [
+        i for i in range(len(rp.positive)) if i != occurrence
+    ]
 
     def recurse(idx, subst, used):
         if idx == len(others):
-            yield subst, tuple(used)
+            in_body = [None] * len(used)
+            for position, fact in zip(body_position, used):
+                in_body[position] = fact
+            yield subst, tuple(in_body)
             return
         lit = others[idx]
         pattern = tuple(
@@ -498,9 +505,8 @@ class TestCompiledDeltaJoin:
         assert results >= 20  # the cases do derive
 
     def test_probe_hands_out_stored_row(self):
-        """1 == 1.0, but derivation identities spell their rows: a
-        membership probe that hits must use the stored row, as the
-        scan it replaces did."""
+        """1 == 1.0: a membership probe that hits hands out the stored
+        row, as the scan it replaces did."""
         engine, sent = differential_engine("out(1, X, Y) :- a(X, Y), b(X, Y).")
         stored = (Constant(1.0), Constant(2))
         tables = {"a": [], "b": [stored], "c": []}
@@ -508,6 +514,20 @@ class TestCompiledDeltaJoin:
             engine, sent, tables, "a", (Constant(1), Constant(2)), "ins"
         )
         assert repr(sent[0][3][1]) == repr(("b", stored))
+
+    def test_lookup_in_a_table_never_stored(self):
+        """An all-known literal over a predicate the node has no table
+        for is a lookup that misses, not a crash."""
+        engine = LocalizedEngine(
+            "q(X, Y) :- c(X, Y), h(X).", GridNetwork(2),
+            {p: Placement(0) for p in "chq"},
+        ).install()
+        engine.seed(1, "c", (1, 5))
+        engine.network.run_all()
+        assert visible_rows(engine, "q") == set()
+        engine.seed(1, "h", (1,))
+        engine.network.run_all()
+        assert visible_rows(engine, "q") == {(1, 5)}
 
     def test_plan_with_delta_joins_pickles(self):
         net = GridNetwork(3, seed=1)

@@ -29,6 +29,9 @@ JOIN2 = "j(K, A, B) :- r(K, A), s(K, B)."
 JOIN3 = "j(K, A, B, C) :- r(K, A), s(K, B), t(K, C)."
 TC = "tc(X, Y) :- e(X, Y). tc(X, Z) :- e(X, Y), tc(Y, Z)."
 SELFJOIN = "tri(X, Z) :- e(X, Y), e(Y, Z)."
+#: Both subgoals match either edge of a mutual pair: two derivations of
+#: one fact whose facts differ only in their body positions.
+MUTUAL = "mutual(X, Y) :- e(X, Y), e(Y, X)."
 BUILTIN = "big(K, A, B) :- r(K, A), s(K, B), K > 0."
 #: Guarded (win-move-shaped) negation plus an *independent* monotone
 #: rule: `pair` may stream eagerly, while `reach`/`lose` sit inside the
@@ -67,6 +70,7 @@ WORKLOADS = {
     "join3": (JOIN3, ("j",), lambda rng: stream_pubs(rng, ("r", "s", "t"), 6)),
     "tc": (TC, ("tc",), lambda rng: edge_pubs(rng, 14)),
     "selfjoin": (SELFJOIN, ("tri",), lambda rng: edge_pubs(rng, 12)),
+    "mutual": (MUTUAL, ("mutual",), lambda rng: edge_pubs(rng, 14, domain=4)),
     "builtin": (BUILTIN, ("big",), lambda rng: stream_pubs(rng, ("r", "s"), 8)),
     "winmove-mixed": (WINMOVE_MIXED, ("reach", "lose", "pair"), winmove_pubs),
 }
@@ -134,7 +138,7 @@ class TestDifferentialExactness:
         pubs = gen(random.Random(17))
         assert_exact(program, pubs, heads, strategy=strategy)
 
-    @pytest.mark.parametrize("name", ["join2", "tc", "winmove-mixed"])
+    @pytest.mark.parametrize("name", ["join2", "tc", "winmove-mixed", "mutual"])
     def test_same_rows_and_store_after_deletions(self, name):
         program, heads, gen = WORKLOADS[name]
         pubs = gen(random.Random(17))

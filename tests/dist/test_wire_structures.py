@@ -1,9 +1,15 @@
 """Unit tests for the GPA wire structures (Fig. 1/3's data items) and
 the derived-fact ledger they are applied to."""
 
+import os
+import pickle
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
+
+import repro
 
 from repro.core.terms import Constant
 from repro.dist.derived import DerivedFact, FactRef, WireDerivation
@@ -34,38 +40,75 @@ class TestFactRef:
         assert ref() == ref()
         assert ref(ts=2.0) != ref(ts=1.0)
 
+    def test_term_equality(self):
+        """1 and 1.0 are one fact, as in the central store: one key."""
+        assert ref(value=1) == ref(value=1.0)
+        assert {ref(value=1): "held"}[ref(value=1.0)] == "held"
+        assert ref(value=1) != ref(value="1")
+
     def test_size(self):
         assert ref().size() == 3  # 2 + one atomic arg
 
 
 class TestWireDerivation:
-    def test_identity_order_insensitive(self):
+    def test_facts_in_body_order(self):
+        """A derivation lists one fact per positive subgoal, in body
+        order, as the central record does: the same facts matched by
+        swapped subgoals (a self-join) are two derivations."""
         d1 = WireDerivation(0, (ref("r"), ref("s")))
-        d2 = WireDerivation(0, (ref("s"), ref("r")))
-        assert d1.identity() == d2.identity()
+        assert d1 == WireDerivation(0, (ref("r"), ref("s")))
+        assert d1 != WireDerivation(0, (ref("s"), ref("r")))
+        assert len({d1, WireDerivation(0, (ref("r"), ref("s")))}) == 1
+        assert WireDerivation(0, (ref(value=1),)) == WireDerivation(0, (ref(value=1.0),))
 
     def test_identity_rule_sensitive(self):
-        assert (
-            WireDerivation(0, (ref(),)).identity()
-            != WireDerivation(1, (ref(),)).identity()
-        )
+        assert WireDerivation(0, (ref(),)) != WireDerivation(1, (ref(),))
 
     def test_size_two_symbols_per_fact(self):
         d = WireDerivation(0, (ref(), ref("s")))
         assert d.size() == 1 + 4
 
 
+def test_pickled_refs_find_their_equals():
+    """A reference or derivation pickled in a process with another
+    string-hash salt (a shard worker, a checkpoint) is still found in a
+    dict here: the hash cached there does not travel."""
+    seed = int(os.environ.get("PYTHONHASHSEED") or 0) + 1
+    script = (
+        "import pickle, sys\n"
+        "from repro.core.terms import Constant\n"
+        "from repro.dist.derived import FactRef, WireDerivation\n"
+        "from repro.streams.tuples import TupleID\n"
+        "f = FactRef('r', (Constant('abc'),), TupleID(0, 1.0, 0))\n"
+        "d = WireDerivation(0, (f, f))\n"
+        "hash(f), hash(d)\n"
+        "sys.stdout.buffer.write(pickle.dumps((f, d)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True
+    ).stdout
+    f, d = pickle.loads(out)
+    here = FactRef("r", (Constant("abc"),), TupleID(0, 1.0, 0))
+    assert {here: 1}.get(f) == 1
+    assert {WireDerivation(0, (here, here)): 1}.get(d) == 1
+
+
 class TestPartial:
-    def test_dedup_key_covers_and_ids(self):
-        p1 = Partial([], 0, (ref(),), frozenset([0]))
-        p2 = Partial([], 0, (ref(),), frozenset([0]))
-        assert p1.dedup_key() == p2.dedup_key()
-        p3 = Partial([], 0, (ref(),), frozenset([1]))
-        assert p1.dedup_key() != p3.dedup_key()
+    def test_used_is_positional(self):
+        """One slot per positive subgoal: the same fact matched by
+        another subgoal is another partial result."""
+        p1 = Partial([], 0, (ref(), None))
+        p2 = Partial([], 0, (ref(), None))
+        assert p1.used == p2.used
+        p3 = Partial([], 0, (None, ref()))
+        assert p1.used != p3.used
+        assert (p1.missing, Partial([], 0, (ref(), ref())).missing) == (1, 0)
 
     def test_size_positive(self):
-        assert Partial([], 0, (), frozenset()).size() == 1
-        assert Partial([], 0, (ref(),), frozenset([0])).size() == 3
+        assert Partial([], 0, (None,)).size() == 1
+        assert Partial([], 0, (ref(), None)).size() == 3
 
 
 class TestMessages:
@@ -78,7 +121,7 @@ class TestMessages:
         token = JoinToken(
             rule_id=0, op="ins", update_ts=1.0, trigger=ref(),
             trigger_negated=False,
-            partials=[Partial([], 0, (ref(),), frozenset([0]))],
+            partials=[Partial([], 0, (ref(),))],
             candidates=[], path=[1, 2], exclude_id=None,
         )
         token.refresh_size()
@@ -158,14 +201,14 @@ class PlacementNode:
         live = bool(fact.derivations)
         assert fact.visible == live == (self.ARGS in runtime.tables.get("q", {}))
         watching = {atom: list(w) for atom, w in runtime.watches.items() if w}
-        key = (("q", self.ARGS), DERIVATION.identity())
+        key = (("q", self.ARGS), DERIVATION)
         assert watching == ({self.BLOCKER: [key]} if live else {})
         return fact
 
 
 class TestDerivedFactLedger:
     """``DerivedFact.apply`` is order-independent: every arrival order
-    of one identity's stamped updates ends in the state timestamp order
+    of one derivation's stamped updates ends in the state timestamp order
     gives — on the method itself, and through a localized placement
     node's result handler."""
 
@@ -177,7 +220,7 @@ class TestDerivedFactLedger:
     def outcome_of(fact):
         return (
             set(fact.derivations),
-            {ident: (op, stamp) for ident, (op, _d, stamp) in fact.ledger.items()},
+            {d: (op, stamp) for d, (op, _d, stamp) in fact.ledger.items()},
         )
 
     @pytest.mark.parametrize("script, outcome", [
@@ -200,8 +243,9 @@ class TestDerivedFactLedger:
         ([("add", 0.2), ("sub", DELETED_AT), ("add", 1.2)], ("add", 1.2)),
     ])
     def test_every_arrival_order_ends_in_timestamp_order(self, replay, script, outcome):
-        ident = DERIVATION.identity()
-        expected = ({ident} if outcome[0] == "add" else set(), {ident: outcome})
+        expected = (
+            {DERIVATION} if outcome[0] == "add" else set(), {DERIVATION: outcome}
+        )
         in_order = sorted(script, key=lambda update: (update[1], update[0] == "sub"))
         assert self.outcome_of(replay(in_order)) == expected
         for order in permutations(script):
@@ -214,4 +258,4 @@ class TestDerivedFactLedger:
         fact.apply("sub", dead, 0.2)
         assert fact.expire(0.1) == 0
         assert fact.expire(0.2) == 1
-        assert set(fact.ledger) == set(fact.derivations) == {live.identity()}
+        assert set(fact.ledger) == set(fact.derivations) == {live}

@@ -328,6 +328,25 @@ class TestGeographicHash:
         assert ght.node_for_fact("p", args) == ght.node_for_fact("p", args)
         assert isinstance(ght.node_for_fact("p", args), int)
 
+    def test_equal_facts_spell_one_key(self):
+        """1, 1.0 and True are one term: one key, one home, whichever
+        spelling a fresh hash meets first.  A key without one is the
+        spelling it always had, so no home moves."""
+        from repro.core.terms import Constant, FunctionTerm, to_term
+
+        f = lambda v: FunctionTerm("f", [Constant(v), Constant("a")])
+        for spellings in ([1, 1.0, True], [f(1), f(1.0), f(True)]):
+            for first in range(3):
+                ght = GeographicHash(GridTopology(4))
+                order = spellings[first:] + spellings[:first]
+                keys = {ght.key_for_fact("p", (Constant(0), to_term(v))) for v in order}
+                assert keys == {f"p/(0, {to_term(spellings[0])!r})"}
+        ght = GeographicHash(GridTopology(4))
+        for args in [(Constant(1.5), Constant("a")), (Constant((1.0, 2)),), ()]:
+            assert ght.key_for_fact("p", args) == f"p/{args!r}"
+        part = ght.partition("alice")
+        assert part.key_for_fact("p", (Constant(2.0),)) == "alice:p/(2,)"
+
 
 class TestNetworks:
     def test_grid_network_nodes(self):
