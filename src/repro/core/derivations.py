@@ -25,19 +25,24 @@ re-added, and a fact that is not stored has one too
 (:class:`~repro.core.incremental.IncrementalEvaluator` records a
 derivation before it inserts the fact).
 
-This module is the one reader and writer of that format.  Callers speak
+This module is the one reader and writer of that format.  Callers read
 :data:`FactKey` and :class:`Derivation`; :class:`DerivationStore`
 translates at its boundary, spelling a stored fact the way its relation
-stores it.  The batch executor hands over a whole vectorized rule call
-as one :class:`FiringBatch`, whose body refs come from per-row ref
-caches (:func:`fact_refs`), so recording a batch builds one tuple per
-firing and nothing else.
+stores it.  A firing reaches the store one way: every executor (the
+batch kernels, the tuple executor, the seed oracle) hands over a whole
+rule call as one :class:`FiringBatch`, whose records are built as the
+firings are — from per-row ref caches (:func:`fact_refs`) on the batch
+path, by :meth:`FiringBatch.of` elsewhere — and
+:meth:`DerivationStore.add_batch`, the store's one writer, files them.
+The central evaluator and the maintainers of
+:mod:`repro.core.incremental` record through it alike.
 """
 
 from __future__ import annotations
 
 from itertools import islice, repeat
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -120,46 +125,50 @@ class Derivation:
 
 
 class FiringBatch:
-    """Every firing of one vectorized rule call, in id space.
+    """Every firing of one rule call, in id space: what every executor
+    hands over and the one thing :meth:`DerivationStore.add_batch`
+    records.
 
-    ``heads`` are the distinct head tuples in the order of their first
-    firing; ``index`` gives each firing's position in ``heads``; ``body``
-    holds one ``(pred, source, rows)`` per positive subgoal, ``rows`` the
-    row number each firing matched in ``source`` — anything with a
-    row-aligned ``refs()`` and ``terms_rows``.  Iterating yields the
-    ``(head, Derivation)`` pairs the tuple executor would, in firing
-    order.
+    ``records`` holds one record ``(rule_id, ref_1, ..., ref_k)`` per
+    firing, in firing order; ``index`` gives each firing's position in
+    ``heads``, the head tuples.  Heads may repeat — a vector batch under
+    ``_EMIT_DEDUP_MIN_ROWS`` rows skips its dedup, and :meth:`of` never
+    dedups — so a firing's head is read through ``index``.
     """
 
-    __slots__ = ("rule_id", "heads", "index", "body")
+    __slots__ = ("rule_id", "heads", "index", "records")
 
     def __init__(self, rule_id: int, heads: List[tuple], index: List[int],
-                 body: List[tuple]):
+                 records: List[tuple]):
         self.rule_id = rule_id
         self.heads = heads
         self.index = index
-        self.body = body
+        self.records = records
 
-    def __len__(self) -> int:
-        return len(self.index)
+    @classmethod
+    def of(cls, rule_id: int,
+           matches: Iterable[Tuple[tuple, Iterable[FactKey]]]) -> "FiringBatch":
+        """The batch of ``(head, body facts)`` matches.  Each match is
+        interned before the next is drawn, so a body list the producer
+        reuses is safe."""
+        heads: List[tuple] = []
+        records: List[tuple] = []
+        for head, body in matches:
+            heads.append(head)
+            records.append((rule_id, *map(fact_ref, body)))
+        return cls(rule_id, heads, list(range(len(heads))), records)
 
-    def records(self) -> Iterator[tuple]:
-        """One record per firing, in firing order."""
-        columns = [
-            map(source.refs().__getitem__, rows.tolist())
-            for _pred, source, rows in self.body
-        ]
-        return zip(repeat(self.rule_id, len(self.index)), *columns)
-
-    def __iter__(self) -> Iterator[Tuple[tuple, Derivation]]:
-        columns = [
-            [(pred, row) for row in map(source.terms_rows.__getitem__, rows.tolist())]
-            for pred, source, rows in self.body
-        ]
-        bodies = zip(*columns) if columns else repeat((), len(self.index))
-        heads, rule_id = self.heads, self.rule_id
-        for i, body in zip(self.index, bodies):
-            yield heads[i], Derivation(rule_id, body)
+    def restrict(self, keep: Callable[[tuple], bool]) -> "FiringBatch":
+        """The firings whose head passes ``keep``, called once per entry
+        of ``heads``."""
+        kept = [i for i, head in enumerate(self.heads) if keep(head)]
+        if len(kept) == len(self.heads):
+            return self
+        position = dict(zip(kept, range(len(kept))))
+        firings = [(position[i], record) for i, record in zip(self.index, self.records)
+                   if i in position]
+        return FiringBatch(self.rule_id, [self.heads[i] for i in kept],
+                           [i for i, _r in firings], [r for _i, r in firings])
 
 
 class DerivationStore:
@@ -180,7 +189,7 @@ class DerivationStore:
         #: unbuilt.  Only the deletion paths read it, so forward
         #: evaluation skips it entirely; it is built from ``_records`` on
         #: first deletion-path access and kept exact by every later
-        #: ``add`` and removal.
+        #: ``add_batch`` and removal.
         self._supports: Optional[Dict[tuple, Set[tuple]]] = None
         self._relations = relations if relations is not None else {}
 
@@ -195,10 +204,6 @@ class DerivationStore:
 
     def _derivation(self, record: tuple, fact=None) -> Derivation:
         return Derivation(record[0], map(fact or self._fact, islice(record, 1, None)))
-
-    @staticmethod
-    def _record(derivation: Derivation) -> tuple:
-        return (derivation.rule_id, *map(fact_ref, derivation.body_facts))
 
     @staticmethod
     def _find_record(derivation: Derivation) -> tuple:
@@ -240,36 +245,22 @@ class DerivationStore:
 
     # -- recording -------------------------------------------------------
 
-    def add(self, fact: FactKey, derivation: Derivation) -> bool:
-        """Record a derivation; returns True if the fact is new."""
-        head, record = fact_ref(fact), self._record(derivation)
-        existing = self._records.get(head)
-        if existing is None:
-            self._records[head] = {record}
-            new = True
-        else:
-            before = len(existing)
-            existing.add(record)
-            if len(existing) == before:
-                return False
-            new = False
-        if self._supports is not None:
-            self._link(head, (record,))
-        return new
-
-    def add_batch(self, head_refs: List[tuple], batch: FiringBatch) -> None:
+    def add_batch(self, head_refs: Sequence[tuple], batch: FiringBatch) -> List[tuple]:
         """Record every firing of ``batch``, ``head_refs`` the refs of its
-        ``heads``.  A built reverse index is dropped, to be rebuilt by the
-        next deletion-path call."""
-        store, get = self._records, self._records.get
-        heads = map(head_refs.__getitem__, batch.index)
-        for head, record in zip(heads, batch.records()):
+        ``heads``; returns the refs of the heads that had no derivation
+        before, in firing order.  A built reverse index is kept exact."""
+        store, get, supports = self._records, self._records.get, self._supports
+        new: List[tuple] = []
+        for head, record in zip(map(head_refs.__getitem__, batch.index), batch.records):
             existing = get(head)
             if existing is None:
                 store[head] = {record}
+                new.append(head)
             else:
                 existing.add(record)
-        self._supports = None
+            if supports is not None:
+                self._link(head, (record,))
+        return new
 
     # -- deletion --------------------------------------------------------
 

@@ -40,7 +40,6 @@ from .builtins import (
 )
 from .columnar import GLOBAL_INTERNER as _INTERNER
 from .derivations import (
-    Derivation,
     DerivationStore,
     FactKey,
     FiringBatch,
@@ -552,28 +551,26 @@ def fire_rule(
     db: Database,
     registry: BuiltinRegistry,
     **delta_kwargs,
-) -> Iterable[Tuple[ArgsTuple, Derivation]]:
-    """(head tuple, derivation) for every body match.
+) -> FiringBatch:
+    """Every body match of ``rule``, as one
+    :class:`~repro.core.derivations.FiringBatch` complete before any
+    head is stored.
 
     Vectorizable rules run through the numpy batch executor
-    (:mod:`repro.core.vector`), whose whole call comes back as one
-    :class:`~repro.core.derivations.FiringBatch` — iterating it yields
-    the pairs; everything else — rules the analyzer rejected, calls the
-    kernels bail out of at runtime, tiny deltas — takes the
-    tuple-at-a-time path below, with identical results.  Inside a
-    :func:`repro.core.plan.seed_engine` block every firing goes to the
-    oracle instead.
+    (:mod:`repro.core.vector`); everything else — rules the analyzer
+    rejected, calls the kernels bail out of at runtime, tiny deltas —
+    takes the tuple-at-a-time path below, with identical results.
+    Inside a :func:`repro.core.plan.seed_engine` block every firing goes
+    to the oracle instead.
     """
     if seed_mode():
-        # The recursive enumerator iterates the live relations, so its
-        # firings are materialized before the caller inserts any head.
         rule_id = rule.rule_id if rule.rule_id is not None else -1
-        return iter([
-            (ground_head(rule, subst, registry), Derivation(rule_id, used))
+        return FiringBatch.of(rule_id, (
+            (ground_head(rule, subst, registry), used)
             for subst, used in enumerate_rule_recursive(
                 rule, db, registry, **delta_kwargs
             )
-        ])
+        ))
     plan = GLOBAL_PLAN_CACHE.get(rule)
     program = plan.batch_program()
     if program is not None:
@@ -590,18 +587,18 @@ def _fire_rule_tuples(
     db: Database,
     registry: BuiltinRegistry,
     **delta_kwargs,
-) -> Iterator[Tuple[ArgsTuple, Derivation]]:
+) -> FiringBatch:
     plan = GLOBAL_PLAN_CACHE.get(rule)
     head = plan.program()[1]
     regs: List[Optional[Term]] = [None] * len(plan.slots)
-    rule_id = rule.rule_id if rule.rule_id is not None else -1
-    for used in plan.execute(db, registry, regs, **delta_kwargs):
-        if head is None:  # raised per match, as ground_head raises it
-            raise EvaluationError(f"head of {rule!r} not ground")
-        yield (
-            tuple([_eval_term(a, regs, registry) for a in head]),
-            Derivation(rule_id, used),
-        )
+
+    def matches():
+        for used in plan.execute(db, registry, regs, **delta_kwargs):
+            if head is None:  # raised per match, as ground_head raises it
+                raise EvaluationError(f"head of {rule!r} not ground")
+            yield tuple([_eval_term(a, regs, registry) for a in head]), used
+
+    return FiringBatch.of(rule.rule_id if rule.rule_id is not None else -1, matches())
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +701,8 @@ class _BottomUpEvaluator:
     graph once, in topological order.  A node is either a positive SCC —
     saturated by the semi-naive routine, aggregate rules first — or a
     recursive component with negation inside, evaluated stage by stage
-    (Section IV-C).  Every fired head, whichever routine fired it,
-    becomes a row and a derivation in :meth:`_absorb`.
+    (Section IV-C).  Every rule call, whichever routine made it, is
+    absorbed as one :class:`FiringBatch` in :meth:`_absorb`.
 
     The public subclasses only validate the program class and carry
     their options.
@@ -755,38 +752,22 @@ class _BottomUpEvaluator:
                 else:
                     self._evaluate_stratum(db, rules)
 
-    def _absorb(self, db: Database, rule: Rule, firings, deltas) -> int:
+    def _absorb(self, db: Database, rule: Rule, firings: FiringBatch,
+                deltas) -> int:
         """Turn ``rule``'s fired heads into rows and derivations; rows
         that are new also land in ``deltas[head predicate]``.  Returns
-        how many were new.
-
-        A :class:`FiringBatch` is matched against the relation once per
-        distinct head and recorded in one call; (head, derivation) pairs
-        one at a time, each head stored before the next pair is drawn
-        (the tuple executor may be reading the relation it grows)."""
+        how many were new."""
         head_pred = rule.head.predicate
         rel = db.relation(head_pred)
-        add_row = rel.add_row
-        if type(firings) is FiringBatch:
-            fired = len(firings)
-            added = [add_row(head) for head in firings.heads]
-            new = [head for head, (is_new, _row) in zip(firings.heads, added)
-                   if is_new]
-            refs = rel.refs()
-            db.derivations.add_batch([refs[row] for _new, row in added], firings)
-        else:
-            fired, new = 0, []
-            record = db.derivations.add
-            for head, derivation in firings:
-                fired += 1
-                if add_row(head)[0]:
-                    new.append(head)
-                record((head_pred, head), derivation)
+        added = list(map(rel.add_row, firings.heads))
+        new = [head for head, (is_new, _row) in zip(firings.heads, added) if is_new]
+        refs = rel.refs()
+        db.derivations.add_batch([refs[row] for _new, row in added], firings)
         if new:
             deltas.setdefault(head_pred, set()).update(new)
-        if _obs.enabled and fired:
+        if _obs.enabled and firings.index:
             label = rule_label(rule)
-            _inst.rule_firings.labels(rule=label).inc(fired)
+            _inst.rule_firings.labels(rule=label).inc(len(firings.index))
             _inst.rule_derived.labels(rule=label).inc(len(new))
         return len(new)
 
@@ -893,8 +874,7 @@ class _BottomUpEvaluator:
         def enumerate_unrestricted(stage: object) -> None:
             for i, rule in enumerate(rules):
                 if frontiers[i] is None and fixed[i] is None:
-                    for _ in self._stage_firings(rule, db, stage, pending):
-                        pass
+                    self._stage_firings(rule, db, stage, pending)
 
         for pred in sorted({f[0] for f in frontiers if f is not None}):
             pos = xy.stage_position[pred]
@@ -957,17 +937,19 @@ class _BottomUpEvaluator:
         occurrences = [plan.body[i] for i in plan.occurrences[lit.predicate]]
         return lit.predicate, occurrences.index(lit), k
 
-    def _stage_firings(self, rule, db, stage, pending, **delta):
+    def _stage_firings(self, rule, db, stage, pending, **delta) -> FiringBatch:
         """``rule``'s firings whose head lies in ``stage``; the later
         stages they reach (every stage, when ``stage`` is None) are
         scheduled in ``pending``."""
         pred = rule.head.predicate
-        for firing in fire_rule(rule, db, self.registry, **delta):
-            head_stage = self._stage_value(pred, firing[0])
-            if head_stage == stage:
-                yield firing
-            elif stage is None or head_stage > stage:
+
+        def keep(head) -> bool:
+            head_stage = self._stage_value(pred, head)
+            if head_stage != stage and (stage is None or head_stage > stage):
                 pending.setdefault(head_stage, set())
+            return head_stage == stage
+
+        return fire_rule(rule, db, self.registry, **delta).restrict(keep)
 
 
 class SemiNaiveEvaluator(_BottomUpEvaluator):

@@ -17,6 +17,18 @@ when operand streams see deletions:
 All three are implemented here (centrally) so benchmark E9 can compare
 their maintenance work; the distributed engine builds on the
 set-of-derivations evaluator.
+
+All three match an update of fact ``f`` by one rule: the *negated*
+occurrences of its predicate with ``f`` absent, the *positive* ones
+with ``f`` present, each call's firings a complete
+:class:`~repro.core.derivations.FiringBatch` before the update is
+applied.  The set-of-derivations evaluator and DRed record through
+:meth:`~repro.core.derivations.DerivationStore.add_batch`, the writer
+central evaluation uses; counting counts the batches' records, once per
+derivation and update however many occurrence variants find it.  DRed's
+store is a support index, not :func:`~repro.core.eval.evaluate`'s store:
+a re-derived fact keeps only the derivations of the first rule that
+re-derives it.
 """
 
 from __future__ import annotations
@@ -26,11 +38,17 @@ from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from .ast import Program, RelLiteral, Rule
 from .builtins import BuiltinRegistry, DEFAULT_REGISTRY, normalize_partial
-from .derivations import Derivation, FactKey, is_locally_nonrecursive
+from .derivations import (
+    Derivation,
+    FactKey,
+    FiringBatch,
+    fact_ref,
+    is_locally_nonrecursive,
+)
 from .errors import EvaluationError, ProgramError
 from .eval import ArgsTuple, Database, enumerate_rule, fire_rule, ground_head
 from .safety import check_program_safety
-from .terms import Substitution, Term, to_term
+from .terms import Substitution, to_term
 from .unify import match_sequences
 
 
@@ -58,13 +76,137 @@ def _coerce(args: Iterable) -> ArgsTuple:
     return tuple(to_term(a) for a in args)
 
 
-class IncrementalEvaluator:
+def _rule_id(rule: Rule) -> int:
+    return rule.rule_id if rule.rule_id is not None else -1
+
+
+class _Maintainer:
+    """What the maintainers share: the update queue and the firings one
+    update touches.
+
+    An update of fact ``f`` is matched by one rule: *negated*
+    occurrences of its predicate are matched with ``f`` absent,
+    *positive* occurrences with ``f`` present.  An insert therefore
+    collects the derivations ``f`` blocks before it stores ``f``, and
+    fires its positive occurrences after; a delete the other way round.
+    Every firing is complete before the update is applied, so what a
+    subclass records or counts is what held just before or just after
+    the update, never a mix.
+    """
+
+    def __init__(self, program: Program, registry: Optional[BuiltinRegistry],
+                 db: Optional[Database] = None):
+        self.program = program
+        self.registry = registry or DEFAULT_REGISTRY
+        self.db = db if db is not None else Database(self.registry)
+        self.stats = MaintenanceStats()
+        self._queue: Deque[Tuple[int, str, ArgsTuple]] = deque()
+        #: predicate -> (rule, number of positive occurrences) / (rule,
+        #: body index of a negated occurrence).
+        self._positive_rules: Dict[str, List[Tuple[Rule, int]]] = {}
+        self._negative_rules: Dict[str, List[Tuple[Rule, int]]] = {}
+        for rule in program.rules:
+            occurrences: Dict[str, int] = {}
+            for i, lit in enumerate(rule.body):
+                if not isinstance(lit, RelLiteral):
+                    continue
+                if lit.negated:
+                    self._negative_rules.setdefault(lit.predicate, []).append((rule, i))
+                else:
+                    occurrences[lit.predicate] = occurrences.get(lit.predicate, 0) + 1
+            for pred, n in occurrences.items():
+                self._positive_rules.setdefault(pred, []).append((rule, n))
+        for fact in program.facts:
+            self.insert(fact.predicate, fact.args)
+
+    def insert(self, predicate: str, args: Iterable) -> None:
+        """Insert a base (or derived, for testing) fact and propagate."""
+        self._queue.append((+1, predicate, _coerce(args)))
+        self._drain()
+
+    def delete(self, predicate: str, args: Iterable) -> None:
+        """Delete a fact and propagate retractions."""
+        self._queue.append((-1, predicate, _coerce(args)))
+        self._drain()
+
+    def rows(self, predicate: str):
+        return self.db.rows(predicate)
+
+    def _drain(self) -> None:
+        while self._queue:
+            self._apply(*self._queue.popleft())
+
+    def _apply(self, sign: int, pred: str, args: ArgsTuple) -> None:
+        raise NotImplementedError
+
+    def _positive_firings(self, pred: str, args: ArgsTuple) -> List[Tuple[Rule, FiringBatch]]:
+        """One batch per positive occurrence of ``pred`` with ``args``
+        as its delta; ``pred(args)`` must be stored."""
+        fired = []
+        for rule, occurrences in self._positive_rules.get(pred, ()):
+            for occ in range(occurrences):
+                batch = fire_rule(
+                    rule, self.db, self.registry,
+                    delta_pred=pred, delta_tuples={args}, delta_occurrence=occ,
+                )
+                self.stats.rule_firings += len(batch.index)
+                fired.append((rule, batch))
+        return fired
+
+    def _negated_firings(self, pred: str, args: ArgsTuple) -> List[Tuple[Rule, list]]:
+        """The ``(head, body facts)`` matches of the derivations
+        ``pred(args)`` blocks through a negated subgoal, per rule and
+        occurrence: valid while the fact is absent, as it must be when
+        this is called, and blocked once it is present.  A match some
+        other stored tuple blocks too is left out."""
+        fired = []
+        for rule, lit_index in self._negative_rules.get(pred, ()):
+            neg_lit = rule.body[lit_index]
+            seed = match_sequences(neg_lit.atom.args, args, Substitution())
+            if seed is None:
+                continue
+            remaining = tuple(lit for i, lit in enumerate(rule.body) if i != lit_index)
+            reduced = Rule(rule.head, remaining, (), rule.rule_id)
+            # Variables local to the negated subgoal (wildcards) stay
+            # free, so the blocking check sees every other stored tuple.
+            shared = reduced.variables()
+            seed = Substitution({v: t for v, t in seed.items() if v in shared})
+            matches = []
+            for subst, used in enumerate_rule(
+                reduced, self.db, self.registry, initial_subst=seed
+            ):
+                self.stats.rule_firings += 1
+                if not self._blocked(neg_lit, subst):
+                    matches.append((ground_head(reduced, subst, self.registry), used))
+            fired.append((rule, matches))
+        return fired
+
+    def _blocked(self, neg_lit: RelLiteral, subst: Substitution) -> bool:
+        """True when some stored tuple satisfies the negated subgoal
+        under ``subst``."""
+        rel = self.db.relation(neg_lit.predicate)
+        pattern = tuple(
+            normalize_partial(arg.substitute(subst), self.registry)
+            for arg in neg_lit.atom.args
+        )
+        empty = Substitution()
+        return any(
+            match_sequences(pattern, row, empty) is not None
+            for row in rel.candidates(pattern, empty)
+        )
+
+
+class IncrementalEvaluator(_Maintainer):
     """Tuple-at-a-time incremental evaluation with set-of-derivations.
 
     Facts are pushed with :meth:`insert` / :meth:`delete`; each update
     is propagated to fixpoint before the call returns ("isolated
     updates" — the distributed engine adds the timestamp machinery that
-    serializes simultaneous updates, Theorem 3).
+    serializes simultaneous updates, Theorem 3).  Derivations are
+    recorded through :meth:`DerivationStore.add_batch
+    <repro.core.derivations.DerivationStore.add_batch>`, the writer
+    central evaluation uses, so the store equals :func:`evaluate`'s
+    after any update sequence.
 
     Supports any program whose execution is locally non-recursive
     (which includes all non-recursive and XY-stratified programs run
@@ -84,174 +226,69 @@ class IncrementalEvaluator:
                 raise ProgramError(
                     "incremental evaluation does not support aggregate rules"
                 )
-        self.program = program
-        self.registry = registry or DEFAULT_REGISTRY
-        self.db = db if db is not None else Database(self.registry)
         self.idb = program.idb_predicates()
-        self.stats = MaintenanceStats()
-        self._queue: Deque[Tuple[str, str, ArgsTuple]] = deque()
-        self._positive_rules: Dict[str, List[Rule]] = {}
-        self._negative_rules: Dict[str, List[Tuple[Rule, int]]] = {}
-        for rule in program.rules:
-            for i, lit in enumerate(rule.body):
-                if not isinstance(lit, RelLiteral):
-                    continue
-                if lit.negated:
-                    self._negative_rules.setdefault(lit.predicate, []).append(
-                        (rule, i)
-                    )
-                else:
-                    rules = self._positive_rules.setdefault(lit.predicate, [])
-                    if rule not in rules:
-                        rules.append(rule)
-        for fact in program.facts:
-            self.insert(fact.predicate, fact.args)
-
-    # -- public API ------------------------------------------------------
-
-    def insert(self, predicate: str, args: Iterable) -> None:
-        """Insert a base (or derived, for testing) fact and propagate."""
-        self._queue.append(("insert", predicate, _coerce(args)))
-        self._drain()
-
-    def delete(self, predicate: str, args: Iterable) -> None:
-        """Delete a fact and propagate retractions."""
-        self._queue.append(("delete", predicate, _coerce(args)))
-        self._drain()
-
-    def rows(self, predicate: str):
-        return self.db.rows(predicate)
+        super().__init__(program, registry, db)
 
     def verify_locally_nonrecursive(self) -> bool:
         """Runtime check: no cycles in the tuple-level derivation graph."""
         return is_locally_nonrecursive(self.db.derivations)
 
-    # -- propagation -----------------------------------------------------
-
-    def _drain(self) -> None:
-        while self._queue:
-            kind, pred, args = self._queue.popleft()
-            if kind == "insert":
-                self._apply_insert(pred, args)
-            else:
-                self._apply_delete(pred, args)
-
-    def _apply_insert(self, pred: str, args: ArgsTuple) -> None:
+    def _apply(self, sign: int, pred: str, args: ArgsTuple) -> None:
         rel = self.db.relation(pred)
-        if not rel.add(args):
-            return  # duplicates are not generations (Section III-B)
-        self.stats.facts_inserted += 1
-        self._propagate_positive_insert(pred, args)
-        self._propagate_negative(pred, args, subtract=True)
-
-    def _propagate_positive_insert(self, pred: str, args: ArgsTuple) -> None:
-        for rule in self._positive_rules.get(pred, ()):
-            n_occ = sum(
-                1 for lit in rule.positive_literals() if lit.predicate == pred
-            )
-            for occ in range(n_occ):
-                # Streamed: firings only queue follow-up work, they never
-                # mutate the relations the executor is reading.
-                for head, derivation in fire_rule(
-                    rule,
-                    self.db,
-                    self.registry,
-                    delta_pred=pred,
-                    delta_tuples={args},
-                    delta_occurrence=occ,
-                ):
-                    self.stats.rule_firings += 1
-                    self._add_derived(rule.head.predicate, head, derivation)
-
-    def _add_derived(self, pred: str, args: ArgsTuple, derivation: Derivation) -> None:
-        fact: FactKey = (pred, args)
-        is_new = self.db.derivations.add(fact, derivation)
-        self.stats.derivations_added += 1
-        if is_new and args not in self.db.relation(pred):
-            self._queue.append(("insert", pred, args))
-
-    def _apply_delete(self, pred: str, args: ArgsTuple) -> None:
-        rel = self.db.relation(pred)
+        store = self.db.derivations
+        if sign > 0:
+            if args in rel:
+                return  # duplicates are not generations (Section III-B)
+            blocked = self._negated_firings(pred, args)
+            rel.add(args)
+            self.stats.facts_inserted += 1
+            for rule, batch in self._positive_firings(pred, args):
+                self._record(rule.head.predicate, batch)
+            # A new blocker kills the derivations it blocks.
+            for rule, matches in blocked:
+                for head, used in matches:
+                    self.stats.derivations_subtracted += 1
+                    if store.remove_derivation((rule.head.predicate, head),
+                                               Derivation(_rule_id(rule), used)):
+                        self._queue.append((-1, rule.head.predicate, head))
+            return
         if not rel.discard(args):
             return
         self.stats.facts_deleted += 1
         fact: FactKey = (pred, args)
-        # 1. Derivations that used this fact positively die with it.
-        for emptied_pred, emptied_args in self.db.derivations.remove_support(fact):
-            self._queue.append(("delete", emptied_pred, emptied_args))
-        self.db.derivations.discard_fact(fact)
-        # 2. Rules where this predicate appears negated may regain
-        #    derivations now that the blocker is gone.
-        self._propagate_negative(pred, args, subtract=False)
+        # Derivations that used this fact positively die with it.
+        for emptied_pred, emptied_args in store.remove_support(fact):
+            self._queue.append((-1, emptied_pred, emptied_args))
+        store.discard_fact(fact)
+        self._restore(pred, args)
 
-    def _propagate_negative(self, pred: str, args: ArgsTuple, subtract: bool) -> None:
-        """Handle an update to a stream appearing as a *negated* subgoal.
+    def _restore(self, pred: str, args: ArgsTuple) -> None:
+        """``pred(args)`` is gone: record the derivations it blocked."""
+        for rule, matches in self._negated_firings(pred, args):
+            self._record(rule.head.predicate, FiringBatch.of(_rule_id(rule), matches))
 
-        ``subtract=True`` for insertions (new blocker kills matching
-        derivations), ``subtract=False`` for deletions (matching
-        derivations may come back, re-checked against the post-deletion
-        state — including the updated relation itself).
-        """
-        for rule, lit_index in self._negative_rules.get(pred, ()):
-            neg_lit = rule.body[lit_index]
-            assert isinstance(neg_lit, RelLiteral) and neg_lit.negated
-            seed = match_sequences(neg_lit.atom.args, args, Substitution())
-            if seed is None:
-                continue
-            remaining = tuple(
-                lit for i, lit in enumerate(rule.body) if i != lit_index
-            )
-            reduced = Rule(rule.head, remaining, (), rule.rule_id)
-            if not subtract:
-                # Keep only bindings for variables the reduced rule
-                # shares with the negated subgoal: variables local to
-                # the subgoal (e.g. wildcards) must stay free so the
-                # re-check below sees every still-standing blocker, not
-                # just the tuple that was deleted.
-                shared = reduced.variables()
-                seed = Substitution(
-                    {v: t for v, t in seed.items() if v in shared}
-                )
-            for subst, used in enumerate_rule(
-                reduced, self.db, self.registry, initial_subst=seed
-            ):
-                self.stats.rule_firings += 1
-                if not subtract and self._blocked(neg_lit, subst):
-                    continue
-                head = ground_head(reduced, subst, self.registry)
-                derivation = Derivation(
-                    rule.rule_id if rule.rule_id is not None else -1, used
-                )
-                head_fact: FactKey = (rule.head.predicate, head)
-                if subtract:
-                    self.stats.derivations_subtracted += 1
-                    if self.db.derivations.remove_derivation(head_fact, derivation):
-                        self._queue.append(("delete", rule.head.predicate, head))
-                else:
-                    self._add_derived(rule.head.predicate, head, derivation)
-
-    def _blocked(self, neg_lit: RelLiteral, subst: Substitution) -> bool:
-        """True when some stored tuple still satisfies the negated
-        subgoal under ``subst`` (evaluated post-update)."""
-        rel = self.db.relation(neg_lit.predicate)
-        pattern = tuple(
-            normalize_partial(arg.substitute(subst), self.registry)
-            for arg in neg_lit.atom.args
-        )
-        empty = Substitution()
-        return any(
-            match_sequences(pattern, row, empty) is not None
-            for row in rel.candidates(pattern, empty)
-        )
+    def _record(self, pred: str, batch: FiringBatch) -> None:
+        refs = [fact_ref((pred, head)) for head in batch.heads]
+        head_of: Dict[tuple, ArgsTuple] = {}
+        for ref, head in zip(refs, batch.heads):
+            head_of.setdefault(ref, head)
+        self.stats.derivations_added += len(batch.index)
+        rel = self.db.relation(pred)
+        for ref in self.db.derivations.add_batch(refs, batch):
+            if head_of[ref] not in rel:
+                self._queue.append((+1, pred, head_of[ref]))
 
 
-class CountingEvaluator:
+class CountingEvaluator(_Maintainer):
     """Counting-based maintenance [27]: a multiplicity per derived fact.
 
     Restricted to *non-recursive* programs (counts are ill-defined under
     recursion).  The paper rejects this approach for the network setting
     because fault-tolerant replication duplicates result tuples
-    non-deterministically; centrally it is exact and cheap.
+    non-deterministically; centrally it is exact and cheap.  An update
+    moves a count by one per derivation it creates or destroys, however
+    many occurrence variants find that derivation: variants are
+    deduplicated by the firings' records.
     """
 
     def __init__(
@@ -267,83 +304,37 @@ class CountingEvaluator:
         for rule in program.rules:
             if rule.has_aggregates:
                 raise ProgramError("counting maintenance does not support aggregates")
-        self.program = program
-        self.registry = registry or DEFAULT_REGISTRY
-        self.db = Database(self.registry)
         self.counts: Dict[FactKey, int] = {}
-        self.stats = MaintenanceStats()
-        self._queue: Deque[Tuple[str, str, ArgsTuple]] = deque()
-        self._positive_rules: Dict[str, List[Rule]] = {}
-        self._negative_rules: Dict[str, List[Tuple[Rule, int]]] = {}
-        for rule in program.rules:
-            for i, lit in enumerate(rule.body):
-                if not isinstance(lit, RelLiteral):
-                    continue
-                if lit.negated:
-                    self._negative_rules.setdefault(lit.predicate, []).append((rule, i))
-                else:
-                    rules = self._positive_rules.setdefault(lit.predicate, [])
-                    if rule not in rules:
-                        rules.append(rule)
-        for fact in program.facts:
-            self.insert(fact.predicate, fact.args)
+        super().__init__(program, registry)
 
-    def insert(self, predicate: str, args: Iterable) -> None:
-        self._queue.append(("insert", predicate, _coerce(args)))
-        self._drain()
-
-    def delete(self, predicate: str, args: Iterable) -> None:
-        self._queue.append(("delete", predicate, _coerce(args)))
-        self._drain()
-
-    def rows(self, predicate: str):
-        return self.db.rows(predicate)
-
-    def _drain(self) -> None:
-        while self._queue:
-            kind, pred, args = self._queue.popleft()
-            if kind == "insert":
-                self._apply(pred, args, +1)
-            else:
-                self._apply(pred, args, -1)
-
-    def _apply(self, pred: str, args: ArgsTuple, sign: int) -> None:
+    def _apply(self, sign: int, pred: str, args: ArgsTuple) -> None:
         rel = self.db.relation(pred)
+        if (args in rel) == (sign > 0):
+            return
         if sign > 0:
-            if not rel.add(args):
-                return
+            blocked = self._negated_firings(pred, args)
+            rel.add(args)
             self.stats.facts_inserted += 1
+            fired = self._positive_firings(pred, args)
         else:
-            if not rel.discard(args):
-                return
+            fired = self._positive_firings(pred, args)
+            rel.discard(args)
             self.stats.facts_deleted += 1
-        # Positive occurrences: count delta = number of new matches.
-        for rule in self._positive_rules.get(pred, ()):
-            n_occ = sum(1 for lit in rule.positive_literals() if lit.predicate == pred)
-            for occ in range(n_occ):
-                # Streamed: _bump only queues transitions, the relations
-                # the executor reads stay fixed until the queue drains.
-                for head, _deriv in fire_rule(
-                    rule, self.db, self.registry,
-                    delta_pred=pred, delta_tuples={args}, delta_occurrence=occ,
-                ):
-                    self.stats.rule_firings += 1
-                    self._bump(rule.head.predicate, head, sign)
-        # Negative occurrences: inserting a blocker decrements, deleting
-        # it restores (evaluated against the post-update state).
-        for rule, lit_index in self._negative_rules.get(pred, ()):
-            neg_lit = rule.body[lit_index]
-            seed = match_sequences(neg_lit.atom.args, args, Substitution())
-            if seed is None:
-                continue
-            remaining = tuple(l for i, l in enumerate(rule.body) if i != lit_index)
-            reduced = Rule(rule.head, remaining, (), rule.rule_id)
-            for subst, _used in enumerate_rule(
-                reduced, self.db, self.registry, initial_subst=seed
-            ):
-                self.stats.rule_firings += 1
-                head = ground_head(reduced, subst, self.registry)
-                self._bump(rule.head.predicate, head, -sign)
+            blocked = self._negated_firings(pred, args)
+        seen: Set[tuple] = set()
+        for rule, batch in fired:
+            self._count(rule.head.predicate, batch, sign, seen)
+        # Inserting a blocker decrements what it blocks, deleting it
+        # restores.
+        for rule, matches in blocked:
+            self._count(rule.head.predicate, FiringBatch.of(_rule_id(rule), matches),
+                        -sign, seen)
+
+    def _count(self, pred: str, batch: FiringBatch, delta: int, seen: Set[tuple]) -> None:
+        for i, record in zip(batch.index, batch.records):
+            if record not in seen:
+                seen.add(record)
+                self._bump(pred, batch.heads[i], delta)
 
     def _bump(self, pred: str, args: ArgsTuple, delta: int) -> None:
         fact: FactKey = (pred, args)
@@ -354,12 +345,12 @@ class CountingEvaluator:
             self.counts.pop(fact, None)
             # Transition to zero: the queued delete updates the relation
             # and propagates further.
-            self._queue.append(("delete", pred, args))
+            self._queue.append((-1, pred, args))
         else:
             self.counts[fact] = count
             if count == delta:
                 # Transition from zero: first derivation of this fact.
-                self._queue.append(("insert", pred, args))
+                self._queue.append((+1, pred, args))
 
     def count_of(self, predicate: str, args: Iterable) -> int:
         return self.counts.get((predicate, _coerce(args)), 0)
@@ -374,8 +365,11 @@ class DRedEvaluator:
     work — the communication overhead the paper avoids by keeping
     derivation sets instead.
 
-    Built on top of the set-of-derivations store (used here only as a
-    support index); supports stratified programs without aggregates.
+    Built on top of the set-of-derivations store, used here only as a
+    support index: a re-derived fact keeps only the derivations of the
+    first rule that re-derives it, so the store may hold fewer
+    derivations than :func:`evaluate`'s while the rows agree.  Supports
+    stratified programs without aggregates.
     """
 
     def __init__(
@@ -438,13 +432,11 @@ class DRedEvaluator:
             changed = False
             for pred, fargs in list(remaining):
                 for rule in self.program.rules_for(pred):
-                    rederived = False
-                    for head, derivation in fire_rule(rule, self.db, self.registry):
-                        self.stats.rule_firings += 1
-                        if head == fargs:
-                            store.add((pred, fargs), derivation)
-                            rederived = True
-                    if rederived:
+                    batch = fire_rule(rule, self.db, self.registry)
+                    self.stats.rule_firings += len(batch.index)
+                    batch = batch.restrict(lambda head: head == fargs)
+                    if batch.index:
+                        store.add_batch([fact_ref((pred, fargs))] * len(batch.heads), batch)
                         self.db.relation(pred).add(fargs)
                         self.stats.facts_rederived += 1
                         del remaining[(pred, fargs)]
@@ -453,7 +445,7 @@ class DRedEvaluator:
         # Facts that could not be re-derived stay deleted; their own
         # negative occurrences may resurrect other facts.
         for pred, fargs in remaining:
-            self._inner._propagate_negative(pred, fargs, subtract=False)
+            self._inner._restore(pred, fargs)
             self._inner._drain()
-        self._inner._propagate_negative(predicate, args_t, subtract=False)
+        self._inner._restore(predicate, args_t)
         self._inner._drain()

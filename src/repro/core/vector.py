@@ -35,15 +35,17 @@ arithmetic would).
 
 A call's firings leave as one
 :class:`~repro.core.derivations.FiringBatch`: head tuples are built once
-per distinct head from the interner's canonical term instances, so they
-are equal (as terms) to what :func:`repro.core.eval.ground_head` builds
-row by row, and the derivations stay row numbers into the sources until
-the store turns them into records.
+per distinct head (batches large enough to dedup, see
+:func:`_group_heads`) from the interner's canonical term instances, so
+they are equal (as terms) to what :func:`repro.core.eval.ground_head`
+builds row by row, and each firing's record is read off the sources'
+per-row ref caches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Union
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -213,10 +215,6 @@ class _RelSource:
     def live_count(self):
         return len(self.rel)
 
-    @property
-    def terms_rows(self):
-        return self.rel.terms_rows
-
     def np_col(self, pos):
         return self.rel.np_column(pos)
 
@@ -292,8 +290,8 @@ class _State:
         self.n = 1
         #: register slot -> id column
         self.cols: Dict[int, np.ndarray] = {}
-        #: one [predicate, source, row-number array] per positive
-        #: join, in step order — the provenance columns.
+        #: one [source, row-number array] per positive join, in step
+        #: order — the provenance columns.
         self.prov: List[list] = []
         self.stats = [0, 0]  # (candidates scanned, rows matched)
 
@@ -304,7 +302,7 @@ class _State:
         for v in cols:
             cols[v] = cols[v][sel]
         for entry in self.prov:
-            entry[2] = entry[2][sel]
+            entry[1] = entry[1][sel]
 
 
 def _check_int_range(res):
@@ -447,7 +445,7 @@ def _exec_join(op, src, state, counters, is_delta):
     state.gather(batch_idx)
     for pos, slot in op.out_specs:
         state.cols[slot] = src.np_col(pos)[rel_rows]
-    state.prov.append([op.predicate, src, rel_rows])
+    state.prov.append([src, rel_rows])
     state.n = len(rel_rows)
 
 
@@ -537,11 +535,10 @@ def _group_heads(arrays, n):
     return rank[inverse.ravel()].tolist(), first[order]
 
 
-def _emit(plan, prog, state, registry) -> FiringBatch:
-    """The final batch as a :class:`FiringBatch`: the distinct heads
+def _emit(rule_id, prog, state, registry) -> FiringBatch:
+    """The final batch as a :class:`FiringBatch`: the heads
     (:func:`_group_heads`) as term tuples, built a column at a time, and
-    each positive join's matched rows — the records are made from the
-    sources' per-row ref caches when the batch is stored.
+    one record per firing from each positive join's matched rows.
     """
     interner = GLOBAL_INTERNER
     n = state.n
@@ -571,10 +568,8 @@ def _emit(plan, prog, state, registry) -> FiringBatch:
     ]
     term = interner.terms.__getitem__
     heads = list(zip(*[map(term, col) for col in columns])) if columns else [()] * u
-    rule_id = plan.rule.rule_id
-    return FiringBatch(
-        rule_id if rule_id is not None else -1, heads, index, state.prov
-    )
+    body = [map(source.refs().__getitem__, rows.tolist()) for source, rows in state.prov]
+    return FiringBatch(rule_id, heads, index, list(zip(repeat(rule_id, n), *body)))
 
 
 def execute_batch(
@@ -585,12 +580,11 @@ def execute_batch(
     delta_pred: Optional[str] = None,
     delta_tuples=None,
     delta_occurrence: Optional[int] = None,
-) -> Optional[Union[FiringBatch, list]]:
-    """Run one vectorized rule call; same contract as ``fire_rule`` but
-    materialized — a :class:`FiringBatch`, or ``[]`` when nothing
-    matched.  Returns None on runtime fallback — in that case nothing
-    was emitted and no counter was committed, so the caller can re-run
-    the call on the tuple executor.
+) -> Optional[FiringBatch]:
+    """Run one vectorized rule call; same contract as ``fire_rule``.
+    Returns None on runtime fallback — in that case nothing was emitted
+    and no counter was committed, so the caller can re-run the call on
+    the tuple executor.
     """
     delta_step = plan.delta_step(delta_pred, delta_occurrence)
     delta_src: Optional[_DeltaSource] = None
@@ -621,7 +615,9 @@ def execute_batch(
                 _exec_assign(op, state)
             if state.n == 0:
                 break
-        results = _emit(plan, prog, state, registry) if state.n else []
+        rule_id = plan.rule.rule_id if plan.rule.rule_id is not None else -1
+        results = (_emit(rule_id, prog, state, registry) if state.n
+                   else FiringBatch.of(rule_id, ()))
     except _Fallback:
         VECTOR_STATS["fallback_steps"] += 1
         if _obs.enabled:
@@ -631,10 +627,10 @@ def execute_batch(
         rel.probes += probes
         rel.scans += scans
     VECTOR_STATS["batch_calls"] += 1
-    VECTOR_STATS["batch_rows"] += len(results)
+    VECTOR_STATS["batch_rows"] += len(results.index)
     VECTOR_STATS["vectorized_steps"] += ops_run
     if _obs.enabled:
-        _inst.batch_rows.inc(len(results))
+        _inst.batch_rows.inc(len(results.index))
         _inst.vectorized_steps.inc(ops_run)
         if state.stats[0]:
             _inst.join_selectivity.labels(rule=plan.label).observe(

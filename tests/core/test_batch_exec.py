@@ -37,6 +37,8 @@ from repro.core.stratify import ProgramClass, classify
 from repro.core.terms import Constant, Substitution, Variable
 from repro.core.vector import VECTOR_STATS
 
+from .test_derivations import record
+
 #: Production-only assertions (vectorization counters) make no sense
 #: inside the oracle leg's seed_engine() block.
 pytestmark = pytest.mark.production
@@ -243,10 +245,10 @@ class TestThreeWayDifferential:
         for executor in (seed_engine, nullcontext, tuple_executor):
             db = Database()
             with executor():
-                assert list(core_eval.fire_rule(rule, db, db.registry)) == []
+                assert core_eval.fire_rule(rule, db, db.registry).records == []
                 db.assert_fact("p", (1,))
                 with pytest.raises(EvaluationError):
-                    list(core_eval.fire_rule(rule, db, db.registry))
+                    core_eval.fire_rule(rule, db, db.registry)
 
     @pytest.mark.parametrize("bound", [
         {"Z": 3}, {"Y": 2}, {"X": 1, "Z": 5}, {"Z": 9},
@@ -400,7 +402,7 @@ class TestFiringBatch:
         assert index == [0, 1, 0, 2] * 4
         assert first.tolist() == [0, 1, 3]
 
-    def test_iterating_a_batch_yields_the_tuple_executor_pairs(self):
+    def test_a_batch_holds_the_tuple_executor_firings(self):
         db = Database()
         for pred, args in random_graph(8, 30, seed=3):
             db.assert_fact(pred, args)
@@ -414,17 +416,23 @@ class TestFiringBatch:
         tuples = core_eval._fire_rule_tuples(
             rule, db, db.registry, delta_pred="e", delta_tuples=delta,
             delta_occurrence=0)
-        assert Counter(batch) == Counter(tuples)
+        assert type(tuples) is core_eval.FiringBatch
+
+        def firings(batch):
+            return Counter(zip(map(batch.heads.__getitem__, batch.index),
+                               batch.records))
+
+        assert firings(batch) == firings(tuples)
 
 
 class TestLazySupportIndex:
     @staticmethod
     def toy_store():
         store = DerivationStore()
-        store.add(fact("tc", 1, 2), Derivation(0, [fact("e", 1, 2)]))
-        store.add(fact("tc", 1, 3),
-                  Derivation(1, [fact("e", 1, 2), fact("tc", 2, 3)]))
-        store.add(fact("tc", 2, 3), Derivation(0, [fact("e", 2, 3)]))
+        record(store, fact("tc", 1, 2), Derivation(0, [fact("e", 1, 2)]))
+        record(store, fact("tc", 1, 3),
+               Derivation(1, [fact("e", 1, 2), fact("tc", 2, 3)]))
+        record(store, fact("tc", 2, 3), Derivation(0, [fact("e", 2, 3)]))
         return store
 
     @staticmethod
@@ -453,8 +461,8 @@ class TestLazySupportIndex:
     def test_adds_after_build_maintain_index(self):
         store = self.toy_store()
         store.supporters(fact("e", 1, 2))  # force build
-        store.add(fact("tc", 0, 2),
-                  Derivation(1, [fact("e", 0, 1), fact("tc", 1, 2)]))
+        record(store, fact("tc", 0, 2),
+               Derivation(1, [fact("e", 0, 1), fact("tc", 1, 2)]))
         assert store.supporters(fact("tc", 1, 2)) == \
             self.brute_supporters(store, fact("tc", 1, 2))
 

@@ -4,8 +4,10 @@
 was before facts and derivations were recorded in id space, kept here as
 the reference.  A Hypothesis script drives both through the public API
 — ``1`` beside ``1.0``, facts deleted and re-added, derivations of facts
-no relation stores, duplicate adds, lookups of terms never interned —
-and every answer must agree.  ``supporters`` is checked against brute
+no relation stores, duplicate adds, batches whose heads repeat, lookups
+of terms never interned — and every answer must agree: the store's one
+writer, ``add_batch``, against the reference's ``add`` one derivation at
+a time.  ``supporters`` is checked against brute
 force over the snapshot instead: the reference's reverse index goes
 stale when a removal leaves a body fact unused.
 
@@ -22,10 +24,17 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.core.columnar import GLOBAL_INTERNER
-from repro.core.derivations import Derivation, DerivationStore
+from repro.core.derivations import (
+    Derivation,
+    DerivationStore,
+    FiringBatch,
+    fact_ref,
+)
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
 from repro.core.terms import Constant
+
+from .test_derivations import record
 
 
 class ReferenceStore:
@@ -139,8 +148,14 @@ def script(mixed):
     derivation = st.builds(
         Derivation, st.integers(0, 1), st.lists(fact, min_size=1, max_size=3)
     )
+    # One rule call: heads of one predicate, repeats allowed.
+    batch = st.tuples(st.sampled_from(PREDS), st.integers(0, 1), st.lists(
+        st.tuples(fact, st.lists(fact, min_size=1, max_size=3)),
+        min_size=1, max_size=4,
+    ))
     return st.lists(st.one_of(
         st.tuples(st.just("add"), fact, derivation),
+        st.tuples(st.just("add_batch"), batch),
         st.tuples(st.just("remove_derivation"), queried, derivation),
         st.tuples(st.just("remove_support"), queried),
         st.tuples(st.just("discard_fact"), queried),
@@ -170,11 +185,21 @@ def test_store_agrees_with_the_reference(data, mixed, in_database):
             pred, values = args[0]
             db.relation(pred).add(values)
             continue
-        got = getattr(store, op)(*args)
-        if op == "supporters":
+        if op == "add_batch":
+            (pred, rule_id, matches), = args
+            heads = [(pred, head_args) for (_pred, head_args), _body in matches]
+            got = store.add_batch(list(map(fact_ref, heads)), FiringBatch.of(
+                rule_id, [(head[1], body) for head, (_h, body) in zip(heads, matches)]
+            ))
+            expected = [fact_ref(head) for head, (_h, body) in zip(heads, matches)
+                        if reference.add(head, Derivation(rule_id, body))]
+        elif op == "add":
+            got, expected = record(store, *args), reference.add(*args)
+        elif op == "supporters":
+            got = store.supporters(*args)
             expected = brute_supporters(reference.snapshot(), *args)
         else:
-            expected = getattr(reference, op)(*args)
+            got, expected = getattr(store, op)(*args), getattr(reference, op)(*args)
         if op == "remove_support":
             got, expected = set(got), set(expected)  # set order both ways
         assert got == expected, (op, args)
@@ -191,8 +216,8 @@ def test_store_agrees_with_the_reference(data, mixed, in_database):
 def test_a_stored_fact_is_spelled_as_its_relation_stores_it():
     db = Database()
     db.assert_fact("b", (7401.0, "k"))
-    db.derivations.add(("out", (Constant(7401),)),
-                       Derivation(0, [("b", (Constant(7401), Constant("k")))]))
+    record(db.derivations, ("out", (Constant(7401),)),
+           Derivation(0, [("b", (Constant(7401), Constant("k")))]))
     (derivation,) = db.derivations.derivations_of(("out", (Constant(7401.0),)))
     assert repr(derivation) == "<rule 0: b('7401.0', 'k')>"
 

@@ -29,10 +29,12 @@ class ReferenceXY(XYEvaluator):
         rules = sorted(rules, key=lambda r: priority.get(r.head.predicate, 0))
 
         def staged_heads(rule):
-            for firing in fire_rule(rule, db, self.registry):
-                yield self._stage_value(rule.head.predicate, firing[0]), firing
+            firings = fire_rule(rule, db, self.registry)
+            stages = [self._stage_value(rule.head.predicate, head)
+                      for head in firings.heads]
+            return stages, firings
 
-        pending = {stage for rule in rules for stage, _f in staged_heads(rule)}
+        pending = {stage for rule in rules for stage in staged_heads(rule)[0]}
         processed = set()
         while pending:
             stage = min(pending)
@@ -44,12 +46,10 @@ class ReferenceXY(XYEvaluator):
             while grew:
                 grew = False
                 for rule in rules:
-                    firings = []
-                    for head_stage, firing in staged_heads(rule):
-                        if head_stage == stage:
-                            firings.append(firing)
-                        elif head_stage > stage:
-                            pending.add(head_stage)
+                    stages, firings = staged_heads(rule)
+                    pending.update(s for s in stages if s > stage)
+                    firings = firings.restrict(lambda head: self._stage_value(
+                        rule.head.predicate, head) == stage)
                     if self._absorb(db, rule, firings, {}):
                         grew = True
 
