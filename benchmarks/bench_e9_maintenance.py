@@ -9,8 +9,8 @@ insert/delete sequence over a transitive-closure view with redundant
 paths — the workload where DRed's over-deletion hurts most.
 
 Expected shape: identical final results; DRed's per-deletion work
-(over-deletions + re-derivations) exceeds the set-of-derivations
-subtraction work, and the gap widens with more redundancy.
+(over-deletions + re-derivation passes) exceeds the set-of-derivations
+subtraction work.
 """
 
 import sys

@@ -24,11 +24,10 @@ with ``f`` present, each call's firings a complete
 :class:`~repro.core.derivations.FiringBatch` before the update is
 applied.  The set-of-derivations evaluator and DRed record through
 :meth:`~repro.core.derivations.DerivationStore.add_batch`, the writer
-central evaluation uses; counting counts the batches' records, once per
-derivation and update however many occurrence variants find it.  DRed's
-store is a support index, not :func:`~repro.core.eval.evaluate`'s store:
-a re-derived fact keeps only the derivations of the first rule that
-re-derives it.
+central evaluation uses, so both stores equal
+:func:`~repro.core.eval.evaluate`'s after any update sequence; counting
+counts the batches' records, once per derivation and update however
+many occurrence variants find it.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .derivations import (
 from .errors import EvaluationError, ProgramError
 from .eval import ArgsTuple, Database, enumerate_rule, fire_rule, ground_head
 from .safety import check_program_safety
+from .stratify import is_recursive, stratify
 from .terms import Substitution, to_term
 from .unify import match_sequences
 
@@ -226,7 +226,6 @@ class IncrementalEvaluator(_Maintainer):
                 raise ProgramError(
                     "incremental evaluation does not support aggregate rules"
                 )
-        self.idb = program.idb_predicates()
         super().__init__(program, registry, db)
 
     def verify_locally_nonrecursive(self) -> bool:
@@ -296,8 +295,6 @@ class CountingEvaluator(_Maintainer):
         program: Program,
         registry: Optional[BuiltinRegistry] = None,
     ):
-        from .stratify import is_recursive
-
         check_program_safety(program)
         if is_recursive(program):
             raise ProgramError("counting maintenance requires a non-recursive program")
@@ -356,19 +353,15 @@ class CountingEvaluator(_Maintainer):
         return self.counts.get((predicate, _coerce(args)), 0)
 
 
-class DRedEvaluator:
+class DRedEvaluator(IncrementalEvaluator):
     """Delete-and-rederive (DRed) maintenance [27].
 
-    Deletion over-deletes every fact with *any* derivation using the
-    deleted tuple, then tries to re-derive the over-deleted facts from
-    what remains.  ``stats.facts_rederived`` counts the re-derivation
-    work — the communication overhead the paper avoids by keeping
-    derivation sets instead.
-
-    Built on top of the set-of-derivations store, used here only as a
-    support index: a re-derived fact keeps only the derivations of the
-    first rule that re-derives it, so the store may hold fewer
-    derivations than :func:`evaluate`'s while the rows agree.  Supports
+    Inserts (and the retractions a new blocker causes) are maintained as
+    by :class:`IncrementalEvaluator`.  Deletion over-deletes every fact
+    with *any* derivation using the deleted tuple, then re-derives the
+    over-deleted facts from what remains.  ``stats.facts_rederived``
+    counts the re-derivation work — the communication overhead the
+    paper avoids by keeping derivation sets instead.  Supports
     stratified programs without aggregates.
     """
 
@@ -377,75 +370,62 @@ class DRedEvaluator:
         program: Program,
         registry: Optional[BuiltinRegistry] = None,
     ):
-        self._inner = IncrementalEvaluator(program, registry)
-        self.program = program
-        self.registry = self._inner.registry
-
-    @property
-    def db(self) -> Database:
-        return self._inner.db
-
-    @property
-    def stats(self) -> MaintenanceStats:
-        return self._inner.stats
-
-    def insert(self, predicate: str, args: Iterable) -> None:
-        self._inner.insert(predicate, args)
-
-    def rows(self, predicate: str):
-        return self._inner.rows(predicate)
+        self._stratum = {
+            pred: level for level, preds in enumerate(stratify(program))
+            for pred in preds
+        }
+        super().__init__(program, registry)
 
     def delete(self, predicate: str, args: Iterable) -> None:
         """Over-delete then re-derive."""
-        args_t = _coerce(args)
-        rel = self.db.relation(predicate)
-        if not rel.discard(args_t):
+        deleted = (predicate, _coerce(args))
+        if not self.db.relation(predicate).discard(deleted[1]):
             return
         self.stats.facts_deleted += 1
+        store = self.db.derivations
         # Phase 1: over-deletion — transitively delete everything with a
         # derivation through the deleted fact (ignoring alternatives).
         # Both phases walk in a stated order (supporters sorted, then
         # over-deletion order): the work counted depends on it.
-        overdeleted: List[FactKey] = []
-        frontier: Deque[FactKey] = deque([(predicate, args_t)])
-        store = self.db.derivations
-        seen: Set[FactKey] = {(predicate, args_t)}
-        while frontier:
-            fact = frontier.popleft()
+        seen, gone = {deleted}, [deleted]
+        for fact in gone:  # walked while it grows
             for dependent in sorted(store.supporters(fact), key=repr):
-                if dependent in seen:
-                    continue
-                if any(d.uses(fact) for d in store.derivations_of(dependent)):
+                if dependent not in seen:
                     seen.add(dependent)
-                    overdeleted.append(dependent)
-                    frontier.append(dependent)
-        for pred, fargs in overdeleted:
+                    gone.append(dependent)
+        for pred, fargs in gone:
             self.db.relation(pred).discard(fargs)
             store.discard_fact((pred, fargs))
-            self.stats.facts_overdeleted += 1
-        store.discard_fact((predicate, args_t))
-        # Phase 2: re-derivation — repeatedly try to re-derive
-        # over-deleted facts from the surviving database.
-        remaining = dict.fromkeys(overdeleted)
-        changed = True
-        while changed and remaining:
-            changed = False
-            for pred, fargs in list(remaining):
-                for rule in self.program.rules_for(pred):
-                    batch = fire_rule(rule, self.db, self.registry)
-                    self.stats.rule_firings += len(batch.index)
-                    batch = batch.restrict(lambda head: head == fargs)
-                    if batch.index:
-                        store.add_batch([fact_ref((pred, fargs))] * len(batch.heads), batch)
-                        self.db.relation(pred).add(fargs)
-                        self.stats.facts_rederived += 1
-                        del remaining[(pred, fargs)]
-                        changed = True
-                        break
+        overdeleted = gone[1:]
+        self.stats.facts_overdeleted += len(overdeleted)
+        # Phase 2: re-derivation, a stratum at a time (what a negated
+        # subgoal reads is final first).  Every rule for an over-deleted
+        # fact fires against the surviving database, recording each
+        # derivation it finds, until a pass re-derives nothing: that
+        # pass saw the final database, so a re-derived fact holds
+        # evaluate()'s derivations.
+        lost: Dict[int, Dict[str, Set[ArgsTuple]]] = {}
+        for pred, fargs in overdeleted:
+            lost.setdefault(self._stratum[pred], {}).setdefault(pred, set()).add(fargs)
+        for level in sorted(lost):
+            rederived = True
+            while rederived:
+                rederived = False
+                for pred, heads in lost[level].items():
+                    rel = self.db.relation(pred)
+                    for rule in self.program.rules_for(pred):
+                        batch = fire_rule(rule, self.db, self.registry)
+                        self.stats.rule_firings += len(batch.index)
+                        batch = batch.restrict(heads.__contains__)
+                        store.add_batch([fact_ref((pred, h)) for h in batch.heads], batch)
+                        for head in batch.heads:
+                            if head not in rel:
+                                rel.add(head)
+                                self.stats.facts_rederived += 1
+                                rederived = True
         # Facts that could not be re-derived stay deleted; their own
         # negative occurrences may resurrect other facts.
-        for pred, fargs in remaining:
-            self._inner._restore(pred, fargs)
-            self._inner._drain()
-        self._inner._restore(predicate, args_t)
-        self._inner._drain()
+        for pred, fargs in overdeleted + [deleted]:
+            if fargs not in self.db.relation(pred):
+                self._restore(pred, fargs)
+                self._drain()

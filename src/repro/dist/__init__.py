@@ -14,7 +14,7 @@ the timestamp-ranked derived-fact ledger (:mod:`repro.dist.derived`):
 from .aggregates import DistributedAggregate, local_values
 from .baselines import ProceduralBFS
 from .codegen import Deployment, ProgramImage, image_for
-from .derived import DerivedFact, FactRef, WireDerivation
+from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
 from .gpa import (
     Candidate,
     GPAEngine,
@@ -54,7 +54,7 @@ from .regions import (
 
 __all__ = [
     "DistributedAggregate", "local_values", "Deployment", "ProgramImage",
-    "image_for", "ProceduralBFS", "Candidate", "DerivedFact", "FactRef",
+    "image_for", "ProceduralBFS", "Candidate", "DerivedFact", "DerivedTable", "FactRef",
     "GPAEngine", "JoinToken",
     "NodeRuntime", "Partial", "ResultMsg", "StoreMsg", "WireDerivation",
     "LocalResultMsg", "LocalizedEngine", "Placement", "ReplicaMsg",

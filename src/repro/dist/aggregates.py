@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.ast import AGGREGATE_FUNCTORS
 from ..core.builtins import eval_term
+from ..core.eval import _apply_aggregate
 from ..core.errors import PlanError
 from ..net.aggregation import TagAggregator
 from .gpa import GPAEngine
@@ -34,9 +35,7 @@ def local_values(
     out: Dict[int, List[float]] = {}
     for node_id, runtime in engine.runtimes.items():
         values: List[float] = []
-        for (pred, args), fact in runtime.derived.items():
-            if pred != predicate or not fact.visible:
-                continue
+        for _pred, args, _fact in runtime.derived.visible(predicate):
             if where is not None:
                 evaluated = tuple(eval_term(a, engine.registry) for a in args)
                 if not where(evaluated):
@@ -100,14 +99,4 @@ class DistributedAggregate:
             ).values()
             for v in vs
         ]
-        if not values:
-            return None
-        if self.func == "count":
-            return float(len(values))
-        if self.func == "sum":
-            return float(sum(values))
-        if self.func == "min":
-            return min(values)
-        if self.func == "max":
-            return max(values)
-        return sum(values) / len(values)
+        return float(_apply_aggregate(self.func, values)) if values else None

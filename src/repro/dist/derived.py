@@ -2,7 +2,8 @@
 :class:`WireDerivation` (rule id + :class:`FactRef` of each fact used)
 travels to its head's hash or placement node, where the fact's
 derivation set has one writer, :meth:`DerivedFact.apply`, ranking every
-update by the timestamp it carries (Section IV-B), not by arrival.
+update by the timestamp it carries (Section IV-B), not by arrival.  A
+node keeps its facts, in both engines, in one :class:`DerivedTable`.
 
 A reference and a derivation are their own identity: they compare by
 term equality (``1`` and ``1.0`` are one fact, as in the central
@@ -12,7 +13,7 @@ on the derivation itself."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.terms import term_size
 from ..streams.tuples import ArgsTuple, TupleID
@@ -139,13 +140,54 @@ class DerivedFact:
         else:
             self.derivations.pop(derivation, None)
 
-    def expire(self, horizon: float) -> int:
-        """Forget the tombstones stamped at or before ``horizon``
-        (:meth:`~repro.dist.gpa.GPAEngine._horizon`); returns how many."""
-        stale = [
-            d for d, (op, _d, stamp) in self.ledger.items()
-            if op == "sub" and stamp <= horizon
-        ]
-        for d in stale:
-            del self.ledger[d]
-        return len(stale)
+
+class DerivedTable(dict):
+    """One node's derived facts by ``(pred, args)``, in insertion order
+    (no walk depends on ``PYTHONHASHSEED``): ``NodeRuntime.derived``
+    and ``LocalRuntime.placed``."""
+
+    __slots__ = ()
+    new = DerivedFact  # the kind of fact :meth:`fact` creates
+
+    def fact(self, pred: str, args: ArgsTuple) -> DerivedFact:
+        """The fact ``pred(args)`` stored here, created on first use."""
+        fact = self.get((pred, args))
+        if fact is None:
+            fact = self[(pred, args)] = self.new()
+        return fact
+
+    def visible(self, pred: Optional[str] = None) -> Iterator[Tuple[str, ArgsTuple, DerivedFact]]:
+        """``(pred, args, fact)`` of every visible fact, or of ``pred``'s."""
+        for (p, args), fact in self.items():
+            if fact.visible and (pred is None or p == pred):
+                yield p, args, fact
+
+    def take(self, keep: Callable[[str, ArgsTuple], bool]) -> List[Tuple[str, ArgsTuple, DerivedFact]]:
+        """Remove and return the facts whose ``(pred, args)`` pass ``keep``."""
+        taken = [(p, args, fact) for (p, args), fact in self.items() if keep(p, args)]
+        for p, args, _fact in taken:
+            del self[(p, args)]
+        return taken
+
+    def tombstones(self) -> int:
+        return sum(len(f.ledger) - len(f.derivations) for f in self.values())
+
+    def memory_tuples(self) -> int:
+        """Resident tuples: one per fact and one per tombstone."""
+        return len(self) + self.tombstones()
+
+    def expire(self, horizon) -> int:
+        """Forget the tombstones stamped at or before ``horizon`` (once
+        no update they outrank can land: the caller says when), then the
+        facts left with an empty ledger; returns the tuples reclaimed."""
+        reclaimed = 0
+        for key, fact in list(self.items()):
+            stale = [d for d, (op, _d, stamp) in fact.ledger.items()
+                     if op == "sub" and stamp <= horizon]
+            for d in stale:
+                del fact.ledger[d]
+            reclaimed += len(stale)
+            if not fact.ledger:
+                del self[key]
+                reclaimed += 1
+        return reclaimed

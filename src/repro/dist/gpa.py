@@ -54,7 +54,7 @@ from ..obs.spans import span as _span
 from ..net.node import Node
 from ..streams.tuples import ArgsTuple, StreamTuple, TupleID
 from ..streams.windows import SlidingWindow, WindowParams
-from .derived import DerivedFact, FactRef, WireDerivation
+from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
 from .plans import DistributedPlan, RulePlan, bind, conclude, matching, probe
 from .regions import RegionStrategy, make_strategy
 
@@ -320,7 +320,7 @@ class NodeRuntime:
         self.engine = engine
         self.node = node
         self.windows: Dict[str, SlidingWindow] = {}
-        self.derived: Dict[Tuple[str, ArgsTuple], DerivedFact] = {}
+        self.derived = DerivedTable()
         #: Pipelined mode: incomplete partial results left behind here,
         #: each a ``(token, partial)`` pair listed under every predicate
         #: whose arrival could extend it (a late store does, and spawns
@@ -336,14 +336,6 @@ class NodeRuntime:
             self.windows[pred] = win
         return win
 
-    def fact(self, pred: str, args: ArgsTuple) -> DerivedFact:
-        """The derived fact ``pred(args)`` homed here, created on first
-        use."""
-        fact = self.derived.get((pred, args))
-        if fact is None:
-            fact = self.derived[(pred, args)] = DerivedFact()
-        return fact
-
     def memory_tuples(self, include_derived: bool = True) -> int:
         """Resident window replicas and parked partials (one listed
         under two predicates is one), plus — unless ``include_derived``
@@ -352,9 +344,7 @@ class NodeRuntime:
         parked = {id(e) for entries in self.parked.values() for e in entries}
         resident = sum(w.memory_tuples() for w in self.windows.values()) + len(parked)
         if include_derived:
-            resident += len(self.derived) + sum(
-                len(f.ledger) - len(f.derivations) for f in self.derived.values()
-            )
+            resident += self.derived.memory_tuples()
         return resident
 
 
@@ -1218,7 +1208,7 @@ class GPAEngine:
                 msg.re_homed = True
                 node.send_routed(home, msg, on_status=self._track_delivery)
                 return
-        fact = self.runtimes[node.id].fact(msg.pred, msg.args)
+        fact = self.runtimes[node.id].derived.fact(msg.pred, msg.args)
         was_visible = fact.visible
         fact.apply(msg.op, msg.derivation, msg.ts)
         if fact.visible == was_visible:
@@ -1252,7 +1242,7 @@ class GPAEngine:
         """Receive a migrated derived fact at its new home: its ledger
         is applied like any other updates, so a duplicate shipment or a
         result that overtook the move changes nothing."""
-        fact = self.runtimes[node.id].fact(msg.pred, msg.args)
+        fact = self.runtimes[node.id].derived.fact(msg.pred, msg.args)
         for update in msg.updates:
             fact.apply(*update)
         if fact.tuple_id is None:
@@ -1270,18 +1260,15 @@ class GPAEngine:
         number of facts moved.
         """
         self._require_installed()
-        runtime = self.runtimes[old_home]
         node = self.network.node(old_home)
-        moved = 0
-        for (pred, args), fact in list(runtime.derived.items()):
-            if self.ght.key_for_fact(pred, args) not in keys:
-                continue
+        moved = self.runtimes[old_home].derived.take(
+            lambda pred, args: self.ght.key_for_fact(pred, args) in keys
+        )
+        for pred, args, fact in moved:
             self._post(node, new_home, MigrateMsg(
                 pred, args, list(fact.ledger.values()), fact.tuple_id
             ))
-            del runtime.derived[(pred, args)]
-            moved += 1
-        return moved
+        return len(moved)
 
     # -- recovery (fault-tolerant mode) -------------------------------------
 
@@ -1316,8 +1303,8 @@ class GPAEngine:
                 holder = runtime.node.id
                 if holder == recovered or not radio.is_alive(holder):
                     continue
-                for (pred, args), fact in runtime.derived.items():
-                    if not fact.visible or (pred, args) in synced:
+                for pred, args, fact in runtime.derived.visible():
+                    if (pred, args) in synced:
                         continue
                     if recovered not in ght.nodes_for_fact(pred, args):
                         continue
@@ -1414,9 +1401,8 @@ class GPAEngine:
         for runtime in self.runtimes.values():
             if live_only and not radio.is_alive(runtime.node.id):
                 continue
-            for (p, args), fact in runtime.derived.items():
-                if fact.visible and (pred is None or p == pred):
-                    yield runtime.node, p, args, fact
+            for p, args, fact in runtime.derived.visible(pred):
+                yield runtime.node, p, args, fact
 
     def rows(self, pred: str, live_only: bool = False) -> Set[tuple]:
         """All visible derived facts for ``pred`` as Python value
@@ -1482,8 +1468,9 @@ class GPAEngine:
 
     def expire_all(self) -> int:
         """Force an expiry sweep on every node's windows, parked
-        partials and tombstones (normally expiry is piggybacked on
-        stores); returns tuples, partials and tombstones reclaimed."""
+        partials and derived table (normally expiry is piggybacked on
+        stores); returns tuples, partials, tombstones and emptied facts
+        reclaimed."""
         reclaimed = 0
         for rt in self.runtimes.values():
             now = rt.node.clock.now()
@@ -1492,6 +1479,5 @@ class GPAEngine:
                 reclaimed += len(window.expire(now))
             for entries in rt.parked.values():
                 reclaimed += self._reclaim_parked(rt, entries, horizon)
-            for fact in rt.derived.values():
-                reclaimed += fact.expire(horizon)
+            reclaimed += rt.derived.expire(horizon)
         return reclaimed

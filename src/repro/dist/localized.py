@@ -13,7 +13,9 @@ Mechanics:
 * each predicate has a **placement**: the argument position(s) whose
   value names the node(s) storing the fact (the first is the primary;
   facts are also replicated to the primary's neighbors when
-  ``replicate_to_neighbors`` is set, so neighbors can join over them);
+  ``replicate_to_neighbors`` is set, so neighbors can join over them:
+  the primary ships each visibility flip, stamped, as the fact's rule
+  -1 derivation there);
 * an insertion visible at a node delta-fires the rules there — each
   (rule, trigger occurrence) is compiled at ``install()`` into a
   :class:`~repro.dist.plans.DeltaJoin`, Section V's "list of
@@ -21,11 +23,12 @@ Mechanics:
   their head's placement node carrying the derivation and the
   instantiated negated subgoals to watch;
 * a result carries its firing's stamp (:func:`_stamp`); at the
-  placement node the fact is the ledger GPA's hash nodes keep
-  (:class:`~repro.dist.derived.DerivedFact`), which ranks each
+  placement node the fact is the ledger GPA's hash nodes keep, in the
+  same :class:`~repro.dist.derived.DerivedTable`, which ranks each
   derivation's adds and subs by stamp, so a sub that overtakes its add
   still cancels it.  A base fact is its own rule -1 derivation:
-  ``seed`` adds it, ``retract`` subtracts it;
+  ``seed`` adds it, ``retract`` subtracts it; tombstones expire once no
+  add they outrank can land (:meth:`LocalizedEngine._sweep`);
 * a live derivation is *valid* while none of its watched negated atoms
   is visible; a fact is visible while it has a valid derivation.
   Late-arriving blockers retract optimistically accepted facts (and the
@@ -53,7 +56,7 @@ from ..obs import instrument as _inst
 from ..obs import state as _obs
 from ..obs.spans import span as _span
 from ..streams.tuples import ArgsTuple, TupleID
-from .derived import DerivedFact, FactRef, WireDerivation
+from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
 from .plans import DeltaJoin, DistributedPlan
 
 #: Fixed tuple id used for value-identified facts in localized mode.
@@ -123,16 +126,22 @@ class LocalResultMsg(Message):
 
 
 class ReplicaMsg(Message):
-    """Replicates a visible fact to a neighbor / secondary placement."""
+    """A visibility flip at a fact's home: the fact's rule -1 derivation
+    at a neighbor / secondary placement, stamped (unsized) with it."""
 
-    def __init__(self, pred: str, args: ArgsTuple, op: str):
+    neg_atoms = ()
+
+    def __init__(self, pred: str, args: ArgsTuple, derivation: WireDerivation,
+                 op: str, stamp: tuple):
         super().__init__(
             "loc_replica", payload_symbols=1 + sum(term_size(a) for a in args),
             category="replica",
         )
         self.pred = pred
         self.args = args
-        self.op = op  # 'ins' | 'del'
+        self.derivation = derivation
+        self.op = op  # 'add' | 'sub'
+        self.stamp = stamp
 
 
 class PlacedFact(DerivedFact):
@@ -148,6 +157,13 @@ class PlacedFact(DerivedFact):
         self.visible = False
 
 
+class PlacedTable(DerivedTable):
+    """A localized node's table: its facts watch negated atoms."""
+
+    __slots__ = ()
+    new = PlacedFact
+
+
 class LocalRuntime:
     """One node's tables and watch index."""
 
@@ -155,10 +171,10 @@ class LocalRuntime:
         # pred -> {row: stored row} of visible facts (primaries and
         # replicas alike)
         self.tables: Dict[str, Dict[ArgsTuple, ArgsTuple]] = {}
-        # facts whose primary placement is this node
-        self.placed: Dict[Tuple[str, ArgsTuple], PlacedFact] = {}
+        self.placed = PlacedTable()  # their ledgers
         # negated-atom key -> {(fact_key, derivation): None}
         self.watches: Dict[Tuple[str, ArgsTuple], Dict[tuple, None]] = {}
+        self.swept = 0.0  # local time of the last tombstone sweep
 
     def table(self, pred: str) -> Dict[ArgsTuple, ArgsTuple]:
         return self.tables.setdefault(pred, {})
@@ -201,13 +217,22 @@ class LocalizedEngine:
                 raise PlanError(f"no placement declared for predicate {pred!r}")
         self.runtimes: Dict[int, LocalRuntime] = {}
         self._installed = False
+        #: Tombstone age of the longest route sent on, one hop at least
+        #: (:meth:`_send`, :meth:`_sweep`).
+        self._age = network.radio.max_hop_delay + network.tau_c
 
     def install(self) -> "LocalizedEngine":
         if self._installed:
             return self
         self.plan.compile_delta_joins()
+        blocks = self.plan.negative_triggers.__contains__
+        self._joins = {  # per op: blockers first for an add, last for a sub
+            op: {p: sorted(js, key=lambda j: blocks(j.head_pred) == last)
+                 for p, js in self.plan.delta_joins.items()}
+            for op, last in (("add", False), ("sub", True))
+        }
         on_result = self._with_telemetry("loc_result", self._on_result)
-        on_replica = self._with_telemetry("loc_replica", self._on_replica)
+        on_replica = self._with_telemetry("loc_replica", self._on_result)
         for node in self.network.nodes.values():
             self.runtimes[node.id] = LocalRuntime()
             node.register_handler("loc_result", on_result)
@@ -262,9 +287,16 @@ class LocalizedEngine:
             for node_id, runtime in self.runtimes.items()
         }
 
+    def expire_all(self) -> int:
+        """Sweep every node's table now (:meth:`_sweep`); returns the
+        tuples reclaimed."""
+        return sum(self._sweep(rt, self.network.node(nid).clock.now())
+                   for nid, rt in self.runtimes.items())
+
     # -- result handling --------------------------------------------------------
 
     def _on_result(self, node: Node, msg: LocalResultMsg) -> None:
+        # a result, or a ReplicaMsg: the same fields
         self._apply(node, msg.pred, msg.args, msg.op, msg.derivation,
                     msg.neg_atoms, msg.stamp)
 
@@ -273,10 +305,10 @@ class LocalizedEngine:
         """Rank one stamped update into the fact's ledger; only a
         derivation whose liveness flipped touches the watch index."""
         runtime = self.runtimes[node.id]
+        if op == "sub" and node.clock.now() - runtime.swept > self._age:
+            self._sweep(runtime, node.clock.now())  # only a sub leaves a tombstone
         key = (pred, args)
-        fact = runtime.placed.get(key)
-        if fact is None:
-            fact = runtime.placed[key] = PlacedFact()
+        fact = runtime.placed.fact(pred, args)
         was_live = derivation in fact.derivations
         fact.apply(op, derivation, stamp)
         if (derivation in fact.derivations) == was_live:
@@ -291,6 +323,19 @@ class LocalizedEngine:
                 runtime.watches.setdefault(atom, {})[entry] = None
         self._recompute_visibility(node, pred, args)
 
+    def _sweep(self, runtime: LocalRuntime, now: float) -> int:
+        """Expire the tombstones no add they outrank can still reach;
+        returns the tuples reclaimed.  An update is stamped by its
+        sender's clock as it is sent and takes a route of at most h hops
+        (the longest sent on), each within ``radio.max_hop_delay`` (in
+        reliable mode the whole retry horizon: a frame lands by then or
+        never); the receiver's clock runs at most tau_c ahead, so an
+        update stamped t has landed by local time t + ``_age``, h hops'
+        delay + tau_c.  A ``(time, node, seq)`` stamp compares on time:
+        ``(now - _age,)`` ranks above every stamp of an earlier time."""
+        runtime.swept = now
+        return runtime.placed.expire((now - self._age,))
+
     def _recompute_visibility(self, node: Node, pred: str, args: ArgsTuple) -> None:
         runtime = self.runtimes[node.id]
         fact = runtime.placed.get((pred, args))
@@ -302,40 +347,47 @@ class LocalizedEngine:
         )
         if now_visible != fact.visible:
             fact.visible = now_visible
-            op = "ins" if now_visible else "del"
-            self._table_update(node, pred, args, op, propagate_replicas=True)
+            self._table_update(node, pred, args, "add" if now_visible else "sub")
 
     # -- table updates: the delta-firing core -------------------------------------
 
-    def _table_update(self, node: Node, pred: str, args: ArgsTuple, op: str,
-                      propagate_replicas: bool) -> None:
-        """Insert ('ins') or delete ('del') a visible row and delta-fire
-        the rules it triggers."""
+    def _table_update(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
+        """Add or remove ('sub') a visible row and delta-fire the rules
+        it triggers."""
         table = self.runtimes[node.id].table(pred)
-        if (args in table) == (op == "ins"):
+        if (args in table) == (op == "add"):
             return
-        if op == "ins":
+        if op == "add":
             table[args] = args
         else:
             del table[args]
-        if propagate_replicas:
-            self._send_replicas(node, pred, args, op)
+        self._send_replicas(node, pred, args, op)
         self._check_watchers(node, pred, args)
-        self._fire_rules(node, pred, args, "add" if op == "ins" else "sub")
+        self._fire_rules(node, pred, args, op)
 
     def _send_replicas(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
+        """Ship a flip at the fact's primary placement (only) on."""
         placement = self.placements[pred]
-        targets: List[int] = []
-        if placement.replicate_to_neighbors:
-            targets.extend(node.neighbors)
-        for extra in placement.all_nodes(args, self.registry)[1:]:
-            if extra != node.id and extra not in targets:
-                targets.append(extra)
+        if not (placement.replicate_to_neighbors or placement.extra_attrs):
+            return
+        homes = placement.all_nodes(args, self.registry)
+        if homes[0] != node.id:
+            return
+        targets = list(node.neighbors) if placement.replicate_to_neighbors else []
+        targets.extend(n for n in homes[1:] if n not in targets)
+        derivation = WireDerivation(-1, (FactRef(pred, args, _VALUE_ID),))
+        stamp = _stamp(node)
         for target in targets:
-            node.send_routed(target, ReplicaMsg(pred, args, op))
+            self._send(node, target, ReplicaMsg(pred, args, derivation, op, stamp))
 
-    def _on_replica(self, node: Node, msg: ReplicaMsg) -> None:
-        self._table_update(node, msg.pred, msg.args, msg.op, propagate_replicas=False)
+    def _send(self, node: Node, target: int, msg: Message) -> None:
+        """Route ``msg`` (in place if ``target`` is here), first
+        widening ``_age`` to the route's length."""
+        if target != node.id and target not in node.neighbors:
+            net = self.network
+            hops = len(net.router.path(node.id, target)) - 1
+            self._age = max(self._age, hops * net.radio.max_hop_delay + net.tau_c)
+        node.send_routed(target, msg)
 
     def _check_watchers(self, node: Node, pred: str, args: ArgsTuple) -> None:
         watchers = self.runtimes[node.id].watches.get((pred, args), ())
@@ -354,7 +406,12 @@ class LocalizedEngine:
                 self._fire_rules(node, pred, args, op="add")
 
     def _fire_rules(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
-        for join in self.plan.delta_joins.get(pred, ()):
+        """Fire the delta-joins ``pred`` triggers, those deriving a
+        blocker (a predicate some rule negates) first for an added row
+        and last for a removed one: a fact the row both supports and
+        blocks never flashes visible in between, to be carried on by
+        its replicas (under loss, without end)."""
+        for join in self._joins[op].get(pred, ()):
             self._fire_rule(node, join, args, op)
 
     def _fire_rule(self, node: Node, join: DeltaJoin, args: ArgsTuple, op: str) -> None:
@@ -383,7 +440,7 @@ class LocalizedEngine:
                 FactRef(p, row, _VALUE_ID) for p, row in zip(join.preds, used)
             ))
             home = placement.primary_node(head_args, self.registry)
-            node.send_routed(home, LocalResultMsg(  # in place if home is here
+            self._send(node, home, LocalResultMsg(
                 join.head_pred, head_args, derivation, neg_atoms, op, stamp
             ))
 
@@ -449,11 +506,10 @@ def build_sptree(
 
 def visible_rows(engine: LocalizedEngine, pred: str) -> Set[tuple]:
     """All visible placed facts for ``pred`` (primary placements only)."""
-    out = set()
-    for runtime in engine.runtimes.values():
-        for (p, args), fact in runtime.placed.items():
-            if p == pred and fact.visible:
-                out.add(tuple(
-                    _freeze_value(eval_term(a, engine.registry)) for a in args
-                ))
-    return out
+    placement, registry = engine.placements[pred], engine.registry
+    return {
+        tuple(_freeze_value(eval_term(a, registry)) for a in args)
+        for node_id, runtime in engine.runtimes.items()
+        for _pred, args, _fact in runtime.placed.visible(pred)
+        if placement.primary_node(args, registry) == node_id
+    }

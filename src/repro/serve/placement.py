@@ -201,7 +201,7 @@ class AdaptivePlacer:
                 if runtime is None:
                     continue
                 facts = sum(
-                    1 for (p, a) in runtime.derived
+                    1 for p, a, _fact in runtime.derived.visible()
                     if engine.ght.key_for_fact(p, a) == key
                 )
                 if facts == 0:

@@ -58,8 +58,8 @@ def run_gpa(program, steps, mode, scheme):
         net.run_all()
     rows = {p: engine.rows(p) for p in engine.plan.idb}
     return rows, stored(
-        (key, fact) for runtime in engine.runtimes.values()
-        for key, fact in runtime.derived.items() if fact.visible
+        ((pred, args), fact) for runtime in engine.runtimes.values()
+        for pred, args, fact in runtime.derived.visible()
     )
 
 
@@ -80,9 +80,12 @@ def run_localized(program, steps):
             engine.retract(node, pred, args)
         net.run_all()
     idb = engine.plan.idb
+    # A replica holds its home's fact as a rule -1 derivation; any
+    # other visible copy is a second home.
     placed = [
-        (key, fact) for runtime in engine.runtimes.values()
-        for key, fact in runtime.placed.items() if key[0] in idb and fact.visible
+        ((pred, args), fact) for runtime in engine.runtimes.values()
+        for pred, args, fact in runtime.placed.visible()
+        if pred in idb and any(d.rule_id >= 0 for d in fact.derivations)
     ]
     rows = {p: set() for p in idb}
     for (pred, args), _fact in placed:

@@ -33,9 +33,8 @@ def _result_replica_set(ght_replicas=1):
     ).install()
     _publish_pair(engine, net)
     for runtime in engine.runtimes.values():
-        for (pred, args), fact in runtime.derived.items():
-            if pred == "j" and fact.visible:
-                return net.ght.nodes_for_fact(pred, args)
+        for pred, args, _fact in runtime.derived.visible("j"):
+            return net.ght.nodes_for_fact(pred, args)
     raise AssertionError("healthy run derived nothing")
 
 

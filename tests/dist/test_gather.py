@@ -42,7 +42,7 @@ class TestGather:
         net.run_all()
         (home,) = [
             nid for nid, rt in engine.runtimes.items()
-            if any(f.visible for f in rt.derived.values())
+            if any(rt.derived.visible())
         ]
         before = net.metrics.category_tx.get("gather", 0)
         rows = engine.gather("j", sink=home)

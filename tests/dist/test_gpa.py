@@ -284,10 +284,7 @@ class TestSlidingWindows:
         # (a retro token subtracts more than was ever added), counted
         # with the derived tables until the same horizon passes.
         def tombstones(engine):
-            return sum(
-                len(fact.ledger) - len(fact.derivations)
-                for rt in engine.runtimes.values() for fact in rt.derived.values()
-            )
+            return sum(rt.derived.tombstones() for rt in engine.runtimes.values())
 
         assert tombstones(eng) >= tombstones(barrier) > 0
         assert sum(eng.memory_report().values()) == (

@@ -14,9 +14,9 @@ from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
 from repro.core.unify import match_sequences
 from repro.dist.baselines import ProceduralBFS
 from repro.dist.localized import (
+    LocalResultMsg,
     LocalizedEngine,
     Placement,
-    ReplicaMsg,
     build_sptree,
     logich_placements,
     logich_program,
@@ -46,6 +46,32 @@ def expected_h(net, root):
 
 def expected_j(net, root):
     return set(bfs_depths(net, root).items())
+
+
+def stale_replicas(engine, pred):
+    """Replica rows of ``pred`` that their home does not show."""
+    placement = engine.placements[pred]
+    return [
+        (node_id, args) for node_id, runtime in engine.runtimes.items()
+        for args in runtime.tables.get(pred, ())
+        if args not in engine.runtimes[
+            placement.primary_node(args, engine.registry)
+        ].tables.get(pred, {})
+    ]
+
+
+#: Grids where, applied in arrival order, a retransmitted replica add
+#: behind its sub (or a sub behind the next add) left stale replicas:
+#: every logicJ cell, and logicH on (3, 4), (4, 4) and (4, 5).
+LOSSY_CELLS = [(3, 0), (3, 1), (3, 4), (4, 2), (4, 4), (4, 5)]
+
+
+def run_lossy(variant, m, seed):
+    net = GridNetwork(m, seed=seed, loss_rate=0.2, reliable=True)
+    eng, pred = build_sptree(net, root=0, variant=variant)
+    net.run_all()
+    assert stale_replicas(eng, pred) == []
+    return eng, net
 
 
 class TestLogicH:
@@ -92,6 +118,11 @@ class TestLogicH:
         assert set(report) == set(net.topology.node_ids)
         assert all(v > 0 for v in report.values())  # edges at least
 
+    @pytest.mark.parametrize("m,seed", LOSSY_CELLS)
+    def test_lossy_links_with_retransmission(self, m, seed):
+        eng, net = run_lossy("h", m, seed)
+        assert visible_rows(eng, "h") == expected_h(net, 0)
+
 
 class TestLogicJ:
     @pytest.mark.parametrize("m,root", [(4, 0), (5, 12)])
@@ -108,14 +139,14 @@ class TestLogicJ:
         net.run_all()
         assert visible_rows(eng, "j") == expected_j(net, root)
 
-    @pytest.mark.parametrize("m,seed", [(3, 0), (3, 1), (3, 4), (4, 2), (4, 4), (4, 5)])
+    @pytest.mark.parametrize("m,seed", LOSSY_CELLS)
     def test_lossy_links_with_retransmission(self, m, seed):
         """A retransmitted add can land behind its own sub; ranked by
-        firing stamps it stays cancelled.  Applied in arrival order,
-        every cell here kept stale j rows after the network quiesced."""
-        net = GridNetwork(m, seed=seed, loss_rate=0.2, reliable=True)
-        eng, _ = build_sptree(net, root=0, variant="j")
-        net.run_all()
+        firing stamps it stays cancelled, at the placement node and, as
+        the fact's rule -1 derivation, at every replica.  Applied in
+        arrival order, every cell here kept stale j rows after the
+        network quiesced."""
+        eng, net = run_lossy("j", m, seed)
         assert visible_rows(eng, "j") == expected_j(net, 0)
 
     def test_j_cheaper_than_h(self):
@@ -129,6 +160,51 @@ class TestLogicJ:
         net_j.run_all()
         assert net_j.metrics.total_messages < net_h.metrics.total_messages
         assert net_j.metrics.total_bytes < net_h.metrics.total_bytes
+
+
+class TestTombstoneExpiry:
+    def test_tombstone_outlives_every_add_it_outranks(self):
+        """A subtraction's tombstone stays while an add it outranks can
+        still land — a frame retransmitted to the end of its retry
+        horizon — and goes, with the fact it leaves empty, at the first
+        sweep past that horizon."""
+        net = GridNetwork(2, seed=1, reliable=True)
+        engine = LocalizedEngine(
+            "q(X) :- r(X, Y).", net, {"q": Placement(0), "r": Placement(1)}
+        ).install()
+        engine.seed(1, "r", (0, 1))  # fires at node 1: q(0) lives at node 0
+        net.run_all()
+        age = net.radio.max_hop_delay + net.tau_c  # one hop, retries included
+        assert engine._age == age
+        placed, args = engine.runtimes[0].placed, (Constant(0),)
+        ((_op, derivation, added),) = placed.get(("q", args)).ledger.values()
+        engine.retract(1, "r", (0, 1))
+        net.run_all()
+        ((op, _d, subbed),) = placed.get(("q", args)).ledger.values()
+        assert op == "sub" and visible_rows(engine, "q") == set()
+        # The add's last retransmission lands as late as it can.
+        net.run_until(added[0] + age)
+        assert engine.expire_all() == 0
+        engine._on_result(net.node(0), LocalResultMsg(
+            "q", args, derivation, (), "add", added
+        ))
+        assert placed.tombstones() == 1 and visible_rows(engine, "q") == set()
+        net.run_until(subbed[0] + 2 * age)
+        # q(0)'s tombstone and r(0, 1)'s (the retracted base fact at
+        # node 1), then the two facts they leave empty.
+        assert engine.expire_all() == 4
+        assert not any(len(rt.placed) for rt in engine.runtimes.values())
+
+    def test_lossy_run_expires_every_tombstone(self):
+        """Past the horizon a quiesced lossy run holds no tombstone, and
+        sweeping changed no row."""
+        eng, net = run_lossy("j", 4, 4)
+        rows = {p: visible_rows(eng, p) for p in eng.placements}
+        assert sum(rt.placed.tombstones() for rt in eng.runtimes.values()) > 0
+        net.run_until(net.now + 2 * eng._age)
+        eng.expire_all()
+        assert sum(rt.placed.tombstones() for rt in eng.runtimes.values()) == 0
+        assert {p: visible_rows(eng, p) for p in eng.placements} == rows
 
 
 class TestProceduralBaseline:
@@ -417,13 +493,13 @@ def stored_table(rows):
 
 
 def assert_fires_like_interpreter(engine, sent, tables, pred, args, op):
-    """Deliver a replica insert / delete of ``pred(args)`` at node 0 and
+    """Add / remove ('sub') the visible row ``pred(args)`` at node 0 and
     compare what the engine sends, in order, with the interpretive
     oracle run on the very tables the engine read (insertion order is
     the match order)."""
     live = {p: stored_table(rs) for p, rs in tables.items()}
     # an insert must be new, a delete must be stored
-    if op == "ins":
+    if op == "add":
         live[pred].pop(args, None)
     else:
         live[pred].setdefault(args, args)
@@ -431,14 +507,14 @@ def assert_fires_like_interpreter(engine, sent, tables, pred, args, op):
     del sent[:]
     raised = expected_error = None
     try:
-        engine.network.node(0).local_deliver(ReplicaMsg(pred, args, op))
+        engine._table_update(engine.network.node(0), pred, args, op)
     except Exception as exc:
         raised = type(exc)
     expected = []
     try:
         for rp, occurrence in engine.plan.positive_triggers.get(pred, ()):
             expected += [
-                (1, "out", head, used, negs, "add" if op == "ins" else "sub")
+                (1, "out", head, used, negs, op)
                 for head, used, negs in reference_fire(
                     rp, occurrence, live, args, engine.registry
                 )
@@ -466,7 +542,7 @@ class TestCompiledDeltaJoin:
             st.tuples(
                 st.sampled_from(sorted(engine.plan.positive_triggers)),
                 st.integers(0, 8),
-                st.sampled_from(["ins", "del"]),
+                st.sampled_from(["add", "sub"]),
             ),
             min_size=1, max_size=3,
         ))
@@ -498,7 +574,7 @@ class TestCompiledDeltaJoin:
             engine, sent = differential_engine(rule)
             for pred in engine.plan.positive_triggers:
                 for args in tables[pred]:
-                    for op in ("ins", "del"):
+                    for op in ("add", "sub"):
                         results += len(assert_fires_like_interpreter(
                             engine, sent, tables, pred, args, op
                         ))
@@ -511,7 +587,7 @@ class TestCompiledDeltaJoin:
         stored = (Constant(1.0), Constant(2))
         tables = {"a": [], "b": [stored], "c": []}
         assert_fires_like_interpreter(
-            engine, sent, tables, "a", (Constant(1), Constant(2)), "ins"
+            engine, sent, tables, "a", (Constant(1), Constant(2)), "add"
         )
         assert repr(sent[0][3][1]) == repr(("b", stored))
 

@@ -12,7 +12,7 @@ import pytest
 import repro
 
 from repro.core.terms import Constant
-from repro.dist.derived import DerivedFact, FactRef, WireDerivation
+from repro.dist.derived import DerivedFact, DerivedTable, FactRef, WireDerivation
 from repro.dist.gpa import (
     Candidate,
     GatherMsg,
@@ -197,7 +197,7 @@ class PlacementNode:
             engine._on_result(node, LocalResultMsg(
                 "q", self.ARGS, DERIVATION, (self.BLOCKER,), op, stamp
             ))
-        fact = runtime.placed[("q", self.ARGS)]
+        fact = runtime.placed.get(("q", self.ARGS))
         live = bool(fact.derivations)
         assert fact.visible == live == (self.ARGS in runtime.tables.get("q", {}))
         watching = {atom: list(w) for atom, w in runtime.watches.items() if w}
@@ -253,9 +253,18 @@ class TestDerivedFactLedger:
 
     def test_expire_forgets_tombstones_only(self):
         live, dead = WireDerivation(0, (ref(),)), WireDerivation(1, (ref(),))
-        fact = DerivedFact()
+        table = DerivedTable()
+        fact = table.fact("q", (Constant(0),))
         fact.apply("add", live, 0.1)
         fact.apply("sub", dead, 0.2)
-        assert fact.expire(0.1) == 0
-        assert fact.expire(0.2) == 1
+        assert table.expire(0.1) == 0
+        assert table.expire(0.2) == 1
         assert set(fact.ledger) == set(fact.derivations) == {live}
+        assert table.memory_tuples() == 1
+
+    def test_expire_drops_a_fact_it_leaves_empty(self):
+        table = DerivedTable()
+        table.fact("q", (Constant(0),)).apply("sub", DERIVATION, 0.2)
+        assert table.memory_tuples() == 2 and table.tombstones() == 1
+        assert table.expire(0.2) == 2  # the tombstone, then its fact
+        assert len(table) == 0 and table.get(("q", (Constant(0),))) is None
