@@ -225,7 +225,10 @@ def _worker_init(telemetry_name: Optional[str]) -> None:
     when it exits, so parallel runs keep per-worker manifests instead
     of silently dropping telemetry on the floor.  Registered through
     ``multiprocessing.util.Finalize`` — pool workers leave via
-    ``os._exit`` and never run plain ``atexit`` handlers."""
+    ``os._exit`` and never run plain ``atexit`` handlers.  A forked
+    worker starts from an empty registry and trace: what the parent
+    recorded before the fork is the parent's to report."""
+    obs.reset()
     if telemetry_name and obs.enabled():
         multiprocessing.util.Finalize(
             None, _dump_worker_telemetry,

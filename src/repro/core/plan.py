@@ -630,6 +630,7 @@ class PlanCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        _inst.own(self)
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -640,12 +641,8 @@ class PlanCache:
             plan = self._plans.get(key)
             if plan is not None:
                 self.hits += 1
-                if _obs.enabled:
-                    _inst.plan_cache_hits.inc()
                 return plan
             self.misses += 1
-            if _obs.enabled:
-                _inst.plan_cache_misses.inc()
             plan = CompiledPlan(rule)
             if len(self._plans) >= _MAX_PLANS:
                 # FIFO eviction: drop the oldest insertion.
@@ -653,7 +650,13 @@ class PlanCache:
             self._plans[key] = plan
             return plan
 
+    def tallies(self):
+        """Folded telemetry counts (:func:`repro.obs.instrument.own`)."""
+        yield _inst.plan_cache_hits, (), self.hits
+        yield _inst.plan_cache_misses, (), self.misses
+
     def clear(self) -> None:
+        _inst.catch_up(self, zero=True)  # telemetry keeps what it saw
         with self._lock:
             self._plans.clear()
         self.hits = 0

@@ -44,6 +44,7 @@ per-row ref caches.
 
 from __future__ import annotations
 
+import sys
 from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional
 
@@ -63,8 +64,8 @@ from .columnar import (
 from .derivations import FiringBatch
 from .plan import _ARITH, _ASSIGN, _CALL, _CMP, _NOT, _SLOT, _TEST, _VALUE
 
-#: Module-level mirror of the obs counters, always on (cheap) so tests
-#: and benchmarks can read vectorization coverage without telemetry.
+#: Vectorization coverage, always counted (cheap): tests and benchmarks
+#: read it directly, and three obs families catch up from it.
 VECTOR_STATS = {
     "batch_calls": 0,
     "batch_rows": 0,
@@ -72,6 +73,17 @@ VECTOR_STATS = {
     "fallback_steps": 0,
     "emit_dedup_rows": 0,
 }
+
+
+def tallies():
+    """Folded telemetry counts (:func:`repro.obs.instrument.own`); this
+    module is their owner."""
+    yield _inst.batch_rows, (), VECTOR_STATS["batch_rows"]
+    yield _inst.vectorized_steps, (), VECTOR_STATS["vectorized_steps"]
+    yield _inst.fallback_steps, (), VECTOR_STATS["fallback_steps"]
+
+
+_inst.own(sys.modules[__name__])
 
 #: Result batches below this row count skip the id-space head dedup —
 #: np.unique's sort costs more than the saved tuple materializations.
@@ -620,8 +632,6 @@ def execute_batch(
                    else FiringBatch.of(rule_id, ()))
     except _Fallback:
         VECTOR_STATS["fallback_steps"] += 1
-        if _obs.enabled:
-            _inst.fallback_steps.inc()
         return None
     for rel, probes, scans in counters.values():
         rel.probes += probes
@@ -629,11 +639,8 @@ def execute_batch(
     VECTOR_STATS["batch_calls"] += 1
     VECTOR_STATS["batch_rows"] += len(results.index)
     VECTOR_STATS["vectorized_steps"] += ops_run
-    if _obs.enabled:
-        _inst.batch_rows.inc(len(results.index))
-        _inst.vectorized_steps.inc(ops_run)
-        if state.stats[0]:
-            _inst.join_selectivity.labels(rule=plan.label).observe(
-                state.stats[1] / state.stats[0]
-            )
+    if _obs.enabled and state.stats[0]:
+        _inst.join_selectivity.labels(rule=plan.label).observe(
+            state.stats[1] / state.stats[0]
+        )
     return results

@@ -50,7 +50,7 @@ from ..net.messages import Message
 from ..net.network import SensorNetwork
 from ..obs import instrument as _inst
 from ..obs import state as _obs
-from ..obs.spans import span as _span
+from ..obs.spans import CountedHandler, span as _span
 from ..net.node import Node
 from ..streams.tuples import ArgsTuple, StreamTuple, TupleID
 from ..streams.windows import SlidingWindow, WindowParams
@@ -348,30 +348,6 @@ class NodeRuntime:
         return resident
 
 
-class _TelemetryDispatch:
-    """A phase handler wrapped with a span + message counter; the
-    disabled path is a single flag check per message.  A picklable
-    callable (not a closure) because node handler tables ride inside
-    shard checkpoints."""
-
-    __slots__ = ("engine", "phase", "handler")
-
-    def __init__(self, engine: "GPAEngine", phase: str, handler):
-        self.engine = engine
-        self.phase = phase
-        self.handler = handler
-
-    def __call__(self, node: Node, msg: Message) -> None:
-        if not _obs.enabled:
-            self.handler(node, msg)
-            return
-        _inst.gpa_messages.labels(
-            phase=self.phase, strategy=self.engine.strategy_name
-        ).inc()
-        with _span(f"gpa.{self.phase}", sim=self.engine.network.sim, node=node.id):
-            self.handler(node, msg)
-
-
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -504,6 +480,13 @@ class GPAEngine:
         self._gather_counter = itertools.count()
         self.runtimes: Dict[int, NodeRuntime] = {}
         self._installed = False
+        _inst.own(self)
+
+    def tallies(self):
+        """Folded telemetry counts (:func:`repro.obs.instrument.own`)."""
+        yield _inst.pipeline_streamed, (), self.streamed_derivations
+        yield _inst.ght_failovers, (), self.ght_failovers
+        yield _inst.ght_resyncs, (), self.resyncs
 
     # -- installation -----------------------------------------------------
 
@@ -520,7 +503,10 @@ class GPAEngine:
             ("gpa_migrate", "placement", self._on_migrate),
         ]
         wrapped = [
-            (kind + self._kind_suffix, _TelemetryDispatch(self, phase, handler))
+            (kind + self._kind_suffix, CountedHandler(
+                handler, _inst.gpa_messages.name, f"gpa.{phase}",
+                {"phase": phase, "strategy": self.strategy_name},
+            ))
             for kind, phase, handler in handlers
         ]
         for node in self.network.nodes.values():
@@ -1150,8 +1136,6 @@ class GPAEngine:
         # (idempotent); a rule without negation has none to make.
         if token.rule_id in self._streamed_rules:
             self.streamed_derivations += 1
-            if _obs.enabled:
-                _inst.pipeline_streamed.inc()
         self._emit(node, rp, head_args, derivation, result_op,
                    token.stamp(self.window_params.join_delay))
 
@@ -1188,8 +1172,6 @@ class GPAEngine:
             targets = [r for r in replica_set if radio.is_alive(r)]
             if targets and targets[0] != replica_set[0]:
                 self.ght_failovers += 1
-                if _obs.enabled:
-                    _inst.ght_failovers.inc()
         for target in targets:
             self._post(node, target, ResultMsg(pred, head_args, derivation, op, ts))
 
@@ -1310,8 +1292,6 @@ class GPAEngine:
                         continue
                     synced.add((pred, args))
                     self.resyncs += 1
-                    if _obs.enabled:
-                        _inst.ght_resyncs.inc()
                     for ident, derivation in list(fact.derivations.items()):
                         self._post(runtime.node, recovered, ResultMsg(
                             pred, args, derivation, "add",

@@ -54,7 +54,7 @@ from ..net.network import SensorNetwork
 from ..net.node import Node
 from ..obs import instrument as _inst
 from ..obs import state as _obs
-from ..obs.spans import span as _span
+from ..obs.spans import CountedHandler
 from ..streams.tuples import ArgsTuple, TupleID
 from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
 from .plans import DeltaJoin, DistributedPlan
@@ -231,26 +231,17 @@ class LocalizedEngine:
                  for p, js in self.plan.delta_joins.items()}
             for op, last in (("add", False), ("sub", True))
         }
-        on_result = self._with_telemetry("loc_result", self._on_result)
-        on_replica = self._with_telemetry("loc_replica", self._on_result)
+        on_result, on_replica = (
+            CountedHandler(self._on_result, _inst.localized_messages.name,
+                           kind, {"kind": kind})
+            for kind in ("loc_result", "loc_replica")
+        )
         for node in self.network.nodes.values():
             self.runtimes[node.id] = LocalRuntime()
             node.register_handler("loc_result", on_result)
             node.register_handler("loc_replica", on_replica)
         self._installed = True
         return self
-
-    def _with_telemetry(self, kind: str, handler):
-        """Count and span each handled message (single flag check when
-        telemetry is off)."""
-        def dispatch(node: Node, msg: Message) -> None:
-            if not _obs.enabled:
-                handler(node, msg)
-                return
-            _inst.localized_messages.labels(kind=kind).inc()
-            with _span(kind, sim=self.network.sim, node=node.id):
-                handler(node, msg)
-        return dispatch
 
     # -- seeding / external inserts -------------------------------------------
 

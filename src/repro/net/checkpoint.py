@@ -54,6 +54,7 @@ import time
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
+from ..obs import instrument as _inst
 from . import messages
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -139,10 +140,13 @@ def restore(blob: bytes, topology: "Topology") -> "ShardWorker":
     """Rebuild a worker from a snapshot, rebinding the topology stubs
     to ``topology`` and rewinding the process-global msg-id counter to
     the snapshot's cursor (so replayed sends reuse their original
-    ids)."""
+    ids).  Telemetry counts what the worker does from here on."""
     state: Dict[str, Any] = _Unpickler(io.BytesIO(blob), topology).load()
     messages.set_msg_id_base(state["msg_id"])
-    return state["worker"]
+    worker = state["worker"]
+    for owner in (worker.network.metrics, worker.network.radio, worker.engine):
+        _inst.own(owner)
+    return worker
 
 
 class CheckpointStore:

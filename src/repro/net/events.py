@@ -3,10 +3,10 @@
 Every radio-layer occurrence — physical (``tx``/``rx``/``drop``/
 ``collision``) and transport-level (``ack``/``retry``/``dup``/
 ``give_up``) — is published as one typed :class:`RadioEvent` to every
-subscribed observer.  The tracer (:mod:`repro.net.trace`) and the
-telemetry bridge (:func:`repro.obs.instrument.observe_radio_event`)
-are both plain observers; new consumers subscribe with
-:meth:`Radio.subscribe` instead of growing yet another hook.  (The
+subscribed observer — built only when there is one.  The tracer
+(:mod:`repro.net.trace`) is a plain observer; new consumers subscribe
+with :meth:`Radio.subscribe` instead of growing yet another hook.
+Telemetry catches up from the radio's own counts instead.  (The
 legacy ``Radio.listeners`` 5-tuple shim that predated this protocol
 has been removed — see DESIGN.md, "messaging v2".)
 """
@@ -16,11 +16,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .messages import Message
-
-#: Physical-layer event kinds.
-PHYSICAL_EVENTS = ("tx", "rx", "drop")
-#: Transport/contention event kinds (observer protocol only).
-TRANSPORT_EVENTS = ("collision", "ack", "retry", "dup", "give_up")
 
 
 class RadioEvent(NamedTuple):

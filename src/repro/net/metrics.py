@@ -6,6 +6,8 @@ kill networks: nodes near a central server die first, Section III-A),
 and energy.  Every radio transmission/reception is recorded here with a
 free-form category ("storage", "join", "result", "control", ...) so
 benchmarks can break costs down by phase.
+``repro.obs``'s radio and transport families catch up from the
+collector a :class:`~repro.net.radio.Radio` records into.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Optional
 
+from ..obs import instrument as _inst
 from .energy import EnergyModel
 
 
@@ -25,6 +28,7 @@ class MetricsCollector:
         self.reset()
 
     def reset(self) -> None:
+        _inst.catch_up(self, zero=True)  # telemetry keeps what it saw
         if not hasattr(self, "tx_count"):
             self.tx_count: Dict[int, int] = defaultdict(int)
             self.rx_count: Dict[int, int] = defaultdict(int)
@@ -48,6 +52,17 @@ class MetricsCollector:
         self.retries = 0
         self.dup_suppressed = 0
         self.retry_exhausted = 0
+
+    def tallies(self):
+        """Folded telemetry counts (:func:`repro.obs.instrument.own`)."""
+        for category, n in self.category_tx.items():
+            yield _inst.radio_tx, (category,), n
+        yield _inst.radio_rx, (), sum(self.rx_count.values())
+        yield _inst.radio_drops, (), self.dropped
+        yield _inst.radio_acks, (), self.acks
+        yield _inst.radio_retries, (), self.retries
+        yield _inst.radio_dup_suppressed, (), self.dup_suppressed
+        yield _inst.radio_retry_exhausted, (), self.retry_exhausted
 
     # -- recording ------------------------------------------------------
 

@@ -22,7 +22,8 @@ Two delivery modes:
 
 All radio-layer occurrences are published as typed
 :class:`~repro.net.events.RadioEvent`\\ s to subscribed observers (the
-tracer and the telemetry bridge are both observers).  The legacy
+tracer is one), none when nobody is; telemetry catches up from the
+layer's own counts.  The legacy
 ``listeners`` 5-tuple hook and the ``category=`` send keyword were
 removed after their deprecation cycle (see DESIGN.md, "messaging v2").
 """
@@ -148,10 +149,8 @@ class Radio:
         # down link are dropped at the sender, like any other loss.
         self._down_links: set = set()
         #: RadioEvent observers (the one subscription point for traces,
-        #: telemetry, tests, ...).  subscribe / unsubscribe keep
-        #: ``_watched``: whether anyone but the telemetry bridge listens.
+        #: tests, ...).
         self.observers: List[RadioObserver] = []
-        self._watched = False
         # First-order contention model (TOSSIM-ish CSMA behaviour): a
         # frame whose airtime at the receiver overlaps a frame from a
         # *different* sender is lost (the earlier frame captures the
@@ -164,23 +163,22 @@ class Radio:
         #: Default delivery mode for transmissions that don't say.
         self.reliable = reliable
         self.transport = ReliableTransport(self, transport or TransportConfig())
-        # The telemetry bridge is an ordinary observer (it early-returns
-        # when telemetry is off).
-        self.subscribe(_inst.observe_radio_event)
+        _inst.own(metrics)
+        _inst.own(self)
+
+    def tallies(self):
+        """Folded telemetry counts (:func:`repro.obs.instrument.own`)."""
+        yield _inst.radio_collisions, (), self.collision_count
 
     # -- observers --------------------------------------------------------
 
     def subscribe(self, observer: RadioObserver) -> RadioObserver:
         """Register an observer for every :class:`RadioEvent`."""
         self.observers.append(observer)
-        self._watched = self._watched or observer is not _inst.observe_radio_event
         return observer
 
     def unsubscribe(self, observer: RadioObserver) -> None:
         self.observers.remove(observer)
-        self._watched = any(
-            o is not _inst.observe_radio_event for o in self.observers
-        )
 
     def _emit(
         self,
@@ -191,10 +189,9 @@ class Radio:
         attempt: int = 0,
         detail: str = "",
     ) -> None:
-        # Telemetry off and only the auto-subscribed telemetry bridge
-        # listening (it would no-op anyway): build no RadioEvent.  The
-        # two frame halves test this themselves before they call.
-        if not (self._watched or _obs.enabled):
+        # Nobody listening: build no RadioEvent.  The two frame halves
+        # test this themselves before they call.
+        if not self.observers:
             return
         ev = RadioEvent(
             time=self.sim.now,
@@ -393,7 +390,7 @@ class Radio:
             return None  # dead nodes transmit nothing
         size = message.size_bytes
         self.metrics.record_tx(src_id, size, message.category)
-        if self._watched or _obs.enabled:
+        if self.observers:
             self._emit("tx", src_id, dst_id, message)
         if self.battery_capacity is not None:
             self._check_battery(src_id)
@@ -450,13 +447,13 @@ class Radio:
             self._drop(src_id, dst_id, message, reason="dead")
             return  # died while the frame was in the air
         self.metrics.record_rx(dst_id, message.size_bytes)
-        if self._watched or _obs.enabled:
+        if self.observers:
             self._emit("rx", src_id, dst_id, message)
         if self.battery_capacity is not None:
             self._check_battery(dst_id)
         deliver(message)
 
     def _drop(self, src: int, dst: int, message: Message, reason: str = "") -> None:
-        """One lost message: metrics, observers, telemetry."""
+        """One lost message: metrics and observers."""
         self.metrics.record_drop()
         self._emit("drop", src, dst, message, detail=reason)

@@ -730,7 +730,9 @@ def _worker_main(conn, spec, topology, own_ids, shard_id,
     msg-id counter onto the shard's stride; a restore instead rewinds
     it to the snapshot's cursor, so replayed sends reuse the exact ids
     the pre-crash execution handed out (remote shards hold acks and
-    dedup entries keyed on them)."""
+    dedup entries keyed on them).  Either way the worker's telemetry
+    starts empty: the forked registry and trace are the parent's."""
+    obs.reset()
     try:
         if restore is None:
             set_msg_id_base(shard_id * _MSG_ID_STRIDE)

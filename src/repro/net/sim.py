@@ -91,9 +91,7 @@ class Simulator:
             if processed:
                 _inst.sim_events.inc(processed)
                 _inst.sim_queue_hwm.set_max(self.queue_hwm)
-            # Radio-event counts buffer during the hot loop; drain them
-            # whenever the simulation hands control back.
-            _inst.flush_counters()
+            _inst.catch_up()  # the folded families, as control returns
         return processed
 
     def run_all(self, max_events: int = 10_000_000) -> int:

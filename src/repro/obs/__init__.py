@@ -47,19 +47,23 @@ from .registry import (
     log_buckets,
 )
 from .spans import Span, current_span, span
+from . import instrument as _inst  # after spans: keeps family order stable
 
 if os.environ.get("REPRO_TELEMETRY", "").strip() not in ("", "0", "false"):
     state.enabled = True
 
 
 def enable() -> None:
-    """Turn telemetry on for the whole process."""
+    """Turn telemetry on for the whole process (counts the layers made
+    while it was off stay out of the registry)."""
+    _inst.catch_up()
     state.enabled = True
 
 
 def disable() -> None:
     """Turn telemetry off (existing metrics/trace are kept until
     :func:`reset`)."""
+    _inst.catch_up()
     state.enabled = False
 
 
@@ -71,9 +75,7 @@ def enabled() -> bool:
 def reset() -> None:
     """Zero all metrics and drop the collected trace (the flag is
     untouched) — call between runs that share a process."""
-    from . import instrument as _inst
-
-    _inst.discard_buffers()  # pending hot-loop counts die with the run
+    _inst.catch_up()  # counts not yet absorbed die with the run
     REGISTRY.reset()
     SINK.clear()
 

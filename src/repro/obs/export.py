@@ -112,9 +112,9 @@ def _fmt_num(value) -> str:
 
 def prometheus_snapshot(registry: Registry = REGISTRY) -> str:
     """Render every registered series in Prometheus text format."""
-    from . import instrument as _inst  # late: avoids import-order knots
+    from . import instrument as _inst  # late: keeps family order stable
 
-    _inst.flush_counters()  # drain buffered hot-loop counts first
+    _inst.catch_up()  # the folded families, level with their owners
     lines: List[str] = []
     for family in registry.families():
         lines.append(f"# HELP {family.name} {family.help}")

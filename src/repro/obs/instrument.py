@@ -16,6 +16,9 @@ it is pulled in by ``repro.core`` and ``repro.net`` at import time.
 
 from __future__ import annotations
 
+import threading
+import weakref
+
 from . import state as _state
 from .registry import COUNT_BUCKETS, REGISTRY
 
@@ -137,64 +140,6 @@ radio_retry_exhausted = REGISTRY.counter(
 )
 
 
-#: Radio event kind -> unlabeled counter family it feeds.
-_RADIO_EVENT_FAMILIES = {
-    "rx": radio_rx,
-    "drop": radio_drops,
-    "collision": radio_collisions,
-    "ack": radio_acks,
-    "retry": radio_retries,
-    "dup": radio_dup_suppressed,
-    "give_up": radio_retry_exhausted,
-}
-
-# Hot-loop buffers: every radio frame produces 2+ events, and going
-# through Family.labels()/Counter.inc() per event measurably drags the
-# simulator when telemetry is on.  Events accumulate in plain dicts and
-# drain into the registry in bulk — at the end of every Simulator.run()
-# and before any registry read (snapshot/export/reset).
-_radio_event_buffer: dict = {}
-_radio_tx_buffer: dict = {}
-
-
-def observe_radio_event(event) -> None:
-    """The telemetry bridge: an ordinary RadioEvent observer mapping
-    radio-layer events onto the metric families above.  Subscribed by
-    every Radio at construction; a single flag check when telemetry is
-    off.  Takes any object with ``event``/``category`` attributes so
-    this module stays free of repro.net imports.
-
-    Counts are *buffered* (see :func:`flush_counters`); readers going
-    through :mod:`repro.obs.export` never see the buffers, but code
-    peeking at ``REGISTRY`` directly mid-run should flush first.
-    """
-    if not _state.enabled:
-        return
-    kind = event.event
-    if kind == "tx":
-        cat = event.category
-        _radio_tx_buffer[cat] = _radio_tx_buffer.get(cat, 0) + 1
-    elif kind in _RADIO_EVENT_FAMILIES:
-        _radio_event_buffer[kind] = _radio_event_buffer.get(kind, 0) + 1
-
-
-def flush_counters() -> None:
-    """Drain the buffered hot-loop counts into their registry families."""
-    if _radio_tx_buffer:
-        for cat, n in _radio_tx_buffer.items():
-            radio_tx.labels(category=cat).inc(n)
-        _radio_tx_buffer.clear()
-    if _radio_event_buffer:
-        for kind, n in _radio_event_buffer.items():
-            _RADIO_EVENT_FAMILIES[kind].inc(n)
-        _radio_event_buffer.clear()
-
-
-def discard_buffers() -> None:
-    """Drop buffered counts without recording them (registry reset)."""
-    _radio_tx_buffer.clear()
-    _radio_event_buffer.clear()
-
 # -- net.faults / recovery (fault injection, E20) ---------------------------
 
 node_crashes = REGISTRY.counter(
@@ -218,7 +163,8 @@ ght_failovers = REGISTRY.counter(
 )
 ght_resyncs = REGISTRY.counter(
     "repro_ght_resyncs_total",
-    "Anti-entropy re-syncs pulled by recovered replica holders",
+    "Anti-entropy transfers to recovered nodes (derived facts pulled "
+    "from replica holders, window tuples from storage-region mates)",
 )
 tree_repairs = REGISTRY.counter(
     "repro_tree_repairs_total",
@@ -318,3 +264,41 @@ serve_load_imbalance = REGISTRY.gauge(
     "repro_serve_load_imbalance",
     "Last epoch's network-wide transmission-load imbalance (max/mean)",
 )
+
+
+# -- folded families ---------------------------------------------------------
+#
+# The radio, transport, vectorizer, plan-cache and three GPA families
+# count nothing themselves.  Each catches up from a count its layer
+# keeps anyway — an owner's ``tallies()``: ``(family, label values,
+# count)`` — at Simulator.run()'s exit and when obs snapshots,
+# resets or flips its switch; counts made while it is off stay out.
+
+#: owner -> {(family, label values): the count the registry absorbed};
+#: under ``_lock``, as engines may be built in other threads than runs.
+_absorbed = weakref.WeakKeyDictionary()
+_lock = threading.Lock()
+
+
+def own(owner) -> None:
+    """Fold the counts ``owner`` makes from now on into the registry."""
+    with _lock:
+        _absorbed[owner] = {(f, v): n for f, v, n in owner.tallies()}
+
+
+def catch_up(*owners, zero: bool = False) -> None:
+    """Add what the named owners (by default every live one) counted
+    since their last catch-up.  ``zero``: they are about to zero their
+    counts.  A collected owner stops adding; no family goes back."""
+    record = _state.enabled
+    with _lock:
+        for owner in owners or list(_absorbed):
+            seen = _absorbed.get(owner)
+            if seen is None:
+                continue  # not an owner (a merged or standalone collector)
+            for family, values, n in owner.tallies():
+                key = (family, values)
+                if record and n > seen.get(key, 0):
+                    labels = dict(zip(family.labelnames, values))
+                    family.labels(**labels).inc(n - seen.get(key, 0))
+                seen[key] = 0 if zero else n

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import time
 from contextvars import ContextVar
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import state
 from .export import SINK
@@ -124,3 +124,24 @@ def current_span() -> Optional[Span]:
     """The innermost open span in this context, if any."""
     stack = _stack.get()
     return stack[-1] if stack else None
+
+
+class CountedHandler(NamedTuple):
+    """A node message handler that, with telemetry on, counts each
+    message in the counter family named ``family`` and handles it inside
+    span ``name`` (one flag check per message when off).  Node handler
+    tables ride inside shard checkpoints: it looks its family up per
+    message, as a held registry child would be copied by the pickle."""
+
+    handler: Callable
+    family: str
+    name: str
+    labels: dict
+
+    def __call__(self, node, msg) -> None:
+        if not state.enabled:
+            self.handler(node, msg)
+            return
+        REGISTRY.get(self.family).labels(**self.labels).inc()
+        with span(self.name, sim=node.network.sim, node=node.id):
+            self.handler(node, msg)

@@ -365,13 +365,9 @@ class TestObservability:
         if not was:
             obs.disable()
 
-    def test_streamed_and_release_counters(self, telemetry):
+    def test_release_counters(self, telemetry):
         program, heads, gen = WORKLOADS["join2"]
-        engine = run_mode(program, gen(random.Random(17)), "pipelined")
-        streamed = obs.REGISTRY.get(
-            "repro_pipeline_streamed_derivations_total"
-        )
-        assert streamed.value == engine.streamed_derivations > 0
+        run_mode(program, gen(random.Random(17)), "pipelined")
         verdicts = obs.REGISTRY.get("repro_coordfree_programs_total")
         assert verdicts.labels(verdict="stream").value == 1
         lat = obs.REGISTRY.get("repro_phase_latency_seconds")

@@ -17,11 +17,15 @@ Two pillars:
 """
 
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.eval import Database, evaluate
+from repro.core.parser import parse_program
 from repro.net.messages import Message
 from repro.net.network import SensorNetwork
 from repro.net.shard import (
@@ -302,3 +306,46 @@ class TestShardRadio:
         for link, arrivals in per_link.items():
             assert arrivals == sorted(arrivals), link
             assert len(set(arrivals)) == len(arrivals), link
+
+
+def _samples(path, family):
+    """Sum of one family's samples in a Prometheus text snapshot."""
+    with open(path) as f:
+        return sum(
+            float(line.rsplit(" ", 1)[1]) for line in f
+            if re.match(rf"{family}(\{{|\s)", line)
+        )
+
+
+class TestWorkerTelemetry:
+    def test_forked_workers_start_empty(self, tmp_path):
+        """A forked shard worker reports its own shard only: none of the
+        rule firings or spans its parent recorded before the fork, but
+        all the frames its own shard sent."""
+        was = obs.enabled()
+        obs.enable()
+        obs.reset()
+        try:
+            db = Database()
+            db.assert_fact("p", (1,))
+            evaluate(parse_program("q(X) :- p(X)."), db)
+            parent_spans = {r["span_id"] for r in obs.SINK.records
+                            if r["type"] == "span"}
+            assert parent_spans
+            spec = grid_spec()
+            spec.telemetry_name, spec.telemetry_dir = "t", str(tmp_path)
+            report = run(spec, shards=2)
+        finally:
+            obs.reset()
+            if not was:
+                obs.disable()
+        shard_files = [tmp_path / f"t.shard{i}" for i in range(2)]
+        tx = 0
+        for stem in shard_files:
+            prom = f"{stem}.metrics.prom"
+            assert _samples(prom, "repro_rule_firings_total") == 0
+            tx += _samples(prom, "repro_radio_tx_total")
+            spans = {r.get("span_id") for r in
+                     obs.read_jsonl(f"{stem}.trace.jsonl")}
+            assert not spans & parent_spans
+        assert tx == report.metrics.total_messages > 0

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.net import checkpoint
 from repro.net.faults import FaultSchedule
 from repro.net.shard import (
@@ -108,6 +109,28 @@ class TestWorkerKillRecovery:
         assert report.fingerprint() == baseline(name).fingerprint()
         (recovery,) = report.supervision["recoveries"]
         assert recovery["replayed"] == 5
+
+    def test_restored_worker_counts_on(self):
+        """A worker restored from a snapshot feeds telemetry from there
+        on: with its replayed windows sent twice, the run's radio
+        family holds at least every frame the report counts."""
+        name = "e1-grid-join"
+        faults = FaultSchedule().worker_kill(shard=1, at_window=6)
+        was = obs.enabled()
+        obs.enable()
+        obs.reset()
+        try:
+            report = run(SPECS[name], shards=4, inline=True,
+                         checkpoint_every=2, max_restarts=1, faults=faults)
+            obs.prometheus_snapshot()
+            tx = obs.REGISTRY.get("repro_radio_tx_total")
+            sent = sum(child.value for _v, child in tx.series())
+        finally:
+            obs.reset()
+            if not was:
+                obs.disable()
+        assert report.supervision["restarts"] == 1
+        assert sent >= report.metrics.total_messages > 0
 
     def test_disk_checkpoints_recover_identically(self):
         name = "e1-grid-join"
