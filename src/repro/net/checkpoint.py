@@ -18,9 +18,10 @@ replay's outcome depends on, and nothing tied to the dead process:
   ``functools.partial`` of one, never a closure, precisely so this
   pickle works: see the partial-not-lambda notes in ``radio.py``,
   ``transport.py``, ``dist/gpa.py``);
-* the position of the process-global msg-id counter, so messages
-  created during replay reuse the ids the pre-crash execution handed
-  out (remote shards hold acks and dedup entries keyed on them).
+* the worker's msg-id cursor (:attr:`ShardWorker.msg_id`, which
+  :func:`~repro.net.shard.serve` keeps current), so messages created
+  during replay reuse the ids the pre-crash execution handed out
+  (remote shards hold acks and dedup entries keyed on them).
 
 What a snapshot deliberately does **not** carry is the topology: it is
 immutable, shared by every worker, and potentially huge (the 100k-node
@@ -51,11 +52,10 @@ import os
 import pickle
 import tempfile
 import time
-from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
 from ..obs import instrument as _inst
-from . import messages
 
 if TYPE_CHECKING:  # pragma: no cover
     from .shard import ShardWorker
@@ -102,16 +102,6 @@ class _Unpickler(pickle.Unpickler):
         raise CheckpointError(f"unknown persistent id {pid!r} in checkpoint")
 
 
-def msg_id_cursor() -> int:
-    """The current position of the process-global msg-id counter,
-    read without disturbing the id sequence: peek one id off the
-    counter, then rebase the counter so the very same id is issued
-    again by the next message."""
-    position = next(messages._msg_counter)
-    messages.set_msg_id_base(position)
-    return position
-
-
 def capture(worker: "ShardWorker") -> Tuple[bytes, float]:
     """Snapshot ``worker`` at a window barrier.
 
@@ -121,13 +111,8 @@ def capture(worker: "ShardWorker") -> Tuple[bytes, float]:
     """
     started = time.perf_counter()
     buffer = io.BytesIO()
-    state = {
-        "worker": worker,
-        "msg_id": msg_id_cursor(),
-        "window": worker.windows_run,
-    }
     try:
-        _Pickler(buffer, worker.network.topology).dump(state)
+        _Pickler(buffer, worker.network.topology).dump(worker)
     except Exception as exc:
         raise CheckpointError(
             f"shard {worker.shard_id} state is not snapshot-serializable: "
@@ -138,12 +123,10 @@ def capture(worker: "ShardWorker") -> Tuple[bytes, float]:
 
 def restore(blob: bytes, topology: "Topology") -> "ShardWorker":
     """Rebuild a worker from a snapshot, rebinding the topology stubs
-    to ``topology`` and rewinding the process-global msg-id counter to
-    the snapshot's cursor (so replayed sends reuse their original
-    ids).  Telemetry counts what the worker does from here on."""
-    state: Dict[str, Any] = _Unpickler(io.BytesIO(blob), topology).load()
-    messages.set_msg_id_base(state["msg_id"])
-    worker = state["worker"]
+    to ``topology``; its msg-id cursor comes back with it (so replayed
+    sends reuse their original ids).  Telemetry counts what the worker
+    does from here on."""
+    worker: "ShardWorker" = _Unpickler(io.BytesIO(blob), topology).load()
     for owner in (worker.network.metrics, worker.network.radio, worker.engine):
         _inst.own(owner)
     return worker

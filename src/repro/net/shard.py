@@ -44,6 +44,15 @@ event queue — across worker processes:
   number no partitioned run can reproduce; the identity guarantee
   therefore assumes ``delay_jitter > 0``, the default.)
 
+* **One worker path.**  Every run goes through :class:`ShardWorker`.
+  The single-process run (``shards=None``) is one worker that owns every
+  node on the plain :class:`Radio`, run to quiescence.  A sharded
+  run's workers answer the coordinator's five commands (start, window,
+  replay, checkpoint, finish) through one function, :func:`serve`,
+  either in forked processes over a pipe or, with ``inline=True``, in
+  this process over a connection that pickles every command and reply
+  exactly as the pipe does.  The transport is the only difference.
+
 * **Supervision and recovery.**  The coordinator doubles as a
   supervisor: with ``checkpoint_every=k`` every worker snapshots its
   replayable state (:mod:`repro.net.checkpoint`) at every k-th window
@@ -74,14 +83,13 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
-import itertools
 import multiprocessing
 import os
 import pickle
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
@@ -111,11 +119,11 @@ ACK = "ack"
 #: engine on arrival.
 TRACK_DELIVERY = "status:gpa-track-delivery"
 
-#: msg-id range carved out per worker (process *and* inline: inline
-#: handles scope the process-global counter per shard so restarts can
-#: rewind one shard's ids without touching its peers'): ids only need
-#: global uniqueness (transport dedup keys on ``(sender, msg_id)``),
-#: never density, so each worker counts from ``shard_id << 40``.
+#: msg-id range carved out per worker (:func:`serve` scopes the
+#: process-global counter to the worker, so restarts can rewind one
+#: shard's ids without touching its peers'): ids only need global
+#: uniqueness (transport dedup keys on ``(sender, msg_id)``), never
+#: density, so each worker counts from ``shard_id << 40``.
 _MSG_ID_STRIDE = 1 << 40
 
 #: Events a heartbeating worker runs between beats.  Small enough that
@@ -163,13 +171,6 @@ class _WorkerDeath(Exception):
         self.cause = cause  # "crash" | "hang"
         self.detail = detail
         super().__init__(detail)
-
-
-def default_shards(topology: Topology) -> int:
-    """The shard count ``shards="auto"`` resolves to: one worker per
-    available CPU, capped by the node count (an empty worker would
-    just add barrier latency)."""
-    return max(1, min(os.cpu_count() or 1, len(topology)))
 
 
 @dataclass(frozen=True)
@@ -428,34 +429,38 @@ class ShardRadio(Radio):
 # ---------------------------------------------------------------------------
 
 
-def _build_engine(spec: WorkloadSpec, network: SensorNetwork) -> GPAEngine:
-    return GPAEngine(
-        spec.program, network, strategy=spec.strategy, window=spec.window,
-        scheme=spec.scheme, **dict(spec.strategy_kwargs),
-    ).install()
-
-
 class ShardWorker:
     """One shard's event loop: a partition-local network + engine, run
-    window by window under the coordinator's conservative bounds."""
+    window by window under the coordinator's conservative bounds.
+
+    ``own_ids=None`` builds the whole network on the plain
+    :class:`Radio` instead: the single-process run, which
+    ``run(spec, shards=None)`` drives to quiescence in one window."""
 
     def __init__(self, spec: WorkloadSpec, topology: Topology,
-                 own_ids: Set[int], shard_id: int):
+                 own_ids: Optional[Set[int]] = None,
+                 shard_id: Optional[int] = None):
         self.spec = spec
         self.shard_id = shard_id
         self.network = SensorNetwork(
             topology, seed=spec.seed, routing=spec.routing,
-            frame_rng="keyed", node_subset=own_ids, radio_cls=ShardRadio,
+            frame_rng="keyed", node_subset=own_ids,
+            radio_cls=Radio if own_ids is None else ShardRadio,
             **_net_kwargs(spec),
         )
         self.radio: ShardRadio = self.network.radio  # type: ignore[assignment]
-        self.engine = _build_engine(spec, self.network)
-        frozen = {self.engine._track_delivery: TRACK_DELIVERY}
+        self.engine = GPAEngine(
+            spec.program, self.network, strategy=spec.strategy,
+            window=spec.window, scheme=spec.scheme,
+            **dict(spec.strategy_kwargs),
+        ).install()
         self._markers = {TRACK_DELIVERY: self.engine._track_delivery}
-        self.radio.configure_shard(
-            self.network.local_ids,
-            functools.partial(_freeze_message, known=frozen),
-        )
+        if own_ids is not None:
+            frozen = {self.engine._track_delivery: TRACK_DELIVERY}
+            self.radio.configure_shard(
+                self.network.local_ids,
+                functools.partial(_freeze_message, known=frozen),
+            )
         sim = self.network.sim
         for when, node_id, pred, args in spec.publishes:
             if node_id in self.network.local_ids:
@@ -466,6 +471,11 @@ class ShardWorker:
         self.windows_run = 0
         self.border_in = 0
         self.border_out = 0
+        #: The next msg id this worker hands out.  :func:`serve` makes
+        #: it the process-global counter for the length of each
+        #: command, and it rides in every checkpoint, so a restored
+        #: worker reuses exactly the ids its lost predecessor did.
+        self.msg_id = (shard_id or 0) * _MSG_ID_STRIDE
         #: Which spawn of this shard the worker is (0 = original; a
         #: replacement after the n-th restart carries n).  Replay
         #: determinism never depends on it — it exists so fault hooks
@@ -484,13 +494,11 @@ class ShardWorker:
         self._kill_windows = set(windows)
         self._die = die
 
-    def next_time(self) -> Optional[float]:
-        return self.network.sim.next_time
-
-    def run_window(self, t_end: float, records: Sequence[tuple],
+    def run_window(self, t_end: Optional[float], records: Sequence[tuple],
                    beat: Optional[Callable[[], None]] = None):
         """Inject this window's border records, run events in
-        ``[now, t_end)``, and return ``(next_time, outbox)``.
+        ``[now, t_end)`` (every event when ``t_end`` is None), and
+        return ``(next_time, outbox)``.
 
         ``windows_run`` doubles as the window's *global* index: the
         original worker runs every window from 0, and a restored
@@ -520,14 +528,19 @@ class ShardWorker:
             if beat is None or processed < budget or self._budget <= 0:
                 break
         nxt = sim.next_time
-        if nxt is not None and nxt < t_end:
+        if nxt is not None and (t_end is None or nxt < t_end):
             # Only a max_events stop leaves events below the bound.
-            raise ShardError(
-                f"shard {self.shard_id} exceeded max_events="
-                f"{self.spec.max_events} (runaway simulation?)"
+            where = (
+                "single-process run" if self.shard_id is None
+                else f"shard {self.shard_id}"
             )
-        out = self.radio.outbox
-        self.radio.outbox = []
+            raise ShardError(
+                f"{where} exceeded max_events={self.spec.max_events} "
+                "(runaway simulation?)"
+            )
+        out: List[tuple] = []
+        if isinstance(self.radio, ShardRadio):  # the single run has none
+            out, self.radio.outbox = self.radio.outbox, []
         self.windows_run += 1
         self.border_out += len(out)
         return nxt, out
@@ -581,7 +594,7 @@ class ShardWorker:
 
 
 # ---------------------------------------------------------------------------
-# Worker executors (inline for tests, fork processes for scale)
+# Worker executors: one command loop, one handle, two connections
 # ---------------------------------------------------------------------------
 
 
@@ -602,104 +615,69 @@ def _sigkill_self() -> None:  # pragma: no cover - dies before coverage
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-class _InlineHandle:
-    """In-process worker: same :class:`ShardWorker`, driven directly.
-
-    Every record batch still goes through a pickle round trip — both to
-    exercise the wire format in fast tests and because the shallow
-    frozen copies *rely* on it: the receiver must never share mutable
-    message state (envelope paths, token partial lists) with the
-    sender's retry copies.
-
-    Inline workers scope the process-global msg-id counter per shard
-    (strided at ``shard_id << 40``, mirroring process mode): every
-    worker operation swaps the shard's own counter in and back out, so
-    restoring one shard's checkpoint can rewind *its* id cursor
-    without colliding with its peers' id streams.
-    """
-
-    def __init__(self, spec, topology, own_ids, shard_id, restore=None,
-                 incarnation=0, kills=(), heartbeat_timeout=None):
-        self.shard = shard_id
-        # heartbeat_timeout is meaningless in one process (nothing runs
-        # concurrently to observe a hang); accepted so both handle
-        # kinds share a spawn signature.
-        self._msg_ids = itertools.count(shard_id * _MSG_ID_STRIDE)
-        with self._wrap(), self._ids():
-            if restore is None:
-                self.worker = ShardWorker(spec, topology, own_ids, shard_id)
-            else:
-                self.worker = _checkpoint.restore(restore, topology)
-            self.worker.incarnation = incarnation
-            self.worker.arm_kills(
-                set(kills), functools.partial(_inline_die, shard_id)
-            )
-
-    def _wrap(self):
-        return _WorkerErrors(self.shard)
-
-    @contextlib.contextmanager
-    def _ids(self):
-        saved = messages._msg_counter
-        messages._msg_counter = self._msg_ids
-        try:
-            yield
-        finally:
-            # A checkpoint capture/restore swaps the module counter for
-            # a rebased one (set_msg_id_base): adopt whatever is
-            # current as this shard's counter.
-            self._msg_ids = messages._msg_counter
-            messages._msg_counter = saved
-
-    def start(self):
-        return self.worker.next_time()
-
-    def post(self, t_end, records):
-        with self._wrap():
-            self._pending = (t_end, pickle.loads(pickle.dumps(records)))
-
-    def wait(self):
-        with self._wrap(), self._ids():
-            t_end, records = self._pending
-            return self.worker.run_window(t_end, records)
-
-    def replay(self, t_end, records):
-        with self._wrap(), self._ids():
-            nxt, _outbox = self.worker.run_window(
-                t_end, pickle.loads(pickle.dumps(records))
-            )
-            return nxt
-
-    def checkpoint(self):
-        with self._wrap(), self._ids():
-            return _checkpoint.capture(self.worker)
-
-    def finish(self):
-        with self._wrap():
-            return self.worker.collect()
-
-    def close(self):
-        pass
+def _build(spec, topology, own_ids, shard_id, restore, incarnation, kills,
+           die):
+    """Build one shard's worker, or restore it from a checkpoint blob,
+    and arm this incarnation's injected kills (``die`` is how the
+    transport kills a worker).  Returns the worker, or the formatted
+    traceback when that raised: :func:`serve` then answers every
+    command with it."""
+    try:
+        if restore is None:
+            worker = ShardWorker(spec, topology, own_ids, shard_id)
+        else:
+            worker = _checkpoint.restore(restore, topology)
+        worker.incarnation = incarnation
+        worker.arm_kills(set(kills), die)
+        return worker
+    except Exception:
+        return traceback.format_exc()
 
 
-class _WorkerErrors:
-    """Context manager turning any worker exception into a
-    :class:`ShardWorkerError` tagged with the shard id.  Injected
-    deaths (:class:`_WorkerDeath`) pass through untouched — they are
-    the supervisor's recovery signal, not an error."""
+def serve(worker, command: tuple,
+          beat: Optional[Callable[[], None]] = None) -> tuple:
+    """Answer one coordinator command on ``worker``: the whole command
+    loop, shared by forked and inline workers.
 
-    def __init__(self, shard: int):
-        self.shard = shard
+    ``("start",)`` replies the earliest pending event time;
+    ``("window", t_end, records)`` runs a window and replies
+    ``(next_time, outbox)``; ``("replay", t_end, records)`` runs one
+    again and replies only ``next_time`` (the coordinator routed its
+    outbox before the crash); ``("checkpoint",)`` replies ``(blob,
+    seconds)``; ``("finish",)`` replies the shard's results.  A reply
+    is tagged with its command's name, or is ``("error", traceback)``
+    when the worker raised.  An injected kill (:class:`_WorkerDeath`)
+    is not an error and propagates.
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(
-            exc, (ShardWorkerError, _WorkerDeath)
-        ):
-            raise ShardWorkerError(self.shard, traceback.format_exc()) from exc
-        return False
+    For the length of the command the process-global msg-id counter is
+    the worker's own (:attr:`ShardWorker.msg_id`), so every shard
+    keeps a disjoint id stream whichever process it runs in."""
+    if isinstance(worker, str):
+        return ("error", worker)  # the build failed
+    name = command[0]
+    saved = messages._msg_counter
+    set_msg_id_base(worker.msg_id)
+    try:
+        if name == "start":
+            value = worker.network.sim.next_time
+        elif name in ("window", "replay"):
+            value = worker.run_window(command[1], command[2], beat=beat)
+            if name == "replay":
+                value = value[0]
+        elif name == "checkpoint":
+            value = _checkpoint.capture(worker)
+        elif name == "finish":
+            value = worker.collect()
+        else:
+            raise ShardError(f"unknown worker command {name!r}")
+        return (name, value)
+    except _WorkerDeath:
+        raise
+    except Exception:
+        return ("error", traceback.format_exc())
+    finally:
+        worker.msg_id = next(messages._msg_counter)
+        messages._msg_counter = saved
 
 
 class _Heartbeat:
@@ -720,89 +698,104 @@ class _Heartbeat:
             self.conn.send(("hb",))
 
 
-def _worker_main(conn, spec, topology, own_ids, shard_id,
-                 restore=None, incarnation=0, kills=(),
-                 beat_interval=None) -> None:
-    """Worker-process body: build the shard (or restore it from a
-    checkpoint blob), then serve window/replay/checkpoint commands
-    until told to finish.  Runs under fork, so the topology arrives by
-    inheritance (never pickled).  A fresh build rebases the inherited
-    msg-id counter onto the shard's stride; a restore instead rewinds
-    it to the snapshot's cursor, so replayed sends reuse the exact ids
-    the pre-crash execution handed out (remote shards hold acks and
-    dedup entries keyed on them).  Either way the worker's telemetry
-    starts empty: the forked registry and trace are the parent's."""
+def _worker_process(conn, build, beat_interval=None) -> None:
+    """Worker-process body: build the shard (or restore it), then
+    answer commands with :func:`serve` until told to finish.  Runs
+    under fork, so the topology arrives by inheritance (never
+    pickled), and the worker's telemetry starts empty: the forked
+    registry and trace are the parent's.  A coordinator that hangs up
+    early just ends the loop."""
     obs.reset()
-    try:
-        if restore is None:
-            set_msg_id_base(shard_id * _MSG_ID_STRIDE)
-            worker = ShardWorker(spec, topology, own_ids, shard_id)
-        else:
-            worker = _checkpoint.restore(restore, topology)
-        worker.incarnation = incarnation
-        worker.arm_kills(set(kills), _sigkill_self)
-        beat = None if beat_interval is None else _Heartbeat(conn, beat_interval)
-        conn.send(("ready", worker.next_time()))
-        while True:
+    worker = build(_sigkill_self)
+    beat = None if beat_interval is None else _Heartbeat(conn, beat_interval)
+    command = None
+    with contextlib.suppress(EOFError):
+        while command != ("finish",):
             command = conn.recv()
-            if command[0] == "window":
-                conn.send(
-                    ("window",
-                     worker.run_window(command[1], command[2], beat=beat))
+            reply = serve(worker, command, beat)
+            spec = worker.spec if reply[0] == "finish" else None
+            if spec is not None and spec.telemetry_name and obs.enabled():
+                reply[1]["telemetry"] = obs.write_run_artifacts(
+                    spec.telemetry_dir or ".",
+                    f"{spec.telemetry_name}.shard{worker.shard_id}",
+                    manifest_extra={"shard": worker.shard_id},
                 )
-            elif command[0] == "replay":
-                # A replayed window: run it identically, discard the
-                # outbox (the coordinator routed those records before
-                # the crash).
-                nxt, _outbox = worker.run_window(
-                    command[1], command[2], beat=beat
-                )
-                conn.send(("replay", nxt))
-            elif command[0] == "checkpoint":
-                conn.send(("checkpoint", _checkpoint.capture(worker)))
-            elif command[0] == "finish":
-                result = worker.collect()
-                if spec.telemetry_name and obs.enabled():
-                    result["telemetry"] = obs.write_run_artifacts(
-                        spec.telemetry_dir or ".",
-                        f"{spec.telemetry_name}.shard{shard_id}",
-                        manifest_extra={"shard": shard_id},
-                    )
-                conn.send(("finish", result))
-                return
-            else:  # pragma: no cover
-                raise ShardError(f"unknown worker command {command[0]!r}")
-    except BaseException:
+            try:
+                conn.send(reply)
+            except Exception:  # an unpicklable reply is a worker error too
+                conn.send(("error", traceback.format_exc()))
+
+
+class _LocalConn:
+    """The worker end of an inline handle: a connection whose worker
+    lives in this process and runs each command when its reply is
+    read.  Every command and reply still makes the pickle round trip
+    a pipe would, so inline runs exercise the whole wire format,
+    outboxes included, and a receiver never shares mutable message
+    state (envelope paths, token partial lists) with the sender's
+    retry copies."""
+
+    def __init__(self, worker):
+        self.worker = worker
+        self._command: Optional[bytes] = None
+
+    def send(self, command) -> None:
+        self._command = pickle.dumps(command)
+
+    def poll(self, timeout: float) -> bool:
+        return True  # a reply is always ready: recv computes it
+
+    def recv(self):
+        command, self._command = pickle.loads(self._command), None
+        reply = serve(self.worker, command)  # an injected kill propagates
         try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover
-            pass
+            return pickle.loads(pickle.dumps(reply))
+        except Exception:  # an unpicklable reply is a worker error too
+            return ("error", traceback.format_exc())
 
 
-class _ProcessHandle:
-    """A shard worker in a forked process, spoken to over a pipe.
+class _Handle:
+    """One shard worker as the coordinator sees it: commands go down a
+    connection and tagged replies come back.  The connection is a
+    forked worker process's pipe, or with ``inline`` a
+    :class:`_LocalConn` serving the same commands in this process.
 
     With ``heartbeat_timeout`` set, window-serving receives poll the
     pipe instead of blocking: a worker that sends nothing — not even a
     beat — for the timeout is declared hung, SIGKILLed, and surfaced
     as a :class:`_WorkerDeath`; a closed pipe (the worker died)
     surfaces one carrying the exit code, including the signal name for
-    unclean deaths."""
+    unclean deaths.  (One process has nothing running concurrently to
+    observe a hang, so an inline handle never times out.)"""
 
-    def __init__(self, ctx, spec, topology, own_ids, shard_id,
-                 restore=None, incarnation=0, kills=(),
-                 heartbeat_timeout=None):
-        self.shard = shard_id
+    def __init__(self, build, shard: int, inline: bool,
+                 heartbeat_timeout: Optional[float] = None):
+        self.shard = shard
         self.timeout = heartbeat_timeout
-        parent, child = ctx.Pipe()
-        self.conn = parent
+        self._expect: Optional[str] = None
+        self.proc = None
+        if inline:
+            self.conn = _LocalConn(build(functools.partial(_inline_die, shard)))
+            return
+        if "fork" not in multiprocessing.get_all_start_methods():
+            # Caught before any worker exists: process-mode workers
+            # inherit the topology via fork copy-on-write, so platforms
+            # without fork (e.g. Windows, macOS spawn-only
+            # configurations) cannot run them at all.
+            raise ShardError(
+                "fork start method required: process-mode sharding "
+                "replicates the topology to workers via fork copy-on-write "
+                "and this platform offers only "
+                f"{multiprocessing.get_all_start_methods()!r}; "
+                "use inline=True instead"
+            )
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
         beat_interval = (
             None if heartbeat_timeout is None else heartbeat_timeout / 4.0
         )
         self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child, spec, topology, own_ids, shard_id,
-                  restore, incarnation, tuple(kills), beat_interval),
+            target=_worker_process, args=(child, build, beat_interval),
             daemon=True,
         )
         self.proc.start()
@@ -830,7 +823,24 @@ class _ProcessHandle:
         return (f"worker process died without reporting an error "
                 f"(exit code {code})")
 
-    def _recv(self, expect: str, timed: bool = False):
+    # -- the wire ---------------------------------------------------------
+
+    def send(self, command: tuple) -> None:
+        self._expect = command[0]
+        try:
+            self.conn.send(command)
+        except (BrokenPipeError, OSError):
+            raise _WorkerDeath(
+                self.shard, "crash", self._exit_note()
+            ) from None
+
+    def recv(self):
+        """The reply to the last command sent.  Window and replay
+        replies are timed by the heartbeat; start, checkpoint and
+        finish are not (they send no beats, and a large shard's build
+        or snapshot can legitimately outlast the timeout — a death
+        there still surfaces as EOF)."""
+        timed = self._expect in ("window", "replay")
         deadline = (
             None if (self.timeout is None or not timed)
             else time.monotonic() + self.timeout
@@ -860,46 +870,15 @@ class _ProcessHandle:
             break
         if message[0] == "error":
             raise ShardWorkerError(self.shard, message[1])
-        if message[0] != expect:  # pragma: no cover
-            raise ShardWorkerError(
-                self.shard, f"protocol error: expected {expect!r}, got {message[0]!r}"
-            )
         return message[1]
 
-    def _send(self, command) -> None:
-        try:
-            self.conn.send(command)
-        except (BrokenPipeError, OSError):
-            raise _WorkerDeath(
-                self.shard, "crash", self._exit_note()
-            ) from None
+    def call(self, command: tuple):
+        self.send(command)
+        return self.recv()
 
-    def start(self):
-        return self._recv("ready")
-
-    def post(self, t_end, records):
-        self._send(("window", t_end, records))
-
-    def wait(self):
-        return self._recv("window", timed=True)
-
-    def replay(self, t_end, records):
-        self._send(("replay", t_end, records))
-        return self._recv("replay", timed=True)
-
-    def checkpoint(self):
-        # Untimed on purpose: capture sends no beats, and a large
-        # shard's snapshot can legitimately take longer than the
-        # heartbeat timeout.  A death during capture still surfaces
-        # as EOF.
-        self._send(("checkpoint",))
-        return self._recv("checkpoint")
-
-    def finish(self):
-        self._send(("finish",))
-        return self._recv("finish")
-
-    def close(self):
+    def close(self) -> None:
+        if self.proc is None:
+            return  # an inline worker holds nothing to release
         try:
             self.conn.close()
         except OSError:  # pragma: no cover
@@ -953,7 +932,6 @@ class _Supervisor:
         self.policy = policy
         self.inline = inline
         self.kill_plan = kill_plan
-        self.ctx = None if inline else multiprocessing.get_context("fork")
         n = len(groups)
         self.handles: List[Any] = [None] * n
         self.pending: List[List[tuple]] = [[] for _ in range(n)]
@@ -961,7 +939,6 @@ class _Supervisor:
         #: Log retention is pointless when no restart may consume it.
         self.retain = policy.max_restarts > 0
         self.logs: List[List[tuple]] = [[] for _ in range(n)]
-        self.has_checkpoint = [False] * n
         self.store = _checkpoint.CheckpointStore(
             policy.checkpoint, directory=spec.telemetry_dir
         )
@@ -982,44 +959,39 @@ class _Supervisor:
     # -- spawning ---------------------------------------------------------
 
     def _spawn(self, shard: int):
-        restore = (
-            self.store.load(shard) if self.has_checkpoint[shard] else None
-        )
+        restore = self.store.load(shard)
         kills = [
             w for w in self.kill_plan.get(shard, ())
             if w > self.kill_floor[shard]
         ]
-        kwargs = dict(
-            restore=restore, incarnation=self.restarts[shard], kills=kills,
-            heartbeat_timeout=self.policy.heartbeat_timeout,
+        build = functools.partial(
+            _build, self.spec, self.topology, set(self.groups[shard]), shard,
+            restore, self.restarts[shard], tuple(kills),
         )
-        own = set(self.groups[shard])
-        if self.inline:
-            handle = _InlineHandle(
-                self.spec, self.topology, own, shard, **kwargs
-            )
-        else:
-            handle = _ProcessHandle(
-                self.ctx, self.spec, self.topology, own, shard, **kwargs
-            )
+        handle = _Handle(
+            build, shard, self.inline, self.policy.heartbeat_timeout
+        )
         self.handles[shard] = handle
         return handle
 
-    def start(self) -> None:
-        for shard in range(len(self.handles)):
-            while True:
-                try:
-                    self.earliest[shard] = self._spawn(shard).start()
-                    break
-                except _WorkerDeath as death:
-                    self._charge(shard, death)
-                    self.handles[shard].close()
+    def _call(self, shard: int, command: tuple):
+        """Run a barrier command (start, checkpoint, finish) on one
+        shard and return its reply, replacing the worker — replaying
+        every logged window — until one answers."""
+        while True:
+            try:
+                return self.handles[shard].call(command)
+            except _WorkerDeath as death:
+                self._recover(shard, death, live=False)
 
     # -- the epoch loop ---------------------------------------------------
 
     def run(self) -> List[Dict[str, Any]]:
-        self.start()
         n = len(self.handles)
+        for shard in range(n):
+            self._spawn(shard)  # process workers build concurrently
+        for shard in range(n):
+            self.earliest[shard] = self._call(shard, ("start",))
         while True:
             horizon = None
             for value in self.earliest:
@@ -1038,14 +1010,14 @@ class _Supervisor:
                 if self.retain:
                     self.logs[shard].append((t_end, posted[shard]))
                 try:
-                    self.handles[shard].post(t_end, posted[shard])
+                    self.handles[shard].send(("window", t_end, posted[shard]))
                 except _WorkerDeath as death:
                     dead[shard] = death
             for shard in range(n):
                 death = dead.pop(shard, None)
                 if death is None:
                     try:
-                        nxt, outbox = self.handles[shard].wait()
+                        nxt, outbox = self.handles[shard].recv()
                     except _WorkerDeath as exc:
                         death = exc
                 if death is not None:
@@ -1062,14 +1034,8 @@ class _Supervisor:
 
     def _checkpoint_all(self) -> None:
         for shard in range(len(self.handles)):
-            while True:
-                try:
-                    blob, seconds = self.handles[shard].checkpoint()
-                    break
-                except _WorkerDeath as death:
-                    self._recover(shard, death, live=False)
+            blob, seconds = self._call(shard, ("checkpoint",))
             self.store.save(shard, blob)
-            self.has_checkpoint[shard] = True
             self.logs[shard] = []
             self.checkpoints += 1
             self.checkpoint_bytes += len(blob)
@@ -1080,54 +1046,45 @@ class _Supervisor:
                 _inst.shard_checkpoint_seconds.observe(seconds)
 
     def _finish_all(self) -> List[Dict[str, Any]]:
-        results = []
-        for shard in range(len(self.handles)):
-            while True:
-                try:
-                    results.append(self.handles[shard].finish())
-                    break
-                except _WorkerDeath as death:
-                    self._recover(shard, death, live=False)
-        return results
+        return [
+            self._call(shard, ("finish",)) for shard in range(len(self.handles))
+        ]
 
     # -- recovery ---------------------------------------------------------
-
-    def _charge(self, shard: int, death: _WorkerDeath) -> Dict[str, Any]:
-        """Book one death against the shard's restart budget — raising
-        a :class:`ShardWorkerError` (with the death's exit-code /
-        signal / hang detail) once it is spent — and record it for the
-        run report and telemetry."""
-        self.restarts[shard] += 1
-        if self.restarts[shard] > self.policy.max_restarts:
-            raise ShardWorkerError(
-                shard,
-                f"{death.detail}\n(restart budget exhausted: "
-                f"{self.restarts[shard] - 1} of max_restarts="
-                f"{self.policy.max_restarts} restarts used)",
-            )
-        record = {
-            "shard": shard,
-            "window": self.windows,
-            "cause": death.cause,
-            "detail": death.detail,
-            "replayed": 0,
-        }
-        self.recoveries.append(record)
-        if _obs.enabled:
-            _inst.shard_recoveries.labels(cause=death.cause).inc()
-        return record
 
     def _recover(self, shard: int, death: _WorkerDeath, live: bool):
         """Replace a dead worker.  ``live=True`` means the death
         interrupted an in-flight window (the last log entry): the
         replacement replays everything before it, then serves that
         window live and its ``(next_time, outbox)`` is returned.
-        ``live=False`` (death at a barrier: during a checkpoint or
+        ``live=False`` (death at a barrier: start, checkpoint or
         finish) replays the whole log — every logged window's records
-        were already routed."""
+        were already routed — and the caller asks again.
+
+        Each death is booked against the shard's restart budget —
+        raising a :class:`ShardWorkerError` (with the death's exit-code
+        / signal / hang detail) once it is spent — and recorded for the
+        run report and telemetry."""
         started = time.perf_counter()
         while True:
-            record = self._charge(shard, death)
+            self.restarts[shard] += 1
+            if self.restarts[shard] > self.policy.max_restarts:
+                raise ShardWorkerError(
+                    shard,
+                    f"{death.detail}\n(restart budget exhausted: "
+                    f"{self.restarts[shard] - 1} of max_restarts="
+                    f"{self.policy.max_restarts} restarts used)",
+                )
+            record = {
+                "shard": shard,
+                "window": self.windows,
+                "cause": death.cause,
+                "detail": death.detail,
+                "replayed": 0,
+            }
+            self.recoveries.append(record)
+            if _obs.enabled:
+                _inst.shard_recoveries.labels(cause=death.cause).inc()
             self.kill_floor[shard] = max(self.kill_floor[shard], self.windows)
             try:
                 result = self._rebuild(shard, record, live)
@@ -1144,32 +1101,20 @@ class _Supervisor:
     def _rebuild(self, shard: int, record: Dict[str, Any], live: bool):
         self.handles[shard].close()
         handle = self._spawn(shard)
-        nxt = handle.start()
         entries = self.logs[shard]
-        replay = entries[:-1] if live else entries
-        for bound, records in replay:
-            nxt = handle.replay(bound, records)
+        for bound, records in entries[:-1] if live else entries:
+            handle.call(("replay", bound, records))
             record["replayed"] += 1
             self.replayed_windows += 1
             if _obs.enabled:
                 _inst.shard_replayed_windows.inc()
-        if not live:
-            self.earliest[shard] = nxt
-            return None
-        bound, records = entries[-1]
-        handle.post(bound, records)
-        return handle.wait()
+        return handle.call(("window",) + entries[-1]) if live else None
 
     # -- reporting / teardown ---------------------------------------------
 
     def report(self) -> Dict[str, Any]:
         return {
-            "policy": {
-                "checkpoint_every": self.policy.checkpoint_every,
-                "heartbeat_timeout": self.policy.heartbeat_timeout,
-                "max_restarts": self.policy.max_restarts,
-                "checkpoint": self.policy.checkpoint,
-            },
+            "policy": asdict(self.policy),
             "restarts": sum(self.restarts),
             "recoveries": list(self.recoveries),
             "replayed_windows": self.replayed_windows,
@@ -1247,8 +1192,12 @@ class ShardRunReport:
         }
 
 
-def _merge_results(spec, results, shards, windows, border,
+def _merge_results(spec, results, shards, windows=0, border=0,
                    supervision=None) -> ShardRunReport:
+    """Merge the workers' results into one run report.  With telemetry
+    on and a ``telemetry_name``, the coordinator's manifest carries the
+    shard summaries (and each worker's artifact paths, in process mode)
+    next to the usual reproducibility envelope."""
     metrics = MetricsCollector()
     rows: Dict[str, Set[tuple]] = {pred: set() for pred in spec.outputs}
     delivery: Dict[str, Any] = {"delivered": 0, "gave_up": 0, "reason": {}}
@@ -1279,12 +1228,26 @@ def _merge_results(spec, results, shards, windows, border,
         if result.get("telemetry"):
             summary["telemetry"] = result["telemetry"]
         per_shard.append(summary)
-    return ShardRunReport(
+    report = ShardRunReport(
         rows=rows, metrics=metrics, delivery=delivery,
         events_processed=events, queue_hwm=hwm, shards=shards,
         windows=windows, border_records=border, per_shard=per_shard,
         supervision=supervision,
     )
+    if spec.telemetry_name and obs.enabled():
+        report.manifest = obs.write_run_artifacts(
+            spec.telemetry_dir or ".",
+            spec.telemetry_name,
+            manifest_extra={
+                "sharded": {
+                    "shards": shards,
+                    "windows": windows,
+                    "border_records": border,
+                    "per_shard": per_shard,
+                }
+            },
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1333,13 +1296,13 @@ def run(
     """Execute a workload spec and return its merged run report.
 
     ``shards=None`` runs the classic single-process simulator (the
-    differential baseline); ``shards=k`` partitions the arena into
-    ``k`` spatial shards under conservative-window synchronization;
-    ``shards="auto"`` picks one shard per available CPU (capped by the
-    node count).  ``inline=True`` drives the shard workers in-process
-    (records still cross a pickle boundary) — the mode the
-    differential tests use; the default forks one worker process per
-    shard.  ``topology`` short-circuits topology construction when the
+    differential baseline: one :class:`ShardWorker` owning every node,
+    run to quiescence); ``shards=k`` partitions the arena into ``k``
+    spatial shards under conservative-window synchronization.  The
+    default forks one worker process per shard; ``inline=True`` serves
+    the same workers in this process instead, every command and reply
+    still pickled as on the pipe — the mode the differential tests use.
+    ``topology`` short-circuits topology construction when the
     caller already built it (it must match the spec's parameters —
     benches reuse one topology across the single/sharded comparison).
 
@@ -1357,8 +1320,6 @@ def run(
     (the E25 chaos harness)."""
     if topology is None:
         topology = build_topology(spec)
-    if shards == "auto":
-        shards = default_shards(topology)
     if shards is None:
         if faults is not None and len(faults):
             raise ShardError(
@@ -1366,19 +1327,9 @@ def run(
                 "shard worker processes (pass shards=k); simulated "
                 "faults go through FaultInjector instead"
             )
-        return _run_single(spec, topology)
-    if not inline and "fork" not in multiprocessing.get_all_start_methods():
-        # Caught up front, before any partitioning or worker setup: the
-        # process-mode workers inherit the topology via fork
-        # copy-on-write, so platforms without fork (e.g. Windows,
-        # macOS spawn-only configurations) cannot run them at all.
-        raise ShardError(
-            "fork start method required: process-mode sharding "
-            "replicates the topology to workers via fork copy-on-write "
-            "and this platform offers only "
-            f"{multiprocessing.get_all_start_methods()!r}; "
-            "use inline=True instead"
-        )
+        worker = ShardWorker(spec, topology)
+        worker.run_window(None, [])
+        return _merge_results(spec, [worker.collect()], shards=0)
     _validate_sharded(spec, shards)
     policy = SupervisionPolicy(
         checkpoint_every=checkpoint_every,
@@ -1400,65 +1351,8 @@ def run(
     supervision = (
         supervisor.report() if (policy.active or kill_plan) else None
     )
-    report = _merge_results(
+    return _merge_results(
         spec, results, shards, supervisor.windows, supervisor.border,
         supervision=supervision,
     )
-    _write_merged_manifest(spec, report)
-    return report
 
-
-def _run_single(spec: WorkloadSpec, topology: Topology) -> ShardRunReport:
-    """The spec on the classic single-process simulator, with the same
-    keyed frame-RNG discipline sharded runs use (so the comparison is
-    sharding, not randomness bookkeeping)."""
-    network = SensorNetwork(
-        topology, seed=spec.seed, routing=spec.routing, frame_rng="keyed",
-        **_net_kwargs(spec),
-    )
-    engine = _build_engine(spec, network)
-    for when, node_id, pred, args in spec.publishes:
-        network.sim.schedule_at(
-            when, functools.partial(engine.publish, node_id, pred, args)
-        )
-    network.run_all(spec.max_events)
-    if network.sim.pending:
-        raise ShardError(
-            f"single-process run exceeded max_events={spec.max_events} "
-            "(runaway simulation?)"
-        )
-    result = {
-        "shard": None,
-        "nodes": len(network.nodes),
-        "rows": {pred: engine.rows(pred) for pred in spec.outputs},
-        "metrics": network.metrics,
-        "delivery": engine.delivery_report(),
-        "events": network.sim.events_processed,
-        "queue_hwm": network.sim.queue_hwm,
-        "border_in": 0,
-        "border_out": 0,
-    }
-    report = _merge_results(spec, [result], shards=0, windows=0, border=0)
-    _write_merged_manifest(spec, report)
-    return report
-
-
-def _write_merged_manifest(spec: WorkloadSpec, report: ShardRunReport) -> None:
-    """Merge per-shard telemetry into one run report: the coordinator's
-    manifest carries the shard summaries (and each worker's artifact
-    paths, in process mode) next to the usual reproducibility
-    envelope."""
-    if not (spec.telemetry_name and obs.enabled()):
-        return
-    report.manifest = obs.write_run_artifacts(
-        spec.telemetry_dir or ".",
-        spec.telemetry_name,
-        manifest_extra={
-            "sharded": {
-                "shards": report.shards,
-                "windows": report.windows,
-                "border_records": report.border_records,
-                "per_shard": report.per_shard,
-            }
-        },
-    )

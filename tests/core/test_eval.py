@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.builtins import BuiltinRegistry, DEFAULT_REGISTRY
-from repro.core.errors import ProgramError
+from repro.core.errors import EvaluationError, ProgramError
 from repro.core.eval import (
     Database,
     Relation,
@@ -437,3 +437,25 @@ class TestErrors:
     def test_seminaive_rejects_xy(self):
         with pytest.raises(ProgramError):
             SemiNaiveEvaluator(parse_program(LOGICH))
+
+
+class TestFixpointGuard:
+    def test_nonterminating_function_recursion_caught(self):
+        # Term construction never stops: the guard turns the hang into
+        # an error.  (Two constructors keep the term depth logarithmic
+        # in the fact count, so the guard fires before deep nesting.)
+        program = parse_program(
+            "num(z). num(s(N)) :- num(N). num(t(N)) :- num(N)."
+        )
+        db = Database()
+        with pytest.raises(EvaluationError):
+            SemiNaiveEvaluator(program, max_facts=500).evaluate(db)
+
+    def test_guard_allows_terminating_programs(self):
+        program = parse_program(
+            "chain(s(0), 1) :- start(0). chain(s(L), N + 1) :- chain(L, N), N < 4."
+        )
+        db = Database()
+        db.assert_fact("start", (0,))
+        SemiNaiveEvaluator(program, max_facts=500).evaluate(db)
+        assert db.count("chain") == 4

@@ -1,6 +1,7 @@
 """Shard checkpoints (repro.net.checkpoint): snapshot capture/restore,
-the msg-id cursor peek, topology stub rebinding, and the coordinator's
-checkpoint store (E25's recovery substrate)."""
+the worker's msg-id cursor as serve() scopes it, topology stub
+rebinding, and the coordinator's checkpoint store (E25's recovery
+substrate)."""
 
 import os
 
@@ -11,11 +12,10 @@ from repro.net.checkpoint import (
     CheckpointError,
     CheckpointStore,
     capture,
-    msg_id_cursor,
     restore,
 )
 from repro.net.messages import Message
-from repro.net.shard import ShardWorker, build_topology
+from repro.net.shard import ShardWorker, build_topology, serve
 from tests.net.test_shard import SPECS
 
 LOOKAHEAD = 0.01  # the specs' default delay_base
@@ -31,36 +31,54 @@ def _worker(name="e1-grid-join"):
 
 def _drive(worker, windows=None):
     """Run up to ``windows`` conservative windows (all of them when
-    None); returns the number actually run."""
+    None) through :func:`serve`, as a coordinator would; returns the
+    number actually run."""
     ran = 0
-    nxt = worker.next_time()
+    _tag, nxt = serve(worker, ("start",))
     while nxt is not None and (windows is None or ran < windows):
-        nxt, outbox = worker.run_window(nxt + LOOKAHEAD, [])
+        tag, (nxt, outbox) = serve(worker, ("window", nxt + LOOKAHEAD, []))
+        assert tag == "window"
         assert outbox == []  # single shard: nothing crosses a border
         ran += 1
     return ran
 
 
-class TestMsgIdCursor:
-    def test_peek_is_side_effect_free(self):
-        first = msg_id_cursor()
-        second = msg_id_cursor()
-        assert first == second
-        # The very same id the peek consumed is issued to the next
-        # message — the cursor read never perturbs the id sequence.
-        assert Message("ping").msg_id == first
+def _capture(worker):
+    tag, (blob, seconds) = serve(worker, ("checkpoint",))
+    assert tag == "checkpoint"
+    return blob, seconds
 
-    def test_cursor_advances_with_messages(self):
-        before = msg_id_cursor()
-        Message("ping")
-        assert msg_id_cursor() == before + 1
+
+class TestServe:
+    def test_worker_keeps_its_own_msg_id_stream(self):
+        """A command runs on the worker's msg-id cursor and leaves the
+        process counter where it was."""
+        worker, _topology = _worker()
+        assert worker.msg_id == 0  # shard 0's stride
+        before = Message("ping").msg_id
+        _drive(worker, windows=3)
+        assert worker.msg_id > 0
+        assert Message("ping").msg_id == before + 1
+        stride = ShardWorker(SPECS["e1-grid-join"],
+                             build_topology(SPECS["e1-grid-join"]),
+                             {0}, 3).msg_id
+        assert stride == 3 << 40
+
+    def test_worker_errors_become_error_replies(self):
+        worker, _topology = _worker()
+        tag, trace = serve(worker, ("window", None, [("bogus",) * 5]))
+        assert tag == "error"
+        assert "unknown border-record mode" in trace
+        tag, trace = serve(worker, ("rewind",))
+        assert tag == "error"
+        assert "unknown worker command 'rewind'" in trace
 
 
 class TestCaptureRestore:
     def test_restore_rebinds_topology_stubs(self):
         worker, topology = _worker()
         _drive(worker, windows=3)
-        blob, seconds = capture(worker)
+        blob, seconds = _capture(worker)
         restored = restore(blob, topology)
         assert restored.network.topology is topology
         assert restored.network.topology.spatial is topology.spatial
@@ -72,12 +90,12 @@ class TestCaptureRestore:
         restored copy: both executions must be event-identical."""
         worker, topology = _worker("e18-reliable")
         _drive(worker, windows=8)
-        blob, _ = capture(worker)
+        blob, _ = _capture(worker)
 
         _drive(worker)
         original = worker.collect()
 
-        messages.set_msg_id_base(0)  # scramble; restore must rewind
+        messages.set_msg_id_base(0)  # the process counter plays no part
         restored = restore(blob, topology)
         assert restored.windows_run == 8
         _drive(restored)
@@ -90,14 +108,14 @@ class TestCaptureRestore:
                 == original["metrics"].total_bytes)
         assert continued["delivery"] == original["delivery"]
 
-    def test_restore_rewinds_msg_id_cursor(self):
+    def test_restore_resumes_msg_id_cursor(self):
         worker, topology = _worker()
         _drive(worker, windows=2)
-        blob, _ = capture(worker)
-        cursor = msg_id_cursor()
-        Message("ping")  # advance the live counter past the snapshot
-        restore(blob, topology)
-        assert msg_id_cursor() == cursor
+        blob, _ = _capture(worker)
+        cursor = worker.msg_id
+        _drive(worker, windows=2)  # the original hands out more ids
+        assert worker.msg_id > cursor
+        assert restore(blob, topology).msg_id == cursor
 
     def test_unpicklable_state_raises_checkpoint_error(self):
         worker, _topology = _worker()

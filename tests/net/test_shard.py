@@ -16,6 +16,7 @@ Two pillars:
   v1 restrictions are rejected up front.
 """
 
+import functools
 import pickle
 import re
 
@@ -26,11 +27,13 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
+from repro.dist.gpa import GPAEngine
 from repro.net.messages import Message
 from repro.net.network import SensorNetwork
 from repro.net.shard import (
     ShardError,
     ShardRadio,
+    ShardRunReport,
     ShardWorkerError,
     WorkloadSpec,
     build_topology,
@@ -99,6 +102,40 @@ class TestDifferentialIdentity:
         sharded = run(spec, shards=shards, inline=True)
         assert sharded.fingerprint() == baseline.fingerprint()
         assert sharded.shards == shards
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_single_process_matches_hand_built_network(self, name):
+        """The reference every sharded run is compared with, pinned
+        apart from ShardWorker: the spec's keyed-RNG network and GPA
+        engine built by hand, its publishes scheduled, and drained.
+        Without this the sharded and single paths could drift together
+        and still agree with each other."""
+        spec = SPECS[name]
+        network = SensorNetwork(
+            build_topology(spec), seed=spec.seed, routing=spec.routing,
+            frame_rng="keyed", **spec.net,
+        )
+        engine = GPAEngine(
+            spec.program, network, strategy=spec.strategy,
+            window=spec.window, scheme=spec.scheme, **spec.strategy_kwargs,
+        ).install()
+        for when, node_id, pred, args in spec.publishes:
+            network.sim.schedule_at(
+                when, functools.partial(engine.publish, node_id, pred, args)
+            )
+        network.run_all(spec.max_events)
+        assert network.sim.pending == 0
+        by_hand = ShardRunReport(
+            rows={pred: engine.rows(pred) for pred in spec.outputs},
+            metrics=network.metrics, delivery=engine.delivery_report(),
+            events_processed=network.sim.events_processed,
+            queue_hwm=network.sim.queue_hwm, shards=0, windows=0,
+            border_records=0, per_shard=[],
+        )
+        report = run(spec, shards=None)
+        assert report.fingerprint() == by_hand.fingerprint()
+        assert report.events_processed == by_hand.events_processed
+        assert report.queue_hwm == by_hand.queue_hwm
 
     def test_baseline_produces_the_join(self):
         report = run(SPECS["e1-grid-join"], shards=None)
@@ -216,6 +253,24 @@ class TestValidation:
         assert excinfo.value.shard == 0
         assert "shard worker 0" in str(excinfo.value)
         assert excinfo.value.worker_traceback
+
+    @pytest.mark.parametrize("inline", [True, False],
+                             ids=["inline", "process"])
+    def test_unpicklable_reply_is_a_worker_error(self, monkeypatch, inline):
+        """A reply that cannot cross the wire surfaces as the shard's
+        worker error in both modes, never as a raw pickling failure in
+        the coordinator."""
+        from repro.net.shard import ShardWorker
+
+        collect = ShardWorker.collect
+        monkeypatch.setattr(
+            ShardWorker, "collect",
+            lambda self: {**collect(self), "unpicklable": lambda: None},
+        )
+        with pytest.raises(ShardWorkerError) as excinfo:
+            run(grid_spec(), shards=2, inline=inline)
+        assert excinfo.value.shard == 0
+        assert "pickle" in excinfo.value.worker_traceback.lower()
 
 
 def _border_radio(seed=0, jitter=0.005, loss=0.0, reliable=False):

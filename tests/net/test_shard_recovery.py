@@ -21,10 +21,9 @@ from repro.net.shard import (
     ShardError,
     ShardWorker,
     ShardWorkerError,
-    default_shards,
     run,
 )
-from tests.net.test_shard import SPECS, grid_spec
+from tests.net.test_shard import SPECS
 from tests.net.test_topology_routing import e19_round_spec
 
 BASELINES = {}
@@ -200,6 +199,44 @@ class TestWorkerKillRecovery:
                 checkpoint_every=2, max_restarts=1, faults=faults)
 
 
+class TestTransportIdentity:
+    """Inline and process workers share the worker, the command loop
+    and the handle; only the connection differs.  So a run must report
+    the same thing either way, supervised or recovering."""
+
+    @staticmethod
+    def _summary(report):
+        return {
+            "fingerprint": report.fingerprint(),
+            "windows": report.windows,
+            "border_records": report.border_records,
+            "border": [(s["shard"], s["border_in"], s["border_out"])
+                       for s in report.per_shard],
+            "restarts": report.supervision["restarts"],
+            "replayed_windows": report.supervision["replayed_windows"],
+        }
+
+    @pytest.mark.parametrize("killed", [False, True],
+                             ids=["supervised", "worker-kill"])
+    def test_inline_and_process_runs_report_the_same(self, killed):
+        name = "e18-reliable"
+        faults = (
+            FaultSchedule().worker_kill(shard=1, at_window=7) if killed
+            else None
+        )
+        summaries = {
+            inline: self._summary(run(
+                SPECS[name], shards=4, inline=inline, checkpoint_every=3,
+                max_restarts=1, faults=faults,
+            ))
+            for inline in (True, False)
+        }
+        assert summaries[True] == summaries[False]
+        assert summaries[True]["fingerprint"] == baseline(name).fingerprint()
+        assert summaries[True]["restarts"] == int(killed)
+        assert (summaries[True]["replayed_windows"] > 0) == killed
+
+
 class TestHangDetection:
     def test_hung_worker_is_killed_and_recovered(self, monkeypatch):
         """A worker that stops making progress (and so stops
@@ -224,29 +261,6 @@ class TestHangDetection:
         assert recovery["cause"] == "hang"
         assert recovery["shard"] == 1
         assert "heartbeat" in recovery["detail"]
-
-
-class TestAutoShards:
-    def test_default_shards_is_cpu_bounded(self, monkeypatch):
-        from repro.net import shard as shard_mod
-        from repro.net.shard import build_topology
-
-        topology = build_topology(grid_spec())  # 36 nodes
-        monkeypatch.setattr(shard_mod.os, "cpu_count", lambda: 3)
-        assert default_shards(topology) == 3
-        monkeypatch.setattr(shard_mod.os, "cpu_count", lambda: 128)
-        assert default_shards(topology) == 36  # never more than nodes
-        monkeypatch.setattr(shard_mod.os, "cpu_count", lambda: None)
-        assert default_shards(topology) == 1
-
-    def test_run_auto_matches_baseline(self, monkeypatch):
-        from repro.net import shard as shard_mod
-
-        monkeypatch.setattr(shard_mod.os, "cpu_count", lambda: 2)
-        name = "e1-grid-join"
-        report = run(SPECS[name], shards="auto", inline=True)
-        assert report.shards == 2
-        assert report.fingerprint() == baseline(name).fingerprint()
 
 
 class TestValidation:
