@@ -26,15 +26,19 @@ replay's outcome depends on, and nothing tied to the dead process:
 What a snapshot deliberately does **not** carry is the topology: it is
 immutable, shared by every worker, and potentially huge (the 100k-node
 E19 arenas).  The pickler writes a persistent-id stub for the topology
-object and its spatial index, and :func:`restore` rebinds the stubs to
-the coordinator's instance, so a checkpoint grows with the nodes the
-worker owns, not with the arena.  It is not small: the benchmark's
-1 000-node worker snapshots to 4.2 MB (4.5 MB while routing tables
-were built eagerly; ``net.checkpoint.bytes_per_ckpt`` in
-``benchmarks/e2e``), about 4 KB per owned node of ``Node`` objects,
-handler tables and per-node GPA runtimes.  The router is under 0.1 MB
-of that: its liveness view, the geographic router's positions, and the
-routing searches exactly as far as lookups have driven them
+object and, once built, its spatial index, and :func:`restore` rebinds
+the stubs to the coordinator's instance, so a checkpoint grows with the
+nodes the worker owns, not with the arena.  Everything else cached on
+the topology stays out with it: the routers read the adjacency their
+searches walk, and the geographic router the positions, through the
+topology on every call and keep no reference of their own.
+
+A snapshot is not small: the benchmark's 1 000-node worker snapshots
+to 4.19 MB (4.5 MB while routing tables were built eagerly;
+``net.checkpoint.bytes_per_ckpt`` in ``benchmarks/e2e``), about 4 KB
+per owned node of ``Node`` objects, handler tables and per-node GPA
+runtimes.  The router is under 0.1 MB of that: its liveness view and
+the routing searches exactly as far as lookups have driven them
 (:mod:`repro.net.routing`) — a restored worker resumes a
 half-expanded search from its cursor.
 
@@ -77,14 +81,16 @@ class _Pickler(pickle.Pickler):
 
     def __init__(self, file, topology: "Topology"):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._topology = topology
+        # Looked up once: persistent_id runs for every object pickled.
+        # An index never built is referenced by nothing, so none is
+        # built here.  Both objects outlive the dump, so their ids are
+        # not reused by anything it pickles.
+        self._stubs = {id(topology): _TOPOLOGY}
+        if topology._spatial is not None:
+            self._stubs[id(topology._spatial)] = _SPATIAL
 
     def persistent_id(self, obj):
-        if obj is self._topology:
-            return _TOPOLOGY
-        if obj is self._topology.spatial:
-            return _SPATIAL
-        return None
+        return self._stubs.get(id(obj))
 
 
 class _Unpickler(pickle.Unpickler):
@@ -98,6 +104,7 @@ class _Unpickler(pickle.Unpickler):
         if pid == _TOPOLOGY:
             return self._topology
         if pid == _SPATIAL:
+            # Only a snapshot that referenced an index asks for one.
             return self._topology.spatial
         raise CheckpointError(f"unknown persistent id {pid!r} in checkpoint")
 

@@ -92,7 +92,9 @@ class Router:
         """Resume the search in ``table`` until ``node`` is discovered
         or the live component of the destination is exhausted."""
         parents, queue, cursor = table
-        adj = self.topology.graph.adj
+        # Read through the topology on every call, never kept on the
+        # router: a checkpoint stubs the topology and so leaves it out.
+        adj = self.topology.adjacency
         dead_nodes, dead_edges = self._excluded_nodes, self._excluded_edges
         while cursor < len(queue) and node not in parents:
             parent = queue[cursor]
@@ -183,19 +185,16 @@ class GeoRouter(Router):
     BFS router stays byte-identical for every existing workload.
     """
 
-    def __init__(self, topology: Topology):
-        super().__init__(topology)
-        self._positions = {n: topology.position(n) for n in topology.node_ids}
-
     def greedy_hop(self, node: int, dst: int) -> Optional[int]:
         """The neighbor strictly closer to ``dst`` than ``node`` is,
         minimizing (distance, id); None at a local minimum."""
-        px, py = self._positions[dst]
-        nx_, ny = self._positions[node]
+        positions = self.topology.positions
+        px, py = positions[dst]
+        nx_, ny = positions[node]
         here = math.hypot(nx_ - px, ny - py)
         best: Optional[Tuple[float, int]] = None
         for nbr in self.topology.neighbors(node):
-            qx, qy = self._positions[nbr]
+            qx, qy = positions[nbr]
             d = math.hypot(qx - px, qy - py)
             if d < here:
                 cand = (d, nbr)

@@ -11,8 +11,12 @@ edge construction route through a uniform-grid spatial index
 (:mod:`repro.net.spatial`), so they are O(1)/O(n) expected instead of
 the linear/quadratic scans the seed shipped with; the answers are
 bit-identical to those scans.  Topologies are immutable after
-construction, so derived products (sorted neighbor tuples, the node-id
-list, the spatial index) are computed once and cached.
+construction, so derived products are computed once and cached: the
+sorted neighbor tuples, the node-id list, the exact diameter, the
+spatial index (a random deployment keeps the one it built its edges
+with) and the adjacency — one neighbor tuple per node in ``graph.adj``
+order, which every routing search and diameter sweep walks instead of
+networkx's views.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ class Topology:
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
         self._bbox: Optional[Tuple[float, float, float, float]] = None
         self._spatial: Optional[GridIndex] = None
+        self._adjacency: Optional[Dict[int, Tuple[int, ...]]] = None
 
     @property
     def node_ids(self) -> List[int]:
@@ -76,6 +81,18 @@ class Topology:
             self._neighbor_cache[node_id] = cached
         return cached
 
+    @property
+    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        """Every node's neighbors as a tuple, in ``graph.adj`` insertion
+        order — not the sorted :meth:`neighbors` order: breadth-first
+        searches over it discover nodes exactly as networkx's do, so
+        among equally short routes they pick the same one."""
+        if self._adjacency is None:
+            self._adjacency = {
+                node: tuple(nbrs) for node, nbrs in self.graph.adj.items()
+            }
+        return self._adjacency
+
     def position(self, node_id: int) -> Position:
         return self.positions[node_id]
 
@@ -94,37 +111,33 @@ class Topology:
         the 2*(i-1) cut).  Equals ``nx.diameter`` everywhere but runs a
         handful of BFS traversals instead of n of them on the sparse,
         long-diameter graphs sensor deployments produce."""
-        graph = self.graph
-        if len(graph) == 1:
+        adjacency = self.adjacency
+        if len(adjacency) == 1:
             return 0
         # Double sweep: max-degree start -> farthest node a -> farthest
         # node b.  ecc(a) is the classic lower bound and the a->b path
         # is (near-)diametral.
-        s = max(graph.nodes, key=lambda n: (graph.degree(n), -n))
-        dist_s = nx.single_source_shortest_path_length(graph, s)
-        a = max(dist_s, key=lambda n: (dist_s[n], -n))
-        paths_a = nx.single_source_shortest_path(graph, a)
-        b = max(paths_a, key=lambda n: (len(paths_a[n]), -n))
-        lb = len(paths_a[b]) - 1
+        s = max(adjacency, key=lambda n: (len(adjacency[n]), -n))
+        a = min(_bfs_levels(adjacency, s)[0][-1])
+        levels_a, parents = _bfs_levels(adjacency, a)
+        b = min(levels_a[-1])
+        lb = len(levels_a) - 1
         # Decompose levels from the *midpoint* of the a->b path: its
         # eccentricity is ~lb/2, so the 2*(i-1) cut usually closes after
         # touching only the outermost (sparse) levels.
-        u = paths_a[b][lb // 2]
-        dist_u = nx.single_source_shortest_path_length(graph, u)
-        lb = max(lb, max(dist_u.values()))
+        u = b
+        for _ in range(lb - lb // 2):
+            u = parents[u]
+        levels = _bfs_levels(adjacency, u)[0]
+        lb = max(lb, len(levels) - 1)
         # iFUB: after processing every level > i, any remaining pair
         # lies within distance 2*i of each other via u, so stop as soon
         # as lb >= 2*i.
-        levels: Dict[int, List[int]] = {}
-        for node, d in dist_u.items():
-            levels.setdefault(d, []).append(node)
-        for i in sorted(levels, reverse=True):
+        for i in range(len(levels) - 1, -1, -1):
             if lb >= 2 * i:
                 break
             for node in levels[i]:
-                ecc = max(
-                    nx.single_source_shortest_path_length(graph, node).values()
-                )
+                ecc = len(_bfs_levels(adjacency, node)[0]) - 1
                 if ecc > lb:
                     lb = ecc
         return lb
@@ -163,6 +176,27 @@ class Topology:
 
     def euclidean(self, a: int, b: int) -> float:
         return _dist(self.positions[a], self.positions[b])
+
+
+def _bfs_levels(
+    adjacency: Dict[int, Tuple[int, ...]], source: int
+) -> Tuple[List[List[int]], Dict[int, int]]:
+    """Breadth-first search from ``source``, level by level: the levels
+    (level i = the nodes at distance i, in discovery order) and each
+    node's discovering parent (the source is its own)."""
+    parents = {source: source}
+    levels = []
+    level = [source]
+    while level:
+        levels.append(level)
+        following = []
+        for node in level:
+            for nbr in adjacency[node]:
+                if nbr not in parents:
+                    parents[nbr] = node
+                    following.append(nbr)
+        level = following
+    return levels, parents
 
 
 def _dist(p: Position, q: Position) -> float:
@@ -269,13 +303,15 @@ class RandomGeometricTopology(Topology):
             raise NetworkError(f"unknown edge_method {edge_method!r}")
         chosen: Optional[Tuple["nx.Graph", Dict[int, Position]]] = None
         last: Optional[Tuple["nx.Graph", Dict[int, Position]]] = None
+        index: Optional[GridIndex] = None
         for attempt in range(max_tries):
             rng = random.Random(seed) if attempt == 0 else random.Random(f"{seed}:{attempt}")
             pts = {i: (rng.uniform(0, side), rng.uniform(0, side)) for i in range(n)}
             g = nx.Graph()
             g.add_nodes_from(range(n))
             if edge_method == "grid":
-                edges = GridIndex(pts, cell=radius).disk_edges(radius)
+                index = GridIndex(pts, cell=radius)
+                edges = index.disk_edges(radius)
             else:
                 edges = unit_disk_edges_brute(pts, radius)
             g.add_edges_from(edges)
@@ -293,11 +329,18 @@ class RandomGeometricTopology(Topology):
             mapping = {old: new for new, old in enumerate(sorted(component))}
             graph = nx.relabel_nodes(g.subgraph(component).copy(), mapping)
             positions = {mapping[old]: pts[old] for old in component}
+            index = None  # indexes the whole draw, not the component
         else:
             graph, positions = chosen
         self.side = side
         self.radius = radius
         super().__init__(graph, positions)
+        if index is not None:
+            # The draw is used as it is: the index its edges came from
+            # is the one spatial would build (same points, same cell),
+            # so keep it, reading the topology's own copy of the points.
+            index.positions = self.positions
+            self._spatial = index
 
     def _spatial_cell(self) -> float:
         return self.radius  # one cell per radio range

@@ -3,6 +3,7 @@ the worker's msg-id cursor as serve() scopes it, topology stub
 rebinding, and the coordinator's checkpoint store (E25's recovery
 substrate)."""
 
+import io
 import os
 
 import pytest
@@ -116,6 +117,38 @@ class TestCaptureRestore:
         _drive(worker, windows=2)  # the original hands out more ids
         assert worker.msg_id > cursor
         assert restore(blob, topology).msg_id == cursor
+
+    def test_snapshot_never_holds_the_adjacency(self):
+        """Routing searches read the topology's adjacency through the
+        stubbed topology and keep no reference of their own: warming it
+        changes no snapshot, and a driven worker pickles no part of it."""
+        worker, topology = _worker()
+        assert topology._adjacency is None
+        cold, _ = capture(worker)
+        topology.adjacency
+        assert capture(worker)[0] == cold
+
+        _drive(worker, windows=3)  # the searches walk the adjacency
+        adjacency = topology._adjacency
+        assert worker.network.router._tables
+        reached = []
+
+        class Watching(checkpoint._Pickler):
+            def persistent_id(self, obj):
+                if obj is adjacency or obj is adjacency.get(0):
+                    reached.append(obj)
+                return super().persistent_id(obj)
+
+        Watching(io.BytesIO(), topology).dump(worker)
+        assert reached == []
+
+    def test_unbuilt_index_is_not_built_by_a_capture(self):
+        worker, topology = _worker()
+        assert topology._spatial is None
+        blob, _ = capture(worker)
+        assert topology._spatial is None
+        topology.spatial
+        assert capture(worker)[0] == blob
 
     def test_unpicklable_state_raises_checkpoint_error(self):
         worker, _topology = _worker()

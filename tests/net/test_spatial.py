@@ -14,6 +14,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net import topology as topology_module
 from repro.net.ght import GeographicHash
 from repro.net.spatial import GridIndex, heuristic_cell
 from repro.net.topology import (
@@ -194,6 +195,123 @@ class TestTopologyQueriesDifferential:
         for m, n in [(1, 1), (1, 6), (4, 4), (3, 7)]:
             grid = GridTopology(m, n)
             assert grid.diameter == nx.diameter(grid.graph)
+
+
+class TestExactDiameter:
+    """The iFUB sweep over the cached adjacency against ``nx.diameter``,
+    on graphs where its level loop really runs (the cut does not close
+    right after the three sweeps)."""
+
+    @staticmethod
+    def _sweeps(monkeypatch, topo):
+        """``topo.diameter`` and the number of BFS sweeps it ran."""
+        calls = []
+        bfs = topology_module._bfs_levels
+
+        def counting(adjacency, source):
+            calls.append(source)
+            return bfs(adjacency, source)
+
+        monkeypatch.setattr(topology_module, "_bfs_levels", counting)
+        return topo.diameter, len(calls)
+
+    @pytest.mark.parametrize("n", [150, 400])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sparse_unit_disk(self, monkeypatch, n, seed):
+        topo = RandomGeometricTopology(n, radius=1.8, seed=seed)
+        assert len(topo) == n  # the draw is used as it is
+        diameter, sweeps = self._sweeps(monkeypatch, topo)
+        assert diameter == nx.diameter(topo.graph)
+        assert sweeps > 3  # the level loop ran
+
+    def test_giant_component_fallback(self, monkeypatch):
+        topo = RandomGeometricTopology(400, radius=0.9, seed=0, max_tries=1)
+        assert len(topo) < 400
+        diameter, sweeps = self._sweeps(monkeypatch, topo)
+        assert diameter == nx.diameter(topo.graph)
+        assert sweeps > 3
+
+    @pytest.mark.parametrize("graph", [
+        nx.path_graph(1), nx.path_graph(2), nx.path_graph(9),
+        nx.star_graph(6), nx.cycle_graph(7),
+    ], ids=["single", "edge", "path", "star", "cycle"])
+    def test_small_shapes(self, graph):
+        positions = {n: (float(n), 0.0) for n in graph}
+        assert Topology(graph, positions).diameter == nx.diameter(graph)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_non_contiguous_ids(self, seed):
+        base = RandomGeometricTopology(120, radius=2.0, seed=seed)
+        rng = random.Random(seed)
+        ids = rng.sample(range(10_000), len(base))
+        edges = [(ids[a], ids[b]) for a, b in base.graph.edges]
+        rng.shuffle(edges)
+        topo = topology_from_edges(
+            edges, {ids[n]: p for n, p in base.positions.items()}
+        )
+        assert topo.diameter == nx.diameter(topo.graph)
+        assert topo.diameter == base.diameter
+
+
+class TestKeptSpatialIndex:
+    """A random deployment used as drawn keeps the index its edges were
+    built with; the giant-component fallback and the brute-force edge
+    method build a fresh one on first use.  Either way the answers are
+    those of a fresh index over the topology's positions."""
+
+    @staticmethod
+    def _built(monkeypatch):
+        built = []
+
+        class Recording(GridIndex):
+            def __init__(self, positions, cell):
+                super().__init__(positions, cell)
+                built.append(self)
+
+        monkeypatch.setattr(topology_module, "GridIndex", Recording)
+        return built
+
+    def test_grid_draw_keeps_its_construction_index(self, monkeypatch):
+        built = self._built(monkeypatch)
+        topo = RandomGeometricTopology(120, radius=2.0, seed=3)
+        assert len(topo) == 120
+        assert topo.spatial is built[-1]
+        assert len(built) == 1  # nothing was rebuilt
+
+    def test_fallback_builds_its_own_index(self, monkeypatch):
+        built = self._built(monkeypatch)
+        topo = RandomGeometricTopology(300, radius=0.8, seed=0, max_tries=2)
+        assert len(topo) < 300
+        drawn = list(built)
+        assert len(drawn) == 2  # one per attempt
+        assert all(topo.spatial is not index for index in drawn)
+        assert len(built) == 3
+
+    def test_brute_edges_build_the_index_lazily(self, monkeypatch):
+        built = self._built(monkeypatch)
+        topo = RandomGeometricTopology(80, radius=3.0, seed=1,
+                                       edge_method="brute")
+        assert built == []
+        assert topo.spatial is built[0]
+
+    @pytest.mark.parametrize("args", [
+        dict(n=120, radius=2.0, seed=3),
+        dict(n=300, radius=0.8, seed=0, max_tries=2),
+        dict(n=80, radius=3.0, seed=1, edge_method="brute"),
+    ], ids=["kept", "fallback", "brute"])
+    def test_answers_equal_a_fresh_index(self, args):
+        topo = RandomGeometricTopology(**args)
+        fresh = GridIndex(topo.positions, topo._spatial_cell())
+        index = topo.spatial
+        assert index.positions == topo.positions
+        assert index.cell_items() == fresh.cell_items()
+        rng = random.Random(7)
+        for _ in range(40):
+            point = (rng.uniform(-1, 11), rng.uniform(-1, 11))
+            assert index.nearest(point) == fresh.nearest(point)
+            assert index.nearest_k(point, 4) == fresh.nearest_k(point, 4)
+            radius = rng.uniform(0.2, 3.0)
+            assert index.within(point, radius) == fresh.within(point, radius)
 
 
 class TestRandomGeometricConstruction:
