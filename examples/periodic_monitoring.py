@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Periodic monitoring: the TinyDB workload on the deductive engine.
 
-    SELECT avg(temp) FROM sensors WHERE temp > 70 SAMPLE PERIOD 5s
+    SELECT count(*) FROM sensors WHERE temp > 70 GROUP BY epoch
+    SAMPLE PERIOD 5s
 
 The deductive framework subsumes the periodic-gathering engines it
-extends (Section II-A): a one-rule program does the WHERE in-network,
-and a TAG epoch per period does the aggregate.
+extends (Section II-A): one rule does the WHERE in-network, and a head
+aggregate grouped by epoch keeps each epoch's count as a derived fact.
 
 Run:  python examples/periodic_monitoring.py
 """
@@ -14,9 +15,12 @@ import math
 import random
 
 import repro
-from repro.dist.periodic import ContinuousQuery
 
-PROGRAM = "hot(N, V, E) :- reading(N, V, E), V > 70."
+PROGRAM = """
+    hot(N, V, E) :- reading(N, V, E), V > 70.
+    sensors_hot(E, count(N)) :- hot(N, V, E).
+"""
+PERIOD = 5.0
 
 
 def main() -> None:
@@ -30,19 +34,17 @@ def main() -> None:
         wave = 30.0 * math.exp(-((x - 2.0 * epoch) ** 2 + (y - 3.5) ** 2) / 8.0)
         return round(55.0 + wave + rng.uniform(-1, 1), 1)
 
-    query = ContinuousQuery(
-        engine, sampler=thermometer, period=5.0,
-        program_pred="hot", value_position=1,
-        aggregate="count", sink=0, epoch_position=2,
-    )
-
     print("epoch  readings  sensors>70  (the heat wave passes through)")
-    for result in query.run_epochs(5):
-        bar = "#" * int(result.aggregate or 0)
-        print(f"{result.epoch:>5}  {result.readings:>8}  "
-              f"{int(result.aggregate or 0):>10}  {bar}")
+    counts = []
+    for epoch in range(5):
+        net.run_until(net.now + PERIOD)
+        for node_id in net.topology.node_ids:
+            engine.publish(node_id, "reading", (node_id, thermometer(node_id, epoch), epoch))
+        net.run_all()
+        count = next((n for e, n in engine.rows("sensors_hot") if e == epoch), 0)
+        counts.append(count)
+        print(f"{epoch:>5}  {len(net.topology.node_ids):>8}  {count:>10}  {'#' * count}")
 
-    counts = [int(a or 0) for _e, a in query.series()]
     assert any(c > 0 for c in counts), "the wave should trip the threshold"
     print("\ncommunication:", net.metrics.summary())
 

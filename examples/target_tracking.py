@@ -4,22 +4,27 @@
 Section II-B: tracking needs belief-state / information-utility math
 (local built-ins — here, signal strength) and a *maximum aggregate* for
 the collaboration step.  A `detect` rule drops weak readings
-in-network; each epoch a TAG max elects the best-informed sensor as the
-leader, and its position is the track estimate.
+in-network; a head aggregate keeps each epoch's strongest signal, and
+the rule it feeds elects the sensor that sensed it as the leader,
+whose position is the track estimate.
 
 Run:  python examples/target_tracking.py
 """
 
 import repro
-from repro.dist.aggregates import DistributedAggregate
 from repro.workloads.tracking import TargetTrackingWorkload
+
+LEADER_RULES = """
+    best(E, max(S)) :- detect(N, L, S, E).
+    leader(E, N, L) :- best(E, S), detect(N, L, S, E).
+"""
 
 
 def main() -> None:
     net = repro.GridNetwork(10, seed=5)
     workload = TargetTrackingWorkload(net.topology, epochs=5, seed=5)
     engine = repro.DeductiveEngine(
-        workload.program_text(), net, strategy="pa"
+        workload.program_text() + LEADER_RULES, net, strategy="pa"
     ).install()
 
     print("epoch  target        leader  estimate      error")
@@ -29,19 +34,11 @@ def main() -> None:
             engine.publish(node, pred, args)
         net.run_all()
 
-        # Leader election: in-network max of signal strength this epoch.
-        best = DistributedAggregate(
-            engine, "detect", 2, "max", root=0,
-            where=lambda row, e=epoch: row[3] == e,
-        )
-        strongest = best.collect()
-        if strongest is None:
+        leaders = [(n, l) for e, n, l in engine.rows("leader") if e == epoch]
+        if not leaders:
             print(f"{epoch:>5}  (target out of sensing range)")
             continue
-        leader, estimate = next(
-            (row[0], row[1]) for row in engine.rows("detect")
-            if row[3] == epoch and row[2] == strongest
-        )
+        leader, estimate = max(leaders)  # ties go to the highest node id
         error = workload.tracking_error(epoch, estimate)
         target = workload.target_position(epoch)
         print(f"{epoch:>5}  ({target[0]:4.1f},{target[1]:4.1f})  "

@@ -29,6 +29,7 @@ import networkx as nx
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from ..obs.spans import span as _span
+from .aggregates import Aggregate
 from .ast import Atom, BuiltinLiteral, Program, RelLiteral, Rule
 from .builtins import (
     BuiltinRegistry,
@@ -40,6 +41,7 @@ from .builtins import (
 )
 from .columnar import GLOBAL_INTERNER as _INTERNER
 from .derivations import (
+    Derivation,
     DerivationStore,
     FactKey,
     FiringBatch,
@@ -426,12 +428,12 @@ def enumerate_rule(
     occurrence of that predicate ranges over ``delta_tuples`` instead of
     the stored relation (the semi-naive rewriting).  Yields a
     substitution — ``initial_subst`` (its variables start out bound)
-    plus every variable the rule reads more than once, every named one
-    for an aggregate rule, read off the registers of the rule's compiled
-    plan (cached in :data:`GLOBAL_PLAN_CACHE`) once per match — and the
-    list of positive facts used (the derivation).  Inside a
-    :func:`repro.core.plan.seed_engine` block the original recursive
-    enumerator below runs instead.
+    plus every variable the rule reads more than once (an aggregate
+    rule's valuation reads every named one), read off the registers of
+    the rule's compiled plan (cached in :data:`GLOBAL_PLAN_CACHE`) once
+    per match — and the list of positive facts used (the derivation).
+    Inside a :func:`repro.core.plan.seed_engine` block the original
+    recursive enumerator below runs instead.
     """
     if seed_mode():
         yield from enumerate_rule_recursive(
@@ -526,10 +528,11 @@ def enumerate_rule_recursive(
 
 
 def ground_head(rule: Rule, subst: Substitution, registry: BuiltinRegistry) -> ArgsTuple:
-    """Instantiate and normalize the head arguments (evaluating any
-    arithmetic such as ``d + 1``)."""
+    """Instantiate and normalize the arguments of the atom ``rule``
+    derives — its head, or an aggregate rule's valuation — evaluating
+    any arithmetic such as ``d + 1``."""
     out = []
-    for arg in rule.head.args:
+    for arg in (Aggregate(rule).atom if rule.aggregates else rule.head).args:
         bound = arg.substitute(subst)
         if not bound.is_ground():
             raise EvaluationError(
@@ -601,70 +604,22 @@ def _fire_rule_tuples(
     return FiringBatch.of(rule.rule_id if rule.rule_id is not None else -1, matches())
 
 
-# ---------------------------------------------------------------------------
-# Aggregates
-# ---------------------------------------------------------------------------
-
-
-def evaluate_aggregate_rule(
-    rule: Rule, db: Database, registry: BuiltinRegistry
-) -> Iterator[ArgsTuple]:
-    """Evaluate a rule with head aggregates over the (final) body
-    relations using all-solutions semantics: distinct variable
-    valuations of the body are the multiset being aggregated."""
-    agg_positions = {spec.position for spec in rule.aggregates}
-    groups: Dict[Tuple, Dict[int, List]] = {}
-    seen_valuations: Dict[Tuple, Set[Tuple]] = {}
-    body_vars = sorted(rule.variables(), key=lambda v: v.name)
-
-    for subst, _used in enumerate_rule(rule, db, registry):
-        key_parts = []
-        for i, arg in enumerate(rule.head.args):
-            if i in agg_positions:
-                continue
-            key_parts.append(value_to_term(eval_term(arg.substitute(subst), registry)))
-        key = tuple(key_parts)
-        valuation = tuple(
-            repr(subst.resolve(v)) for v in body_vars if not v.is_anonymous
-        )
-        bucket = seen_valuations.setdefault(key, set())
-        if valuation in bucket:
-            continue
-        bucket.add(valuation)
-        per_spec = groups.setdefault(key, {spec.position: [] for spec in rule.aggregates})
-        for spec in rule.aggregates:
-            if spec.var is None:
-                per_spec[spec.position].append(1)
-            else:
-                value = eval_term(spec.var.substitute(subst), registry)
-                per_spec[spec.position].append(value)
-
-    for key, per_spec in groups.items():
-        args: List[Term] = []
-        key_iter = iter(key)
-        for i in range(rule.head.arity):
-            if i in agg_positions:
-                spec = next(s for s in rule.aggregates if s.position == i)
-                args.append(value_to_term(_apply_aggregate(spec.function, per_spec[i])))
-            else:
-                args.append(next(key_iter))
-        yield tuple(args)
-
-
-def _apply_aggregate(function: str, values: List) -> object:
-    if not values:
-        raise EvaluationError("aggregate over empty group")
-    if function == "count":
-        return len(values)
-    if function == "sum":
-        return sum(values)
-    if function == "min":
-        return min(values)
-    if function == "max":
-        return max(values)
-    if function == "avg":
-        return sum(values) / len(values)
-    raise EvaluationError(f"unknown aggregate {function!r}")
+def _refold(db: Database, aggregate: Aggregate, valuations: List[ArgsTuple]) -> List[ArgsTuple]:
+    """The new ``valuations`` of ``aggregate`` are stored: move the rows
+    of their groups (:meth:`Aggregate.moved`) and return the rows that
+    are new."""
+    rel, store = db.relation(aggregate.head), db.derivations
+    fold = Derivation(aggregate.rule_id, ())
+    new = []
+    for old, row in aggregate.moved(db.relation(aggregate.valuation), valuations):
+        if row is not None:
+            is_new, at = rel.add_row(row)
+            store.add_batch([rel.refs()[at]], FiringBatch.of(aggregate.rule_id, [(row, ())]))
+            if is_new:
+                new.append(row)
+        if old is not None and store.remove_derivation((aggregate.head, old), fold):
+            rel.discard(old)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +654,8 @@ class _BottomUpEvaluator:
 
     :meth:`evaluate` walks the condensation of the predicate dependency
     graph once, in topological order.  A node is either a positive SCC —
-    saturated by the semi-naive routine, aggregate rules first — or a
-    recursive component with negation inside, evaluated stage by stage
-    (Section IV-C).  Every rule call, whichever routine made it, is
+    saturated by the semi-naive routine — or a recursive component with
+    negation inside, evaluated stage by stage (Section IV-C).  Every rule call, whichever routine made it, is
     absorbed as one :class:`FiringBatch` in :meth:`_absorb`.
 
     The public subclasses only validate the program class and carry
@@ -756,13 +710,17 @@ class _BottomUpEvaluator:
                 deltas) -> int:
         """Turn ``rule``'s fired heads into rows and derivations; rows
         that are new also land in ``deltas[head predicate]``.  Returns
-        how many were new."""
-        head_pred = rule.head.predicate
+        how many were new.  An aggregate rule's heads are valuations:
+        the rows it adds are those of the groups they moved."""
+        aggregate = GLOBAL_PLAN_CACHE.get(rule).aggregate if rule.aggregates else None
+        head_pred = rule.head.predicate if aggregate is None else aggregate.valuation
         rel = db.relation(head_pred)
         added = list(map(rel.add_row, firings.heads))
         new = [head for head, (is_new, _row) in zip(firings.heads, added) if is_new]
         refs = rel.refs()
         db.derivations.add_batch([refs[row] for _new, row in added], firings)
+        if aggregate is not None:
+            head_pred, new = aggregate.head, _refold(db, aggregate, new)
         if new:
             deltas.setdefault(head_pred, set()).update(new)
         if _obs.enabled and firings.index:
@@ -774,14 +732,6 @@ class _BottomUpEvaluator:
     # -- positive SCCs: semi-naive ---------------------------------------
 
     def _evaluate_stratum(self, db: Database, rules: List[Rule]) -> None:
-        # Aggregate rules first: stratification guarantees their body
-        # predicates live in strictly lower components, hence are final.
-        for rule in rules:
-            if rule.has_aggregates:
-                rel = db.relation(rule.head.predicate)
-                for head in evaluate_aggregate_rule(rule, db, self.registry):
-                    rel.add(head)
-        rules = [r for r in rules if not r.has_aggregates]
         registry = self.registry
 
         # Initial round: full naive evaluation of this component's rules.
@@ -942,9 +892,15 @@ class _BottomUpEvaluator:
         stages they reach (every stage, when ``stage`` is None) are
         scheduled in ``pending``."""
         pred = rule.head.predicate
+        stage_of = self._stage_value
+        if rule.aggregates:
+            # The heads are valuations: their group carries the stage.
+            pos = GLOBAL_PLAN_CACHE.get(rule).aggregate.group.index(
+                self.xy.stage_position[pred])
+            stage_of = lambda _pred, head: eval_term(head[pos], self.registry)
 
         def keep(head) -> bool:
-            head_stage = self._stage_value(pred, head)
+            head_stage = stage_of(pred, head)
             if head_stage != stage and (stage is None or head_stage > stage):
                 pending.setdefault(head_stage, set())
             return head_stage == stage

@@ -18,6 +18,11 @@ All three are implemented here (centrally) so benchmark E9 can compare
 their maintenance work; the distributed engine builds on the
 set-of-derivations evaluator.
 
+All three maintain head aggregates (:mod:`repro.core.aggregates`): an
+aggregate rule derives valuation facts like any rule derives its head,
+and when a valuation appears or disappears the rows of its group move
+through the fold's own derivation (:meth:`_Maintainer._refold`).
+
 All three match an update of fact ``f`` by one rule: the *negated*
 occurrences of its predicate with ``f`` absent, the *positive* ones
 with ``f`` present, each call's firings a complete
@@ -35,6 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
+from .aggregates import Aggregate
 from .ast import Program, RelLiteral, Rule
 from .builtins import BuiltinRegistry, DEFAULT_REGISTRY, normalize_partial
 from .derivations import (
@@ -46,6 +52,7 @@ from .derivations import (
 )
 from .errors import EvaluationError, ProgramError
 from .eval import ArgsTuple, Database, enumerate_rule, fire_rule, ground_head
+from .plan import GLOBAL_PLAN_CACHE
 from .safety import check_program_safety
 from .stratify import is_recursive, stratify
 from .terms import Substitution, to_term
@@ -92,6 +99,11 @@ class _Maintainer:
     Every firing is complete before the update is applied, so what a
     subclass records or counts is what held just before or just after
     the update, never a mix.
+
+    A rule's firings derive facts of ``_derives[rule id]``: its head
+    predicate, or an aggregate rule's valuation predicate.  A subclass
+    calls :meth:`_refold` once valuations changed visibility, and
+    :meth:`_move` says what moving a row means to it.
     """
 
     def __init__(self, program: Program, registry: Optional[BuiltinRegistry],
@@ -105,7 +117,15 @@ class _Maintainer:
         #: body index of a negated occurrence).
         self._positive_rules: Dict[str, List[Tuple[Rule, int]]] = {}
         self._negative_rules: Dict[str, List[Tuple[Rule, int]]] = {}
+        #: rule id -> the predicate its firings derive; valuation
+        #: predicate -> its rule's fold.
+        self._derives: Dict[int, str] = {}
+        self._aggregates: Dict[str, Aggregate] = {}
         for rule in program.rules:
+            plan = GLOBAL_PLAN_CACHE.get(rule)
+            self._derives[rule.rule_id] = plan.head.predicate
+            if plan.aggregate is not None:
+                self._aggregates[plan.aggregate.valuation] = plan.aggregate
             occurrences: Dict[str, int] = {}
             for i, lit in enumerate(rule.body):
                 if not isinstance(lit, RelLiteral):
@@ -139,6 +159,23 @@ class _Maintainer:
     def _apply(self, sign: int, pred: str, args: ArgsTuple) -> None:
         raise NotImplementedError
 
+    def _refold(self, aggregate: Aggregate, flipped: Iterable[ArgsTuple]) -> None:
+        """The valuations ``flipped`` of ``aggregate`` changed
+        visibility: the row that replaces a group row they moved gains
+        the fold's derivation, then the old row loses it
+        (:meth:`_move`).  In that order a fact derived through both rows
+        keeps a derivation throughout, and one the old row blocks stays
+        blocked."""
+        rel = self.db.relation(aggregate.valuation)
+        for old, new in aggregate.moved(rel, flipped):
+            if new is not None:
+                self._move(aggregate, new, +1)
+            if old is not None:
+                self._move(aggregate, old, -1)
+
+    def _move(self, aggregate: Aggregate, row: ArgsTuple, sign: int) -> None:
+        raise NotImplementedError
+
     def _positive_firings(self, pred: str, args: ArgsTuple) -> List[Tuple[Rule, FiringBatch]]:
         """One batch per positive occurrence of ``pred`` with ``args``
         as its delta; ``pred(args)`` must be stored."""
@@ -166,7 +203,7 @@ class _Maintainer:
             if seed is None:
                 continue
             remaining = tuple(lit for i, lit in enumerate(rule.body) if i != lit_index)
-            reduced = Rule(rule.head, remaining, (), rule.rule_id)
+            reduced = Rule(GLOBAL_PLAN_CACHE.get(rule).head, remaining, (), rule.rule_id)
             # Variables local to the negated subgoal (wildcards) stay
             # free, so the blocking check sees every other stored tuple.
             shared = reduced.variables()
@@ -221,11 +258,6 @@ class IncrementalEvaluator(_Maintainer):
         db: Optional[Database] = None,
     ):
         check_program_safety(program)
-        for rule in program.rules:
-            if rule.has_aggregates:
-                raise ProgramError(
-                    "incremental evaluation does not support aggregate rules"
-                )
         super().__init__(program, registry, db)
 
     def verify_locally_nonrecursive(self) -> bool:
@@ -241,15 +273,18 @@ class IncrementalEvaluator(_Maintainer):
             blocked = self._negated_firings(pred, args)
             rel.add(args)
             self.stats.facts_inserted += 1
+            if pred in self._aggregates:
+                self._refold(self._aggregates[pred], (args,))
             for rule, batch in self._positive_firings(pred, args):
-                self._record(rule.head.predicate, batch)
+                self._record(self._derives[rule.rule_id], batch)
             # A new blocker kills the derivations it blocks.
             for rule, matches in blocked:
+                head_pred = self._derives[rule.rule_id]
                 for head, used in matches:
                     self.stats.derivations_subtracted += 1
-                    if store.remove_derivation((rule.head.predicate, head),
+                    if store.remove_derivation((head_pred, head),
                                                Derivation(_rule_id(rule), used)):
-                        self._queue.append((-1, rule.head.predicate, head))
+                        self._queue.append((-1, head_pred, head))
             return
         if not rel.discard(args):
             return
@@ -259,12 +294,22 @@ class IncrementalEvaluator(_Maintainer):
         for emptied_pred, emptied_args in store.remove_support(fact):
             self._queue.append((-1, emptied_pred, emptied_args))
         store.discard_fact(fact)
+        if pred in self._aggregates:
+            self._refold(self._aggregates[pred], (args,))
         self._restore(pred, args)
+
+    def _move(self, aggregate: Aggregate, row: ArgsTuple, sign: int) -> None:
+        if sign > 0:
+            self._record(aggregate.head, FiringBatch.of(aggregate.rule_id, [(row, ())]))
+        elif self.db.derivations.remove_derivation(
+            (aggregate.head, row), Derivation(aggregate.rule_id, ())
+        ):
+            self._queue.append((-1, aggregate.head, row))
 
     def _restore(self, pred: str, args: ArgsTuple) -> None:
         """``pred(args)`` is gone: record the derivations it blocked."""
         for rule, matches in self._negated_firings(pred, args):
-            self._record(rule.head.predicate, FiringBatch.of(_rule_id(rule), matches))
+            self._record(self._derives[rule.rule_id], FiringBatch.of(_rule_id(rule), matches))
 
     def _record(self, pred: str, batch: FiringBatch) -> None:
         refs = [fact_ref((pred, head)) for head in batch.heads]
@@ -287,7 +332,9 @@ class CountingEvaluator(_Maintainer):
     non-deterministically; centrally it is exact and cheap.  An update
     moves a count by one per derivation it creates or destroys, however
     many occurrence variants find that derivation: variants are
-    deduplicated by the firings' records.
+    deduplicated by the firings' records.  A valuation is visible while
+    its count is above 0, and a group row counts the fold's one
+    derivation.
     """
 
     def __init__(
@@ -298,9 +345,6 @@ class CountingEvaluator(_Maintainer):
         check_program_safety(program)
         if is_recursive(program):
             raise ProgramError("counting maintenance requires a non-recursive program")
-        for rule in program.rules:
-            if rule.has_aggregates:
-                raise ProgramError("counting maintenance does not support aggregates")
         self.counts: Dict[FactKey, int] = {}
         super().__init__(program, registry)
 
@@ -318,14 +362,19 @@ class CountingEvaluator(_Maintainer):
             rel.discard(args)
             self.stats.facts_deleted += 1
             blocked = self._negated_firings(pred, args)
+        if pred in self._aggregates:
+            self._refold(self._aggregates[pred], (args,))
         seen: Set[tuple] = set()
         for rule, batch in fired:
-            self._count(rule.head.predicate, batch, sign, seen)
+            self._count(self._derives[rule.rule_id], batch, sign, seen)
         # Inserting a blocker decrements what it blocks, deleting it
         # restores.
         for rule, matches in blocked:
-            self._count(rule.head.predicate, FiringBatch.of(_rule_id(rule), matches),
+            self._count(self._derives[rule.rule_id], FiringBatch.of(_rule_id(rule), matches),
                         -sign, seen)
+
+    def _move(self, aggregate: Aggregate, row: ArgsTuple, sign: int) -> None:
+        self._bump(aggregate.head, row, sign)
 
     def _count(self, pred: str, batch: FiringBatch, delta: int, seen: Set[tuple]) -> None:
         for i, record in zip(batch.index, batch.records):
@@ -362,7 +411,8 @@ class DRedEvaluator(IncrementalEvaluator):
     over-deleted facts from what remains.  ``stats.facts_rederived``
     counts the re-derivation work — the communication overhead the
     paper avoids by keeping derivation sets instead.  Supports
-    stratified programs without aggregates.
+    stratified programs; a valuation is re-derived in its aggregate's
+    stratum.
     """
 
     def __init__(
@@ -375,6 +425,8 @@ class DRedEvaluator(IncrementalEvaluator):
             for pred in preds
         }
         super().__init__(program, registry)
+        for valuation, aggregate in self._aggregates.items():
+            self._stratum[valuation] = self._stratum[aggregate.head]
 
     def delete(self, predicate: str, args: Iterable) -> None:
         """Over-delete then re-derive."""
@@ -413,7 +465,9 @@ class DRedEvaluator(IncrementalEvaluator):
                 rederived = False
                 for pred, heads in lost[level].items():
                     rel = self.db.relation(pred)
-                    for rule in self.program.rules_for(pred):
+                    for rule in self.program.rules:
+                        if self._derives[rule.rule_id] != pred:
+                            continue
                         batch = fire_rule(rule, self.db, self.registry)
                         self.stats.rule_firings += len(batch.index)
                         batch = batch.restrict(heads.__contains__)
@@ -423,8 +477,15 @@ class DRedEvaluator(IncrementalEvaluator):
                                 rel.add(head)
                                 self.stats.facts_rederived += 1
                                 rederived = True
-        # Facts that could not be re-derived stay deleted; their own
-        # negative occurrences may resurrect other facts.
+        # Facts that could not be re-derived stay deleted: the group
+        # rows of lost valuations move, and the facts' own negative
+        # occurrences may resurrect other facts.
+        for preds in lost.values():
+            for pred, heads in preds.items():
+                if pred in self._aggregates:
+                    rel = self.db.relation(pred)
+                    lost_valuations = sorted((h for h in heads if h not in rel), key=repr)
+                    self._refold(self._aggregates[pred], lost_valuations)
         for pred, fargs in overdeleted + [deleted]:
             if fargs not in self.db.relation(pred):
                 self._restore(pred, fargs)

@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..obs import instrument as _inst
 from ..obs import state as _obs
+from .aggregates import Aggregate
 from .ast import BuiltinLiteral, Literal, RelLiteral, Rule
 from .builtins import (
     BuiltinRegistry,
@@ -362,16 +363,19 @@ class CompiledPlan:
 
     ``body`` is :func:`order_body`'s result, computed here and nowhere
     else; ``positive`` / ``negative`` / ``builtins`` partition it in
-    that order.  A subgoal is compiled per set of registers bound before
-    it, on first use (:meth:`step`), so the subgoals can be joined in
-    any order: the central executors take them in ``body`` order
-    (:meth:`program`), the distributed engines as
+    that order.  ``head`` is the atom a firing derives: the rule's head,
+    or for an aggregate rule (``aggregate``, else None) its valuation
+    (:mod:`repro.core.aggregates`).  A subgoal is compiled per set of
+    registers bound before it, on first use (:meth:`step`), so the
+    subgoals can be joined in any order: the central executors take them
+    in ``body`` order (:meth:`program`), the distributed engines as
     :class:`repro.dist.plans.RulePlan` says.
     """
 
     __slots__ = (
         "rule", "label", "body", "positive", "negative", "builtins",
-        "occurrences", "uses", "slots", "_compiled", "_programs", "_batch",
+        "occurrences", "aggregate", "head", "uses", "slots", "_compiled",
+        "_programs", "_batch",
     )
 
     def __init__(self, rule: Rule):
@@ -393,18 +397,15 @@ class CompiledPlan:
                 self.positive.append(lit)
                 occs = self.occurrences.get(lit.predicate, ())
                 self.occurrences[lit.predicate] = occs + (i,)
+        self.aggregate = Aggregate(rule) if rule.has_aggregates else None
+        self.head = rule.head if self.aggregate is None else self.aggregate.atom
         # One register per variable, whatever order the subgoals are
         # joined in.  A variable gets its register written only if the
-        # rule reads it again (see Step.binds).
+        # rule reads it again (see Step.binds) — a valuation head reads
+        # every named body variable.
         self.uses = Counter(
-            var for part in (rule.head, *rule.body) for var in part.variables()
+            var for part in (self.head, *rule.body) for var in part.variables()
         )
-        if rule.has_aggregates:
-            # All-solutions semantics tells valuations apart by every
-            # named body variable, read again or not.
-            for var in self.uses:
-                if not var.is_anonymous:
-                    self.uses[var] += 1
         self.slots: Dict[Variable, int] = {
             var: slot for slot, var in enumerate(self.uses)
         }
@@ -436,9 +437,9 @@ class CompiledPlan:
         ``body`` order starting from the registers in ``mask``:
         ``((kind, step, index), ...)`` — ``_JOIN`` / ``_NOT`` with the
         :class:`Step` and its index in ``positive`` / ``negative``,
-        ``_TEST`` with a built-in step — and the head expressions, None
-        when the head keeps an unbound variable (an aggregate's
-        placeholder, or the rule is unsafe)."""
+        ``_TEST`` with a built-in step — and the expressions of
+        ``head``, None when it keeps an unbound variable (the rule is
+        unsafe)."""
         found = self._programs.get(mask)
         if found is None:
             ops, start, index = [], mask, [0, 0, 0]
@@ -457,7 +458,7 @@ class CompiledPlan:
                 index[kind] += 1
             try:
                 bound = _bound(self.slots, mask)
-                head = tuple(_compile_expr(a, bound) for a in self.rule.head.args)
+                head = tuple(_compile_expr(a, bound) for a in self.head.args)
             except PlanError:
                 head = None
             found = self._programs[start] = (tuple(ops), head)

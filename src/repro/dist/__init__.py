@@ -11,7 +11,6 @@ the timestamp-ranked derived-fact ledger (:mod:`repro.dist.derived`):
   Example 3 / Section VI).
 """
 
-from .aggregates import DistributedAggregate, local_values
 from .baselines import ProceduralBFS
 from .codegen import Deployment, ProgramImage, image_for
 from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
@@ -36,7 +35,6 @@ from .localized import (
     logicj_program,
     visible_rows,
 )
-from .periodic import ContinuousQuery, EpochResult
 from .plans import DistributedPlan, RulePlan
 from .routing_app import RoutingTable, build_routing, routing_program
 from .regions import (
@@ -53,14 +51,13 @@ from .regions import (
 )
 
 __all__ = [
-    "DistributedAggregate", "local_values", "Deployment", "ProgramImage",
+    "Deployment", "ProgramImage",
     "image_for", "ProceduralBFS", "Candidate", "DerivedFact", "DerivedTable", "FactRef",
     "GPAEngine", "JoinToken",
     "NodeRuntime", "Partial", "ResultMsg", "StoreMsg", "WireDerivation",
     "LocalResultMsg", "LocalizedEngine", "Placement", "ReplicaMsg",
     "build_sptree", "logich_placements", "logich_program",
     "logicj_placements", "logicj_program", "visible_rows",
-    "ContinuousQuery", "EpochResult",
     "DistributedPlan", "RulePlan", "RoutingTable", "build_routing",
     "routing_program", "BroadcastRegions", "CentralizedRegions",
     "CentroidRegions", "LocalStorageRegions", "PerpendicularRegions",

@@ -21,6 +21,12 @@ The complete Section III/IV machinery:
   ranks its results at the hash node: a subtraction cancels the same
   derivation's additions stamped no later, whichever arrives first
   (:meth:`DerivedFact.apply`);
+* **head aggregates** — an aggregate rule's results are valuation
+  facts (:mod:`repro.core.aggregates`) homed at their group's GHT key,
+  so one node holds a whole group; when a valuation's visibility flips
+  there it refolds the group and sends the row's retraction and
+  replacement to the row's own home, as results of the fold's
+  derivation stamped in the order it folds;
 * **pipelined mode** — ``mode="pipelined"`` drops Theorem 3's tau_s +
   tau_c launch delay for every rule
   :func:`~repro.core.stratify.rule_releases` lets stream (CALM /
@@ -38,8 +44,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.aggregates import Aggregate
 from ..core.builtins import BuiltinRegistry, eval_term
 from ..core.errors import NetworkError, PlanError
 from ..core.eval import _freeze_value
@@ -411,6 +419,13 @@ class GPAEngine:
             program = parse_program(program, registry) if registry else parse_program(program)
         self.plan = DistributedPlan(program, registry, allow_local_nonrecursive)
         self.registry = self.plan.registry
+        #: Valuation predicate -> its rule's fold; node id -> the stamp
+        #: of the last group row update it folded.
+        self._folds: Dict[str, Aggregate] = {}
+        self._fold_stamps: Dict[int, float] = {}
+        for rp in self.plan.rule_plans:
+            if rp.aggregate is not None:
+                self._folds[rp.aggregate.valuation] = rp.aggregate
         self.network = network
         if isinstance(strategy, RegionStrategy):
             self.strategy = strategy
@@ -704,8 +719,9 @@ class GPAEngine:
             return
         rp = self.plan.by_id[token.rule_id]
         for cand in token.candidates:
-            self._emit(node, rp, cand.head_args, cand.derivation,
-                       cand.result_op, token.stamp(self.window_params.join_delay))
+            self._emit(node, rp.head.predicate, cand.head_args, cand.derivation,
+                       cand.result_op, token.stamp(self.window_params.join_delay),
+                       rp.width)
         token.candidates = []
         token.partials = []
         if _obs.enabled:
@@ -1136,8 +1152,8 @@ class GPAEngine:
         # (idempotent); a rule without negation has none to make.
         if token.rule_id in self._streamed_rules:
             self.streamed_derivations += 1
-        self._emit(node, rp, head_args, derivation, result_op,
-                   token.stamp(self.window_params.join_delay))
+        self._emit(node, rp.head.predicate, head_args, derivation, result_op,
+                   token.stamp(self.window_params.join_delay), rp.width)
 
     def _result_op(self, token: JoinToken) -> str:
         if token.trigger_negated:
@@ -1153,22 +1169,25 @@ class GPAEngine:
     def _emit(
         self,
         node: Node,
-        rp: RulePlan,
+        pred: str,
         head_args: ArgsTuple,
         derivation: WireDerivation,
         op: str,
         ts: float,
+        width: Optional[int] = None,
     ) -> None:
-        pred = rp.head.predicate
+        """Send a result to the home of ``pred(head_args)``: of its
+        first ``width`` arguments (a valuation's group) when given."""
+        key = head_args if width is None else head_args[:width]
         if not self.fault_tolerant:
-            targets = (self.ght.node_for_fact(pred, head_args),)
+            targets = (self.ght.node_for_fact(pred, key),)
         else:
             # Fan out to every live replica-set member; the current
             # primary (first live member) is the one that will publish
             # downstream (see _on_result).  With the whole replica set
             # down the result is lost.
             radio = self.network.radio
-            replica_set = self.ght.nodes_for_fact(pred, head_args)
+            replica_set = self.ght.nodes_for_fact(pred, key)
             targets = [r for r in replica_set if radio.is_alive(r)]
             if targets and targets[0] != replica_set[0]:
                 self.ght_failovers += 1
@@ -1185,7 +1204,7 @@ class GPAEngine:
             # a result is in flight.  A result that lands off its
             # current home chases the placement once, so migrated
             # regions never fragment.
-            home = self.ght.node_for_fact(msg.pred, msg.args)
+            home = self.ght.node_for_fact(msg.pred, self._key_args(msg.pred, msg.args))
             if home != node.id and not msg.re_homed:
                 msg.re_homed = True
                 node.send_routed(home, msg, on_status=self._track_delivery)
@@ -1195,17 +1214,22 @@ class GPAEngine:
         fact.apply(msg.op, msg.derivation, msg.ts)
         if fact.visible == was_visible:
             return  # neither a first derivation nor the last one gone
-        if fact.visible:
-            fact.tuple_id = TupleID(node.id, node.clock.now(), node.next_minted_seq())
         # In fault-tolerant mode every live replica stores the result,
         # but only the *current primary* (first live replica-set
-        # member) publishes downstream generations/deletions and
-        # records latency — otherwise k replicas would start k derived
-        # streams.  Resync (anti-entropy) traffic never publishes: the
-        # result had its first derivation long ago.
+        # member) publishes downstream generations/deletions, folds
+        # group rows and records latency — otherwise k replicas would
+        # start k derived streams.  Resync (anti-entropy) traffic never
+        # publishes: the result had its first derivation long ago.
+        aggregate = self._folds.get(msg.pred)
+        if fact.visible and aggregate is None:
+            fact.tuple_id = TupleID(node.id, node.clock.now(), node.next_minted_seq())
+        key = msg.args if aggregate is None else msg.args[:aggregate.width]
         if msg.resync or (self.fault_tolerant and node.id != self.ght.primary_for_key(
-            self.ght.key_for_fact(msg.pred, msg.args), self.network.radio
+            self.ght.key_for_fact(msg.pred, key), self.network.radio
         )):
+            return
+        if aggregate is not None:
+            self._refold(node, aggregate, msg.args)
             return
         if not fact.visible:
             self._publish_derived(node, msg.pred, msg.args, fact, op="del")
@@ -1217,6 +1241,31 @@ class GPAEngine:
             if self.tenant is not None:
                 _inst.tenant_result_latency.labels(tenant=self.tenant).observe(latency)
         self._publish_derived(node, msg.pred, msg.args, fact, op="ins")
+
+    def _key_args(self, pred: str, args: ArgsTuple) -> ArgsTuple:
+        """The arguments a derived fact's GHT key is spelled from: a
+        valuation's group, any other fact's own."""
+        aggregate = self._folds.get(pred)
+        return args if aggregate is None else args[:aggregate.width]
+
+    def _refold(self, node: Node, aggregate: Aggregate, valuation: ArgsTuple) -> None:
+        """``valuation`` just changed visibility at its group's home:
+        the replacement of every group row that moved
+        (:meth:`Aggregate.moved`) gains the fold's derivation and the
+        old row loses it, sent to the rows' homes as results stamped
+        strictly increasing here, so each home ranks them in the order
+        they were folded."""
+        derived = self.runtimes[node.id].derived
+        visible = [args for _p, args, _f in derived.visible(aggregate.valuation)]
+        fold = WireDerivation(aggregate.rule_id, ())
+        for old, new in aggregate.moved(visible, (valuation,)):
+            for op, row in (("add", new), ("sub", old)):
+                if row is not None:
+                    last = self._fold_stamps.get(node.id, -math.inf)
+                    stamp = self._fold_stamps[node.id] = max(
+                        node.clock.now(), math.nextafter(last, math.inf)
+                    )
+                    self._emit(node, aggregate.head, row, fold, op, stamp)
 
     # -- adaptive placement (serving mode, E21) -----------------------------
 
@@ -1244,7 +1293,7 @@ class GPAEngine:
         self._require_installed()
         node = self.network.node(old_home)
         moved = self.runtimes[old_home].derived.take(
-            lambda pred, args: self.ght.key_for_fact(pred, args) in keys
+            lambda pred, args: self.ght.key_for_fact(pred, self._key_args(pred, args)) in keys
         )
         for pred, args, fact in moved:
             self._post(node, new_home, MigrateMsg(
@@ -1288,7 +1337,7 @@ class GPAEngine:
                 for pred, args, fact in runtime.derived.visible():
                     if (pred, args) in synced:
                         continue
-                    if recovered not in ght.nodes_for_fact(pred, args):
+                    if recovered not in ght.nodes_for_fact(pred, self._key_args(pred, args)):
                         continue
                     synced.add((pred, args))
                     self.resyncs += 1

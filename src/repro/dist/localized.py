@@ -209,6 +209,12 @@ class LocalizedEngine:
         if isinstance(program, str):
             program = parse_program(program, registry) if registry else parse_program(program)
         self.plan = DistributedPlan(program, registry, allow_local_nonrecursive=True)
+        for rp in self.plan.rule_plans:
+            if rp.aggregate is not None:
+                raise PlanError(
+                    f"rule {rp.rule!r} aggregates: a group has no home in "
+                    "localized mode (run it on GPAEngine)"
+                )
         self.registry = self.plan.registry
         self.network = network
         self.placements = dict(placements)

@@ -46,7 +46,9 @@ class RulePlan:
     """One rule as the distributed engines join it: the process-wide
     :class:`~repro.core.plan.CompiledPlan` of the rule (so a rule the
     central engine also evaluates is ordered and classified once),
-    required to have something that can trigger it."""
+    required to have something that can trigger it.  ``head`` is the
+    atom a match derives — an aggregate rule's valuation, whose fold is
+    ``aggregate`` (else None)."""
 
     def __init__(self, rule: Rule):
         plan = GLOBAL_PLAN_CACHE.get(rule)
@@ -54,7 +56,11 @@ class RulePlan:
             raise PlanError(f"rule {rule!r} has no positive relational subgoal")
         self.rule = rule
         self.rule_id = rule.rule_id if rule.rule_id is not None else -1
-        self.head = rule.head
+        self.head = plan.head
+        self.aggregate = plan.aggregate
+        #: How many leading head arguments spell the home key of a
+        #: result: a valuation's group; None for all of them.
+        self.width = None if plan.aggregate is None else plan.aggregate.width
         self.label = plan.label
         self.positive: List[RelLiteral] = plan.positive
         self.negative: List[RelLiteral] = plan.negative
@@ -105,13 +111,6 @@ class DistributedPlan:
         allow_local_nonrecursive: bool = False,
     ):
         check_program_safety(program)
-        for rule in program.rules:
-            if rule.has_aggregates:
-                raise PlanError(
-                    "in-network evaluation of head aggregates is delegated to "
-                    "the TAG layer (repro.net.aggregation); remove the "
-                    "aggregate rule from the distributed program"
-                )
         self.program = program
         self.registry = registry or DEFAULT_REGISTRY
         self.analysis: Analysis = classify(program)

@@ -1,5 +1,7 @@
 """Tests for centralized bottom-up evaluation (the reference semantics)."""
 
+import itertools
+
 import pytest
 
 from repro.core.builtins import BuiltinRegistry, DEFAULT_REGISTRY
@@ -12,6 +14,7 @@ from repro.core.eval import (
     evaluate,
     order_body,
 )
+from repro.core.incremental import IncrementalEvaluator
 from repro.core.parser import parse_program, parse_rule
 from repro.core.plan import seed_engine
 from repro.core.stratify import ProgramClass, classify
@@ -328,6 +331,48 @@ class TestAggregates:
         db.assert_fact("obs", ("a", 1))
         evaluate(parse_program("c(count(_)) :- obs(S, V), obs(S, V)."), db)
         assert db.rows("c") == {(1,)}
+
+    def test_valuations_are_derived_facts(self):
+        # Two valuations of X, three derivations: the row counts the
+        # valuations and holds the fold's one derivation.
+        db = Database()
+        for args in [(1, "a"), (1, "b"), (2, "a")]:
+            db.assert_fact("r", args)
+        evaluate(parse_program("c(count(_)) :- r(X, _). s(sum(X)) :- r(X, _)."), db)
+        assert db.rows("c") == {(2,)} and db.rows("s") == {(3,)}
+        assert db.rows("c#r0") == {(1,), (2,)}
+        store = db.derivations.snapshot()
+        assert sorted(len(store[("c#r0", args)]) for args in db.relation("c#r0")) == [1, 2]
+        (fold,) = store[("c", (Constant(2),))]
+        assert (fold.rule_id, fold.body_facts) == (0, ())
+
+    def test_every_order_of_a_float_group_folds_one_row(self):
+        text = "t(sum(V), avg(V)) :- r(V)."
+        db = Database()
+        for v in (0.1, 0.2, 0.3):
+            db.assert_fact("r", (v,))
+        evaluate(parse_program(text), db)
+        for order in itertools.permutations((0.1, 0.2, 0.3)):
+            ev = IncrementalEvaluator(parse_program(text))
+            for v in order:
+                ev.insert("r", (v,))
+            assert ev.rows("t") == db.rows("t") == {(0.6, 0.6 / 3)}, order
+
+    def test_aggregate_in_a_staged_component(self):
+        # XY-stratified: each stage's groups are complete when the rule
+        # fires at that stage, so the row is final.
+        db = Database()
+        db.assert_fact("root", (1,))
+        for args in [(1, 2, 3), (1, 2, 5), (2, 3, 1)]:
+            db.assert_fact("e", args)
+        evaluate(parse_program("""
+            h(X, 0) :- root(X).
+            best(Y, min(D), T + 1) :- h(X, T), e(X, Y, D), not done(Y, T).
+            h(Y, T) :- best(Y, D, T).
+            done(Y, T) :- h(Y, T).
+        """), db)
+        assert db.rows("best") == {(2, 3, 1), (3, 1, 2)}
+        assert db.rows("h") == {(1, 0), (2, 1), (3, 2)}
 
 
 class TestXYEvaluation:

@@ -297,9 +297,35 @@ class TestSetOfDerivationsSpecifics:
         # has cycles, so local non-recursion fails (Section IV-C).
         assert not ev.verify_locally_nonrecursive()
 
-    def test_aggregates_rejected(self):
-        with pytest.raises(ProgramError):
-            IncrementalEvaluator(parse_program("c(count(_)) :- obs(X)."))
+
+#: Three derivations but two valuations: r(1, a) and r(1, b) are one
+#: value of X.
+VALUATIONS = "c(count(_)) :- r(X, _). s(sum(X)) :- r(X, _)."
+VALUATION_FACTS = [(1, "a"), (1, "b"), (2, "a")]
+
+
+@pytest.mark.parametrize("cls", ALL_MAINTAINERS)
+def test_aggregates_fold_valuations_not_derivations(cls):
+    """An aggregate counts and sums the valuations of its named body
+    variables: c(2) and s(3), not c(3) and s(4), whichever maintainer
+    holds them, with evaluate()'s store."""
+    ev = cls(parse_program(VALUATIONS))
+    for args in VALUATION_FACTS:
+        ev.insert("r", args)
+    assert ev.rows("c") == {(2,)} and ev.rows("s") == {(3,)}
+    expected = oracle(VALUATIONS, [("r", args) for args in VALUATION_FACTS])
+    store = expected.derivations.snapshot()
+    valuations = {fact: len(ds) for fact, ds in store.items() if fact[0] == "c#r0"}
+    assert sorted(valuations.values()) == [1, 2]
+    if isinstance(ev, CountingEvaluator):
+        assert ev.counts == {fact: len(ds) for fact, ds in store.items()}
+    else:
+        assert ev.db.derivations.snapshot() == store
+    # Withdrawing r(1, a) leaves the valuation X = 1: nothing moves.
+    ev.delete("r", (1, "a"))
+    assert ev.rows("c") == {(2,)} and ev.rows("s") == {(3,)}
+    ev.delete("r", (1, "b"))
+    assert ev.rows("c") == {(1,)} and ev.rows("s") == {(2,)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -356,6 +382,28 @@ def test_random_dag_tc_matches_oracle(ops):
     assert ev.rows("t") == expected.rows("t")
 
 
+#: Aggregate programs over r(X, Y) and b(X) (every maintainer holds
+#: them; the distributed half is tests/dist/test_gpa_aggregates.py).
+AGGREGATES = {
+    # An anonymous body variable: two valuations, three derivations.
+    "count and sum of valuations": VALUATIONS,
+    "grouped folds": "g(X, count(Y), sum(Y), min(Y), max(Y), avg(Y)) :- r(X, Y).",
+    "ungrouped folds": "u(count(_), sum(Y), min(Y), max(Y), avg(Y)) :- r(X, Y).",
+    "aggregate feeding a rule": "m(X, max(Y)) :- r(X, Y). big(X) :- m(X, Y), Y >= 1.",
+    "negation below an aggregate": (
+        "ok(X, Y) :- r(X, Y), not b(X). n(count(Y)) :- ok(X, Y). "
+        "k(X, sum(Y)) :- r(X, Y), not b(Y)."
+    ),
+}
+
+AGGREGATE_FACTS = st.one_of(
+    st.tuples(st.just("r"), st.tuples(
+        st.integers(0, 2), st.sampled_from([0, 1, 2, 0.1, 0.2, 0.3]),
+    )),
+    st.tuples(st.just("b"), st.tuples(st.integers(0, 2))),
+)
+
+
 def _facts(*preds):
     """Facts of ``preds`` (predicate, arity) over a small domain."""
     return st.one_of(*[
@@ -379,6 +427,9 @@ MAINTAINED = {
     "two-rule rederivation": (
         TWO_RULE_REDERIVATION, _facts(("m", 1), ("n", 1), ("b", 1), ("c", 1)),
     ),
+    # Head aggregates (see AGGREGATES): every function, grouped and
+    # ungrouped, over float values too.
+    **{name: (text, AGGREGATE_FACTS) for name, text in AGGREGATES.items()},
 }
 
 

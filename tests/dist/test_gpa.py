@@ -374,10 +374,21 @@ class TestEngineValidation:
         with pytest.raises(repro.NetworkError):
             eng.retract(1, "r", (1, "a"), tid)
 
-    def test_aggregates_rejected(self):
+    @pytest.mark.parametrize("mode", ["barrier", "pipelined"])
+    def test_aggregates_fold_valuations_not_derivations(self, mode):
+        """r(1, a) and r(1, b) are one valuation X = 1: c(2) and s(3),
+        as evaluate() has them, homed with their two valuations."""
         net = GridNetwork(3)
-        with pytest.raises(repro.PlanError):
-            GPAEngine(parse_program("c(count(_)) :- r(X)."), net)
+        eng = GPAEngine("c(count(_)) :- r(X, _). s(sum(X)) :- r(X, _).",
+                        net, mode=mode).install()
+        for node, args in enumerate([(1, "a"), (1, "b"), (2, "a")]):
+            eng.publish(node, "r", args)
+        net.run_all()
+        assert eng.rows("c") == {(2,)} and eng.rows("s") == {(3,)}
+        store = eng.derivation_store()
+        assert sorted(len(ds) for (p, _a), ds in store.items() if p == "c#r0") == [1, 2]
+        homes = {home.id for home, _p, _a, _f in eng._visible("c#r0")}
+        assert len(homes) == 1  # the ungrouped group has one home
 
     def test_unstratifiable_rejected(self):
         net = GridNetwork(3)

@@ -108,7 +108,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
         ]
         if token.trigger_negated:
             if token.op == "ins":
-                engine._emit(node, rp, head_args, derivation, "sub", stamp)
+                engine._emit(node, rp.head.predicate, head_args, derivation, "sub", stamp)
                 continue
             cand = Candidate(head_args, derivation, neg_patterns, "add")
             if reference_blocked(runtime, token, cand):
@@ -117,7 +117,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
         elif rp.has_negation:
             cand = Candidate(head_args, derivation, neg_patterns, result_op)
             if result_op == "sub":
-                engine._emit(node, rp, head_args, derivation, "sub", stamp)
+                engine._emit(node, rp.head.predicate, head_args, derivation, "sub", stamp)
                 continue
             if reference_blocked(runtime, token, cand):
                 continue
@@ -125,7 +125,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
         else:
             if token.rule_id in engine._streamed_rules:
                 engine.streamed_derivations += 1
-            engine._emit(node, rp, head_args, derivation, result_op, stamp)
+            engine._emit(node, rp.head.predicate, head_args, derivation, result_op, stamp)
 
 
 def reference_extend(engine, runtime, rp, token, node, allowed=None):

@@ -311,6 +311,13 @@ class TestValidation:
         with pytest.raises(PlanError):
             p.primary_node((Constant("abc"),), None)
 
+    def test_aggregate_rule_rejected(self):
+        """A group has no home in localized mode: the valuation facts of
+        an aggregate rule must not be stored as rows of its head."""
+        placements = {k: Placement(0) for k in ("c", "r")}
+        with pytest.raises(PlanError, match="aggregates"):
+            LocalizedEngine("c(X, count(_)) :- r(X, _).", GridNetwork(2), placements)
+
     def test_anonymous_negated_subgoal_rejected_at_install(self):
         """Localized mode watches ground negated atoms only.  The rule
         used to raise from a message handler mid-run, after earlier

@@ -54,9 +54,16 @@ class TestDistributedPlan:
         assert plan.idb == {"a", "c"}
         assert plan.edb == {"b"}
 
-    def test_aggregates_rejected(self):
-        with pytest.raises(PlanError):
-            DistributedPlan(parse_program("c(count(_)) :- r(X)."))
+    def test_aggregate_rule_derives_valuations(self):
+        """An aggregate rule compiles like any other: its results are
+        valuation facts — the group, then the named body variables —
+        homed by the group's leading arguments."""
+        plan = DistributedPlan(parse_program("c(S, count(_)) :- r(S, X, _)."))
+        (rp,) = plan.rule_plans
+        assert rp.head.predicate == "c#r0" == rp.aggregate.valuation
+        assert [repr(a) for a in rp.head.args] == ["S", "S", "X"]
+        assert rp.width == 1
+        assert plan.idb == {"c"}
 
     def test_unsupported_class_needs_flag(self):
         program = parse_program("w(X) :- m(X, Y), not w(Y).")

@@ -95,21 +95,28 @@ class TestAdmission:
         with pytest.raises(AdmissionError, match="unknown"):
             server.session("ghost")
 
-    @pytest.mark.parametrize("program", [
-        "total(sum<V>) :- reading(V).",           # head aggregate
-        "win(X) :- move(X, Y), not win(Y).",      # negation in a cycle
-    ])
-    def test_program_gpa_cannot_run_is_rejected(self, program):
+    def test_program_gpa_cannot_run_is_rejected(self):
         """Admission compiles the engine that will run the program, so
-        what the distributed compiler refuses is a refusal, not an
-        escaping ``PlanError``."""
+        what the distributed compiler refuses (negation in a cycle) is a
+        refusal, not an escaping ``PlanError``."""
         server = QueryServer(GridNetwork(4))
         with pytest.raises(AdmissionError, match="invalid_program"):
-            server.admit("t", program)
+            server.admit("t", "win(X) :- move(X, Y), not win(Y).")
         assert not server.sessions
         assert server.rejections == [("t", "invalid_program")]
         # Nothing was installed under the tenant's id: it can come back.
         assert server.admit("t", PROG).state == "running"
+
+    def test_head_aggregate_admitted(self):
+        """A head aggregate runs in-network like any rule: admitted,
+        and its rows are evaluate()'s."""
+        program = "total(sum(V)) :- reading(V)."
+        pubs = [(node, "reading", (float(node % 5),)) for node in range(16)]
+        server = QueryServer(GridNetwork(4))
+        assert server.admit("t", program).state == "running"
+        server.submit("t", pubs)
+        server.run()
+        assert server.results("t", "total") == oracle(pubs, program, "total") == {(10.0,)}
 
 
 class TestIsolationAndExactness:
