@@ -36,6 +36,9 @@ path, by :meth:`FiringBatch.of` elsewhere — and
 :meth:`DerivationStore.add_batch`, the store's one writer, files them.
 The central evaluator and the maintainers of
 :mod:`repro.core.incremental` record through it alike.
+:class:`~repro.dist.localized.LocalizedEngine` keeps the same refs and
+records, made by :func:`fact_ref`, in its tables, ledgers and messages;
+:func:`spell_record` spells a record as plain values.
 """
 
 from __future__ import annotations
@@ -74,6 +77,17 @@ def fact_ref(fact: FactKey) -> tuple:
     """``fact``'s ref, interning terms never seen before."""
     pred, args = fact
     return (pred, *map(GLOBAL_INTERNER.intern, args))
+
+
+def spell_record(record: tuple) -> Tuple[int, Tuple[FactKey, ...]]:
+    """``record`` as plain values, ``(rule_id, ((pred, args), ...))``,
+    each fact spelled as the interner first met its terms — for tests
+    and debugging: no engine spells a record to compare it."""
+    terms = GLOBAL_INTERNER.terms
+    return record[0], tuple(
+        (ref[0], tuple(map(terms.__getitem__, islice(ref, 1, None))))
+        for ref in islice(record, 1, None)
+    )
 
 
 def _find(fact: FactKey) -> tuple:

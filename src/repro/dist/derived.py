@@ -1,15 +1,24 @@
 """Derived facts as both distributed engines ship and store them: a
-:class:`WireDerivation` (rule id + :class:`FactRef` of each fact used)
+derivation (rule id + a reference to each fact used, in body order)
 travels to its head's hash or placement node, where the fact's
 derivation set has one writer, :meth:`DerivedFact.apply`, ranking every
 update by the timestamp it carries (Section IV-B), not by arrival.  A
 node keeps its facts, in both engines, in one :class:`DerivedTable`.
 
-A reference and a derivation are their own identity: they compare by
-term equality (``1`` and ``1.0`` are one fact, as in the central
-store) and hash once, and a derivation lists its facts in body order,
-so the ledger, the localized watch index and ``derivation_store`` key
-on the derivation itself."""
+The engines spell a derivation two ways; the ledger keys on either.
+
+* ``GPAEngine`` ships a :class:`WireDerivation` of :class:`FactRef`
+  references, each the fact's terms and stream ``TupleID``: they cross
+  shard borders and checkpoints, where interner ids are process-local.
+  They compare by term equality (``1`` and ``1.0`` are one fact, as in
+  the central store) and hash once.
+* ``LocalizedEngine`` ships the central store's record ``(rule_id,
+  ref_1, ..., ref_k)`` (:mod:`repro.core.derivations`): a ref is
+  ``(pred, id_1, ..., id_n)`` over the process-wide interner, made once
+  as a row turns visible, and record and ref hash and compare in C.
+
+Either way a derivation is its own identity, so the ledger, the
+localized watch index and ``derivation_store`` key on it."""
 
 from __future__ import annotations
 
@@ -59,10 +68,10 @@ class FactRef:
 
 
 class WireDerivation:
-    """A derivation as shipped in result messages: rule id + a fact ref
-    per positive subgoal, in body order — the central record's
-    ``(rule_id, ref_1, ..., ref_k)``.  Equal derivations are one
-    dictionary key."""
+    """A derivation as GPA ships it in result messages: rule id + a
+    fact ref per positive subgoal, in body order — the central record's
+    ``(rule_id, ref_1, ..., ref_k)`` spelled in terms and tuple ids.
+    Equal derivations are one dictionary key."""
 
     __slots__ = ("rule_id", "facts", "_hash")
 
@@ -100,21 +109,22 @@ class DerivedFact:
     — per derivation the top-ranked ``(op, derivation, stamp)``
     received: an 'add' is a live derivation under the stamp it was added
     with, a 'sub' a tombstone under the highest it was subtracted with.
-    Stamps are floats in ``GPAEngine``, ``(time, node, seq)`` tuples in
-    ``LocalizedEngine``."""
+    Derivations are :class:`WireDerivation` objects and stamps floats in
+    ``GPAEngine``; derivations are central records and stamps ``(time,
+    node, seq)`` tuples in ``LocalizedEngine``."""
 
     __slots__ = ("derivations", "ledger", "tuple_id")
 
     def __init__(self):
-        self.derivations: Dict[WireDerivation, WireDerivation] = {}
-        self.ledger: Dict[WireDerivation, Tuple[str, WireDerivation, object]] = {}
+        self.derivations: Dict[object, object] = {}  # WireDerivation or record
+        self.ledger: Dict[object, Tuple[str, object, object]] = {}
         self.tuple_id: Optional[TupleID] = None
 
     @property
     def visible(self) -> bool:
         return bool(self.derivations)
 
-    def apply(self, op: str, derivation: WireDerivation, stamp) -> None:
+    def apply(self, op: str, derivation, stamp) -> None:
         """The one way a derivation set changes (results, migrated
         state, anti-entropy, base facts): a subtraction stamped tau
         cancels every addition of an equal derivation stamped <= tau,

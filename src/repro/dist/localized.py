@@ -36,6 +36,13 @@ Mechanics:
   finalizing a derived fact — it may be retracted later" discipline for
   XY-stratified programs.
 
+Facts and derivations live in the central store's id space
+(:mod:`repro.core.derivations`): a table maps each visible row to its
+ref ``(pred, id_1, ..., id_n)``, made once as the row turns visible, and
+a derivation is the record ``(rule_id, ref_1, ..., ref_k)`` the join
+fills from those refs; the ledger, the watch index and both message
+kinds key on it, so a firing hashes no term.
+
 Tables and watch index are insertion-ordered dicts: the order a node
 fires and sends in does not depend on ``PYTHONHASHSEED``.
 """
@@ -45,22 +52,21 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.builtins import BuiltinRegistry, eval_term
+from ..core.columnar import GLOBAL_INTERNER
+from ..core.derivations import fact_ref
 from ..core.errors import PlanError
 from ..core.eval import _freeze_value
 from ..core.parser import parse_program
-from ..core.terms import term_size, to_term
+from ..core.terms import Term, term_size, to_term
 from ..net.messages import Message
 from ..net.network import SensorNetwork
 from ..net.node import Node
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from ..obs.spans import CountedHandler
-from ..streams.tuples import ArgsTuple, TupleID
-from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
+from ..streams.tuples import ArgsTuple
+from .derived import DerivedFact, DerivedTable
 from .plans import DeltaJoin, DistributedPlan
-
-#: Fixed tuple id used for value-identified facts in localized mode.
-_VALUE_ID = TupleID(0, 0.0, 0)
 
 
 class Placement:
@@ -94,6 +100,17 @@ class Placement:
         return f"Placement(arg {self.attr}{extra}{nbr})"
 
 
+def _interned(value) -> Tuple[Term, int]:
+    """``value``'s term and interner id.  The term is the interner's
+    own object (its hash computed, met by identity in every later table
+    lookup) unless the interner first met the value spelled otherwise
+    (``3.0`` before node ``3``): a seeded fact keeps its spelling."""
+    term = to_term(value)
+    tid = GLOBAL_INTERNER.intern(term)
+    canonical = GLOBAL_INTERNER.terms[tid]
+    return (canonical if repr(canonical) == repr(term) else term), tid
+
+
 def _stamp(node: Node) -> tuple:
     """One firing's stamp: totally ordered across nodes, strictly
     increasing along the node's own firings.  Ranking by it converges:
@@ -108,12 +125,14 @@ def _stamp(node: Node) -> tuple:
 class LocalResultMsg(Message):
     """A candidate derivation shipped to its fact's placement node,
     stamped by the firing that produced it (unsized, as
-    ``ResultMsg.ts``)."""
+    ``ResultMsg.ts``).  The derivation is its central record ``(rule_id,
+    ref_1, ..., ref_k)``, sized as on the wire: the rule id plus two
+    symbols (predicate, fact id) per fact, as GPA's ``WireDerivation``."""
 
-    def __init__(self, pred: str, args: ArgsTuple, derivation: WireDerivation,
+    def __init__(self, pred: str, args: ArgsTuple, derivation: tuple,
                  neg_atoms: Tuple[Tuple[str, ArgsTuple], ...], op: str, stamp: tuple):
         size = (
-            1 + sum(term_size(a) for a in args) + derivation.size()
+            1 + sum(term_size(a) for a in args) + 2 * len(derivation) - 1
             + 2 * len(neg_atoms)
         )
         super().__init__("loc_result", payload_symbols=size, category="result")
@@ -131,7 +150,7 @@ class ReplicaMsg(Message):
 
     neg_atoms = ()
 
-    def __init__(self, pred: str, args: ArgsTuple, derivation: WireDerivation,
+    def __init__(self, pred: str, args: ArgsTuple, derivation: tuple,
                  op: str, stamp: tuple):
         super().__init__(
             "loc_replica", payload_symbols=1 + sum(term_size(a) for a in args),
@@ -153,7 +172,7 @@ class PlacedFact(DerivedFact):
 
     def __init__(self):
         super().__init__()
-        self.watched: Dict[WireDerivation, tuple] = {}  # live derivation -> atoms
+        self.watched: Dict[tuple, tuple] = {}  # live derivation -> atoms
         self.visible = False
 
 
@@ -168,19 +187,26 @@ class LocalRuntime:
     """One node's tables and watch index."""
 
     def __init__(self):
-        # pred -> {row: stored row} of visible facts (primaries and
+        # pred -> {row: its fact ref} of visible facts (primaries and
         # replicas alike)
-        self.tables: Dict[str, Dict[ArgsTuple, ArgsTuple]] = {}
+        self.tables: Dict[str, Dict[ArgsTuple, tuple]] = {}
         self.placed = PlacedTable()  # their ledgers
         # negated-atom key -> {(fact_key, derivation): None}
         self.watches: Dict[Tuple[str, ArgsTuple], Dict[tuple, None]] = {}
         self.swept = 0.0  # local time of the last tombstone sweep
 
-    def table(self, pred: str) -> Dict[ArgsTuple, ArgsTuple]:
+    def table(self, pred: str) -> Dict[ArgsTuple, tuple]:
         return self.tables.setdefault(pred, {})
 
     def memory_tuples(self) -> int:
-        return sum(len(t) for t in self.tables.values())
+        """Resident tuples: the visible rows, plus the ledger's facts
+        that are not visible and its tombstones."""
+        placed = self.placed
+        return (
+            sum(len(t) for t in self.tables.values())
+            + sum(not fact.visible for fact in placed.values())
+            + placed.tombstones()
+        )
 
 
 class LocalizedEngine:
@@ -255,11 +281,15 @@ class LocalizedEngine:
         """Seed the topology as ``pred(x, y)`` facts at both endpoints —
         nodes learn their neighbors from link beacons, which costs the
         same for every compared scheme and is excluded from metrics."""
-        for a in self.network.topology.node_ids:
-            for b in self.network.topology.neighbors(a):
-                args = (to_term(a), to_term(b))
-                self.runtimes[a].table(pred).setdefault(args, args)
-                self.runtimes[b].table(pred).setdefault(args, args)
+        topology = self.network.topology
+        interned = {n: _interned(n) for n in topology.node_ids}
+        for a in topology.node_ids:
+            term_a, id_a = interned[a]
+            for b in topology.neighbors(a):
+                term_b, id_b = interned[b]
+                args, ref = (term_a, term_b), (pred, id_a, id_b)
+                self.runtimes[a].table(pred).setdefault(args, ref)
+                self.runtimes[b].table(pred).setdefault(args, ref)
 
     def seed(self, node_id: int, pred: str, args: Iterable) -> None:
         """Install a base fact directly at a node (no radio cost): add
@@ -271,14 +301,16 @@ class LocalizedEngine:
         self._base(node_id, pred, args, "sub")
 
     def _base(self, node_id: int, pred: str, args: Iterable, op: str) -> None:
-        args_t = tuple(to_term(a) for a in args)
+        interned = [_interned(a) for a in args]
+        args_t = tuple(term for term, _id in interned)
+        ref = (pred, *(tid for _term, tid in interned))
         node = self.network.node(node_id)
-        derivation = WireDerivation(-1, (FactRef(pred, args_t, _VALUE_ID),))
-        self._apply(node, pred, args_t, op, derivation, (), _stamp(node))
+        self._apply(node, pred, args_t, op, (-1, ref), (), _stamp(node))
 
     def memory_report(self) -> Dict[int, int]:
-        """Per-node resident tuples — Section V's claim is that the
-        shortest-path programs store O(degree) tuples per node."""
+        """Per-node resident tuples (:meth:`LocalRuntime.memory_tuples`)
+        — Section V's claim is that the shortest-path programs store
+        O(degree) tuples per node."""
         return {
             node_id: runtime.memory_tuples()
             for node_id, runtime in self.runtimes.items()
@@ -298,7 +330,7 @@ class LocalizedEngine:
                     msg.neg_atoms, msg.stamp)
 
     def _apply(self, node: Node, pred: str, args: ArgsTuple, op: str,
-               derivation: WireDerivation, neg_atoms: tuple, stamp: tuple) -> None:
+               derivation: tuple, neg_atoms: tuple, stamp: tuple) -> None:
         """Rank one stamped update into the fact's ledger; only a
         derivation whose liveness flipped touches the watch index."""
         runtime = self.runtimes[node.id]
@@ -350,19 +382,23 @@ class LocalizedEngine:
 
     def _table_update(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
         """Add or remove ('sub') a visible row and delta-fire the rules
-        it triggers."""
+        it triggers.  The row's fact ref is made as it turns visible
+        and handed back as it leaves."""
         table = self.runtimes[node.id].table(pred)
-        if (args in table) == (op == "add"):
-            return
         if op == "add":
-            table[args] = args
+            if args in table:
+                return
+            ref = table[args] = fact_ref((pred, args))
         else:
-            del table[args]
-        self._send_replicas(node, pred, args, op)
+            ref = table.pop(args, None)
+            if ref is None:
+                return
+        self._send_replicas(node, pred, args, ref, op)
         self._check_watchers(node, pred, args)
-        self._fire_rules(node, pred, args, op)
+        self._fire_rules(node, pred, args, ref, op)
 
-    def _send_replicas(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
+    def _send_replicas(self, node: Node, pred: str, args: ArgsTuple, ref: tuple,
+                       op: str) -> None:
         """Ship a flip at the fact's primary placement (only) on."""
         placement = self.placements[pred]
         if not (placement.replicate_to_neighbors or placement.extra_attrs):
@@ -372,7 +408,7 @@ class LocalizedEngine:
             return
         targets = list(node.neighbors) if placement.replicate_to_neighbors else []
         targets.extend(n for n in homes[1:] if n not in targets)
-        derivation = WireDerivation(-1, (FactRef(pred, args, _VALUE_ID),))
+        derivation = (-1, ref)
         stamp = _stamp(node)
         for target in targets:
             self._send(node, target, ReplicaMsg(pred, args, derivation, op, stamp))
@@ -399,43 +435,40 @@ class LocalizedEngine:
         start their derivations."""
         for node_id in self.network.topology.node_ids:
             node = self.network.node(node_id)
-            for args in list(self.runtimes[node_id].tables.get(pred, ())):
-                self._fire_rules(node, pred, args, op="add")
+            for args, ref in list(self.runtimes[node_id].tables.get(pred, {}).items()):
+                self._fire_rules(node, pred, args, ref, op="add")
 
-    def _fire_rules(self, node: Node, pred: str, args: ArgsTuple, op: str) -> None:
+    def _fire_rules(self, node: Node, pred: str, args: ArgsTuple, ref: tuple,
+                    op: str) -> None:
         """Fire the delta-joins ``pred`` triggers, those deriving a
         blocker (a predicate some rule negates) first for an added row
         and last for a removed one: a fact the row both supports and
         blocks never flashes visible in between, to be carried on by
         its replicas (under loss, without end)."""
         for join in self._joins[op].get(pred, ()):
-            self._fire_rule(node, join, args, op)
+            self._fire_rule(node, join, args, ref, op)
 
-    def _fire_rule(self, node: Node, join: DeltaJoin, args: ArgsTuple, op: str) -> None:
+    def _fire_rule(self, node: Node, join: DeltaJoin, args: ArgsTuple, ref: tuple,
+                   op: str) -> None:
         tables = self.runtimes[node.id].tables
         # The join is complete before anything is emitted: locally
         # delivered results mutate the very tables it reads.
         if _obs.enabled:
             stats = [0, 0]  # rows scanned, rows matched
-            results = join.fire(tables, args, self.registry, stats)
+            results = join.fire(tables, args, ref, self.registry, stats)
             if stats[0]:
                 _inst.join_selectivity.labels(rule=join.label).observe(
                     stats[1] / stats[0]
                 )
         else:
-            results = join.fire(tables, args, self.registry)
+            results = join.fire(tables, args, ref, self.registry)
         if not results:
             return
         stamp = _stamp(node)
         placement = self.placements[join.head_pred]
-        for head_args, used, neg_atoms in results:
-            # Localized mode identifies facts by value, not by stream
-            # tuple id: a fixed id keeps derivations location-independent
-            # so duplicate firings (primary + replicas) dedupe at the
-            # home.
-            derivation = WireDerivation(join.rule_id, tuple(
-                FactRef(p, row, _VALUE_ID) for p, row in zip(join.preds, used)
-            ))
+        for head_args, derivation, neg_atoms in results:
+            # A fact is its ref, the same at every node: duplicate
+            # firings (primary + replicas) dedupe at the home.
             home = placement.primary_node(head_args, self.registry)
             self._send(node, home, LocalResultMsg(
                 join.head_pred, head_args, derivation, neg_atoms, op, stamp

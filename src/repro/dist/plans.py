@@ -30,7 +30,6 @@ from ..core.plan import (
     _compile_builtin,
     _compile_expr,
     _eval_term,
-    _scan_rows,
     _structural_matches,
     _structural_pattern,
     _structural_rows,
@@ -261,10 +260,12 @@ class DeltaJoin:
     literals in textual order; a literal whose arguments are all fixed
     by then is one lookup, any other scans the node's table itself, so
     matches come out in the order nested loops over those tables give.
-    Each row lands in its literal's body position (``order``), so a
-    match's ``used`` is in body order, as a derivation lists its facts.
-    Built-ins, head and negated atoms are evaluated from the registers
-    per complete match.
+    A node's table maps each row to its fact ref, the central store's
+    ``(pred, id_1, ..., id_n)`` (:func:`repro.core.derivations.fact_ref`);
+    a match files each row's ref at its literal's body position
+    (``order``), so it yields its derivation as the central record
+    ``(rule_id, ref_1, ..., ref_k)``.  Built-ins, head and negated atoms
+    are evaluated from the registers per complete match.
 
     Tables must hold ground rows (they do: rows are ground heads or
     seeded values).  Every variable of a negated atom is then bound to
@@ -273,7 +274,7 @@ class DeltaJoin:
     """
 
     __slots__ = (
-        "rule_id", "label", "head_pred", "preds", "order", "literals",
+        "rule_id", "label", "head_pred", "order", "literals",
         "builtins", "head", "negs", "n_slots",
     )
 
@@ -284,10 +285,9 @@ class DeltaJoin:
         order = [occurrence] + [
             i for i in range(rp.n_positive) if i != occurrence
         ]
-        #: Body position of each literal, in join order.
-        self.order = tuple(order)
-        #: Predicate of each row of a match's ``used`` tuple (body order).
-        self.preds = tuple(lit.predicate for lit in rp.positive)
+        #: Record position of each literal's ref, in join order (a
+        #: record leads with its rule id).
+        self.order = tuple(i + 1 for i in order)
         mask, literals = 0, []
         for i in order:
             literals.append(rp.step(i, mask))
@@ -307,13 +307,14 @@ class DeltaJoin:
         self.n_slots = len(rp.slots)
 
     def fire(
-        self, tables: Dict[str, Dict[tuple, tuple]], args: tuple,
+        self, tables: Dict[str, Dict[tuple, tuple]], args: tuple, ref: tuple,
         registry: BuiltinRegistry, stats: Optional[List[int]] = None,
     ) -> List[Tuple[tuple, tuple, tuple]]:
-        """Delta-join the trigger fact ``args`` against a node's
-        ``tables`` (pred -> {row: stored row}): one ``(head args, used
-        rows, negated atoms)`` per derivation, in match order.  ``used``
-        is in body order and lines up with ``preds``.
+        """Delta-join the trigger fact ``args``, whose ref is ``ref``,
+        against a node's ``tables`` (pred -> {row: ref}): one ``(head
+        args, record, negated atoms)`` per derivation, in match order.
+        ``record`` is the derivation ``(rule_id, ref_1, ..., ref_k)``,
+        its refs in body order.
 
         The join is complete before any match is concluded, so a
         caller may change the tables while it consumes the result.
@@ -321,22 +322,24 @@ class DeltaJoin:
         over the table literals.
         """
         matches: List[Tuple[list, tuple]] = []
+        record = [None] * (len(self.literals) + 1)
+        record[0] = self.rule_id
         self._join(
-            0, {args: args}, tables, [None] * self.n_slots,
-            [None] * len(self.literals), registry, stats, matches,
+            0, {args: ref}, tables, [None] * self.n_slots, record,
+            registry, stats, matches,
         )
         out = []
-        for regs, used in matches:
+        for regs, record in matches:
             # Errors normalizing a negated atom propagate, as they did.
             head = conclude(self.builtins, self.head, regs, registry)
             if head is not None:
-                out.append((head, used, tuple([
+                out.append((head, record, tuple([
                     (pred, tuple([_eval_term(a, regs, registry) for a in exprs]))
                     for pred, exprs in self.negs
                 ])))
         return out
 
-    def _join(self, depth, table, tables, regs, used, registry, stats,
+    def _join(self, depth, table, tables, regs, record, registry, stats,
               matches) -> None:
         literals = self.literals
         position = self.order[depth]
@@ -344,37 +347,64 @@ class DeltaJoin:
         scanned = len(table)
         if structural is not None:
             pattern = _structural_pattern(structural, regs, registry)
-            rows = _structural_rows(
+            rows = ((row, table[row]) for row in _structural_rows(
                 _structural_matches(pattern, table), structural[2], regs
-            )
+            ))
         else:
             want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in known]
             if len(want) == arity:
                 # Every argument is fixed: one lookup instead of a scan.
-                # A hit hands out the stored row, which equals the probe
-                # as a term (1 == 1.0) and names the same fact.
-                stored = table.get(tuple([term for _pos, term in want]))
-                rows = () if stored is None else (stored,)
+                # A hit hands out the stored row's ref, which is the
+                # probe's too (1 == 1.0 is one fact); nothing is bound.
+                probe = tuple([term for _pos, term in want])
+                ref = table.get(probe)
+                rows = () if ref is None else ((probe, ref),)
                 scanned = 1
             else:
-                rows = _scan_rows(table, arity, want, rechecks)
+                rows = _scan_items(table, arity, want, rechecks)
         counted = stats if depth else None  # the trigger is not a table row
         if counted is not None:
             counted[0] += scanned
         deeper = depth + 1
-        for row in rows:
+        for row, ref in rows:
             if counted is not None:
                 counted[1] += 1
             for pos, slot in binds:
                 regs[slot] = row[pos]
-            used[position] = row
+            record[position] = ref
             if deeper == len(literals):
-                matches.append((regs[:], tuple(used)))
+                matches.append((regs[:], tuple(record)))
             else:
                 self._join(
                     deeper, tables.get(literals[deeper][0], {}), tables, regs,
-                    used, registry, stats, matches,
+                    record, registry, stats, matches,
                 )
 
     def __repr__(self) -> str:
-        return f"DeltaJoin({self.label}, trigger {self.preds[self.order[0]]})"
+        return f"DeltaJoin({self.label}, trigger {self.literals[0].pred})"
+
+
+def _scan_items(table: Dict[tuple, tuple], arity: int, want: list,
+                rechecks: tuple) -> list:
+    """``(row, ref)`` of every row of ``table`` that
+    :func:`repro.core.plan._scan_rows` would return, in table order."""
+    if not want and not rechecks:
+        return [item for item in table.items() if len(item[0]) == arity]
+    values = [(pos, t.value) for pos, t in want if t.__class__ is Constant]
+    terms = [(pos, t) for pos, t in want if t.__class__ is not Constant]
+    found = []
+    for item in table.items():
+        row = item[0]
+        if len(row) != arity:
+            continue
+        for pos, value in values:
+            term = row[pos]
+            if term.__class__ is not Constant or term.value != value:
+                break
+        else:
+            if terms and any(row[pos] != term for pos, term in terms):
+                continue
+            if rechecks and any(row[pos] != row[first] for pos, first in rechecks):
+                continue
+            found.append(item)
+    return found

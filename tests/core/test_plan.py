@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import plan as plan_module
 from repro.core.builtins import DEFAULT_REGISTRY
-from repro.core.derivations import Derivation
+from repro.core.derivations import Derivation, fact_ref
 from repro.core.eval import (
     Database,
     Relation,
@@ -391,11 +391,13 @@ class TestOneCompiler:
         assert not hasattr(rp.step.__self__, "_batch")
         assert rp.step.__self__.batch_program() is not None
         row = lambda *values: tuple(Constant(v) for v in values)
+        ref = lambda pred, *values: fact_ref((pred, row(*values)))
         fired = copy.delta_joins["r"][0].fire(
-            {"s": {row(1, "b"), row(2, "c")}}, row(1, "a"), DEFAULT_REGISTRY
+            {"s": {row(1, "b"): ref("s", 1, "b"), row(2, "c"): ref("s", 2, "c")}},
+            row(1, "a"), ref("r", 1, "a"), DEFAULT_REGISTRY,
         )
         assert fired == [
-            (row(1, "a", "b"), (row(1, "a"), row(1, "b")), ()),
+            (row(1, "a", "b"), (rp.rule_id, ref("r", 1, "a"), ref("s", 1, "b")), ()),
         ]
 
 

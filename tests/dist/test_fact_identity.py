@@ -3,10 +3,15 @@
 positive subgoal in body order.  Central evaluation, ``GPAEngine`` (both
 modes; the self-join under both join schemes too) and
 ``LocalizedEngine`` must end with the same rows and the same
-derivations of every derived fact."""
+derivations of every derived fact.  The localized engine keeps the
+central store's records, ``(rule_id, ref_1, ..., ref_k)`` over the
+process-wide interner, and is compared with it in id space; GPA's
+derivations with the central records as :func:`spell_record` spells
+them."""
 
 import pytest
 
+from repro.core.derivations import fact_ref, spell_record
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
 from repro.core.terms import Constant
@@ -28,19 +33,20 @@ def terms(args):
 
 
 def central(program, facts):
-    """Rows and ``{(pred, args): {(rule id, body facts)}}`` of central
-    evaluation over ``facts``."""
+    """Rows and ``{head ref: {record}}`` of central evaluation over
+    ``facts``: the derivation store's own records."""
     db = Database()
     for pred, args in facts:
         db.assert_fact(pred, args)
     parsed = parse_program(program)
     evaluate(parsed, db)
     rows = {p: db.rows(p) for p in parsed.idb_predicates()}
-    store = {
-        fact: {(d.rule_id, d.body_facts) for d in derivations}
-        for fact, derivations in db.derivations.snapshot().items()
-    }
-    return rows, store
+    return rows, {head: set(records) for head, records in db.derivations._records.items()}
+
+
+def spelled(store):
+    """``store`` with each record spelled ``(rule id, body facts)``."""
+    return {head: set(map(spell_record, records)) for head, records in store.items()}
 
 
 def run_gpa(program, steps, mode, scheme):
@@ -58,8 +64,9 @@ def run_gpa(program, steps, mode, scheme):
         net.run_all()
     rows = {p: engine.rows(p) for p in engine.plan.idb}
     return rows, stored(
-        ((pred, args), fact) for runtime in engine.runtimes.values()
-        for pred, args, fact in runtime.derived.visible()
+        (((pred, args), fact) for runtime in engine.runtimes.values()
+         for pred, args, fact in runtime.derived.visible()),
+        lambda d: (d.rule_id, tuple((f.pred, f.args) for f in d.facts)),
     )
 
 
@@ -85,7 +92,7 @@ def run_localized(program, steps):
     placed = [
         ((pred, args), fact) for runtime in engine.runtimes.values()
         for pred, args, fact in runtime.placed.visible()
-        if pred in idb and any(d.rule_id >= 0 for d in fact.derivations)
+        if pred in idb and any(record[0] >= 0 for record in fact.derivations)
     ]
     rows = {p: set() for p in idb}
     for (pred, args), _fact in placed:
@@ -93,17 +100,15 @@ def run_localized(program, steps):
     return rows, stored(placed)
 
 
-def stored(facts):
-    """``{(pred, args): {(rule id, body facts)}}`` of the visible
-    derived facts where they are stored; a fact stored twice is a wrong
-    answer (two homes for one fact)."""
+def stored(facts, spell=lambda derivation: derivation):
+    """``{head ref: {derivation}}`` of the visible derived facts where
+    they are stored, each derivation as ``spell`` makes it; a fact
+    stored twice is a wrong answer (two homes for one fact)."""
     store = {}
     for key, fact in facts:
-        assert key not in store, f"{key} is stored twice"
-        store[key] = {
-            (d.rule_id, tuple((f.pred, f.args) for f in d.facts))
-            for d in fact.derivations.values()
-        }
+        head = fact_ref(key)
+        assert head not in store, f"{key} is stored twice"
+        store[head] = set(map(spell, fact.derivations))
     return store
 
 
@@ -117,13 +122,16 @@ def final_facts(steps):
     return [(pred, args) for pred, args in live]
 
 
-def engines(program, steps, schemes=("one-pass",)):
-    runs = {
-        f"gpa {mode} {scheme}": run_gpa(program, steps, mode, scheme)
-        for mode in ("barrier", "pipelined") for scheme in schemes
-    }
-    runs["localized"] = run_localized(program, steps)
-    return runs
+def assert_engines_match(program, steps, central_run, schemes=("one-pass",)):
+    """Every engine ends with the central rows and derivations: the
+    localized engine's records equal the central ones, GPA's
+    derivations their spelling."""
+    rows, store = central_run
+    assert run_localized(program, steps) == (rows, store), "localized"
+    for mode in ("barrier", "pipelined"):
+        for scheme in schemes:
+            got = run_gpa(program, steps, mode, scheme)
+            assert got == (rows, spelled(store)), f"gpa {mode} {scheme}"
 
 
 A, B, C = ("a", (0, 1)), ("b", (0, 1.0)), ("c", (0, 1, 5))
@@ -145,21 +153,26 @@ MEET_CASES = {
 @pytest.mark.parametrize("case", sorted(MEET_CASES))
 def test_one_and_one_point_zero_meet(case):
     steps = MEET_CASES[case]
-    rows, store = central(MEET, final_facts(steps))
+    rows, store = central_run = central(MEET, final_facts(steps))
     if case == "retracted":
         assert rows["q"] == set() and store == {}
     else:
         assert rows["q"] == {(0, 1, 5)}
-        assert len(store[("h", terms((0, 1)))]) == 1 + (case == "different rules")
-    for name, got in engines(MEET, steps).items():
-        assert got == (rows, store), name
+        # h(0, 1) and h(0, 1.0) share one ref: one record set.
+        h = fact_ref(("h", terms((0, 1))))
+        assert h == fact_ref(("h", terms((0, 1.0))))
+        assert len(store[h]) == 1 + (case == "different rules")
+    assert_engines_match(MEET, steps, central_run)
 
 
 def test_self_join_stores_match_central():
     """Both subgoals of a self-join can match either fact: central
     records two derivations of q(1), and so must the wire."""
     steps = [("publish", "e", (0, 1)), ("publish", "e", (1, 0))]
-    rows, store = central(SELF_JOIN, final_facts(steps))
-    assert len(store[("q", terms((1,)))]) == 2
-    for name, got in engines(SELF_JOIN, steps, ("one-pass", "multi-pass")).items():
-        assert got == (rows, store), name
+    rows, store = central_run = central(SELF_JOIN, final_facts(steps))
+    e01, e10 = fact_ref(("e", terms((0, 1)))), fact_ref(("e", terms((1, 0))))
+    rule_id = parse_program(SELF_JOIN).rules[0].rule_id
+    assert store[fact_ref(("q", terms((1,))))] == {
+        (rule_id, e01, e10), (rule_id, e10, e01)
+    }
+    assert_engines_match(SELF_JOIN, steps, central_run, ("one-pass", "multi-pass"))

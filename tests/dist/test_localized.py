@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.builtins import eval_builtin, normalize_partial
+from repro.core.columnar import GLOBAL_INTERNER
+from repro.core.derivations import fact_ref
 from repro.core.errors import EvaluationError, PlanError
 from repro.core.eval import ground_head
 from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
@@ -17,6 +19,7 @@ from repro.dist.localized import (
     LocalResultMsg,
     LocalizedEngine,
     Placement,
+    _interned,
     build_sptree,
     logich_placements,
     logich_program,
@@ -98,16 +101,18 @@ class TestLogicH:
             depth_of.setdefault(y, set()).add(d)
         assert all(len(ds) == 1 for ds in depth_of.values())
 
-    def test_memory_is_local(self):
-        """Section V: each node stores O(degree) tuples."""
-        net = GridNetwork(6, seed=2)
-        eng, _ = build_sptree(net, root=0, variant="h")
+    @pytest.mark.parametrize("m,variant", [(6, "h"), (8, "h"), (14, "j")])
+    def test_memory_is_local(self, m, variant):
+        """Section V: each node stores O(degree) tuples — at most
+        4 * degree + 4 besides its edges, counting everything resident:
+        visible rows, the ledger's invisible facts and its tombstones."""
+        net = GridNetwork(m, seed=2)
+        eng, _ = build_sptree(net, root=0, variant=variant)
         net.run_all()
+        report = eng.memory_report()
         for node_id, runtime in eng.runtimes.items():
             degree = len(net.topology.neighbors(node_id))
-            non_edge = sum(
-                len(t) for p, t in runtime.tables.items() if p != "g"
-            )
+            non_edge = report[node_id] - len(runtime.tables["g"])
             assert non_edge <= 4 * degree + 4
 
     def test_memory_report(self):
@@ -118,10 +123,40 @@ class TestLogicH:
         assert set(report) == set(net.topology.node_ids)
         assert all(v > 0 for v in report.values())  # edges at least
 
+    def test_memory_report_counts_the_ledger(self):
+        """A placed fact that is not visible, and a tombstone, are
+        resident too: 112 such facts on 8x8 logicH."""
+        net = GridNetwork(8, seed=2)
+        eng, _ = build_sptree(net, root=0, variant="h")
+        net.run_all()
+        rows = {
+            nid: sum(len(t) for t in rt.tables.values())
+            for nid, rt in eng.runtimes.items()
+        }
+        ledger = {
+            nid: sum(not f.visible for f in rt.placed.values()) + rt.placed.tombstones()
+            for nid, rt in eng.runtimes.items()
+        }
+        assert sum(ledger.values()) == 112
+        assert eng.memory_report() == {nid: rows[nid] + ledger[nid] for nid in rows}
+
     @pytest.mark.parametrize("m,seed", LOSSY_CELLS)
     def test_lossy_links_with_retransmission(self, m, seed):
         eng, net = run_lossy("h", m, seed)
         assert visible_rows(eng, "h") == expected_h(net, 0)
+
+
+def test_seeded_terms_are_the_interners_unless_spelled_otherwise():
+    """A seeded value is stored as the interner's own term object; one
+    the interner first met in another spelling keeps its own, so a node
+    id stays an int (a placement attribute must be one) and still
+    shares its id."""
+    term, tid = _interned(987655)
+    assert term is GLOBAL_INTERNER.term(tid)
+    GLOBAL_INTERNER.intern(Constant(987654.0))
+    term, tid = _interned(987654)
+    assert term.value.__class__ is int
+    assert tid == GLOBAL_INTERNER.get(Constant(987654.0))
 
 
 class TestLogicJ:
@@ -483,19 +518,17 @@ def differential_engine(rule):
     engine = LocalizedEngine(rule, GridNetwork(2), placements).install()
     sent = []
     engine.network.node(0).send_routed = lambda home, msg: sent.append((
-        home, msg.pred, msg.args,
-        tuple((f.pred, f.args) for f in msg.derivation.facts),
-        msg.neg_atoms, msg.op,
+        home, msg.pred, msg.args, msg.derivation, msg.neg_atoms, msg.op,
     ))
     return engine, sent
 
 
-def stored_table(rows):
-    """A node table over ``rows``: each row maps to the first row equal
-    to it, as inserting them one by one stores them."""
+def stored_table(pred, rows):
+    """A node table over ``rows``: each row maps to its ref, the first
+    row equal to it the key, as inserting them one by one stores them."""
     table = {}
     for row in rows:
-        table.setdefault(row, row)
+        table.setdefault(row, fact_ref((pred, row)))
     return table
 
 
@@ -503,13 +536,14 @@ def assert_fires_like_interpreter(engine, sent, tables, pred, args, op):
     """Add / remove ('sub') the visible row ``pred(args)`` at node 0 and
     compare what the engine sends, in order, with the interpretive
     oracle run on the very tables the engine read (insertion order is
-    the match order)."""
-    live = {p: stored_table(rs) for p, rs in tables.items()}
+    the match order).  A sent derivation is the central record; the
+    oracle's used facts are made one through ``fact_ref``."""
+    live = {p: stored_table(p, rs) for p, rs in tables.items()}
     # an insert must be new, a delete must be stored
     if op == "add":
         live[pred].pop(args, None)
     else:
-        live[pred].setdefault(args, args)
+        live[pred].setdefault(args, fact_ref((pred, args)))
     engine.runtimes[0].tables = live
     del sent[:]
     raised = expected_error = None
@@ -521,7 +555,7 @@ def assert_fires_like_interpreter(engine, sent, tables, pred, args, op):
     try:
         for rp, occurrence in engine.plan.positive_triggers.get(pred, ()):
             expected += [
-                (1, "out", head, used, negs, op)
+                (1, "out", head, (rp.rule_id, *map(fact_ref, used)), negs, op)
                 for head, used, negs in reference_fire(
                     rp, occurrence, live, args, engine.registry
                 )
@@ -588,15 +622,16 @@ class TestCompiledDeltaJoin:
         assert results >= 20  # the cases do derive
 
     def test_probe_hands_out_stored_row(self):
-        """1 == 1.0: a membership probe that hits hands out the stored
-        row, as the scan it replaces did."""
+        """1 == 1.0: a lookup of the ``1`` spelling hands out the ref of
+        the stored ``1.0`` row, as the scan it replaces matched that
+        row."""
         engine, sent = differential_engine("out(1, X, Y) :- a(X, Y), b(X, Y).")
         stored = (Constant(1.0), Constant(2))
         tables = {"a": [], "b": [stored], "c": []}
         assert_fires_like_interpreter(
             engine, sent, tables, "a", (Constant(1), Constant(2)), "add"
         )
-        assert repr(sent[0][3][1]) == repr(("b", stored))
+        assert sent[0][3][2] is engine.runtimes[0].tables["b"][stored]
 
     def test_lookup_in_a_table_never_stored(self):
         """An all-known literal over a predicate the node has no table
@@ -620,9 +655,9 @@ class TestCompiledDeltaJoin:
         tables = engine.runtimes[4].tables
         for pred, joins in engine.plan.delta_joins.items():
             for join, copy in zip(joins, plan.delta_joins[pred]):
-                for args in tables[pred]:
-                    assert copy.fire(tables, args, engine.registry) == join.fire(
-                        tables, args, engine.registry
+                for args, ref in tables[pred].items():
+                    assert copy.fire(tables, args, ref, engine.registry) == join.fire(
+                        tables, args, ref, engine.registry
                     )
 
     # Recorded on 9fe6e71, the last commit that unified per row:

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 
+from repro.core.derivations import fact_ref
 from repro.core.terms import Constant
 from repro.dist.derived import DerivedFact, DerivedTable, FactRef, WireDerivation
 from repro.dist.gpa import (
@@ -26,6 +27,7 @@ from repro.dist.localized import (
     LocalRuntime,
     LocalizedEngine,
     Placement,
+    ReplicaMsg,
 )
 from repro.net.network import GridNetwork
 from repro.streams.tuples import StreamTuple, TupleID
@@ -137,6 +139,23 @@ class TestMessages:
         msg = ResultMsg("j", (Constant(1),), d, "add", 1.0)
         assert msg.payload_symbols == 1 + 1 + d.size()
 
+    def test_local_result_msg_size(self):
+        """A k-fact record costs 2k + 1 symbols, as GPA's derivation
+        does, and a watched negated atom two; the stamp is unsized."""
+        args, atom = (Constant(1),), ("b", (Constant(0), Constant(1)))
+        msg = LocalResultMsg("j", args, RECORD, (), "add", (0.0, 0, 0))
+        assert msg.payload_symbols == 1 + 1 + (2 * 2 + 1)
+        assert msg.payload_symbols == ResultMsg("j", args, DERIVATION, "add", 1.0).payload_symbols
+        msg = LocalResultMsg("j", args, RECORD, (atom, atom), "add", (0.0, 0, 0))
+        assert msg.payload_symbols == 1 + 1 + (2 * 2 + 1) + 2 * 2
+
+    def test_replica_msg_size(self):
+        """A replica is its fact: the rule -1 derivation naming the fact
+        itself and the stamp are unsized."""
+        args = (Constant(1), Constant(2))
+        msg = ReplicaMsg("j", args, (-1, fact_ref(("j", args))), "add", (0.0, 0, 0))
+        assert msg.payload_symbols == 1 + 2
+
     def test_gather_msg(self):
         msg = GatherMsg("j", (Constant(1), Constant("a")), request_id=3)
         assert msg.kind == "gpa_gather"
@@ -164,10 +183,12 @@ DELETED_AT = stamp("del", False)
 
 
 DERIVATION = WireDerivation(0, (ref("r"), ref("s")))
+#: The same derivation as a localized engine holds it: the central record.
+RECORD = (0, fact_ref(("r", (Constant(1),))), fact_ref(("s", (Constant(1),))))
 
 
 def replay_ledger(script):
-    """The script applied to a bare ledger."""
+    """The script applied to a bare ledger, on GPA's derivation."""
     fact = DerivedFact()
     for op, stamp in script:
         fact.apply(op, DERIVATION, stamp)
@@ -176,9 +197,9 @@ def replay_ledger(script):
 
 class PlacementNode:
     """The script delivered as ``LocalResultMsg``s to a localized
-    placement node, the derivation watching ``b(0)``; checks that the
-    fact is visible and watches ``b(0)`` exactly while it has a live
-    derivation."""
+    placement node, the derivation (the central record) watching
+    ``b(0)``; checks that the fact is visible and watches ``b(0)``
+    exactly while it has a live derivation."""
 
     ARGS = (Constant(0),)
     BLOCKER = ("b", ARGS)
@@ -195,13 +216,13 @@ class PlacementNode:
         node = engine.network.node(0)
         for op, stamp in script:
             engine._on_result(node, LocalResultMsg(
-                "q", self.ARGS, DERIVATION, (self.BLOCKER,), op, stamp
+                "q", self.ARGS, RECORD, (self.BLOCKER,), op, stamp
             ))
         fact = runtime.placed.get(("q", self.ARGS))
         live = bool(fact.derivations)
         assert fact.visible == live == (self.ARGS in runtime.tables.get("q", {}))
         watching = {atom: list(w) for atom, w in runtime.watches.items() if w}
-        key = (("q", self.ARGS), DERIVATION)
+        key = (("q", self.ARGS), RECORD)
         assert watching == ({self.BLOCKER: [key]} if live else {})
         return fact
 
@@ -214,7 +235,10 @@ class TestDerivedFactLedger:
 
     @pytest.fixture(params=["ledger", "placement-node"])
     def replay(self, request):
-        return replay_ledger if request.param == "ledger" else PlacementNode()
+        """A replay and the derivation it applies the script to."""
+        if request.param == "ledger":
+            return replay_ledger, DERIVATION
+        return PlacementNode(), RECORD
 
     @staticmethod
     def outcome_of(fact):
@@ -243,8 +267,9 @@ class TestDerivedFactLedger:
         ([("add", 0.2), ("sub", DELETED_AT), ("add", 1.2)], ("add", 1.2)),
     ])
     def test_every_arrival_order_ends_in_timestamp_order(self, replay, script, outcome):
+        replay, derivation = replay
         expected = (
-            {DERIVATION} if outcome[0] == "add" else set(), {DERIVATION: outcome}
+            {derivation} if outcome[0] == "add" else set(), {derivation: outcome}
         )
         in_order = sorted(script, key=lambda update: (update[1], update[0] == "sub"))
         assert self.outcome_of(replay(in_order)) == expected
