@@ -13,12 +13,14 @@ family's facts are derived, and the gap widens with more irrelevant
 families.
 """
 
+import sys
+
 import pytest
 
-from repro.core.eval import Database, SemiNaiveEvaluator, evaluate
+from repro.core.eval import BottomUpEvaluator, Database, evaluate
 from repro.core.magic import magic_evaluate, magic_transform
 from repro.core.parser import parse_atom, parse_program
-from harness import report
+from harness import check_exact_table, report
 
 ANCESTOR = """
     anc(X, Y) :- par(X, Y).
@@ -45,7 +47,7 @@ def derived_counts(families: int, depth: int):
 
     transform = magic_transform(program, query)
     work = db.copy()
-    SemiNaiveEvaluator(transform.program).evaluate(work)
+    BottomUpEvaluator(transform.program).evaluate(work)
     magic_count = sum(
         work.count(p) for p in work.predicates()
         if p.startswith(("anc__", "m_anc__"))
@@ -82,4 +84,10 @@ def test_e11_magic_prunes(benchmark):
 
 
 if __name__ == "__main__":
-    run()
+    # The full table takes a fraction of a second: --smoke runs it too.
+    results = run()
+    if "--check" in sys.argv:
+        check_exact_table("e11", {
+            str(families): {"no_magic": full, "with_magic": magic, "answers": answers}
+            for families, (full, magic, answers) in results.items()
+        })

@@ -1,12 +1,14 @@
 #!/usr/bin/env python
-"""E9 — Maintenance ablation: set-of-derivations vs. counting vs. DRed.
+"""E9 — Maintenance ablation: set-of-derivations vs. DRed.
 
 Section IV-A argues for keeping derivation sets: counting breaks under
 the non-deterministic duplication of a fault-tolerant scheme, and
-rederivation (DRed) pays extra work per deletion.  We measure the work
-(rule firings, facts touched) each strategy spends on the same
-insert/delete sequence over a transitive-closure view with redundant
-paths — the workload where DRed's over-deletion hurts most.
+rederivation (DRed) pays extra work per deletion.  We measure the
+central work (rule firings, facts touched) the set-of-derivations
+maintainer and DRed spend on the same insert/delete sequence over a
+transitive-closure view with redundant paths — the workload where
+DRed's over-deletion hurts most.  Counting is not measured here: it
+rejects recursion, and ``tests/core/test_incremental.py`` checks it.
 
 Expected shape: identical final results; DRed's per-deletion work
 (over-deletions + re-derivation passes) exceeds the set-of-derivations

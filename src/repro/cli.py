@@ -28,7 +28,6 @@ from .core.errors import ReproError
 from .core.eval import Database, evaluate
 from .core.parser import Parser, parse_atom, parse_program
 from .core.stratify import classify, rule_releases
-from .core.topdown import TopDownEvaluator
 
 HELP = """\
 Enter rules/facts ending with '.', queries as '?- goal.', or commands:
@@ -56,7 +55,9 @@ class Shell:
         self.registry = registry or DEFAULT_REGISTRY
         self.program = Program()
         self.db = Database(self.registry)
-        self._evaluated = False
+        # The evaluated program over a copy of ``db``; ``db`` itself holds
+        # only the stored facts, so a new fact can retract a derived row.
+        self._view: Optional[Database] = None
 
     # -- public -----------------------------------------------------------
 
@@ -89,12 +90,13 @@ class Shell:
             pred = arg.strip()
             if not pred:
                 return "usage: :facts PRED"
-            rows = sorted(map(str, self.db.rows(pred)))
+            db = self.db if self._view is None else self._view
+            rows = sorted(map(str, db.rows(pred)))
             return "\n".join(rows) if rows else f"(no {pred} facts)"
         if cmd == ":eval":
-            self._ensure_evaluated(force=True)
+            view = self._ensure_evaluated()
             idb = sorted(self.program.idb_predicates())
-            counts = ", ".join(f"{p}: {self.db.count(p)}" for p in idb)
+            counts = ", ".join(f"{p}: {view.count(p)}" for p in idb)
             return f"evaluated. {counts}" if idb else "evaluated."
         if cmd == ":classify":
             releases = rule_releases(self.program)
@@ -115,7 +117,7 @@ class Shell:
                 self.program.add_rule(rule)
             for fact in loaded.facts:
                 self.db.assert_atom(fact)
-            self._evaluated = False
+            self._view = None
             return f"loaded {len(loaded.rules)} rules, {len(loaded.facts)} facts"
         if cmd == ":metrics":
             return self._metrics(arg.strip())
@@ -126,7 +128,7 @@ class Shell:
         if cmd == ":reset":
             self.program = Program()
             self.db = Database(self.registry)
-            self._evaluated = False
+            self._view = None
             return "reset."
         return f"unknown command {cmd!r} (try :help)"
 
@@ -243,25 +245,18 @@ class Shell:
         rule = parser.parse_rule()
         if rule.is_fact:
             self.db.assert_atom(rule.head)
-            self._evaluated = False
+            self._view = None
             return ""
         self.program.add_rule(rule)
-        self._evaluated = False
+        self._view = None
         return ""
 
     def _query(self, goal_text: str) -> str:
         goal = parse_atom(goal_text)
+        db = self.db
         if goal.predicate in self.program.idb_predicates():
-            try:
-                answers = TopDownEvaluator(
-                    self.program, self.db.copy(), self.registry
-                ).query(goal)
-            except ReproError:
-                # Fall back to bottom-up (e.g. XY-stratified programs).
-                self._ensure_evaluated()
-                answers = self._filter_rows(goal)
-        else:
-            answers = self._filter_rows(goal)
+            db = self._ensure_evaluated()
+        answers = self._filter_rows(db, goal)
         if not answers:
             return "no"
         lines = sorted(
@@ -270,21 +265,20 @@ class Shell:
         )
         return "\n".join(lines)
 
-    def _filter_rows(self, goal):
+    def _filter_rows(self, db: Database, goal):
         from .core.terms import Substitution
         from .core.unify import match_sequences
 
-        rel = self.db.relation(goal.predicate)
+        rel = db.relation(goal.predicate)
         return {
             row for row in rel
             if match_sequences(goal.args, row, Substitution()) is not None
         }
 
-    def _ensure_evaluated(self, force: bool = False) -> None:
-        if self._evaluated and not force:
-            return
-        evaluate(self.program, self.db, self.registry)
-        self._evaluated = True
+    def _ensure_evaluated(self) -> Database:
+        if self._view is None:
+            self._view = evaluate(self.program, self.db.copy(), self.registry)
+        return self._view
 
 
 def run_file(path: str, queries: List[str]) -> List[str]:

@@ -29,14 +29,8 @@ from .errors import (
     SafetyError,
     StratificationError,
 )
-from .eval import (
-    Database,
-    Relation,
-    SemiNaiveEvaluator,
-    XYEvaluator,
-    evaluate,
-)
-from .explain import explain, explain_distributed
+from .eval import BottomUpEvaluator, Database, Relation, evaluate
+from .explain import explain
 from .optimizer import Statistics, optimize_program, optimize_rule
 from .parser import parse_atom, parse_program, parse_rule, parse_term
 from .topdown import TopDownEvaluator, top_down_query
@@ -74,11 +68,11 @@ __all__ = [
     "FactKey", "ProofNode", "build_proof_tree", "is_locally_nonrecursive",
     "BuiltinError", "EvaluationError", "NetworkError", "ParseError",
     "PlanError", "ProgramError", "ReproError", "SafetyError",
-    "StratificationError", "explain", "explain_distributed",
+    "StratificationError", "explain",
     "Statistics", "optimize_program",
     "optimize_rule", "TopDownEvaluator", "top_down_query",
-    "Database", "Relation", "SemiNaiveEvaluator",
-    "XYEvaluator", "evaluate", "parse_atom", "parse_program", "parse_rule",
+    "BottomUpEvaluator", "Database", "Relation", "evaluate", "parse_atom",
+    "parse_program", "parse_rule",
     "parse_term", "check_program_safety", "check_rule_safety", "Analysis",
     "ProgramClass", "XYStratification", "classify", "dependency_graph",
     "find_xy_stratification", "is_recursive", "recursive_components",

@@ -15,7 +15,7 @@ same fact combine with a T-conorm:
 
 Evaluation is a monotone fixpoint on the confidence lattice; recursive
 programs converge because confidences are bounded by 1 and updates are
-ignored below ``tolerance``.  Negated subgoals use certainty semantics:
+ignored below ``_TOLERANCE``.  Negated subgoals use certainty semantics:
 ``not p(...)`` holds (with factor 1) when no ``p`` fact at or above
 ``negation_threshold`` matches — stratification is still required.
 """
@@ -34,6 +34,11 @@ from .terms import Substitution, to_term
 from .unify import match_sequences
 
 FactConf = Dict[Tuple[str, ArgsTuple], float]
+
+#: Confidence changes at or below this are not updates; a stratum that
+#: still changes after ``_MAX_ROUNDS`` rounds is an error.
+_TOLERANCE = 1e-6
+_MAX_ROUNDS = 10_000
 
 
 def _conj_product(values: Iterable[float]) -> float:
@@ -116,8 +121,6 @@ class AnnotatedEvaluator:
         conjunction: str = "product",
         disjunction: str = "max",
         negation_threshold: float = 0.0,
-        tolerance: float = 1e-6,
-        max_rounds: int = 10_000,
     ):
         check_program_safety(program)
         for rule in program.rules:
@@ -137,8 +140,6 @@ class AnnotatedEvaluator:
         self.conj = _CONJ[conjunction]
         self.disj = _DISJ[disjunction]
         self.negation_threshold = negation_threshold
-        self.tolerance = tolerance
-        self.max_rounds = max_rounds
         self.strata = analysis.strata
 
     def evaluate(self, db: AnnotatedDatabase) -> AnnotatedDatabase:
@@ -151,7 +152,7 @@ class AnnotatedEvaluator:
         base: FactConf = dict(db._conf)
         for stratum in self.strata:
             rules = [r for r in self.program.rules if r.head.predicate in stratum]
-            for _round in range(self.max_rounds):
+            for _round in range(_MAX_ROUNDS):
                 contributions: Dict[Tuple[str, ArgsTuple], Dict[tuple, float]] = {}
                 for rule in rules:
                     for head_args, conf, deriv_key in self._fire(rule, db):
@@ -163,14 +164,14 @@ class AnnotatedEvaluator:
                     for conf in derivs.values():
                         value = self.disj(value, conf)
                     old = db._conf.get(key, 0.0)
-                    if abs(value - old) > self.tolerance and value > 0.0:
+                    if abs(value - old) > _TOLERANCE and value > 0.0:
                         db._set(key[0], key[1], value)
                         changed = True
                 if not changed:
                     break
             else:
                 raise EvaluationError(
-                    f"annotated fixpoint did not converge in {self.max_rounds} rounds"
+                    f"annotated fixpoint did not converge in {_MAX_ROUNDS} rounds"
                 )
         return db
 

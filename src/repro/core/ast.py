@@ -307,10 +307,18 @@ class Rule:
         return self._hash
 
     def __repr__(self) -> str:
+        head = repr(self.head)
+        if self.aggregates:
+            # Each aggregate prints at its head position, as parsed.
+            args = [repr(a) for a in self.head.args]
+            for spec in self.aggregates:
+                var = "_" if spec.var is None else repr(spec.var)
+                args[spec.position] = f"{spec.function}({var})"
+            head = f"{self.head.predicate}({', '.join(args)})"
         if not self.body:
-            return f"{self.head!r}."
+            return f"{head}."
         body = ", ".join(repr(lit) for lit in self.body)
-        return f"{self.head!r} :- {body}."
+        return f"{head} :- {body}."
 
 
 class Program:

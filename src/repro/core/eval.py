@@ -58,7 +58,7 @@ from .plan import (
 )
 from .vector import execute_batch
 from .safety import check_program_safety
-from .stratify import ProgramClass, classify, dependency_graph
+from .stratify import classify, dependency_graph
 from .terms import Constant, Substitution, Term, to_term
 from .unify import match_sequences
 
@@ -649,25 +649,49 @@ def _gc_paused():
         gc.enable()
 
 
-class _BottomUpEvaluator:
-    """The one bottom-up fixpoint driver.
+#: IDB rows a semi-naive component may hold (None: unbounded) and
+#: stages a staged component may take before evaluation gives up.
+_MAX_FACTS: Optional[int] = None
+_MAX_STAGES = 100_000
+
+
+class BottomUpEvaluator:
+    """The one bottom-up fixpoint driver, for stratified and
+    XY-stratified programs; any other program raises
+    :class:`ProgramError`.
 
     :meth:`evaluate` walks the condensation of the predicate dependency
     graph once, in topological order.  A node is either a positive SCC —
     saturated by the semi-naive routine — or a recursive component with
-    negation inside, evaluated stage by stage (Section IV-C).  Every rule call, whichever routine made it, is
-    absorbed as one :class:`FiringBatch` in :meth:`_absorb`.
+    negation inside, evaluated stage by stage in ascending stage order
+    (the sub-table topological order of Section IV-C).  Every rule call,
+    whichever routine made it, is absorbed as one :class:`FiringBatch`
+    in :meth:`_absorb`, which also records its derivations in
+    ``db.derivations`` so the incremental maintainer can run afterwards.
 
-    The public subclasses only validate the program class and carry
-    their options.
+    Two guards turn a non-terminating program into an error: a
+    semi-naive component may hold at most ``_MAX_FACTS`` IDB rows
+    (function symbols make recursion potentially non-terminating,
+    Section IV-C; None leaves it unbounded) and a staged one may take
+    at most ``_MAX_STAGES`` stages.
     """
 
-    label: str
-    program: Program
-    registry: BuiltinRegistry
-    max_facts: Optional[int] = None
-    max_stages: int
-    xy = None
+    def __init__(self, program: Program,
+                 registry: Optional[BuiltinRegistry] = None):
+        analysis = classify(program)
+        if analysis.strata is None and analysis.xy is None:
+            raise ProgramError(
+                "program mixes recursion and negation beyond XY-stratification; "
+                "only locally non-recursive execution may be possible "
+                f"(classification: {analysis.program_class.value})"
+            )
+        check_program_safety(program)
+        self.program = program
+        self.registry = registry or DEFAULT_REGISTRY
+        #: The XY witness: it assigns a stage position to exactly the
+        #: predicates of the components that recurse through negation.
+        self.xy = analysis.xy
+        self.label = "semi-naive" if self.xy is None else "xy"
 
     def evaluate(self, db: Database) -> Database:
         """Evaluate the program to fixpoint over ``db`` (mutated in place,
@@ -691,8 +715,6 @@ class _BottomUpEvaluator:
     def _walk(self, db: Database) -> None:
         for fact in self.program.facts:
             db.assert_atom(fact)
-        # The XY witness assigns a stage position to exactly the
-        # predicates of the components that recurse through negation.
         staged = self.xy.stage_position if self.xy is not None else {}
         condensation = nx.condensation(dependency_graph(self.program))
         for node in nx.topological_sort(condensation):
@@ -740,10 +762,10 @@ class _BottomUpEvaluator:
         for rule in rules:
             self._absorb(db, rule, fire_rule(rule, db, registry), deltas)
 
-        # The max_facts guard accumulates additions incrementally rather
+        # The _MAX_FACTS guard accumulates additions incrementally rather
         # than re-summing every IDB relation each round.
         idb_total = None
-        if self.max_facts is not None:
+        if _MAX_FACTS is not None:
             idb_total = sum(db.count(p) for p in self.program.idb_predicates())
 
         # Semi-naive rounds: every occurrence of a predicate that grew in
@@ -754,9 +776,9 @@ class _BottomUpEvaluator:
             if _obs.enabled:
                 for pred, delta in deltas.items():
                     _inst.delta_size.labels(predicate=pred).observe(len(delta))
-            if idb_total is not None and idb_total > self.max_facts:
+            if idb_total is not None and idb_total > _MAX_FACTS:
                 raise EvaluationError(
-                    f"fixpoint exceeded max_facts={self.max_facts} "
+                    f"fixpoint exceeded {_MAX_FACTS} facts "
                     "(non-terminating recursion through function "
                     "symbols?)"
                 )
@@ -837,9 +859,9 @@ class _BottomUpEvaluator:
         while pending:
             stage = min(pending)  # ascending: whatever it schedules is later
             stages += 1
-            if stages > self.max_stages:
+            if stages > _MAX_STAGES:
                 raise EvaluationError(
-                    f"XY evaluation exceeded {self.max_stages} stages "
+                    f"XY evaluation exceeded {_MAX_STAGES} stages "
                     "(non-terminating program?)"
                 )
             with _span("eval.stage", stage=stage) as sp:
@@ -908,89 +930,17 @@ class _BottomUpEvaluator:
         return fire_rule(rule, db, self.registry, **delta).restrict(keep)
 
 
-class SemiNaiveEvaluator(_BottomUpEvaluator):
-    """Stratified semi-naive bottom-up evaluation.
-
-    Handles non-recursive programs, positive recursion, stratified
-    negation and head aggregates.  Records derivations in
-    ``db.derivations`` so the incremental maintainer can run afterwards.
-    """
-
-    label = "semi-naive"
-
-    def __init__(
-        self,
-        program: Program,
-        registry: Optional[BuiltinRegistry] = None,
-        max_facts: Optional[int] = None,
-    ):
-        self.program = program
-        self.registry = registry or DEFAULT_REGISTRY
-        # Function symbols make recursion potentially non-terminating
-        # (Section IV-C warns about this); the guard turns an infinite
-        # fixpoint into a diagnosable error.
-        self.max_facts = max_facts
-        check_program_safety(program)
-        self.analysis = classify(program)
-        if self.analysis.strata is None:
-            raise ProgramError(
-                "SemiNaiveEvaluator requires a stratified program; "
-                f"got {self.analysis.program_class.value}"
-            )
-
-
-class XYEvaluator(_BottomUpEvaluator):
-    """Stage-by-stage evaluation of XY-stratified programs.
-
-    Recursive components that mix recursion and negation are evaluated
-    stage by stage in ascending stage order (the sub-table topological
-    order of Section IV-C); within a stage, predicates are saturated in
-    the per-stage priority order (e.g. ``H'`` before ``H``).  The rest
-    of the program is evaluated semi-naively around the components.
-    """
-
-    label = "xy"
-
-    def __init__(
-        self,
-        program: Program,
-        registry: Optional[BuiltinRegistry] = None,
-        max_stages: int = 100_000,
-    ):
-        self.program = program
-        self.registry = registry or DEFAULT_REGISTRY
-        self.max_stages = max_stages
-        check_program_safety(program)
-        self.analysis = classify(program)
-        if self.analysis.program_class == ProgramClass.XY_STRATIFIED:
-            self.xy = self.analysis.xy
-        elif self.analysis.strata is None:
-            raise ProgramError("program is not XY-stratified")
-        # else: a plain stratified program — no staged component to meet
-
-
 def evaluate(
     program: Program,
     db: Optional[Database] = None,
     registry: Optional[BuiltinRegistry] = None,
 ) -> Database:
-    """Evaluate ``program`` with the appropriate evaluator for its class.
+    """Evaluate ``program`` with :class:`BottomUpEvaluator`.
 
-    Stratified programs use the semi-naive evaluator; XY-stratified
-    programs the stage evaluator.  Locally-non-recursive-only programs
-    are rejected here (use the incremental evaluator, which verifies
-    local non-recursion at runtime).
+    Locally-non-recursive-only programs are rejected here (use the
+    incremental evaluator, which verifies local non-recursion at
+    runtime).
     """
     registry = registry or (db.registry if db is not None else DEFAULT_REGISTRY)
-    if db is None:
-        db = Database(registry)
-    analysis = classify(program)
-    if analysis.strata is not None:
-        return SemiNaiveEvaluator(program, registry).evaluate(db)
-    if analysis.program_class == ProgramClass.XY_STRATIFIED:
-        return XYEvaluator(program, registry).evaluate(db)
-    raise ProgramError(
-        "program mixes recursion and negation beyond XY-stratification; "
-        "only locally non-recursive execution may be possible "
-        f"(classification: {analysis.program_class.value})"
-    )
+    return BottomUpEvaluator(program, registry).evaluate(
+        Database(registry) if db is None else db)

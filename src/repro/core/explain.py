@@ -2,14 +2,14 @@
 be evaluated.
 
 Surfaces what the analysis machinery decides silently: the safety
-verdict, the program class, strata or stage arguments, per-rule join
-order, and (optionally) the distributed phase parameters.  Used by the
-shell's ``:explain`` command and handy in tests and notebooks.
+verdict, the program class, strata or stage arguments and per-rule join
+order.  Used by the shell's ``:explain`` command and handy in tests and
+notebooks.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .ast import BuiltinLiteral, Program, RelLiteral
 from .errors import ProgramError, SafetyError
@@ -103,31 +103,3 @@ def _stage_firing(program: Program, xy) -> List[str]:
             )
         out.append(line)
     return out
-
-
-def explain_distributed(engine) -> str:
-    """Explanation of a GPAEngine's deployment: strategy, timing
-    constants and trigger table."""
-    plan = engine.plan
-    wp = engine.window_params
-    lines = [
-        f"strategy: {engine.strategy.name} (scheme: {engine.scheme})",
-        f"window: {wp.window}, tau_s: {wp.tau_s:.4f}, "
-        f"tau_c: {wp.tau_c:.4f}, tau_j: {wp.tau_j:.4f}",
-        f"join-phase delay: {wp.join_delay:.4f}, "
-        f"replica retention: {wp.storage_time:.4f}",
-        "triggers:",
-    ]
-    preds = sorted(
-        set(plan.positive_triggers) | set(plan.negative_triggers)
-    )
-    for pred in preds:
-        pos = [rp.rule_id for rp, _ in plan.positive_triggers.get(pred, ())]
-        neg = [rp.rule_id for rp, _ in plan.negative_triggers.get(pred, ())]
-        detail = []
-        if pos:
-            detail.append(f"joins rules {pos}")
-        if neg:
-            detail.append(f"anti-joins rules {neg}")
-        lines.append(f"  {pred}: {'; '.join(detail)}")
-    return "\n".join(lines)

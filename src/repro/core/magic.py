@@ -210,14 +210,14 @@ def magic_evaluate(program: Program, query: Atom, db, registry=None):
     the input database is untouched.  Returns a set of value tuples.
     """
     from .builtins import DEFAULT_REGISTRY
-    from .eval import SemiNaiveEvaluator
+    from .eval import BottomUpEvaluator
     from .unify import match_sequences
     from .terms import Substitution
 
     registry = registry or DEFAULT_REGISTRY
     transform = magic_transform(program, query)
     work = db.copy()
-    SemiNaiveEvaluator(transform.program, registry).evaluate(work)
+    BottomUpEvaluator(transform.program, registry).evaluate(work)
     rel = work.relation(transform.query_predicate)
     out = set()
     for row in rel:

@@ -29,6 +29,9 @@ from .stratify import classify
 from .terms import Substitution, Term, Variable
 from .unify import match_sequences, unify_sequences
 
+#: Rounds the outermost activation may take before it gives up.
+_MAX_ITERATIONS = 10_000
+
 
 class _Table:
     """Answers for one tabled subgoal (keyed by its canonical form)."""
@@ -78,7 +81,6 @@ class TopDownEvaluator:
         program: Program,
         db: Database,
         registry: Optional[BuiltinRegistry] = None,
-        max_iterations: int = 10_000,
     ):
         check_program_safety(program)
         for rule in program.rules:
@@ -92,7 +94,6 @@ class TopDownEvaluator:
         self.program = program
         self.db = db
         self.registry = registry or (db.registry if db else DEFAULT_REGISTRY)
-        self.max_iterations = max_iterations
         self.idb = program.idb_predicates()
         self._tables: Dict[Tuple[str, Tuple], _Table] = {}
         self._depth = 0
@@ -138,7 +139,7 @@ class TopDownEvaluator:
         self._depth += 1
         try:
             if outermost:
-                for _ in range(self.max_iterations):
+                for _ in range(_MAX_ITERATIONS):
                     before = self._total_answers()
                     self._expand(goal, table)
                     if self._total_answers() == before:
@@ -146,7 +147,7 @@ class TopDownEvaluator:
                 else:
                     raise EvaluationError(
                         "tabled evaluation did not converge "
-                        f"(> {self.max_iterations} iterations)"
+                        f"(> {_MAX_ITERATIONS} iterations)"
                     )
                 # Everything reached from this activation is saturated.
                 # Tables still in progress belong to an enclosing

@@ -12,7 +12,6 @@ the timestamp-ranked derived-fact ledger (:mod:`repro.dist.derived`):
 """
 
 from .baselines import ProceduralBFS
-from .codegen import Deployment, ProgramImage, image_for
 from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
 from .gpa import (
     Candidate,
@@ -51,8 +50,7 @@ from .regions import (
 )
 
 __all__ = [
-    "Deployment", "ProgramImage",
-    "image_for", "ProceduralBFS", "Candidate", "DerivedFact", "DerivedTable", "FactRef",
+    "ProceduralBFS", "Candidate", "DerivedFact", "DerivedTable", "FactRef",
     "GPAEngine", "JoinToken",
     "NodeRuntime", "Partial", "ResultMsg", "StoreMsg", "WireDerivation",
     "LocalResultMsg", "LocalizedEngine", "Placement", "ReplicaMsg",

@@ -6,7 +6,6 @@ communication/energy metrics.
 """
 
 from .aggregation import TagAggregator, naive_collect_cost
-from .energy import EnergyModel
 from .events import RadioEvent, RadioObserver
 from .ght import GeographicHash, stable_hash
 from .messages import BYTES_PER_SYMBOL, HEADER_BYTES, Message
@@ -25,22 +24,16 @@ from .topology import (
     topology_from_edges,
 )
 from .trace import TraceEvent, Tracer
-from .visual import (
-    energy_heatmap,
-    heatmap,
-    liveness_map,
-    load_heatmap,
-    memory_heatmap,
-)
+from .visual import heatmap, load_heatmap
 
 __all__ = [
-    "TagAggregator", "naive_collect_cost", "EnergyModel", "RadioEvent",
+    "TagAggregator", "naive_collect_cost", "RadioEvent",
     "RadioObserver", "GeographicHash",
     "stable_hash", "BYTES_PER_SYMBOL", "HEADER_BYTES", "Message",
     "MetricsCollector", "GridNetwork", "RandomNetwork", "SensorNetwork",
     "Node", "RoutedEnvelope", "Radio", "Router", "LocalClock", "Simulator",
     "AckMsg", "ReliableTransport", "TransportConfig",
     "GridTopology", "Position", "RandomGeometricTopology", "Topology",
-    "topology_from_edges", "TraceEvent", "Tracer", "energy_heatmap",
-    "heatmap", "liveness_map", "load_heatmap", "memory_heatmap",
+    "topology_from_edges", "TraceEvent", "Tracer", "heatmap",
+    "load_heatmap",
 ]

@@ -10,30 +10,17 @@ a fixed preamble/turnaround overhead.
 
 from __future__ import annotations
 
+#: Microjoules per frame (preamble/turnaround) and per byte, sending and
+#: receiving.
+TX_BASE = 10.0
+TX_PER_BYTE = 0.6
+RX_BASE = 5.0
+RX_PER_BYTE = 0.3
 
-class EnergyModel:
-    """First-order energy accounting (microjoules)."""
 
-    def __init__(
-        self,
-        tx_per_byte: float = 0.6,
-        rx_per_byte: float = 0.3,
-        tx_base: float = 10.0,
-        rx_base: float = 5.0,
-    ):
-        self.tx_per_byte = tx_per_byte
-        self.rx_per_byte = rx_per_byte
-        self.tx_base = tx_base
-        self.rx_base = rx_base
+def tx_cost(size_bytes: int) -> float:
+    return TX_BASE + TX_PER_BYTE * size_bytes
 
-    def tx_cost(self, size_bytes: int) -> float:
-        return self.tx_base + self.tx_per_byte * size_bytes
 
-    def rx_cost(self, size_bytes: int) -> float:
-        return self.rx_base + self.rx_per_byte * size_bytes
-
-    def __repr__(self) -> str:
-        return (
-            f"EnergyModel(tx={self.tx_per_byte}/B+{self.tx_base}, "
-            f"rx={self.rx_per_byte}/B+{self.rx_base})"
-        )
+def rx_cost(size_bytes: int) -> float:
+    return RX_BASE + RX_PER_BYTE * size_bytes

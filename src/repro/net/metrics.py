@@ -13,18 +13,17 @@ collector a :class:`~repro.net.radio.Radio` records into.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional
+from typing import Dict
 
 from ..obs import instrument as _inst
-from .energy import EnergyModel
+from .energy import rx_cost, tx_cost
 
 
 class MetricsCollector:
     """Counts transmissions, receptions, bytes and energy per node and
     per category."""
 
-    def __init__(self, energy_model: Optional[EnergyModel] = None):
-        self.energy_model = energy_model or EnergyModel()
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
@@ -71,12 +70,12 @@ class MetricsCollector:
         self.tx_bytes[node_id] += size_bytes
         self.category_tx[category] += 1
         self.category_bytes[category] += size_bytes
-        self.energy[node_id] += self.energy_model.tx_cost(size_bytes)
+        self.energy[node_id] += tx_cost(size_bytes)
 
     def record_rx(self, node_id: int, size_bytes: int) -> None:
         self.rx_count[node_id] += 1
         self.rx_bytes[node_id] += size_bytes
-        self.energy[node_id] += self.energy_model.rx_cost(size_bytes)
+        self.energy[node_id] += rx_cost(size_bytes)
 
     def record_drop(self) -> None:
         self.dropped += 1

@@ -46,6 +46,9 @@ from .transport import ReliableTransport, StatusCallback, TransportConfig
 if TYPE_CHECKING:  # pragma: no cover
     from .network import SensorNetwork
 
+#: Seconds of air a byte occupies at 250 kbit/s (a CC2420 radio).
+_AIRTIME_PER_BYTE = 8.0 / 250_000.0
+
 
 class SeqFrameRNG:
     """Default randomness discipline: every stochastic frame decision
@@ -112,7 +115,6 @@ class Radio:
         loss_rate: float = 0.0,
         battery_capacity: Optional[float] = None,
         collisions: bool = False,
-        bitrate_bps: float = 250_000.0,
         reliable: bool = False,
         transport: Optional[TransportConfig] = None,
         frame_rng=None,
@@ -156,7 +158,6 @@ class Radio:
         # *different* sender is lost (the earlier frame captures the
         # channel).  Same-sender frames are FIFO-queued, never colliding.
         self.collisions = collisions
-        self.bitrate_bps = bitrate_bps  # property: also caches airtime factor
         self.collision_count = 0
         # dst -> (airtime_end, src) of the last frame heard there
         self._channel: dict = {}
@@ -209,19 +210,8 @@ class Radio:
 
     # -- liveness ---------------------------------------------------------
 
-    @property
-    def bitrate_bps(self) -> float:
-        return self._bitrate_bps
-
-    @bitrate_bps.setter
-    def bitrate_bps(self, value: float) -> None:
-        # Cache the per-byte airtime factor so the contention model
-        # pays one multiply per frame instead of a division.
-        self._bitrate_bps = value
-        self._airtime_per_byte = 8.0 / value
-
     def airtime(self, size_bytes: int) -> float:
-        return size_bytes * self._airtime_per_byte
+        return size_bytes * _AIRTIME_PER_BYTE
 
     def is_alive(self, node_id: int) -> bool:
         return node_id not in self.death_time
@@ -418,7 +408,7 @@ class Radio:
         self._last_arrival[link] = arrival
         message.hops += 1
         if self.collisions:
-            start = arrival - size * self._airtime_per_byte
+            start = arrival - size * _AIRTIME_PER_BYTE
             prev = self._channel.get(dst_id)
             if prev is not None and prev[1] != src_id and start < prev[0]:
                 self.collision_count += 1

@@ -1,14 +1,14 @@
 """ASCII visualization of network state.
 
-Renders per-node scalars (transmission load, energy, memory) as a
-character heatmap over grid topologies — the quickest way to *see* the
+Renders per-node scalars (e.g. transmission load) as a character
+heatmap over grid topologies — the quickest way to *see* the
 hotspot structure the load-balance experiments quantify: a centralized
 scheme lights up around its server, PA shades evenly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from ..core.errors import NetworkError
 from .network import SensorNetwork
@@ -50,26 +50,3 @@ def heatmap(
 def load_heatmap(network: SensorNetwork, title: str = "tx load") -> str:
     """Transmission-count heatmap (the hotspot picture)."""
     return heatmap(network, dict(network.metrics.tx_count), title)
-
-
-def energy_heatmap(network: SensorNetwork, title: str = "energy (uJ)") -> str:
-    return heatmap(network, dict(network.metrics.energy), title)
-
-
-def memory_heatmap(engine, title: str = "resident tuples") -> str:
-    """Per-node resident tuples of a GPAEngine."""
-    return heatmap(engine.network, engine.memory_report(), title)
-
-
-def liveness_map(network: SensorNetwork) -> str:
-    """'#' for live nodes, 'x' for dead ones."""
-    topo = network.topology
-    if not isinstance(topo, GridTopology):
-        raise NetworkError("liveness map requires a grid topology")
-    lines = []
-    for y in range(topo.n - 1, -1, -1):
-        lines.append("".join(
-            "#" if network.radio.is_alive(topo.node_at(x, y)) else "x"
-            for x in range(topo.m)
-        ))
-    return "\n".join(lines)

@@ -13,14 +13,14 @@ network-wide load imbalance crosses its high watermark, migrates the
 region responsible for the most traffic through the hottest node to
 the coolest node:
 
-* **hysteresis-bounded** — migration engages above ``hi`` and stays
-  engaged until the imbalance falls below ``lo``; a freshly moved
-  region sits out ``cooldown`` epochs before it may move again, so one
+* **hysteresis-bounded** — migration engages above ``_HI`` and stays
+  engaged until the imbalance falls below ``_LO``; a freshly moved
+  region sits out ``_COOLDOWN`` epochs before it may move again, so one
   region cannot thrash back and forth between two nodes;
 * **cost-based** — a move pays one routed message per resident fact
   (times the hop distance between old and new home); it only happens
   when the load differential between hot and cool node, amortized over
-  the cooldown horizon, exceeds ``min_gain`` times that cost;
+  the cooldown horizon, exceeds ``_MIN_GAIN`` times that cost;
 * **deterministic** — candidates are examined in sorted order and ties
   break on smallest node id, so a serving run is a pure function of
   its seed.
@@ -46,6 +46,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from .session import TenantSession
+
+#: The node results are gathered at (the server's base station).
+SINK = 0
+#: Hysteresis watermarks on the per-epoch load imbalance, the epochs a
+#: moved region sits out, and the gain a move must bring per unit of
+#: its cost.  No caller ever set other values.
+_HI = 1.8
+_LO = 1.3
+_COOLDOWN = 2
+_MIN_GAIN = 0.25
 
 
 class PlacementMove:
@@ -73,23 +83,8 @@ class PlacementMove:
 class AdaptivePlacer:
     """Epoch-driven migration of hot storage regions to cooler nodes."""
 
-    def __init__(
-        self,
-        network,
-        sink: int = 0,
-        hi: float = 1.8,
-        lo: float = 1.3,
-        cooldown: int = 2,
-        min_gain: float = 0.25,
-    ):
-        if lo > hi:
-            raise ValueError(f"low watermark {lo} above high watermark {hi}")
+    def __init__(self, network):
         self.network = network
-        self.sink = sink
-        self.hi = hi
-        self.lo = lo
-        self.cooldown = cooldown
-        self.min_gain = min_gain
         self._last_tx: Dict[int, int] = {}
         self._cooling: Dict[str, int] = {}
         self._engaged = False
@@ -140,9 +135,9 @@ class AdaptivePlacer:
             del self._cooling[key]
         for key in self._cooling:
             self._cooling[key] -= 1
-        if imbalance >= self.hi:
+        if imbalance >= _HI:
             self._engaged = True
-        elif imbalance <= self.lo:
+        elif imbalance <= _LO:
             self._engaged = False
         if not self._engaged:
             return None
@@ -155,15 +150,15 @@ class AdaptivePlacer:
         if candidate is None:
             return None
         session, key, home, facts = candidate
-        gain = (deltas[hot] - deltas[cool]) * max(1, self.cooldown)
+        gain = (deltas[hot] - deltas[cool]) * _COOLDOWN
         cost = facts * max(1, self.network.router.hop_distance(home, cool))
-        if gain < self.min_gain * cost:
+        if gain < _MIN_GAIN * cost:
             return None
 
         session.engine.ght.place(key, cool)
         moved = session.engine.migrate_derived(home, cool, {key})
         self.network.run_all()
-        self._cooling[key] = self.cooldown
+        self._cooling[key] = _COOLDOWN
         if _obs.enabled:
             _inst.placement_migrations.inc()
         move = PlacementMove(epoch, session.tenant, key, home, cool, moved)
@@ -195,7 +190,7 @@ class AdaptivePlacer:
                 if key in self._cooling:
                     continue
                 home = engine.ght.node_for_key(key)
-                if hot != home and hot not in router.path(home, self.sink):
+                if hot != home and hot not in router.path(home, SINK):
                     continue
                 runtime = engine.runtimes.get(home)
                 if runtime is None:

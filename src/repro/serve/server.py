@@ -31,7 +31,7 @@ from ..core.errors import ReproError
 from ..dist.gpa import GPAEngine
 from ..obs import instrument as _inst
 from ..obs import state as _obs
-from .placement import AdaptivePlacer
+from .placement import SINK, AdaptivePlacer
 from .scheduler import EpochScheduler
 from .session import AdmissionError, TenantBudget, TenantSession
 
@@ -67,11 +67,9 @@ class TenantMeter:
 
 #: Values every caller used (src, benchmarks, examples and tests): the
 #: epoch length in simulated time units, publishes per tenant per epoch,
-#: the node results are gathered at, every tenant engine's region
-#: strategy.
+#: every tenant engine's region strategy.
 _EPOCH = 0.5
 _BATCH = 4
-_SINK = 0
 _STRATEGY = "pa"
 
 #: Tenants a server admits before it refuses with "capacity".
@@ -84,7 +82,7 @@ class QueryServer:
     def __init__(self, network, placement: bool = True):
         self.network = network
         self.scheduler = EpochScheduler(epoch=_EPOCH, batch=_BATCH)
-        self.placer = AdaptivePlacer(network, sink=_SINK) if placement else None
+        self.placer = AdaptivePlacer(network) if placement else None
         self.meter = TenantMeter()
         network.radio.subscribe(self.meter)
         self.sessions: Dict[str, TenantSession] = {}
@@ -168,11 +166,11 @@ class QueryServer:
 
     # -- the epoch loop ---------------------------------------------------
 
-    def run(self, max_epochs: Optional[int] = None) -> int:
-        """Serve epochs until every tenant's queue drains (or
-        ``max_epochs``).  Returns the number of epochs run."""
+    def run(self) -> int:
+        """Serve epochs until every tenant's queue drains.  Returns the
+        number of epochs run."""
         ran = 0
-        while max_epochs is None or ran < max_epochs:
+        while True:
             scheduled = self.scheduler.schedule(
                 self.network, list(self.sessions.values())
             )
@@ -196,7 +194,7 @@ class QueryServer:
             if not session.active:
                 continue
             for pred in session.outputs:
-                session.results[pred] = session.engine.gather(pred, _SINK)
+                session.results[pred] = session.engine.gather(pred, SINK)
 
     def _enforce_budgets(self) -> None:
         for session in self.sessions.values():

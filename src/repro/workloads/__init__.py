@@ -1,6 +1,5 @@
 """Workload generators for examples and benchmarks."""
 
-from .synthetic import ChurnWorkload, UniformStreamWorkload
 from .tracking import TargetTrackingWorkload, signal_strength
 from .trajectories import (
     TRAJECTORY_PROGRAM,
@@ -12,7 +11,7 @@ from .trajectories import (
 from .vehicles import BattlefieldWorkload, Vehicle
 
 __all__ = [
-    "ChurnWorkload", "UniformStreamWorkload", "TargetTrackingWorkload",
+    "TargetTrackingWorkload",
     "signal_strength", "TRAJECTORY_PROGRAM",
     "TrajectoryWorkload", "close_reports", "parallel_paths",
     "trajectory_registry", "BattlefieldWorkload", "Vehicle",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import annotated
 from repro.core.annotated import (
     AnnotatedDatabase,
     AnnotatedEvaluator,
@@ -98,6 +99,18 @@ class TestRecursion:
         # the direct-path values.
         assert db.confidence("t", ("a", "b")) == pytest.approx(0.9)
         assert db.confidence("t", ("a", "a")) == pytest.approx(0.81)
+
+    def test_round_cap_raises(self, monkeypatch):
+        # A 3-chain needs three rounds to settle; capped at two it fails
+        # loudly instead of returning a half-computed closure.
+        monkeypatch.setattr(annotated, "_MAX_ROUNDS", 2)
+        db = AnnotatedDatabase()
+        for u, v in [("a", "b"), ("b", "c"), ("c", "d")]:
+            db.assert_fact("e", (u, v), 0.9)
+        with pytest.raises(EvaluationError, match="did not converge in 2 rounds"):
+            annotated_evaluate(
+                parse_program("t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), e(Y, Z)."), db
+            )
 
     def test_best_path_wins(self):
         db = AnnotatedDatabase()

@@ -25,8 +25,8 @@ from repro.core import eval as core_eval
 from repro.core import vector as core_vector
 from repro.core.errors import BuiltinError, EvaluationError
 from repro.core.eval import (
+    BottomUpEvaluator,
     Database,
-    XYEvaluator,
     enumerate_rule,
     evaluate,
     ground_head,
@@ -294,7 +294,7 @@ class TestThreeWayDifferential:
             == ProgramClass.XY_STRATIFIED
         assert_all_engines_agree(
             tuple_executor, text, sorted(set(facts)),
-            evaluator=lambda program: XYEvaluator(program),
+            evaluator=lambda program: BottomUpEvaluator(program),
         )
 
 

@@ -53,6 +53,15 @@ class TestCommands:
         shell.handle("p(X) :- q(X).")
         assert "p(X) :- q(X)" in shell.handle(":rules")
 
+    def test_rules_listing_keeps_head_aggregates(self, shell):
+        rule = "c(G, count(X)) :- r(G, X)."
+        feed(shell, rule, "r(a, 1).", "r(a, 2).")
+        assert shell.handle(":rules") == rule
+        # What :rules prints is a program the shell answers the same on.
+        again = Shell()
+        feed(again, shell.handle(":rules"), "r(a, 1).", "r(a, 2).")
+        assert again.handle("?- c(G, N).") == shell.handle("?- c(G, N).") == "c(a, 2)"
+
     def test_facts_listing(self, shell):
         shell.handle("q(1).")
         assert "1" in shell.handle(":facts q")
@@ -141,25 +150,72 @@ class TestCommands:
         assert "error:" in shell.handle(":faults churn 9 1.5 10")
 
 
-class TestQueriesThroughEngines:
-    def test_negation_query(self, shell):
-        feed(
-            shell,
-            "n(1).", "n(2).", "bad(1).",
-            "ok(X) :- n(X), not bad(X).",
-        )
-        assert shell.handle("?- ok(X).") == "ok(2)"
+#: One program per class the shell answers: clauses, goal, printed answers.
+QUERIES = {
+    "nonrecursive": (
+        ["e(1, 2).", "e(2, 3).", "p(X, Z) :- e(X, Y), e(Y, Z)."],
+        "p(X, Z)", "p(1, 3)",
+    ),
+    "positive-recursive": (
+        ["par(a, b).", "par(b, c).", "anc(X, Y) :- par(X, Y).",
+         "anc(X, Z) :- par(X, Y), anc(Y, Z)."],
+        "anc(a, Z)", "anc(a, b)\nanc(a, c)",
+    ),
+    "stratified": (
+        ["n(1).", "n(2).", "bad(1).", "ok(X) :- n(X), not bad(X)."],
+        "ok(X)", "ok(2)",
+    ),
+    "xy-stratified": (
+        ["g(a, b).", "g(b, c).", "h(a, a, 0).",
+         "hp(Y, D + 1) :- h(_, Y, Dp), D + 1 > Dp, h(_, X, D), g(X, Y).",
+         "h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1)."],
+        "h(X, c, D)", "h(b, c, 2)",
+    ),
+    "aggregate": (
+        ["r(a, 1).", "r(a, 2).", "r(b, 5).", "c(G, count(V)) :- r(G, V)."],
+        "c(G, N)", "c(a, 2)\nc(b, 1)",
+    ),
+    "function-symbols": (
+        ["start(0).", "chain(s(0), 1) :- start(0).",
+         "chain(s(L), N + 1) :- chain(L, N), N < 3."],
+        "chain(L, 3)", "chain(s(s(s(0))), 3)",
+    ),
+}
 
-    def test_xy_program_falls_back_to_bottom_up(self, shell):
-        feed(
-            shell,
-            "g(a, b).", "g(b, c).",
-            "h(a, a, 0).",
-            "hp(Y, D + 1) :- h(_, Y, Dp), D + 1 > Dp, h(_, X, D), g(X, Y).",
-            "h(X, Y, D + 1) :- g(X, Y), h(_, X, D), not hp(Y, D + 1).",
-        )
-        out = shell.handle("?- h(X, c, D).")
-        assert "h(b, c, 2)" in out
+
+class TestQueriesThroughEngines:
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_idb_query_evaluates_bottom_up(self, shell, name):
+        clauses, goal, answers = QUERIES[name]
+        feed(shell, *clauses)
+        assert shell.handle(f"?- {goal}.") == answers
+
+    @pytest.mark.parametrize("rule, goal, before, after", [
+        ("ok(X) :- n(X), not bad(X).", "ok(X)", "ok(1)", "no"),
+        ("c(count(X)) :- n(X), not bad(X).", "c(N)", "c(1)", "no"),
+    ])
+    def test_new_facts_retract_derived_answers(
+        self, shell, tmp_path, rule, goal, before, after
+    ):
+        feed(shell, "n(1).", rule)
+        assert shell.handle(f"?- {goal}.") == before
+        shell.handle("bad(1).")
+        assert shell.handle(f"?- {goal}.") == after
+        # Stored facts are kept apart from what a query derived.
+        assert shell.handle(":facts bad") == "(1,)"
+        again = Shell()
+        feed(again, "n(1).", rule)
+        assert again.handle(f"?- {goal}.") == before
+        path = tmp_path / "bad.dl"
+        path.write_text("bad(1).\n")
+        again.handle(f":load {path}")
+        assert again.handle(f"?- {goal}.") == after
+
+    def test_query_on_a_rejected_program_reports_the_error(self, shell):
+        feed(shell, "move(a, b).", "win(X) :- move(X, Y), not win(Y).")
+        assert "beyond XY-stratification" in shell.handle("?- win(X).")
+        # A base predicate is read as stored: nothing is evaluated.
+        assert shell.handle("?- move(X, Y).") == "move(a, b)"
 
     def test_query_on_edb_without_rules(self, shell):
         shell.handle("q(5).")

@@ -4,13 +4,13 @@ import itertools
 
 import pytest
 
+from repro.core import eval as core_eval
 from repro.core.builtins import BuiltinRegistry, DEFAULT_REGISTRY
 from repro.core.errors import EvaluationError, ProgramError
 from repro.core.eval import (
+    BottomUpEvaluator,
     Database,
     Relation,
-    SemiNaiveEvaluator,
-    XYEvaluator,
     evaluate,
     order_body,
 )
@@ -437,7 +437,7 @@ class TestXYEvaluation:
     def test_xy_evaluator_accepts_stratified(self):
         db = Database()
         db.assert_fact("q", (1,))
-        XYEvaluator(parse_program("p(X) :- q(X).")).evaluate(db)
+        BottomUpEvaluator(parse_program("p(X) :- q(X).")).evaluate(db)
         assert db.rows("p") == {(1,)}
 
     def test_counter_program(self):
@@ -474,33 +474,58 @@ class TestDerivationRecording:
 
 
 class TestErrors:
-    def test_unstratifiable_rejected(self):
-        program = parse_program("win(X) :- move(X, Y), not win(Y).")
-        with pytest.raises(ProgramError):
+    @pytest.mark.parametrize("text", [
+        "win(X) :- move(X, Y), not win(Y).",
+        "p(X) :- q(X), not r(X). r(X) :- q(X), not p(X).",
+        "t(X, Y) :- e(X, Y), not t(Y, X).",
+        "c(count(X)) :- d(X). d(X) :- e(X), not c(X).",
+    ])
+    def test_unstratifiable_rejected(self, text):
+        program = parse_program(text)
+        with pytest.raises(ProgramError) as via_evaluate:
             evaluate(program, Database())
+        with pytest.raises(ProgramError) as via_class:
+            BottomUpEvaluator(program)
+        assert str(via_class.value) == str(via_evaluate.value)
+        assert type(via_class.value) is type(via_evaluate.value)
 
-    def test_seminaive_rejects_xy(self):
-        with pytest.raises(ProgramError):
-            SemiNaiveEvaluator(parse_program(LOGICH))
+    def test_evaluator_runs_xy(self):
+        db = TestXYEvaluation().graph_db([("a", "b"), ("b", "c"), ("c", "d")])
+        BottomUpEvaluator(parse_program(LOGICH)).evaluate(db)
+        assert db.rows("h") == {
+            ("a", "a", 0), ("a", "b", 1), ("b", "c", 2), ("c", "d", 3)
+        }
+
+    def test_evaluate_classifies_once(self, monkeypatch):
+        calls = []
+        real = core_eval.classify
+        monkeypatch.setattr(core_eval, "classify",
+                            lambda program: calls.append(program) or real(program))
+        evaluate(parse_program(LOGICH))
+        assert len(calls) == 1
 
 
 class TestFixpointGuard:
-    def test_nonterminating_function_recursion_caught(self):
+    @pytest.mark.parametrize("beside", ["", LOGICH])
+    def test_nonterminating_function_recursion_caught(self, beside, monkeypatch):
         # Term construction never stops: the guard turns the hang into
         # an error.  (Two constructors keep the term depth logarithmic
         # in the fact count, so the guard fires before deep nesting.)
+        # Beside a staged component the semi-naive one is guarded too.
         program = parse_program(
-            "num(z). num(s(N)) :- num(N). num(t(N)) :- num(N)."
+            "num(z). num(s(N)) :- num(N). num(t(N)) :- num(N)." + beside
         )
+        monkeypatch.setattr(core_eval, "_MAX_FACTS", 500)
         db = Database()
-        with pytest.raises(EvaluationError):
-            SemiNaiveEvaluator(program, max_facts=500).evaluate(db)
+        with pytest.raises(EvaluationError, match="exceeded 500 facts"):
+            BottomUpEvaluator(program).evaluate(db)
 
-    def test_guard_allows_terminating_programs(self):
+    def test_guard_allows_terminating_programs(self, monkeypatch):
         program = parse_program(
             "chain(s(0), 1) :- start(0). chain(s(L), N + 1) :- chain(L, N), N < 4."
         )
         db = Database()
         db.assert_fact("start", (0,))
-        SemiNaiveEvaluator(program, max_facts=500).evaluate(db)
+        monkeypatch.setattr(core_eval, "_MAX_FACTS", 500)
+        BottomUpEvaluator(program).evaluate(db)
         assert db.count("chain") == 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.explain import explain, explain_distributed
+from repro.core.explain import explain
 from repro.core.parser import parse_program
 from repro.cli import Shell
 
@@ -61,22 +61,6 @@ class TestExplain:
     def test_aggregate_marked(self):
         text = explain(parse_program("c(S, count(_)) :- obs(S, V)."))
         assert "+agg" in text
-
-
-class TestExplainDistributed:
-    def test_engine_explanation(self):
-        import repro
-        from repro.dist.gpa import GPAEngine
-
-        net = repro.GridNetwork(4)
-        engine = GPAEngine(
-            parse_program("u(L) :- v(L), not c(L)."), net, strategy="pa"
-        ).install()
-        text = explain_distributed(engine)
-        assert "strategy: pa" in text
-        assert "tau_s" in text
-        assert "v: joins rules [0]" in text
-        assert "c: anti-joins rules [0]" in text
 
 
 class TestShellExplain:

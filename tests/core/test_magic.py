@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ProgramError
-from repro.core.eval import Database, SemiNaiveEvaluator, evaluate
+from repro.core.eval import BottomUpEvaluator, Database, evaluate
 from repro.core.magic import adorn, magic_evaluate, magic_transform
 from repro.core.parser import parse_atom, parse_program
 from repro.core.terms import Constant, Variable
@@ -75,7 +75,7 @@ class TestMagicEvaluate:
             db.assert_fact("par", (f"m{i}", f"m{i+1}"))
         transform = magic_transform(program, parse_atom("anc(n0, Z)"))
         work = db.copy()
-        SemiNaiveEvaluator(transform.program).evaluate(work)
+        BottomUpEvaluator(transform.program).evaluate(work)
         derived = sum(
             work.count(p) for p in work.predicates() if p.startswith("anc__")
         )

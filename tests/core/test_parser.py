@@ -35,6 +35,15 @@ class TestTerms:
         assert t1 != t2
         assert t1.is_anonymous and t2.is_anonymous
 
+    @pytest.mark.parametrize("text", [
+        "42", "3.5", '"enemy"', "X", "f(X, 1)", "[1, 2, 3]",
+        "[H | T]", "D + 1", "(3, 4)", "f(g(h(X)), [a, b])",
+    ])
+    def test_repr_roundtrip(self, text):
+        # The shell prints terms with repr; what it prints parses back.
+        term = parse_term(text)
+        assert parse_term(repr(term)) == term
+
     def test_function_term(self):
         t = parse_term("f(X, 1)")
         assert t == FunctionTerm("f", (Variable("X"), Constant(1)))
@@ -171,6 +180,20 @@ class TestAggregates:
         rule = parse_rule("total(count(_)) :- obs(X).")
         assert rule.aggregates[0].var is None
 
+    @pytest.mark.parametrize("text", [
+        "c(G, count(X)) :- r(G, X).",
+        "c(G, count(_)) :- r(G, X).",
+        "c(count(_)) :- r(X, Y).",
+        "m(X, min(D), max(D)) :- d(X, D).",
+        "s(sum(V)) :- r(K, V), not bad(K).",
+        "a(G, avg(V)) :- r(G, V), V > 0.",
+    ])
+    def test_repr_prints_head_aggregates(self, text):
+        rule = parse_rule(text)
+        assert repr(rule) == text
+        reparsed = parse_rule(repr(rule))
+        assert (reparsed.aggregates, reparsed.body) == (rule.aggregates, rule.body)
+
     def test_aggregate_non_variable_rejected(self):
         with pytest.raises(ParseError):
             parse_rule("total(count(5)) :- obs(X).")
@@ -222,8 +245,13 @@ class TestPrograms:
             parse_program("p(X) :-\n  q(X) r(X).")
         assert excinfo.value.line == 2
 
-    def test_roundtrip_repr(self):
-        text = "p(X) :- q(X), not r(X)."
+    @pytest.mark.parametrize("text", [
+        "p(X) :- q(X), not r(X).",
+        "h(X, Y, D + 1) :- g(X, Y), h(Z, X, D), not hp(Y, D + 1).",
+        'cov(L) :- veh("enemy", L), dist(L, (0, 0)) <= 50.',
+        "l([H | T], N) :- src(H, T, N), N > 1.",
+    ])
+    def test_roundtrip_repr(self, text):
         program = parse_program(text)
         reparsed = parse_program(repr(program))
         assert reparsed.rules == program.rules

@@ -48,6 +48,17 @@ def safe_rules(draw):
     return f"{head}({', '.join(head_args)}) :- {body}."
 
 
+@st.composite
+def aggregate_rules(draw):
+    """A safe rule with a head aggregate over ``Y`` (or ``count(_)``),
+    grouped by ``X`` or by nothing."""
+    function = draw(st.sampled_from(["count", "sum", "min", "max"]))
+    var = "_" if function == "count" and draw(st.booleans()) else "Y"
+    args = ["X"] * draw(st.integers(0, 1)) + [f"{function}({var})"]
+    head = f"{draw(predicates)}{function}{len(args)}"
+    return f"{head}({', '.join(args)}) :- {draw(predicates)}b(X, Y)."
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(safe_rules(), min_size=1, max_size=5))
 def test_repr_parse_roundtrip(rule_texts):
@@ -59,7 +70,7 @@ def test_repr_parse_roundtrip(rule_texts):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(safe_rules(), min_size=1, max_size=4),
+    st.lists(st.one_of(safe_rules(), aggregate_rules()), min_size=1, max_size=4),
     st.lists(
         st.tuples(predicates, st.integers(-3, 3), st.integers(-3, 3)),
         max_size=8,

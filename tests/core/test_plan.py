@@ -24,10 +24,9 @@ from repro.core import plan as plan_module
 from repro.core.builtins import DEFAULT_REGISTRY
 from repro.core.derivations import Derivation, fact_ref
 from repro.core.eval import (
+    BottomUpEvaluator,
     Database,
     Relation,
-    SemiNaiveEvaluator,
-    XYEvaluator,
     enumerate_rule,
     evaluate,
 )
@@ -184,7 +183,7 @@ class TestDifferentialFixpoints:
             compiled, seed = run_both(
                 LOGICH,
                 [("g", edge) for edge in edges],
-                evaluator=lambda program, registry: XYEvaluator(program),
+                evaluator=lambda program, registry: BottomUpEvaluator(program),
             )
             assert compiled == seed
 

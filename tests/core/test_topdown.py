@@ -4,7 +4,8 @@ bottom-up evaluation and the magic-sets rewriting."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import ProgramError
+from repro.core import topdown
+from repro.core.errors import EvaluationError, ProgramError
 from repro.core.eval import Database, evaluate
 from repro.core.magic import magic_evaluate
 from repro.core.parser import parse_atom, parse_program
@@ -68,6 +69,13 @@ class TestRecursionTermination:
             db.assert_fact("par", (u, v))
         rows = top_down_query(parse_program(ANCESTOR), db, parse_atom("anc(a, Z)"))
         assert values(rows) == {("a", "a"), ("a", "b"), ("a", "c")}
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # The outermost activation re-expands until no table grows; a
+        # chain of 4 grows for several rounds, so a cap of 1 is hit.
+        monkeypatch.setattr(topdown, "_MAX_ITERATIONS", 1)
+        with pytest.raises(EvaluationError, match="did not converge"):
+            top_down_query(parse_program(ANCESTOR), chain_db(4), parse_atom("anc(n0, Z)"))
 
     def test_left_recursion(self):
         program = parse_program(

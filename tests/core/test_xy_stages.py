@@ -12,8 +12,9 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import eval as core_eval
 from repro.core.errors import EvaluationError
-from repro.core.eval import XYEvaluator, fire_rule
+from repro.core.eval import BottomUpEvaluator, fire_rule
 from repro.core.parser import parse_program
 from repro.core.plan import seed_engine
 from repro.core.stratify import ProgramClass, classify
@@ -21,7 +22,7 @@ from repro.core.stratify import ProgramClass, classify
 from .test_batch_exec import fixpoint
 
 
-class ReferenceXY(XYEvaluator):
+class ReferenceXY(BottomUpEvaluator):
     """Naive stage evaluation (the driver up to PR 14)."""
 
     def _evaluate_component(self, db, rules):
@@ -40,7 +41,7 @@ class ReferenceXY(XYEvaluator):
             stage = min(pending)
             pending.discard(stage)
             processed.add(stage)
-            if len(processed) > self.max_stages:
+            if len(processed) > core_eval._MAX_STAGES:
                 raise EvaluationError("too many stages")
             grew = True
             while grew:
@@ -54,17 +55,16 @@ class ReferenceXY(XYEvaluator):
                         grew = True
 
 
-def assert_matches_reference(text, facts, max_stages=200):
+def assert_matches_reference(text, facts):
     assert classify(parse_program(text)).program_class \
         is ProgramClass.XY_STRATIFIED
-    reference = fixpoint(
-        text, facts, evaluator=lambda p: ReferenceXY(p, max_stages=max_stages)
-    )
-    for executor in (nullcontext, seed_engine):
-        assert fixpoint(
-            text, facts, executor,
-            evaluator=lambda p: XYEvaluator(p, max_stages=max_stages),
-        ) == reference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core_eval, "_MAX_STAGES", 200)
+        reference = fixpoint(text, facts, evaluator=ReferenceXY)
+        for executor in (nullcontext, seed_engine):
+            assert fixpoint(
+                text, facts, executor, evaluator=BottomUpEvaluator
+            ) == reference
     return reference[0]
 
 
@@ -204,10 +204,9 @@ COUNTER = """
 """
 
 
-def test_max_stages_still_raises():
+def test_max_stages_still_raises(monkeypatch):
+    monkeypatch.setattr(core_eval, "_MAX_STAGES", 10)
     with pytest.raises(EvaluationError, match="exceeded 10 stages"):
-        fixpoint(COUNTER, [("bound", (50,))],
-                 evaluator=lambda p: XYEvaluator(p, max_stages=10))
-    rows, _ = fixpoint(COUNTER, [("bound", (8,))],
-                       evaluator=lambda p: XYEvaluator(p, max_stages=10))
+        fixpoint(COUNTER, [("bound", (50,))], evaluator=BottomUpEvaluator)
+    rows, _ = fixpoint(COUNTER, [("bound", (8,))], evaluator=BottomUpEvaluator)
     assert rows["cnt"] == {(t,) for t in range(9)}

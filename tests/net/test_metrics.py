@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.net.energy import EnergyModel
+from repro.core.parser import parse_program
+from repro.dist.gpa import GPAEngine
+from repro.net import energy
+from repro.net.energy import tx_cost
 from repro.net.metrics import MetricsCollector
+from repro.net.network import GridNetwork
 
 
 class TestRecording:
@@ -31,8 +35,29 @@ class TestRecording:
         assert m.total_messages == 2
         assert m.total_bytes == 30
         assert m.total_energy == pytest.approx(
-            EnergyModel().tx_cost(10) + EnergyModel().tx_cost(20)
+            tx_cost(10) + tx_cost(20)
         )
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_energy_is_the_cost_of_counted_frames(self, reliable):
+        # Every frame a node sent or heard, acks and retries included,
+        # costs its per-frame base plus its bytes: nothing else.
+        net = GridNetwork(4, seed=2, loss_rate=0.1, reliable=reliable)
+        engine = GPAEngine(parse_program("j(K, A, B) :- r(K, A), s(K, B)."),
+                           net, strategy="pa").install()
+        for i in range(6):
+            engine.publish(i * 5 % 16, "r", (i % 2, f"r{i}"))
+            engine.publish(i * 7 % 16, "s", (i % 2, f"s{i}"))
+        net.run_all()
+        m = net.metrics
+        assert m.total_messages > 0
+        for node in net.nodes:
+            assert m.energy[node] == pytest.approx(
+                energy.TX_BASE * m.tx_count[node]
+                + energy.TX_PER_BYTE * m.tx_bytes[node]
+                + energy.RX_BASE * m.rx_count[node]
+                + energy.RX_PER_BYTE * m.rx_bytes[node]
+            )
 
 
 class TestLoadImbalance:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import NetworkError
-from repro.net.energy import EnergyModel
+from repro.net.energy import rx_cost, tx_cost
 from repro.net.messages import BYTES_PER_SYMBOL, HEADER_BYTES, Message
 from repro.net.metrics import MetricsCollector
 from repro.net.network import GridNetwork
@@ -107,8 +107,7 @@ class TestMetrics:
         assert m.category_tx["test"] == 1
 
     def test_energy_positive_and_tx_heavier(self):
-        model = EnergyModel()
-        assert model.tx_cost(100) > model.rx_cost(100) > 0
+        assert tx_cost(100) > rx_cost(100) > 0
 
     def test_load_imbalance(self):
         m = MetricsCollector()

@@ -6,14 +6,7 @@ from repro.core.errors import NetworkError
 from repro.core.parser import parse_program
 from repro.dist.gpa import GPAEngine
 from repro.net.network import GridNetwork, RandomNetwork
-from repro.net.visual import (
-    RAMP,
-    energy_heatmap,
-    heatmap,
-    liveness_map,
-    load_heatmap,
-    memory_heatmap,
-)
+from repro.net.visual import RAMP, heatmap, load_heatmap
 
 
 class TestHeatmap:
@@ -64,17 +57,3 @@ class TestDerivedMaps:
         text = load_heatmap(net, title="")
         # The centroid hotspot renders the hottest character somewhere.
         assert RAMP[-1] in text
-
-    def test_energy_and_memory_render(self):
-        eng, net = self.engine("pa")
-        assert len(energy_heatmap(net).splitlines()) >= 6
-        assert len(memory_heatmap(eng).splitlines()) >= 6
-
-
-class TestLiveness:
-    def test_dead_nodes_marked(self):
-        net = GridNetwork(3)
-        net.radio.kill(4)
-        text = liveness_map(net)
-        assert text.splitlines()[1][1] == "x"
-        assert text.count("x") == 1

@@ -19,7 +19,7 @@ from repro.core.parser import parse_program
 from repro.dist.gpa import GPAEngine, ResultMsg
 from repro.net.ght import GeographicHash, GHTPartition
 from repro.net.network import GridNetwork
-from repro.serve import AdaptivePlacer, QueryServer
+from repro.serve import AdaptivePlacer, QueryServer, placement
 
 PROG = "j(K, A, B) :- r(K, A), s(K, B)."
 
@@ -206,9 +206,19 @@ class TestMigrateDerived:
 
 
 class TestAdaptivePlacer:
-    def test_watermark_validation(self):
-        with pytest.raises(ValueError):
-            AdaptivePlacer(GridNetwork(3), hi=1.0, lo=2.0)
+    def test_hysteresis_between_watermarks(self, monkeypatch):
+        # Nine nodes: max/mean of 3.5 engages, 1.4 (between the
+        # watermarks) keeps the state it finds, 1.0 disengages.
+        placer = AdaptivePlacer(GridNetwork(3))
+        hot, warm, even = [5] + [1] * 8, [3] + [2] * 8, [1] * 9
+        engaged = []
+        for loads in (warm, hot, warm, even, warm):
+            monkeypatch.setattr(placer, "epoch_loads",
+                                lambda loads=loads: dict(enumerate(loads)))
+            placer.step(0, [])
+            engaged.append(placer._engaged)
+        assert engaged == [False, True, True, False, False]
+        assert placement._LO < placer.imbalance_history[0] < placement._HI
 
     def test_idle_network_is_balanced(self):
         placer = AdaptivePlacer(GridNetwork(3))
@@ -264,4 +274,4 @@ class TestAdaptivePlacer:
             by_key.setdefault(move.key, []).append(move.epoch)
         for key, epochs in by_key.items():
             for earlier, later in zip(epochs, epochs[1:]):
-                assert later - earlier >= server.placer.cooldown
+                assert later - earlier >= placement._COOLDOWN

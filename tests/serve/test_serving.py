@@ -120,6 +120,14 @@ class TestAdmission:
 
 
 class TestIsolationAndExactness:
+    def test_run_serves_until_the_queues_drain(self):
+        rng = random.Random(5)
+        _, server = serve_tenants({"t": two_stream_pubs(rng, 9, 25)})
+        # Eighteen publishes at four per epoch: five epochs.
+        assert server.epochs_run == 5
+        assert server.run() == 0
+        assert server.epochs_run == 5
+
     def test_concurrent_tenants_oracle_exact(self):
         rng = random.Random(3)
         loads = {f"t{i}": two_stream_pubs(rng, 6, 25) for i in range(4)}

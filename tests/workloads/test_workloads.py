@@ -7,54 +7,12 @@ import pytest
 from repro.net.topology import GridTopology
 from repro.workloads import (
     BattlefieldWorkload,
-    ChurnWorkload,
     TRAJECTORY_PROGRAM,
     TrajectoryWorkload,
-    UniformStreamWorkload,
     close_reports,
     parallel_paths,
     trajectory_registry,
 )
-
-
-class TestUniformStreams:
-    def test_counts(self):
-        w = UniformStreamWorkload(range(10), streams=("r", "s"), tuples_per_stream=5)
-        events = w.events()
-        assert len(events) == 10
-        assert {e[2] for e in events} == {"r", "s"}
-
-    def test_deterministic(self):
-        a = UniformStreamWorkload(range(10), seed=4).events()
-        b = UniformStreamWorkload(range(10), seed=4).events()
-        assert a == b
-
-    def test_time_monotone(self):
-        events = UniformStreamWorkload(range(5)).events()
-        times = [e[0] for e in events]
-        assert times == sorted(times)
-
-    def test_keys_in_domain(self):
-        events = UniformStreamWorkload(range(5), key_domain=3).events()
-        assert all(0 <= args[0] < 3 for _t, _n, _p, args in events)
-
-
-class TestChurn:
-    def test_deletes_only_live(self):
-        w = ChurnWorkload(range(8), inserts=20, delete_fraction=0.5, seed=2)
-        live = set()
-        for _t, op, node, pred, args in w.events():
-            if op == "ins":
-                live.add((node, args))
-            else:
-                assert (node, args) in live
-                live.discard((node, args))
-
-    def test_fraction_respected_roughly(self):
-        w = ChurnWorkload(range(8), inserts=50, delete_fraction=0.4, seed=3)
-        ops = [e[1] for e in w.events()]
-        dels = ops.count("del")
-        assert 5 <= dels <= 35
 
 
 class TestBattlefield:
