@@ -900,10 +900,7 @@ class GPAEngine:
         if msg.op == "ins":
             # Store an independent replica (avoid shared mutable state
             # between nodes — a real network serializes anyway).
-            replica = StreamTuple(
-                msg.tup.predicate, msg.tup.args, msg.tup.tuple_id,
-                msg.tup.deletion_ts,
-            )
+            replica = msg.tup.replica()
             if window.store(replica) and self._streamed_rules:
                 self._pipeline_catchup(node, runtime, replica)
         else:

@@ -24,3 +24,17 @@ def tx_cost(size_bytes: int) -> float:
 
 def rx_cost(size_bytes: int) -> float:
     return RX_BASE + RX_PER_BYTE * size_bytes
+
+
+class CostBySize(dict):
+    """``cost(size)`` keyed by frame size, each value computed once by
+    the formula it wraps: a radio charges every frame it counts with one
+    dict read instead of a call."""
+
+    def __init__(self, cost):
+        super().__init__()
+        self.cost = cost
+
+    def __missing__(self, size: int) -> float:
+        value = self[size] = self.cost(size)
+        return value

@@ -3,9 +3,13 @@
 The evaluation section's headline numbers are communication costs:
 total messages, total bytes, the per-node load distribution (hotspots
 kill networks: nodes near a central server die first, Section III-A),
-and energy.  Every radio transmission/reception is recorded here with a
-free-form category ("storage", "join", "result", "control", ...) so
-benchmarks can break costs down by phase.
+and energy.  The collector holds the counts; the radio writes them, one
+transmission and one reception per frame (``Radio._frame_departure`` /
+``_frame_arrival``, with the per-frame energy of :mod:`repro.net.energy`),
+and the reliable transport its acks, retries and suppressed duplicates.
+Transmissions also count under the message's free-form category
+("storage", "join", "result", "control", ...) so benchmarks can break
+costs down by phase.
 ``repro.obs``'s radio and transport families catch up from the
 collector a :class:`~repro.net.radio.Radio` records into.
 """
@@ -16,7 +20,6 @@ from collections import defaultdict
 from typing import Dict
 
 from ..obs import instrument as _inst
-from .energy import rx_cost, tx_cost
 
 
 class MetricsCollector:
@@ -62,35 +65,6 @@ class MetricsCollector:
         yield _inst.radio_retries, (), self.retries
         yield _inst.radio_dup_suppressed, (), self.dup_suppressed
         yield _inst.radio_retry_exhausted, (), self.retry_exhausted
-
-    # -- recording ------------------------------------------------------
-
-    def record_tx(self, node_id: int, size_bytes: int, category: str) -> None:
-        self.tx_count[node_id] += 1
-        self.tx_bytes[node_id] += size_bytes
-        self.category_tx[category] += 1
-        self.category_bytes[category] += size_bytes
-        self.energy[node_id] += tx_cost(size_bytes)
-
-    def record_rx(self, node_id: int, size_bytes: int) -> None:
-        self.rx_count[node_id] += 1
-        self.rx_bytes[node_id] += size_bytes
-        self.energy[node_id] += rx_cost(size_bytes)
-
-    def record_drop(self) -> None:
-        self.dropped += 1
-
-    def record_ack(self) -> None:
-        self.acks += 1
-
-    def record_retry(self) -> None:
-        self.retries += 1
-
-    def record_dup(self) -> None:
-        self.dup_suppressed += 1
-
-    def record_retry_exhausted(self) -> None:
-        self.retry_exhausted += 1
 
     def merge(self, other: "MetricsCollector") -> None:
         """Fold another collector's counts into this one (sharded runs:

@@ -140,15 +140,16 @@ class Node:
     def _forward(self, envelope: RoutedEnvelope) -> None:
         """Send a routed envelope one hop toward its destination.
 
-        The hop always comes from :meth:`Router.envelope_hop`.  With
-        the network's ``self_repair`` flag off that is all (the
-        pre-fault code path, byte-identical; no route raises).  With it
-        on, the per-hop delivery-status callback doubles as a
-        failure detector: a hop that terminally fails because its next
-        hop is dead (or its link is down) gets that node/edge excluded
-        from the routing view and the envelope re-forwarded along the
-        repaired tree — parent re-selection, bounded by the envelope's
-        ``repair_budget``.
+        The hop always comes from :meth:`Router.envelope_hop`, and goes
+        out as :meth:`Radio.transmit` would send it under the radio-wide
+        mode: one frame when unreliable, a transfer when reliable.  With
+        the network's ``self_repair`` flag off that is all (no route
+        raises).  With it on, the per-hop delivery-status callback
+        doubles as a failure detector: a hop that terminally fails
+        because its next hop is dead (or its link is down) gets that
+        node/edge excluded from the routing view and the envelope
+        re-forwarded along the repaired tree — parent re-selection,
+        bounded by the envelope's ``repair_budget``.
         """
         network = self.network
         try:
@@ -160,10 +161,14 @@ class Node:
             return
         # network.node(hop) only when the hop is a remote shard's stub.
         peer = network.nodes.get(hop) or network.node(hop)
+        radio = network.radio
+        if not radio.reliable:
+            # Fire and forget: no hop outcome is ever reported.
+            radio._send_frame(self.id, hop, envelope, peer.deliver)
+            return
         if not network.self_repair:
-            network.radio.transmit(
-                self.id, hop, envelope, peer.deliver,
-                on_status=envelope._hop_status,
+            radio.transport.send(
+                self.id, hop, envelope, peer.deliver, envelope._hop_status
             )
             return
 
@@ -187,9 +192,7 @@ class Node:
                 _inst.tree_repairs.labels(kind="route").inc()
             self._forward(envelope)
 
-        network.radio.transmit(
-            self.id, hop, envelope, peer.deliver, on_status=hop_outcome,
-        )
+        radio.transport.send(self.id, hop, envelope, peer.deliver, hop_outcome)
 
     # -- sending ------------------------------------------------------------
 

@@ -31,12 +31,14 @@ removed after their deprecation cycle (see DESIGN.md, "messaging v2").
 from __future__ import annotations
 
 import functools
+import heapq
 import random
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
 from ..obs import instrument as _inst
 from ..obs import state as _obs
+from .energy import CostBySize, rx_cost, tx_cost
 from .events import RadioEvent, RadioObserver
 from .messages import Message
 from .metrics import MetricsCollector
@@ -129,6 +131,9 @@ class Radio:
         #: discipline).
         self.frame_rng = frame_rng if frame_rng is not None else SeqFrameRNG(sim)
         self.metrics = metrics
+        #: Energy of sending / hearing one frame, by its size.
+        self.tx_energy = CostBySize(tx_cost)
+        self.rx_energy = CostBySize(rx_cost)
         self.delay_base = delay_base
         self.delay_jitter = delay_jitter
         self.loss_rate = loss_rate
@@ -351,35 +356,45 @@ class Radio:
         up to the arrival time) and a receiver half
         (:meth:`_frame_arrival`) so the sharded engine can run the two
         halves in different worker processes; this method is the
-        single-process composition of the two.
+        single-process composition of the two.  The frame's size is
+        fixed here, once, and both halves charge it.
         """
-        arrival = self._frame_departure(src_id, dst_id, message)
+        size = message.size_bytes
+        arrival = self._frame_departure(src_id, dst_id, message, size)
         if arrival is None:
             return
-        # A partial (not a lambda) so in-flight frames sitting in the
-        # event queue stay picklable — shard checkpoints snapshot the
-        # queue mid-run (see repro.net.checkpoint).
-        self.sim.schedule_at(
-            arrival,
-            functools.partial(self._frame_arrival, src_id, dst_id, message, deliver),
-        )
+        # Simulator.schedule_at written out (an arrival is never in the
+        # past).  A partial, not a lambda, so in-flight frames sitting
+        # in the event queue stay picklable: shard checkpoints snapshot
+        # the queue mid-run (see repro.net.checkpoint).
+        sim = self.sim
+        seq = sim._seq = sim._seq + 1
+        heapq.heappush(sim._queue, (arrival, seq, functools.partial(
+            self._frame_arrival, src_id, dst_id, message, size, deliver,
+        )))
 
     def _frame_departure(
-        self, src_id: int, dst_id: int, message: Message
+        self, src_id: int, dst_id: int, message: Message, size: int
     ) -> Optional[float]:
-        """Sender half of one frame: pay the transmission, apply loss /
-        severed-link / contention fates, fix the arrival time (delay
-        draw plus per-link FIFO ordering).  Returns the arrival time,
-        or ``None`` when the frame dies before reaching the air at the
-        receiver."""
+        """Sender half of one frame of ``size`` bytes: pay the
+        transmission, apply loss / severed-link / contention fates, fix
+        the arrival time (delay draw plus per-link FIFO ordering).
+        Returns the arrival time, or ``None`` when the frame dies before
+        reaching the air at the receiver."""
         # Per frame of every simulation: is_alive, _emit's no-listener
-        # test, _check_battery and airtime are written out, each reading
-        # its attribute now (tests and the fault injector change them).
+        # test, _check_battery, airtime and the collector's counting are
+        # written out, each reading its attribute now (tests and the
+        # fault injector change them).
         dead = self.death_time
         if src_id in dead:
             return None  # dead nodes transmit nothing
-        size = message.size_bytes
-        self.metrics.record_tx(src_id, size, message.category)
+        category = message.category
+        metrics = self.metrics
+        metrics.tx_count[src_id] += 1
+        metrics.tx_bytes[src_id] += size
+        metrics.category_tx[category] += 1
+        metrics.category_bytes[category] += size
+        metrics.energy[src_id] += self.tx_energy[size]
         if self.observers:
             self._emit("tx", src_id, dst_id, message)
         if self.battery_capacity is not None:
@@ -430,13 +445,18 @@ class Radio:
         src_id: int,
         dst_id: int,
         message: Message,
+        size: int,
         deliver: Callable[[Message], None],
     ) -> None:
-        """Receiver half of one frame, run at its arrival time."""
+        """Receiver half of one frame of ``size`` bytes, run at its
+        arrival time."""
         if dst_id in self.death_time:
             self._drop(src_id, dst_id, message, reason="dead")
             return  # died while the frame was in the air
-        self.metrics.record_rx(dst_id, message.size_bytes)
+        metrics = self.metrics
+        metrics.rx_count[dst_id] += 1
+        metrics.rx_bytes[dst_id] += size
+        metrics.energy[dst_id] += self.rx_energy[size]
         if self.observers:
             self._emit("rx", src_id, dst_id, message)
         if self.battery_capacity is not None:
@@ -445,5 +465,5 @@ class Radio:
 
     def _drop(self, src: int, dst: int, message: Message, reason: str = "") -> None:
         """One lost message: metrics and observers."""
-        self.metrics.record_drop()
+        self.metrics.dropped += 1
         self._emit("drop", src, dst, message, detail=reason)

@@ -406,7 +406,9 @@ class ShardRadio(Radio):
         if not self._is_remote(dst_id):
             super()._send_frame(src_id, dst_id, message, deliver)
             return
-        arrival = self._frame_departure(src_id, dst_id, message)
+        arrival = self._frame_departure(
+            src_id, dst_id, message, message.size_bytes
+        )
         if arrival is None:
             return  # died on the sender side: nothing crosses
         if isinstance(message, AckMsg):
@@ -572,7 +574,10 @@ class ShardWorker:
             raise ShardError(f"unknown border-record mode {mode!r}")
         self.network.sim.schedule_at(
             arrival,
-            functools.partial(self.radio._frame_arrival, src, dst, message, deliver),
+            functools.partial(
+                self.radio._frame_arrival, src, dst, message,
+                message.size_bytes, deliver,
+            ),
         )
 
     # -- results ----------------------------------------------------------

@@ -18,37 +18,48 @@ from ..obs import state as _obs
 
 
 class Simulator:
-    """A minimal deterministic discrete-event scheduler."""
+    """A minimal deterministic discrete-event scheduler.
+
+    The queue is a heap of ``(time, seq, callback)``; ``seq`` counts
+    pushes, so events due at one instant run in the order they were
+    scheduled.  :meth:`schedule_at` is the checked way in.  The radio
+    pushes each frame's arrival itself (``Radio._send_frame``; an
+    arrival is never in the past), so a frame costs no call here, and
+    ``now`` is a plain attribute for the same reason.  Events leave the
+    queue only in :meth:`run`, which therefore keeps the high-water
+    mark.
+    """
 
     def __init__(self, seed: int = 0):
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current global simulation time.
+        self.now = 0.0
         self.rng = random.Random(seed)
         self.events_processed = 0
-        #: Deepest the event queue has ever been (telemetry + a cheap
-        #: proxy for peak simulation memory).
-        self.queue_hwm = 0
+        self._hwm = 0
 
     @property
-    def now(self) -> float:
-        """Current global simulation time."""
-        return self._now
+    def queue_hwm(self) -> int:
+        """Deepest the event queue has ever been (telemetry + a cheap
+        proxy for peak simulation memory).  The queue only shrinks when
+        :meth:`run` pops, so its depth before each pop and its depth now
+        cover every peak."""
+        depth = len(self._queue)
+        return depth if depth > self._hwm else self._hwm
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` time units (>= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute time ``when`` (>= now)."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
+        if when < self.now:
+            raise ValueError(f"cannot schedule in the past ({when} < {self.now})")
         self._seq += 1
         heapq.heappush(self._queue, (when, self._seq, callback))
-        if len(self._queue) > self.queue_hwm:
-            self.queue_hwm = len(self._queue)
 
     def run(
         self,
@@ -74,6 +85,8 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         while queue and (max_events is None or processed < max_events):
+            if len(queue) > self._hwm:
+                self._hwm = len(queue)
             event = pop(queue)
             when = event[0]
             if until is not None and (when > until if inclusive else when >= until):
@@ -81,11 +94,11 @@ class Simulator:
                 # (time, sequence) key, so the order is untouched.
                 heapq.heappush(queue, event)
                 break
-            self._now = when
+            self.now = when
             event[2]()
             processed += 1
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         self.events_processed += processed
         if _obs.enabled:
             if processed:

@@ -215,7 +215,7 @@ class ReliableTransport:
         state.attempt += 1
         attempt = state.attempt
         if attempt > 1:
-            self.radio.metrics.record_retry()
+            self.radio.metrics.retries += 1
             self.radio._emit("retry", src, dst, state.message, attempt=attempt)
         # Partials (not lambdas) throughout this state machine: pending
         # frames and retry timers live in the event queue, which shard
@@ -252,7 +252,7 @@ class ReliableTransport:
             return
         if state.attempt >= 1 + self.config.max_retries:
             del self._pending[key]
-            self.radio.metrics.record_retry_exhausted()
+            self.radio.metrics.retry_exhausted += 1
             # Why did the budget run out?  A dead receiver is a
             # topology fault the routing layer can repair around; a
             # merely lossy link is not.  Upper layers key their
@@ -286,7 +286,7 @@ class ReliableTransport:
         else:
             # Retransmission of an already-delivered frame (its ack was
             # lost): suppress, but re-ack so the sender can stop.
-            self.radio.metrics.record_dup()
+            self.radio.metrics.dup_suppressed += 1
             self.radio._emit("dup", src, dst, message)
         ack = AckMsg(src, message.msg_id)
         self.radio._send_frame(
@@ -301,7 +301,7 @@ class ReliableTransport:
         if state is None or state.acked:
             return  # duplicate ack, or transfer already concluded
         state.acked = True
-        self.radio.metrics.record_ack()
+        self.radio.metrics.acks += 1
         src, dst, _ = key
         self.radio._emit("ack", src, dst, state.message, attempt=state.attempt)
         if state.on_status is not None:

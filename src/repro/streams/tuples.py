@@ -77,6 +77,17 @@ class StreamTuple:
         self.tuple_id = tuple_id
         self.deletion_ts = deletion_ts
 
+    def replica(self) -> "StreamTuple":
+        """An independent copy for another node's window: the same
+        argument terms (already normalized, so not run through
+        ``to_term`` again), id and deletion timestamp."""
+        copy = StreamTuple.__new__(StreamTuple)
+        copy.predicate = self.predicate
+        copy.args = self.args
+        copy.tuple_id = self.tuple_id
+        copy.deletion_ts = self.deletion_ts
+        return copy
+
     @property
     def generation_ts(self) -> float:
         return self.tuple_id.timestamp

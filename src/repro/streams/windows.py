@@ -17,6 +17,7 @@ timestamp) until the same bound passes.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.terms import Term
@@ -61,6 +62,9 @@ class SlidingWindow:
         self.predicate = predicate
         self.params = params
         self._tuples: Dict[TupleID, StreamTuple] = {}
+        # The earliest generation timestamp held (inf when empty): no
+        # tuple can expire before the horizon passes it.
+        self._oldest = math.inf
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -74,6 +78,8 @@ class SlidingWindow:
         if tup.tuple_id in self._tuples:
             return False
         self._tuples[tup.tuple_id] = tup
+        if tup.tuple_id.timestamp < self._oldest:
+            self._oldest = tup.tuple_id.timestamp
         return True
 
     def mark_deleted(self, tuple_id: TupleID, deletion_ts: float) -> bool:
@@ -99,11 +105,16 @@ class SlidingWindow:
         """Drop tuples whose storage time has fully elapsed; returns what
         was dropped (for memory accounting)."""
         horizon = now - self.params.storage_time
+        if self._oldest > horizon:
+            return []  # the oldest tuple is still within its storage time
         dropped = [
             t for t in self._tuples.values() if t.generation_ts <= horizon
         ]
         for t in dropped:
             del self._tuples[t.tuple_id]
+        self._oldest = min(
+            (t.generation_ts for t in self._tuples.values()), default=math.inf
+        )
         return dropped
 
     def get(self, tuple_id: TupleID) -> Optional[StreamTuple]:

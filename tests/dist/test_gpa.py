@@ -222,6 +222,38 @@ class TestSlidingWindows:
         net.run_all()
         assert eng.rows("j") == {(1, "old", "new")}
 
+    def test_replicas_keep_the_source_terms(self, monkeypatch):
+        # A replica copies its sender's normalized arguments: the same
+        # term objects, never run through to_term again, so an int and a
+        # float spelling of one value each reach every window as they
+        # were published.
+        from repro.streams import tuples
+
+        normalized = []
+        real = tuples.to_term
+
+        def to_term(value):
+            normalized.append(value)
+            return real(value)
+
+        monkeypatch.setattr(tuples, "to_term", to_term)
+        net = GridNetwork(5, seed=8)
+        eng = GPAEngine(parse_program(JOIN2), net, strategy="pa").install()
+        eng.publish(3, "r", (1, 1.0))
+        net.run_all()
+        assert normalized == [1, 1.0]  # at the source, once
+        source = next(iter(eng.runtimes[3].windows["r"]))
+        replicas = [
+            t for rt in eng.runtimes.values() if rt.node.id != 3
+            for t in rt.windows.get("r", ())
+        ]
+        assert replicas
+        for replica in replicas:
+            assert replica is not source
+            assert replica.tuple_id is source.tuple_id
+            assert all(a is b for a, b in zip(replica.args, source.args))
+            assert [type(a.value) for a in replica.args] == [int, float]
+
     def test_memory_reclaimed_by_expiry(self):
         net = GridNetwork(5, seed=8)
         eng = GPAEngine(

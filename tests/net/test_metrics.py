@@ -5,37 +5,64 @@ import pytest
 from repro.core.parser import parse_program
 from repro.dist.gpa import GPAEngine
 from repro.net import energy
-from repro.net.energy import tx_cost
+from repro.net.energy import rx_cost, tx_cost
+from repro.net.messages import BYTES_PER_SYMBOL, HEADER_BYTES, Message
 from repro.net.metrics import MetricsCollector
 from repro.net.network import GridNetwork
 
 
+def frame(net, src, dst, symbols, category="x"):
+    """Send one frame ``src`` -> ``dst`` and let it land."""
+    net.radio.transmit(
+        src, dst, Message("ping", payload_symbols=symbols, category=category),
+        net.node(dst).deliver,
+    )
+    net.run_all()
+
+
+def pinged(nodes=2):
+    """A ``nodes`` x ``nodes`` grid whose nodes take "ping" frames."""
+    net = GridNetwork(nodes)
+    for node in net.nodes.values():
+        node.register_handler("ping", lambda node, msg: None)
+    return net
+
+
 class TestRecording:
     def test_tx_updates_all_maps(self):
-        m = MetricsCollector()
-        m.record_tx(1, 100, "storage")
-        m.record_tx(1, 50, "join")
-        assert m.tx_count[1] == 2
-        assert m.tx_bytes[1] == 150
+        net = pinged()
+        frame(net, 0, 1, 3, "storage")
+        frame(net, 0, 1, 1, "join")
+        m = net.metrics
+        big = HEADER_BYTES + 3 * BYTES_PER_SYMBOL
+        small = HEADER_BYTES + BYTES_PER_SYMBOL
+        assert m.tx_count[0] == 2
+        assert m.tx_bytes[0] == big + small
         assert m.category_tx == {"storage": 1, "join": 1}
-        assert m.category_bytes == {"storage": 100, "join": 50}
-        assert m.energy[1] > 0
+        assert m.category_bytes == {"storage": big, "join": small}
+        assert m.energy[0] == tx_cost(big) + tx_cost(small)
 
     def test_rx_and_drop(self):
-        m = MetricsCollector()
-        m.record_rx(2, 80)
-        m.record_drop()
-        assert m.rx_count[2] == 1 and m.rx_bytes[2] == 80
+        net = pinged(3)
+        frame(net, 0, 1, 3)
+        net.radio.link_down(1, 2)
+        frame(net, 1, 2, 3)
+        m = net.metrics
+        size = HEADER_BYTES + 3 * BYTES_PER_SYMBOL
+        assert m.rx_count[1] == 1 and m.rx_bytes[1] == size
+        assert m.energy[1] == rx_cost(size) + tx_cost(size)
+        assert 2 not in m.rx_count
         assert m.dropped == 1
 
     def test_totals(self):
-        m = MetricsCollector()
-        m.record_tx(1, 10, "a")
-        m.record_tx(2, 20, "b")
+        net = pinged()
+        frame(net, 0, 1, 1)
+        frame(net, 1, 0, 3)
+        m = net.metrics
         assert m.total_messages == 2
-        assert m.total_bytes == 30
+        assert m.total_bytes == 2 * HEADER_BYTES + 4 * BYTES_PER_SYMBOL
         assert m.total_energy == pytest.approx(
-            tx_cost(10) + tx_cost(20)
+            tx_cost(12) + rx_cost(12) + tx_cost(20) + rx_cost(20)
         )
 
     @pytest.mark.parametrize("reliable", [False, True])
@@ -68,8 +95,7 @@ class TestLoadImbalance:
         # Reading tx_count[n] (a defaultdict) inserts a zero; those
         # phantom entries must not drag the transmitters-only mean down.
         m = MetricsCollector()
-        m.record_tx(1, 10, "x")
-        m.record_tx(1, 10, "x")
+        m.tx_count[1] = 2
         _ = m.tx_count[7]
         _ = m.tx_count[8]
         assert m.load_imbalance() == 1.0
@@ -81,9 +107,7 @@ class TestLoadImbalance:
 
     def test_max_over_mean(self):
         m = MetricsCollector()
-        m.record_tx(1, 10, "x")
-        m.record_tx(1, 10, "x")
-        m.record_tx(2, 10, "x")
+        m.tx_count.update({1: 2, 2: 1})
         assert m.load_imbalance() == pytest.approx(2 / 1.5)
 
     def test_n_nodes_exposes_hotspot(self):
@@ -91,15 +115,13 @@ class TestLoadImbalance:
         # transmitters-only ratio says "balanced", the network-wide
         # ratio says "hotspot".
         m = MetricsCollector()
-        for _ in range(10):
-            m.record_tx(0, 10, "x")
+        m.tx_count[0] = 10
         assert m.load_imbalance() == 1.0
         assert m.load_imbalance(n_nodes=100) == pytest.approx(100.0)
 
     def test_n_nodes_smaller_than_transmitters_is_clamped(self):
         m = MetricsCollector()
-        m.record_tx(1, 10, "x")
-        m.record_tx(2, 10, "x")
+        m.tx_count.update({1: 1, 2: 1})
         assert m.load_imbalance(n_nodes=1) == m.load_imbalance()
 
 
@@ -114,15 +136,16 @@ class TestSummaryAndReset:
 
     def test_summary_includes_categories(self):
         m = MetricsCollector()
-        m.record_tx(1, 10, "storage")
+        m.category_tx["storage"] = 1
         summary = m.summary()
         assert summary["msgs[storage]"] == 1
 
     def test_reset_clears_everything(self):
-        m = MetricsCollector()
-        m.record_tx(1, 10, "x")
-        m.record_rx(2, 10)
-        m.record_drop()
+        net = pinged(3)
+        frame(net, 0, 1, 1)
+        net.radio.link_down(1, 2)
+        frame(net, 1, 2, 1)
+        m = net.metrics
         m.reset()
         assert m.total_messages == 0
         assert m.total_bytes == 0
@@ -132,12 +155,13 @@ class TestSummaryAndReset:
 
     def test_reset_clears_category_maps_in_place(self):
         # Defensive reset: aliases taken before reset() must observe it.
-        m = MetricsCollector()
+        net = pinged()
+        m = net.metrics
         category_alias = m.category_tx
         tx_alias = m.tx_count
-        m.record_tx(1, 10, "storage")
+        frame(net, 0, 1, 1, "storage")
         m.reset()
         assert category_alias == {}
         assert tx_alias == {}
-        m.record_tx(2, 10, "join")
+        frame(net, 1, 0, 1, "join")
         assert category_alias == {"join": 1}

@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine and local clocks."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.net.sim import LocalClock, Simulator
 
@@ -79,6 +80,37 @@ class TestSimulator:
         a = Simulator(seed=42).rng.random()
         b = Simulator(seed=42).rng.random()
         assert a == b
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("push"), st.floats(0.0, 5.0), st.integers(0, 3)),
+    st.tuples(st.just("until"), st.floats(0.0, 5.0), st.just(0)),
+    st.tuples(st.just("some"), st.just(0.0), st.integers(1, 4)),
+), max_size=40))
+def test_queue_hwm_is_the_deepest_push(ops):
+    """Property: ``queue_hwm`` (kept by ``run``, which is where events
+    leave the queue) equals the deepest the queue was right after any
+    push, wherever it is read: between pushes, after a window that
+    stopped at ``until`` or after a ``max_events`` slice.  A callback's
+    ``children`` pushes land while the run is on."""
+    sim = Simulator()
+    deepest = 0
+
+    def push(delay, children):
+        nonlocal deepest
+        sim.schedule(delay, lambda: [push(delay / 2, 0) for _ in range(children)])
+        deepest = max(deepest, sim.pending)
+
+    for op, value, n in ops:
+        if op == "push":
+            push(value, n)
+        elif op == "until":
+            sim.run(until=sim.now + value)
+        else:
+            sim.run(max_events=n)
+        assert sim.queue_hwm == deepest
+    sim.run_all()
+    assert sim.queue_hwm == deepest
 
 
 class TestLocalClock:

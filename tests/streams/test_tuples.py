@@ -69,3 +69,16 @@ class TestStreamTuple:
         a = StreamTuple("p", (1,), TupleID(1, 1.0, 0))
         b = StreamTuple("p", (1,), TupleID(1, 1.0, 1))
         assert a != b
+
+
+class TestReplica:
+    def test_replica_shares_the_normalized_terms(self):
+        original = StreamTuple("r", (1, 1.0, "a"), TupleID(3, 2.0, 1), 5.0)
+        copy = original.replica()
+        assert copy is not original
+        assert copy == original and copy.deletion_ts == 5.0
+        assert copy.tuple_id is original.tuple_id
+        assert all(a is b for a, b in zip(copy.args, original.args))
+        # The copy is independent: a deletion mark on one is not on the other.
+        copy.deletion_ts = 1.0
+        assert original.deletion_ts == 5.0

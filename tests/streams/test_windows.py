@@ -1,7 +1,9 @@
 """Tests for sliding windows and the Theorem 3 timing rules."""
 
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.streams.tuples import StreamTuple, TupleID
 from repro.streams.windows import SlidingWindow, WindowParams
@@ -99,3 +101,60 @@ def test_live_tuples_always_inside_window(timestamps, window):
     live = {t.generation_ts for t in win.live_at(probe)}
     expected = {ts for ts in timestamps if probe - window < ts <= probe}
     assert live == expected
+
+
+class _FullScan:
+    """The reference expiry: every call scans every held tuple."""
+
+    def __init__(self, storage_time):
+        self.storage_time = storage_time
+        self.tuples = {}
+
+    def store(self, t):
+        self.tuples.setdefault(t.tuple_id, t)
+
+    def expire(self, now):
+        horizon = now - self.storage_time
+        dropped = [t for t in self.tuples.values() if t.generation_ts <= horizon]
+        for t in dropped:
+            del self.tuples[t.tuple_id]
+        return dropped
+
+
+_ops = st.lists(
+    st.one_of(
+        # A replica generated at ts by one of three sources, stored in
+        # whatever order the network delivers it.
+        st.tuples(st.just("store"), st.floats(0.0, 60.0), st.integers(0, 2)),
+        st.tuples(st.just("expire"), st.floats(0.0, 90.0), st.just(0)),
+        st.tuples(st.just("pickle"), st.just(0.0), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300)
+@given(_ops, st.floats(0.5, 20.0))
+@example(  # the second expiry must still see the tuple the first kept
+    [("store", 10.0, 0), ("store", 30.0, 1), ("expire", 14.0, 0),
+     ("expire", 34.0, 0)], 1.0,
+)
+def test_expire_drops_what_a_full_scan_drops(ops, window):
+    """Property: out-of-order replica stores and ``expire(now)`` at any
+    time drop exactly the tuples (in the same order) a full scan of the
+    window drops, also across a pickle round trip (the checkpoint
+    path)."""
+    p = WindowParams(window, 1.0, 0.1, 1.0)
+    win = SlidingWindow("s", p)
+    ref = _FullScan(p.storage_time)
+    for i, (op, ts, src) in enumerate(ops):
+        if op == "store":
+            t = StreamTuple("s", (i,), TupleID(src, ts, 0))
+            win.store(t)
+            ref.store(t)
+        elif op == "expire":
+            got = [t.tuple_id for t in win.expire(ts)]
+            assert got == [t.tuple_id for t in ref.expire(ts)]
+        else:
+            win = pickle.loads(pickle.dumps(win))
+        assert [t.tuple_id for t in win] == list(ref.tuples)
