@@ -13,25 +13,29 @@ same fact combine with a T-conorm:
 * disjunction (across derivations): ``max`` (best evidence) or
   ``noisy-or`` (independent corroboration).
 
-Evaluation is a monotone fixpoint on the confidence lattice; recursive
-programs converge because confidences are bounded by 1 and updates are
-ignored below ``_TOLERANCE``.  Negated subgoals use certainty semantics:
-``not p(...)`` holds (with factor 1) when no ``p`` fact at or above
-``negation_threshold`` matches — stratification is still required.
+Which facts hold does not depend on confidences: the annotated facts
+are loaded into a :class:`~repro.core.eval.Database` and the program
+runs once on :class:`~repro.core.eval.BottomUpEvaluator`, whose
+derivation store records every derivation of every derived fact.
+Confidences are then folded over that store, stratum by stratum, as a
+monotone fixpoint on the confidence lattice; recursive programs converge
+because confidences are bounded by 1 and updates are ignored below
+``_TOLERANCE``.  Negated subgoals use certainty semantics: ``not
+p(...)`` holds (with factor 1) when no ``p`` fact matches, as in every
+other evaluation — stratification is still required.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from .ast import Program, RelLiteral
-from .builtins import BuiltinRegistry, DEFAULT_REGISTRY, eval_builtin, normalize_partial
+from .ast import Program
+from .builtins import BuiltinRegistry, DEFAULT_REGISTRY
 from .errors import EvaluationError, ProgramError
-from .eval import ArgsTuple, Database, ground_head, order_body
+from .eval import ArgsTuple, BottomUpEvaluator, Database
 from .safety import check_program_safety
 from .stratify import classify
-from .terms import Substitution, to_term
-from .unify import match_sequences
+from .terms import to_term
 
 FactConf = Dict[Tuple[str, ArgsTuple], float]
 
@@ -98,12 +102,6 @@ class AnnotatedDatabase:
             ]
         return out
 
-    def facts(self, predicate: str) -> List[Tuple[ArgsTuple, float]]:
-        return [
-            (args, self._conf[(predicate, args)])
-            for args in self._by_pred.get(predicate, ())
-        ]
-
     def _set(self, predicate: str, args: ArgsTuple, confidence: float) -> None:
         key = (predicate, args)
         if key not in self._conf:
@@ -120,7 +118,6 @@ class AnnotatedEvaluator:
         registry: Optional[BuiltinRegistry] = None,
         conjunction: str = "product",
         disjunction: str = "max",
-        negation_threshold: float = 0.0,
     ):
         check_program_safety(program)
         for rule in program.rules:
@@ -139,7 +136,6 @@ class AnnotatedEvaluator:
         self.registry = registry or DEFAULT_REGISTRY
         self.conj = _CONJ[conjunction]
         self.disj = _DISJ[disjunction]
-        self.negation_threshold = negation_threshold
         self.strata = analysis.strata
 
     def evaluate(self, db: AnnotatedDatabase) -> AnnotatedDatabase:
@@ -150,23 +146,32 @@ class AnnotatedEvaluator:
         # non-idempotent disjunctions like noisy-or count each distinct
         # derivation exactly once).
         base: FactConf = dict(db._conf)
+        central = Database()
+        for pred, args in base:
+            central.assert_fact(pred, args)
+        BottomUpEvaluator(self.program, self.registry).evaluate(central)
+        store = central.derivations.snapshot()
+        conf = db._conf
         for stratum in self.strata:
-            rules = [r for r in self.program.rules if r.head.predicate in stratum]
+            # Derivations in a fixed order: a float fold is not associative.
+            derived = [
+                (key, [d.body_facts for d in sorted(derivations, key=repr)])
+                for key, derivations in store.items() if key[0] in stratum
+            ]
             for _round in range(_MAX_ROUNDS):
-                contributions: Dict[Tuple[str, ArgsTuple], Dict[tuple, float]] = {}
-                for rule in rules:
-                    for head_args, conf, deriv_key in self._fire(rule, db):
-                        key = (rule.head.predicate, head_args)
-                        contributions.setdefault(key, {})[deriv_key] = conf
-                changed = False
-                for key, derivs in contributions.items():
+                # Jacobi rounds: every fact folds the confidences the
+                # round started with; a body fact not reached yet is 0.
+                changed = []
+                for key, bodies in derived:
                     value = base.get(key, 0.0)
-                    for conf in derivs.values():
-                        value = self.disj(value, conf)
-                    old = db._conf.get(key, 0.0)
-                    if abs(value - old) > _TOLERANCE and value > 0.0:
-                        db._set(key[0], key[1], value)
-                        changed = True
+                    for body in bodies:
+                        support = self.conj(conf.get(f, 0.0) for f in body)
+                        if support > 0.0:
+                            value = self.disj(value, support)
+                    if abs(value - conf.get(key, 0.0)) > _TOLERANCE and value > 0.0:
+                        changed.append((key, value))
+                for (pred, args), value in changed:
+                    db._set(pred, args, value)
                 if not changed:
                     break
             else:
@@ -174,50 +179,6 @@ class AnnotatedEvaluator:
                     f"annotated fixpoint did not converge in {_MAX_ROUNDS} rounds"
                 )
         return db
-
-    def _fire(
-        self, rule, db: AnnotatedDatabase
-    ) -> Iterator[Tuple[ArgsTuple, float, tuple]]:
-        ordered = order_body(rule)
-
-        def recurse(idx: int, subst: Substitution, confs: List[float], used: List):
-            if idx == len(ordered):
-                yield subst, list(confs), tuple(used)
-                return
-            lit = ordered[idx]
-            if isinstance(lit, RelLiteral):
-                pattern = tuple(
-                    normalize_partial(a.substitute(subst), self.registry)
-                    for a in lit.atom.args
-                )
-                if lit.negated:
-                    blocked = any(
-                        conf > self.negation_threshold
-                        and match_sequences(pattern, args, Substitution()) is not None
-                        for args, conf in db.facts(lit.predicate)
-                    )
-                    if not blocked:
-                        yield from recurse(idx + 1, subst, confs, used)
-                    return
-                for args, conf in list(db.facts(lit.predicate)):
-                    bindings = match_sequences(pattern, args, Substitution())
-                    if bindings is None:
-                        continue
-                    s2 = Substitution(subst)
-                    s2.update(bindings)
-                    confs.append(conf)
-                    used.append((lit.predicate, args))
-                    yield from recurse(idx + 1, s2, confs, used)
-                    confs.pop()
-                    used.pop()
-            else:
-                for s2 in eval_builtin(lit, subst, self.registry):
-                    yield from recurse(idx + 1, s2, confs, used)
-
-        rule_id = rule.rule_id if rule.rule_id is not None else -1
-        for subst, confs, used in recurse(0, Substitution(), [], []):
-            head_args = ground_head(rule, subst, self.registry)
-            yield head_args, self.conj(confs), (rule_id, used)
 
 
 def annotated_evaluate(

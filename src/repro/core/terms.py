@@ -20,6 +20,29 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 ConstValue = Union[int, float, str, bool, tuple, frozenset, None]
 
 
+#: Identifiers the lexer reads as keywords or operators, not symbols.
+_KEYWORDS = frozenset(("not", "NOT", "mod"))
+
+
+def spell_value(value: object) -> str:
+    """``value`` as :mod:`repro.core.parser` reads it back: a string
+    bare when it lexes as that one symbol (a lowercase-initial
+    identifier, not a keyword), else in double quotes; a tuple in the
+    parser's tuple syntax, its items spelled the same way.  A string
+    holding ``"`` or a newline, and a tuple of fewer than two items,
+    have no spelling (the lexer has no escapes)."""
+    if isinstance(value, str):
+        bare = (
+            value[:1].isalpha() and not value[0].isupper()
+            and all(c.isalnum() or c == "_" for c in value)
+            and value not in _KEYWORDS
+        )
+        return value if bare else f'"{value}"'
+    if isinstance(value, tuple):
+        return f"({', '.join(map(spell_value, value))})"
+    return repr(value)
+
+
 class Term:
     """Abstract base class for all terms."""
 
@@ -84,9 +107,7 @@ class Constant(Term):
             return h
 
     def __repr__(self) -> str:
-        if isinstance(self.value, str):
-            return self.value
-        return repr(self.value)
+        return spell_value(self.value)
 
 
 class Variable(Term):

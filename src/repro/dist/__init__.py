@@ -12,21 +12,18 @@ the timestamp-ranked derived-fact ledger (:mod:`repro.dist.derived`):
 """
 
 from .baselines import ProceduralBFS
-from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
+from .derived import DerivedFact, DerivedTable, FactRef, ResultMsg, WireDerivation
 from .gpa import (
     Candidate,
     GPAEngine,
     JoinToken,
     NodeRuntime,
     Partial,
-    ResultMsg,
     StoreMsg,
 )
 from .localized import (
-    LocalResultMsg,
     LocalizedEngine,
     Placement,
-    ReplicaMsg,
     build_sptree,
     logich_placements,
     logich_program,
@@ -53,7 +50,7 @@ __all__ = [
     "ProceduralBFS", "Candidate", "DerivedFact", "DerivedTable", "FactRef",
     "GPAEngine", "JoinToken",
     "NodeRuntime", "Partial", "ResultMsg", "StoreMsg", "WireDerivation",
-    "LocalResultMsg", "LocalizedEngine", "Placement", "ReplicaMsg",
+    "LocalizedEngine", "Placement",
     "build_sptree", "logich_placements", "logich_program",
     "logicj_placements", "logicj_program", "visible_rows",
     "DistributedPlan", "RulePlan", "RoutingTable", "build_routing",

@@ -18,13 +18,23 @@ The engines spell a derivation two ways; the ledger keys on either.
   as a row turns visible, and record and ref hash and compare in C.
 
 Either way a derivation is its own identity, so the ledger, the
-localized watch index and ``derivation_store`` key on it."""
+localized watch index and ``derivation_store`` key on it.
+
+Both engines share the rest of a derived fact's life: one message,
+:class:`ResultMsg`, carries each update to the fact's home; one call,
+:meth:`DerivedTable.update`, ranks it and says whether the derivation's
+liveness flipped; one fold, :meth:`DerivedTable.moves`, turns a
+valuation's flip at its group's home into ``(op, row)`` moves of the
+group's row.  Each engine stamps (GPA floats, localized ``(time, node,
+seq)`` tuples), sends and expires its own way."""
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..core.aggregates import Aggregate
 from ..core.terms import term_size
+from ..net.messages import Message
 from ..streams.tuples import ArgsTuple, TupleID
 
 
@@ -124,7 +134,7 @@ class DerivedFact:
     def visible(self) -> bool:
         return bool(self.derivations)
 
-    def apply(self, op: str, derivation, stamp) -> None:
+    def apply(self, op: str, derivation, stamp) -> bool:
         """The one way a derivation set changes (results, migrated
         state, anti-entropy, base facts): a subtraction stamped tau
         cancels every addition of an equal derivation stamped <= tau,
@@ -140,15 +150,18 @@ class DerivedFact:
         b): the sub outranks it.  The re-add after the blocker's deletion
         carries the deletion time, > b, and survives a late sub(b).
         ``sees`` compares the same timestamps, so its tau_c covers skew
-        here."""
+        here.
+
+        Returns whether the derivation's liveness flipped."""
         held = self.ledger.get(derivation)
         if held is not None and (stamp, op == "sub") <= (held[2], held[0] == "sub"):
-            return  # outranked, or a duplicate (replication, retro over-coverage)
+            return False  # outranked, or a duplicate (replication, retro over-coverage)
         self.ledger[derivation] = (op, derivation, stamp)
         if op == "add":
+            flipped = derivation not in self.derivations
             self.derivations[derivation] = derivation
-        else:
-            self.derivations.pop(derivation, None)
+            return flipped
+        return self.derivations.pop(derivation, None) is not None
 
 
 class DerivedTable(dict):
@@ -165,6 +178,27 @@ class DerivedTable(dict):
         if fact is None:
             fact = self[(pred, args)] = self.new()
         return fact
+
+    def update(self, pred: str, args: ArgsTuple, op: str, derivation,
+               stamp) -> Optional[DerivedFact]:
+        """Rank one update into ``pred(args)``'s ledger
+        (:meth:`DerivedFact.apply`): the fact if the derivation's
+        liveness flipped, else None (outranked, a duplicate, or a
+        tombstone raised)."""
+        fact = self.fact(pred, args)
+        return fact if fact.apply(op, derivation, stamp) else None
+
+    def moves(self, aggregate: Aggregate,
+              valuation: ArgsTuple) -> Iterator[Tuple[str, ArgsTuple]]:
+        """``(op, row)`` per move of the group row (:meth:`Aggregate.moved`)
+        once ``valuation`` flipped visibility here, at its group's home:
+        the new row gains the fold's derivation, then the old one loses
+        it.  The caller stamps each move above the last it folded."""
+        visible = [args for _p, args, _f in self.visible(aggregate.valuation)]
+        for old, new in aggregate.moved(visible, (valuation,)):
+            for op, row in (("add", new), ("sub", old)):
+                if row is not None:
+                    yield op, row
 
     def visible(self, pred: Optional[str] = None) -> Iterator[Tuple[str, ArgsTuple, DerivedFact]]:
         """``(pred, args, fact)`` of every visible fact, or of ``pred``'s."""
@@ -201,3 +235,33 @@ class DerivedTable(dict):
                 del self[key]
                 reclaimed += 1
         return reclaimed
+
+
+class ResultMsg(Message):
+    """One update of a derived fact on its way home: a GPA result
+    (kind ``gpa_result``; of category ``repair`` when anti-entropy
+    resends it, stored but never published downstream), a localized
+    result (``loc_result``, with the negated atoms its home watches) or
+    replica (``loc_replica``).  Sized as on the wire: the fact, the
+    derivation's rule id plus two symbols (predicate, fact id) per fact
+    — none for a replica's rule -1 derivation, which names the fact it
+    travels with — and two per watched atom; the stamp is unsized."""
+
+    #: GPA serving mode: already chased a migrated placement once.
+    re_homed = False
+
+    def __init__(self, pred: str, args: ArgsTuple, derivation, op: str, stamp,
+                 neg_atoms: Tuple[Tuple[str, ArgsTuple], ...] = (),
+                 kind: str = "gpa_result", category: str = "result"):
+        if isinstance(derivation, WireDerivation):
+            cost = derivation.size()
+        else:
+            cost = 0 if derivation[0] == -1 else 2 * len(derivation) - 1
+        size = 1 + sum(term_size(a) for a in args) + cost + 2 * len(neg_atoms)
+        super().__init__(kind, payload_symbols=size, category=category)
+        self.pred = pred
+        self.args = args
+        self.derivation = derivation
+        self.op = op  # 'add' | 'sub'
+        self.stamp = stamp
+        self.neg_atoms = neg_atoms

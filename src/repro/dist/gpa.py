@@ -24,9 +24,9 @@ The complete Section III/IV machinery:
 * **head aggregates** — an aggregate rule's results are valuation
   facts (:mod:`repro.core.aggregates`) homed at their group's GHT key,
   so one node holds a whole group; when a valuation's visibility flips
-  there it refolds the group and sends the row's retraction and
-  replacement to the row's own home, as results of the fold's
-  derivation stamped in the order it folds;
+  there it refolds the group (:meth:`DerivedTable.moves`) and sends the
+  row's retraction and replacement to the row's own home, as results of
+  the fold's derivation stamped in the order it folds;
 * **pipelined mode** — ``mode="pipelined"`` drops Theorem 3's tau_s +
   tau_c launch delay for every rule
   :func:`~repro.core.stratify.rule_releases` lets stream (CALM /
@@ -62,7 +62,7 @@ from ..obs.spans import CountedHandler, span as _span
 from ..net.node import Node
 from ..streams.tuples import ArgsTuple, StreamTuple, TupleID
 from ..streams.windows import SlidingWindow, WindowParams
-from .derived import DerivedFact, DerivedTable, FactRef, WireDerivation
+from .derived import DerivedFact, DerivedTable, FactRef, ResultMsg, WireDerivation
 from .plans import DistributedPlan, RulePlan, bind, conclude, matching, probe
 from .regions import RegionStrategy, make_strategy
 
@@ -252,40 +252,6 @@ class JoinToken(Message):
         if self.op == "del" and not self.trigger_negated:
             return self.update_ts + join_delay
         return self.update_ts
-
-
-class ResultMsg(Message):
-    """A complete result routed to its hash node (or, in
-    fault-tolerant mode, to every live member of its replica set).
-
-    ``resync=True`` marks anti-entropy repair traffic: the receiver
-    stores the derivation but never re-publishes downstream or records
-    latency — the result already went through its first derivation
-    when it was originally computed.
-    """
-
-    def __init__(
-        self,
-        pred: str,
-        args: ArgsTuple,
-        derivation: WireDerivation,
-        op: str,
-        ts: float,
-        resync: bool = False,
-    ):
-        size = 1 + sum(term_size(a) for a in args) + derivation.size()
-        super().__init__(
-            "gpa_result", payload_symbols=size,
-            category="repair" if resync else "result",
-        )
-        self.pred = pred
-        self.args = args
-        self.derivation = derivation
-        self.op = op  # 'add' | 'sub'
-        self.ts = ts
-        self.resync = resync
-        #: Serving mode: already chased a migrated placement once.
-        self.re_homed = False
 
 
 class MigrateMsg(Message):
@@ -1206,32 +1172,38 @@ class GPAEngine:
                 msg.re_homed = True
                 node.send_routed(home, msg, on_status=self._track_delivery)
                 return
-        fact = self.runtimes[node.id].derived.fact(msg.pred, msg.args)
-        was_visible = fact.visible
-        fact.apply(msg.op, msg.derivation, msg.ts)
-        if fact.visible == was_visible:
-            return  # neither a first derivation nor the last one gone
+        derived = self.runtimes[node.id].derived
+        fact = derived.update(msg.pred, msg.args, msg.op, msg.derivation, msg.stamp)
+        # The derivation's flip is the fact's when it is the first live
+        # one (after an add) or the last one gone (after a sub).
+        if fact is None or len(fact.derivations) != (msg.op == "add"):
+            return
         # In fault-tolerant mode every live replica stores the result,
         # but only the *current primary* (first live replica-set
         # member) publishes downstream generations/deletions, folds
         # group rows and records latency — otherwise k replicas would
-        # start k derived streams.  Resync (anti-entropy) traffic never
+        # start k derived streams.  Repair (anti-entropy) traffic never
         # publishes: the result had its first derivation long ago.
         aggregate = self._folds.get(msg.pred)
         if fact.visible and aggregate is None:
             fact.tuple_id = TupleID(node.id, node.clock.now(), node.next_minted_seq())
-        key = msg.args if aggregate is None else msg.args[:aggregate.width]
-        if msg.resync or (self.fault_tolerant and node.id != self.ght.primary_for_key(
-            self.ght.key_for_fact(msg.pred, key), self.network.radio
+        if msg.category == "repair" or (self.fault_tolerant and node.id != self.ght.primary_for_key(
+            self.ght.key_for_fact(msg.pred, self._key_args(msg.pred, msg.args)), self.network.radio
         )):
             return
         if aggregate is not None:
-            self._refold(node, aggregate, msg.args)
+            # Each row move: a result of the fold's derivation, stamped
+            # strictly increasing here.
+            fold = WireDerivation(aggregate.rule_id, ())
+            for op, row in derived.moves(aggregate, msg.args):
+                stamp = self._fold_stamps[node.id] = max(node.clock.now(), math.nextafter(
+                    self._fold_stamps.get(node.id, -math.inf), math.inf))
+                self._emit(node, aggregate.head, row, fold, op, stamp)
             return
         if not fact.visible:
             self._publish_derived(node, msg.pred, msg.args, fact, op="del")
             return
-        latency = max(0.0, node.clock.now() - msg.ts)
+        latency = max(0.0, node.clock.now() - msg.stamp)
         self.latency_samples.append((msg.pred, latency))
         if _obs.enabled:
             _inst.result_latency.labels(predicate=msg.pred).observe(latency)
@@ -1244,25 +1216,6 @@ class GPAEngine:
         valuation's group, any other fact's own."""
         aggregate = self._folds.get(pred)
         return args if aggregate is None else args[:aggregate.width]
-
-    def _refold(self, node: Node, aggregate: Aggregate, valuation: ArgsTuple) -> None:
-        """``valuation`` just changed visibility at its group's home:
-        the replacement of every group row that moved
-        (:meth:`Aggregate.moved`) gains the fold's derivation and the
-        old row loses it, sent to the rows' homes as results stamped
-        strictly increasing here, so each home ranks them in the order
-        they were folded."""
-        derived = self.runtimes[node.id].derived
-        visible = [args for _p, args, _f in derived.visible(aggregate.valuation)]
-        fold = WireDerivation(aggregate.rule_id, ())
-        for old, new in aggregate.moved(visible, (valuation,)):
-            for op, row in (("add", new), ("sub", old)):
-                if row is not None:
-                    last = self._fold_stamps.get(node.id, -math.inf)
-                    stamp = self._fold_stamps[node.id] = max(
-                        node.clock.now(), math.nextafter(last, math.inf)
-                    )
-                    self._emit(node, aggregate.head, row, fold, op, stamp)
 
     # -- adaptive placement (serving mode, E21) -----------------------------
 
@@ -1308,8 +1261,8 @@ class GPAEngine:
 
         * **derived facts** — for every visible derived fact whose GHT
           replica set contains the recovered node, the first live
-          holder re-sends the fact's derivations as ``resync`` result
-          messages under the stamps they are stored with (the receiver's
+          holder re-sends the fact's derivations as repair results
+          under the stamps they are stored with (the receiver's
           ledger absorbs what it had, and keeps what it had cancelled);
         * **base windows** — the recovered node's storage-region mates
           hold exactly the replicated window it missed while it was
@@ -1340,8 +1293,7 @@ class GPAEngine:
                     self.resyncs += 1
                     for ident, derivation in list(fact.derivations.items()):
                         self._post(runtime.node, recovered, ResultMsg(
-                            pred, args, derivation, "add",
-                            fact.ledger[ident][2], resync=True,
+                            pred, args, derivation, "add", fact.ledger[ident][2],
                         ), repair=True)
         donor = self._live_mate(recovered)
         if donor is None:

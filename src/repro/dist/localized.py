@@ -22,26 +22,32 @@ Mechanics:
   join-conditions" in program flash; complete results are sent to
   their head's placement node carrying the derivation and the
   instantiated negated subgoals to watch;
-* a result carries its firing's stamp (:func:`_stamp`); at the
-  placement node the fact is the ledger GPA's hash nodes keep, in the
-  same :class:`~repro.dist.derived.DerivedTable`, which ranks each
-  derivation's adds and subs by stamp, so a sub that overtakes its add
-  still cancels it.  A base fact is its own rule -1 derivation:
-  ``seed`` adds it, ``retract`` subtracts it; tombstones expire once no
-  add they outrank can land (:meth:`LocalizedEngine._sweep`);
+* a result, like a replica, is a :class:`~repro.dist.derived.ResultMsg`
+  carrying its firing's stamp (:func:`_stamp`), ranked at the
+  placement node by :meth:`~repro.dist.derived.DerivedTable.update` as
+  GPA's hash nodes rank theirs, so a sub that overtakes its add still
+  cancels it.  A base fact is its own rule -1 derivation: ``seed`` adds
+  it, ``retract`` subtracts it; tombstones expire once no add they
+  outrank can land (:meth:`LocalizedEngine._sweep`);
 * a live derivation is *valid* while none of its watched negated atoms
   is visible; a fact is visible while it has a valid derivation.
   Late-arriving blockers retract optimistically accepted facts (and the
   retraction cascades), implementing the paper's "wait before
   finalizing a derived fact — it may be retracted later" discipline for
-  XY-stratified programs.
+  XY-stratified programs;
+* a head aggregate's group is homed where its head's placement
+  attribute, a group position, points: its valuations are placed there
+  unreplicated and fold there on a flip
+  (:meth:`~repro.dist.derived.DerivedTable.moves`), each row move going
+  to the row's placement.  ``c(Y, count(X)) :- h(X, Y, _)`` placed at Y
+  keeps group, valuations and row at node Y.
 
 Facts and derivations live in the central store's id space
 (:mod:`repro.core.derivations`): a table maps each visible row to its
 ref ``(pred, id_1, ..., id_n)``, made once as the row turns visible, and
 a derivation is the record ``(rule_id, ref_1, ..., ref_k)`` the join
-fills from those refs; the ledger, the watch index and both message
-kinds key on it, so a firing hashes no term.
+fills from those refs; the ledger, the watch index and the messages
+key on it, so a firing hashes no term.
 
 Tables and watch index are insertion-ordered dicts: the order a node
 fires and sends in does not depend on ``PYTHONHASHSEED``.
@@ -51,21 +57,21 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.aggregates import Aggregate
 from ..core.builtins import BuiltinRegistry, eval_term
 from ..core.columnar import GLOBAL_INTERNER
 from ..core.derivations import fact_ref
 from ..core.errors import PlanError
 from ..core.eval import _freeze_value
 from ..core.parser import parse_program
-from ..core.terms import Term, term_size, to_term
-from ..net.messages import Message
+from ..core.terms import Term, to_term
 from ..net.network import SensorNetwork
 from ..net.node import Node
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from ..obs.spans import CountedHandler
 from ..streams.tuples import ArgsTuple
-from .derived import DerivedFact, DerivedTable
+from .derived import DerivedFact, DerivedTable, ResultMsg
 from .plans import DeltaJoin, DistributedPlan
 
 
@@ -120,47 +126,6 @@ def _stamp(node: Node) -> tuple:
     alone would not do: a delete and a re-insert at one node in one
     instant would tie, and ``(stamp, is a sub)`` ranks the sub on top."""
     return (node.clock.now(), node.id, node.next_seq())
-
-
-class LocalResultMsg(Message):
-    """A candidate derivation shipped to its fact's placement node,
-    stamped by the firing that produced it (unsized, as
-    ``ResultMsg.ts``).  The derivation is its central record ``(rule_id,
-    ref_1, ..., ref_k)``, sized as on the wire: the rule id plus two
-    symbols (predicate, fact id) per fact, as GPA's ``WireDerivation``."""
-
-    def __init__(self, pred: str, args: ArgsTuple, derivation: tuple,
-                 neg_atoms: Tuple[Tuple[str, ArgsTuple], ...], op: str, stamp: tuple):
-        size = (
-            1 + sum(term_size(a) for a in args) + 2 * len(derivation) - 1
-            + 2 * len(neg_atoms)
-        )
-        super().__init__("loc_result", payload_symbols=size, category="result")
-        self.pred = pred
-        self.args = args
-        self.derivation = derivation
-        self.neg_atoms = neg_atoms
-        self.op = op  # 'add' | 'sub'
-        self.stamp = stamp
-
-
-class ReplicaMsg(Message):
-    """A visibility flip at a fact's home: the fact's rule -1 derivation
-    at a neighbor / secondary placement, stamped (unsized) with it."""
-
-    neg_atoms = ()
-
-    def __init__(self, pred: str, args: ArgsTuple, derivation: tuple,
-                 op: str, stamp: tuple):
-        super().__init__(
-            "loc_replica", payload_symbols=1 + sum(term_size(a) for a in args),
-            category="replica",
-        )
-        self.pred = pred
-        self.args = args
-        self.derivation = derivation
-        self.op = op  # 'add' | 'sub'
-        self.stamp = stamp
 
 
 class PlacedFact(DerivedFact):
@@ -235,18 +200,24 @@ class LocalizedEngine:
         if isinstance(program, str):
             program = parse_program(program, registry) if registry else parse_program(program)
         self.plan = DistributedPlan(program, registry, allow_local_nonrecursive=True)
-        for rp in self.plan.rule_plans:
-            if rp.aggregate is not None:
-                raise PlanError(
-                    f"rule {rp.rule!r} aggregates: a group has no home in "
-                    "localized mode (run it on GPAEngine)"
-                )
         self.registry = self.plan.registry
         self.network = network
         self.placements = dict(placements)
         for pred in self.plan.predicates():
             if pred not in self.placements:
                 raise PlanError(f"no placement declared for predicate {pred!r}")
+        #: Valuation predicate -> its rule's fold.  A group is homed at
+        #: the node its head's placement attribute names, and its
+        #: valuations are placed there with it (no replication).
+        self._folds: Dict[str, Aggregate] = {}
+        for aggregate in filter(None, (rp.aggregate for rp in self.plan.rule_plans)):
+            attr = self.placements[aggregate.head].attr
+            if attr not in aggregate.group:
+                why = f"is placed on aggregate position {attr}" if aggregate.group else "has no group"
+                raise PlanError(f"{aggregate.head} {why}: localized mode homes a "
+                                "group at one of its group positions")
+            self.placements[aggregate.valuation] = Placement(aggregate.group.index(attr))
+            self._folds[aggregate.valuation] = aggregate
         self.runtimes: Dict[int, LocalRuntime] = {}
         self._installed = False
         #: Tombstone age of the longest route sent on, one hop at least
@@ -324,8 +295,7 @@ class LocalizedEngine:
 
     # -- result handling --------------------------------------------------------
 
-    def _on_result(self, node: Node, msg: LocalResultMsg) -> None:
-        # a result, or a ReplicaMsg: the same fields
+    def _on_result(self, node: Node, msg: ResultMsg) -> None:
         self._apply(node, msg.pred, msg.args, msg.op, msg.derivation,
                     msg.neg_atoms, msg.stamp)
 
@@ -336,14 +306,11 @@ class LocalizedEngine:
         runtime = self.runtimes[node.id]
         if op == "sub" and node.clock.now() - runtime.swept > self._age:
             self._sweep(runtime, node.clock.now())  # only a sub leaves a tombstone
-        key = (pred, args)
-        fact = runtime.placed.fact(pred, args)
-        was_live = derivation in fact.derivations
-        fact.apply(op, derivation, stamp)
-        if (derivation in fact.derivations) == was_live:
-            return  # outranked, a duplicate, or a tombstone raised
-        entry = (key, derivation)
-        if was_live:
+        fact = runtime.placed.update(pred, args, op, derivation, stamp)
+        if fact is None:
+            return
+        entry = ((pred, args), derivation)
+        if op == "sub":
             for atom in fact.watched.pop(derivation):
                 runtime.watches[atom].pop(entry, None)
         else:
@@ -377,6 +344,19 @@ class LocalizedEngine:
         if now_visible != fact.visible:
             fact.visible = now_visible
             self._table_update(node, pred, args, "add" if now_visible else "sub")
+            aggregate = self._folds.get(pred)
+            if aggregate is not None:
+                self._fold(node, aggregate, args)
+
+    def _fold(self, node: Node, aggregate: Aggregate, valuation: ArgsTuple) -> None:
+        """``valuation`` flipped at its group's home: each row move
+        (:meth:`~repro.dist.derived.DerivedTable.moves`) goes to the
+        row's home as a result of the fold's derivation ``(rule_id,)``,
+        stamped by a firing of this node, so in fold order."""
+        for op, row in self.runtimes[node.id].placed.moves(aggregate, valuation):
+            home = self.placements[aggregate.head].primary_node(row, self.registry)
+            self._send(node, home, ResultMsg(aggregate.head, row, (aggregate.rule_id,), op,
+                                             _stamp(node), kind="loc_result"))
 
     # -- table updates: the delta-firing core -------------------------------------
 
@@ -411,9 +391,11 @@ class LocalizedEngine:
         derivation = (-1, ref)
         stamp = _stamp(node)
         for target in targets:
-            self._send(node, target, ReplicaMsg(pred, args, derivation, op, stamp))
+            self._send(node, target, ResultMsg(
+                pred, args, derivation, op, stamp, kind="loc_replica", category="replica"
+            ))
 
-    def _send(self, node: Node, target: int, msg: Message) -> None:
+    def _send(self, node: Node, target: int, msg: ResultMsg) -> None:
         """Route ``msg`` (in place if ``target`` is here), first
         widening ``_age`` to the route's length."""
         if target != node.id and target not in node.neighbors:
@@ -470,8 +452,8 @@ class LocalizedEngine:
             # A fact is its ref, the same at every node: duplicate
             # firings (primary + replicas) dedupe at the home.
             home = placement.primary_node(head_args, self.registry)
-            self._send(node, home, LocalResultMsg(
-                join.head_pred, head_args, derivation, neg_atoms, op, stamp
+            self._send(node, home, ResultMsg(
+                join.head_pred, head_args, derivation, op, stamp, neg_atoms, kind="loc_result"
             ))
 
 

@@ -1,6 +1,7 @@
 """Tests for annotated/probabilistic deduction (the paper's Extensions)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import annotated
 from repro.core.annotated import (
@@ -9,7 +10,10 @@ from repro.core.annotated import (
     annotated_evaluate,
 )
 from repro.core.errors import EvaluationError, ProgramError
+from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
+
+from tests.core.test_parser_properties import predicates, safe_rules
 
 
 class TestAnnotatedDatabase:
@@ -133,16 +137,6 @@ class TestNegationAndBuiltins:
         assert db.confidence("ok", (2,)) == 1.0
         assert db.confidence("ok", (1,)) == 0.0
 
-    def test_negation_threshold(self):
-        db = AnnotatedDatabase()
-        db.assert_fact("n", (1,), 1.0)
-        db.assert_fact("bad", (1,), 0.2)  # weak evidence, below threshold
-        annotated_evaluate(
-            parse_program("ok(X) :- n(X), not bad(X)."), db,
-            negation_threshold=0.5,
-        )
-        assert db.confidence("ok", (1,)) == 1.0
-
     def test_builtins_pass_through(self):
         db = AnnotatedDatabase()
         db.assert_fact("obs", (3,), 0.8)
@@ -183,3 +177,35 @@ class TestValidation:
     def test_unstratified_rejected(self):
         with pytest.raises(ProgramError):
             AnnotatedEvaluator(parse_program("w(X) :- m(X, Y), not w(Y)."))
+
+
+#: A random fact of safe_rules' grammar (``<p>b(X, Y)`` bodies, ``<p>n(X)``
+#: blockers) with its confidence.
+ANNOTATED_FACTS = st.one_of(
+    st.tuples(predicates.map(lambda p: f"{p}b"), st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    st.tuples(predicates.map(lambda p: f"{p}n"), st.tuples(st.integers(0, 2))),
+).flatmap(lambda fact: st.tuples(st.just(fact), st.sampled_from([0.1, 0.35, 0.5, 0.9, 1.0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(safe_rules(), min_size=1, max_size=5),
+    st.lists(ANNOTATED_FACTS, max_size=10),
+    st.sampled_from(["product", "min"]),
+    st.sampled_from(["max", "noisy-or"]),
+)
+def test_holding_facts_are_evaluate_rows(rule_texts, facts, conjunction, disjunction):
+    """The facts that get a confidence above 0 are exactly evaluate()'s
+    rows, whatever the confidences and norms: what holds does not
+    depend on them, so confidences can be folded over evaluate()'s
+    derivations."""
+    program = parse_program("\n".join(rule_texts))
+    adb, db = AnnotatedDatabase(), Database()
+    for (pred, args), confidence in facts:
+        adb.assert_fact(pred, args, confidence)
+        db.assert_fact(pred, args)
+    annotated_evaluate(program, adb, conjunction=conjunction, disjunction=disjunction)
+    evaluate(program, db)
+    for pred in program.idb_predicates():
+        held = {row for row, confidence in adb.rows(pred).items() if confidence > 0}
+        assert held == db.rows(pred), pred

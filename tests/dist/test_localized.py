@@ -15,8 +15,8 @@ from repro.core.eval import ground_head
 from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
 from repro.core.unify import match_sequences
 from repro.dist.baselines import ProceduralBFS
+from repro.dist.derived import ResultMsg
 from repro.dist.localized import (
-    LocalResultMsg,
     LocalizedEngine,
     Placement,
     _interned,
@@ -220,8 +220,8 @@ class TestTombstoneExpiry:
         # The add's last retransmission lands as late as it can.
         net.run_until(added[0] + age)
         assert engine.expire_all() == 0
-        engine._on_result(net.node(0), LocalResultMsg(
-            "q", args, derivation, (), "add", added
+        engine._on_result(net.node(0), ResultMsg(
+            "q", args, derivation, "add", added, kind="loc_result"
         ))
         assert placed.tombstones() == 1 and visible_rows(engine, "q") == set()
         net.run_until(subbed[0] + 2 * age)
@@ -346,11 +346,17 @@ class TestValidation:
         with pytest.raises(PlanError):
             p.primary_node((Constant("abc"),), None)
 
-    def test_aggregate_rule_rejected(self):
-        """A group has no home in localized mode: the valuation facts of
-        an aggregate rule must not be stored as rows of its head."""
+    def test_ungrouped_aggregate_rejected(self):
+        """An ungrouped aggregate's row names no node: it has no home."""
         placements = {k: Placement(0) for k in ("c", "r")}
-        with pytest.raises(PlanError, match="aggregates"):
+        with pytest.raises(PlanError, match="no group"):
+            LocalizedEngine("c(count(_)) :- r(X, _).", GridNetwork(2), placements)
+
+    def test_head_placed_on_aggregate_position_rejected(self):
+        """A group is homed at one of its group positions: a row placed
+        on its aggregate value would move with every fold."""
+        placements = {"c": Placement(1), "r": Placement(0)}
+        with pytest.raises(PlanError, match="aggregate position 1"):
             LocalizedEngine("c(X, count(_)) :- r(X, _).", GridNetwork(2), placements)
 
     def test_anonymous_negated_subgoal_rejected_at_install(self):

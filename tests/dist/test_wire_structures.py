@@ -13,21 +13,18 @@ import repro
 
 from repro.core.derivations import fact_ref
 from repro.core.terms import Constant
-from repro.dist.derived import DerivedFact, DerivedTable, FactRef, WireDerivation
+from repro.dist.derived import DerivedFact, DerivedTable, FactRef, ResultMsg, WireDerivation
 from repro.dist.gpa import (
     Candidate,
     GatherMsg,
     JoinToken,
     Partial,
-    ResultMsg,
     StoreMsg,
 )
 from repro.dist.localized import (
-    LocalResultMsg,
     LocalRuntime,
     LocalizedEngine,
     Placement,
-    ReplicaMsg,
 )
 from repro.net.network import GridNetwork
 from repro.streams.tuples import StreamTuple, TupleID
@@ -143,17 +140,18 @@ class TestMessages:
         """A k-fact record costs 2k + 1 symbols, as GPA's derivation
         does, and a watched negated atom two; the stamp is unsized."""
         args, atom = (Constant(1),), ("b", (Constant(0), Constant(1)))
-        msg = LocalResultMsg("j", args, RECORD, (), "add", (0.0, 0, 0))
+        msg = ResultMsg("j", args, RECORD, "add", (0.0, 0, 0), kind="loc_result")
         assert msg.payload_symbols == 1 + 1 + (2 * 2 + 1)
         assert msg.payload_symbols == ResultMsg("j", args, DERIVATION, "add", 1.0).payload_symbols
-        msg = LocalResultMsg("j", args, RECORD, (atom, atom), "add", (0.0, 0, 0))
+        msg = ResultMsg("j", args, RECORD, "add", (0.0, 0, 0), (atom, atom), kind="loc_result")
         assert msg.payload_symbols == 1 + 1 + (2 * 2 + 1) + 2 * 2
 
     def test_replica_msg_size(self):
         """A replica is its fact: the rule -1 derivation naming the fact
         itself and the stamp are unsized."""
         args = (Constant(1), Constant(2))
-        msg = ReplicaMsg("j", args, (-1, fact_ref(("j", args))), "add", (0.0, 0, 0))
+        msg = ResultMsg("j", args, (-1, fact_ref(("j", args))), "add", (0.0, 0, 0),
+                        kind="loc_replica", category="replica")
         assert msg.payload_symbols == 1 + 2
 
     def test_gather_msg(self):
@@ -196,7 +194,7 @@ def replay_ledger(script):
 
 
 class PlacementNode:
-    """The script delivered as ``LocalResultMsg``s to a localized
+    """The script delivered as ``ResultMsg``s to a localized
     placement node, the derivation (the central record) watching
     ``b(0)``; checks that the fact is visible and watches ``b(0)``
     exactly while it has a live derivation."""
@@ -215,8 +213,8 @@ class PlacementNode:
         runtime = engine.runtimes[0] = LocalRuntime()
         node = engine.network.node(0)
         for op, stamp in script:
-            engine._on_result(node, LocalResultMsg(
-                "q", self.ARGS, RECORD, (self.BLOCKER,), op, stamp
+            engine._on_result(node, ResultMsg(
+                "q", self.ARGS, RECORD, op, stamp, (self.BLOCKER,), kind="loc_result"
             ))
         fact = runtime.placed.get(("q", self.ARGS))
         live = bool(fact.derivations)

@@ -212,7 +212,9 @@ class TestRecursiveStreams:
 
 
 class TestExamplesRun:
-    """The shipped example scripts execute end to end."""
+    """The shipped example scripts execute end to end and print what
+    ``examples/expected/<name>.txt`` records (byte for byte, under any
+    ``PYTHONHASHSEED``)."""
 
     @pytest.mark.parametrize("name", [
         "quickstart", "vehicle_tracking", "trajectories",
@@ -220,12 +222,14 @@ class TestExamplesRun:
         "target_tracking", "hotspot_visualization",
         "declarative_routing", "periodic_monitoring",
     ])
-    def test_example(self, name):
+    def test_example(self, name, capsys):
         import importlib.util
         import pathlib
 
-        path = pathlib.Path(__file__).parents[2] / "examples" / f"{name}.py"
-        spec = importlib.util.spec_from_file_location(f"example_{name}", path)
+        examples = pathlib.Path(__file__).parents[2] / "examples"
+        spec = importlib.util.spec_from_file_location(f"example_{name}", examples / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         module.main()
+        expected = (examples / "expected" / f"{name}.txt").read_text()
+        assert capsys.readouterr().out == expected
