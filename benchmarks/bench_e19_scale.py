@@ -10,7 +10,11 @@ spatial index (:mod:`repro.net.spatial`) against the brute-force
 oracle at n in {100, 1k, 5k, 10k}:
 
 * topology construction wall-clock, grid vs. brute, with a hard gate
-  that both produce the *identical* edge set (same seed => same graph);
+  that both produce the *identical* adjacency, neighbor order included
+  (same seed => same graph);
+* the exact diameter's wall-clock (the tau bound every virtual-grid
+  engine pays at construction), hard-gated against ``nx.diameter`` at
+  n = 1000;
 * one full GPA round (virtual-grid strategy, a handful of published
   tuples, run to quiescence) as the end-to-end proxy for everything
   downstream of the index — region construction, geo-hashing, routing.
@@ -24,6 +28,7 @@ import random
 import sys
 import time
 
+import networkx as nx
 import pytest
 
 from harness import report
@@ -47,6 +52,9 @@ QUICK_SIZES = [200, 1000]
 #: thing being replaced; past this it only proves the point slowly).
 BRUTE_CAP = 5000
 RADIUS = 1.8  # with side = sqrt(n), keeps density (~10 neighbors) flat
+#: The size at which the exact diameter is checked against nx.diameter
+#: (n networkx searches: about a second here, minutes at 10k).
+DIAMETER_ORACLE_N = 1000
 TUPLES = 3
 SEED = 1
 
@@ -202,13 +210,21 @@ def check_sharded_baseline(results):
 
 def build_trial(n, seed=SEED, brute=True):
     """Time grid-index vs. brute-force topology construction at size n
-    and verify they produce the identical graph."""
+    and verify they produce the identical adjacency (order included);
+    time the exact diameter, and at n = DIAMETER_ORACLE_N check it
+    against networkx's."""
     side = n ** 0.5
     t0 = time.perf_counter()
     grid_topo = RandomGeometricTopology(
         n, radius=RADIUS, side=side, seed=seed, edge_method="grid"
     )
     grid_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    diameter = grid_topo.diameter
+    diameter_s = time.perf_counter() - t0
+    exact = None
+    if n == DIAMETER_ORACLE_N:
+        exact = diameter == nx.diameter(grid_topo.graph)
     brute_s = None
     identical = None
     if brute:
@@ -218,7 +234,7 @@ def build_trial(n, seed=SEED, brute=True):
         )
         brute_s = time.perf_counter() - t0
         identical = (
-            sorted(grid_topo.graph.edges()) == sorted(brute_topo.graph.edges())
+            list(grid_topo.adjacency.items()) == list(brute_topo.adjacency.items())
             and grid_topo.positions == brute_topo.positions
         )
     return {
@@ -226,8 +242,11 @@ def build_trial(n, seed=SEED, brute=True):
         "grid_s": grid_s,
         "brute_s": brute_s,
         "speedup": (brute_s / grid_s) if brute_s is not None else None,
-        "edges": grid_topo.graph.number_of_edges(),
+        "edges": sum(map(len, grid_topo.adjacency.values())) // 2,
         "identical": identical,
+        "diameter": diameter,
+        "diameter_s": diameter_s,
+        "diameter_exact": exact,
     }
 
 
@@ -265,20 +284,28 @@ def run(sizes=SIZES, tuples=TUPLES, brute_cap=BRUTE_CAP):
             f"{built['brute_s']:.3f}s" if built["brute_s"] is not None else "--",
             f"{built['speedup']:.1f}x" if built["speedup"] is not None else "--",
             built["edges"],
+            built["diameter"],
+            f"{built['diameter_s']:.3f}s",
             f"{gpa_s:.2f}s",
             {True: "yes", False: "NO", None: "--"}[built["identical"]],
+            {True: "yes", False: "NO", None: "--"}[built["diameter_exact"]],
         ])
         if built["identical"] is False:
             raise AssertionError(
-                f"grid and brute edge sets differ at n={n} — the index "
+                f"grid and brute adjacencies differ at n={n} — the index "
                 "is supposed to be bit-identical to the oracle"
+            )
+        if built["diameter_exact"] is False:
+            raise AssertionError(
+                f"diameter {built['diameter']} differs from nx.diameter at "
+                f"n={n} — the bit-parallel iFUB sweep is supposed to be exact"
             )
     report(
         "e19_scale",
         f"E19: topology build (grid index vs. all-pairs) and GPA round "
         f"wall-clock, random deployments (r={RADIUS}, side=sqrt(n))",
-        ["n", "grid-build", "brute-build", "speedup", "edges",
-         "gpa-round", "identical"],
+        ["n", "grid-build", "brute-build", "speedup", "edges", "diameter",
+         "diameter-s", "gpa-round", "identical", "diameter-exact"],
         rows,
     )
     return results
@@ -330,6 +357,7 @@ def test_e19_grid_is_identical_and_faster(benchmark):
     )
     for n in QUICK_SIZES:
         assert results[n]["identical"] is True
+    assert results[DIAMETER_ORACLE_N]["diameter_exact"] is True
     # At n=1000 the index wins by ~4x on this hardware; 1.2x leaves
     # room for noisy CI boxes while still catching an O(n^2) revert.
     assert results[1000]["speedup"] > 1.2

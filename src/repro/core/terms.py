@@ -14,6 +14,7 @@ dictionary keys (tuple stores index on ground terms).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 #: Python values allowed inside constants.
@@ -28,9 +29,13 @@ def spell_value(value: object) -> str:
     """``value`` as :mod:`repro.core.parser` reads it back: a string
     bare when it lexes as that one symbol (a lowercase-initial
     identifier, not a keyword), else in double quotes; a tuple in the
-    parser's tuple syntax, its items spelled the same way.  A string
-    holding ``"`` or a newline, and a tuple of fewer than two items,
-    have no spelling (the lexer has no escapes)."""
+    parser's tuple syntax, its items spelled the same way; ``True`` and
+    ``False`` as ``1`` and ``0`` (equal constants: a constant compares
+    and hashes by value); a float positionally, from its shortest repr
+    (``1e-05`` as ``0.00001``, ``1e+16`` as ``10000000000000000.0``).
+    A string holding ``"`` or a newline, a tuple of fewer than two
+    items, and ``inf`` or ``nan`` have no spelling (the lexer has no
+    escapes and no non-finite numbers)."""
     if isinstance(value, str):
         bare = (
             value[:1].isalpha() and not value[0].isupper()
@@ -40,7 +45,14 @@ def spell_value(value: object) -> str:
         return value if bare else f'"{value}"'
     if isinstance(value, tuple):
         return f"({', '.join(map(spell_value, value))})"
-    return repr(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    spelled = repr(value)
+    if isinstance(value, float) and "e" in spelled:
+        spelled = format(Decimal(spelled), "f")
+        if "." not in spelled:
+            spelled += ".0"
+    return spelled
 
 
 class Term:

@@ -117,6 +117,24 @@ def _interned(value) -> Tuple[Term, int]:
     return (canonical if repr(canonical) == repr(term) else term), tid
 
 
+def _check_blockers_at_home(plan: DistributedPlan, placements: Dict[str, Placement]) -> None:
+    """A head's fact checks its negated atoms in its home's own tables,
+    so each negated atom must be stored there: one of its placement
+    arguments (primary or extra) must be the head's placement argument.
+    Raises :class:`PlanError` otherwise."""
+    for rp in plan.rule_plans:
+        home = rp.head.args[placements[rp.head.predicate].attr]
+        for literal in rp.negative:
+            placement = placements[literal.predicate]
+            stored = [literal.atom.args[a] for a in (placement.attr, *placement.extra_attrs)]
+            if home not in stored:
+                raise PlanError(
+                    f"{literal!r} is stored at {', '.join(map(repr, stored))}, never "
+                    f"at {rp.head!r}'s home {home!r}: localized mode checks a "
+                    "negated atom in the head's home's own tables"
+                )
+
+
 def _stamp(node: Node) -> tuple:
     """One firing's stamp: totally ordered across nodes, strictly
     increasing along the node's own firings.  Ranking by it converges:
@@ -218,6 +236,7 @@ class LocalizedEngine:
                                 "group at one of its group positions")
             self.placements[aggregate.valuation] = Placement(aggregate.group.index(attr))
             self._folds[aggregate.valuation] = aggregate
+        _check_blockers_at_home(self.plan, self.placements)
         self.runtimes: Dict[int, LocalRuntime] = {}
         self._installed = False
         #: Tombstone age of the longest route sent on, one hop at least

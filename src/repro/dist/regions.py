@@ -148,8 +148,8 @@ class VirtualGridRegions(RegionStrategy):
         super().__init__(network)
         #: Optional analytic per-leg routing bound.  The default bound
         #: is the exact network diameter, which costs an iFUB sweep —
-        #: 5.2 s at 100k nodes (r = 2.2) and 0.35 s at 20k (r = 1.8) on
-        #: a 2-core x86 VM, paid once per shard worker.  A
+        #: 4.2 s at 100k nodes (r = 2.2) and 0.30–0.34 s at 20k
+        #: (r = 1.8) on a 2-core x86 VM, paid once per shard worker.  A
         #: caller that knows a safe bound (e.g. ~4·side/r for a dense
         #: random unit-disk deployment) can pass it here; looser bounds
         #: only stretch the idle gaps between phases, which both the

@@ -6,57 +6,98 @@ topologies; we provide grids, random geometric (unit-disk) graphs, and
 arbitrary user graphs.  All expose positions — geographic hashing and
 the region constructions need them.
 
+A topology *is* its adjacency: one neighbor tuple per node, each node
+id the topology's own ``int`` object.  Grids and random deployments
+fill it straight from their edge sequence, in the order networkx would
+give ``graph.adj``, and every routing search and diameter sweep walks
+it.  ``graph`` is a networkx view derived from it on first use, for
+the oracles and the few readers that want networkx's algorithms; a
+topology built from a networkx graph keeps that graph as its view.
+
 Geometric queries (``nearest_node``, ``within_radius``) and unit-disk
 edge construction route through a uniform-grid spatial index
 (:mod:`repro.net.spatial`), so they are O(1)/O(n) expected instead of
 the linear/quadratic scans the seed shipped with; the answers are
 bit-identical to those scans.  Topologies are immutable after
 construction, so derived products are computed once and cached: the
-sorted neighbor tuples, the node-id list, the exact diameter, the
+sorted neighbor tuples, the node-id list, the exact diameter and the
 spatial index (a random deployment keeps the one it built its edges
-with) and the adjacency — one neighbor tuple per node in ``graph.adj``
-order, which every routing search and diameter sweep walks instead of
-networkx's views.
+with).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..core.errors import NetworkError
 from .spatial import GridIndex, heuristic_cell
 
 Position = Tuple[float, float]
+Adjacency = Dict[int, Tuple[int, ...]]
 
 
 class Topology:
     """Connectivity + positions for a set of integer-identified nodes."""
 
     def __init__(self, graph: "nx.Graph", positions: Dict[int, Position]):
-        if set(graph.nodes) != set(positions):
+        self._setup(
+            {node: tuple(nbrs) for node, nbrs in graph.adj.items()}, positions
+        )
+        self._graph = graph
+
+    def _setup(self, adjacency: Adjacency, positions: Dict[int, Position],
+               connected: bool = False) -> None:
+        """Validate and keep ``adjacency`` (``connected``: the caller
+        has already searched it)."""
+        if set(adjacency) != set(positions):
             raise NetworkError("graph nodes and positions disagree")
-        if len(graph) == 0:
+        if not adjacency:
             raise NetworkError("empty topology")
-        if not nx.is_connected(graph):
+        if not (connected or _connected(adjacency)):
             raise NetworkError("topology must be connected")
-        self.graph = graph
+        #: Every node's neighbors as a tuple, in ``graph.adj`` order —
+        #: not the sorted :meth:`neighbors` order: breadth-first
+        #: searches over it discover nodes exactly as networkx's do, so
+        #: among equally short routes they pick the same one.
+        self.adjacency = adjacency
         self.positions = dict(positions)
+        self._graph: Optional["nx.Graph"] = None
         self._diameter: Optional[int] = None
         self._node_ids: Optional[List[int]] = None
         self._node_id_set: Optional[frozenset] = None
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
         self._bbox: Optional[Tuple[float, float, float, float]] = None
         self._spatial: Optional[GridIndex] = None
-        self._adjacency: Optional[Dict[int, Tuple[int, ...]]] = None
+
+    @property
+    def graph(self) -> "nx.Graph":
+        """The adjacency as a networkx graph, built on first use, each
+        node's row in adjacency order (so ``graph.adj`` and every
+        networkx search over it read as the adjacency does)."""
+        if self._graph is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(self.adjacency)
+            # Filled row by row: add_edge in adjacency order would put
+            # a neighbor met earlier first in the later node's row.
+            rows = graph._adj
+            for node, nbrs in self.adjacency.items():
+                row = rows[node]
+                for nbr in nbrs:
+                    data = rows[nbr].get(node)  # one dict per edge
+                    row[nbr] = {} if data is None else data
+            self._graph = graph
+        return self._graph
 
     @property
     def node_ids(self) -> List[int]:
         if self._node_ids is None:
-            self._node_ids = sorted(self.graph.nodes)
+            self._node_ids = sorted(self.adjacency)
         return self._node_ids
 
     @property
@@ -65,11 +106,11 @@ class Topology:
         distinguishes "remote node" from "no such node" on every
         stub lookup)."""
         if self._node_id_set is None:
-            self._node_id_set = frozenset(self.graph.nodes)
+            self._node_id_set = frozenset(self.adjacency)
         return self._node_id_set
 
     def __len__(self) -> int:
-        return len(self.graph)
+        return len(self.adjacency)
 
     def neighbors(self, node_id: int) -> Sequence[int]:
         """Sorted neighbor ids, memoized per node (topologies never
@@ -77,27 +118,15 @@ class Topology:
         transmit/flood hot loop)."""
         cached = self._neighbor_cache.get(node_id)
         if cached is None:
-            cached = tuple(sorted(self.graph.neighbors(node_id)))
+            cached = tuple(sorted(self.adjacency[node_id]))
             self._neighbor_cache[node_id] = cached
         return cached
-
-    @property
-    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
-        """Every node's neighbors as a tuple, in ``graph.adj`` insertion
-        order — not the sorted :meth:`neighbors` order: breadth-first
-        searches over it discover nodes exactly as networkx's do, so
-        among equally short routes they pick the same one."""
-        if self._adjacency is None:
-            self._adjacency = {
-                node: tuple(nbrs) for node, nbrs in self.graph.adj.items()
-            }
-        return self._adjacency
 
     def position(self, node_id: int) -> Position:
         return self.positions[node_id]
 
     def are_neighbors(self, a: int, b: int) -> bool:
-        return self.graph.has_edge(a, b)
+        return b in self.adjacency.get(a, ())
 
     @property
     def diameter(self) -> int:
@@ -108,9 +137,11 @@ class Topology:
     def _compute_diameter(self) -> int:
         """Exact graph diameter via the iFUB scheme (two-sweep lower
         bound, then eccentricities of BFS levels from the top down with
-        the 2*(i-1) cut).  Equals ``nx.diameter`` everywhere but runs a
+        the 2*i cut).  Equals ``nx.diameter`` everywhere but runs a
         handful of BFS traversals instead of n of them on the sparse,
-        long-diameter graphs sensor deployments produce."""
+        long-diameter graphs sensor deployments produce; the level
+        loop takes its eccentricities 64 sources at a time
+        (:func:`_eccentricity`)."""
         adjacency = self.adjacency
         if len(adjacency) == 1:
             return 0
@@ -132,14 +163,19 @@ class Topology:
         lb = max(lb, len(levels) - 1)
         # iFUB: after processing every level > i, any remaining pair
         # lies within distance 2*i of each other via u, so stop as soon
-        # as lb >= 2*i.
-        for i in range(len(levels) - 1, -1, -1):
-            if lb >= 2 * i:
+        # as lb >= 2*i.  The outer levels' eccentricities come 64 at a
+        # time, and the cut is checked before each batch: every level
+        # above the first node not yet swept is done.
+        outer = [(i, node) for i in range(len(levels) - 1, 0, -1)
+                 for node in levels[i]]
+        csr = None
+        for start in range(0, len(outer), _BATCH):
+            if lb >= 2 * outer[start][0]:
                 break
-            for node in levels[i]:
-                ecc = len(_bfs_levels(adjacency, node)[0]) - 1
-                if ecc > lb:
-                    lb = ecc
+            if csr is None:
+                csr = _csr(adjacency)
+            batch = [node for _i, node in outer[start:start + _BATCH]]
+            lb = max(lb, _eccentricity(csr, batch))
         return lb
 
     @property
@@ -199,6 +235,66 @@ def _bfs_levels(
     return levels, parents
 
 
+def _adjacency(nodes: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Adjacency:
+    """``{node: neighbors}`` filled from ``edges`` (distinct, no
+    self-loops) in sequence: the rows networkx's ``graph.adj`` holds
+    after ``add_nodes_from(nodes)`` and ``add_edges_from(edges)``."""
+    rows: Dict[int, List[int]] = {node: [] for node in nodes}
+    for a, b in edges:
+        rows[a].append(b)
+        rows[b].append(a)
+    return {node: tuple(nbrs) for node, nbrs in rows.items()}
+
+
+def _connected(adjacency: Adjacency) -> bool:
+    """One search reaches every node (vacuously so for no nodes)."""
+    return not adjacency or (
+        len(_bfs_levels(adjacency, next(iter(adjacency)))[1]) == len(adjacency)
+    )
+
+
+#: Sources per bit-parallel sweep: one bit of a uint64 each.
+_BATCH = 64
+
+
+def _csr(adjacency: Adjacency) -> Tuple[Dict[int, int], np.ndarray, np.ndarray]:
+    """``adjacency`` in compressed sparse rows over positions
+    0..n-1 (adjacency order): the position of each node, the row
+    offsets and the neighbors' positions."""
+    index = {node: k for k, node in enumerate(adjacency)}
+    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adjacency.values()), np.int64, len(adjacency)),
+              out=indptr[1:])
+    indices = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(adjacency.values())),
+        np.int64, int(indptr[-1]),
+    )
+    return index, indptr, indices
+
+
+def _eccentricity(csr: Tuple[Dict[int, int], np.ndarray, np.ndarray],
+                  sources: Sequence[int]) -> int:
+    """The largest eccentricity among up to 64 ``sources`` of a
+    connected graph of two or more nodes, by one breadth-first search
+    per bit: node k's uint64 holds bit b once source b has reached it,
+    and a step ORs every node's neighbors' frontier bits together (one
+    ``reduceat`` over the CSR rows, none of them empty).  The searches
+    run in lockstep, so the last step that reaches a new node is the
+    deepest of them."""
+    index, indptr, indices = csr
+    seen = np.zeros(len(indptr) - 1, dtype=np.uint64)
+    seen[[index[node] for node in sources]] = np.left_shift(
+        np.uint64(1), np.arange(len(sources), dtype=np.uint64)
+    )
+    frontier = seen
+    depth = -1
+    while frontier.any():
+        depth += 1
+        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1]) & ~seen
+        seen |= frontier
+    return depth
+
+
 def _dist(p: Position, q: Position) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
@@ -216,18 +312,15 @@ class GridTopology(Topology):
             raise NetworkError("grid needs at least one column")
         n = m if n is None else n
         self.m, self.n = m, n
-        graph = nx.Graph()
-        positions: Dict[int, Position] = {}
-        for y in range(n):
-            for x in range(m):
-                node = y * m + x
-                graph.add_node(node)
-                positions[node] = (float(x), float(y))
-                if x > 0:
-                    graph.add_edge(node, node - 1)
-                if y > 0:
-                    graph.add_edge(node, node - m)
-        super().__init__(graph, positions)
+        ids = list(range(m * n))  # one object per id, neighbors included
+        edges = []
+        for node in ids:
+            if node % m:
+                edges.append((node, ids[node - 1]))
+            if node >= m:
+                edges.append((node, ids[node - m]))
+        positions = {node: (float(node % m), float(node // m)) for node in ids}
+        self._setup(_adjacency(ids, edges), positions, connected=True)
 
     def _spatial_cell(self) -> float:
         return 1.0  # unit transmission radius
@@ -301,46 +394,39 @@ class RandomGeometricTopology(Topology):
     ):
         if edge_method not in ("grid", "brute"):
             raise NetworkError(f"unknown edge_method {edge_method!r}")
-        chosen: Optional[Tuple["nx.Graph", Dict[int, Position]]] = None
-        last: Optional[Tuple["nx.Graph", Dict[int, Position]]] = None
-        index: Optional[GridIndex] = None
+        if max_tries < 1:
+            raise NetworkError(f"max_tries {max_tries} must be >= 1")
+        self.side = side
+        self.radius = radius
         for attempt in range(max_tries):
             rng = random.Random(seed) if attempt == 0 else random.Random(f"{seed}:{attempt}")
             pts = {i: (rng.uniform(0, side), rng.uniform(0, side)) for i in range(n)}
-            g = nx.Graph()
-            g.add_nodes_from(range(n))
             if edge_method == "grid":
                 index = GridIndex(pts, cell=radius)
                 edges = index.disk_edges(radius)
             else:
-                edges = unit_disk_edges_brute(pts, radius)
-            g.add_edges_from(edges)
-            last = (g, pts)
-            if nx.is_connected(g):
-                chosen = last
-                break
-        if chosen is None:
-            # No attempt connected: take the giant component of the
-            # *last* attempt, relabeled contiguously.  Explicit — the
-            # seed implementation leaked the loop variables here.
-            assert last is not None
-            g, pts = last
-            component = max(nx.connected_components(g), key=len)
-            mapping = {old: new for new, old in enumerate(sorted(component))}
-            graph = nx.relabel_nodes(g.subgraph(component).copy(), mapping)
-            positions = {mapping[old]: pts[old] for old in component}
-            index = None  # indexes the whole draw, not the component
-        else:
-            graph, positions = chosen
-        self.side = side
-        self.radius = radius
+                index, edges = None, unit_disk_edges_brute(pts, radius)
+            adjacency = _adjacency(pts, edges)
+            if _connected(adjacency):
+                self._setup(adjacency, pts, connected=True)
+                if index is not None:
+                    # The draw is used as it is: the index its edges
+                    # came from is the one spatial would build (same
+                    # points, same cell), so keep it, reading the
+                    # topology's own copy of the points.
+                    index.positions = self.positions
+                    self._spatial = index
+                return
+        # No attempt connected: take the giant component of the *last*
+        # attempt, relabeled contiguously.
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        component = max(nx.connected_components(g), key=len)
+        mapping = {old: new for new, old in enumerate(sorted(component))}
+        graph = nx.relabel_nodes(g.subgraph(component).copy(), mapping)
+        positions = {mapping[old]: pts[old] for old in component}
         super().__init__(graph, positions)
-        if index is not None:
-            # The draw is used as it is: the index its edges came from
-            # is the one spatial would build (same points, same cell),
-            # so keep it, reading the topology's own copy of the points.
-            index.positions = self.positions
-            self._spatial = index
 
     def _spatial_cell(self) -> float:
         return self.radius  # one cell per radio range

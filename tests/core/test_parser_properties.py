@@ -4,7 +4,8 @@ round trip, and evaluation is insensitive to it."""
 from hypothesis import given, settings, strategies as st
 
 from repro.core.eval import Database, evaluate
-from repro.core.parser import parse_program
+from repro.core.parser import parse_program, parse_term
+from repro.core.terms import Constant, spell_value
 
 predicates = st.sampled_from(["p", "q", "r", "s"])
 variables = st.sampled_from(["X", "Y", "Z"])
@@ -18,7 +19,14 @@ strings = st.one_of(
     st.text(st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)),
             max_size=4),
 ).map(lambda s: f'"{s}"')
-scalars = st.one_of(st.integers(-5, 5).map(repr), strings)
+#: Bools and floats whose repr has an exponent, as ``spell_value``
+#: spells them (``True`` as ``1``, ``1e-05`` as ``0.00001``).
+exponent_floats = st.one_of(
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e-5, exclude_min=True),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+numbers = st.one_of(st.booleans(), exponent_floats)
+scalars = st.one_of(st.integers(-5, 5).map(repr), numbers.map(spell_value), strings)
 constants = st.recursive(
     scalars,
     lambda items: st.lists(items, min_size=2, max_size=3).map(
@@ -104,3 +112,11 @@ def test_roundtrip_preserves_semantics(rule_texts, facts):
         return {p: db.rows(p) for p in db.predicates()}
 
     assert run(program) == run(reparsed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(numbers, st.integers(), st.floats(allow_nan=False, allow_infinity=False)))
+def test_number_constant_repr_parses_back(value):
+    """A bool or finite float constant's repr parses back to an equal
+    constant (``inf`` and ``nan`` have no spelling)."""
+    assert parse_term(repr(Constant(value))) == Constant(value)

@@ -1,6 +1,7 @@
 """Tests for the localized engine: shortest-path trees (Example 3)."""
 
 import pickle
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -15,6 +16,7 @@ from repro.core.eval import ground_head
 from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
 from repro.core.unify import match_sequences
 from repro.dist.baselines import ProceduralBFS
+from repro.dist import localized
 from repro.dist.derived import ResultMsg
 from repro.dist.localized import (
     LocalizedEngine,
@@ -359,12 +361,24 @@ class TestValidation:
         with pytest.raises(PlanError, match="aggregate position 1"):
             LocalizedEngine("c(X, count(_)) :- r(X, _).", GridNetwork(2), placements)
 
+    def test_negated_atom_away_from_the_home_rejected(self):
+        """k(X, Y)'s fact checks not b(Y) at node X, but b(Y) is stored
+        at node Y: seeded r(0, 1) at node 0 and b(1) at node 1 would
+        leave k(0, 1) visible where evaluate() derives nothing."""
+        placements = {k: Placement(0) for k in "krb"}
+        with pytest.raises(PlanError, match="never at k"):
+            LocalizedEngine("k(X, Y) :- r(X, Y), not b(Y).", GridNetwork(2), placements)
+        # Stored at the home through an extra placement argument: fine.
+        placements["b"] = Placement(0, extra_attrs=[1])
+        LocalizedEngine("k(X, Y) :- r(X, Y), not b(Y, X).", GridNetwork(2), placements)
+
     def test_anonymous_negated_subgoal_rejected_at_install(self):
         """Localized mode watches ground negated atoms only.  The rule
         used to raise from a message handler mid-run, after earlier
         matches of the same firing were sent; now it never installs."""
         program = "p(X, D) :- q(X, D), not r(_, D)."
-        placements = {k: Placement(0) for k in "pqr"}
+        # r(_, D) is stored at D, p(X, D)'s home: the placements hold.
+        placements = {"p": Placement(1), "q": Placement(0), "r": Placement(1)}
         engine = LocalizedEngine(program, GridNetwork(2), placements)
         with pytest.raises(PlanError, match="ground negated subgoals"):
             engine.install()
@@ -519,9 +533,13 @@ def rules(draw):
 
 def differential_engine(rule):
     """An engine for ``rule`` on four nodes whose node 0 records what
-    it would route instead of sending it."""
+    it would route instead of sending it.  It only fires: every result
+    is routed to node 1, where no negated atom the rule draws is
+    stored, so the construction check that a run needs (each negated
+    atom stored at its head's home) is lifted for it."""
     placements = {p: Placement(0) for p in (*ARITY, "out")}
-    engine = LocalizedEngine(rule, GridNetwork(2), placements).install()
+    with mock.patch.object(localized, "_check_blockers_at_home"):
+        engine = LocalizedEngine(rule, GridNetwork(2), placements).install()
     sent = []
     engine.network.node(0).send_routed = lambda home, msg: sent.append((
         home, msg.pred, msg.args, msg.derivation, msg.neg_atoms, msg.op,

@@ -63,6 +63,49 @@ class TestGridIndexDifferential:
 
     @settings(max_examples=40, deadline=None)
     @given(
+        spacing=st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.8]),
+        a=st.integers(0, 3),
+        b=st.integers(1, 3),
+        cell_scale=st.sampled_from([0.5, 1.0, 1.7]),
+    )
+    def test_disk_edges_knife_edge_lattice(self, spacing, a, b, cell_scale):
+        """Points on a lattice, ``radius`` one of its own distances:
+        many pairs lie exactly ``radius`` apart, or a rounding away."""
+        positions = {
+            k: ((k % 7) * spacing, (k // 7) * spacing) for k in range(49)
+        }
+        radius = math.hypot(a * spacing, b * spacing)
+        index = GridIndex(positions, radius * cell_scale)
+        assert index.disk_edges(radius) == unit_disk_edges_brute(
+            positions, radius
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        radius=st.floats(0.05, 50.0),
+        center=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        offsets=st.lists(
+            st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-1e-10, 1e-10)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_disk_edges_inside_the_band(self, radius, center, offsets):
+        """Pairs whose squared distance falls within the 1e-9 band of
+        ``radius**2``, where the hypot of the scan decides."""
+        cx, cy = center
+        positions = {0: center}
+        for k, (angle, stretch) in enumerate(offsets, start=1):
+            d = radius * (1 + stretch)
+            positions[k] = (cx + d * math.cos(angle), cy + d * math.sin(angle))
+        squared = [(x - cx) ** 2 + (y - cy) ** 2 for x, y in positions.values()]
+        assert any(abs(d2 - radius ** 2) <= 1e-9 * radius ** 2 for d2 in squared[1:])
+        index = GridIndex(positions, radius)
+        assert index.disk_edges(radius) == unit_disk_edges_brute(
+            positions, radius
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
         seed=st.integers(0, 10_000),
         n=st.integers(1, 60),
         cell=st.floats(0.4, 4.0),
@@ -204,15 +247,25 @@ class TestExactDiameter:
 
     @staticmethod
     def _sweeps(monkeypatch, topo):
-        """``topo.diameter`` and the number of BFS sweeps it ran."""
+        """``topo.diameter`` and the number of BFS sweeps it ran: the
+        three level-by-level sweeps plus every source handed to the
+        bit-parallel eccentricity (more than three: the level loop
+        ran)."""
         calls = []
         bfs = topology_module._bfs_levels
+        eccentricity = topology_module._eccentricity
 
         def counting(adjacency, source):
             calls.append(source)
             return bfs(adjacency, source)
 
+        def counting_batch(csr, sources):
+            assert 0 < len(sources) <= 64
+            calls.extend(sources)
+            return eccentricity(csr, sources)
+
         monkeypatch.setattr(topology_module, "_bfs_levels", counting)
+        monkeypatch.setattr(topology_module, "_eccentricity", counting_batch)
         return topo.diameter, len(calls)
 
     @pytest.mark.parametrize("n", [150, 400])
@@ -346,6 +399,80 @@ class TestRandomGeometricConstruction:
         b = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
         assert a.positions == b.positions
         assert sorted(a.graph.edges()) == sorted(b.graph.edges())
+
+
+def _networkx_construction(n, radius, side=10.0, seed=0, max_tries=25):
+    """A random deployment built as networkx graphs, draw by draw: the
+    construction the adjacency must reproduce, row order included."""
+    for attempt in range(max_tries):
+        rng = random.Random(seed) if attempt == 0 else random.Random(f"{seed}:{attempt}")
+        pts = {i: (rng.uniform(0, side), rng.uniform(0, side)) for i in range(n)}
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(unit_disk_edges_brute(pts, radius))
+        if nx.is_connected(graph):
+            return graph
+    component = max(nx.connected_components(graph), key=len)
+    mapping = {old: new for new, old in enumerate(sorted(component))}
+    return nx.relabel_nodes(graph.subgraph(component).copy(), mapping)
+
+
+def _rows(graph):
+    return [(node, tuple(nbrs)) for node, nbrs in graph.adj.items()]
+
+
+class TestAdjacencyOrder:
+    """``topology.adjacency`` and the lazy ``graph.adj`` list every node,
+    and every node's neighbors, in the order the networkx construction
+    gives ``graph.adj``: routing searches and the diameter's sweeps
+    discover nodes in that order."""
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (6, 1), (4, 4), (3, 7), (9, 5)])
+    def test_grid(self, m, n):
+        graph = nx.Graph()
+        for y in range(n):
+            for x in range(m):
+                node = y * m + x
+                graph.add_node(node)
+                if x > 0:
+                    graph.add_edge(node, node - 1)
+                if y > 0:
+                    graph.add_edge(node, node - m)
+        topo = GridTopology(m, n)
+        assert list(topo.adjacency.items()) == _rows(graph)
+        assert _rows(topo.graph) == _rows(graph)
+
+    @pytest.mark.parametrize("args", [
+        dict(n=60, radius=2.0, seed=0),   # used as drawn
+        dict(n=60, radius=2.0, seed=4),   # connected on the third draw
+        dict(n=60, radius=2.0, seed=9),   # connected on the eighth draw
+        dict(n=30, radius=0.8, seed=2, max_tries=3),  # giant component
+        dict(n=80, radius=3.0, seed=1),
+    ], ids=["drawn", "redrawn", "redrawn-late", "fallback", "dense"])
+    @pytest.mark.parametrize("edge_method", ["grid", "brute"])
+    def test_random(self, args, edge_method):
+        graph = _networkx_construction(**args)
+        topo = RandomGeometricTopology(**args, edge_method=edge_method)
+        assert list(topo.adjacency.items()) == _rows(graph)
+        assert _rows(topo.graph) == _rows(graph)
+
+    def test_from_edges(self):
+        edges = [(5, 2), (2, 9), (9, 5), (7, 2), (1, 7), (9, 1)]
+        graph = nx.Graph()
+        graph.add_edges_from(edges)
+        topo = topology_from_edges(edges)
+        assert list(topo.adjacency.items()) == _rows(graph)
+        assert _rows(topo.graph) == _rows(graph)
+
+    def test_ids_are_the_topologys_own_objects(self):
+        """One int object per id: neighbor entries are the keys
+        themselves, so dict probes with them compare by identity."""
+        for topo in (GridTopology(30, 20),
+                     RandomGeometricTopology(600, radius=1.8, side=600 ** 0.5, seed=1)):
+            keys = {node: node for node in topo.adjacency}
+            assert all(keys[nbr] is nbr
+                       for nbrs in topo.adjacency.values() for nbr in nbrs)
+            assert all(keys[node] is node for node in topo.positions)
 
 
 class TestNeighborMemoization:
