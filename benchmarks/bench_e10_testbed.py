@@ -73,7 +73,7 @@ def run_sptree(m: int) -> tuple:
     engine, pred = build_sptree(net, root=0, variant="j")
     net.run_all()
     truth = set(
-        nx.single_source_shortest_path_length(net.topology.graph, 0).items()
+        nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), 0).items()
     )
     return visible_rows(engine, "j") == truth, net.metrics.total_messages
 

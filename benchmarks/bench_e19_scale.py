@@ -224,7 +224,7 @@ def build_trial(n, seed=SEED, brute=True):
     diameter_s = time.perf_counter() - t0
     exact = None
     if n == DIAMETER_ORACLE_N:
-        exact = diameter == nx.diameter(grid_topo.graph)
+        exact = diameter == nx.diameter(nx.Graph(grid_topo.adjacency))
     brute_s = None
     identical = None
     if brute:

@@ -44,7 +44,7 @@ def bfs_tree_cell(net, variant: str, root: int = 0):
         if variant == "h":
             rows = {(y, d) for (_x, y, d) in rows}
     truth = set(
-        nx.single_source_shortest_path_length(net.topology.graph, root).items()
+        nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), root).items()
     )
     return rows == truth, net.metrics
 

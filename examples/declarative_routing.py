@@ -32,7 +32,7 @@ def main() -> None:
 
     errors = 0
     for src in net.topology.node_ids:
-        truth = nx.single_source_shortest_path_length(net.topology.graph, src)
+        truth = nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), src)
         for dst, d in truth.items():
             if src != dst and table.cost(src, dst) != d:
                 errors += 1

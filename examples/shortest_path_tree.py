@@ -38,7 +38,7 @@ def main() -> None:
     print(logich_program())
 
     net = repro.GridNetwork(m)
-    truth = nx.single_source_shortest_path_length(net.topology.graph, root)
+    truth = nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), root)
 
     h_rows, h_metrics = run_variant(m, root, "h")
     print(f"logicH: {len(h_rows)} tree edges, "

@@ -43,7 +43,7 @@ records, made by :func:`fact_ref`, in its tables, ledgers and messages;
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import (
     Callable,
     Dict,
@@ -59,6 +59,7 @@ from typing import (
 )
 
 from .columnar import GLOBAL_INTERNER
+from .stratify import components, cyclic
 from .terms import Term
 
 #: A fact is identified by its predicate and ground argument tuple.
@@ -412,27 +413,8 @@ def build_proof_tree(
 def is_locally_nonrecursive(store: DerivationStore) -> bool:
     """Runtime check for local non-recursion: no directed cycles in the
     tuple-level derivation graph (Section IV-C, [6])."""
-    graph: Dict[tuple, Set[tuple]] = {
-        head: {body for record in records for body in islice(record, 1, None)}
-        for head, records in store._records.items()
-    }
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[tuple, int] = {}
-
-    def visit(node: tuple) -> bool:
-        color[node] = GRAY
-        for dep in graph.get(node, ()):
-            state = color.get(dep, WHITE)
-            if state == GRAY:
-                return False
-            if state == WHITE and not visit(dep):
-                return False
-        color[node] = BLACK
-        return True
-
-    return all(
-        visit(node)
-        for node in graph
-        if color.get(node, WHITE) == WHITE
-    )
+    graph = {head: dict.fromkeys(chain.from_iterable(islice(r, 1, None) for r in records))
+             for head, records in store._records.items()}
+    for body in [body for row in graph.values() for body in row]:
+        graph.setdefault(body, {})  # facts no rule derives
+    return not cyclic(graph, components(graph))

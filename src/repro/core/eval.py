@@ -24,7 +24,6 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
 
 from ..obs import instrument as _inst
 from ..obs import state as _obs
@@ -58,7 +57,7 @@ from .plan import (
 )
 from .vector import execute_batch
 from .safety import check_program_safety
-from .stratify import classify, dependency_graph
+from .stratify import classify
 from .terms import Constant, Substitution, Term, to_term
 from .unify import match_sequences
 
@@ -660,8 +659,10 @@ class BottomUpEvaluator:
     XY-stratified programs; any other program raises
     :class:`ProgramError`.
 
-    :meth:`evaluate` walks the condensation of the predicate dependency
-    graph once, in topological order.  A node is either a positive SCC —
+    :meth:`evaluate` walks the strongly connected components of the
+    predicate dependency graph once, in the topological order
+    :func:`classify` gives them (``Analysis.components``).  A component
+    is either positive —
     saturated by the semi-naive routine — or a recursive component with
     negation inside, evaluated stage by stage in ascending stage order
     (the sub-table topological order of Section IV-C).  Every rule call,
@@ -691,6 +692,7 @@ class BottomUpEvaluator:
         #: The XY witness: it assigns a stage position to exactly the
         #: predicates of the components that recurse through negation.
         self.xy = analysis.xy
+        self.components = analysis.components
         self.label = "semi-naive" if self.xy is None else "xy"
 
     def evaluate(self, db: Database) -> Database:
@@ -716,9 +718,7 @@ class BottomUpEvaluator:
         for fact in self.program.facts:
             db.assert_atom(fact)
         staged = self.xy.stage_position if self.xy is not None else {}
-        condensation = nx.condensation(dependency_graph(self.program))
-        for node in nx.topological_sort(condensation):
-            comp = condensation.nodes[node]["members"]
+        for comp in self.components:
             rules = [r for r in self.program.rules if r.head.predicate in comp]
             if not rules:
                 continue  # base predicates: nothing to derive

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    Collection, Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple, TypeVar,
+)
 
 from .ast import BuiltinLiteral, Program, RelLiteral, Rule
 from .errors import StratificationError
@@ -42,43 +43,96 @@ class ProgramClass(enum.Enum):
     LOCALLY_NONRECURSIVE_REQUIRED = "locally-nonrecursive-required"
 
 
-def dependency_graph(program: Program) -> "nx.DiGraph":
+#: The predicate dependency graph: per predicate, the predicates it feeds
+#: (and whether some such use is negative), in first-insertion order.
+Graph = Dict[str, Dict[str, bool]]
+Node = TypeVar("Node", bound=Hashable)
+
+
+def dependency_graph(program: Program) -> Graph:
     """Predicate dependency graph.
 
-    Edge ``Q -> P`` when a rule with head ``P`` uses ``Q`` in its body
-    (data flows from Q to P).  Edge attribute ``negative`` is True when
+    Edge ``Q -> P`` (``graph[Q][P]``) when a rule with head ``P`` uses
+    ``Q`` in its body (data flows from Q to P).  Its value is True when
     some such use is negated or the rule aggregates (aggregation needs
     the full relation, like negation).
     """
-    graph = nx.DiGraph()
-    for pred in program.predicates():
-        graph.add_node(pred)
+    graph: Graph = {pred: {} for pred in program.predicates()}
     for rule in program.rules:
         head = rule.head.predicate
         for lit in rule.body:
-            if not isinstance(lit, RelLiteral):
-                continue
-            negative = lit.negated or rule.has_aggregates
-            if graph.has_edge(lit.predicate, head):
-                graph[lit.predicate][head]["negative"] |= negative
-            else:
-                graph.add_edge(lit.predicate, head, negative=negative)
+            if isinstance(lit, RelLiteral):
+                row = graph[lit.predicate]
+                row[head] = row.get(head, False) or lit.negated or rule.has_aggregates
     return graph
+
+
+def components(graph: Mapping[Node, Iterable[Node]]) -> List[Set[Node]]:
+    """The strongly connected components of ``graph`` (every successor
+    a key too, no node None), each before every component it feeds, in
+    networkx's ``topological_sort(condensation(graph))`` order, which
+    firing order follows: numbered by Nuutila's iterative Tarjan search
+    (sources in graph order, rows in order), ordered by Kahn's
+    generations over the condensation (its edges in graph order)."""
+    preorder: Dict[Node, int] = {}
+    lowlink: Dict[Node, int] = {}
+    comp_of: Dict[Node, int] = {}
+    found: List[Set[Node]] = []
+    stack: List[Node] = []
+    pending = {v: iter(row) for v, row in graph.items()}
+    for source in graph:
+        queue = [] if source in preorder else [source]
+        while queue:
+            v = queue[-1]
+            preorder.setdefault(v, len(preorder))
+            w = next((w for w in pending[v] if w not in preorder), None)
+            if w is not None:
+                queue.append(w)
+                continue
+            queue.pop()
+            lowlink[v] = min([preorder[v]] + [
+                lowlink[w] if preorder[w] > preorder[v] else preorder[w]
+                for w in graph[v] if w not in comp_of
+            ])
+            if lowlink[v] < preorder[v]:
+                stack.append(v)
+                continue
+            comp = {v}
+            while stack and preorder[stack[-1]] > preorder[v]:
+                comp.add(stack.pop())
+            comp_of.update(dict.fromkeys(comp, len(found)))
+            found.append(comp)
+    feeds: List[Dict[int, None]] = [{} for _ in found]
+    indegree = [0] * len(found)
+    for u, row in graph.items():
+        for v in row:
+            a, b = comp_of[u], comp_of[v]
+            if a != b and b not in feeds[a]:
+                feeds[a][b] = None
+                indegree[b] += 1
+    order = [c for c, degree in enumerate(indegree) if not degree]
+    for c in order:  # appended while read: one generation after another
+        for d in feeds[c]:
+            indegree[d] -= 1
+            if not indegree[d]:
+                order.append(d)
+    return [found[c] for c in order]
+
+
+def cyclic(graph: Mapping[Node, Iterable[Node]], comps: List[Set[Node]]) -> List[Set[Node]]:
+    """Those of ``graph``'s components ``comps`` that hold a cycle (a self-loop too)."""
+    return [comp for comp in comps if any(comp.intersection(graph[v]) for v in comp)]
+
+
+def _analyzed(program: Program) -> Tuple[Graph, List[Set[str]]]:
+    graph = dependency_graph(program)
+    return graph, components(graph)
 
 
 def recursive_components(program: Program) -> List[Set[str]]:
     """Strongly connected components with more than one predicate, or a
     single predicate with a self-loop — the recursive cliques."""
-    graph = dependency_graph(program)
-    out = []
-    for comp in nx.strongly_connected_components(graph):
-        if len(comp) > 1:
-            out.append(set(comp))
-        else:
-            (pred,) = comp
-            if graph.has_edge(pred, pred):
-                out.append({pred})
-    return out
+    return cyclic(*_analyzed(program))
 
 
 def is_recursive(program: Program) -> bool:
@@ -90,37 +144,32 @@ def stratify(program: Program) -> List[Set[str]]:
     stratified program; raise :class:`StratificationError` when a
     negative edge lies inside a strongly connected component.
     """
-    graph = dependency_graph(program)
-    comp_of: Dict[str, int] = {}
-    components = list(nx.strongly_connected_components(graph))
-    for i, comp in enumerate(components):
-        for pred in comp:
-            comp_of[pred] = i
-    for u, v, data in graph.edges(data=True):
-        if data["negative"] and comp_of[u] == comp_of[v]:
-            raise StratificationError(
-                f"negation through recursion between {u!r} and {v!r}: "
-                "program is not stratified"
-            )
-    condensation = nx.condensation(graph, components)
-    # Longest-path layering over the condensation gives minimal strata:
-    # a predicate's stratum exceeds that of any predicate it depends on
-    # negatively, and is at least that of positive dependencies.
-    order = list(nx.topological_sort(condensation))
-    level: Dict[int, int] = {c: 0 for c in order}
-    for c in order:
-        for succ in condensation.successors(c):
-            negative = any(
-                graph[u][v]["negative"]
-                for u in condensation.nodes[c]["members"]
-                for v in condensation.nodes[succ]["members"]
-                if graph.has_edge(u, v)
-            )
-            bump = 1 if negative else 0
-            level[succ] = max(level[succ], level[c] + bump)
+    return _stratify(*_analyzed(program))
+
+
+def _stratify(graph: Graph, comps: List[Set[str]]) -> List[Set[str]]:
+    comp_of = {pred: i for i, comp in enumerate(comps) for pred in comp}
+    for u, row in graph.items():
+        for v, negative in row.items():
+            if negative and comp_of[u] == comp_of[v]:
+                raise StratificationError(
+                    f"negation through recursion between {u!r} and {v!r}: "
+                    "program is not stratified"
+                )
+    # Longest-path layering over the condensation (``comps`` in order)
+    # gives minimal strata: a predicate's stratum exceeds that of any
+    # predicate it depends on negatively, and is at least that of
+    # positive dependencies.
+    level = [0] * len(comps)
+    for i, comp in enumerate(comps):
+        for u in comp:
+            for v, negative in graph[u].items():
+                j = comp_of[v]
+                if j != i:
+                    level[j] = max(level[j], level[i] + negative)
     strata: Dict[int, Set[str]] = {}
-    for c in order:
-        strata.setdefault(level[c], set()).update(condensation.nodes[c]["members"])
+    for i, comp in enumerate(comps):
+        strata.setdefault(level[i], set()).update(comp)
     return [strata[i] for i in sorted(strata)]
 
 
@@ -134,7 +183,7 @@ def stratify(program: Program) -> List[Set[str]]:
 Offsets = Dict[Rule, List[Tuple[RelLiteral, Optional[int]]]]
 
 
-class XYStratification:
+class XYStratification(NamedTuple):
     """Witness that a program is XY-stratified.
 
     ``stage_position`` maps each recursive predicate to the argument
@@ -147,11 +196,9 @@ class XYStratification:
     only a comparison subgoal proves it lower.
     """
 
-    def __init__(self, stage_position: Dict[str, int],
-                 priority: Dict[str, int], offsets: Offsets):
-        self.stage_position = dict(stage_position)
-        self.priority = dict(priority)
-        self.offsets = dict(offsets)
+    stage_position: Dict[str, int]
+    priority: Dict[str, int]
+    offsets: Offsets
 
     def stage_term(self, rule_head_or_lit) -> Optional[Term]:
         pred = rule_head_or_lit.predicate
@@ -174,12 +221,6 @@ class XYStratification:
             ):
                 return lit, k
         return None
-
-    def __repr__(self) -> str:
-        return (
-            f"XYStratification(stage={self.stage_position!r}, "
-            f"priority={self.priority!r})"
-        )
 
 
 def _stage_offset(head_term: Term, body_term: Term) -> Optional[int]:
@@ -244,18 +285,15 @@ def find_xy_stratification(program: Program) -> Optional[XYStratification]:
     candidate combination of stage positions is checked (components and
     arities are small in practice, so the product search is cheap).
     """
-    graph = dependency_graph(program)
+    return _find_xy(program, *_analyzed(program))
+
+
+def _find_xy(program: Program, graph: Graph,
+             comps: List[Set[str]]) -> Optional[XYStratification]:
     arities = {p: max(a) for p, a in program.arities().items()}
     witness: Tuple[Dict[str, int], Dict[str, int], Offsets] = ({}, {}, {})
-
-    for comp in recursive_components(program):
-        has_negative = any(
-            graph[u][v]["negative"]
-            for u in comp
-            for v in comp
-            if graph.has_edge(u, v)
-        )
-        if not has_negative:
+    for comp in cyclic(graph, comps):
+        if not any(graph[u].get(v) for u in comp for v in comp):
             continue  # plain positive recursion needs no stage argument
         assignment = _solve_component(program, comp, arities)
         if assignment is None:
@@ -319,14 +357,15 @@ def _check_assignment(
 def _order_same_stage(
     preds: Sequence[str], edges: List[Tuple[str, str]]
 ) -> Optional[Dict[str, int]]:
-    graph = nx.DiGraph()
-    graph.add_nodes_from(preds)
-    graph.add_edges_from(edges)
-    try:
-        order = list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
+    """Each predicate's place in a topological order of ``edges`` over
+    ``preds``, or None when they close a cycle (a self-loop included)."""
+    graph: Graph = {p: {} for p in preds}
+    for u, v in edges:
+        graph[u][v] = False
+    order = components(graph)
+    if cyclic(graph, order):
         return None
-    return {p: i for i, p in enumerate(order)}
+    return {p: i for i, (p,) in enumerate(order)}
 
 
 # ---------------------------------------------------------------------------
@@ -334,46 +373,33 @@ def _order_same_stage(
 # ---------------------------------------------------------------------------
 
 
-class Analysis:
-    """Full static analysis result for a program."""
+class Analysis(NamedTuple):
+    """Full static analysis result for a program: its class, strata or XY
+    witness, and its predicate graph's :func:`components` in firing order."""
 
-    def __init__(
-        self,
-        program_class: ProgramClass,
-        strata: Optional[List[Set[str]]],
-        xy: Optional[XYStratification],
-    ):
-        self.program_class = program_class
-        self.strata = strata
-        self.xy = xy
-
-    def __repr__(self) -> str:
-        return f"Analysis({self.program_class.value})"
+    program_class: ProgramClass
+    strata: Optional[List[Set[str]]]
+    xy: Optional[XYStratification]
+    components: List[Set[str]]
 
 
 def classify(program: Program) -> Analysis:
     """Classify ``program`` into one of :class:`ProgramClass`."""
-    components = recursive_components(program)
+    graph, comps = _analyzed(program)
     try:
-        strata = stratify(program)
-        if not components:
-            return Analysis(ProgramClass.NONRECURSIVE, strata, None)
-        has_negation = any(
-            lit.negated
-            for rule in program.rules
-            for lit in rule.body
-            if isinstance(lit, RelLiteral)
-        )
-        cls = (
-            ProgramClass.STRATIFIED if has_negation
-            else ProgramClass.POSITIVE_RECURSIVE
-        )
-        return Analysis(cls, strata, None)
+        strata = _stratify(graph, comps)
     except StratificationError:
-        xy = find_xy_stratification(program)
-        if xy is not None:
-            return Analysis(ProgramClass.XY_STRATIFIED, None, xy)
-        return Analysis(ProgramClass.LOCALLY_NONRECURSIVE_REQUIRED, None, None)
+        xy = _find_xy(program, graph, comps)
+        cls = (ProgramClass.XY_STRATIFIED if xy is not None
+               else ProgramClass.LOCALLY_NONRECURSIVE_REQUIRED)
+        return Analysis(cls, None, xy, comps)
+    if not cyclic(graph, comps):
+        cls = ProgramClass.NONRECURSIVE
+    elif any(rule.negative_literals() for rule in program.rules):
+        cls = ProgramClass.STRATIFIED
+    else:
+        cls = ProgramClass.POSITIVE_RECURSIVE
+    return Analysis(cls, strata, None, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +458,18 @@ def rule_releases(
             continue
         releases[rule.rule_id] = why
         sensitive.update(lit.predicate for lit in rule.body if isinstance(lit, RelLiteral))
-    graph = dependency_graph(program)
-    feeds = {pred: pred for pred in sensitive}
-    for pred in sorted(sensitive):
-        for upstream in nx.ancestors(graph, pred):
-            feeds.setdefault(upstream, pred)
+    # The sensitive predicates each predicate reaches, sinks first: a
+    # component reaches its own sensitive members and what it feeds.
+    graph, comps = _analyzed(program)
+    reach: Dict[str, Set[str]] = {}
+    for comp in reversed(comps):
+        below = (comp & sensitive).union(
+            *(reach.get(v, ()) for u in comp for v in graph[u])
+        )
+        reach.update(dict.fromkeys(comp, below))
     for rule in program.rules:
-        fed = feeds.get(rule.head.predicate)
+        head = rule.head.predicate
+        fed = head if head in sensitive else min(reach[head], default=None)
         if releases[rule.rule_id] is None and fed is not None:
             releases[rule.rule_id] = f"feeds {fed}"
     return releases

@@ -52,7 +52,7 @@ from ..core.builtins import BuiltinRegistry, eval_term
 from ..core.errors import NetworkError, PlanError
 from ..core.eval import _freeze_value
 from ..core.parser import parse_program
-from ..core.stratify import rule_releases
+from ..core.stratify import ProgramClass, rule_releases
 from ..core.terms import term_size
 from ..net.messages import Message
 from ..net.network import SensorNetwork
@@ -384,6 +384,11 @@ class GPAEngine:
         if isinstance(program, str):
             program = parse_program(program, registry) if registry else parse_program(program)
         self.plan = DistributedPlan(program, registry, allow_local_nonrecursive)
+        if (self.plan.analysis.program_class is ProgramClass.XY_STRATIFIED
+                and not allow_local_nonrecursive):
+            # A blocker derived in its fact's stage can land after it.
+            raise PlanError("GPAEngine does not evaluate XY-stratified programs exactly; "
+                            "run it on LocalizedEngine (or pass allow_local_nonrecursive=True)")
         self.registry = self.plan.registry
         #: Valuation predicate -> its rule's fold; node id -> the stamp
         #: of the last group row update it folded.

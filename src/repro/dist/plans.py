@@ -113,13 +113,8 @@ class DistributedPlan:
         self.program = program
         self.registry = registry or DEFAULT_REGISTRY
         self.analysis: Analysis = classify(program)
-        supported = {
-            ProgramClass.NONRECURSIVE,
-            ProgramClass.POSITIVE_RECURSIVE,
-            ProgramClass.STRATIFIED,
-            ProgramClass.XY_STRATIFIED,
-        }
-        if self.analysis.program_class not in supported and not allow_local_nonrecursive:
+        unsupported = self.analysis.program_class is ProgramClass.LOCALLY_NONRECURSIVE_REQUIRED
+        if unsupported and not allow_local_nonrecursive:
             raise PlanError(
                 "program mixes recursion and negation beyond "
                 "XY-stratification; pass allow_local_nonrecursive=True to "

@@ -35,11 +35,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..core.errors import PlanError
 from ..net.network import SensorNetwork
-from ..net.topology import GridTopology
+from ..net.topology import GridTopology, bfs_levels
 
 
 class RegionStrategy:
@@ -343,11 +341,17 @@ class SpatialClip(RegionStrategy):
 
 
 def _dfs_walk(network: SensorNetwork, origin: int) -> List[int]:
-    """A DFS preorder walk over a BFS tree from origin; consecutive
-    nodes may be several hops apart (routed)."""
-    graph = network.topology.graph
-    tree = nx.bfs_tree(graph, origin)
-    return list(nx.dfs_preorder_nodes(tree, origin))
+    """A DFS preorder walk over a BFS tree from origin, children in
+    discovery order; consecutive nodes may be hops apart (routed)."""
+    parents = bfs_levels(network.topology.adjacency, origin)[1]
+    children: Dict[int, List[int]] = {node: [] for node in parents}
+    for node, parent in list(parents.items())[1:]:  # the origin first
+        children[parent].append(node)
+    walk, stack = [], [origin]
+    while stack:
+        walk.append(stack.pop())
+        stack.extend(reversed(children[walk[-1]]))
+    return walk
 
 
 def _topological_center(network: SensorNetwork) -> int:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..core.errors import NetworkError
 from .messages import Message
 from .network import SensorNetwork
+from .topology import bfs_levels
 
 SUPPORTED = ("count", "sum", "min", "max", "avg")
 
@@ -82,12 +81,13 @@ class TagAggregator:
     def __init__(self, network: SensorNetwork, root: int):
         self.network = network
         self.root = root
-        graph = network.topology.graph
-        self.parent: Dict[int, int] = dict(nx.bfs_predecessors(graph, root))
-        self.children: Dict[int, List[int]] = {n: [] for n in graph.nodes}
+        adjacency = network.topology.adjacency
+        levels, self.parent = bfs_levels(adjacency, root)
+        del self.parent[root]
+        self.children: Dict[int, List[int]] = {n: [] for n in adjacency}
         for child, parent in self.parent.items():
             self.children[parent].append(child)
-        self.depth: Dict[int, int] = nx.single_source_shortest_path_length(graph, root)
+        self.depth: Dict[int, int] = {n: d for d, level in enumerate(levels) for n in level}
         self.max_depth = max(self.depth.values())
         self._pending: Dict[int, int] = {}
         self._state: Dict[int, Optional[Tuple[float, int]]] = {}

@@ -38,7 +38,7 @@ Recovery semantics (what riding a fault out means here):
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
 
@@ -388,11 +388,13 @@ class FaultInjector:
 
     def _apply_partition(self, event: FaultEvent) -> None:
         cut = set(event.nodes)
-        graph = self.network.topology.graph
-        for a, b in graph.edges:
-            if (a in cut) != (b in cut):
-                self._partition_links.append((a, b))
-                self._apply_link_down(FaultEvent(event.time, "link_down", link=(a, b)))
+        done: Set[int] = set()  # each link once, from the node first in adjacency order
+        for a, nbrs in self.network.topology.adjacency.items():
+            for b in nbrs:
+                if b not in done and (a in cut) != (b in cut):
+                    self._partition_links.append((a, b))
+                    self._apply_link_down(FaultEvent(event.time, "link_down", link=(a, b)))
+            done.add(a)
 
     def _apply_heal(self, event: FaultEvent) -> None:
         links, self._partition_links = self._partition_links, []

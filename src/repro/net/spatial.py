@@ -90,15 +90,18 @@ class GridIndex:
     # -- queries ----------------------------------------------------------
 
     def candidates_near(self, point: Position, radius: float) -> Iterator[int]:
-        """Every node that *could* lie within ``radius`` of ``point``
-        (no distance filtering — callers apply their own predicate so
-        float comparisons stay identical to the scans they replace)."""
-        cx, cy = self.cell_of(point)
-        reach = int(math.ceil(radius / self.cell))
+        """Every node in a cell the query disk's bounding box overlaps,
+        the box a hair (1e-9 of ``radius``, as :meth:`disk_edges` has)
+        wider so a node whose distance rounds down to ``radius`` is
+        never a cell past it.  No distance filtering: callers apply
+        their own, so comparisons stay those of the scans."""
+        reach = radius * (1 + 1e-9)
+        x0, y0 = self.cell_of((point[0] - reach, point[1] - reach))
+        x1, y1 = self.cell_of((point[0] + reach, point[1] + reach))
         cells = self._cells
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
-                bucket = cells.get((cx + dx, cy + dy))
+        for cx in range(x0, x1 + 1):
+            for cy in range(y0, y1 + 1):
+                bucket = cells.get((cx, cy))
                 if bucket:
                     yield from bucket
 

@@ -7,32 +7,28 @@ arbitrary user graphs.  All expose positions — geographic hashing and
 the region constructions need them.
 
 A topology *is* its adjacency: one neighbor tuple per node, each node
-id the topology's own ``int`` object.  Grids and random deployments
-fill it straight from their edge sequence, in the order networkx would
-give ``graph.adj``, and every routing search and diameter sweep walks
-it.  ``graph`` is a networkx view derived from it on first use, for
-the oracles and the few readers that want networkx's algorithms; a
-topology built from a networkx graph keeps that graph as its view.
+id the topology's own ``int`` object, and ``Topology(adjacency,
+positions)`` its one constructor.  Grids and random deployments fill it
+straight from their edge sequence, in the order networkx would give
+``graph.adj``, and every routing search, diameter sweep, tree and
+partition walks it in that order.  Tests that want networkx's
+algorithms as oracles build their graph from it.
 
 Geometric queries (``nearest_node``, ``within_radius``) and unit-disk
-edge construction route through a uniform-grid spatial index
-(:mod:`repro.net.spatial`), so they are O(1)/O(n) expected instead of
-the linear/quadratic scans the seed shipped with; the answers are
-bit-identical to those scans.  Topologies are immutable after
-construction, so derived products are computed once and cached: the
-sorted neighbor tuples, the node-id list, the exact diameter and the
-spatial index (a random deployment keeps the one it built its edges
-with).
+edges go through a uniform-grid spatial index (:mod:`repro.net.spatial`),
+bit-identical to the scans.  Topologies are immutable, so the sorted
+neighbor tuples, node ids, exact diameter and spatial index are built
+once (a random deployment keeps the index it drew its edges with).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..core.errors import NetworkError
@@ -45,69 +41,35 @@ Adjacency = Dict[int, Tuple[int, ...]]
 class Topology:
     """Connectivity + positions for a set of integer-identified nodes."""
 
-    def __init__(self, graph: "nx.Graph", positions: Dict[int, Position]):
-        self._setup(
-            {node: tuple(nbrs) for node, nbrs in graph.adj.items()}, positions
-        )
-        self._graph = graph
+    _connected_by_construction = False  # else one search checks it
 
-    def _setup(self, adjacency: Adjacency, positions: Dict[int, Position],
-               connected: bool = False) -> None:
-        """Validate and keep ``adjacency`` (``connected``: the caller
-        has already searched it)."""
+    def __init__(self, adjacency: Adjacency, positions: Dict[int, Position]):
         if set(adjacency) != set(positions):
             raise NetworkError("graph nodes and positions disagree")
         if not adjacency:
             raise NetworkError("empty topology")
-        if not (connected or _connected(adjacency)):
+        if not (self._connected_by_construction or
+                len(bfs_levels(adjacency, next(iter(adjacency)))[1]) == len(adjacency)):
             raise NetworkError("topology must be connected")
-        #: Every node's neighbors as a tuple, in ``graph.adj`` order —
-        #: not the sorted :meth:`neighbors` order: breadth-first
-        #: searches over it discover nodes exactly as networkx's do, so
-        #: among equally short routes they pick the same one.
+        #: Every node's neighbors in networkx's ``graph.adj`` order (not
+        #: sorted, as :meth:`neighbors`): searches over it discover nodes
+        #: as networkx's do, so of equally short routes they pick its.
         self.adjacency = adjacency
         self.positions = dict(positions)
-        self._graph: Optional["nx.Graph"] = None
-        self._diameter: Optional[int] = None
-        self._node_ids: Optional[List[int]] = None
-        self._node_id_set: Optional[frozenset] = None
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
         self._bbox: Optional[Tuple[float, float, float, float]] = None
         self._spatial: Optional[GridIndex] = None
 
-    @property
-    def graph(self) -> "nx.Graph":
-        """The adjacency as a networkx graph, built on first use, each
-        node's row in adjacency order (so ``graph.adj`` and every
-        networkx search over it read as the adjacency does)."""
-        if self._graph is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(self.adjacency)
-            # Filled row by row: add_edge in adjacency order would put
-            # a neighbor met earlier first in the later node's row.
-            rows = graph._adj
-            for node, nbrs in self.adjacency.items():
-                row = rows[node]
-                for nbr in nbrs:
-                    data = rows[nbr].get(node)  # one dict per edge
-                    row[nbr] = {} if data is None else data
-            self._graph = graph
-        return self._graph
-
-    @property
+    @cached_property
     def node_ids(self) -> List[int]:
-        if self._node_ids is None:
-            self._node_ids = sorted(self.adjacency)
-        return self._node_ids
+        return sorted(self.adjacency)
 
-    @property
+    @cached_property
     def node_id_set(self) -> frozenset:
         """Node ids as a set (O(1) membership — the sharded network
         distinguishes "remote node" from "no such node" on every
         stub lookup)."""
-        if self._node_id_set is None:
-            self._node_id_set = frozenset(self.adjacency)
-        return self._node_id_set
+        return frozenset(self.adjacency)
 
     def __len__(self) -> int:
         return len(self.adjacency)
@@ -128,11 +90,9 @@ class Topology:
     def are_neighbors(self, a: int, b: int) -> bool:
         return b in self.adjacency.get(a, ())
 
-    @property
+    @cached_property
     def diameter(self) -> int:
-        if self._diameter is None:
-            self._diameter = self._compute_diameter()
-        return self._diameter
+        return self._compute_diameter()
 
     def _compute_diameter(self) -> int:
         """Exact graph diameter via the iFUB scheme (two-sweep lower
@@ -149,8 +109,8 @@ class Topology:
         # node b.  ecc(a) is the classic lower bound and the a->b path
         # is (near-)diametral.
         s = max(adjacency, key=lambda n: (len(adjacency[n]), -n))
-        a = min(_bfs_levels(adjacency, s)[0][-1])
-        levels_a, parents = _bfs_levels(adjacency, a)
+        a = min(bfs_levels(adjacency, s)[0][-1])
+        levels_a, parents = bfs_levels(adjacency, a)
         b = min(levels_a[-1])
         lb = len(levels_a) - 1
         # Decompose levels from the *midpoint* of the a->b path: its
@@ -159,7 +119,7 @@ class Topology:
         u = b
         for _ in range(lb - lb // 2):
             u = parents[u]
-        levels = _bfs_levels(adjacency, u)[0]
+        levels = bfs_levels(adjacency, u)[0]
         lb = max(lb, len(levels) - 1)
         # iFUB: after processing every level > i, any remaining pair
         # lies within distance 2*i of each other via u, so stop as soon
@@ -214,7 +174,7 @@ class Topology:
         return _dist(self.positions[a], self.positions[b])
 
 
-def _bfs_levels(
+def bfs_levels(
     adjacency: Dict[int, Tuple[int, ...]], source: int
 ) -> Tuple[List[List[int]], Dict[int, int]]:
     """Breadth-first search from ``source``, level by level: the levels
@@ -246,11 +206,35 @@ def _adjacency(nodes: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Adjace
     return {node: tuple(nbrs) for node, nbrs in rows.items()}
 
 
-def _connected(adjacency: Adjacency) -> bool:
-    """One search reaches every node (vacuously so for no nodes)."""
-    return not adjacency or (
-        len(_bfs_levels(adjacency, next(iter(adjacency)))[1]) == len(adjacency)
-    )
+def _giant_component(
+    adjacency: Adjacency, positions: Dict[int, Position]
+) -> Tuple[Adjacency, Dict[int, Position]]:
+    """The largest connected component of a graph over ids 0..n-1 (the
+    first of that size by lowest id), relabeled 0..k-1 in id order, as
+    networkx's ``relabel_nodes(subgraph(component).copy(), ...)`` held
+    it: nodes in the subgraph's order (id order, or under half the
+    nodes, a set's rebuilt from the component set), each row first its
+    neighbors earlier in that order, then the later ones in row order,
+    and positions in the component set's order."""
+    best: Dict[int, int] = {}
+    seen: Set[int] = set()
+    for node in adjacency:
+        if node not in seen:
+            found = bfs_levels(adjacency, node)[1]
+            seen.update(found)
+            best = found if len(found) > len(best) else best
+    # Sets grown one node at a time, in discovery order, as networkx's.
+    members = set(iter(best))
+    label = {node: k for k, node in enumerate(sorted(members))}
+    order = list(label) if 2 * len(members) >= len(adjacency) else list(set(iter(members)))
+    place = {node: k for k, node in enumerate(order)}
+    rows = {}
+    for node in order:
+        nbrs, here = adjacency[node], place[node]
+        earlier = sorted((v for v in nbrs if place[v] < here), key=place.__getitem__)
+        later = [v for v in nbrs if place[v] > here]
+        rows[label[node]] = tuple(label[v] for v in earlier + later)
+    return rows, {label[node]: positions[node] for node in members}
 
 
 #: Sources per bit-parallel sweep: one bit of a uint64 each.
@@ -307,6 +291,8 @@ class GridTopology(Topology):
     lines PA replicates and traverses.
     """
 
+    _connected_by_construction = True
+
     def __init__(self, m: int, n: Optional[int] = None):
         if m < 1:
             raise NetworkError("grid needs at least one column")
@@ -320,7 +306,7 @@ class GridTopology(Topology):
             if node >= m:
                 edges.append((node, ids[node - m]))
         positions = {node: (float(node % m), float(node // m)) for node in ids}
-        self._setup(_adjacency(ids, edges), positions, connected=True)
+        super().__init__(_adjacency(ids, edges), positions)
 
     def _spatial_cell(self) -> float:
         return 1.0  # unit transmission radius
@@ -355,13 +341,9 @@ def unit_disk_edges_brute(
     """The all-pairs O(n^2) unit-disk edge set — kept as the
     differential oracle for the grid-index construction (tests and
     bench_e19 compare against it)."""
-    edges: List[Tuple[int, int]] = []
     ids = sorted(positions)
-    for i_idx, i in enumerate(ids):
-        for j in ids[i_idx + 1:]:
-            if _dist(positions[i], positions[j]) <= radius:
-                edges.append((i, j))
-    return edges
+    return [(i, j) for k, i in enumerate(ids) for j in ids[k + 1:]
+            if _dist(positions[i], positions[j]) <= radius]
 
 
 class RandomGeometricTopology(Topology):
@@ -396,8 +378,7 @@ class RandomGeometricTopology(Topology):
             raise NetworkError(f"unknown edge_method {edge_method!r}")
         if max_tries < 1:
             raise NetworkError(f"max_tries {max_tries} must be >= 1")
-        self.side = side
-        self.radius = radius
+        self.side, self.radius = side, radius
         for attempt in range(max_tries):
             rng = random.Random(seed) if attempt == 0 else random.Random(f"{seed}:{attempt}")
             pts = {i: (rng.uniform(0, side), rng.uniform(0, side)) for i in range(n)}
@@ -407,26 +388,19 @@ class RandomGeometricTopology(Topology):
             else:
                 index, edges = None, unit_disk_edges_brute(pts, radius)
             adjacency = _adjacency(pts, edges)
-            if _connected(adjacency):
-                self._setup(adjacency, pts, connected=True)
-                if index is not None:
-                    # The draw is used as it is: the index its edges
-                    # came from is the one spatial would build (same
-                    # points, same cell), so keep it, reading the
-                    # topology's own copy of the points.
-                    index.positions = self.positions
-                    self._spatial = index
-                return
+            try:
+                super().__init__(adjacency, pts)
+            except NetworkError:
+                continue  # disconnected: draw again
+            if index is not None:
+                # The draw is used as it is: keep its index (the one
+                # spatial would build), on the topology's own points.
+                index.positions = self.positions
+                self._spatial = index
+            return
         # No attempt connected: take the giant component of the *last*
         # attempt, relabeled contiguously.
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(edges)
-        component = max(nx.connected_components(g), key=len)
-        mapping = {old: new for new, old in enumerate(sorted(component))}
-        graph = nx.relabel_nodes(g.subgraph(component).copy(), mapping)
-        positions = {mapping[old]: pts[old] for old in component}
-        super().__init__(graph, positions)
+        super().__init__(*_giant_component(adjacency, pts))
 
     def _spatial_cell(self) -> float:
         return self.radius  # one cell per radio range
@@ -439,11 +413,15 @@ def topology_from_edges(
     edges: Iterable[Tuple[int, int]],
     positions: Optional[Dict[int, Position]] = None,
 ) -> Topology:
-    """Arbitrary topology from an edge list; spring-layout positions are
-    synthesized when none are given (geo-hashing still needs them)."""
-    graph = nx.Graph()
-    graph.add_edges_from(edges)
+    """Arbitrary topology from an edge list, nodes and rows in the order
+    the edges name them (a repeated edge counts once); with no positions
+    given the nodes sit on a circle of radius 10 in that order."""
+    rows: Dict[int, Dict[int, None]] = {}
+    for a, b in edges:
+        rows.setdefault(a, {})[b] = None
+        rows.setdefault(b, {})[a] = None
     if positions is None:
-        layout = nx.spring_layout(graph, seed=0)
-        positions = {n: (float(p[0]) * 10, float(p[1]) * 10) for n, p in layout.items()}
-    return Topology(graph, positions)
+        step = 2 * math.pi / max(len(rows), 1)
+        positions = {node: (10 * math.cos(k * step), 10 * math.sin(k * step))
+                     for k, node in enumerate(rows)}
+    return Topology({node: tuple(nbrs) for node, nbrs in rows.items()}, positions)

@@ -72,13 +72,13 @@ class TestDependencyGraph:
     def test_edges_and_negation_flag(self):
         program = parse_program("p(X) :- q(X), not r(X).")
         graph = dependency_graph(program)
-        assert graph.has_edge("q", "p") and not graph["q"]["p"]["negative"]
-        assert graph.has_edge("r", "p") and graph["r"]["p"]["negative"]
+        assert graph["q"] == {"p": False} and graph["r"] == {"p": True}
+        assert graph["p"] == {}
 
     def test_aggregation_counts_as_negative(self):
         program = parse_program("c(count(_)) :- obs(X).")
         graph = dependency_graph(program)
-        assert graph["obs"]["c"]["negative"]
+        assert graph["obs"]["c"]
 
 
 class TestRecursion:

@@ -9,9 +9,12 @@ import random
 import pytest
 
 import repro
+from repro.core.errors import PlanError
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
+from repro.core.stratify import ProgramClass
 from repro.dist.gpa import GPAEngine
+from repro.dist.localized import logicj_program
 from repro.net.network import GridNetwork, RandomNetwork
 from repro.workloads import BattlefieldWorkload
 
@@ -398,6 +401,17 @@ class TestEngineValidation:
         eng = GPAEngine(parse_program(JOIN2), GridNetwork(3), strategy="pa")
         assert eng.delivery_report() == {"delivered": 0, "gave_up": 0, "reason": {}}
         assert eng.latency_report() == {"count": 0, "mean": 0.0, "max": 0.0}
+
+    @pytest.mark.parametrize("mode", ["barrier", "pipelined"])
+    def test_xy_stratified_program_refused(self, mode):
+        """logicJ recurses through negation stage by stage: GPA cannot
+        order a blocker against the fact it blocks, so the engine
+        refuses it at construction and names the engine that can."""
+        with pytest.raises(PlanError, match="LocalizedEngine"):
+            GPAEngine(logicj_program(), GridNetwork(4, seed=4), strategy="pa", mode=mode)
+        engine = GPAEngine(logicj_program(), GridNetwork(4, seed=4), strategy="pa",
+                           mode=mode, allow_local_nonrecursive=True)
+        assert engine.plan.analysis.program_class is ProgramClass.XY_STRATIFIED
 
     def test_retract_from_wrong_node(self):
         net = GridNetwork(3)

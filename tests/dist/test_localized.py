@@ -34,7 +34,7 @@ from repro.net.network import GridNetwork, RandomNetwork
 
 
 def bfs_depths(net, root):
-    return nx.single_source_shortest_path_length(net.topology.graph, root)
+    return nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), root)
 
 
 def expected_h(net, root):
@@ -326,7 +326,7 @@ class TestRetraction:
         eng = self._build_bounded(net, 0)
         net.run_all()
         truth = set(
-            nx.single_source_shortest_path_length(net.topology.graph, 0).items()
+            nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), 0).items()
         )
         assert visible_rows(eng, "j") == truth
 

@@ -116,9 +116,9 @@ def test_shortest_path_tree_kids(net):
     engine.seed(root, "h", (root, root, 0))
     net.run_all()
     db = Database()
-    for a, b in net.topology.graph.edges:
-        db.assert_fact("g", (a, b))
-        db.assert_fact("g", (b, a))
+    for a, nbrs in net.topology.adjacency.items():
+        for b in nbrs:
+            db.assert_fact("g", (a, b))
     db.assert_fact("h", (root, root, 0))
     evaluate(parse_program(logich_program() + KIDS), db)
     assert visible_rows(engine, "h") == db.rows("h")

@@ -20,7 +20,7 @@ class TestRoutingCorrectness:
         table = converge(net)
         for src in net.topology.node_ids:
             lengths = nx.single_source_shortest_path_length(
-                net.topology.graph, src
+                nx.Graph(net.topology.adjacency), src
             )
             for dst, d in lengths.items():
                 if src != dst:
@@ -30,7 +30,7 @@ class TestRoutingCorrectness:
         net = RandomNetwork(12, radius=4.0, seed=8)
         table = converge(net)
         src = net.topology.node_ids[0]
-        lengths = nx.single_source_shortest_path_length(net.topology.graph, src)
+        lengths = nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), src)
         for dst, d in lengths.items():
             if src != dst:
                 assert table.cost(src, dst) == d

@@ -94,7 +94,7 @@ class TestShortestPathPipeline:
         root = net.topology.node_ids[0]
         engine, pred = build_sptree(net, root=root, variant=variant)
         net.run_all()
-        depths = nx.single_source_shortest_path_length(net.topology.graph, root)
+        depths = nx.single_source_shortest_path_length(nx.Graph(net.topology.adjacency), root)
         rows = visible_rows(engine, pred)
         if variant == "j":
             assert rows == set(depths.items())

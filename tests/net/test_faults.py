@@ -9,6 +9,7 @@ from repro.core.errors import NetworkError
 from repro.net.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.net.messages import Message
 from repro.net.network import GridNetwork
+from tests.graphs import nx_graph
 
 
 class TestFaultEvent:
@@ -264,12 +265,12 @@ class TestScheduleOrderStability:
         injector = FaultInjector(net, FaultSchedule().heal(1.0)).arm()
         before = {
             (a, b): net.radio.link_is_up(a, b)
-            for a, b in net.topology.graph.edges
+            for a, b in nx_graph(net.topology).edges
         }
         net.run_all()
         after = {
             (a, b): net.radio.link_is_up(a, b)
-            for a, b in net.topology.graph.edges
+            for a, b in nx_graph(net.topology).edges
         }
         assert after == before
         assert injector.summary() == {"heal": 1}

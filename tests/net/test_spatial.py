@@ -12,7 +12,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net import topology as topology_module
 from repro.net.ght import GeographicHash
@@ -24,6 +24,7 @@ from repro.net.topology import (
     topology_from_edges,
     unit_disk_edges_brute,
 )
+from tests.graphs import nx_graph
 
 
 def random_positions(seed, n, side=10.0):
@@ -79,6 +80,43 @@ class TestGridIndexDifferential:
         assert index.disk_edges(radius) == unit_disk_edges_brute(
             positions, radius
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spacing=st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.8]),
+        a=st.integers(0, 3),
+        b=st.integers(1, 3),
+        cell_scale=st.sampled_from([0.5, 1.0, 1.7]),
+        query=st.integers(0, 48),
+        nudge=st.sampled_from([0.0, -3.1245220031619057e-35, 3e-35, -1e-17, 1e-16]),
+        dropped=st.sets(st.integers(0, 48), max_size=44),
+        k=st.integers(1, 5),
+    )
+    @example(spacing=1.0, a=0, b=1, cell_scale=1.0, query=0,
+             nudge=-3.1245220031619057e-35, dropped=set(), k=2)
+    def test_queries_on_the_knife_edge_lattice(self, spacing, a, b, cell_scale,
+                                               query, nudge, dropped, k):
+        """``within``, ``nearest`` and ``nearest_k`` against the scans on
+        the lattice above, from a lattice point nudged a rounding off:
+        nodes lie exactly ``radius`` (or a ring bound) away, and the
+        nudge can put the query a cell below its point."""
+        lattice = {k: ((k % 7) * spacing, (k // 7) * spacing) for k in range(49)}
+        positions = {n: p for n, p in lattice.items() if n not in dropped}
+        radius = math.hypot(a * spacing, b * spacing)
+        index = GridIndex(positions, radius * cell_scale)
+        x, y = lattice[query]
+        point = (x + nudge, y + nudge)
+        assert index.within(point, radius) == brute_within(positions, point, radius)
+        ranked = sorted(positions, key=lambda n: (
+            math.hypot(positions[n][0] - point[0], positions[n][1] - point[1]), n))
+        assert index.nearest(point) == ranked[0]
+        assert index.nearest_k(point, k) == ranked[:k]
+
+    def test_within_a_radius_two_cells_off(self):
+        """The query's coordinate rounds into the cell below, the node
+        exactly ``radius`` away two cells up."""
+        index = GridIndex({0: (-3.1245220031619057e-35, 0.0), 1: (1.0, 0.0)}, 1.0)
+        assert index.within((-3.1245220031619057e-35, 0.0), 1.0) == [0, 1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -232,12 +270,12 @@ class TestTopologyQueriesDifferential:
     @given(seed=st.integers(0, 300))
     def test_diameter_matches_networkx(self, seed):
         topo = RandomGeometricTopology(25, radius=4.0, seed=seed)
-        assert topo.diameter == nx.diameter(topo.graph)
+        assert topo.diameter == nx.diameter(nx_graph(topo))
 
     def test_grid_diameter_analytic(self):
         for m, n in [(1, 1), (1, 6), (4, 4), (3, 7)]:
             grid = GridTopology(m, n)
-            assert grid.diameter == nx.diameter(grid.graph)
+            assert grid.diameter == nx.diameter(nx_graph(grid))
 
 
 class TestExactDiameter:
@@ -252,7 +290,7 @@ class TestExactDiameter:
         bit-parallel eccentricity (more than three: the level loop
         ran)."""
         calls = []
-        bfs = topology_module._bfs_levels
+        bfs = topology_module.bfs_levels
         eccentricity = topology_module._eccentricity
 
         def counting(adjacency, source):
@@ -264,7 +302,7 @@ class TestExactDiameter:
             calls.extend(sources)
             return eccentricity(csr, sources)
 
-        monkeypatch.setattr(topology_module, "_bfs_levels", counting)
+        monkeypatch.setattr(topology_module, "bfs_levels", counting)
         monkeypatch.setattr(topology_module, "_eccentricity", counting_batch)
         return topo.diameter, len(calls)
 
@@ -274,14 +312,14 @@ class TestExactDiameter:
         topo = RandomGeometricTopology(n, radius=1.8, seed=seed)
         assert len(topo) == n  # the draw is used as it is
         diameter, sweeps = self._sweeps(monkeypatch, topo)
-        assert diameter == nx.diameter(topo.graph)
+        assert diameter == nx.diameter(nx_graph(topo))
         assert sweeps > 3  # the level loop ran
 
     def test_giant_component_fallback(self, monkeypatch):
         topo = RandomGeometricTopology(400, radius=0.9, seed=0, max_tries=1)
         assert len(topo) < 400
         diameter, sweeps = self._sweeps(monkeypatch, topo)
-        assert diameter == nx.diameter(topo.graph)
+        assert diameter == nx.diameter(nx_graph(topo))
         assert sweeps > 3
 
     @pytest.mark.parametrize("graph", [
@@ -290,19 +328,20 @@ class TestExactDiameter:
     ], ids=["single", "edge", "path", "star", "cycle"])
     def test_small_shapes(self, graph):
         positions = {n: (float(n), 0.0) for n in graph}
-        assert Topology(graph, positions).diameter == nx.diameter(graph)
+        adjacency = {n: tuple(graph.adj[n]) for n in graph}
+        assert Topology(adjacency, positions).diameter == nx.diameter(graph)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_non_contiguous_ids(self, seed):
         base = RandomGeometricTopology(120, radius=2.0, seed=seed)
         rng = random.Random(seed)
         ids = rng.sample(range(10_000), len(base))
-        edges = [(ids[a], ids[b]) for a, b in base.graph.edges]
+        edges = [(ids[a], ids[b]) for a, b in nx_graph(base).edges]
         rng.shuffle(edges)
         topo = topology_from_edges(
             edges, {ids[n]: p for n, p in base.positions.items()}
         )
-        assert topo.diameter == nx.diameter(topo.graph)
+        assert topo.diameter == nx.diameter(nx_graph(topo))
         assert topo.diameter == base.diameter
 
 
@@ -375,7 +414,7 @@ class TestRandomGeometricConstruction:
             b = RandomGeometricTopology(40, radius=3.0, seed=seed,
                                         edge_method="brute")
             assert a.positions == b.positions
-            assert sorted(a.graph.edges()) == sorted(b.graph.edges())
+            assert list(a.adjacency.items()) == list(b.adjacency.items())
 
     def test_unknown_edge_method_rejected(self):
         from repro.core.errors import NetworkError
@@ -388,9 +427,9 @@ class TestRandomGeometricConstruction:
         # attempt is taken, relabeled to contiguous ids.
         topo = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
         assert len(topo) < 30
-        assert nx.is_connected(topo.graph)
-        assert sorted(topo.graph.nodes) == list(range(len(topo)))
-        assert set(topo.positions) == set(topo.graph.nodes)
+        assert nx.is_connected(nx_graph(topo))
+        assert sorted(topo.adjacency) == list(range(len(topo)))
+        assert set(topo.positions) == set(topo.adjacency)
 
     def test_retry_attempts_are_seeded_deterministically(self):
         # Same constructor args => same topology, even through the
@@ -398,7 +437,7 @@ class TestRandomGeometricConstruction:
         a = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
         b = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
         assert a.positions == b.positions
-        assert sorted(a.graph.edges()) == sorted(b.graph.edges())
+        assert list(a.adjacency.items()) == list(b.adjacency.items())
 
 
 def _networkx_construction(n, radius, side=10.0, seed=0, max_tries=25):
@@ -422,10 +461,10 @@ def _rows(graph):
 
 
 class TestAdjacencyOrder:
-    """``topology.adjacency`` and the lazy ``graph.adj`` list every node,
-    and every node's neighbors, in the order the networkx construction
-    gives ``graph.adj``: routing searches and the diameter's sweeps
-    discover nodes in that order."""
+    """``topology.adjacency`` lists every node, and every node's
+    neighbors, in the order the networkx construction gives
+    ``graph.adj``: routing searches and the diameter's sweeps discover
+    nodes in that order."""
 
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (6, 1), (4, 4), (3, 7), (9, 5)])
     def test_grid(self, m, n):
@@ -440,7 +479,6 @@ class TestAdjacencyOrder:
                     graph.add_edge(node, node - m)
         topo = GridTopology(m, n)
         assert list(topo.adjacency.items()) == _rows(graph)
-        assert _rows(topo.graph) == _rows(graph)
 
     @pytest.mark.parametrize("args", [
         dict(n=60, radius=2.0, seed=0),   # used as drawn
@@ -454,15 +492,13 @@ class TestAdjacencyOrder:
         graph = _networkx_construction(**args)
         topo = RandomGeometricTopology(**args, edge_method=edge_method)
         assert list(topo.adjacency.items()) == _rows(graph)
-        assert _rows(topo.graph) == _rows(graph)
 
     def test_from_edges(self):
         edges = [(5, 2), (2, 9), (9, 5), (7, 2), (1, 7), (9, 1)]
         graph = nx.Graph()
         graph.add_edges_from(edges)
-        topo = topology_from_edges(edges)
+        topo = topology_from_edges(edges + [(2, 5), (9, 2)])  # repeats count once
         assert list(topo.adjacency.items()) == _rows(graph)
-        assert _rows(topo.graph) == _rows(graph)
 
     def test_ids_are_the_topologys_own_objects(self):
         """One int object per id: neighbor entries are the keys
@@ -487,4 +523,4 @@ class TestNeighborMemoization:
     def test_neighbors_match_graph(self):
         topo = RandomGeometricTopology(30, radius=4.0, seed=5)
         for node in topo.node_ids:
-            assert set(topo.neighbors(node)) == set(topo.graph.neighbors(node))
+            assert set(topo.neighbors(node)) == set(topo.adjacency[node])

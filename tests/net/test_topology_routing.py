@@ -18,6 +18,7 @@ from repro.net.topology import (
     Topology,
     topology_from_edges,
 )
+from tests.graphs import nx_graph
 
 
 class TestGridTopology:
@@ -65,24 +66,24 @@ class TestGridTopology:
 class TestRandomGeometric:
     def test_connected(self):
         topo = RandomGeometricTopology(30, radius=3.0, seed=1)
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(nx_graph(topo))
 
     def test_edges_respect_radius(self):
         topo = RandomGeometricTopology(25, radius=2.5, seed=2)
-        for a, b in topo.graph.edges:
+        for a, b in nx_graph(topo).edges:
             assert topo.euclidean(a, b) <= 2.5
 
     def test_deterministic(self):
         t1 = RandomGeometricTopology(20, radius=3.0, seed=5)
         t2 = RandomGeometricTopology(20, radius=3.0, seed=5)
-        assert set(t1.graph.edges) == set(t2.graph.edges)
+        assert t1.adjacency == t2.adjacency
 
 
 class TestTopologyValidation:
     def test_disconnected_rejected(self):
-        g = nx.Graph([(0, 1), (2, 3)])
         with pytest.raises(NetworkError):
-            Topology(g, {i: (float(i), 0.0) for i in range(4)})
+            Topology({0: (1,), 1: (0,), 2: (3,), 3: (2,)},
+                     {i: (float(i), 0.0) for i in range(4)})
 
     def test_from_edges_synthesizes_positions(self):
         topo = topology_from_edges([(0, 1), (1, 2)])
@@ -127,15 +128,13 @@ def _shuffled_graph(n, extra_edges, rng):
         edges.add(tuple(rng.sample(range(n), 2)))
     edges = sorted(edges)
     rng.shuffle(edges)
-    graph = nx.Graph()
-    graph.add_edges_from(edges)
-    return Topology(graph, {i: (float(i), 0.0) for i in range(n)})
+    return topology_from_edges(edges, {i: (float(i), 0.0) for i in range(n)})
 
 
 def _oracle(router, dst):
     """The eager table the demand-driven one must reproduce: the full
     ``nx.bfs_predecessors`` map over the live view of the graph."""
-    graph = router.topology.graph
+    graph = nx_graph(router.topology)
     dead_nodes, dead_edges = router._excluded_nodes, router._excluded_edges
     if dst in dead_nodes:
         return {}
@@ -179,7 +178,7 @@ class TestDemandDrivenTables:
         rng = random.Random(seed)
         router = Router(topology)
         depth = {
-            dst: nx.single_source_shortest_path_length(topology.graph, dst)
+            dst: nx.single_source_shortest_path_length(nx.Graph(topology.adjacency), dst)
             for dst in rng.sample(topology.node_ids, 6)
         }
         pairs = [(node, dst) for dst in depth for node in topology.node_ids]
@@ -209,7 +208,7 @@ class TestDemandDrivenTables:
         topology = TOPOLOGIES[kind]()
         rng = random.Random(200 + seed)
         router = Router(topology)
-        edges = list(topology.graph.edges)
+        edges = list(nx_graph(topology).edges)
         raised = 0
         for step in range(300):
             if step % 5 == 0:

@@ -13,6 +13,7 @@ import pytest
 from repro import obs
 from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
+from repro.dist.localized import logicj_program
 from repro.net.network import GridNetwork
 from repro.obs import instrument as _inst
 from repro.serve import AdmissionError, QueryServer, TenantBudget
@@ -106,6 +107,14 @@ class TestAdmission:
         assert server.rejections == [("t", "invalid_program")]
         # Nothing was installed under the tenant's id: it can come back.
         assert server.admit("t", PROG).state == "running"
+
+    def test_xy_stratified_program_rejected(self):
+        """The engine's refusal of an XY-stratified program (logicJ)
+        reaches admission as a rejection naming LocalizedEngine."""
+        server = QueryServer(GridNetwork(4, seed=4))
+        with pytest.raises(AdmissionError, match="LocalizedEngine"):
+            server.admit("t", logicj_program())
+        assert server.rejections == [("t", "invalid_program")]
 
     def test_head_aggregate_admitted(self):
         """A head aggregate runs in-network like any rule: admitted,
