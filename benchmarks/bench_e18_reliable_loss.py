@@ -13,7 +13,9 @@ while the table reports what the recovery costs in messages.
 ``--smoke`` shrinks the workload for CI; ``--check`` additionally
 compares against the committed ``BENCH_e18.json`` floors and exits
 non-zero when reliable-mode completeness regresses or any run produces
-rows outside the oracle.
+rows outside the oracle.  With ``--smoke --check`` it also compares the
+per-run counts (frames, acks, retries, dups, give-ups, rows) for each
+loss rate x mode x seed with the committed exact ``"smoke"`` table.
 """
 
 import json
@@ -22,7 +24,7 @@ import sys
 
 import pytest
 
-from harness import report, run_join_workload
+from harness import check_exact_table, report, run_join_workload
 
 LOSS_RATES = [0.0, 0.05, 0.10, 0.20, 0.30]
 M = 8
@@ -34,19 +36,30 @@ BASELINE_PATH = os.path.join(
 )
 
 
-def measure(loss, m=M, tuples=TUPLES, reps=REPS, reliable=False):
+def measure(loss, m=M, tuples=TUPLES, reps=REPS, reliable=False, cells=None):
     """Average completeness/overhead of the E7 PA workload at one loss
-    rate, with or without the reliable transport."""
+    rate, with or without the reliable transport.  ``cells``, when
+    given, receives each run's simulated counts keyed by seed."""
     fractions, extras, messages = [], 0, []
     acks = retries = dups = give_ups = 0
     for rep in range(reps):
+        seed = 100 * rep + 7
         engine, net, expected = run_join_workload(
             m, "pa", tuples_per_stream=tuples, key_domain=3,
-            seed=100 * rep + 7, loss_rate=loss, reliable=reliable,
+            seed=seed, loss_rate=loss, reliable=reliable,
         )
+        got = engine.rows("j")
+        if cells is not None:
+            cells[seed] = {
+                "frames": net.metrics.total_messages,
+                "acks": net.metrics.acks,
+                "retries": net.metrics.retries,
+                "dups": net.metrics.dup_suppressed,
+                "give_ups": net.metrics.retry_exhausted,
+                "rows": len(got),
+            }
         if not expected:
             continue
-        got = engine.rows("j")
         fractions.append(len(got & expected) / len(expected))
         extras += len(got - expected)
         messages.append(net.metrics.total_messages)
@@ -65,12 +78,20 @@ def measure(loss, m=M, tuples=TUPLES, reps=REPS, reliable=False):
     }
 
 
-def run(loss_rates=LOSS_RATES, m=M, tuples=TUPLES, reps=REPS):
+def run(loss_rates=LOSS_RATES, m=M, tuples=TUPLES, reps=REPS, table=None):
+    """The E18 sweep; ``table``, when given, receives every run's counts
+    under ``"<loss>/<mode>/seed<seed>"``."""
     rows = []
     results = {}
     for loss in loss_rates:
-        base = measure(loss, m, tuples, reps, reliable=False)
-        rel = measure(loss, m, tuples, reps, reliable=True)
+        base_cells, rel_cells = {}, {}
+        base = measure(loss, m, tuples, reps, reliable=False, cells=base_cells)
+        rel = measure(loss, m, tuples, reps, reliable=True, cells=rel_cells)
+        if table is not None:
+            for mode, cells in (("unreliable", base_cells),
+                                ("reliable", rel_cells)):
+                for seed, cell in cells.items():
+                    table[f"{loss}/{mode}/seed{seed}"] = cell
         overhead = (
             rel["messages"] / base["messages"] if base["messages"] else 0.0
         )
@@ -142,9 +163,13 @@ def test_e18_reliability_recovers_completeness(benchmark):
 
 if __name__ == "__main__":
     smoke = "--smoke" in sys.argv
+    table = {}
     if smoke:
-        results = run(loss_rates=[0.0, 0.10, 0.20], m=M, tuples=6, reps=2)
+        results = run(loss_rates=[0.0, 0.10, 0.20], m=M, tuples=6, reps=2,
+                      table=table)
     else:
         results = run()
     if "--check" in sys.argv:
         check_baseline(results)
+        if smoke:
+            check_exact_table("e18", table)

@@ -82,11 +82,13 @@ class SensorNetwork:
         """``routing="geo"`` swaps the per-destination BFS tables for
         greedy geographic forwarding (O(degree) per hop — the 100k+
         regime needs it); ``frame_rng="keyed"`` draws frame randomness
-        from per-link streams instead of the sequential simulator RNG
-        (order-independent, hence shard-invariant); ``node_subset``
-        instantiates :class:`Node` objects (and pays their setup) only
-        for the given partition, answering :meth:`node` with remote
-        stubs elsewhere.  All three default to the historical behavior.
+        (loss, delay and retransmission-timeout jitter) from per-link
+        :class:`KeyedFrameRNG` streams, order-independent and hence
+        shard-invariant, instead of from ``sim.rng`` in event order
+        (the default ``"seq"``); ``node_subset`` instantiates
+        :class:`Node` objects (and pays their setup) only for the given
+        partition, answering :meth:`node` with remote stubs elsewhere.
+        All three default to the historical behavior.
         """
         self.topology = topology
         self.sim = Simulator(seed)

@@ -42,10 +42,12 @@ class RoutedEnvelope(Message):
     """Wraps an inner message for hop-by-hop forwarding to ``dst``.
 
     The envelope's category is the inner message's (set it on the
-    inner message at construction).
+    inner message at construction).  Its size is fixed at construction
+    too: a slot every hop's frame reads, not the per-read property.
     """
 
-    __slots__ = ("inner", "on_status", "repair_budget", "geo_fallback")
+    __slots__ = ("inner", "on_status", "repair_budget", "geo_fallback",
+                 "size_bytes")
 
     def __init__(
         self,
@@ -60,6 +62,10 @@ class RoutedEnvelope(Message):
         self.category = inner.category
         self.msg_id = next(_messages._msg_counter)
         self.hops = 0
+        self.size_bytes = (
+            _messages.HEADER_BYTES
+            + _messages.BYTES_PER_SYMBOL * inner.payload_symbols
+        )
         self.inner = inner
         self.on_status = on_status
         #: Remaining next-hop re-selections the self-repair failure
@@ -69,11 +75,34 @@ class RoutedEnvelope(Message):
         #: forwarding for the tables (see GeoRouter.envelope_hop).
         self.geo_fallback = False
 
+    def __getstate__(self):
+        """Pickled (shard checkpoints, border copies) as it was before
+        the size had a slot: the default slot state, in the default
+        order, less the size, which :meth:`__setstate__` derives again."""
+        extra = self.__dict__
+        return (extra or None, {name: getattr(self, name) for name in _STATE})
+
+    def __setstate__(self, state) -> None:
+        extra, slots = state
+        if extra:
+            self.__dict__.update(extra)
+        for name, value in slots.items():
+            setattr(self, name, value)
+        self.size_bytes = Message.size_bytes.fget(self)
+
     def _hop_status(self, status: str, reason: str = "") -> None:
         """Per-hop transport outcome: only terminal failure propagates
         (success is reported end-to-end, at the destination node)."""
         if status == "gave_up":
             notify_gave_up(self.on_status, reason)
+
+
+#: The envelope's pickled slots: its own, then Message's, as the
+#: default pickle orders them.
+_STATE = tuple(
+    name for cls in (RoutedEnvelope, Message) for name in cls.__slots__
+    if name not in ("size_bytes", "__dict__")
+)
 
 
 class Node:

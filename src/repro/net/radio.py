@@ -11,6 +11,12 @@ by :mod:`repro.net.faults` (E20) through :meth:`Radio.kill`,
 The paper's theorems assume none of these faults; the experiments
 measure how gracefully results degrade when the assumptions break.
 
+A frame's random draws — its loss draw (on a lossy radio), its delay
+jitter and, for a reliable attempt, the retransmission-timeout jitter
+— come from ``sim.rng`` in event order by default, or from the stream
+of the frame's directed link when the radio has a
+:class:`KeyedFrameRNG` (the sharded engine's discipline).
+
 Two delivery modes:
 
 * **unreliable** (default): fire-and-forget frames, exactly the
@@ -52,24 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _AIRTIME_PER_BYTE = 8.0 / 250_000.0
 
 
-class SeqFrameRNG:
-    """Default randomness discipline: every stochastic frame decision
-    (loss, delay jitter, retransmission-timeout jitter) draws from the
-    simulator's single RNG in event order — the seed-era behavior,
-    byte-identical to drawing ``sim.rng`` inline."""
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim: Simulator):
-        self._sim = sim
-
-    def random(self, src: int, dst: int) -> float:
-        return self._sim.rng.random()
-
-    def uniform(self, src: int, dst: int, a: float, b: float) -> float:
-        return self._sim.rng.uniform(a, b)
-
-
 class KeyedFrameRNG:
     """Per-directed-link randomness: each link ``(src, dst)`` owns an
     independent stream seeded by ``f"link:{seed}:{src}:{dst}"``, and a
@@ -89,7 +77,8 @@ class KeyedFrameRNG:
         self.seed = seed
         self._streams: Dict[Tuple[int, int], random.Random] = {}
 
-    def _stream(self, src: int, dst: int) -> random.Random:
+    def stream(self, src: int, dst: int) -> random.Random:
+        """The RNG of directed link ``(src, dst)``, made on first use."""
         key = (src, dst)
         stream = self._streams.get(key)
         if stream is None:
@@ -97,12 +86,6 @@ class KeyedFrameRNG:
                 f"link:{self.seed}:{src}:{dst}"
             )
         return stream
-
-    def random(self, src: int, dst: int) -> float:
-        return self._stream(src, dst).random()
-
-    def uniform(self, src: int, dst: int, a: float, b: float) -> float:
-        return self._stream(src, dst).uniform(a, b)
 
 
 class Radio:
@@ -124,12 +107,11 @@ class Radio:
         if not 0.0 <= loss_rate < 1.0:
             raise NetworkError(f"loss rate {loss_rate} out of range")
         self.sim = sim
-        #: Where per-frame randomness comes from.  The default draws
-        #: from ``sim.rng`` in event order (byte-identical to the
-        #: historical inline draws); :class:`KeyedFrameRNG` switches to
-        #: order-independent per-link streams (the sharded engine's
-        #: discipline).
-        self.frame_rng = frame_rng if frame_rng is not None else SeqFrameRNG(sim)
+        #: Where per-frame randomness comes from.  ``None`` (the
+        #: default) draws from ``sim.rng`` in event order, read at each
+        #: frame; a :class:`KeyedFrameRNG` switches to order-independent
+        #: per-link streams (the sharded engine's discipline).
+        self.frame_rng: Optional[KeyedFrameRNG] = frame_rng
         self.metrics = metrics
         #: Energy of sending / hearing one frame, by its size.
         self.tx_energy = CostBySize(tx_cost)
@@ -195,8 +177,8 @@ class Radio:
         attempt: int = 0,
         detail: str = "",
     ) -> None:
-        # Nobody listening: build no RadioEvent.  The two frame halves
-        # test this themselves before they call.
+        # Nobody listening: build no RadioEvent.  The frame halves,
+        # drops and acks test this themselves before they call.
         if not self.observers:
             return
         ev = RadioEvent(
@@ -405,16 +387,17 @@ class Radio:
         if self._down_links and (src_id, dst_id) in self._down_links:
             self._drop(src_id, dst_id, message, reason="link_down")
             return None  # severed link: nothing crosses the cut
-        lost = (
-            bool(self.loss_rate)
-            and self.frame_rng.random(src_id, dst_id) < self.loss_rate
+        # The frame's draws: loss (only on a lossy radio), then delay.
+        frame_rng = self.frame_rng
+        rng = (
+            self.sim.rng if frame_rng is None
+            else frame_rng.stream(src_id, dst_id)
         )
+        lost = bool(self.loss_rate) and rng.random() < self.loss_rate
         if lost and not self.collisions:
             self._drop(src_id, dst_id, message, reason="loss")
             return None
-        delay = self.delay_base + self.frame_rng.uniform(
-            src_id, dst_id, 0, self.delay_jitter
-        )
+        delay = self.delay_base + rng.uniform(0, self.delay_jitter)
         arrival = self.sim.now + delay
         link = (src_id, dst_id)
         previous = self._last_arrival.get(link)
@@ -466,4 +449,5 @@ class Radio:
     def _drop(self, src: int, dst: int, message: Message, reason: str = "") -> None:
         """One lost message: metrics and observers."""
         self.metrics.dropped += 1
-        self._emit("drop", src, dst, message, detail=reason)
+        if self.observers:
+            self._emit("drop", src, dst, message, detail=reason)

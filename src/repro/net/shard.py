@@ -34,8 +34,10 @@ event queue — across worker processes:
   side replays the transport's dedup/ack protocol byte-for-byte.
 
 * **Determinism.**  Workers use :class:`~repro.net.radio.KeyedFrameRNG`
-  (per-directed-link streams), so every stochastic frame decision is
-  independent of the global event interleaving.  Given (seed,
+  (per-directed-link streams): the radio's loss and delay draws and the
+  transport's timeout-jitter draw all come from
+  ``KeyedFrameRNG.stream(src, dst)``, so every stochastic frame
+  decision is independent of the global event interleaving.  Given (seed,
   shard_count) the run is deterministic; given nonzero delay jitter it
   is *differentially identical* — same result rows, same message /
   energy / transport counters — to the single-process simulator

@@ -30,12 +30,14 @@ horizon (all timeouts elapse, the last attempt flies); the radio's
 from __future__ import annotations
 
 import functools
+import heapq
 import inspect
 from collections import defaultdict
 from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
-from .messages import Message
+from . import messages as _messages
+from .messages import BYTES_PER_SYMBOL, HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from .radio import Radio
@@ -93,8 +95,17 @@ class AckMsg(Message):
 
     __slots__ = ("acked_src", "acked_msg_id")
 
+    #: One payload symbol: a class constant, not the per-read property.
+    size_bytes = HEADER_BYTES + BYTES_PER_SYMBOL
+
     def __init__(self, acked_src: int, acked_msg_id: int):
-        super().__init__(ACK, payload_symbols=1, category="ack")
+        # Message.__init__, written out: one ack per received frame.
+        self.kind = ACK
+        self.dst = None
+        self.payload_symbols = 1
+        self.category = "ack"
+        self.msg_id = next(_messages._msg_counter)
+        self.hops = 0
         self.acked_src = acked_src
         self.acked_msg_id = acked_msg_id
 
@@ -119,13 +130,17 @@ class _Transfer:
         self.on_status = on_status
 
 
+#: The derived initial ack timeout, in one-hop flight bounds.
+ACK_TIMEOUT_FLIGHTS = 2.5
+
+
 class TransportConfig:
     """Tuning knobs of the reliable layer.
 
-    ``ack_timeout`` is the initial retransmission timeout; ``None``
-    derives it from the radio's delay model (2.5x the one-hop bound:
-    a round trip plus processing slack).  Each retry multiplies the
-    timeout by ``backoff`` and adds up to ``timeout_jitter`` (a
+    ``ack_timeout`` is the initial retransmission timeout (> 0);
+    ``None`` derives it from the radio's delay model (2.5x the one-hop
+    bound: a round trip plus processing slack).  Each retry multiplies
+    the timeout by ``backoff`` and adds up to ``timeout_jitter`` (a
     fraction) of random slack to desynchronize competing senders.
     ``max_retries`` bounds retransmissions per frame (attempts are
     ``1 + max_retries``).
@@ -138,6 +153,11 @@ class TransportConfig:
         backoff: float = 2.0,
         timeout_jitter: float = 0.5,
     ):
+        if ack_timeout is not None and not ack_timeout > 0:
+            # Zero times out every attempt before its ack can come
+            # back; a negative timer would go onto the event heap in
+            # the past and run the clock backwards.
+            raise NetworkError(f"ack timeout {ack_timeout} must be > 0")
         if max_retries < 0:
             raise NetworkError(f"max_retries {max_retries} out of range")
         if backoff < 1.0:
@@ -154,7 +174,7 @@ class TransportConfig:
         bound when not set explicitly."""
         if self.ack_timeout is not None:
             return self.ack_timeout
-        return 2.5 * max_flight
+        return ACK_TIMEOUT_FLIGHTS * max_flight
 
     def retry_horizon(self, max_flight: float) -> float:
         """Worst-case sender-side wait: every timeout (with maximal
@@ -188,11 +208,6 @@ class ReliableTransport:
             del self._pending[key]
         self._seen.pop(node_id, None)
 
-    @property
-    def initial_timeout(self) -> float:
-        flight = self.radio.delay_base + self.radio.delay_jitter
-        return self.config.resolve_timeout(flight)
-
     # -- sender side -----------------------------------------------------
 
     def send(
@@ -203,41 +218,54 @@ class ReliableTransport:
         deliver: Callable[[Message], None],
         on_status: Optional[StatusCallback] = None,
     ) -> None:
+        # TransportConfig.resolve_timeout, written out: once per send,
+        # reading the radio's delays now (tests change them).
+        timeout = self.config.ack_timeout
+        if timeout is None:
+            radio = self.radio
+            flight = radio.delay_base + radio.delay_jitter
+            timeout = ACK_TIMEOUT_FLIGHTS * flight
         key = (src, dst, message.msg_id)
-        self._pending[key] = _Transfer(
-            self.initial_timeout, message, deliver, on_status
-        )
+        self._pending[key] = _Transfer(timeout, message, deliver, on_status)
         self._attempt(key)
 
     def _attempt(self, key) -> None:
         src, dst, _ = key
+        radio = self.radio
         state = self._pending[key]
         state.attempt += 1
         attempt = state.attempt
         if attempt > 1:
-            self.radio.metrics.retries += 1
-            self.radio._emit("retry", src, dst, state.message, attempt=attempt)
+            radio.metrics.retries += 1
+            radio._emit("retry", src, dst, state.message, attempt=attempt)
         # Partials (not lambdas) throughout this state machine: pending
         # frames and retry timers live in the event queue, which shard
         # checkpoints pickle mid-run (see repro.net.checkpoint).
-        self.radio._send_frame(
+        radio._send_frame(
             src, dst, state.message,
             functools.partial(self._on_data, key, state.deliver),
         )
         # Exponential backoff with jitter: the timeout for the *next*
         # attempt grows even if this one succeeds (the timer just
-        # no-ops then).  The jitter draw goes through the radio's frame
-        # RNG so it follows the same randomness discipline as the frame
-        # itself (sequential by default, per-link-keyed when sharding).
+        # no-ops then).  The jitter is drawn after the frame's own
+        # draws, from the same source: ``sim.rng`` in event order, or
+        # the link's keyed stream when sharding.
+        frame_rng = radio.frame_rng
+        rng = (
+            radio.sim.rng if frame_rng is None else frame_rng.stream(src, dst)
+        )
         timeout = state.timeout * (
-            1.0 + self.radio.frame_rng.uniform(
-                src, dst, 0, self.config.timeout_jitter
-            )
+            1.0 + rng.uniform(0, self.config.timeout_jitter)
         )
         state.timeout *= self.config.backoff
-        self.radio.sim.schedule(
-            timeout, functools.partial(self._on_timeout, key)
-        )
+        # Simulator.schedule written out (TransportConfig keeps the
+        # timeout > 0, so the timer is never in the past): one timer
+        # event per attempt, under the next sequence number.
+        sim = radio.sim
+        seq = sim._seq = sim._seq + 1
+        heapq.heappush(sim._queue, (
+            sim.now + timeout, seq, functools.partial(self._on_timeout, key),
+        ))
 
     def _on_timeout(self, key) -> None:
         state = self._pending.get(key)
@@ -247,20 +275,21 @@ class ReliableTransport:
         if state.acked:
             del self._pending[key]
             return
-        if not self.radio.is_alive(src):
+        radio = self.radio
+        if src in radio.death_time:
             del self._pending[key]  # a dead sender retries nothing
             return
         if state.attempt >= 1 + self.config.max_retries:
             del self._pending[key]
-            self.radio.metrics.retry_exhausted += 1
+            radio.metrics.retry_exhausted += 1
             # Why did the budget run out?  A dead receiver is a
             # topology fault the routing layer can repair around; a
             # merely lossy link is not.  Upper layers key their
             # failure detectors on this distinction.
             reason = (
-                GIVE_UP_DEAD if not self.radio.is_alive(dst) else GIVE_UP_BUDGET
+                GIVE_UP_DEAD if dst in radio.death_time else GIVE_UP_BUDGET
             )
-            self.radio._emit(
+            radio._emit(
                 "give_up", src, dst, state.message, attempt=state.attempt,
                 detail=reason,
             )
@@ -301,8 +330,10 @@ class ReliableTransport:
         if state is None or state.acked:
             return  # duplicate ack, or transfer already concluded
         state.acked = True
-        self.radio.metrics.acks += 1
-        src, dst, _ = key
-        self.radio._emit("ack", src, dst, state.message, attempt=state.attempt)
+        radio = self.radio
+        radio.metrics.acks += 1
+        if radio.observers:
+            src, dst, _ = key
+            radio._emit("ack", src, dst, state.message, attempt=state.attempt)
         if state.on_status is not None:
             state.on_status("delivered")

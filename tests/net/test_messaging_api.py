@@ -8,6 +8,8 @@ The deprecated ``category=`` keyword on the send paths and the legacy
 the removal and the replacement paths.
 """
 
+import copy
+import pickle
 import warnings
 
 import pytest
@@ -38,6 +40,32 @@ class TestCategoryField:
     def test_envelope_inherits_inner_category(self):
         envelope = RoutedEnvelope(Message("ping", category="storage"), dst=3)
         assert envelope.category == "storage"
+
+
+class TestEnvelopeSize:
+    """An envelope fixes its size at construction; a pickled envelope
+    (shard checkpoints, border copies) carries the payload, not the
+    size, and derives the size again on load."""
+
+    def test_size_is_the_inner_payloads(self):
+        inner = Message("ping", payload_symbols=5)
+        assert RoutedEnvelope(inner, dst=3).size_bytes == inner.size_bytes
+
+    @pytest.mark.parametrize("clone", [
+        lambda env: pickle.loads(pickle.dumps(env)), copy.copy,
+    ])
+    def test_size_and_extras_survive_a_clone(self, clone):
+        envelope = RoutedEnvelope(Message("ping", payload_symbols=5), dst=3)
+        envelope.tag = "probe"
+        twin = clone(envelope)
+        assert twin.size_bytes == envelope.size_bytes == 28
+        assert (twin.dst, twin.payload_symbols, twin.tag) == (3, 5, "probe")
+
+    def test_pickled_state_leaves_the_size_out(self):
+        envelope = RoutedEnvelope(Message("ping", payload_symbols=5), dst=3)
+        _, slots = envelope.__getstate__()
+        assert "size_bytes" not in slots
+        assert slots["payload_symbols"] == 5
 
 
 class TestCategoryKwargRemoved:

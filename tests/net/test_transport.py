@@ -182,6 +182,15 @@ class TestBackoffAndGiveUp:
         with pytest.raises(NetworkError):
             TransportConfig(timeout_jitter=2.0)
 
+    @pytest.mark.parametrize("ack_timeout", [0.0, -0.05, float("nan")])
+    def test_non_positive_ack_timeout_rejected(self, ack_timeout):
+        # Rejected when configured, not at the first send: the timer
+        # goes straight onto the event heap, where a negative one would
+        # run the clock backwards and a zero one would time out every
+        # attempt before its ack could arrive.
+        with pytest.raises(NetworkError, match="ack timeout"):
+            TransportConfig(ack_timeout=ack_timeout)
+
     def test_retry_horizon_widens_hop_delay(self):
         unreliable = GridNetwork(2, 1)
         reliable = GridNetwork(2, 1, reliable=True)
