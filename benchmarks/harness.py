@@ -122,12 +122,7 @@ def run_trials(
     fn: Callable[..., Any],
     trials: Sequence[Dict],
     parallel: Optional[int] = None,
-    shards: Optional[int] = None,
     telemetry_name: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    heartbeat_timeout: Optional[float] = None,
-    max_restarts: Optional[int] = None,
-    checkpoint: Optional[str] = None,
 ) -> List[Any]:
     """Run ``fn(**trial)`` for each trial dict, in trial order.
 
@@ -140,16 +135,8 @@ def run_trials(
       identical to a serial one as long as ``fn`` is deterministic in
       its arguments (every bench trial seeds its own RNGs, so this
       holds by construction).  ``fn`` must be picklable (module-level).
-    * ``shards=k`` is merged into every trial dict as ``shards=k`` —
-      the trial function forwards it to :func:`repro.net.shard.run`,
-      so one flag switches a whole bench between the single-process
-      and the sharded engine.
-    * ``checkpoint_every=`` / ``heartbeat_timeout=`` / ``max_restarts=``
-      / ``checkpoint=`` are merged into the trial dicts the same way —
-      the supervision knobs of :func:`repro.net.shard.run`, so a bench
-      can run its whole trial matrix under worker supervision with one
-      flag each.  Left at ``None``, nothing is merged and the trial
-      function's own defaults apply.
+      A trial may itself run a sharded engine
+      (:func:`repro.net.shard.run`): pool workers may fork.
 
     A trial that raises in a worker surfaces as :class:`TrialError` in
     the parent, carrying the failing trial's index, params (seed
@@ -158,16 +145,6 @@ def run_trials(
     and ``telemetry_name`` is given, each pool worker writes its own
     trace/metrics/manifest artifacts next to the results JSON at exit.
     """
-    merged = {
-        "shards": shards,
-        "checkpoint_every": checkpoint_every,
-        "heartbeat_timeout": heartbeat_timeout,
-        "max_restarts": max_restarts,
-        "checkpoint": checkpoint,
-    }
-    merged = {k: v for k, v in merged.items() if v is not None}
-    if merged:
-        trials = [dict(t, **merged) for t in trials]
     if parallel is None or parallel <= 1 or len(trials) <= 1:
         return [fn(**trial) for trial in trials]
     pool = _nestable_context().Pool(
@@ -190,8 +167,8 @@ def run_trials(
 
 def _nestable_context():
     """The platform's default multiprocessing context, with pool
-    workers made non-daemonic: a sharded trial
-    (``run_trials(parallel=..., shards=...)``) forks shard worker
+    workers made non-daemonic: a sharded trial (one calling
+    :func:`repro.net.shard.run` with ``shards=k``) forks shard worker
     processes of its own, and daemonic processes may not have
     children.  ``Pool`` force-sets ``daemon = True`` on every worker
     before starting it, so the override must live in the Process

@@ -33,7 +33,6 @@ from .eval import BottomUpEvaluator, Database, Relation, evaluate
 from .explain import explain
 from .optimizer import Statistics, optimize_program, optimize_rule
 from .parser import parse_atom, parse_program, parse_rule, parse_term
-from .topdown import TopDownEvaluator, top_down_query
 from .safety import check_program_safety, check_rule_safety
 from .stratify import (
     Analysis,
@@ -59,7 +58,7 @@ from .terms import (
     term_size,
     to_term,
 )
-from .unify import match, match_sequences, unify, unify_sequences
+from .unify import match, match_sequences, unify
 
 __all__ = [
     "AggregateSpec", "Atom", "BuiltinLiteral", "Literal", "Program",
@@ -70,7 +69,7 @@ __all__ = [
     "PlanError", "ProgramError", "ReproError", "SafetyError",
     "StratificationError", "explain",
     "Statistics", "optimize_program",
-    "optimize_rule", "TopDownEvaluator", "top_down_query",
+    "optimize_rule",
     "BottomUpEvaluator", "Database", "Relation", "evaluate", "parse_atom",
     "parse_program", "parse_rule",
     "parse_term", "check_program_safety", "check_rule_safety", "Analysis",
@@ -78,5 +77,5 @@ __all__ = [
     "find_xy_stratification", "is_recursive", "recursive_components",
     "stratify", "Constant", "FunctionTerm", "NIL", "Substitution", "Term",
     "Variable", "is_list_term", "list_elements", "make_list", "term_size",
-    "to_term", "match", "match_sequences", "unify", "unify_sequences",
+    "to_term", "match", "match_sequences", "unify",
 ]

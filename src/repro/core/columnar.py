@@ -55,14 +55,19 @@ MAX_EXACT_INT = 2 ** 53
 SMALL_INT = 2 ** 25
 
 
+#: Rows of numeric metadata an :class:`Interner` allocates up front
+#: (``_grow`` doubles them as ids run past).
+INITIAL_CAPACITY = 1024
+
+
 class Interner:
     """Bidirectional Term <-> dense-id table with numeric metadata."""
 
-    def __init__(self, initial_capacity: int = 1024):
+    def __init__(self):
         self._ids: Dict[Term, int] = {}
         self._terms: List[Term] = []
-        self._nums = np.zeros(initial_capacity, dtype=np.float64)
-        self._flags = np.zeros(initial_capacity, dtype=np.uint8)
+        self._nums = np.zeros(INITIAL_CAPACITY, dtype=np.float64)
+        self._flags = np.zeros(INITIAL_CAPACITY, dtype=np.uint8)
         #: numeric payload -> id of the first term interned with it;
         #: lets the kernels wrap computed numbers back into ids without
         #: building Constant objects per row.

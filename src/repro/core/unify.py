@@ -2,8 +2,8 @@
 
 The bottom-up evaluator only ever matches a *pattern* (a rule subgoal,
 possibly with variables) against *ground* stored tuples — the
-"term-matching operator" of Section IV-C — but full unification is also
-provided for completeness (magic sets and tests use it).
+"term-matching operator" of Section IV-C; full unification serves the
+``=`` built-in, whose sides may both carry unbound variables.
 """
 
 from __future__ import annotations
@@ -77,24 +77,6 @@ def _unify_into(t1: Term, t2: Term, subst: Substitution, occurs_check: bool) -> 
             for a1, a2 in zip(t1.args, t2.args)
         )
     return False
-
-
-def unify_sequences(
-    seq1: Sequence[Term],
-    seq2: Sequence[Term],
-    subst: Optional[Substitution] = None,
-    occurs_check: bool = False,
-) -> Optional[Substitution]:
-    """Unify two equal-length term sequences (e.g. atom argument lists)."""
-    if len(seq1) != len(seq2):
-        return None
-    if subst is None:
-        subst = Substitution()
-    result = Substitution(subst)
-    for a, b in zip(seq1, seq2):
-        if not _unify_into(a, b, result, occurs_check):
-            return None
-    return result
 
 
 def match(pattern: Term, ground: Term, subst: Optional[Substitution] = None) -> Optional[Substitution]:

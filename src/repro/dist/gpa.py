@@ -107,22 +107,22 @@ class Partial:
 
 
 class Candidate:
-    """A complete positive join awaiting negation checks along the path."""
+    """A complete positive join awaiting negation checks along the path:
+    a derivation to add once no blocker is found (a subtraction needs
+    no check and is emitted at once)."""
 
-    __slots__ = ("head_args", "derivation", "neg_patterns", "result_op", "_size")
+    __slots__ = ("head_args", "derivation", "neg_patterns", "_size")
 
     def __init__(
         self,
         head_args: ArgsTuple,
         derivation: WireDerivation,
         neg_patterns: List[Tuple[str, tuple]],
-        result_op: str,
     ):
         self.head_args = head_args
         self.derivation = derivation
         #: (predicate, probe) per negated subgoal, see repro.dist.plans.
         self.neg_patterns = neg_patterns
-        self.result_op = result_op
         self._size = sum(term_size(a) for a in head_args) + derivation.size()
 
     def size(self) -> int:
@@ -691,7 +691,7 @@ class GPAEngine:
         rp = self.plan.by_id[token.rule_id]
         for cand in token.candidates:
             self._emit(node, rp.head.predicate, cand.head_args, cand.derivation,
-                       cand.result_op, token.stamp(self.window_params.join_delay),
+                       "add", token.stamp(self.window_params.join_delay),
                        rp.width)
         token.candidates = []
         token.partials = []
@@ -1111,7 +1111,7 @@ class GPAEngine:
             # must pass every negated subgoal along the region — for a
             # deleted blocker including the trigger's own stream, minus
             # the deleted tuple (exclude_id).
-            cand = Candidate(head_args, derivation, neg_patterns, "add")
+            cand = Candidate(head_args, derivation, neg_patterns)
             if not self._blocked_here(runtime, token, cand):
                 token.candidates.append(cand)
             return

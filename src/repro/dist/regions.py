@@ -128,7 +128,7 @@ class PerpendicularRegions(RegionStrategy):
 class VirtualGridRegions(RegionStrategy):
     """GPA on arbitrary topologies via rank-based virtual rows/columns.
 
-    Nodes are sorted by y and split into ``rows`` chunks of (almost)
+    Nodes are sorted by y and split into round(√n) chunks of (almost)
     equal size; each row is ordered by x.  Column *i* consists of the
     i-th node of every row (modulo the row's length), so every row
     intersects every column.  Paths between consecutive members are
@@ -140,7 +140,6 @@ class VirtualGridRegions(RegionStrategy):
     def __init__(
         self,
         network: SensorNetwork,
-        rows: Optional[int] = None,
         leg_bound: Optional[int] = None,
     ):
         super().__init__(network)
@@ -155,7 +154,7 @@ class VirtualGridRegions(RegionStrategy):
         self._leg_bound = leg_bound
         ids = network.topology.node_ids
         n = len(ids)
-        self.n_rows = rows or max(1, round(math.sqrt(n)))
+        self.n_rows = max(1, round(math.sqrt(n)))
         by_y = sorted(ids, key=lambda i: (network.topology.position(i)[1], i))
         base, extra = divmod(n, self.n_rows)
         self.rows: List[List[int]] = []

@@ -23,7 +23,6 @@ from .topology import (
     Topology,
     topology_from_edges,
 )
-from .trace import TraceEvent, Tracer
 from .visual import heatmap, load_heatmap
 
 __all__ = [
@@ -34,6 +33,6 @@ __all__ = [
     "Node", "RoutedEnvelope", "Radio", "Router", "LocalClock", "Simulator",
     "AckMsg", "ReliableTransport", "TransportConfig",
     "GridTopology", "Position", "RandomGeometricTopology", "Topology",
-    "topology_from_edges", "TraceEvent", "Tracer", "heatmap",
+    "topology_from_edges", "heatmap",
     "load_heatmap",
 ]

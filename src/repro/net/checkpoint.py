@@ -52,11 +52,9 @@ fingerprint tests in ``tests/net/test_shard_recovery.py``.
 from __future__ import annotations
 
 import io
-import os
 import pickle
-import tempfile
 import time
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
 from ..obs import instrument as _inst
@@ -137,56 +135,3 @@ def restore(blob: bytes, topology: "Topology") -> "ShardWorker":
     for owner in (worker.network.metrics, worker.network.radio, worker.engine):
         _inst.own(owner)
     return worker
-
-
-class CheckpointStore:
-    """Coordinator-side storage for the latest snapshot of each shard.
-
-    ``mode="memory"`` (default) keeps blobs in the coordinator's heap;
-    ``mode="disk"`` spills them to one file per shard (overwritten in
-    place each cadence) under ``directory`` — or a self-cleaning
-    temporary directory when none is given — so long runs with large
-    per-shard state don't hold every snapshot resident.
-    """
-
-    MODES = ("memory", "disk")
-
-    def __init__(self, mode: str = "memory", directory: Optional[str] = None):
-        if mode not in self.MODES:
-            raise CheckpointError(
-                f"unknown checkpoint mode {mode!r} (have {self.MODES})"
-            )
-        self.mode = mode
-        self._blobs: Dict[int, bytes] = {}
-        self._paths: Dict[int, str] = {}
-        self._directory = directory
-        self._tempdir: Optional[tempfile.TemporaryDirectory] = None
-        if mode == "disk" and directory is None:
-            self._tempdir = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-            self._directory = self._tempdir.name
-
-    def save(self, shard: int, blob: bytes) -> None:
-        if self.mode == "memory":
-            self._blobs[shard] = blob
-            return
-        path = os.path.join(self._directory, f"checkpoint.shard{shard}.pkl")
-        with open(path, "wb") as f:
-            f.write(blob)
-        self._paths[shard] = path
-
-    def load(self, shard: int) -> Optional[bytes]:
-        """The shard's latest snapshot, or None if none was captured."""
-        if self.mode == "memory":
-            return self._blobs.get(shard)
-        path = self._paths.get(shard)
-        if path is None:
-            return None
-        with open(path, "rb") as f:
-            return f.read()
-
-    def close(self) -> None:
-        self._blobs.clear()
-        self._paths.clear()
-        if self._tempdir is not None:
-            self._tempdir.cleanup()
-            self._tempdir = None

@@ -3,9 +3,9 @@
 Every radio-layer occurrence — physical (``tx``/``rx``/``drop``/
 ``collision``) and transport-level (``ack``/``retry``/``dup``/
 ``give_up``) — is published as one typed :class:`RadioEvent` to every
-subscribed observer — built only when there is one.  The tracer
-(:mod:`repro.net.trace`) is a plain observer; new consumers subscribe
-with :meth:`Radio.subscribe` instead of growing yet another hook.
+subscribed observer — built only when there is one.  Every consumer
+(a test recording frames, a fault watcher) subscribes with
+:meth:`Radio.subscribe` instead of growing yet another hook.
 Telemetry catches up from the radio's own counts instead.  (The
 legacy ``Radio.listeners`` 5-tuple shim that predated this protocol
 has been removed — see DESIGN.md, "messaging v2".)

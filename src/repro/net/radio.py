@@ -27,8 +27,8 @@ Two delivery modes:
   (E18).
 
 All radio-layer occurrences are published as typed
-:class:`~repro.net.events.RadioEvent`\\ s to subscribed observers (the
-tracer is one), none when nobody is; telemetry catches up from the
+:class:`~repro.net.events.RadioEvent`\\ s to subscribed observers,
+none when nobody is; telemetry catches up from the
 layer's own counts.  The legacy
 ``listeners`` 5-tuple hook and the ``category=`` send keyword were
 removed after their deprecation cycle (see DESIGN.md, "messaging v2").

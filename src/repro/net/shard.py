@@ -186,17 +186,15 @@ class SupervisionPolicy:
     wall-clock seconds mid-window; hung workers are SIGKILLed and
     treated as crashed.  ``max_restarts`` bounds *per-shard* restarts;
     0 means any death is fatal (reported with the worker's exit code /
-    signal name).  ``checkpoint`` selects snapshot storage: "memory"
-    keeps blobs in the coordinator's heap, "disk" spills one file per
-    shard (to the spec's telemetry dir, or a temp dir).  With
-    ``max_restarts>0`` but ``checkpoint_every=0`` recovery still
-    works — the replacement replays from window 0 (full re-run).
+    signal name).  The coordinator keeps each shard's latest snapshot
+    in its own heap.  With ``max_restarts>0`` but
+    ``checkpoint_every=0`` recovery still works — the replacement
+    replays from window 0 (full re-run).
     """
 
     checkpoint_every: int = 0
     heartbeat_timeout: Optional[float] = None
     max_restarts: int = 0
-    checkpoint: str = "memory"
 
     def __post_init__(self):
         if self.checkpoint_every < 0:
@@ -208,11 +206,6 @@ class SupervisionPolicy:
         if self.heartbeat_timeout is not None and self.heartbeat_timeout <= 0:
             raise ShardError(
                 f"heartbeat_timeout {self.heartbeat_timeout} must be > 0"
-            )
-        if self.checkpoint not in _checkpoint.CheckpointStore.MODES:
-            raise ShardError(
-                f"unknown checkpoint mode {self.checkpoint!r} "
-                f"(have {_checkpoint.CheckpointStore.MODES})"
             )
 
     @property
@@ -946,9 +939,8 @@ class _Supervisor:
         #: Log retention is pointless when no restart may consume it.
         self.retain = policy.max_restarts > 0
         self.logs: List[List[tuple]] = [[] for _ in range(n)]
-        self.store = _checkpoint.CheckpointStore(
-            policy.checkpoint, directory=spec.telemetry_dir
-        )
+        #: shard -> its latest snapshot blob (absent until the first).
+        self.blobs: Dict[int, bytes] = {}
         self.restarts = [0] * n
         #: Kills at windows <= this floor never re-arm on a
         #: replacement — they already fired (or their window passed),
@@ -966,7 +958,7 @@ class _Supervisor:
     # -- spawning ---------------------------------------------------------
 
     def _spawn(self, shard: int):
-        restore = self.store.load(shard)
+        restore = self.blobs.get(shard)
         kills = [
             w for w in self.kill_plan.get(shard, ())
             if w > self.kill_floor[shard]
@@ -1042,7 +1034,7 @@ class _Supervisor:
     def _checkpoint_all(self) -> None:
         for shard in range(len(self.handles)):
             blob, seconds = self._call(shard, ("checkpoint",))
-            self.store.save(shard, blob)
+            self.blobs[shard] = blob
             self.logs[shard] = []
             self.checkpoints += 1
             self.checkpoint_bytes += len(blob)
@@ -1135,7 +1127,6 @@ class _Supervisor:
         for handle in self.handles:
             if handle is not None:
                 handle.close()
-        self.store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1297,7 +1288,6 @@ def run(
     checkpoint_every: int = 0,
     heartbeat_timeout: Optional[float] = None,
     max_restarts: int = 0,
-    checkpoint: str = "memory",
     faults: Optional[FaultSchedule] = None,
 ) -> ShardRunReport:
     """Execute a workload spec and return its merged run report.
@@ -1315,8 +1305,8 @@ def run(
 
     Supervision knobs (sharded runs; all default off — see
     :class:`SupervisionPolicy`): ``checkpoint_every=k`` snapshots every
-    worker at every k-th window barrier, to ``checkpoint="memory"`` or
-    ``"disk"``; ``max_restarts=r`` restarts a crashed or hung worker
+    worker at every k-th window barrier, kept in the coordinator's
+    memory; ``max_restarts=r`` restarts a crashed or hung worker
     from its last checkpoint up to ``r`` times per shard, replaying
     the missed windows deterministically (the recovered run's
     fingerprint equals a fault-free run's); ``heartbeat_timeout=s``
@@ -1342,7 +1332,6 @@ def run(
         checkpoint_every=checkpoint_every,
         heartbeat_timeout=heartbeat_timeout,
         max_restarts=max_restarts,
-        checkpoint=checkpoint,
     )
     kill_plan = _resolve_kill_plan(faults, shards)
     assignment, groups = partition_topology(topology, shards)

@@ -346,11 +346,16 @@ def unit_disk_edges_brute(
             if _dist(positions[i], positions[j]) <= radius]
 
 
+#: Deployments a :class:`RandomGeometricTopology` draws before it
+#: settles for the last draw's giant component.
+MAX_TRIES = 25
+
+
 class RandomGeometricTopology(Topology):
     """Unit-disk graph over uniformly random points in a square.
 
     Retries deployments until the graph is connected (or takes the
-    giant component of the last attempt after ``max_tries``),
+    giant component of the last attempt after ``MAX_TRIES``),
     mimicking a realistic random sensor deployment.
 
     Determinism: attempt 0 draws its points from ``Random(seed)``
@@ -371,15 +376,12 @@ class RandomGeometricTopology(Topology):
         radius: float,
         side: float = 10.0,
         seed: int = 0,
-        max_tries: int = 25,
         edge_method: str = "grid",
     ):
         if edge_method not in ("grid", "brute"):
             raise NetworkError(f"unknown edge_method {edge_method!r}")
-        if max_tries < 1:
-            raise NetworkError(f"max_tries {max_tries} must be >= 1")
         self.side, self.radius = side, radius
-        for attempt in range(max_tries):
+        for attempt in range(MAX_TRIES):
             rng = random.Random(seed) if attempt == 0 else random.Random(f"{seed}:{attempt}")
             pts = {i: (rng.uniform(0, side), rng.uniform(0, side)) for i in range(n)}
             if edge_method == "grid":

@@ -13,7 +13,9 @@ bounded-delivery assumption — with a larger bound — on lossy links:
 * the receiver suppresses duplicates keyed on ``(sender, msg_id)``, so
   a retransmitted tuple can never be delivered — and hence derived —
   twice (the set-of-derivations argument of Section IV-A assumes
-  at-most-once delivery per hop);
+  at-most-once delivery per hop); it remembers a frame for one retry
+  horizon plus one flight after its first receipt, after which no
+  retransmission of it can arrive;
 * ack frames are real traffic: they pay radio energy, are themselves
   subject to loss and collisions, and respect the FIFO-link model
   (which is why a lost ack causes a retransmission the dedup layer
@@ -33,7 +35,7 @@ import functools
 import heapq
 import inspect
 from collections import defaultdict
-from typing import Callable, Dict, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..core.errors import NetworkError
 from . import messages as _messages
@@ -130,60 +132,33 @@ class _Transfer:
         self.on_status = on_status
 
 
-#: The derived initial ack timeout, in one-hop flight bounds.
+#: The initial ack timeout, in one-hop flight bounds (a round trip
+#: plus processing slack), derived from the radio's delay model.
 ACK_TIMEOUT_FLIGHTS = 2.5
+#: Each retry multiplies the timeout by this factor ...
+BACKOFF = 2.0
+#: ... and adds up to this fraction of it as random slack, to
+#: desynchronize competing senders.
+TIMEOUT_JITTER = 0.5
 
 
 class TransportConfig:
-    """Tuning knobs of the reliable layer.
+    """The reliable layer's retry budget: ``max_retries`` bounds
+    retransmissions per frame (attempts are ``1 + max_retries``)."""
 
-    ``ack_timeout`` is the initial retransmission timeout (> 0);
-    ``None`` derives it from the radio's delay model (2.5x the one-hop
-    bound: a round trip plus processing slack).  Each retry multiplies
-    the timeout by ``backoff`` and adds up to ``timeout_jitter`` (a
-    fraction) of random slack to desynchronize competing senders.
-    ``max_retries`` bounds retransmissions per frame (attempts are
-    ``1 + max_retries``).
-    """
-
-    def __init__(
-        self,
-        ack_timeout: Optional[float] = None,
-        max_retries: int = 5,
-        backoff: float = 2.0,
-        timeout_jitter: float = 0.5,
-    ):
-        if ack_timeout is not None and not ack_timeout > 0:
-            # Zero times out every attempt before its ack can come
-            # back; a negative timer would go onto the event heap in
-            # the past and run the clock backwards.
-            raise NetworkError(f"ack timeout {ack_timeout} must be > 0")
+    def __init__(self, max_retries: int = 5):
         if max_retries < 0:
             raise NetworkError(f"max_retries {max_retries} out of range")
-        if backoff < 1.0:
-            raise NetworkError(f"backoff factor {backoff} must be >= 1")
-        if not 0.0 <= timeout_jitter <= 1.0:
-            raise NetworkError(f"timeout jitter {timeout_jitter} out of range")
-        self.ack_timeout = ack_timeout
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout_jitter = timeout_jitter
-
-    def resolve_timeout(self, max_flight: float) -> float:
-        """The initial ack timeout, derived from the one-hop flight
-        bound when not set explicitly."""
-        if self.ack_timeout is not None:
-            return self.ack_timeout
-        return ACK_TIMEOUT_FLIGHTS * max_flight
 
     def retry_horizon(self, max_flight: float) -> float:
         """Worst-case sender-side wait: every timeout (with maximal
         jitter) elapses before the final attempt's frame flies."""
-        timeout = self.resolve_timeout(max_flight)
+        timeout = ACK_TIMEOUT_FLIGHTS * max_flight
         total = 0.0
         for _ in range(self.max_retries):
-            total += timeout * (1.0 + self.timeout_jitter)
-            timeout *= self.backoff
+            total += timeout * (1.0 + TIMEOUT_JITTER)
+            timeout *= BACKOFF
         return total
 
 
@@ -193,8 +168,11 @@ class ReliableTransport:
     def __init__(self, radio: "Radio", config: TransportConfig):
         self.radio = radio
         self.config = config
-        #: receiver node -> {(sender, msg_id)} frames already delivered.
-        self._seen: Dict[int, Set[Tuple[int, int]]] = defaultdict(set)
+        #: receiver node -> {(sender, msg_id): first receipt time} of
+        #: the frames it delivered, kept until ``_prune`` drops them.
+        self._seen: Dict[int, Dict[Tuple[int, int], float]] = defaultdict(dict)
+        #: Simulated time of the next ``_prune``.
+        self._prune_at = 0.0
         #: (src, dst, msg_id) -> in-flight transfer state.
         self._pending: Dict[Tuple[int, int, int], _Transfer] = {}
 
@@ -218,13 +196,10 @@ class ReliableTransport:
         deliver: Callable[[Message], None],
         on_status: Optional[StatusCallback] = None,
     ) -> None:
-        # TransportConfig.resolve_timeout, written out: once per send,
-        # reading the radio's delays now (tests change them).
-        timeout = self.config.ack_timeout
-        if timeout is None:
-            radio = self.radio
-            flight = radio.delay_base + radio.delay_jitter
-            timeout = ACK_TIMEOUT_FLIGHTS * flight
+        # Once per send, reading the radio's delays now (tests change
+        # them).
+        radio = self.radio
+        timeout = ACK_TIMEOUT_FLIGHTS * (radio.delay_base + radio.delay_jitter)
         key = (src, dst, message.msg_id)
         self._pending[key] = _Transfer(timeout, message, deliver, on_status)
         self._attempt(key)
@@ -254,13 +229,11 @@ class ReliableTransport:
         rng = (
             radio.sim.rng if frame_rng is None else frame_rng.stream(src, dst)
         )
-        timeout = state.timeout * (
-            1.0 + rng.uniform(0, self.config.timeout_jitter)
-        )
-        state.timeout *= self.config.backoff
-        # Simulator.schedule written out (TransportConfig keeps the
-        # timeout > 0, so the timer is never in the past): one timer
-        # event per attempt, under the next sequence number.
+        timeout = state.timeout * (1.0 + rng.uniform(0, TIMEOUT_JITTER))
+        state.timeout *= BACKOFF
+        # Simulator.schedule written out (the timeout is >= 0, so the
+        # timer is never in the past): one timer event per attempt,
+        # under the next sequence number.
         sim = radio.sim
         seq = sim._seq = sim._seq + 1
         heapq.heappush(sim._queue, (
@@ -307,11 +280,14 @@ class ReliableTransport:
         (``message`` is last so the send path can bind everything else
         in a partial and let the radio supply the frame.)"""
         src, dst, _ = key
+        now = self.radio.sim.now
+        if now >= self._prune_at:
+            self._prune(now)
         dedup_key = (src, message.msg_id)
         seen = self._seen[dst]
         fresh = dedup_key not in seen
         if fresh:
-            seen.add(dedup_key)
+            seen[dedup_key] = now
         else:
             # Retransmission of an already-delivered frame (its ack was
             # lost): suppress, but re-ack so the sender can stop.
@@ -323,6 +299,19 @@ class ReliableTransport:
         )
         if fresh:
             deliver(message)
+
+    def _prune(self, now: float) -> None:
+        """Forget every frame first received more than one retry
+        horizon plus one flight ago (under the radio's delays now): its
+        sender's last attempt has landed by then, so no duplicate of it
+        can still arrive.  Runs at most once per such span, so the
+        memory holds the receipts of the last one to two spans."""
+        flight = self.radio.max_flight_delay
+        span = flight + self.config.retry_horizon(flight)
+        cutoff = now - span
+        for dst, seen in self._seen.items():
+            self._seen[dst] = {k: t for k, t in seen.items() if t > cutoff}
+        self._prune_at = now + span
 
     def _on_ack(self, key, _frame=None) -> None:
         """An ack physically arrived back at the original sender."""

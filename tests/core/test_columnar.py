@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import columnar
 from repro.core.builtins import BuiltinRegistry
 from repro.core.columnar import (
     F_FN,
@@ -41,8 +42,9 @@ def const_tuple(values):
 
 
 class TestInterner:
-    def test_ids_are_dense_and_stable(self):
-        interner = Interner(initial_capacity=2)
+    def test_ids_are_dense_and_stable(self, monkeypatch):
+        monkeypatch.setattr(columnar, "INITIAL_CAPACITY", 2)
+        interner = Interner()
         terms = [Constant(v) for v in ("a", "b", 1, 2.5, "c")]
         ids = [interner.intern(t) for t in terms]
         assert ids == list(range(5))  # dense, insertion-ordered
@@ -114,11 +116,23 @@ class TestInterner:
         out = GLOBAL_INTERNER.normalize_ids(ids, BuiltinRegistry())
         assert out is ids  # no F_FN ids: returned untouched
 
-    def test_grow_preserves_metadata(self):
-        interner = Interner(initial_capacity=1)
+    def test_grow_preserves_metadata(self, monkeypatch):
+        monkeypatch.setattr(columnar, "INITIAL_CAPACITY", 1)
+        interner = Interner()
         ids = [interner.intern(Constant(v)) for v in range(40)]
         nums = interner.nums_of(np.array(ids))
         assert nums.tolist() == [float(v) for v in range(40)]
+
+    def test_grow_preserves_flags(self, monkeypatch):
+        monkeypatch.setattr(columnar, "INITIAL_CAPACITY", 1)
+        interner = Interner()
+        terms = [Constant(3), Constant(2.5), Constant("a"),
+                 FunctionTerm("f", (Constant(1),)), Constant(2 ** 40)]
+        ids = np.array([interner.intern(t) for t in terms])
+        assert len(interner._nums) >= len(terms)  # grew from one row
+        assert interner.flags_of(ids).tolist() == [
+            F_NUM | F_INT | F_SMALL, F_NUM | F_SMALL, 0, F_FN, F_NUM | F_INT,
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.terms import Constant, FunctionTerm, Substitution, Variable, make_list
-from repro.core.unify import match, match_sequences, unify, unify_sequences
+from repro.core.unify import match, match_sequences, unify
 
 
 def X():
@@ -68,16 +68,6 @@ class TestUnify:
         assert unify(X(), Constant(1), base) is not None
 
 
-class TestUnifySequences:
-    def test_length_mismatch(self):
-        assert unify_sequences([X()], [Constant(1), Constant(2)]) is None
-
-    def test_binds_across_positions(self):
-        result = unify_sequences([X(), X()], [Variable("Y"), Constant(3)])
-        assert result is not None
-        assert X().substitute(result) == Constant(3)
-
-
 class TestMatch:
     def test_binds_pattern_variable(self):
         result = match(X(), Constant(7))
@@ -111,6 +101,20 @@ class TestMatch:
 
     def test_match_sequences_length(self):
         assert match_sequences([X()], []) is None
+
+    def test_match_sequences_binds_across_positions(self):
+        # A variable bound at one position must match at the next (an
+        # atom's argument list: p(X, X)).
+        assert match_sequences([X(), X()], [Constant(1), Constant(2)]) is None
+        result = match_sequences([X(), X()], [Constant(3), Constant(3)])
+        assert result is not None and result[X()] == Constant(3)
+
+    def test_match_sequences_extends_without_mutating(self):
+        base = Substitution({X(): Constant(1)})
+        assert match_sequences([X()], [Constant(2)], base) is None
+        result = match_sequences([Variable("Y")], [Constant(2)], base)
+        assert result[X()] == Constant(1) and result[Variable("Y")] == Constant(2)
+        assert base == Substitution({X(): Constant(1)})
 
 
 # ---------------------------------------------------------------------------

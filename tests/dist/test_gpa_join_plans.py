@@ -110,15 +110,15 @@ def reference_complete(engine, runtime, rp, token, partial, node):
             if token.op == "ins":
                 engine._emit(node, rp.head.predicate, head_args, derivation, "sub", stamp)
                 continue
-            cand = Candidate(head_args, derivation, neg_patterns, "add")
+            cand = Candidate(head_args, derivation, neg_patterns)
             if reference_blocked(runtime, token, cand):
                 continue
             token.candidates.append(cand)
         elif rp.has_negation:
-            cand = Candidate(head_args, derivation, neg_patterns, result_op)
             if result_op == "sub":
                 engine._emit(node, rp.head.predicate, head_args, derivation, "sub", stamp)
                 continue
+            cand = Candidate(head_args, derivation, neg_patterns)
             if reference_blocked(runtime, token, cand):
                 continue
             token.candidates.append(cand)

@@ -20,7 +20,6 @@ from repro.core.parser import parse_program
 from repro.dist.gpa import GPAEngine
 from repro.net import messages as _messages
 from repro.net.network import GridNetwork
-from repro.net.trace import Tracer
 from repro.serve import QueryServer
 
 JOIN2 = "j(K, A, B) :- r(K, A), s(K, B)."
@@ -36,29 +35,29 @@ def oracle_rows(program, facts, pred="j"):
 
 
 def trace(net):
-    """A Tracer plus the phase kind under each routed envelope (the
-    tracer itself only sees ``__routed__``)."""
-    tracer = Tracer(net).attach()
-    inner = []
-    net.radio.subscribe(
-        lambda ev: inner.append(getattr(ev.message, "inner", ev.message).kind)
-    )
-    return tracer, inner, next(_messages._msg_counter)
+    """Record each radio event as it happens: its kind, endpoints, the
+    frame's kind and the phase kind under a routed envelope (the frame
+    itself is ``__routed__``), size and msg id."""
+    events = []
+    net.radio.subscribe(lambda ev: events.append((
+        ev.event, ev.src, ev.dst, ev.message.kind,
+        getattr(ev.message, "inner", ev.message).kind, ev.size_bytes,
+        ev.message.msg_id,
+    )))
+    return events, next(_messages._msg_counter)
 
 
 def digest(traced):
     """sha1 over the ordered ``(event, src, dst, kind, size)`` records
     and each frame's msg id (relative to the counter when tracing began:
     the order in which the run drew its ids)."""
-    tracer, inner, base = traced
-    assert not tracer.truncated and len(inner) == len(tracer.events)
+    events, base = traced
     h = hashlib.sha1()
-    for ev, kind in zip(tracer.events, inner):
+    for event, src, dst, kind, inner, size, msg_id in events:
         h.update(repr((
-            ev.event, ev.src, ev.dst, ev.msg_kind, kind, ev.size_bytes,
-            ev.msg_id - base,
+            event, src, dst, kind, inner, size, msg_id - base,
         )).encode())
-    return len(tracer.events), h.hexdigest()[:16]
+    return len(events), h.hexdigest()[:16]
 
 
 def kill_in_flight(net, victim, category):
@@ -192,7 +191,7 @@ class TestPinnedRounds:
             server.submit(tenant, pubs)
         server.run()
         assert server.placer.moves  # migrate_derived ran
-        kinds = set(traced[1])
+        kinds = {record[4] for record in traced[0]}  # the phase kinds
         assert kinds and all(
             k.endswith(("@acme", "@bolt")) for k in kinds
         ), kinds

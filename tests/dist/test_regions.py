@@ -76,6 +76,16 @@ class TestVirtualGrid:
         net = GridNetwork(4)
         assert_gpa_invariant(VirtualGridRegions(net), net.topology.node_ids)
 
+    @pytest.mark.parametrize("n, rows", [(1, 1), (2, 1), (10, 3), (24, 5)])
+    def test_rows_are_the_rounded_square_root(self, n, rows):
+        # round(sqrt(n)) rows of sizes differing by at most one.
+        net = RandomNetwork(n, radius=6.0, seed=4)
+        vg = VirtualGridRegions(net)
+        assert len(net.topology) == n
+        assert vg.n_rows == len(vg.rows) == rows
+        sizes = [len(row) for row in vg.rows]
+        assert max(sizes) - min(sizes) <= 1 and sum(sizes) == n
+
     def test_rows_partition_nodes(self):
         net = RandomNetwork(20, radius=3.5, seed=4)
         vg = VirtualGridRegions(net)

@@ -126,7 +126,7 @@ class TestMessages:
         token.refresh_size()
         small = token.payload_symbols
         token.candidates.append(
-            Candidate((Constant(1),), WireDerivation(0, (ref(),)), [], "add")
+            Candidate((Constant(1),), WireDerivation(0, (ref(),)), [])
         )
         token.refresh_size()
         assert token.payload_symbols > small

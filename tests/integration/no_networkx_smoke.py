@@ -73,7 +73,7 @@ def main() -> None:
     net.run_all()
     assert tag.result == 16
 
-    topo = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
+    topo = RandomGeometricTopology(30, radius=0.8, seed=2)
     assert len(topo) < 30 and topo.diameter > 0  # the giant component
 
     assert "networkx" not in sys.modules, "networkx was imported"

@@ -1,4 +1,5 @@
-"""The unified benchmark trial runner: serial, parallel, sharded.
+"""The unified benchmark trial runner: serial and parallel, sharded
+trials included.
 
 Every bench trial is a module-level function fully determined by its
 arguments (each seeds its own RNGs), so fanning the grid across worker
@@ -27,10 +28,6 @@ def square_plus(x, offset):
 
 def maybe_none(x, offset):
     return None if (x + offset) % 3 == 0 else x + offset
-
-
-def shard_echo(x, shards=None):
-    return (x, shards)
 
 
 TRIALS = [dict(x=x, offset=o) for x in range(6) for o in (0, 1)]
@@ -62,19 +59,6 @@ def test_single_process_falls_back_to_serial():
 
 def test_single_trial_falls_back_to_serial():
     assert run_trials(square_plus, TRIALS[:1], parallel=4) == [0]
-
-
-def test_shards_knob_merged_into_trials():
-    trials = [dict(x=x) for x in range(4)]
-    assert run_trials(shard_echo, trials, shards=2) == [
-        (x, 2) for x in range(4)
-    ]
-    # ... serial and parallel alike, and without mutating the caller's
-    # trial dicts.
-    assert run_trials(shard_echo, trials, parallel=2, shards=4) == [
-        (x, 4) for x in range(4)
-    ]
-    assert trials == [dict(x=x) for x in range(4)]
 
 
 def test_unified_runner_emits_no_deprecation_warnings():
@@ -131,13 +115,6 @@ def test_worker_failure_carries_shard_id():
     assert "shards=None" in str(err)  # points at the serial repro
 
 
-def supervision_echo(x, shards=None, checkpoint_every=None,
-                     heartbeat_timeout=None, max_restarts=None,
-                     checkpoint=None):
-    return (x, shards, checkpoint_every, heartbeat_timeout, max_restarts,
-            checkpoint)
-
-
 def sharded_chaos_trial(m, kill_window, shards=None, max_restarts=0):
     """A real sharded run with an injected worker death and no restart
     budget — the worker's SIGKILL must surface through the pool."""
@@ -151,26 +128,13 @@ def sharded_chaos_trial(m, kill_window, shards=None, max_restarts=0):
                faults=faults).windows
 
 
-def test_supervision_knobs_merged_into_trials():
-    trials = [dict(x=x) for x in range(3)]
-    got = run_trials(supervision_echo, trials, shards=4, checkpoint_every=5,
-                     max_restarts=2, checkpoint="disk")
-    assert got == [(x, 4, 5, None, 2, "disk") for x in range(3)]
-    # Unset knobs are not merged at all: the trial function's own
-    # defaults stay in charge.
-    assert run_trials(supervision_echo, trials) == [
-        (x, None, None, None, None, None) for x in range(3)
-    ]
-    assert trials == [dict(x=x) for x in range(3)]
-
-
 def test_sharded_worker_death_surfaces_signal_in_trial_error():
     """Satellite pin (E25): an unclean shard-worker death inside a
     parallel trial reports the killing signal by name, plus the shard,
     through TrialError."""
-    trials = [dict(m=6, kill_window=3)] * 2
+    trials = [dict(m=6, kill_window=3, shards=2)] * 2
     with pytest.raises(TrialError) as excinfo:
-        run_trials(sharded_chaos_trial, trials, parallel=2, shards=2)
+        run_trials(sharded_chaos_trial, trials, parallel=2)
     err = excinfo.value
     assert err.shard == 1
     assert "SIGKILL" in str(err)

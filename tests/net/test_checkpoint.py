@@ -1,20 +1,13 @@
 """Shard checkpoints (repro.net.checkpoint): snapshot capture/restore,
-the worker's msg-id cursor as serve() scopes it, topology stub
-rebinding, and the coordinator's checkpoint store (E25's recovery
-substrate)."""
+the worker's msg-id cursor as serve() scopes it and topology stub
+rebinding (E25's recovery substrate)."""
 
 import io
-import os
 
 import pytest
 
 from repro.net import checkpoint, messages
-from repro.net.checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    capture,
-    restore,
-)
+from repro.net.checkpoint import CheckpointError, capture, restore
 from repro.net.messages import Message
 from repro.net.shard import ShardWorker, build_topology, serve
 from tests.net.test_shard import SPECS
@@ -159,32 +152,3 @@ class TestCaptureRestore:
                            b"shard-checkpoint:toxology")
         with pytest.raises(CheckpointError, match="persistent id"):
             restore(bad, topology)
-
-
-class TestCheckpointStore:
-    def test_memory_roundtrip(self):
-        store = CheckpointStore("memory")
-        assert store.load(0) is None
-        store.save(0, b"alpha")
-        store.save(0, b"beta")  # latest wins
-        assert store.load(0) == b"beta"
-        store.close()
-
-    def test_disk_roundtrip_in_directory(self, tmp_path):
-        store = CheckpointStore("disk", directory=str(tmp_path))
-        store.save(2, b"payload")
-        assert store.load(2) == b"payload"
-        assert (tmp_path / "checkpoint.shard2.pkl").exists()
-        store.close()
-
-    def test_disk_tempdir_self_cleans(self):
-        store = CheckpointStore("disk")
-        store.save(0, b"x")
-        directory = store._directory
-        assert os.path.isdir(directory)
-        store.close()
-        assert not os.path.exists(directory)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(CheckpointError, match="tape"):
-            CheckpointStore("tape")

@@ -14,6 +14,8 @@ import warnings
 
 import pytest
 
+from repro.core.parser import parse_program
+from repro.dist.gpa import GPAEngine
 from repro.net.events import RadioEvent
 from repro.net.messages import Message
 from repro.net.network import GridNetwork
@@ -131,3 +133,85 @@ class TestLegacyListenersRemoved:
         net.node(0).send(1, Message("ping"))
         net.run_all()
         assert seen == []
+
+
+class TestRadioEvents:
+    """What one ``radio.subscribe`` observer sees: one typed event per
+    occurrence, as it happens."""
+
+    @staticmethod
+    def record(net):
+        events = []
+        net.radio.subscribe(events.append)
+        return events
+
+    @classmethod
+    def join_round(cls):
+        """A two-stream join round on a 5x5 grid, recorded."""
+        net = GridNetwork(5, seed=2)
+        events = cls.record(net)
+        engine = GPAEngine(
+            parse_program("j(X, A, B) :- r(X, A), s(X, B)."),
+            net, strategy="pa",
+        ).install()
+        engine.publish(3, "r", (1, "a"))
+        engine.publish(12, "s", (1, "b"))
+        net.run_all()
+        return events
+
+    def test_one_hop_send_is_tx_then_rx(self):
+        net = quiet_net(4)
+        events = self.record(net)
+        net.node(0).send(1, Message("ping", category="test"))
+        net.run_all()
+        assert [(e.event, e.src, e.dst, e.category) for e in events] == [
+            ("tx", 0, 1, "test"), ("rx", 0, 1, "test"),
+        ]
+        assert events[0].time < events[1].time
+
+    def test_lost_frame_is_a_drop(self):
+        net = quiet_net(4, loss_rate=0.999, seed=1)
+        events = self.record(net)
+        net.node(0).send(1, Message("ping"))
+        net.run_all()
+        assert [e.event for e in events] == ["tx", "drop"]
+
+    def test_frames_carry_their_kind(self):
+        net = quiet_net(4)
+        net.node(1).register_handler("pong", lambda n, m: None)
+        events = self.record(net)
+        for kind in ("ping", "pong", "ping"):
+            net.node(0).send(1, Message(kind))
+        net.run_all()
+        sent = [e.message.kind for e in events if e.event == "tx"]
+        assert sent == ["ping", "pong", "ping"]
+
+    def test_every_unreliable_frame_ends_once(self):
+        # Without reliability or collisions a frame is sent, then either
+        # received or dropped: no other event, and no frame twice.
+        events = self.join_round()
+        ends = [(e.src, e.message.msg_id) for e in events if e.event != "tx"]
+        sent = [(e.src, e.message.msg_id) for e in events if e.event == "tx"]
+        assert {e.event for e in events} <= {"tx", "rx", "drop"}
+        assert sorted(ends) == sorted(sent)
+        assert len(set(sent)) == len(sent)
+
+    def test_storage_phase_frames_are_categorized(self):
+        events = self.join_round()
+        storage = [e for e in events if e.category == "storage"]
+        assert storage and all(e.event in ("tx", "rx") for e in storage)
+        assert {"storage", "join"} <= {e.category for e in events}
+
+    def test_events_arrive_in_time_order(self):
+        events = self.join_round()
+        times = [e.time for e in events]
+        assert len(set(times)) > 2 and times == sorted(times)
+
+    def test_routed_frame_keeps_its_id_across_hops(self):
+        net = quiet_net(4)
+        events = self.record(net)
+        net.node(0).send_routed(3, Message("ping"))
+        net.run_all()
+        hops = [(e.src, e.dst) for e in events if e.event == "tx"]
+        assert hops == [(0, 1), (1, 2), (2, 3)]
+        assert len({e.message.msg_id for e in events}) == 1

@@ -56,10 +56,10 @@ class TestSupervisedFaultFree:
 
     def test_supervision_records_policy(self):
         report = run(SPECS["e1-grid-join"], shards=2, inline=True,
-                     checkpoint_every=5, max_restarts=1, checkpoint="disk")
+                     checkpoint_every=5, max_restarts=1)
         assert report.supervision["policy"] == {
             "checkpoint_every": 5, "heartbeat_timeout": None,
-            "max_restarts": 1, "checkpoint": "disk",
+            "max_restarts": 1,
         }
 
 
@@ -131,11 +131,11 @@ class TestWorkerKillRecovery:
         assert report.supervision["restarts"] == 1
         assert sent >= report.metrics.total_messages > 0
 
-    def test_disk_checkpoints_recover_identically(self):
+    def test_two_window_checkpoints_recover_identically(self):
         name = "e1-grid-join"
         faults = FaultSchedule().worker_kill(shard=1, at_window=6)
         report = run(SPECS[name], shards=4, inline=True, checkpoint_every=2,
-                     max_restarts=1, checkpoint="disk", faults=faults)
+                     max_restarts=1, faults=faults)
         assert report.fingerprint() == baseline(name).fingerprint()
         assert report.supervision["restarts"] == 1
 
@@ -283,7 +283,6 @@ class TestValidation:
         ("checkpoint_every", -1),
         ("max_restarts", -1),
         ("heartbeat_timeout", 0.0),
-        ("checkpoint", "tape"),
     ])
     def test_bad_policy_knobs_rejected(self, knob, value):
         with pytest.raises(ShardError):

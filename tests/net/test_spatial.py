@@ -27,6 +27,14 @@ from repro.net.topology import (
 from tests.graphs import nx_graph
 
 
+def draw(monkeypatch, max_tries=None, **args):
+    """``RandomGeometricTopology(**args)``, drawing at most ``max_tries``
+    deployments when given (``topology.MAX_TRIES``)."""
+    if max_tries is not None:
+        monkeypatch.setattr(topology_module, "MAX_TRIES", max_tries)
+    return RandomGeometricTopology(**args)
+
+
 def random_positions(seed, n, side=10.0):
     rng = random.Random(seed)
     return {i: (rng.uniform(0, side), rng.uniform(0, side)) for i in range(n)}
@@ -316,7 +324,7 @@ class TestExactDiameter:
         assert sweeps > 3  # the level loop ran
 
     def test_giant_component_fallback(self, monkeypatch):
-        topo = RandomGeometricTopology(400, radius=0.9, seed=0, max_tries=1)
+        topo = draw(monkeypatch, n=400, radius=0.9, seed=0, max_tries=1)
         assert len(topo) < 400
         diameter, sweeps = self._sweeps(monkeypatch, topo)
         assert diameter == nx.diameter(nx_graph(topo))
@@ -372,7 +380,7 @@ class TestKeptSpatialIndex:
 
     def test_fallback_builds_its_own_index(self, monkeypatch):
         built = self._built(monkeypatch)
-        topo = RandomGeometricTopology(300, radius=0.8, seed=0, max_tries=2)
+        topo = draw(monkeypatch, n=300, radius=0.8, seed=0, max_tries=2)
         assert len(topo) < 300
         drawn = list(built)
         assert len(drawn) == 2  # one per attempt
@@ -391,8 +399,8 @@ class TestKeptSpatialIndex:
         dict(n=300, radius=0.8, seed=0, max_tries=2),
         dict(n=80, radius=3.0, seed=1, edge_method="brute"),
     ], ids=["kept", "fallback", "brute"])
-    def test_answers_equal_a_fresh_index(self, args):
-        topo = RandomGeometricTopology(**args)
+    def test_answers_equal_a_fresh_index(self, monkeypatch, args):
+        topo = draw(monkeypatch, **args)
         fresh = GridIndex(topo.positions, topo._spatial_cell())
         index = topo.spatial
         assert index.positions == topo.positions
@@ -421,21 +429,22 @@ class TestRandomGeometricConstruction:
         with pytest.raises(NetworkError):
             RandomGeometricTopology(10, radius=3.0, edge_method="quantum")
 
-    def test_giant_component_fallback_is_connected_and_relabeled(self):
+    def test_giant_component_fallback_is_connected_and_relabeled(
+            self, monkeypatch):
         # Radius too small to ever connect 30 nodes on a 10x10 field:
         # every attempt fails and the giant component of the *last*
         # attempt is taken, relabeled to contiguous ids.
-        topo = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
+        topo = draw(monkeypatch, n=30, radius=0.8, seed=2, max_tries=3)
         assert len(topo) < 30
         assert nx.is_connected(nx_graph(topo))
         assert sorted(topo.adjacency) == list(range(len(topo)))
         assert set(topo.positions) == set(topo.adjacency)
 
-    def test_retry_attempts_are_seeded_deterministically(self):
+    def test_retry_attempts_are_seeded_deterministically(self, monkeypatch):
         # Same constructor args => same topology, even through the
         # retry path (each attempt k reseeds from f"{seed}:{k}").
-        a = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
-        b = RandomGeometricTopology(30, radius=0.8, seed=2, max_tries=3)
+        a = draw(monkeypatch, n=30, radius=0.8, seed=2, max_tries=3)
+        b = draw(monkeypatch, n=30, radius=0.8, seed=2, max_tries=3)
         assert a.positions == b.positions
         assert list(a.adjacency.items()) == list(b.adjacency.items())
 
@@ -485,12 +494,13 @@ class TestAdjacencyOrder:
         dict(n=60, radius=2.0, seed=4),   # connected on the third draw
         dict(n=60, radius=2.0, seed=9),   # connected on the eighth draw
         dict(n=30, radius=0.8, seed=2, max_tries=3),  # giant component
+        dict(n=60, radius=2.0, seed=4, max_tries=2),  # capped before the draw that connects
         dict(n=80, radius=3.0, seed=1),
-    ], ids=["drawn", "redrawn", "redrawn-late", "fallback", "dense"])
+    ], ids=["drawn", "redrawn", "redrawn-late", "fallback", "capped", "dense"])
     @pytest.mark.parametrize("edge_method", ["grid", "brute"])
-    def test_random(self, args, edge_method):
+    def test_random(self, monkeypatch, args, edge_method):
         graph = _networkx_construction(**args)
-        topo = RandomGeometricTopology(**args, edge_method=edge_method)
+        topo = draw(monkeypatch, **args, edge_method=edge_method)
         assert list(topo.adjacency.items()) == _rows(graph)
 
     def test_from_edges(self):
