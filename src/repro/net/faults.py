@@ -195,11 +195,11 @@ class FaultSchedule:
         horizon: float,
         seed,
         slots: int = 4,
-        start: float = 0.0,
-        protect: Sequence[int] = (),
     ) -> "FaultSchedule":
         """A steady-state churn process: at (almost) any moment during
-        ``[start, start + horizon]``, ``rate`` of the nodes are down.
+        ``[0, horizon]``, ``rate`` of ``node_ids`` are down (leave a
+        node out of ``node_ids`` to keep it up, e.g. a sink the
+        experiment must keep observable).
 
         The horizon is divided into ``slots`` equal windows; in each
         window a fresh seeded sample of ``round(rate * n)`` victims
@@ -208,23 +208,20 @@ class FaultSchedule:
         Everything is drawn from ``random.Random(f"churn:{seed}")`` at
         construction time — the schedule is a pure function of its
         arguments and never touches the simulator RNG.
-
-        ``protect`` lists nodes that are never chosen (e.g. a sink the
-        experiment must keep observable).
         """
         if not 0.0 <= rate < 1.0:
             raise NetworkError(f"churn rate {rate} out of range")
         if slots < 1:
             raise NetworkError(f"churn needs at least one slot, got {slots}")
         schedule = cls()
-        eligible = [n for n in node_ids if n not in set(protect)]
+        eligible = list(node_ids)
         victims_per_slot = round(rate * len(eligible))
         if not victims_per_slot:
             return schedule
         rng = random.Random(f"churn:{seed}")
         slot_len = horizon / slots
         for s in range(slots):
-            t0 = start + s * slot_len
+            t0 = s * slot_len
             for victim in rng.sample(eligible, victims_per_slot):
                 schedule.crash_recover(t0, victim, slot_len)
         return schedule

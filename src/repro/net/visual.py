@@ -22,9 +22,9 @@ def heatmap(
     network: SensorNetwork,
     values: Dict[int, float],
     title: str = "",
-    legend: bool = True,
 ) -> str:
-    """Render ``values`` (node id -> scalar) over a grid topology."""
+    """Render ``values`` (node id -> scalar) over a grid topology, with
+    a scale line under it when any value is positive."""
     topo = network.topology
     if not isinstance(topo, GridTopology):
         raise NetworkError("heatmap rendering requires a grid topology")
@@ -42,7 +42,7 @@ def heatmap(
                 idx = min(len(RAMP) - 1, int(value / peak * (len(RAMP) - 1) + 0.5))
                 row.append(RAMP[idx])
         lines.append("".join(row))
-    if legend and peak > 0:
+    if peak > 0:
         lines.append(f"scale: '{RAMP[0]}'=0 .. '{RAMP[-1]}'={peak:.0f}")
     return "\n".join(lines)
 

@@ -32,6 +32,10 @@ class Vehicle:
         )
 
 
+#: Simulated seconds between two detection epochs.
+EPOCH_INTERVAL = 1.0
+
+
 class BattlefieldWorkload:
     """Generates detections for a mix of enemy and friendly vehicles."""
 
@@ -41,13 +45,11 @@ class BattlefieldWorkload:
         n_enemy: int = 3,
         n_friendly: int = 2,
         epochs: int = 5,
-        epoch_interval: float = 1.0,
         speed: float = 0.5,
         seed: int = 0,
     ):
         self.topology = topology
         self.epochs = epochs
-        self.epoch_interval = epoch_interval
         rng = random.Random(seed)
         x0, y0, x1, y1 = topology.bounding_box()
         self.vehicles: List[Vehicle] = []
@@ -64,7 +66,7 @@ class BattlefieldWorkload:
         out: List[Detection] = []
         x0, y0, x1, y1 = self.topology.bounding_box()
         for epoch in range(self.epochs):
-            t = epoch * self.epoch_interval
+            t = epoch * EPOCH_INTERVAL
             for vehicle in self.vehicles:
                 pos = vehicle.position(t)
                 if not (x0 <= pos[0] <= x1 and y0 <= pos[1] <= y1):

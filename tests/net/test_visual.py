@@ -12,20 +12,21 @@ from repro.net.visual import RAMP, heatmap, load_heatmap
 class TestHeatmap:
     def test_shape(self):
         net = GridNetwork(4, 3)
-        text = heatmap(net, {0: 1.0}, legend=False)
-        rows = text.splitlines()
+        *rows, scale = heatmap(net, {0: 1.0}).splitlines()
         assert len(rows) == 3 and all(len(r) == 4 for r in rows)
+        assert scale.startswith("scale:")
 
     def test_north_at_top(self):
         net = GridNetwork(3)
         top_right = net.grid.node_at(2, 2)
-        text = heatmap(net, {top_right: 10.0}, legend=False)
+        text = heatmap(net, {top_right: 10.0})
         assert text.splitlines()[0][2] == RAMP[-1]
 
     def test_empty_values(self):
+        # Nothing positive: an idle grid and no scale line.
         net = GridNetwork(2)
-        text = heatmap(net, {}, legend=False)
-        assert set("".join(text.splitlines())) == {RAMP[0]}
+        text = heatmap(net, {})
+        assert text.splitlines() == [RAMP[0] * 2] * 2
 
     def test_title_and_legend(self):
         net = GridNetwork(2)
