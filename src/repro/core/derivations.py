@@ -148,17 +148,29 @@ class FiringBatch:
     firing, in firing order; ``index`` gives each firing's position in
     ``heads``, the head tuples.  Heads may repeat — a vector batch under
     ``_EMIT_DEDUP_MIN_ROWS`` rows skips its dedup, and :meth:`of` never
-    dedups — so a firing's head is read through ``index``.
+    dedups — so a firing's head is read through ``index``.  The batch
+    kernels hand over ``head_ids``, each head's argument ids, instead of
+    term tuples; ``heads`` is then built from them on first read, each
+    term the interner's canonical one.  ``head_ids`` is None when the
+    executor built term tuples.
     """
 
-    __slots__ = ("rule_id", "heads", "index", "records")
+    __slots__ = ("rule_id", "head_ids", "index", "records", "_heads")
 
-    def __init__(self, rule_id: int, heads: List[tuple], index: List[int],
-                 records: List[tuple]):
+    def __init__(self, rule_id: int, heads: Optional[List[tuple]], index: List[int],
+                 records: List[tuple], head_ids: Optional[List[tuple]] = None):
         self.rule_id = rule_id
-        self.heads = heads
+        self._heads = heads
+        self.head_ids = head_ids
         self.index = index
         self.records = records
+
+    @property
+    def heads(self) -> List[tuple]:
+        if self._heads is None:
+            term = GLOBAL_INTERNER.terms.__getitem__
+            self._heads = [tuple(map(term, key)) for key in self.head_ids]
+        return self._heads
 
     @classmethod
     def of(cls, rule_id: int,
@@ -176,14 +188,17 @@ class FiringBatch:
     def restrict(self, keep: Callable[[tuple], bool]) -> "FiringBatch":
         """The firings whose head passes ``keep``, called once per entry
         of ``heads``."""
-        kept = [i for i, head in enumerate(self.heads) if keep(head)]
-        if len(kept) == len(self.heads):
+        heads = self.heads
+        kept = [i for i, head in enumerate(heads) if keep(head)]
+        if len(kept) == len(heads):
             return self
         position = dict(zip(kept, range(len(kept))))
         firings = [(position[i], record) for i, record in zip(self.index, self.records)
                    if i in position]
-        return FiringBatch(self.rule_id, [self.heads[i] for i in kept],
-                           [i for i, _r in firings], [r for _i, r in firings])
+        head_ids = self.head_ids
+        return FiringBatch(self.rule_id, [heads[i] for i in kept],
+                           [i for i, _r in firings], [r for _i, r in firings],
+                           None if head_ids is None else [head_ids[i] for i in kept])
 
 
 class DerivationStore:

@@ -70,25 +70,31 @@ class Relation:
     Storage is a row arena: every tuple added gets a dense row number,
     its terms are interned through :data:`repro.core.columnar.GLOBAL_INTERNER`
     and the resulting ids appended to per-position id columns.  Deletion
-    tombstones the row (membership lives in the ``_row_of`` dict keyed
-    by the term tuples themselves, so the tuple-level API below is
-    exact).  The id columns feed the numpy batch kernels in
+    tombstones the row.  Membership lives in the ``_row_of`` dict keyed
+    by a row's id tuple: id equality is term equality, so the tuple-level
+    API below is exact, and it maps terms to ids at its boundary
+    (:meth:`Interner.get <repro.core.columnar.Interner.get>`; a term never
+    interned matches no row).  The evaluator adds a batch by its head id
+    rows (:meth:`add_ids`) and builds a term tuple only for a new row.
+    The id columns feed the numpy batch kernels in
     :mod:`repro.core.vector` through version-keyed snapshot caches
-    (:meth:`np_column` / :meth:`sorted_probe`).
+    (:meth:`np_column` / :meth:`sorted_probe`) and, for a delta, by row
+    number (:meth:`ids_at`).
 
     The tuple-level view keeps the pre-columnar contract unchanged:
-    lazy per-position hash indexes (now id-keyed buckets of row numbers)
-    built the first time a position is probed with a bound pattern
-    argument, and *selectivity-aware* probes — when a pattern has
-    several ground positions and more than one of them already has an
-    index, the smallest bucket wins (an empty bucket short-circuits to
-    no candidates at all)."""
+    iteration in insertion order, a stored tuple in its first-added
+    spelling (``1 == 1.0``), lazy per-position hash indexes (id-keyed
+    buckets of row numbers) built the first time a position is probed
+    with a bound pattern argument, and *selectivity-aware* probes — when
+    a pattern has several ground positions and more than one of them
+    already has an index, the smallest bucket wins (an empty bucket
+    short-circuits to no candidates at all)."""
 
     def __init__(self, name: str):
         self.name = name
-        #: term tuple -> row number (live rows only; iteration order is
+        #: id tuple -> row number (live rows only; iteration order is
         #: insertion order, which callers treat as unordered).
-        self._row_of: Dict[ArgsTuple, int] = {}
+        self._row_of: Dict[Tuple[int, ...], int] = {}
         #: row number -> term tuple (including tombstoned rows; the
         #: first-added instance is the canonical row value).
         self._terms_rows: List[ArgsTuple] = []
@@ -116,15 +122,15 @@ class Relation:
         return len(self._row_of)
 
     def __iter__(self) -> Iterator[ArgsTuple]:
-        return iter(self._row_of)
+        return map(self._terms_rows.__getitem__, self._row_of.values())
 
     def __contains__(self, args: ArgsTuple) -> bool:
-        return args in self._row_of
+        return tuple(map(_INTERNER.get, args)) in self._row_of
 
     def stored(self, args: ArgsTuple) -> Optional[ArgsTuple]:
         """The stored tuple equal to ``args`` — in its own spelling,
         which may differ (``1 == 1.0``) — or None."""
-        row = self._row_of.get(args)
+        row = self._row_of.get(tuple(map(_INTERNER.get, args)))
         return None if row is None else self._terms_rows[row]
 
     def add(self, args: ArgsTuple) -> bool:
@@ -134,17 +140,50 @@ class Relation:
     def add_row(self, args: ArgsTuple) -> Tuple[bool, int]:
         """Insert; returns ``(is_new, canonical row number)`` so hot
         loops can reach the stored row without a second lookup."""
-        row = self._row_of.get(args)
+        ids = tuple(map(_INTERNER.intern, args))
+        row = self._row_of.get(ids)
         if row is not None:
             return False, row
+        return True, self._append(ids, args)
+
+    def add_ids(self, keys: Iterable[Tuple[int, ...]]) -> List[int]:
+        """Insert the rows whose argument ids are ``keys``, each new one
+        spelled with the interner's canonical terms; returns every key's
+        row number.  Membership is decided key by key, so a key repeated
+        in ``keys`` is inserted once.  The rows that were new are those
+        numbered from the relation's old ``len(terms_rows)`` on."""
+        get, rows, fresh = self._row_of.get, [], {}
+        end = len(self._terms_rows)
+        for key in keys:
+            row = get(key)
+            if row is None:
+                row = fresh.setdefault(key, end + len(fresh))
+            rows.append(row)
+        if not fresh:
+            return rows
+        term = _INTERNER.terms.__getitem__
+        cols, arity = self._cols, self._arity
+        if cols is not None and not self._indexes and all(
+                len(key) == arity for key in fresh):
+            # The common case, a column at a time; an index to extend,
+            # a first row or a ragged key go row by row below.
+            self._row_of.update(fresh)
+            self._terms_rows += [tuple(map(term, key)) for key in fresh]
+            for col, ids in zip(cols, zip(*fresh)):
+                col += ids
+            self._version += 1
+        else:
+            for key in fresh:
+                self._append(key, tuple(map(term, key)))
+        return rows
+
+    def _append(self, ids: Tuple[int, ...], args: ArgsTuple) -> int:
         row = len(self._terms_rows)
-        intern = _INTERNER.intern
-        ids = [intern(t) for t in args]
         if row == 0 and self._arity is None:
-            self._arity = len(args)
-            self._cols = [[] for _ in args]
+            self._arity = len(ids)
+            self._cols = [[] for _ in ids]
         if self._cols is not None:
-            if len(args) == self._arity:
+            if len(ids) == self._arity:
                 for col, tid in zip(self._cols, ids):
                     col.append(tid)
             else:
@@ -152,30 +191,28 @@ class Relation:
                 # kernels fall back to the tuple executor for this
                 # relation.
                 self._cols = None
-        self._row_of[args] = row
+        self._row_of[ids] = row
         self._terms_rows.append(args)
         for pos, index in self._indexes.items():
             if pos < len(ids):
                 index.setdefault(ids[pos], set()).add(row)
         self._version += 1
-        return True, row
+        return row
 
     def discard(self, args: ArgsTuple) -> bool:
         """Remove; returns True when the tuple was present."""
-        row = self._row_of.pop(args, None)
+        ids = tuple(map(_INTERNER.get, args))
+        row = self._row_of.pop(ids, None)
         if row is None:
             return False
         self._dead.add(row)
-        if self._indexes:
-            get_id = _INTERNER.get
-            for pos, index in self._indexes.items():
-                if pos < len(args):
-                    tid = get_id(args[pos])
-                    bucket = index.get(tid)
-                    if bucket is not None:
-                        bucket.discard(row)
-                        if not bucket:
-                            del index[tid]
+        for pos, index in self._indexes.items():
+            if pos < len(ids):
+                bucket = index.get(ids[pos])
+                if bucket is not None:
+                    bucket.discard(row)
+                    if not bucket:
+                        del index[ids[pos]]
         self._version += 1
         return True
 
@@ -183,10 +220,9 @@ class Relation:
         index = self._indexes.get(pos)
         if index is None:
             index = {}
-            intern = _INTERNER.intern
-            for args, row in self._row_of.items():
-                if pos < len(args):
-                    index.setdefault(intern(args[pos]), set()).add(row)
+            for ids, row in self._row_of.items():
+                if pos < len(ids):
+                    index.setdefault(ids[pos], set()).add(row)
             self._indexes[pos] = index
         return index
 
@@ -201,8 +237,8 @@ class Relation:
             if term.is_ground():
                 bound.append((pos, term))
         if not bound:
-            return self._row_of
-        return self._select_bucket(bound)
+            return self
+        return list(map(self._terms_rows.__getitem__, self._select_bucket(bound)))
 
     def lookup(self, bound: Sequence[Tuple[int, Term]]) -> Iterable[ArgsTuple]:
         """Candidates for a probe with known ground positions
@@ -210,17 +246,21 @@ class Relation:
         one index probe and picks the smallest bucket across built
         indexes."""
         self.probes += 1
-        return self._select_bucket(bound)
+        return list(map(self._terms_rows.__getitem__, self._select_bucket(bound)))
+
+    def lookup_rows(self, bound: Sequence[Tuple[int, Term]]) -> Iterable[int]:
+        """:meth:`lookup`'s candidates as row numbers."""
+        self.probes += 1
+        return list(self._select_bucket(bound))
 
     def scan(self) -> Tuple[ArgsTuple, ...]:
         """A snapshot of the full relation (safe to iterate while the
         relation grows).  Counts a scan, not an index probe."""
         self.scans += 1
-        return tuple(self._row_of)
+        return tuple(self)
 
-    def _select_bucket(self, bound: Sequence[Tuple[int, Term]]) -> Iterable[ArgsTuple]:
+    def _select_bucket(self, bound: Sequence[Tuple[int, Term]]) -> Iterable[int]:
         get_id = _INTERNER.get
-        rows = self._terms_rows
         best = None
         for pos, term in bound:
             index = self._indexes.get(pos)
@@ -235,14 +275,10 @@ class Relation:
             if best is None or len(bucket) < len(best):
                 best = bucket
         if best is not None:
-            return [rows[i] for i in best]
+            return best
         pos, term = bound[0]
-        index = self._index_for(pos)
         tid = get_id(term)
-        bucket = index.get(tid) if tid is not None else None
-        if bucket is None:
-            return ()
-        return [rows[i] for i in bucket]
+        return self._index_for(pos).get(tid, ()) if tid is not None else ()
 
     # -- columnar view (consumed by repro.core.vector) -------------------
 
@@ -282,15 +318,17 @@ class Relation:
                               end - start)
         return refs
 
-    def refs_of(self, tuples: Iterable[ArgsTuple]) -> List[tuple]:
-        """The fact refs of ``tuples``: a stored tuple's is its row's
-        (one object per fact, however many derivations name it)."""
-        refs, row_of = self.refs(), self._row_of.get
-        out = []
-        for args in tuples:
-            row = row_of(args)
-            out.append(fact_ref((self.name, args)) if row is None else refs[row])
-        return out
+    def ids_at(self, pos: int, rows: Sequence[int]):
+        """The ids of column ``pos`` at row numbers ``rows``, as an int64
+        array (the relation must not be ragged)."""
+        import numpy as np
+
+        return np.fromiter(map(self._cols[pos].__getitem__, rows),
+                           dtype=np.int64, count=len(rows))
+
+    def id_tuples(self) -> Iterable[Tuple[int, ...]]:
+        """Every live row's argument ids, in insertion order."""
+        return self._row_of.keys()
 
     def np_column(self, pos: int):
         """Id column ``pos`` as an int64 array (tombstones included)."""
@@ -369,12 +407,18 @@ class Database:
         """Relation contents as Python values (for assertions/reports).
 
         Cons-lists come back as (hashable) tuples; uninterpreted terms
-        come back as Terms.
+        come back as Terms.  Values are read off the rows' ids, each
+        distinct id evaluated once, so a number reads in the spelling
+        the interner first met (``1`` and ``1.0`` are one id and equal
+        values).
         """
-        return {
-            tuple(_freeze_value(eval_term(t, self.registry)) for t in args)
-            for args in self.relation(predicate)
-        }
+        keys = self.relation(predicate).id_tuples()
+        terms, registry = _INTERNER.terms, self.registry
+        value = {
+            tid: _freeze_value(eval_term(terms[tid], registry))
+            for tid in set(itertools.chain.from_iterable(keys))
+        }.__getitem__
+        return {tuple(map(value, key)) for key in keys}
 
     def predicates(self) -> List[str]:
         return sorted(self._relations)
@@ -416,7 +460,7 @@ def enumerate_rule(
     db: Database,
     registry: BuiltinRegistry,
     delta_pred: Optional[str] = None,
-    delta_tuples: Optional[Set[ArgsTuple]] = None,
+    delta_tuples: Optional[Iterable[ArgsTuple]] = None,
     delta_occurrence: Optional[int] = None,
     initial_subst: Optional[Substitution] = None,
 ) -> Iterator[Tuple[Substitution, List[FactKey]]]:
@@ -464,7 +508,7 @@ def enumerate_rule_recursive(
     db: Database,
     registry: BuiltinRegistry,
     delta_pred: Optional[str] = None,
-    delta_tuples: Optional[Set[ArgsTuple]] = None,
+    delta_tuples: Optional[Iterable[ArgsTuple]] = None,
     delta_occurrence: Optional[int] = None,
     initial_subst: Optional[Substitution] = None,
 ) -> Iterator[Tuple[Substitution, List[FactKey]]]:
@@ -541,10 +585,10 @@ def ground_head(rule: Rule, subst: Substitution, registry: BuiltinRegistry) -> A
     return tuple(out)
 
 
-#: Deltas smaller than this run tuple-at-a-time: the numpy kernels'
+#: Row deltas smaller than this run tuple-at-a-time: the numpy kernels'
 #: per-call overhead beats Python loops only once a few rows amortize it
-#: (the incremental evaluator's one-tuple-at-a-time deltas stay on the
-#: tuple path).
+#: (the incremental evaluator's one-tuple deltas are terms, and always
+#: take the tuple path).
 _MIN_BATCH = 4
 
 
@@ -552,11 +596,20 @@ def fire_rule(
     rule: Rule,
     db: Database,
     registry: BuiltinRegistry,
-    **delta_kwargs,
+    delta_pred: Optional[str] = None,
+    delta_rows: Optional[Sequence[int]] = None,
+    delta_tuples: Optional[Iterable[ArgsTuple]] = None,
+    delta_occurrence: Optional[int] = None,
 ) -> FiringBatch:
     """Every body match of ``rule``, as one
     :class:`~repro.core.derivations.FiringBatch` complete before any
     head is stored.
+
+    The ``delta_occurrence``-th positive occurrence of ``delta_pred``
+    ranges over a delta instead of the stored relation: the evaluator's
+    semi-naive and XY deltas are row numbers of that relation
+    (``delta_rows``), the incremental maintainer's one-tuple deltas term
+    tuples (``delta_tuples``, always on the tuple path).
 
     Vectorizable rules run through the numpy batch executor
     (:mod:`repro.core.vector`); everything else — rules the analyzer
@@ -565,23 +618,27 @@ def fire_rule(
     Inside a :func:`repro.core.plan.seed_engine` block every firing goes
     to the oracle instead.
     """
+    if not seed_mode():
+        plan = GLOBAL_PLAN_CACHE.get(rule)
+        program = plan.batch_program()
+        if program is not None and delta_tuples is None and (
+                delta_rows is None or len(delta_rows) >= _MIN_BATCH):
+            results = execute_batch(plan, program, db, registry,
+                                    delta_pred, delta_rows, delta_occurrence)
+            if results is not None:
+                return results
+    if delta_rows is not None:
+        delta_tuples = list(map(db.relation(delta_pred).terms_rows.__getitem__,
+                                delta_rows))
+    delta = dict(delta_pred=delta_pred, delta_tuples=delta_tuples,
+                 delta_occurrence=delta_occurrence)
     if seed_mode():
         rule_id = rule.rule_id if rule.rule_id is not None else -1
         return FiringBatch.of(rule_id, (
             (ground_head(rule, subst, registry), used)
-            for subst, used in enumerate_rule_recursive(
-                rule, db, registry, **delta_kwargs
-            )
+            for subst, used in enumerate_rule_recursive(rule, db, registry, **delta)
         ))
-    plan = GLOBAL_PLAN_CACHE.get(rule)
-    program = plan.batch_program()
-    if program is not None:
-        delta_tuples = delta_kwargs.get("delta_tuples")
-        if delta_tuples is None or len(delta_tuples) >= _MIN_BATCH:
-            results = execute_batch(plan, program, db, registry, **delta_kwargs)
-            if results is not None:
-                return results
-    return _fire_rule_tuples(rule, db, registry, **delta_kwargs)
+    return _fire_rule_tuples(rule, db, registry, **delta)
 
 
 def _fire_rule_tuples(
@@ -603,10 +660,10 @@ def _fire_rule_tuples(
     return FiringBatch.of(rule.rule_id if rule.rule_id is not None else -1, matches())
 
 
-def _refold(db: Database, aggregate: Aggregate, valuations: List[ArgsTuple]) -> List[ArgsTuple]:
+def _refold(db: Database, aggregate: Aggregate, valuations: List[ArgsTuple]) -> List[int]:
     """The new ``valuations`` of ``aggregate`` are stored: move the rows
-    of their groups (:meth:`Aggregate.moved`) and return the rows that
-    are new."""
+    of their groups (:meth:`Aggregate.moved`) and return the numbers of
+    the rows that are new."""
     rel, store = db.relation(aggregate.head), db.derivations
     fold = Derivation(aggregate.rule_id, ())
     new = []
@@ -615,7 +672,7 @@ def _refold(db: Database, aggregate: Aggregate, valuations: List[ArgsTuple]) -> 
             is_new, at = rel.add_row(row)
             store.add_batch([rel.refs()[at]], FiringBatch.of(aggregate.rule_id, [(row, ())]))
             if is_new:
-                new.append(row)
+                new.append(at)
         if old is not None and store.remove_derivation((aggregate.head, old), fold):
             rel.discard(old)
     return new
@@ -730,21 +787,27 @@ class BottomUpEvaluator:
 
     def _absorb(self, db: Database, rule: Rule, firings: FiringBatch,
                 deltas) -> int:
-        """Turn ``rule``'s fired heads into rows and derivations; rows
-        that are new also land in ``deltas[head predicate]``.  Returns
-        how many were new.  An aggregate rule's heads are valuations:
-        the rows it adds are those of the groups they moved."""
+        """Turn ``rule``'s fired heads into rows and derivations; the
+        numbers of the rows that are new also land in ``deltas[head
+        predicate]``.  Returns how many were new.  An aggregate rule's
+        heads are valuations: the rows it adds are those of the groups
+        they moved."""
         aggregate = GLOBAL_PLAN_CACHE.get(rule).aggregate if rule.aggregates else None
         head_pred = rule.head.predicate if aggregate is None else aggregate.valuation
         rel = db.relation(head_pred)
-        added = list(map(rel.add_row, firings.heads))
-        new = [head for head, (is_new, _row) in zip(firings.heads, added) if is_new]
+        start = len(rel.terms_rows)
+        if firings.head_ids is None:
+            rows = [rel.add_row(head)[1] for head in firings.heads]
+        else:
+            rows = rel.add_ids(firings.head_ids)
+        new = range(start, len(rel.terms_rows))
         refs = rel.refs()
-        db.derivations.add_batch([refs[row] for _new, row in added], firings)
+        db.derivations.add_batch([refs[row] for row in rows], firings)
         if aggregate is not None:
-            head_pred, new = aggregate.head, _refold(db, aggregate, new)
+            head_pred = aggregate.head
+            new = _refold(db, aggregate, [rel.terms_rows[row] for row in new])
         if new:
-            deltas.setdefault(head_pred, set()).update(new)
+            deltas.setdefault(head_pred, []).extend(new)
         if _obs.enabled and firings.index:
             label = rule_label(rule)
             _inst.rule_firings.labels(rule=label).inc(len(firings.index))
@@ -757,7 +820,7 @@ class BottomUpEvaluator:
         registry = self.registry
 
         # Initial round: full naive evaluation of this component's rules.
-        deltas: Dict[str, Set[ArgsTuple]] = {}
+        deltas: Dict[str, List[int]] = {}
         rounds = 1
         for rule in rules:
             self._absorb(db, rule, fire_rule(rule, db, registry), deltas)
@@ -782,7 +845,7 @@ class BottomUpEvaluator:
                     "(non-terminating recursion through function "
                     "symbols?)"
                 )
-            new_deltas: Dict[str, Set[ArgsTuple]] = {}
+            new_deltas: Dict[str, List[int]] = {}
             rounds += 1
             round_added = 0
             for rule, occs in zip(rules, occurrences):
@@ -792,7 +855,7 @@ class BottomUpEvaluator:
                     for occ in range(len(occs.get(pred, ()))):
                         firings = fire_rule(
                             rule, db, registry, delta_pred=pred,
-                            delta_tuples=delta, delta_occurrence=occ,
+                            delta_rows=delta, delta_occurrence=occ,
                         )
                         round_added += self._absorb(db, rule, firings, new_deltas)
             if idb_total is not None:
@@ -867,7 +930,7 @@ class BottomUpEvaluator:
             with _span("eval.stage", stage=stage) as sp:
                 sources = pending[stage]
                 fired: List[Tuple[str, int]] = []
-                grown: Dict[str, Set[ArgsTuple]] = {}
+                grown: Dict[str, List[int]] = {}
                 for i, (rule, frontier) in enumerate(zip(rules, frontiers)):
                     delta = {}
                     if frontier is not None:
@@ -875,12 +938,12 @@ class BottomUpEvaluator:
                         rel, pos = db.relation(pred), xy.stage_position[pred]
                         rows = [
                             row for j, t in sources if j == i
-                            for row in rel.lookup([(pos, value_to_term(t))])
+                            for row in rel.lookup_rows([(pos, value_to_term(t))])
                         ]
                         if not rows:
                             continue
                         fired.append((pred, len(rows)))
-                        delta = dict(delta_pred=pred, delta_tuples=rows,
+                        delta = dict(delta_pred=pred, delta_rows=rows,
                                      delta_occurrence=occurrence)
                     elif fixed[i] is not None and fixed[i] != stage:
                         continue

@@ -34,12 +34,13 @@ with identical semantics (including raising the same errors Python
 arithmetic would).
 
 A call's firings leave as one
-:class:`~repro.core.derivations.FiringBatch`: head tuples are built once
+:class:`~repro.core.derivations.FiringBatch` in id space: one id row
 per distinct head (batches large enough to dedup, see
-:func:`_group_heads`) from the interner's canonical term instances, so
-they are equal (as terms) to what :func:`repro.core.eval.ground_head`
-builds row by row, and each firing's record is read off the sources'
-per-row ref caches.
+:func:`_group_heads`), which the relation matches by its ids and spells
+with the interner's canonical term instances only when it is new — equal
+(as terms) to what :func:`repro.core.eval.ground_head` builds row by row
+— and each firing's record read off the sources' per-row ref caches.  A
+delta is a list of its relation's row numbers (:class:`_DeltaSource`).
 """
 
 from __future__ import annotations
@@ -241,39 +242,39 @@ class _RelSource:
 
 
 class _DeltaSource:
-    """Columnar view of one call's semi-naive delta set, built once."""
+    """Columnar view of one call's semi-naive delta: rows of the stored
+    relation by row number, each id column sliced once.  Batch row ``i``
+    is relation row ``rows[i]``."""
 
-    __slots__ = ("terms_rows", "arity", "ragged", "_cols", "_sorted", "_refs",
-                 "_rel")
+    __slots__ = ("rel", "rows", "_cols", "_sorted", "_refs")
 
-    def __init__(self, rows, rel):
-        self.terms_rows = rows
-        self._rel = rel  # the relation the delta predicate is stored in
-        arities = {len(r) for r in rows}
-        self.ragged = len(arities) > 1
-        self.arity = arities.pop() if len(arities) == 1 else None
+    def __init__(self, rel, rows):
+        self.rel = rel
+        self.rows = rows
         self._cols: Dict[int, np.ndarray] = {}
         self._sorted: Dict[int, tuple] = {}
         self._refs = None
 
     @property
+    def ragged(self):
+        return self.rel.ragged
+
+    @property
+    def arity(self):
+        return self.rel.arity
+
+    @property
     def live_count(self):
-        return len(self.terms_rows)
+        return len(self.rows)
 
     def np_col(self, pos):
         col = self._cols.get(pos)
         if col is None:
-            intern = GLOBAL_INTERNER.intern
-            col = np.fromiter(
-                (intern(r[pos]) for r in self.terms_rows),
-                dtype=np.int64,
-                count=len(self.terms_rows),
-            )
-            self._cols[pos] = col
+            col = self._cols[pos] = self.rel.ids_at(pos, self.rows)
         return col
 
     def live_rows(self):
-        return np.arange(len(self.terms_rows), dtype=np.int64)
+        return np.arange(len(self.rows), dtype=np.int64)
 
     def sorted_probe(self, pos):
         cached = self._sorted.get(pos)
@@ -286,7 +287,7 @@ class _DeltaSource:
 
     def refs(self):
         if self._refs is None:
-            self._refs = self._rel.refs_of(self.terms_rows)
+            self._refs = list(map(self.rel.refs().__getitem__, self.rows))
         return self._refs
 
 
@@ -522,34 +523,49 @@ def _exec_assign(op, state):
     state.cols[slot] = GLOBAL_INTERNER.intern_numeric(values, is_int, state.n)
 
 
+#: Packed head keys stay below this bound, so a key times the next
+#: column's width plus an id never overflows int64.
+_PACK_LIMIT = 2 ** 62
+
+
 def _group_heads(arrays, n):
     """Group the batch's firings by head row: (each firing's group, the
     first firing of every group), groups in first-firing order.
 
     A join often derives one head through many body matches; since
-    every column is interned, equal heads are equal id rows and one
-    ``np.unique`` finds them — each distinct head is materialized, and
-    matched against its relation, once.  Batches under
-    ``_EMIT_DEDUP_MIN_ROWS`` skip the sort (it costs more than it saves)
-    and make every firing a group of its own.
+    every column is interned, equal heads are equal id rows.  The rows
+    are packed into one int64 key, a mixed radix over the columns (ids
+    are non-negative), and one 1-d ``np.unique`` finds them — each
+    distinct head is matched against its relation once.  When the next
+    column would carry the key past ``_PACK_LIMIT``, the key is first
+    re-densified to its rank among the distinct keys so far.  Batches
+    under ``_EMIT_DEDUP_MIN_ROWS`` skip the sort (it costs more than it
+    saves) and make every firing a group of its own.
     """
     if not arrays:  # a constant head: one for every firing
         return [0] * n, np.zeros(1, dtype=np.int64)
     if n < _EMIT_DEDUP_MIN_ROWS:
         return list(range(n)), np.arange(n)
-    _uniq, first, inverse = np.unique(
-        np.column_stack(arrays), axis=0, return_index=True, return_inverse=True
-    )
+    key = arrays[0]
+    span = int(key.max()) + 1
+    for col in arrays[1:]:
+        width = int(col.max()) + 1
+        if span * width > _PACK_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key = key * width + col
+        span *= width
+    _uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     VECTOR_STATS["emit_dedup_rows"] += n - len(order)
-    return rank[inverse.ravel()].tolist(), first[order]
+    return rank[inverse].tolist(), first[order]
 
 
 def _emit(rule_id, prog, state, registry) -> FiringBatch:
     """The final batch as a :class:`FiringBatch`: the heads
-    (:func:`_group_heads`) as term tuples, built a column at a time, and
+    (:func:`_group_heads`) as id rows, built a column at a time, and
     one record per firing from each positive join's matched rows.
     """
     interner = GLOBAL_INTERNER
@@ -578,10 +594,10 @@ def _emit(rule_id, prog, state, registry) -> FiringBatch:
         [col] * u if isinstance(col, int) else col[first].tolist()
         for col in id_cols
     ]
-    term = interner.terms.__getitem__
-    heads = list(zip(*[map(term, col) for col in columns])) if columns else [()] * u
+    head_ids = list(zip(*columns)) if columns else [()] * u
     body = [map(source.refs().__getitem__, rows.tolist()) for source, rows in state.prov]
-    return FiringBatch(rule_id, heads, index, list(zip(repeat(rule_id, n), *body)))
+    return FiringBatch(rule_id, None, index, list(zip(repeat(rule_id, n), *body)),
+                       head_ids)
 
 
 def execute_batch(
@@ -590,7 +606,7 @@ def execute_batch(
     db,
     registry: BuiltinRegistry,
     delta_pred: Optional[str] = None,
-    delta_tuples=None,
+    delta_rows=None,
     delta_occurrence: Optional[int] = None,
 ) -> Optional[FiringBatch]:
     """Run one vectorized rule call; same contract as ``fire_rule``.
@@ -609,9 +625,8 @@ def execute_batch(
             if type(op) is _JoinOp:
                 if op.step_idx == delta_step:
                     if delta_src is None:
-                        delta_src = _DeltaSource(
-                            list(delta_tuples or ()), db.relation(op.predicate)
-                        )
+                        delta_src = _DeltaSource(db.relation(op.predicate),
+                                                 delta_rows)
                     if delta_src.ragged:
                         raise _Fallback
                     src, is_delta = delta_src, True

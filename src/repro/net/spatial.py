@@ -9,9 +9,10 @@ on the order of the radio range makes each of them O(1) expected for
 deployments with bounded node density (exactly the deployments the
 paper's scaling arguments assume):
 
-* ``disk_edges(r)`` pairs each node only with the 3x3 neighborhood of
-  radius-sized cells around it, all nodes at once in numpy, so building
-  a unit-disk graph is O(n) expected instead of the all-pairs O(n^2);
+* ``disk_pairs(positions, r)`` pairs each node only with the 3x3
+  neighborhood of radius-sized cells around it, all nodes at once in
+  numpy, so building a unit-disk graph is O(n) expected instead of the
+  all-pairs O(n^2);
 * ``nearest(point)`` searches outward ring by ring and stops as soon
   as no unvisited cell can beat the best candidate;
 * ``within(point, r)`` enumerates only the cells overlapping the
@@ -19,7 +20,7 @@ paper's scaling arguments assume):
 
 All three produce *bit-identical* answers to the brute-force scans
 they replace (same ``math.hypot`` calls, same ``<=`` comparisons,
-same lowest-id tie-breaks; ``disk_edges`` calls ``math.hypot`` only
+same lowest-id tie-breaks; ``disk_pairs`` calls ``math.hypot`` only
 where a squared distance is too close to call) —
 ``tests/net/test_spatial.py`` asserts this property differentially, and
 ``benchmarks/bench_e19_scale.py`` gates on it.
@@ -91,7 +92,7 @@ class GridIndex:
 
     def candidates_near(self, point: Position, radius: float) -> Iterator[int]:
         """Every node in a cell the query disk's bounding box overlaps,
-        the box a hair (1e-9 of ``radius``, as :meth:`disk_edges` has)
+        the box a hair (1e-9 of ``radius``, as :func:`disk_pairs` has)
         wider so a node whose distance rounds down to ``radius`` is
         never a cell past it.  No distance filtering: callers apply
         their own, so comparisons stay those of the scans."""
@@ -190,66 +191,68 @@ class GridIndex:
         x0, x1, y0, y1 = self._box
         return max(cx - x0, x1 - cx, cy - y0, y1 - cy)
 
-    def disk_edges(self, radius: float) -> List[Tuple[int, int]]:
-        """All pairs ``(i, j)`` with ``i < j`` and distance <= ``radius``,
-        sorted — the unit-disk edge set, bit-identical to the all-pairs
-        scan.
 
-        The candidates are every pair in the same or adjacent cells of
-        side a hair over ``radius``, drawn at once per cell offset from
-        a CSR of the occupied cells (nodes sorted by cell, one slice per
-        cell).  The hair (1e-9 of the radius) keeps a pair the scan
-        links in adjacent cells even where its distance rounds down to
-        ``radius`` or a floor division rounds up.  A candidate whose
-        squared distance lies clear of ``radius**2`` (outside a 1e-9
-        relative band) is decided by that square alone; the few inside
-        the band are decided by the scan's own
-        ``math.hypot(...) <= radius``.  The edges hold the index's own
-        id objects."""
-        ids = sorted(self.positions)
-        n = len(ids)
-        if radius < 0 or n < 2:
-            return []
-        # radius 0 links coincident points only, always in one cell.
-        width, reach = (radius * (1 + 1e-9), 1) if radius > 0 else (self.cell, 0)
-        xy = np.array([self.positions[i] for i in ids], dtype=np.float64)
-        cxy = np.floor_divide(xy, width).astype(np.int64)
-        cxy -= cxy.min(axis=0) - reach  # every offset cell stays >= 0
-        height = int(cxy[:, 1].max()) + reach + 1
-        key = cxy[:, 0] * height + cxy[:, 1]
-        by_cell = np.argsort(key, kind="stable")
-        cells, starts, sizes = np.unique(
-            key[by_cell], return_index=True, return_counts=True
-        )
-        nodes = np.arange(n)
-        bound = radius * radius
-        band = bound * 1e-9 + 1e-300  # the floor keeps a tiny radius exact
-        pairs = []
-        # Half the offsets: each unordered pair of cells is met once.
-        for dx in range(reach + 1):
-            for dy in range(-reach if dx else 0, reach + 1):
-                target = key + (dx * height + dy)
-                slot = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
-                count = np.where(cells[slot] == target, sizes[slot], 0)
-                ends = np.cumsum(count)
-                # Candidate k of node i is by_cell[starts[slot[i]] + k].
-                at = np.arange(ends[-1]) - np.repeat(ends - count - starts[slot], count)
-                first, second = np.repeat(nodes, count), by_cell[at]
-                if dx == 0 and dy == 0:
-                    keep = second > first
-                    first, second = first[keep], second[keep]
-                gap = xy[first] - xy[second]
-                squared = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
-                inside = squared < bound - band
-                near = np.flatnonzero(~inside & ~(squared > bound + band))
-                for k in near.tolist():
-                    p, q = self.positions[ids[first[k]]], self.positions[ids[second[k]]]
-                    inside[k] = math.hypot(p[0] - q[0], p[1] - q[1]) <= radius
-                a, b = first[inside], second[inside]
-                pairs.append(np.minimum(a, b) * n + np.maximum(a, b))
-        first, second = np.divmod(np.sort(np.concatenate(pairs)), n)
-        get = ids.__getitem__
-        return list(zip(map(get, first.tolist()), map(get, second.tolist())))
+def disk_pairs(positions: Dict[int, Position], radius: float
+               ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """The unit-disk edge set — every pair at distance <= ``radius``,
+    bit-identical to the all-pairs scan — as numpy pairs: the sorted
+    ids, and for every edge its two ends' positions in them, ``first <
+    second``, sorted by ``(first, second)``.
+
+    The candidates are every pair in the same or adjacent cells of
+    side a hair over ``radius``, drawn at once per cell offset from
+    a CSR of the occupied cells (nodes sorted by cell, one slice per
+    cell).  The hair (1e-9 of the radius) keeps a pair the scan
+    links in adjacent cells even where its distance rounds down to
+    ``radius`` or a floor division rounds up.  A candidate whose
+    squared distance lies clear of ``radius**2`` (outside a 1e-9
+    relative band) is decided by that square alone; the few inside
+    the band are decided by the scan's own
+    ``math.hypot(...) <= radius``."""
+    ids = sorted(positions)
+    n = len(ids)
+    if radius < 0 or n < 2:
+        none = np.zeros(0, dtype=np.int64)
+        return ids, none, none
+    # radius 0 links coincident points only, always in one cell.
+    width, reach = (radius * (1 + 1e-9), 1) if radius > 0 else (1.0, 0)
+    xy = np.array([positions[i] for i in ids], dtype=np.float64)
+    cxy = np.floor_divide(xy, width).astype(np.int64)
+    cxy -= cxy.min(axis=0) - reach  # every offset cell stays >= 0
+    height = int(cxy[:, 1].max()) + reach + 1
+    key = cxy[:, 0] * height + cxy[:, 1]
+    by_cell = np.argsort(key, kind="stable")
+    cells, starts, sizes = np.unique(
+        key[by_cell], return_index=True, return_counts=True
+    )
+    nodes = np.arange(n)
+    bound = radius * radius
+    band = bound * 1e-9 + 1e-300  # the floor keeps a tiny radius exact
+    pairs = []
+    # Half the offsets: each unordered pair of cells is met once.
+    for dx in range(reach + 1):
+        for dy in range(-reach if dx else 0, reach + 1):
+            target = key + (dx * height + dy)
+            slot = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+            count = np.where(cells[slot] == target, sizes[slot], 0)
+            ends = np.cumsum(count)
+            # Candidate k of node i is by_cell[starts[slot[i]] + k].
+            at = np.arange(ends[-1]) - np.repeat(ends - count - starts[slot], count)
+            first, second = np.repeat(nodes, count), by_cell[at]
+            if dx == 0 and dy == 0:
+                keep = second > first
+                first, second = first[keep], second[keep]
+            gap = xy[first] - xy[second]
+            squared = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
+            inside = squared < bound - band
+            near = np.flatnonzero(~inside & ~(squared > bound + band))
+            for k in near.tolist():
+                p, q = positions[ids[first[k]]], positions[ids[second[k]]]
+                inside[k] = math.hypot(p[0] - q[0], p[1] - q[1]) <= radius
+            a, b = first[inside], second[inside]
+            pairs.append(np.minimum(a, b) * n + np.maximum(a, b))
+    first, second = np.divmod(np.sort(np.concatenate(pairs)), n)
+    return ids, first, second
 
 
 def heuristic_cell(positions: Dict[int, Position]) -> float:

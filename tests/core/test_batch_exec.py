@@ -35,6 +35,7 @@ from repro.core.parser import parse_program
 from repro.core.plan import GLOBAL_PLAN_CACHE, seed_engine
 from repro.core.stratify import ProgramClass, classify
 from repro.core.terms import Constant, Substitution, Variable
+from repro.core.columnar import GLOBAL_INTERNER
 from repro.core.vector import VECTOR_STATS
 
 from .test_derivations import record
@@ -402,6 +403,87 @@ class TestFiringBatch:
         assert index == [0, 1, 0, 2] * 4
         assert first.tolist() == [0, 1, 3]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(16, 120),
+        width=st.integers(1, 5),
+        pool=st.lists(
+            st.sampled_from([0, 1, 7, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 5, 2 ** 40]),
+            min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 10_000),
+    )
+    def test_packed_grouping_is_np_unique_in_first_firing_order(
+            self, n, width, pool, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.choice(np.array(pool, dtype=np.int64), size=n)
+                  for _ in range(width)]
+        _u, first, inverse = np.unique(np.column_stack(arrays), axis=0,
+                                       return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        index, got_first = core_vector._group_heads(arrays, n)
+        assert index == rank[inverse.ravel()].tolist()
+        assert got_first.tolist() == first[order].tolist()
+
+    def test_wide_ids_re_densify_the_packed_key(self, monkeypatch):
+        # Five columns of ids near 2**31: the key passes 2**62 at the
+        # second column, so it is re-densified before each later one.
+        calls = []
+        unique = np.unique
+
+        def spy(ar, *args, **kwargs):
+            calls.append(kwargs)
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(core_vector.np, "unique", spy)
+        big = 2 ** 31
+        arrays = [np.array([big + (i * k) % 3 for i in range(40)], dtype=np.int64)
+                  for k in range(1, 6)]
+        index, first = core_vector._group_heads(arrays, 40)
+        assert sum("return_index" not in kw for kw in calls) == 4
+        rows = list(zip(*[a.tolist() for a in arrays]))
+        assert [rows[i] for i in first.tolist()] == list(dict.fromkeys(rows))
+        assert [rows[first[g]] for g in index] == rows
+
+    def test_a_small_batch_adds_a_repeated_head_once(self):
+        # Under _EMIT_DEDUP_MIN_ROWS rows the kernels hand over one head
+        # per firing: p(1) twice.  Membership is decided row by row, so
+        # it is inserted once and joins the delta once.
+        db = Database()
+        for args in ((1, 2), (1, 3), (4, 5), (6, 7)):
+            db.assert_fact("e", args)
+        program = parse_program("p(X) :- e(X, Y).")
+        rule = program.rules[0]
+        firings = core_eval.fire_rule(rule, db, db.registry)
+        assert len(firings.index) < core_vector._EMIT_DEDUP_MIN_ROWS
+        one = GLOBAL_INTERNER.get(Constant(1))
+        assert firings.head_ids.count((one,)) == 2
+        deltas = {}
+        added = BottomUpEvaluator(program)._absorb(db, rule, firings, deltas)
+        assert added == 3 and deltas == {"p": [0, 1, 2]}
+        assert db.rows("p") == {(1,), (4,), (6,)}
+        assert len(db.relation("p").terms_rows) == 3
+        assert len(db.derivations.derivations_of(fact("p", 1))) == 2
+
+    def test_a_restricted_batch_keeps_heads_and_ids_aligned(self):
+        db = Database()
+        for x in range(20):
+            db.assert_fact("e", (x, x + 1))
+        program = parse_program("p(X, Y) :- e(X, Y).")
+        rule = program.rules[0]
+        firings = core_eval.fire_rule(rule, db, db.registry)
+        assert firings.head_ids is not None
+        kept = firings.restrict(lambda head: head[0].value % 3 == 0)
+        assert kept.heads == [tuple(map(GLOBAL_INTERNER.term, key))
+                              for key in kept.head_ids]
+        assert [head[0].value for head in kept.heads] == list(range(0, 20, 3))
+        deltas = {}
+        assert BottomUpEvaluator(program)._absorb(db, rule, kept, deltas) == 7
+        assert db.rows("p") == {(x, x + 1) for x in range(0, 20, 3)}
+        assert len(db.derivations.derivations_of(fact("p", 3, 4))) == 1
+        assert not db.derivations.derivations_of(fact("p", 1, 2))
+
     def test_a_batch_holds_the_tuple_executor_firings(self):
         db = Database()
         for pred, args in random_graph(8, 30, seed=3):
@@ -409,12 +491,16 @@ class TestFiringBatch:
         program = parse_program(TC)
         evaluate(program, db)
         rule = program.rules[1]
-        delta = set(db.relation("e"))
+        rel = db.relation("e")
+        rows = list(range(len(rel.terms_rows)))
+        before = VECTOR_STATS["batch_calls"]
         batch = core_eval.fire_rule(rule, db, db.registry, delta_pred="e",
-                                    delta_tuples=delta, delta_occurrence=0)
+                                    delta_rows=rows, delta_occurrence=0)
+        assert VECTOR_STATS["batch_calls"] == before + 1
         assert type(batch) is core_eval.FiringBatch
         tuples = core_eval._fire_rule_tuples(
-            rule, db, db.registry, delta_pred="e", delta_tuples=delta,
+            rule, db, db.registry, delta_pred="e",
+            delta_tuples=[rel.terms_rows[row] for row in rows],
             delta_occurrence=0)
         assert type(tuples) is core_eval.FiringBatch
 

@@ -224,6 +224,96 @@ class TestRelationDifferential:
             assert set(rel) == model.rows
         assert set(rel.scan()) == model.rows
 
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "add_ids", "discard", "probe", "lookup", "index"]),
+            # ints and floats of one value are one term (1 == 1.0); a
+            # third position makes the row ragged.
+            st.lists(st.sampled_from([0, 1, 1.0, 2, 2.0, "a"]), min_size=2,
+                     max_size=3).filter(lambda v: len(v) == 2 or v[0] == "a"),
+        ),
+        max_size=50,
+    ))
+    def test_id_keyed_rows_match_a_term_keyed_dict(self, ops):
+        """Membership is keyed by id tuples; the tuple API answers as a
+        dict keyed by the term tuples, which keeps the first spelling
+        added and iterates in insertion order.  Rows added by their ids
+        take the interner's spelling, as a batch or, into an indexed,
+        empty or ragged relation, one at a time."""
+        rel = Relation("t")
+        model = {}  # term tuple -> stored (first-added) spelling
+        for op, values in ops:
+            args = tuple(map(Constant, values))
+            if op == "add":
+                assert rel.add(args) == (args not in model)
+                model.setdefault(args, args)
+            elif op == "add_ids":  # twice in one batch, spelled canonically
+                key = tuple(map(GLOBAL_INTERNER.intern, args))
+                end = len(rel.terms_rows)
+                rows = rel.add_ids([key, key])
+                assert rows[0] == rows[1] and (rows[0] >= end) == (args not in model)
+                assert len(rel.terms_rows) == end + (args not in model)
+                model.setdefault(args, tuple(map(GLOBAL_INTERNER.term, key)))
+            elif op == "discard":
+                assert rel.discard(args) == (model.pop(args, None) is not None)
+            elif op == "probe":
+                assert (args in rel) == (args in model)
+                stored = rel.stored(args)
+                assert stored == model.get(args)
+                if stored is not None:  # the stored spelling, not the probe's
+                    assert [type(t.value) for t in stored] == [
+                        type(t.value) for t in model[args]]
+            elif op == "index":  # build the index on position 0 mid-stream
+                rel.lookup([(0, args[0])])
+            else:
+                bound = [(0, args[0]), (1, args[1])]
+                exact = [row for row in model.values()
+                         if all(row[pos] == term for pos, term in bound)]
+                got = rel.lookup(bound)
+                assert set(exact) <= set(got)
+                assert all(row in model and any(row[p] == t for p, t in bound)
+                           for row in got)
+                x = Variable("X")
+                subst = Substitution().extended(x, args[1])
+                cands = rel.candidates((args[0], x), subst)
+                assert set(exact) <= set(cands)
+            assert len(rel) == len(model)
+            assert list(rel) == list(model.values())  # the same order
+            rows = list(rel)
+            assert [type(t.value) for row in rows for t in row] == [
+                type(t.value) for row in model.values() for t in row]
+        assert rel.scan() == tuple(model.values())
+        assert list(rel.candidates((Variable("X"), Variable("Y")),
+                                   Substitution())) == list(model.values())
+        assert rel.ragged == (len({len(row) for row in rel.terms_rows}) > 1)
+        assert list(rel.id_tuples()) == [tuple(map(GLOBAL_INTERNER.get, row))
+                                         for row in model.values()]
+        if model and not rel.ragged:  # the id columns hold the live rows
+            live = rel.live_rows()
+            columns = [rel.np_column(pos)[live].tolist() for pos in range(rel.arity)]
+            assert list(zip(*columns)) == list(rel.id_tuples())
+
+    def test_spellings_share_a_row(self):
+        rel = Relation("t")
+        one, one_f = const_tuple((1, "a")), const_tuple((1.0, "a"))
+        assert rel.add(one) and not rel.add(one_f)
+        assert one_f in rel and rel.stored(one_f)[0].value.__class__ is int
+        assert rel.discard(one_f) and one not in rel and len(rel) == 0
+        assert rel.add(one_f)  # re-added in the other spelling: a new row
+        assert rel.stored(one)[0].value.__class__ is float
+        assert list(rel) == [one_f] and len(rel.terms_rows) == 2
+        assert rel.add_ids([tuple(map(GLOBAL_INTERNER.get, one))]) == [1]
+
+    def test_add_ids_inserts_a_repeated_key_once(self):
+        rel = Relation("t")
+        rel.add(const_tuple((1, 2)))
+        key = tuple(map(GLOBAL_INTERNER.intern, const_tuple((3, 4))))
+        old = tuple(map(GLOBAL_INTERNER.get, const_tuple((1, 2))))
+        assert rel.add_ids([key, old, key]) == [1, 0, 1]
+        assert list(rel) == [const_tuple((1, 2)), const_tuple((3, 4))]
+        assert rel.np_column(0).tolist() == [old[0], key[0]]
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -339,8 +429,14 @@ class TestRelationDifferential:
 
         rel = Relation("t")
         _, row = rel.add_row(const_tuple((1, 2)))
-        delta = _DeltaSource([const_tuple((1.0, 2)), const_tuple((9, 9))], rel)
-        stored, fresh = delta.refs()
-        assert stored is rel.refs()[row]  # one ref object per stored fact
-        fresh_ids = [GLOBAL_INTERNER.get(Constant(9))] * 2
-        assert fresh == ("t", *fresh_ids)  # a row the relation does not hold
+        rel.add(const_tuple((5, 6)))
+        _, tomb = rel.add_row(const_tuple((9, 9)))
+        rel.discard(const_tuple((9, 9)))
+        delta = _DeltaSource(rel, [tomb, row])
+        assert delta.refs()[1] is rel.refs()[row]  # one ref object per stored fact
+        assert delta.refs()[0] == self.ref("t", (9, 9))  # a tombstone keeps its ref
+        assert delta.np_col(0).tolist() == [GLOBAL_INTERNER.get(Constant(9)),
+                                            GLOBAL_INTERNER.get(Constant(1))]
+        vals, order = delta.sorted_probe(0)
+        assert vals.tolist() == sorted(vals.tolist())
+        assert delta.np_col(0)[order].tolist() == vals.tolist()

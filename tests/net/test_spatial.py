@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.net import topology as topology_module
 from repro.net.ght import GeographicHash
-from repro.net.spatial import GridIndex, heuristic_cell
+from repro.net.spatial import GridIndex, disk_pairs, heuristic_cell
 from repro.net.topology import (
     GridTopology,
     RandomGeometricTopology,
@@ -33,6 +33,12 @@ def draw(monkeypatch, max_tries=None, **args):
     if max_tries is not None:
         monkeypatch.setattr(topology_module, "MAX_TRIES", max_tries)
     return RandomGeometricTopology(**args)
+
+
+def disk_edges(positions, radius):
+    """The edges :func:`disk_pairs` finds, as sorted id pairs."""
+    ids, first, second = disk_pairs(positions, radius)
+    return [(ids[i], ids[j]) for i, j in zip(first.tolist(), second.tolist())]
 
 
 def random_positions(seed, n, side=10.0):
@@ -61,12 +67,10 @@ class TestGridIndexDifferential:
         seed=st.integers(0, 10_000),
         n=st.integers(1, 60),
         radius=st.floats(0.3, 6.0),
-        cell=st.floats(0.4, 4.0),
     )
-    def test_disk_edges_match_brute(self, seed, n, radius, cell):
+    def test_disk_edges_match_brute(self, seed, n, radius):
         positions = random_positions(seed, n)
-        index = GridIndex(positions, cell)
-        assert index.disk_edges(radius) == unit_disk_edges_brute(
+        assert disk_edges(positions, radius) == unit_disk_edges_brute(
             positions, radius
         )
 
@@ -75,17 +79,15 @@ class TestGridIndexDifferential:
         spacing=st.sampled_from([0.1, 0.3, 0.7, 1.0, 1.8]),
         a=st.integers(0, 3),
         b=st.integers(1, 3),
-        cell_scale=st.sampled_from([0.5, 1.0, 1.7]),
     )
-    def test_disk_edges_knife_edge_lattice(self, spacing, a, b, cell_scale):
+    def test_disk_edges_knife_edge_lattice(self, spacing, a, b):
         """Points on a lattice, ``radius`` one of its own distances:
         many pairs lie exactly ``radius`` apart, or a rounding away."""
         positions = {
             k: ((k % 7) * spacing, (k // 7) * spacing) for k in range(49)
         }
         radius = math.hypot(a * spacing, b * spacing)
-        index = GridIndex(positions, radius * cell_scale)
-        assert index.disk_edges(radius) == unit_disk_edges_brute(
+        assert disk_edges(positions, radius) == unit_disk_edges_brute(
             positions, radius
         )
 
@@ -145,8 +147,7 @@ class TestGridIndexDifferential:
             positions[k] = (cx + d * math.cos(angle), cy + d * math.sin(angle))
         squared = [(x - cx) ** 2 + (y - cy) ** 2 for x, y in positions.values()]
         assert any(abs(d2 - radius ** 2) <= 1e-9 * radius ** 2 for d2 in squared[1:])
-        index = GridIndex(positions, radius)
-        assert index.disk_edges(radius) == unit_disk_edges_brute(
+        assert disk_edges(positions, radius) == unit_disk_edges_brute(
             positions, radius
         )
 
@@ -354,10 +355,12 @@ class TestExactDiameter:
 
 
 class TestKeptSpatialIndex:
-    """A random deployment used as drawn keeps the index its edges were
-    built with; the giant-component fallback and the brute-force edge
-    method build a fresh one on first use.  Either way the answers are
-    those of a fresh index over the topology's positions."""
+    """A random deployment draws its edges without an index (numpy
+    pairs, :func:`repro.net.spatial.disk_pairs`).  One the grid method
+    uses as drawn builds its index with the construction; the
+    giant-component fallback and the brute-force edge method build one
+    on first use.  Either way the answers are those of a fresh index
+    over the topology's positions."""
 
     @staticmethod
     def _built(monkeypatch):
@@ -382,10 +385,8 @@ class TestKeptSpatialIndex:
         built = self._built(monkeypatch)
         topo = draw(monkeypatch, n=300, radius=0.8, seed=0, max_tries=2)
         assert len(topo) < 300
-        drawn = list(built)
-        assert len(drawn) == 2  # one per attempt
-        assert all(topo.spatial is not index for index in drawn)
-        assert len(built) == 3
+        assert built == []  # no attempt built one
+        assert topo.spatial is built[0] and len(built) == 1
 
     def test_brute_edges_build_the_index_lazily(self, monkeypatch):
         built = self._built(monkeypatch)
@@ -447,6 +448,37 @@ class TestRandomGeometricConstruction:
         b = draw(monkeypatch, n=30, radius=0.8, seed=2, max_tries=3)
         assert a.positions == b.positions
         assert list(a.adjacency.items()) == list(b.adjacency.items())
+
+    @pytest.mark.parametrize("edge_method", ["grid", "brute"])
+    def test_rejected_draws_build_no_edge_list(self, monkeypatch, edge_method):
+        # seed 9 connects on the eighth draw: connectivity is decided on
+        # the draws' numpy pairs, and only the kept draw gets its edge
+        # tuples and adjacency rows.
+        built = []
+        adjacency = topology_module._adjacency
+
+        def recording(nodes, edges):
+            built.append(1)
+            return adjacency(nodes, edges)
+
+        monkeypatch.setattr(topology_module, "_adjacency", recording)
+        topo = RandomGeometricTopology(60, radius=2.0, seed=9,
+                                       edge_method=edge_method)
+        assert len(topo) == 60 and built == [1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 30),
+           edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                          max_size=60))
+    def test_spans_is_a_search_from_node_zero(self, n, edges):
+        import numpy as np
+
+        pairs = sorted({(min(a, b), max(a, b)) for a, b in edges
+                        if a != b and max(a, b) < n})
+        first, second = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        rows = topology_module._adjacency(range(n), pairs)
+        connected = n < 2 or len(topology_module.bfs_levels(rows, 0)[1]) == n
+        assert topology_module._spans(n, first, second) == connected
 
 
 def _networkx_construction(n, radius, side=10.0, seed=0, max_tries=25):
