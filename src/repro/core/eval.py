@@ -127,6 +127,10 @@ class Relation:
     def __contains__(self, args: ArgsTuple) -> bool:
         return tuple(map(_INTERNER.get, args)) in self._row_of
 
+    def row(self, args: ArgsTuple) -> Optional[int]:
+        """The row number of the live tuple equal to ``args``, or None."""
+        return self._row_of.get(tuple(map(_INTERNER.get, args)))
+
     def stored(self, args: ArgsTuple) -> Optional[ArgsTuple]:
         """The stored tuple equal to ``args`` — in its own spelling,
         which may differ (``1 == 1.0``) — or None."""
@@ -455,54 +459,6 @@ def _total_scans(db: Database) -> int:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_rule(
-    rule: Rule,
-    db: Database,
-    registry: BuiltinRegistry,
-    delta_pred: Optional[str] = None,
-    delta_tuples: Optional[Iterable[ArgsTuple]] = None,
-    delta_occurrence: Optional[int] = None,
-    initial_subst: Optional[Substitution] = None,
-) -> Iterator[Tuple[Substitution, List[FactKey]]]:
-    """Enumerate satisfying substitutions of ``rule``'s body, for
-    callers that read variables by name.
-
-    When ``delta_pred`` is given, the ``delta_occurrence``-th positive
-    occurrence of that predicate ranges over ``delta_tuples`` instead of
-    the stored relation (the semi-naive rewriting).  Yields a
-    substitution — ``initial_subst`` (its variables start out bound)
-    plus every variable the rule reads more than once (an aggregate
-    rule's valuation reads every named one), read off the registers of
-    the rule's compiled plan (cached in :data:`GLOBAL_PLAN_CACHE`) once
-    per match — and the list of positive facts used (the derivation).
-    Inside a :func:`repro.core.plan.seed_engine` block the original
-    recursive enumerator below runs instead.
-    """
-    if seed_mode():
-        yield from enumerate_rule_recursive(
-            rule, db, registry, delta_pred, delta_tuples,
-            delta_occurrence, initial_subst,
-        )
-        return
-    plan = GLOBAL_PLAN_CACHE.get(rule)
-    base = Substitution(initial_subst or ())
-    regs: List[Optional[Term]] = [None] * len(plan.slots)
-    mask = 0
-    for var, term in base.items():
-        slot = plan.slots.get(var)
-        if slot is not None:
-            regs[slot] = term
-            mask |= 1 << slot
-    for used in plan.execute(
-        db, registry, regs, mask, delta_pred, delta_tuples, delta_occurrence
-    ):
-        subst = Substitution(base)
-        for var, slot in plan.slots.items():
-            if regs[slot] is not None:
-                subst[var] = regs[slot]
-        yield subst, list(used)
-
-
 def enumerate_rule_recursive(
     rule: Rule,
     db: Database,
@@ -510,12 +466,15 @@ def enumerate_rule_recursive(
     delta_pred: Optional[str] = None,
     delta_tuples: Optional[Iterable[ArgsTuple]] = None,
     delta_occurrence: Optional[int] = None,
-    initial_subst: Optional[Substitution] = None,
 ) -> Iterator[Tuple[Substitution, List[FactKey]]]:
     """The seed recursive enumerator: re-derives the body ordering per
-    call and probes through :meth:`Relation.candidates`.  Kept as the
-    reference implementation for differential tests and benchmark
-    baselines (see :func:`repro.core.plan.seed_engine`)."""
+    call and probes through :meth:`Relation.candidates`.  Yields each
+    satisfying substitution with the positive facts used (the
+    derivation); the ``delta_occurrence``-th positive occurrence of
+    ``delta_pred`` ranges over ``delta_tuples`` instead of the stored
+    relation.  Kept as the reference implementation for differential
+    tests and benchmark baselines (see
+    :func:`repro.core.plan.seed_engine`)."""
     ordered = order_body(rule)
     occurrence_counter = itertools.count()
     occurrence_of: Dict[int, int] = {}
@@ -567,7 +526,7 @@ def enumerate_rule_recursive(
             yield from recurse(idx + 1, s2, used)
             used.pop()
 
-    yield from recurse(0, Substitution(initial_subst or {}), [])
+    yield from recurse(0, Substitution(), [])
 
 
 def ground_head(rule: Rule, subst: Substitution, registry: BuiltinRegistry) -> ArgsTuple:
@@ -587,8 +546,8 @@ def ground_head(rule: Rule, subst: Substitution, registry: BuiltinRegistry) -> A
 
 #: Row deltas smaller than this run tuple-at-a-time: the numpy kernels'
 #: per-call overhead beats Python loops only once a few rows amortize it
-#: (the incremental evaluator's one-tuple deltas are terms, and always
-#: take the tuple path).
+#: (the incremental maintainers' one-row deltas always take the tuple
+#: path).
 _MIN_BATCH = 4
 
 
@@ -598,7 +557,6 @@ def fire_rule(
     registry: BuiltinRegistry,
     delta_pred: Optional[str] = None,
     delta_rows: Optional[Sequence[int]] = None,
-    delta_tuples: Optional[Iterable[ArgsTuple]] = None,
     delta_occurrence: Optional[int] = None,
 ) -> FiringBatch:
     """Every body match of ``rule``, as one
@@ -606,10 +564,9 @@ def fire_rule(
     head is stored.
 
     The ``delta_occurrence``-th positive occurrence of ``delta_pred``
-    ranges over a delta instead of the stored relation: the evaluator's
-    semi-naive and XY deltas are row numbers of that relation
-    (``delta_rows``), the incremental maintainer's one-tuple deltas term
-    tuples (``delta_tuples``, always on the tuple path).
+    ranges over a delta instead of the stored relation: row numbers of
+    that relation (``delta_rows``) — the evaluator's semi-naive and XY
+    deltas, a maintainer's one updated fact.
 
     Vectorizable rules run through the numpy batch executor
     (:mod:`repro.core.vector`); everything else — rules the analyzer
@@ -621,12 +578,13 @@ def fire_rule(
     if not seed_mode():
         plan = GLOBAL_PLAN_CACHE.get(rule)
         program = plan.batch_program()
-        if program is not None and delta_tuples is None and (
+        if program is not None and (
                 delta_rows is None or len(delta_rows) >= _MIN_BATCH):
             results = execute_batch(plan, program, db, registry,
                                     delta_pred, delta_rows, delta_occurrence)
             if results is not None:
                 return results
+    delta_tuples = None
     if delta_rows is not None:
         delta_tuples = list(map(db.relation(delta_pred).terms_rows.__getitem__,
                                 delta_rows))
@@ -657,7 +615,7 @@ def _fire_rule_tuples(
                 raise EvaluationError(f"head of {rule!r} not ground")
             yield tuple([_eval_term(a, regs, registry) for a in head]), used
 
-    return FiringBatch.of(rule.rule_id if rule.rule_id is not None else -1, matches())
+    return FiringBatch.of(plan.rule_id, matches())
 
 
 def _refold(db: Database, aggregate: Aggregate, valuations: List[ArgsTuple]) -> List[int]:

@@ -41,8 +41,8 @@ from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from .aggregates import Aggregate
-from .ast import Program, RelLiteral, Rule
-from .builtins import BuiltinRegistry, DEFAULT_REGISTRY, normalize_partial
+from .ast import Program, Rule
+from .builtins import BuiltinRegistry, DEFAULT_REGISTRY
 from .derivations import (
     Derivation,
     FactKey,
@@ -51,12 +51,11 @@ from .derivations import (
     is_locally_nonrecursive,
 )
 from .errors import EvaluationError, ProgramError
-from .eval import ArgsTuple, Database, enumerate_rule, fire_rule, ground_head
-from .plan import GLOBAL_PLAN_CACHE
+from .eval import ArgsTuple, Database, fire_rule
+from .plan import GLOBAL_PLAN_CACHE, CompiledPlan, _eval_term, seed_holds
 from .safety import check_program_safety
 from .stratify import is_recursive, stratify
-from .terms import Substitution, to_term
-from .unify import match_sequences
+from .terms import to_term
 
 
 class MaintenanceStats:
@@ -81,10 +80,6 @@ class MaintenanceStats:
 
 def _coerce(args: Iterable) -> ArgsTuple:
     return tuple(to_term(a) for a in args)
-
-
-def _rule_id(rule: Rule) -> int:
-    return rule.rule_id if rule.rule_id is not None else -1
 
 
 class _Maintainer:
@@ -113,10 +108,10 @@ class _Maintainer:
         self.db = db if db is not None else Database(self.registry)
         self.stats = MaintenanceStats()
         self._queue: Deque[Tuple[int, str, ArgsTuple]] = deque()
-        #: predicate -> (rule, number of positive occurrences) / (rule,
-        #: body index of a negated occurrence).
+        #: predicate -> (rule, number of positive occurrences) / (plan,
+        #: index of a negated occurrence in its ``negative``).
         self._positive_rules: Dict[str, List[Tuple[Rule, int]]] = {}
-        self._negative_rules: Dict[str, List[Tuple[Rule, int]]] = {}
+        self._negative_rules: Dict[str, List[Tuple[CompiledPlan, int]]] = {}
         #: rule id -> the predicate its firings derive; valuation
         #: predicate -> its rule's fold.
         self._derives: Dict[int, str] = {}
@@ -126,16 +121,10 @@ class _Maintainer:
             self._derives[rule.rule_id] = plan.head.predicate
             if plan.aggregate is not None:
                 self._aggregates[plan.aggregate.valuation] = plan.aggregate
-            occurrences: Dict[str, int] = {}
-            for i, lit in enumerate(rule.body):
-                if not isinstance(lit, RelLiteral):
-                    continue
-                if lit.negated:
-                    self._negative_rules.setdefault(lit.predicate, []).append((rule, i))
-                else:
-                    occurrences[lit.predicate] = occurrences.get(lit.predicate, 0) + 1
-            for pred, n in occurrences.items():
-                self._positive_rules.setdefault(pred, []).append((rule, n))
+            for pred, occurrences in plan.occurrences.items():
+                self._positive_rules.setdefault(pred, []).append((rule, len(occurrences)))
+            for i, lit in enumerate(plan.negative):
+                self._negative_rules.setdefault(lit.predicate, []).append((plan, i))
         for fact in program.facts:
             self.insert(fact.predicate, fact.args)
 
@@ -177,60 +166,46 @@ class _Maintainer:
         raise NotImplementedError
 
     def _positive_firings(self, pred: str, args: ArgsTuple) -> List[Tuple[Rule, FiringBatch]]:
-        """One batch per positive occurrence of ``pred`` with ``args``
-        as its delta; ``pred(args)`` must be stored."""
+        """One batch per positive occurrence of ``pred`` with the row of
+        ``args`` as its delta; ``pred(args)`` must be stored."""
         fired = []
+        rows = [self.db.relation(pred).row(args)]
         for rule, occurrences in self._positive_rules.get(pred, ()):
             for occ in range(occurrences):
                 batch = fire_rule(
                     rule, self.db, self.registry,
-                    delta_pred=pred, delta_tuples={args}, delta_occurrence=occ,
+                    delta_pred=pred, delta_rows=rows, delta_occurrence=occ,
                 )
                 self.stats.rule_firings += len(batch.index)
                 fired.append((rule, batch))
         return fired
 
-    def _negated_firings(self, pred: str, args: ArgsTuple) -> List[Tuple[Rule, list]]:
+    def _negated_firings(self, pred: str, args: ArgsTuple) -> List[Tuple[CompiledPlan, list]]:
         """The ``(head, body facts)`` matches of the derivations
         ``pred(args)`` blocks through a negated subgoal, per rule and
         occurrence: valid while the fact is absent, as it must be when
-        this is called, and blocked once it is present.  A match some
-        other stored tuple blocks too is left out."""
+        this is called, and blocked once it is present.  Each runs the
+        rule from the registers the fact seeds
+        (:meth:`~repro.core.plan.CompiledPlan.seed`), so the rule's own
+        negated subgoal leaves out a match some other stored tuple
+        blocks too."""
         fired = []
-        for rule, lit_index in self._negative_rules.get(pred, ()):
-            neg_lit = rule.body[lit_index]
-            seed = match_sequences(neg_lit.atom.args, args, Substitution())
-            if seed is None:
+        for plan, idx in self._negative_rules.get(pred, ()):
+            seeded = plan.seed(idx, args, self.registry, True)
+            if seeded is None:
                 continue
-            remaining = tuple(lit for i, lit in enumerate(rule.body) if i != lit_index)
-            reduced = Rule(GLOBAL_PLAN_CACHE.get(rule).head, remaining, (), rule.rule_id)
-            # Variables local to the negated subgoal (wildcards) stay
-            # free, so the blocking check sees every other stored tuple.
-            shared = reduced.variables()
-            seed = Substitution({v: t for v, t in seed.items() if v in shared})
+            regs, mask, check = seeded
+            head = plan.program(mask)[1]
             matches = []
-            for subst, used in enumerate_rule(
-                reduced, self.db, self.registry, initial_subst=seed
-            ):
-                self.stats.rule_firings += 1
-                if not self._blocked(neg_lit, subst):
-                    matches.append((ground_head(reduced, subst, self.registry), used))
-            fired.append((rule, matches))
+            for used in plan.execute(self.db, self.registry, regs, mask):
+                if check is None or seed_holds(check, regs, args, self.registry):
+                    self.stats.rule_firings += 1
+                    matches.append((
+                        tuple([_eval_term(a, regs, self.registry) for a in head]),
+                        tuple(used),
+                    ))
+            fired.append((plan, matches))
         return fired
-
-    def _blocked(self, neg_lit: RelLiteral, subst: Substitution) -> bool:
-        """True when some stored tuple satisfies the negated subgoal
-        under ``subst``."""
-        rel = self.db.relation(neg_lit.predicate)
-        pattern = tuple(
-            normalize_partial(arg.substitute(subst), self.registry)
-            for arg in neg_lit.atom.args
-        )
-        empty = Substitution()
-        return any(
-            match_sequences(pattern, row, empty) is not None
-            for row in rel.candidates(pattern, empty)
-        )
 
 
 class IncrementalEvaluator(_Maintainer):
@@ -278,12 +253,12 @@ class IncrementalEvaluator(_Maintainer):
             for rule, batch in self._positive_firings(pred, args):
                 self._record(self._derives[rule.rule_id], batch)
             # A new blocker kills the derivations it blocks.
-            for rule, matches in blocked:
-                head_pred = self._derives[rule.rule_id]
+            for plan, matches in blocked:
+                head_pred = self._derives[plan.rule.rule_id]
                 for head, used in matches:
                     self.stats.derivations_subtracted += 1
                     if store.remove_derivation((head_pred, head),
-                                               Derivation(_rule_id(rule), used)):
+                                               Derivation(plan.rule_id, used)):
                         self._queue.append((-1, head_pred, head))
             return
         if not rel.discard(args):
@@ -308,8 +283,8 @@ class IncrementalEvaluator(_Maintainer):
 
     def _restore(self, pred: str, args: ArgsTuple) -> None:
         """``pred(args)`` is gone: record the derivations it blocked."""
-        for rule, matches in self._negated_firings(pred, args):
-            self._record(self._derives[rule.rule_id], FiringBatch.of(_rule_id(rule), matches))
+        for plan, matches in self._negated_firings(pred, args):
+            self._record(self._derives[plan.rule.rule_id], FiringBatch.of(plan.rule_id, matches))
 
     def _record(self, pred: str, batch: FiringBatch) -> None:
         refs = [fact_ref((pred, head)) for head in batch.heads]
@@ -369,8 +344,8 @@ class CountingEvaluator(_Maintainer):
             self._count(self._derives[rule.rule_id], batch, sign, seen)
         # Inserting a blocker decrements what it blocks, deleting it
         # restores.
-        for rule, matches in blocked:
-            self._count(self._derives[rule.rule_id], FiringBatch.of(_rule_id(rule), matches),
+        for plan, matches in blocked:
+            self._count(self._derives[plan.rule.rule_id], FiringBatch.of(plan.rule_id, matches),
                         -sign, seen)
 
     def _move(self, aggregate: Aggregate, row: ArgsTuple, sign: int) -> None:

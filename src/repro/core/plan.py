@@ -11,6 +11,8 @@ registers.  Three consumers read the same steps — the tuple executor
 here (:meth:`CompiledPlan.execute`), the batch kernels of
 :mod:`repro.core.vector` and the distributed joins of
 :mod:`repro.dist.plans` — and all compile through one :class:`PlanCache`.
+A join that starts from one arriving fact — a GPA token, a maintainer's
+blocker update — starts from :meth:`CompiledPlan.seed`.
 :func:`seed_engine` routes evaluation through the original recursive
 enumerator instead, the reference oracle of the differential tests.
 
@@ -33,7 +35,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 from ..obs import instrument as _inst
 from ..obs import state as _obs
 from .aggregates import Aggregate
-from .ast import BuiltinLiteral, Literal, RelLiteral, Rule
+from .ast import Atom, BuiltinLiteral, Literal, RelLiteral, Rule
 from .builtins import (
     BuiltinRegistry,
     apply_arith,
@@ -346,6 +348,15 @@ def _scan_rows(table, arity: int, want: list, rechecks: tuple) -> list:
     return rows
 
 
+def seed_holds(check: tuple, regs: list, args: tuple, registry) -> bool:
+    """Do the computed arguments a seed deferred (the ``check`` of
+    :meth:`CompiledPlan.seed`), evaluated under ``regs``, equal those of
+    the trigger ``args`` — compared as a probe compares a stored row?
+    Raises what evaluating them raises."""
+    want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in check]
+    return bool(_scan_rows((args,), len(args), want, ()))
+
+
 # ---------------------------------------------------------------------------
 # The compiled plan
 # ---------------------------------------------------------------------------
@@ -368,18 +379,21 @@ class CompiledPlan:
     (:mod:`repro.core.aggregates`).  A subgoal is compiled per set of
     registers bound before it, on first use (:meth:`step`), so the
     subgoals can be joined in any order: the central executors take them
-    in ``body`` order (:meth:`program`), the distributed engines as
-    :class:`repro.dist.plans.RulePlan` says.
+    in ``body`` order (:meth:`program`), the distributed engines in the
+    order a trigger (:meth:`seed`) and its path meet them, finishing a
+    match with :meth:`conclusion`.  ``rule_id`` is the rule's id, -1
+    for a rule without one.
     """
 
     __slots__ = (
-        "rule", "label", "body", "positive", "negative", "builtins",
+        "rule", "rule_id", "label", "body", "positive", "negative", "builtins",
         "occurrences", "aggregate", "head", "uses", "slots", "_compiled",
-        "_programs", "_batch",
+        "_programs", "_seeds", "_batch",
     )
 
     def __init__(self, rule: Rule):
         self.rule = rule
+        self.rule_id = rule.rule_id if rule.rule_id is not None else -1
         self.label = rule_label(rule)
         self.body: Tuple[Literal, ...] = tuple(order_body(rule))
         self.positive: List[RelLiteral] = []
@@ -409,10 +423,11 @@ class CompiledPlan:
         self.slots: Dict[Variable, int] = {
             var: slot for slot, var in enumerate(self.uses)
         }
-        #: (index, mask, negated) -> Step; a RulePlan adds mask ->
-        #: conclusion.
+        #: (index, mask, negated) -> Step, and mask -> conclusion.
         self._compiled: Dict[Any, tuple] = {}
         self._programs: Dict[int, tuple] = {}
+        #: (index, negated) -> (Step, check) of a trigger (see seed).
+        self._seeds: Dict[Tuple[int, bool], tuple] = {}
 
     def __getstate__(self):
         # A copy analyzes its own batch program: this one's holds the
@@ -431,6 +446,100 @@ class CompiledPlan:
                 lit, mask, self.slots, self.uses
             )
         return step
+
+    def conclusion(self, mask: int) -> tuple:
+        """What follows a complete positive match whose registers are
+        ``mask``: (built-in steps, head expressions, negated subgoals as
+        steps against the registers the built-ins leave bound)."""
+        found = self._compiled.get(mask)
+        if found is None:
+            bound = _bound(self.slots, mask)
+            builtins = tuple(
+                _compile_builtin(bl, bound, self.slots) for bl in self.builtins
+            )
+            head = tuple(_compile_expr(a, bound) for a in self.head.args)
+            after = sum(1 << slot for slot in bound.values())
+            negs = tuple(
+                self.step(i, after, True) for i in range(len(self.negative))
+            )
+            found = self._compiled[mask] = (builtins, head, negs)
+        return found
+
+    def seed(
+        self, idx: int, args: tuple, registry: BuiltinRegistry, negated: bool,
+    ) -> Optional[Tuple[list, int, Optional[tuple]]]:
+        """How a join starts from one fact: ``(registers, mask, check)``
+        once subgoal ``idx`` of ``positive`` (of ``negative`` when
+        ``negated``) matched the ground tuple ``args``, None when it
+        does not match.  The subgoal binds only what the rule reads
+        outside it, so the wildcards of a negated trigger stay free.
+
+        A computed argument (``X + 1``) whose variables the rest of the
+        body binds is not matched here — no number matches it before
+        they are bound.  ``check`` lists those arguments,
+        ``((position, expression), ...)`` (None when there are none),
+        and a match survives only if :func:`seed_holds` finds them equal
+        to ``args`` under its final registers.  Raises what normalizing
+        a structural pattern raises."""
+        found = self._seeds.get((idx, negated))
+        if found is None:
+            found = self._seeds[idx, negated] = self._seed_step(idx, negated)
+        step, check = found
+        regs: List[Optional[Term]] = [None] * len(self.slots)
+        structural = step.structural
+        if structural is None:
+            want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in step.known]
+            if not _scan_rows((args,), step.arity, want, step.rechecks):
+                return None
+            for pos, slot in step.binds:
+                regs[slot] = args[pos]
+        else:
+            pattern = _structural_pattern(structural, regs, registry)
+            matched = _structural_matches(pattern, (args,))
+            if not matched:
+                return None
+            for var, slot in structural[2]:
+                regs[slot] = matched[0][1][var]
+        return regs, step.after, check
+
+    def _seed_step(self, idx: int, negated: bool) -> tuple:
+        """The trigger's :class:`Step` against no registers, its deferred
+        computed arguments wildcarded, and their check (see :meth:`seed`)."""
+        lit = (self.negative if negated else self.positive)[idx]
+        # What the rest of the body binds: the other positive subgoals,
+        # then the assignments they feed.
+        bound: Set[Variable] = set()
+        for i, other in enumerate(self.positive):
+            if negated or i != idx:
+                bound.update(other.variables())
+        for bl in self.builtins:
+            if bl.name == "=" and not bl.negated:
+                left, right = bl.args
+                for target, source in ((left, right), (right, left)):
+                    if isinstance(target, Variable) and bound.issuperset(source.variables()):
+                        bound.add(target)
+        args, check = list(lit.atom.args), []
+        for pos, arg in enumerate(args):
+            if (isinstance(arg, FunctionTerm) and arg.functor in ARITH_FUNCTORS
+                    and not arg.is_ground() and bound.issuperset(arg.variables())):
+                check.append((pos, _compile_expr(arg, self.slots)))
+                args[pos] = Variable(f"?{pos}")  # no rule names it: matches anything
+        if check:
+            lit = RelLiteral(Atom(lit.predicate, args), negated)
+            step = _compile_literal(lit, 0, self.slots, self.uses)
+            # The complete match must conclude without what the deferred
+            # arguments would have bound (a built-in may read one before
+            # the assignment that binds it); if not, match them here.
+            mask = step.after
+            for i in range(len(self.positive)):
+                if negated or i != idx:
+                    mask = self.step(i, mask).after
+            try:
+                self.conclusion(mask)
+                return step, tuple(check)
+            except PlanError:
+                pass
+        return self.step(idx, 0, negated), None
 
     def program(self, mask: int = 0) -> Tuple[tuple, Optional[tuple]]:
         """The rule as the central executors run it, subgoals in
@@ -677,8 +786,8 @@ GLOBAL_PLAN_CACHE = PlanCache()
 # on the tuple executor above, chosen per firing from the rule and the
 # size of its delta.  The original recursive enumerator survives as the
 # reference oracle the differential tests and the E17 baseline compare
-# against; this flag is the only switch, read by ``enumerate_rule`` and
-# ``fire_rule`` in :mod:`repro.core.eval`.
+# against; this flag is the only switch, read by ``fire_rule`` in
+# :mod:`repro.core.eval`.
 
 _seed = False
 

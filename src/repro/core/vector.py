@@ -208,43 +208,12 @@ def analyze_plan(plan) -> Optional[BatchProgram]:
 # ---------------------------------------------------------------------------
 
 
-class _RelSource:
-    """Columnar view of a stored Relation."""
-
-    __slots__ = ("rel",)
-
-    def __init__(self, rel):
-        self.rel = rel
-
-    @property
-    def ragged(self):
-        return self.rel.ragged
-
-    @property
-    def arity(self):
-        return self.rel.arity
-
-    @property
-    def live_count(self):
-        return len(self.rel)
-
-    def np_col(self, pos):
-        return self.rel.np_column(pos)
-
-    def live_rows(self):
-        return self.rel.live_rows()
-
-    def sorted_probe(self, pos):
-        return self.rel.sorted_probe(pos)
-
-    def refs(self):
-        return self.rel.refs()
-
-
 class _DeltaSource:
     """Columnar view of one call's semi-naive delta: rows of the stored
     relation by row number, each id column sliced once.  Batch row ``i``
-    is relation row ``rows[i]``."""
+    is relation row ``rows[i]``.  It answers the names of
+    :class:`~repro.core.eval.Relation`'s columnar view the kernels read,
+    so a kernel takes either."""
 
     __slots__ = ("rel", "rows", "_cols", "_sorted", "_refs")
 
@@ -263,11 +232,10 @@ class _DeltaSource:
     def arity(self):
         return self.rel.arity
 
-    @property
-    def live_count(self):
+    def __len__(self):
         return len(self.rows)
 
-    def np_col(self, pos):
+    def np_column(self, pos):
         col = self._cols.get(pos)
         if col is None:
             col = self._cols[pos] = self.rel.ids_at(pos, self.rows)
@@ -279,7 +247,7 @@ class _DeltaSource:
     def sorted_probe(self, pos):
         cached = self._sorted.get(pos)
         if cached is None:
-            vals = self.np_col(pos)
+            vals = self.np_column(pos)
             order = np.argsort(vals, kind="stable")
             cached = (vals[order], order.astype(np.int64))
             self._sorted[pos] = cached
@@ -416,12 +384,12 @@ def _probe_expand(op, src, state):
         rel_rows = sorted_rows[starts + offsets]
     mask = None
     for kind2, pos2, payload2 in specs[1:]:
-        col = src.np_col(pos2)[rel_rows]
+        col = src.np_column(pos2)[rel_rows]
         want = payload2 if kind2 == "c" else state.cols[payload2][batch_idx]
         part = col == want
         mask = part if mask is None else (mask & part)
     for pos2, first_pos in op.dup_specs:
-        part = src.np_col(pos2)[rel_rows] == src.np_col(first_pos)[rel_rows]
+        part = src.np_column(pos2)[rel_rows] == src.np_column(first_pos)[rel_rows]
         mask = part if mask is None else (mask & part)
     if mask is not None:
         sel = np.nonzero(mask)[0]
@@ -433,21 +401,21 @@ def _probe_expand(op, src, state):
 def _exec_join(op, src, state, counters, is_delta):
     if src.ragged:
         raise _Fallback
-    if src.live_count == 0 or src.arity != op.arity:
+    if not len(src) or src.arity != op.arity:
         state.n = 0
         return
     if op.ground_specs:
         if not is_delta:
-            _count(counters, src.rel, scans=False)
+            _count(counters, src, scans=False)
         batch_idx, rel_rows, total = _probe_expand(op, src, state)
     else:
         if not is_delta:
-            _count(counters, src.rel, scans=True)
+            _count(counters, src, scans=True)
         live = src.live_rows()
         if op.dup_specs:
             keep = np.ones(len(live), dtype=bool)
             for pos, first_pos in op.dup_specs:
-                keep &= src.np_col(pos)[live] == src.np_col(first_pos)[live]
+                keep &= src.np_column(pos)[live] == src.np_column(first_pos)[live]
             live = live[np.nonzero(keep)[0]]
         n, m = state.n, len(live)
         batch_idx = np.repeat(np.arange(n, dtype=np.int64), m)
@@ -457,7 +425,7 @@ def _exec_join(op, src, state, counters, is_delta):
     state.stats[1] += len(batch_idx)
     state.gather(batch_idx)
     for pos, slot in op.out_specs:
-        state.cols[slot] = src.np_col(pos)[rel_rows]
+        state.cols[slot] = src.np_column(pos)[rel_rows]
     state.prov.append([src, rel_rows])
     state.n = len(rel_rows)
 
@@ -465,23 +433,23 @@ def _exec_join(op, src, state, counters, is_delta):
 def _exec_negation(op, src, state, counters, is_delta):
     if src.ragged:
         raise _Fallback
-    if src.live_count == 0 or src.arity != op.arity:
+    if not len(src) or src.arity != op.arity:
         return  # nothing can match: every batch row survives
     if not op.ground_specs:
         if not is_delta:
-            _count(counters, src.rel, scans=True)
+            _count(counters, src, scans=True)
         exists = True
         if op.dup_specs:
             live = src.live_rows()
             match = np.ones(len(live), dtype=bool)
             for pos, first_pos in op.dup_specs:
-                match &= src.np_col(pos)[live] == src.np_col(first_pos)[live]
+                match &= src.np_column(pos)[live] == src.np_column(first_pos)[live]
             exists = bool(match.any())
         if exists:
             state.n = 0
         return
     if not is_delta:
-        _count(counters, src.rel, scans=False)
+        _count(counters, src, scans=False)
     batch_idx, _rel_rows, _total = _probe_expand(op, src, state)
     matched = np.zeros(state.n, dtype=bool)
     matched[batch_idx] = True
@@ -631,7 +599,7 @@ def execute_batch(
                         raise _Fallback
                     src, is_delta = delta_src, True
                 else:
-                    src, is_delta = _RelSource(db.relation(op.predicate)), False
+                    src, is_delta = db.relation(op.predicate), False
                 if op.negated:
                     _exec_negation(op, src, state, counters, is_delta)
                 else:
@@ -642,9 +610,8 @@ def execute_batch(
                 _exec_assign(op, state)
             if state.n == 0:
                 break
-        rule_id = plan.rule.rule_id if plan.rule.rule_id is not None else -1
-        results = (_emit(rule_id, prog, state, registry) if state.n
-                   else FiringBatch.of(rule_id, ()))
+        results = (_emit(plan.rule_id, prog, state, registry) if state.n
+                   else FiringBatch.of(plan.rule_id, ()))
     except _Fallback:
         VECTOR_STATS["fallback_steps"] += 1
         return None

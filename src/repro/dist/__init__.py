@@ -31,7 +31,7 @@ from .localized import (
     logicj_program,
     visible_rows,
 )
-from .plans import DistributedPlan, RulePlan
+from .plans import DistributedPlan
 from .routing_app import RoutingTable, build_routing, routing_program
 from .regions import (
     BroadcastRegions,
@@ -53,7 +53,7 @@ __all__ = [
     "LocalizedEngine", "Placement",
     "build_sptree", "logich_placements", "logich_program",
     "logicj_placements", "logicj_program", "visible_rows",
-    "DistributedPlan", "RulePlan", "RoutingTable", "build_routing",
+    "DistributedPlan", "RoutingTable", "build_routing",
     "routing_program", "BroadcastRegions", "CentralizedRegions",
     "CentroidRegions", "LocalStorageRegions", "PerpendicularRegions",
     "RegionStrategy", "STRATEGIES", "SpatialClip", "VirtualGridRegions",

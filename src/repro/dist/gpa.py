@@ -45,13 +45,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.aggregates import Aggregate
 from ..core.builtins import BuiltinRegistry, eval_term
-from ..core.errors import NetworkError, PlanError
+from ..core.errors import EvaluationError, NetworkError, PlanError
 from ..core.eval import _freeze_value
 from ..core.parser import parse_program
+from ..core.plan import CompiledPlan, seed_holds
 from ..core.stratify import ProgramClass, rule_releases
 from ..core.terms import term_size
 from ..net.messages import Message
@@ -63,7 +64,7 @@ from ..net.node import Node
 from ..streams.tuples import ArgsTuple, StreamTuple, TupleID
 from ..streams.windows import SlidingWindow, WindowParams
 from .derived import DerivedFact, DerivedTable, FactRef, ResultMsg, WireDerivation
-from .plans import DistributedPlan, RulePlan, bind, conclude, matching, probe
+from .plans import DistributedPlan, bind, conclude, matching, probe
 from .regions import RegionStrategy, make_strategy
 
 #: A sliding window narrower than this is treated as semantically
@@ -81,18 +82,22 @@ _PIPELINE_WINDOW_FLOOR = 1e6
 
 class Partial:
     """A partial result: the rule's registers (``mask`` says which are
-    bound, see :meth:`RulePlan.step`) + the fact used per positive
+    bound, see :meth:`CompiledPlan.step`) + the fact used per positive
     subgoal, in body order (None where the subgoal is still unmatched;
     ``missing`` counts those).  Immutable, so its size is computed once;
     ``used`` is its dedup key: equal facts in equal positions are one
-    partial result."""
+    partial result.  ``check`` is what its token's seed deferred (see
+    :meth:`CompiledPlan.seed`), None when nothing was: the trigger's
+    computed arguments, compared once the match is complete."""
 
-    __slots__ = ("regs", "mask", "used", "missing", "_size")
+    __slots__ = ("regs", "mask", "used", "check", "missing", "_size")
 
-    def __init__(self, regs: list, mask: int, used: Tuple[Optional[FactRef], ...]):
+    def __init__(self, regs: list, mask: int, used: Tuple[Optional[FactRef], ...],
+                 check: Optional[tuple]):
         self.regs = regs
         self.mask = mask
         self.used = used
+        self.check = check
         missing = size = 0
         for f in used:
             if f is None:
@@ -412,12 +417,12 @@ class GPAEngine:
         #: one left to join, so the schemes coincide.
         self._multi_pass: Set[int] = {
             rp.rule_id for rp in self.plan.rule_plans
-            if scheme == "multi-pass" and not rp.has_negation and rp.n_positive > 2
+            if scheme == "multi-pass" and not rp.negative and len(rp.positive) > 2
         }
         # Negation rules traverse the join region out and back (x2);
         # a multi-pass rule traverses it once per joined stream.
         passes = max(
-            (self.plan.by_id[rid].n_positive for rid in self._multi_pass), default=2
+            (len(self.plan.by_id[rid].positive) for rid in self._multi_pass), default=2
         )
         tau_j = passes * self.strategy.join_hops_bound() * hop * 1.25 + hop
         self.window_params = WindowParams(
@@ -691,8 +696,7 @@ class GPAEngine:
         rp = self.plan.by_id[token.rule_id]
         for cand in token.candidates:
             self._emit(node, rp.head.predicate, cand.head_args, cand.derivation,
-                       "add", token.stamp(self.window_params.join_delay),
-                       rp.width)
+                       "add", token.stamp(self.window_params.join_delay))
         token.candidates = []
         token.partials = []
         if _obs.enabled:
@@ -772,28 +776,26 @@ class GPAEngine:
             for rp, occ in self.plan.negative_triggers.get(tup.predicate, ()):
                 self._launch_token(node_id, rp, occ, trigger, True, op, update_ts)
 
-    def _seed(self, rp: RulePlan, occurrence: int, trigger: FactRef, negated: bool) -> Optional[Partial]:
+    def _seed(self, rp: CompiledPlan, occurrence: int, trigger: FactRef, negated: bool) -> Optional[Partial]:
         """The partial result a token starts with: the triggering
-        subgoal matched against the update, None when it does not match.
-        A step binds only what the rule reads outside its subgoal, so
-        variables local to a triggering negated subgoal (e.g. wildcards)
-        stay free and blocker re-checks range over every live tuple of
-        the stream, not just the one that triggered."""
-        step = rp.step(occurrence, 0, negated)
-        regs = [None] * len(rp.slots)
-        seed = matching(probe(step, regs, self.registry), (trigger,))
-        if not seed:
+        subgoal matched against the update (:meth:`CompiledPlan.seed`),
+        None when it does not match.  Variables local to a triggering
+        negated subgoal (e.g. wildcards) stay free, so blocker
+        re-checks range over every live tuple of the stream, not just
+        the one that triggered."""
+        seeded = rp.seed(occurrence, trigger.args, self.registry, negated)
+        if seeded is None:
             return None
-        regs = bind(step, regs, *seed[0])
-        used = [None] * rp.n_positive
+        regs, mask, check = seeded
+        used = [None] * len(rp.positive)
         if not negated:
             used[occurrence] = trigger
-        return Partial(regs, step.after, tuple(used))
+        return Partial(regs, mask, tuple(used), check)
 
     def _launch_token(
         self,
         node_id: int,
-        rp: RulePlan,
+        rp: CompiledPlan,
         occurrence: int,
         trigger: FactRef,
         negated: bool,
@@ -808,7 +810,7 @@ class GPAEngine:
         path = list(region)
         stages = ((0, None),)
         turn = len(region) - 1  # members of every leg after the first
-        needs_full_anti_join = rp.has_negation and (
+        needs_full_anti_join = bool(rp.negative) and (
             (not negated and op == "ins") or (negated and op == "del")
         )
         if needs_full_anti_join:
@@ -822,7 +824,7 @@ class GPAEngine:
             # one stream, in plan order (the trigger's occurrence is
             # already covered), with the partial results of the one
             # before, walking the region back and forth.
-            joins = [i for i in range(rp.n_positive) if i != occurrence]
+            joins = [i for i in range(len(rp.positive)) if i != occurrence]
             for leg in range(1, len(joins)):
                 path += region[-2::-1] if leg % 2 else region[1:]
             stages = tuple(
@@ -935,7 +937,7 @@ class GPAEngine:
 
     # -- pipelined mode: parked partials and continuations -------------------
 
-    def _park_partials(self, runtime: NodeRuntime, rp: RulePlan, token: JoinToken) -> None:
+    def _park_partials(self, runtime: NodeRuntime, rp: CompiledPlan, token: JoinToken) -> None:
         """Leave a streamed token's incomplete partials behind at this
         join-region node.  A replica arriving later extends them (the
         storage and join phases of one causal chain may interleave
@@ -1037,7 +1039,7 @@ class GPAEngine:
     def _extend_partials(
         self,
         runtime: NodeRuntime,
-        rp: RulePlan,
+        rp: CompiledPlan,
         token: JoinToken,
         node: Node,
         allowed: Optional[Set[int]] = None,
@@ -1058,7 +1060,7 @@ class GPAEngine:
         while queue:
             partial = queue.pop()
             used = partial.used
-            for idx in range(rp.n_positive):
+            for idx in range(len(rp.positive)):
                 if used[idx] is not None:
                     continue
                 if allowed is not None and idx not in allowed:
@@ -1084,12 +1086,13 @@ class GPAEngine:
         return Partial(
             bind(step, partial.regs, tup, bindings), step.after,
             used[:idx] + (FactRef(step.pred, tup.args, tup.tuple_id),) + used[idx + 1:],
+            partial.check,
         )
 
     def _complete_partial(
         self,
         runtime: NodeRuntime,
-        rp: RulePlan,
+        rp: CompiledPlan,
         token: JoinToken,
         partial: Partial,
         node: Node,
@@ -1100,14 +1103,22 @@ class GPAEngine:
         head_args = conclude(builtins, head, regs, self.registry)
         if head_args is None:
             return
+        if partial.check is not None:
+            # The trigger's computed arguments its seed deferred; a
+            # match whose check raises is dropped, as conclude drops one.
+            try:
+                if not seed_holds(partial.check, regs, token.trigger.args, self.registry):
+                    return
+            except EvaluationError:
+                return
         derivation = WireDerivation(rp.rule_id, partial.used)
         result_op = self._result_op(token)
         neg_patterns = [
             (step.pred, probe(step, regs, self.registry)) for step in negs
         ]
-        if rp.has_negation and result_op == "add":
+        if rp.negative and result_op == "add":
             # An inserted positive support, or the deletion of a blocker
-            # (a negated trigger implies has_negation): the derivation
+            # (a negated trigger implies a negated subgoal): the derivation
             # must pass every negated subgoal along the region — for a
             # deleted blocker including the trigger's own stream, minus
             # the deleted tuple (exclude_id).
@@ -1121,7 +1132,7 @@ class GPAEngine:
         if token.rule_id in self._streamed_rules:
             self.streamed_derivations += 1
         self._emit(node, rp.head.predicate, head_args, derivation, result_op,
-                   token.stamp(self.window_params.join_delay), rp.width)
+                   token.stamp(self.window_params.join_delay))
 
     def _result_op(self, token: JoinToken) -> str:
         if token.trigger_negated:
@@ -1142,11 +1153,10 @@ class GPAEngine:
         derivation: WireDerivation,
         op: str,
         ts: float,
-        width: Optional[int] = None,
     ) -> None:
-        """Send a result to the home of ``pred(head_args)``: of its
-        first ``width`` arguments (a valuation's group) when given."""
-        key = head_args if width is None else head_args[:width]
+        """Send a result to the home of ``pred(head_args)``, keyed by
+        :meth:`_key_args` (a valuation's group)."""
+        key = self._key_args(pred, head_args)
         if not self.fault_tolerant:
             targets = (self.ght.node_for_fact(pred, key),)
         else:

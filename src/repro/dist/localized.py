@@ -246,11 +246,16 @@ class LocalizedEngine:
     def install(self) -> "LocalizedEngine":
         if self._installed:
             return self
-        self.plan.compile_delta_joins()
+        # One delta-join per positive trigger occurrence; raises
+        # PlanError for a rule localized mode cannot run.
+        joins = {
+            pred: [DeltaJoin(rp, occurrence) for rp, occurrence in triggers]
+            for pred, triggers in self.plan.positive_triggers.items()
+        }
         blocks = self.plan.negative_triggers.__contains__
         self._joins = {  # per op: blockers first for an add, last for a sub
             op: {p: sorted(js, key=lambda j: blocks(j.head_pred) == last)
-                 for p, js in self.plan.delta_joins.items()}
+                 for p, js in joins.items()}
             for op, last in (("add", False), ("sub", True))
         }
         on_result, on_replica = (

@@ -11,24 +11,25 @@ engine: the rule's variables are register slots and a subgoal's
 arguments are classified once per set of registers bound before it
 (:meth:`CompiledPlan.step <repro.core.plan.CompiledPlan.step>`), so a
 node joins without unifying.  This module is the distributed consumer of
-those steps.  Localized mode fixes the join order per trigger
-(:class:`DeltaJoin`); a GPA token joins in whatever order its path meets
-the replicas (:func:`probe`, :func:`matching`, :func:`bind`).
+those steps: the engines read each rule's process-wide
+:class:`~repro.core.plan.CompiledPlan` directly.  Localized mode fixes
+the join order per trigger (:class:`DeltaJoin`); a GPA token starts
+from :meth:`CompiledPlan.seed <repro.core.plan.CompiledPlan.seed>` and
+joins in whatever order its path meets the replicas (:func:`probe`,
+:func:`matching`, :func:`bind`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.ast import BuiltinLiteral, Program, RelLiteral, Rule
+from ..core.ast import Program
 from ..core.builtins import BuiltinRegistry, DEFAULT_REGISTRY
 from ..core.errors import EvaluationError, PlanError
 from ..core.plan import (
     GLOBAL_PLAN_CACHE,
+    CompiledPlan,
     Step,
-    _bound,
-    _compile_builtin,
-    _compile_expr,
     _eval_term,
     _structural_matches,
     _structural_pattern,
@@ -39,65 +40,6 @@ from ..core.safety import check_program_safety
 from ..core.stratify import Analysis, ProgramClass, classify
 from ..core.terms import Constant
 from ..core.unify import match_sequences
-
-
-class RulePlan:
-    """One rule as the distributed engines join it: the process-wide
-    :class:`~repro.core.plan.CompiledPlan` of the rule (so a rule the
-    central engine also evaluates is ordered and classified once),
-    required to have something that can trigger it.  ``head`` is the
-    atom a match derives — an aggregate rule's valuation, whose fold is
-    ``aggregate`` (else None)."""
-
-    def __init__(self, rule: Rule):
-        plan = GLOBAL_PLAN_CACHE.get(rule)
-        if not plan.positive:
-            raise PlanError(f"rule {rule!r} has no positive relational subgoal")
-        self.rule = rule
-        self.rule_id = rule.rule_id if rule.rule_id is not None else -1
-        self.head = plan.head
-        self.aggregate = plan.aggregate
-        #: How many leading head arguments spell the home key of a
-        #: result: a valuation's group; None for all of them.
-        self.width = None if plan.aggregate is None else plan.aggregate.width
-        self.label = plan.label
-        self.positive: List[RelLiteral] = plan.positive
-        self.negative: List[RelLiteral] = plan.negative
-        self.builtins: List[BuiltinLiteral] = plan.builtins
-        self.slots = plan.slots
-        #: The plan's own step cache and compiler: a subgoal compiled
-        #: for one engine is compiled for all.
-        self._compiled = plan._compiled
-        self.step = plan.step
-
-    @property
-    def has_negation(self) -> bool:
-        return bool(self.negative)
-
-    @property
-    def n_positive(self) -> int:
-        return len(self.positive)
-
-    def conclusion(self, mask: int) -> tuple:
-        """What follows a complete positive match whose registers are
-        ``mask``: (built-in steps, head expressions, negated subgoals as
-        steps against the registers the built-ins leave bound)."""
-        found = self._compiled.get(mask)
-        if found is None:
-            bound = _bound(self.slots, mask)
-            builtins = tuple(
-                _compile_builtin(bl, bound, self.slots) for bl in self.builtins
-            )
-            head = tuple(_compile_expr(a, bound) for a in self.head.args)
-            after = sum(1 << slot for slot in bound.values())
-            negs = tuple(
-                self.step(i, after, True) for i in range(len(self.negative))
-            )
-            found = self._compiled[mask] = (builtins, head, negs)
-        return found
-
-    def __repr__(self) -> str:
-        return f"RulePlan(#{self.rule_id}: {self.rule!r})"
 
 
 class DistributedPlan:
@@ -121,32 +63,25 @@ class DistributedPlan:
                 "run it anyway (correct only for locally non-recursive "
                 "executions, Section IV-C)"
             )
-        self.rule_plans: List[RulePlan] = [RulePlan(r) for r in program.rules]
-        self.by_id: Dict[int, RulePlan] = {rp.rule_id: rp for rp in self.rule_plans}
+        #: The process-wide compiled plan of each rule (a rule the
+        #: central engine also evaluates is ordered and classified once).
+        self.rule_plans: List[CompiledPlan] = []
+        for rule in program.rules:
+            rp = GLOBAL_PLAN_CACHE.get(rule)
+            if not rp.positive:
+                raise PlanError(f"rule {rule!r} has no positive relational subgoal")
+            self.rule_plans.append(rp)
+        self.by_id: Dict[int, CompiledPlan] = {rp.rule_id: rp for rp in self.rule_plans}
         self.idb: Set[str] = program.idb_predicates()
         self.edb: Set[str] = program.edb_predicates()
         # Which rules must react to an update of predicate P?
-        self.positive_triggers: Dict[str, List[Tuple[RulePlan, int]]] = {}
-        self.negative_triggers: Dict[str, List[Tuple[RulePlan, int]]] = {}
+        self.positive_triggers: Dict[str, List[Tuple[CompiledPlan, int]]] = {}
+        self.negative_triggers: Dict[str, List[Tuple[CompiledPlan, int]]] = {}
         for rp in self.rule_plans:
             for i, lit in enumerate(rp.positive):
                 self.positive_triggers.setdefault(lit.predicate, []).append((rp, i))
             for i, lit in enumerate(rp.negative):
                 self.negative_triggers.setdefault(lit.predicate, []).append((rp, i))
-        # Localized mode's delta-joins, by trigger predicate (empty
-        # until compile_delta_joins; the GPA engine never asks).
-        self.delta_joins: Dict[str, List[DeltaJoin]] = {}
-
-    def compile_delta_joins(self) -> Dict[str, List["DeltaJoin"]]:
-        """Compile one :class:`DeltaJoin` per positive trigger
-        occurrence, in ``positive_triggers`` order.  Raises
-        :class:`PlanError` for a rule localized mode cannot run."""
-        if not self.delta_joins:
-            self.delta_joins = {
-                pred: [DeltaJoin(rp, occurrence) for rp, occurrence in triggers]
-                for pred, triggers in self.positive_triggers.items()
-            }
-        return self.delta_joins
 
     def predicates(self) -> Set[str]:
         return self.idb | self.edb
@@ -273,12 +208,12 @@ class DeltaJoin:
         "builtins", "head", "negs", "n_slots",
     )
 
-    def __init__(self, rp: RulePlan, occurrence: int):
+    def __init__(self, rp: CompiledPlan, occurrence: int):
         self.rule_id = rp.rule_id
         self.label = rp.label
         self.head_pred = rp.head.predicate
         order = [occurrence] + [
-            i for i in range(rp.n_positive) if i != occurrence
+            i for i in range(len(rp.positive)) if i != occurrence
         ]
         #: Record position of each literal's ref, in join order (a
         #: record leads with its rule id).

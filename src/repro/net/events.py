@@ -6,9 +6,7 @@ Every radio-layer occurrence — physical (``tx``/``rx``/``drop``/
 subscribed observer — built only when there is one.  Every consumer
 (a test recording frames, a fault watcher) subscribes with
 :meth:`Radio.subscribe` instead of growing yet another hook.
-Telemetry catches up from the radio's own counts instead.  (The
-legacy ``Radio.listeners`` 5-tuple shim that predated this protocol
-has been removed — see DESIGN.md, "messaging v2".)
+Telemetry catches up from the radio's own counts instead.
 """
 
 from __future__ import annotations

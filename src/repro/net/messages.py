@@ -41,8 +41,7 @@ class Message:
     ``payload_symbols`` drives the byte-cost model; ``category`` names
     the phase the message belongs to ("storage", "join", "result",
     "control", ...) for metrics/tracing breakdowns.  Category is a
-    property of the message itself, set at construction (the legacy
-    ``category=`` keyword on the send paths has been removed).
+    property of the message itself, set at construction.
 
     Slotted: large simulations hold hundreds of thousands of live
     message records, so the six hot fields live in ``__slots__``.

@@ -29,9 +29,7 @@ Two delivery modes:
 All radio-layer occurrences are published as typed
 :class:`~repro.net.events.RadioEvent`\\ s to subscribed observers,
 none when nobody is; telemetry catches up from the
-layer's own counts.  The legacy
-``listeners`` 5-tuple hook and the ``category=`` send keyword were
-removed after their deprecation cycle (see DESIGN.md, "messaging v2").
+layer's own counts.
 """
 
 from __future__ import annotations

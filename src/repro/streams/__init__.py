@@ -1,9 +1,8 @@
 """Stream model: tuple identity, stream tuples, sliding windows."""
 
 from .tuples import ArgsTuple, StreamTuple, TupleID
-from .windows import CountWindow, SlidingWindow, WindowParams
+from .windows import SlidingWindow, WindowParams
 
 __all__ = [
-    "ArgsTuple", "StreamTuple", "TupleID", "CountWindow",
-    "SlidingWindow", "WindowParams",
+    "ArgsTuple", "StreamTuple", "TupleID", "SlidingWindow", "WindowParams",
 ]

@@ -18,9 +18,8 @@ timestamp) until the same bound passes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
-from ..core.terms import Term
 from .tuples import StreamTuple, TupleID
 
 
@@ -124,57 +123,3 @@ class SlidingWindow:
         """Resident tuple count — the per-node memory metric of
         Section V."""
         return len(self._tuples)
-
-
-class CountWindow:
-    """A count-based sliding window: the most recent ``capacity`` tuples
-    by generation timestamp.
-
-    Section II-B restricts the *in-network* machinery to time-based
-    windows and calls the in-network maintenance of other window types
-    "a challenge and part of our future work" — the difficulty being
-    that which tuples belong to a count window is a global property of
-    the stream, not decidable locally from a replica's own timestamps.
-    This implementation is therefore for centralized / per-source use:
-    a single authority (the source node for its own sub-stream, or a
-    central evaluator) observes the full insertion order.
-    """
-
-    def __init__(self, predicate: str, capacity: int):
-        if capacity < 1:
-            raise ValueError("count window capacity must be >= 1")
-        self.predicate = predicate
-        self.capacity = capacity
-        self._tuples: Dict[TupleID, StreamTuple] = {}
-
-    def __len__(self) -> int:
-        return len(self._tuples)
-
-    def __iter__(self) -> Iterator[StreamTuple]:
-        return iter(self._tuples.values())
-
-    def store(self, tup: StreamTuple) -> List[StreamTuple]:
-        """Insert a tuple; returns the tuples evicted to stay within
-        capacity (oldest generation timestamps first)."""
-        if tup.tuple_id in self._tuples:
-            return []
-        self._tuples[tup.tuple_id] = tup
-        evicted: List[StreamTuple] = []
-        while len(self._tuples) > self.capacity:
-            oldest_id = min(self._tuples, key=lambda tid: tid)
-            evicted.append(self._tuples.pop(oldest_id))
-        return evicted
-
-    def mark_deleted(self, tuple_id: TupleID, deletion_ts: float) -> bool:
-        """Deletion frees a slot immediately (unlike the time window's
-        deferred removal — there is no in-flight join phase to protect
-        in the centralized setting)."""
-        return self._tuples.pop(tuple_id, None) is not None
-
-    def contents(self) -> List[StreamTuple]:
-        """Window contents, newest first."""
-        return sorted(
-            self._tuples.values(),
-            key=lambda t: t.tuple_id,
-            reverse=True,
-        )

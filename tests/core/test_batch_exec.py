@@ -22,19 +22,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.derivations import Derivation, DerivationStore
 from repro.core import eval as core_eval
+from repro.core import plan as core_plan
 from repro.core import vector as core_vector
 from repro.core.errors import BuiltinError, EvaluationError
 from repro.core.eval import (
     BottomUpEvaluator,
     Database,
-    enumerate_rule,
+    enumerate_rule_recursive,
     evaluate,
     ground_head,
 )
 from repro.core.parser import parse_program
 from repro.core.plan import GLOBAL_PLAN_CACHE, seed_engine
 from repro.core.stratify import ProgramClass, classify
-from repro.core.terms import Constant, Substitution, Variable
+from repro.core.terms import Constant
 from repro.core.columnar import GLOBAL_INTERNER
 from repro.core.vector import VECTOR_STATS
 
@@ -251,30 +252,34 @@ class TestThreeWayDifferential:
                 with pytest.raises(EvaluationError):
                     core_eval.fire_rule(rule, db, db.registry)
 
-    @pytest.mark.parametrize("bound", [
-        {"Z": 3}, {"Y": 2}, {"X": 1, "Z": 5}, {"Z": 9},
+    @pytest.mark.parametrize("idx, trigger", [
+        (1, (2, 3)), (0, (1, 2)), (1, (2, 5)), (1, (7, 3)),
     ])
-    def test_initial_subst_binds_a_later_subgoal(self, bound):
+    def test_seed_binds_a_later_subgoal(self, idx, trigger):
+        """A join started from one fact of a later subgoal finds what
+        the oracle finds through that fact."""
         rule = parse_program("out(X, Z) :- a(X, Y), b(Y, Z), Z > X.").rules[0]
+        plan = GLOBAL_PLAN_CACHE.get(rule)
         db = Database()
         for pred, args in [("a", (1, 2)), ("a", (2, 2)), ("a", (4, 7)),
                            ("b", (2, 3)), ("b", (2, 5)), ("b", (7, 3))]:
             db.assert_fact(pred, args)
-        seed = Substitution(
-            {Variable(name): Constant(value) for name, value in bound.items()}
+        fact = (plan.positive[idx].predicate, tuple(map(Constant, trigger)))
+        regs, mask, check = plan.seed(idx, fact[1], db.registry, False)
+        assert check is None
+        head = plan.program(mask)[1]
+        production = sorted(
+            (repr(tuple(core_plan._eval_term(a, regs, db.registry) for a in head)),
+             repr(list(used)))
+            for used in plan.execute(db, db.registry, regs, mask)
         )
-
-        def matches():
-            return sorted(
-                (repr(ground_head(rule, subst, db.registry)), repr(used))
-                for subst, used in enumerate_rule(
-                    rule, db, db.registry, initial_subst=seed)
-            )
-
-        production = matches()
-        with seed_engine():
-            assert matches() == production
-        assert bool(production) == (bound != {"Z": 9})
+        oracle = sorted(
+            (repr(ground_head(rule, subst, db.registry)), repr(used))
+            for subst, used in enumerate_rule_recursive(rule, db, db.registry)
+            if used[idx] == fact
+        )
+        assert production == oracle
+        assert bool(production) == (trigger != (7, 3))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 5),

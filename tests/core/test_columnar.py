@@ -435,8 +435,8 @@ class TestRelationDifferential:
         delta = _DeltaSource(rel, [tomb, row])
         assert delta.refs()[1] is rel.refs()[row]  # one ref object per stored fact
         assert delta.refs()[0] == self.ref("t", (9, 9))  # a tombstone keeps its ref
-        assert delta.np_col(0).tolist() == [GLOBAL_INTERNER.get(Constant(9)),
-                                            GLOBAL_INTERNER.get(Constant(1))]
+        assert delta.np_column(0).tolist() == [GLOBAL_INTERNER.get(Constant(9)),
+                                               GLOBAL_INTERNER.get(Constant(1))]
         vals, order = delta.sorted_probe(0)
         assert vals.tolist() == sorted(vals.tolist())
-        assert delta.np_col(0)[order].tolist() == vals.tolist()
+        assert delta.np_column(0)[order].tolist() == vals.tolist()

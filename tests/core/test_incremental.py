@@ -43,6 +43,19 @@ TWO_RULE_REDERIVATION = (
     "g(X) :- m(X). g(X) :- n(X). h(X) :- g(X), not b(X). h(X) :- g(X), c(X)."
 )
 
+#: A computed argument in a body atom: no number matches ``X + 1``
+#: before X is bound, so an update of ``b`` seeds its join without it.
+COMPUTED_JOIN = "q(X) :- a(X), b(X + 1)."
+COMPUTED_BLOCKER = "p(X) :- a(X), not b(X + 1)."
+
+#: Update sequences for the computed-argument programs: the update of
+#: ``b`` last, first, and inserted then deleted.
+COMPUTED_ARRIVALS = {
+    "b last": [(True, "a", (1,)), (True, "a", (2,)), (True, "b", (2,))],
+    "b first": [(True, "b", (2,)), (True, "a", (1,)), (True, "a", (2,))],
+    "b deleted": [(True, "b", (2,)), (True, "a", (1,)), (False, "b", (2,))],
+}
+
 ALL_MAINTAINERS = [IncrementalEvaluator, CountingEvaluator, DRedEvaluator]
 NONREC_MAINTAINERS = ALL_MAINTAINERS
 REC_MAINTAINERS = [IncrementalEvaluator, DRedEvaluator]
@@ -171,6 +184,28 @@ class TestNegationMaintenance:
         assert ev.rows("q") == set()
         ev.delete("b", (1, 3))
         assert ev.rows("q") == {(1,)}
+
+
+@pytest.mark.parametrize("maintainer", ALL_MAINTAINERS)
+@pytest.mark.parametrize("text", [COMPUTED_JOIN, COMPUTED_BLOCKER])
+@pytest.mark.parametrize("arrival", sorted(COMPUTED_ARRIVALS))
+def test_trigger_on_a_computed_argument(maintainer, text, arrival):
+    """An insert or delete of ``b(2)`` reaches the derivations of
+    ``X = 1`` through ``b(X + 1)``, positive or negated: rows and store
+    are :func:`evaluate`'s in every arrival order."""
+    ev = maintainer(parse_program(text))
+    live = set()
+    for is_insert, pred, args in COMPUTED_ARRIVALS[arrival]:
+        (ev.insert if is_insert else ev.delete)(pred, args)
+        (live.add if is_insert else live.discard)((pred, args))
+    expected = oracle(text, live)
+    head = parse_program(text).rules[0].head.predicate
+    assert ev.rows(head) == expected.rows(head)
+    store = expected.derivations.snapshot()
+    if isinstance(ev, CountingEvaluator):
+        assert ev.counts == {fact: len(ds) for fact, ds in store.items()}
+    else:
+        assert ev.db.derivations.snapshot() == store
 
 
 @pytest.mark.parametrize("maintainer", REC_MAINTAINERS)
@@ -424,6 +459,8 @@ MAINTAINED = {
     "self-join": (SELF_JOIN, _facts(("e", 2))),
     "self-joined blocker": (SELF_JOINED_BLOCKER, _facts(("a", 1), ("c", 2))),
     "double negation": (DOUBLE_NEGATION, _facts(("a", 2), ("b", 1))),
+    "computed join": (COMPUTED_JOIN, _facts(("a", 1), ("b", 1))),
+    "computed blocker": (COMPUTED_BLOCKER, _facts(("a", 1), ("b", 1))),
     "two-rule rederivation": (
         TWO_RULE_REDERIVATION, _facts(("m", 1), ("n", 1), ("b", 1), ("c", 1)),
     ),

@@ -27,8 +27,8 @@ from repro.core.eval import (
     BottomUpEvaluator,
     Database,
     Relation,
-    enumerate_rule,
     evaluate,
+    fire_rule,
 )
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.parser import parse_program
@@ -317,31 +317,45 @@ class TestCompiledPlanStructure:
         rows = [(0, 1), (1, 2), (2, 3), (1, 4)]
         for u, v in rows:
             db.assert_fact("e", (u, v))
-        full = list(enumerate_rule(rule, db, db.registry))
-        delta = set(db.relation("e"))
+        full = fire_rule(rule, db, db.registry).records
+        delta = list(range(len(rows)))
         per_occ = []
         for occ in range(2):
-            per_occ.extend(
-                enumerate_rule(
-                    rule, db, db.registry,
-                    delta_pred="e", delta_tuples=delta, delta_occurrence=occ,
-                )
-            )
+            per_occ.extend(fire_rule(
+                rule, db, db.registry,
+                delta_pred="e", delta_rows=delta, delta_occurrence=occ,
+            ).records)
         # Each full match appears once per occurrence when delta == rel.
-        assert len(per_occ) == 2 * len(full)
+        assert sorted(per_occ) == sorted(full * 2)
 
-    def test_initial_subst_restricts_enumeration(self):
+    def test_seed_restricts_execution(self):
         rule = parse_program("p(X, Y) :- e(X, Y).").rules[0]
+        plan = CompiledPlan(rule)
         db = Database()
         for u, v in [(0, 1), (1, 2)]:
             db.assert_fact("e", (u, v))
-        seed = Substitution({Variable("X"): Constant(1)})
-        matches = list(
-            enumerate_rule(rule, db, db.registry, initial_subst=seed)
-        )
-        assert len(matches) == 1
-        subst, used = matches[0]
-        assert used == [("e", (Constant(1), Constant(2)))]
+        trigger = (Constant(1), Constant(2))
+        regs, mask, check = plan.seed(0, trigger, db.registry, False)
+        assert check is None and regs == list(trigger)
+        matches = [list(used) for used in plan.execute(db, db.registry, regs, mask)]
+        assert matches == [[("e", trigger)]]
+        assert plan.seed(0, (Constant(1),), db.registry, False) is None  # arity
+
+    def test_seed_defers_a_computed_argument(self):
+        """``X + 1`` matches no number before X is bound: the seed
+        leaves it to a check on the complete match."""
+        rule = parse_program("p(X) :- a(X), not b(X + 1, _).").rules[0]
+        plan = CompiledPlan(rule)
+        trigger = (Constant(2), Constant(9))
+        regs, mask, check = plan.seed(0, trigger, DEFAULT_REGISTRY, True)
+        assert mask == 0 and check is not None  # the wildcard stays free
+        for x, holds in [(1, True), (1.0, True), (2, False)]:
+            regs[plan.slots[Variable("X")]] = Constant(x)
+            assert plan_module.seed_holds(check, regs, trigger, DEFAULT_REGISTRY) is holds
+        # A computed argument the rest of the body cannot bind is
+        # matched as a pattern, as the central executor matches it.
+        rule = parse_program("q(X) :- b(X + 1).").rules[0]
+        assert CompiledPlan(rule).seed(0, (Constant(2),), DEFAULT_REGISTRY, False) is None
 
 
 class TestOneCompiler:
@@ -369,16 +383,15 @@ class TestOneCompiler:
             db.assert_fact("e", (i, i + 1))
         evaluate(program, db)
         plan = dist_plans.DistributedPlan(program)
-        plan.compile_delta_joins()
+        joins = [dist_plans.DeltaJoin(rp, occ) for rp, occ in plan.positive_triggers["e"]]
         assert ordered == program.rules
-        assert plan.rule_plans[1].step(0, 0) is (
-            GLOBAL_PLAN_CACHE.get(program.rules[1]).step(0, 0)
-        )
+        assert plan.rule_plans[1] is GLOBAL_PLAN_CACHE.get(program.rules[1])
+        assert joins[1].literals[0] is plan.rule_plans[1].step(0, 0)
 
     def test_distributed_plan_pickles_after_batch_analysis(self):
         program = parse_program("j(K, A, B) :- r(K, A), s(K, B).")
         plan = dist_plans.DistributedPlan(program)
-        plan.compile_delta_joins()
+        dist_plans.DeltaJoin(plan.rule_plans[0], 0)
         central = GLOBAL_PLAN_CACHE.get(program.rules[0])
         assert central.batch_program() is not None
         copy = pickle.loads(pickle.dumps(plan))
@@ -387,11 +400,11 @@ class TestOneCompiler:
         assert rp.step(1, 0) == was.step(1, 0)
         # The batch program holds this process's interner ids: the copy
         # re-analyzes, in whatever process it lands in.
-        assert not hasattr(rp.step.__self__, "_batch")
-        assert rp.step.__self__.batch_program() is not None
+        assert not hasattr(rp, "_batch")
+        assert rp.batch_program() is not None
         row = lambda *values: tuple(Constant(v) for v in values)
         ref = lambda pred, *values: fact_ref((pred, row(*values)))
-        fired = copy.delta_joins["r"][0].fire(
+        fired = dist_plans.DeltaJoin(rp, 0).fire(
             {"s": {row(1, "b"): ref("s", 1, "b"), row(2, "c"): ref("s", 2, "c")}},
             row(1, "a"), ref("r", 1, "a"), DEFAULT_REGISTRY,
         )

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from repro import obs
 from repro.core.builtins import eval_builtin, normalize_partial
 from repro.core.errors import EvaluationError, ReproError
-from repro.core.eval import ground_head
-from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
+from repro.core.eval import Database, evaluate, ground_head
+from repro.core.parser import parse_program
+from repro.core.terms import Constant, FunctionTerm, Substitution, Variable, make_list
 from repro.core.unify import match_sequences
 from repro.dist import plans
 from repro.dist.derived import FactRef, WireDerivation
@@ -32,15 +33,26 @@ def with_fact(used, idx, ref):
     return used[:idx] + (ref,) + used[idx + 1:]
 
 
+def deferred(rp, occurrence, negated):
+    """The positions of the trigger's subgoal its seed leaves to the
+    complete match.  Which computed arguments wait is the compiler's
+    decision (:meth:`CompiledPlan.seed`), read off it; this oracle
+    checks what the join does with them."""
+    return [pos for pos, _expr in rp._seed_step(occurrence, negated)[1] or ()]
+
+
 def reference_seed(engine, rp, occurrence, trigger, negated):
     lit = rp.negative[occurrence] if negated else rp.positive[occurrence]
+    later = deferred(rp, occurrence, negated)
     seed = match_sequences(
-        tuple(normalize_partial(a, engine.registry) for a in lit.atom.args),
+        tuple(Variable(f"?{pos}") if pos in later else normalize_partial(a, engine.registry)
+              for pos, a in enumerate(lit.atom.args)),
         trigger.args,
         Substitution(),
     )
     if seed is None:
         return None
+    check = (lit, later) if later else None
     if negated:
         shared = set(rp.head.variables())
         for other in rp.positive:
@@ -51,8 +63,23 @@ def reference_seed(engine, rp, occurrence, trigger, negated):
             if i != occurrence:
                 shared.update(other.variables())
         seed = Substitution({v: t for v, t in seed.items() if v in shared})
-        return Partial(seed, 0, (None,) * rp.n_positive)
-    return Partial(seed, 0, with_fact((None,) * rp.n_positive, occurrence, trigger))
+        return Partial(seed, 0, (None,) * len(rp.positive), check)
+    return Partial(seed, 0, with_fact((None,) * len(rp.positive), occurrence, trigger),
+                   check)
+
+
+def reference_holds(engine, check, subst, trigger):
+    """Does the complete match ``subst`` give the deferred arguments of
+    the trigger's subgoal the trigger's own values?"""
+    lit, later = check
+    for pos in later:
+        try:
+            value = normalize_partial(lit.atom.args[pos].substitute(subst), engine.registry)
+        except EvaluationError:
+            return False
+        if match_sequences((value,), (trigger.args[pos],), Substitution()) is None:
+            return False
+    return True
 
 
 def reference_visible(runtime, pred, token):
@@ -93,6 +120,9 @@ def reference_complete(engine, runtime, rp, token, partial, node):
             head_args = ground_head(rp.rule, subst, engine.registry)
         except EvaluationError:
             continue
+        if partial.check is not None and not reference_holds(
+                engine, partial.check, subst, token.trigger):
+            continue
         derivation = WireDerivation(rp.rule_id, partial.used)
         result_op = engine._result_op(token)
         stamp = token.stamp(engine.window_params.join_delay)
@@ -114,7 +144,7 @@ def reference_complete(engine, runtime, rp, token, partial, node):
             if reference_blocked(runtime, token, cand):
                 continue
             token.candidates.append(cand)
-        elif rp.has_negation:
+        elif rp.negative:
             if result_op == "sub":
                 engine._emit(node, rp.head.predicate, head_args, derivation, "sub", stamp)
                 continue
@@ -167,7 +197,7 @@ def reference_extend(engine, runtime, rp, token, node, allowed=None):
                 subst.update(bindings)
                 new = Partial(subst, 0, with_fact(
                     partial.used, idx, FactRef(lit.predicate, tup.args, tup.tuple_id)
-                ))
+                ), partial.check)
                 if new.used in seen:
                     continue
                 seen.add(new.used)
@@ -210,7 +240,7 @@ def reference_extend_parked(engine, node, runtime, parked, tup):
         subst.update(bindings)
         extended.append(Partial(subst, 0, with_fact(
             partial.used, idx, FactRef(tup.predicate, tup.args, tup.tuple_id)
-        )))
+        ), partial.check))
     if not extended:
         return
     done = not any(p.missing for p in extended)
@@ -403,6 +433,9 @@ class TestCompiledJoinRegion:
         "out(X, Y) :- a(X, Y), b(X, Y), c(1, X, 1.0).",
         # a built-in that raises on some rows, an assignment, a repeat
         "out(N, Y) :- a(X, Y), b(X, X), N = X + 1, Y < 2.",
+        # computed arguments the seed of their own subgoal defers
+        "out(X, Z) :- c(X, _, Z), b(Z - 1, X).",
+        "out(X, Z) :- c(X, _, Z), not b(Z + 1, _), not a(X - 1, _).",
     ])
     def test_pinned_rules(self, program, mode):
         f = lambda *args: FunctionTerm("f", [Constant(a) for a in args])
@@ -492,6 +525,43 @@ class TestCompiledJoinRegion:
             obs.reset()
             if not was:
                 obs.disable()
+
+
+#: Programs with a computed argument in a body atom, and update
+#: sequences that publish (True) or retract (False) one fact at a time:
+#: ``b(2)`` last, first, and published then retracted.
+COMPUTED = ["q(X) :- a(X), b(X + 1).", "p(X) :- a(X), not b(X + 1)."]
+COMPUTED_ARRIVALS = {
+    "b last": [(True, "a", (1,)), (True, "a", (2,)), (True, "b", (2,))],
+    "b first": [(True, "b", (2,)), (True, "a", (1,)), (True, "a", (2,))],
+    "b retracted": [(True, "b", (2,)), (True, "a", (1,)), (False, "b", (2,))],
+}
+
+
+@pytest.mark.parametrize("mode", ["barrier", "pipelined"])
+@pytest.mark.parametrize("text", COMPUTED)
+@pytest.mark.parametrize("arrival", sorted(COMPUTED_ARRIVALS))
+def test_trigger_on_a_computed_argument(mode, text, arrival):
+    """A trigger matching ``b(X + 1)`` launches its token: the rows are
+    :func:`evaluate`'s whichever update arrives last."""
+    net = GridNetwork(4, seed=3)
+    engine = GPAEngine(text, net, strategy="pa", mode=mode).install()
+    published, live = {}, set()
+    for is_insert, pred, args in COMPUTED_ARRIVALS[arrival]:
+        if is_insert:
+            published[pred, args] = engine.publish(5, pred, args)
+            live.add((pred, args))
+        else:
+            engine.retract(5, pred, args, published[pred, args])
+            live.discard((pred, args))
+        net.run_all()
+    db = Database()
+    for pred, args in live:
+        db.assert_fact(pred, args)
+    program = parse_program(text)
+    evaluate(program, db)
+    head = program.rules[0].head.predicate
+    assert engine.rows(head) == db.rows(head)
 
 
 class TestLeanFramePath:

@@ -675,10 +675,11 @@ class TestCompiledDeltaJoin:
         net = GridNetwork(3, seed=1)
         engine, _ = build_sptree(net, root=0, variant="j")
         net.run_all()
-        plan = pickle.loads(pickle.dumps(engine.plan))
+        joins = engine._joins["add"]
+        copies = pickle.loads(pickle.dumps((engine.plan, joins)))[1]
         tables = engine.runtimes[4].tables
-        for pred, joins in engine.plan.delta_joins.items():
-            for join, copy in zip(joins, plan.delta_joins[pred]):
+        for pred, pred_joins in joins.items():
+            for join, copy in zip(pred_joins, copies[pred]):
                 for args, ref in tables[pred].items():
                     assert copy.fire(tables, args, ref, engine.registry) == join.fire(
                         tables, args, ref, engine.registry

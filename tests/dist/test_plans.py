@@ -5,34 +5,42 @@ import pytest
 from repro.core.errors import PlanError
 from repro.core.parser import parse_program
 from repro.core.stratify import ProgramClass
-from repro.dist.plans import DistributedPlan, RulePlan
+from repro.core.builtins import DEFAULT_REGISTRY
+from repro.core.plan import GLOBAL_PLAN_CACHE
+from repro.core.terms import Constant, Variable
+from repro.dist.plans import DistributedPlan
 
 
 class TestRulePlan:
     def test_partitions_literals(self):
-        program = parse_program(
+        plan = DistributedPlan(parse_program(
             "p(X) :- q(X), not r(X), X > 2, s(X, _)."
-        )
-        rp = RulePlan(program.rules[0])
+        ))
+        (rp,) = plan.rule_plans
+        assert rp is GLOBAL_PLAN_CACHE.get(plan.program.rules[0])
         assert [l.predicate for l in rp.positive] == ["q", "s"]
         assert [l.predicate for l in rp.negative] == ["r"]
         assert [l.name for l in rp.builtins] == [">"]
-        assert rp.has_negation and rp.n_positive == 2
+        assert plan.by_id == {0: rp} and rp.rule_id == 0
 
     def test_pure_builtin_body_rejected(self):
         # No positive relational subgoal: nothing can trigger the rule.
-        program = parse_program("q(5). p(X) :- q(X).")
-        rule = program.rules[0].with_id(0)
-        from repro.core.ast import Rule, BuiltinLiteral
-        from repro.core.terms import Constant, Variable
+        with pytest.raises(PlanError, match="no positive relational subgoal"):
+            DistributedPlan(parse_program("p(1) :- 1 < 2."))
 
-        bad = Rule(
-            rule.head,
-            [BuiltinLiteral("=", (Variable("X"), Constant(1)))],
-            rule_id=0,
-        )
-        with pytest.raises(PlanError):
-            RulePlan(bad)
+    def test_seed_check_starts_a_blocker(self):
+        """logicJ's blocker ``not jp(Y, D + 1)``: a ``jp`` arrival seeds
+        Y and leaves ``D + 1`` to a check on the complete match."""
+        plan = DistributedPlan(parse_program(
+            "jp(Y, D + 1) :- j(Y, Dp), D + 1 > Dp, j(X, D), g(X, Y). "
+            "j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1)."
+        ))
+        ((rp, idx),) = plan.negative_triggers["jp"]
+        regs, mask, check = rp.seed(idx, (Constant(0), Constant(2)),
+                                    DEFAULT_REGISTRY, True)
+        assert regs[rp.slots[Variable("Y")]] == Constant(0)
+        assert mask == 1 << rp.slots[Variable("Y")]
+        assert [pos for pos, _ in check] == [1]
 
 
 class TestDistributedPlan:
@@ -62,7 +70,7 @@ class TestDistributedPlan:
         (rp,) = plan.rule_plans
         assert rp.head.predicate == "c#r0" == rp.aggregate.valuation
         assert [repr(a) for a in rp.head.args] == ["S", "S", "X"]
-        assert rp.width == 1
+        assert rp.aggregate.width == 1
         assert plan.idb == {"c"}
 
     def test_unsupported_class_needs_flag(self):

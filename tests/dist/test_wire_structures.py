@@ -98,16 +98,16 @@ class TestPartial:
     def test_used_is_positional(self):
         """One slot per positive subgoal: the same fact matched by
         another subgoal is another partial result."""
-        p1 = Partial([], 0, (ref(), None))
-        p2 = Partial([], 0, (ref(), None))
+        p1 = Partial([], 0, (ref(), None), None)
+        p2 = Partial([], 0, (ref(), None), None)
         assert p1.used == p2.used
-        p3 = Partial([], 0, (None, ref()))
+        p3 = Partial([], 0, (None, ref()), None)
         assert p1.used != p3.used
-        assert (p1.missing, Partial([], 0, (ref(), ref())).missing) == (1, 0)
+        assert (p1.missing, Partial([], 0, (ref(), ref()), None).missing) == (1, 0)
 
     def test_size_positive(self):
-        assert Partial([], 0, (None,)).size() == 1
-        assert Partial([], 0, (ref(), None)).size() == 3
+        assert Partial([], 0, (None,), None).size() == 1
+        assert Partial([], 0, (ref(), None), None).size() == 3
 
 
 class TestMessages:
@@ -120,7 +120,7 @@ class TestMessages:
         token = JoinToken(
             rule_id=0, op="ins", update_ts=1.0, trigger=ref(),
             trigger_negated=False,
-            partials=[Partial([], 0, (ref(),))],
+            partials=[Partial([], 0, (ref(),), None)],
             candidates=[], path=[1, 2], exclude_id=None,
         )
         token.refresh_size()
