@@ -30,12 +30,23 @@ This module is the one reader and writer of that format.  Callers read
 translates at its boundary, spelling a stored fact the way its relation
 stores it.  A firing reaches the store one way: every executor (the
 batch kernels, the tuple executor, the seed oracle) hands over a whole
-rule call as one :class:`FiringBatch`, whose records are built as the
-firings are — from per-row ref caches (:func:`fact_refs`) on the batch
-path, by :meth:`FiringBatch.of` elsewhere — and
-:meth:`DerivationStore.add_batch`, the store's one writer, files them.
-The central evaluator and the maintainers of
-:mod:`repro.core.incremental` record through it alike.
+rule call as one :class:`FiringBatch`.  The batch kernels hand over
+their provenance as they have it — per positive subgoal, the relation
+and the array of its matched row numbers — and the batch builds its
+records from those arrays (through the per-row ref caches,
+:func:`fact_refs`) only when they are first read; the other executors
+build them as the firings are (:meth:`FiringBatch.of`).
+
+The central fixpoint *files* a call (:meth:`DerivationStore.file`): it
+keeps the call's head rows and its row arrays, and builds no record and
+no set.  The store turns its filed calls into records, in filing order,
+the first time it is read or written otherwise — so a fixpoint whose
+store nothing reads never builds one, and a reader sees exactly what
+recording each call as it fired would have made.
+:meth:`DerivationStore.add_batch`, the store's other writer, records a
+batch at once; the maintainers of :mod:`repro.core.incremental` record
+through it.  Rows are never renumbered (a deleted row keeps its ids),
+so a filed row names the same ref whenever it is read.
 :class:`~repro.dist.localized.LocalizedEngine` keeps the same refs and
 records, made by :func:`fact_ref`, in its tables, ledgers and messages;
 :func:`spell_record` spells a record as plain values.
@@ -43,6 +54,8 @@ records, made by :func:`fact_ref`, in its tables, ledgers and messages;
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from itertools import chain, islice, repeat
 from typing import (
     Callable,
@@ -57,6 +70,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from .columnar import GLOBAL_INTERNER
 from .stratify import components, cyclic
@@ -89,6 +104,29 @@ def spell_record(record: tuple) -> Tuple[int, Tuple[FactKey, ...]]:
         (ref[0], tuple(map(terms.__getitem__, islice(ref, 1, None))))
         for ref in islice(record, 1, None)
     )
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector for the span of a fixpoint or
+    of filing a store's calls.
+
+    Both allocate heavily and create no reference cycles: a fixpoint
+    its relation rows (term tuples, id keys), filing one record per
+    firing and one set per derived fact.  Everything is reclaimed by
+    reference counting the moment it dies, while each young collection
+    the allocations start traverses every object made since the last
+    one and frees nothing.  Nested spans see the collector already off
+    and leave it alone.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _find(fact: FactKey) -> tuple:
@@ -139,31 +177,47 @@ class Derivation:
         return f"<rule {self.rule_id}: {facts}>"
 
 
+def _body_records(rule_id: int, body: Sequence[tuple], n: int) -> List[tuple]:
+    """The records of ``n`` firings of rule ``rule_id`` whose positive
+    subgoals matched ``body``: one ``(relation, row array)`` per
+    subgoal, one row per firing."""
+    return list(zip(repeat(rule_id, n),
+                    *[map(rel.refs().__getitem__, rows.tolist()) for rel, rows in body]))
+
+
 class FiringBatch:
     """Every firing of one rule call, in id space: what every executor
-    hands over and the one thing :meth:`DerivationStore.add_batch`
-    records.
+    hands over, and what :meth:`DerivationStore.file` and
+    :meth:`DerivationStore.add_batch` record.
 
-    ``records`` holds one record ``(rule_id, ref_1, ..., ref_k)`` per
-    firing, in firing order; ``index`` gives each firing's position in
+    ``index`` (an int64 array) gives each firing's position in
     ``heads``, the head tuples.  Heads may repeat — a vector batch under
     ``_EMIT_DEDUP_MIN_ROWS`` rows skips its dedup, and :meth:`of` never
-    dedups — so a firing's head is read through ``index``.  The batch
-    kernels hand over ``head_ids``, each head's argument ids, instead of
-    term tuples; ``heads`` is then built from them on first read, each
-    term the interner's canonical one.  ``head_ids`` is None when the
-    executor built term tuples.
+    dedups — so a firing's head is read through ``index``.  ``records``
+    holds one record ``(rule_id, ref_1, ..., ref_k)`` per firing, in
+    firing order.
+
+    The batch kernels hand over ``head_ids``, each head's argument ids,
+    instead of term tuples, and ``body``, one ``(relation, row array)``
+    per positive subgoal, instead of records; ``heads`` and ``records``
+    are then built from them on first read, each term the interner's
+    canonical one.  ``head_ids`` and ``body`` are None when the executor
+    built term tuples and records.
     """
 
-    __slots__ = ("rule_id", "head_ids", "index", "records", "_heads")
+    __slots__ = ("rule_id", "head_ids", "index", "body", "_heads", "_records")
 
-    def __init__(self, rule_id: int, heads: Optional[List[tuple]], index: List[int],
-                 records: List[tuple], head_ids: Optional[List[tuple]] = None):
+    def __init__(self, rule_id: int, index: np.ndarray, *,
+                 heads: Optional[List[tuple]] = None,
+                 head_ids: Optional[List[tuple]] = None,
+                 records: Optional[List[tuple]] = None,
+                 body: Optional[List[tuple]] = None):
         self.rule_id = rule_id
+        self.index = index
         self._heads = heads
         self.head_ids = head_ids
-        self.index = index
-        self.records = records
+        self._records = records
+        self.body = body
 
     @property
     def heads(self) -> List[tuple]:
@@ -171,6 +225,12 @@ class FiringBatch:
             term = GLOBAL_INTERNER.terms.__getitem__
             self._heads = [tuple(map(term, key)) for key in self.head_ids]
         return self._heads
+
+    @property
+    def records(self) -> List[tuple]:
+        if self._records is None:
+            self._records = _body_records(self.rule_id, self.body, len(self.index))
+        return self._records
 
     @classmethod
     def of(cls, rule_id: int,
@@ -183,7 +243,7 @@ class FiringBatch:
         for head, body in matches:
             heads.append(head)
             records.append((rule_id, *map(fact_ref, body)))
-        return cls(rule_id, heads, list(range(len(heads))), records)
+        return cls(rule_id, np.arange(len(heads)), heads=heads, records=records)
 
     def restrict(self, keep: Callable[[tuple], bool]) -> "FiringBatch":
         """The firings whose head passes ``keep``, called once per entry
@@ -192,13 +252,19 @@ class FiringBatch:
         kept = [i for i, head in enumerate(heads) if keep(head)]
         if len(kept) == len(heads):
             return self
-        position = dict(zip(kept, range(len(kept))))
-        firings = [(position[i], record) for i, record in zip(self.index, self.records)
-                   if i in position]
+        position = np.full(len(heads), -1, dtype=np.int64)
+        position[kept] = np.arange(len(kept))
+        index = position[self.index]
+        firings = np.flatnonzero(index >= 0)
         head_ids = self.head_ids
-        return FiringBatch(self.rule_id, [heads[i] for i in kept],
-                           [i for i, _r in firings], [r for _i, r in firings],
-                           None if head_ids is None else [head_ids[i] for i in kept])
+        batch = FiringBatch(
+            self.rule_id, index[firings], heads=[heads[i] for i in kept],
+            head_ids=None if head_ids is None else [head_ids[i] for i in kept])
+        if self.body is None:
+            batch._records = list(map(self.records.__getitem__, firings.tolist()))
+        else:
+            batch.body = [(rel, rows[firings]) for rel, rows in self.body]
+        return batch
 
 
 class DerivationStore:
@@ -210,11 +276,19 @@ class DerivationStore:
     store — maps a predicate to its relation; a fact handed out is
     spelled the way its relation stores it (``relation.stored(args)``),
     a fact no relation stores as the interner first met its terms.
+
+    A call is filed (:meth:`file`) when the central fixpoint absorbs
+    it, and recorded when the store is next read or written: every
+    reader, :meth:`add_batch` and every removal first turns the filed
+    calls into records, in filing order (:meth:`_file`).
     """
 
     def __init__(self, relations: Optional[Mapping[str, object]] = None):
         #: head ref -> set of records.
         self._records: Dict[tuple, Set[tuple]] = {}
+        #: Calls filed and not yet recorded, in filing order: (rule id,
+        #: head relation, head row per firing, records or None, body).
+        self._filed: List[tuple] = []
         #: body ref -> head refs with a record through it, or None while
         #: unbuilt.  Only the deletion paths read it, so forward
         #: evaluation skips it entirely; it is built from ``_records`` on
@@ -242,9 +316,10 @@ class DerivationStore:
     # -- the reverse index -----------------------------------------------
 
     def _support_index(self) -> Dict[tuple, Set[tuple]]:
+        records_of = self._file()
         if self._supports is None:
             self._supports = {}
-            for head, records in self._records.items():
+            for head, records in records_of.items():
                 self._link(head, records)
         return self._supports
 
@@ -275,13 +350,42 @@ class DerivationStore:
 
     # -- recording -------------------------------------------------------
 
+    def file(self, rel, rows: Sequence[int], batch: FiringBatch) -> None:
+        """Record every firing of ``batch`` when the store is next read:
+        ``rows`` are the row numbers of its ``heads`` in ``rel``.  Keeps
+        one head row per firing and the batch's row arrays (its records
+        when it has no ``body``); builds nothing else."""
+        if len(batch.index):
+            head_rows = np.asarray(rows, dtype=np.int64)[batch.index]
+            records = None if batch.body is not None else batch.records
+            self._filed.append((batch.rule_id, rel, head_rows, records, batch.body))
+
+    def _file(self) -> Dict[tuple, Set[tuple]]:
+        """Record the filed calls, in filing order, with the collector
+        paused; returns ``_records``."""
+        filed = self._filed
+        if filed:
+            self._filed = []
+            with _gc_paused():
+                for rule_id, rel, rows, records, body in filed:
+                    if records is None:
+                        records = _body_records(rule_id, body, len(rows))
+                    self._add(map(rel.refs().__getitem__, rows.tolist()), records)
+        return self._records
+
     def add_batch(self, head_refs: Sequence[tuple], batch: FiringBatch) -> List[tuple]:
         """Record every firing of ``batch``, ``head_refs`` the refs of its
-        ``heads``; returns the refs of the heads that had no derivation
-        before, in firing order.  A built reverse index is kept exact."""
+        ``heads``, after the filed calls; returns the refs of the heads
+        that had no derivation before, in firing order.  A built reverse
+        index is kept exact."""
+        self._file()
+        return self._add(map(head_refs.__getitem__, batch.index.tolist()), batch.records)
+
+    def _add(self, heads: Iterable[tuple], records: Iterable[tuple]) -> List[tuple]:
+        """Record each ``record`` under the head ref beside it."""
         store, get, supports = self._records, self._records.get, self._supports
         new: List[tuple] = []
-        for head, record in zip(map(head_refs.__getitem__, batch.index), batch.records):
+        for head, record in zip(heads, records):
             existing = get(head)
             if existing is None:
                 store[head] = {record}
@@ -305,7 +409,7 @@ class DerivationStore:
         deleted).  Subtracting an absent derivation is a no-op.
         """
         head, record = _find(fact), self._find_record(derivation)
-        records = self._records.get(head)
+        records = self._file().get(head)
         if records is None or record not in records:
             return False
         records.discard(record)
@@ -336,21 +440,21 @@ class DerivationStore:
     def discard_fact(self, fact: FactKey) -> None:
         """Forget a fact entirely (used when the fact is deleted)."""
         head = _find(fact)
-        records = self._records.pop(head, None)
+        records = self._file().pop(head, None)
         if records:
             self._unlink(head, records, set())
 
     # -- reading ---------------------------------------------------------
 
     def derivations_of(self, fact: FactKey) -> FrozenSet[Derivation]:
-        records = self._records.get(_find(fact), ())
+        records = self._file().get(_find(fact), ())
         return frozenset(map(self._derivation, records))
 
     def has_fact(self, fact: FactKey) -> bool:
-        return _find(fact) in self._records
+        return _find(fact) in self._file()
 
     def facts(self) -> Iterator[FactKey]:
-        return map(self._fact, self._records)
+        return map(self._fact, self._file())
 
     def snapshot(self) -> Dict[FactKey, FrozenSet[Derivation]]:
         """Every recorded fact with its derivations, as plain values."""
@@ -364,11 +468,11 @@ class DerivationStore:
 
         return {
             fact(head): frozenset(self._derivation(record, fact) for record in records)
-            for head, records in self._records.items()
+            for head, records in self._file().items()
         }
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._file())
 
 
 class ProofNode:
@@ -429,7 +533,7 @@ def is_locally_nonrecursive(store: DerivationStore) -> bool:
     """Runtime check for local non-recursion: no directed cycles in the
     tuple-level derivation graph (Section IV-C, [6])."""
     graph = {head: dict.fromkeys(chain.from_iterable(islice(r, 1, None) for r in records))
-             for head, records in store._records.items()}
+             for head, records in store._file().items()}
     for body in [body for row in graph.values() for body in row]:
         graph.setdefault(body, {})  # facts no rule derives
     return not cyclic(graph, components(graph))

@@ -10,9 +10,7 @@ distributed evaluation" (Section III).
 
 from __future__ import annotations
 
-import gc
 import itertools
-from contextlib import contextmanager
 from typing import (
     Dict,
     Iterable,
@@ -44,6 +42,7 @@ from .derivations import (
     DerivationStore,
     FactKey,
     FiringBatch,
+    _gc_paused,
     fact_ref,
     fact_refs,
 )
@@ -641,28 +640,6 @@ def _refold(db: Database, aggregate: Aggregate, valuations: List[ArgsTuple]) -> 
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector for the span of a fixpoint.
-
-    The fixpoint loops allocate heavily (head tuples, derivation records,
-    fact refs) but create no reference cycles — everything is reclaimed by
-    reference counting the moment it dies.  Left enabled, the collector
-    re-scans the ever-growing derivation store on every full pass, a
-    measurable superlinear drag on large evaluations (1.4x wall time on
-    the E17 transitive-closure workload).  Nested evaluations see the
-    collector already off and leave it alone.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 #: IDB rows a semi-naive component may hold (None: unbounded) and
 #: stages a staged component may take before evaluation gives up.
 _MAX_FACTS: Optional[int] = None
@@ -682,8 +659,9 @@ class BottomUpEvaluator:
     negation inside, evaluated stage by stage in ascending stage order
     (the sub-table topological order of Section IV-C).  Every rule call,
     whichever routine made it, is absorbed as one :class:`FiringBatch`
-    in :meth:`_absorb`, which also records its derivations in
-    ``db.derivations`` so the incremental maintainer can run afterwards.
+    in :meth:`_absorb`, which also files its derivations in
+    ``db.derivations`` (recorded when the store is first read) so the
+    incremental maintainer can run afterwards.
 
     Two guards turn a non-terminating program into an error: a
     semi-naive component may hold at most ``_MAX_FACTS`` IDB rows
@@ -759,14 +737,13 @@ class BottomUpEvaluator:
         else:
             rows = rel.add_ids(firings.head_ids)
         new = range(start, len(rel.terms_rows))
-        refs = rel.refs()
-        db.derivations.add_batch([refs[row] for row in rows], firings)
+        db.derivations.file(rel, rows, firings)
         if aggregate is not None:
             head_pred = aggregate.head
             new = _refold(db, aggregate, [rel.terms_rows[row] for row in new])
         if new:
             deltas.setdefault(head_pred, []).extend(new)
-        if _obs.enabled and firings.index:
+        if _obs.enabled and len(firings.index):
             label = rule_label(rule)
             _inst.rule_firings.labels(rule=label).inc(len(firings.index))
             _inst.rule_derived.labels(rule=label).inc(len(new))

@@ -64,13 +64,28 @@ def rule_label(rule: Rule) -> str:
     return rule.head.predicate
 
 
+def _computed_vars(term: Term) -> Set[Variable]:
+    """The variables ``term`` reads inside an arithmetic subterm.  A
+    subgoal matches such an argument only once they are bound (no stored
+    number matches ``X + 1``); the rest of a function term (``f(X)``)
+    matches structurally and binds."""
+    if not isinstance(term, FunctionTerm):
+        return set()
+    if term.functor in ARITH_FUNCTORS:
+        return set(term.variables())
+    return set().union(*map(_computed_vars, term.args))
+
+
 def order_body(rule: Rule) -> List[Literal]:
     """Order subgoals for left-to-right evaluation.
 
     Greedy: at each step emit any built-in or negated subgoal whose
     variables are already bound (built-ins as early as possible — they
     are cheap local filters), otherwise the next positive relational
-    subgoal in textual order.
+    subgoal in textual order.  A positive subgoal with a computed
+    argument (``b(X + 1)``) waits while another pending subgoal or
+    assignment can still bind that argument's variables; a rule where no
+    order binds them before the subgoal is refused.
     """
     pending = list(rule.body)
     ordered: List[Literal] = []
@@ -97,6 +112,15 @@ def order_body(rule: Rule) -> List[Literal]:
             return all(v in bound or v.is_anonymous for v in lit.variables())
         return False
 
+    def binders(lit: Literal) -> Set[Variable]:
+        """What ``lit`` may bind: a positive subgoal its variables, an
+        assignment its bare-variable sides."""
+        if isinstance(lit, RelLiteral):
+            return set() if lit.negated else set(lit.variables())
+        if lit.name == "=" and not lit.negated and len(lit.args) == 2:
+            return {arg for arg in lit.args if isinstance(arg, Variable)}
+        return set()
+
     while pending:
         for lit in pending:
             if ready(lit):
@@ -105,17 +129,32 @@ def order_body(rule: Rule) -> List[Literal]:
                 bound.update(v for v in lit.variables())
                 break
         else:
-            for lit in pending:
-                if isinstance(lit, RelLiteral) and not lit.negated:
-                    ordered.append(lit)
-                    pending.remove(lit)
-                    bound.update(lit.variables())
-                    break
-            else:
+            positive = [lit for lit in pending
+                        if isinstance(lit, RelLiteral) and not lit.negated]
+            if not positive:
                 raise ProgramError(
                     f"cannot order body of rule {rule!r}: unbound built-in "
                     "or negated subgoal (rule is unsafe?)"
                 )
+            for lit in positive:
+                missing = set().union(*map(_computed_vars, lit.atom.args)) - bound
+                if not missing:
+                    break
+                others = set().union(*(binders(o) for o in pending if o is not lit))
+                if not missing & others:
+                    raise ProgramError(
+                        f"cannot order body of rule {rule!r}: no subgoal binds "
+                        f"{', '.join(sorted(map(repr, missing)))} before the "
+                        f"computed argument of {lit!r}"
+                    )
+            else:
+                raise ProgramError(
+                    f"cannot order body of rule {rule!r}: every positive subgoal "
+                    "has a computed argument whose variables another binds"
+                )
+            ordered.append(lit)
+            pending.remove(lit)
+            bound.update(lit.variables())
     return ordered
 
 

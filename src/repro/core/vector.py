@@ -39,14 +39,15 @@ per distinct head (batches large enough to dedup, see
 :func:`_group_heads`), which the relation matches by its ids and spells
 with the interner's canonical term instances only when it is new — equal
 (as terms) to what :func:`repro.core.eval.ground_head` builds row by row
-— and each firing's record read off the sources' per-row ref caches.  A
-delta is a list of its relation's row numbers (:class:`_DeltaSource`).
+— and, per positive subgoal, the relation and the array of its rows each
+firing matched, from which the batch builds records only when they are
+read.  A delta is a list of its relation's row numbers
+(:class:`_DeltaSource`), translated back to them with one fancy index.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -215,14 +216,13 @@ class _DeltaSource:
     :class:`~repro.core.eval.Relation`'s columnar view the kernels read,
     so a kernel takes either."""
 
-    __slots__ = ("rel", "rows", "_cols", "_sorted", "_refs")
+    __slots__ = ("rel", "rows", "_cols", "_sorted")
 
     def __init__(self, rel, rows):
         self.rel = rel
         self.rows = rows
         self._cols: Dict[int, np.ndarray] = {}
         self._sorted: Dict[int, tuple] = {}
-        self._refs = None
 
     @property
     def ragged(self):
@@ -253,10 +253,9 @@ class _DeltaSource:
             self._sorted[pos] = cached
         return cached
 
-    def refs(self):
-        if self._refs is None:
-            self._refs = list(map(self.rel.refs().__getitem__, self.rows))
-        return self._refs
+    def relation_rows(self, batch_rows):
+        """The relation's row numbers of the batch rows ``batch_rows``."""
+        return np.asarray(self.rows, dtype=np.int64)[batch_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +510,9 @@ def _group_heads(arrays, n):
     saves) and make every firing a group of its own.
     """
     if not arrays:  # a constant head: one for every firing
-        return [0] * n, np.zeros(1, dtype=np.int64)
+        return np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
     if n < _EMIT_DEDUP_MIN_ROWS:
-        return list(range(n)), np.arange(n)
+        return np.arange(n), np.arange(n)
     key = arrays[0]
     span = int(key.max()) + 1
     for col in arrays[1:]:
@@ -528,13 +527,13 @@ def _group_heads(arrays, n):
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     VECTOR_STATS["emit_dedup_rows"] += n - len(order)
-    return rank[inverse].tolist(), first[order]
+    return rank[inverse], first[order]
 
 
 def _emit(rule_id, prog, state, registry) -> FiringBatch:
     """The final batch as a :class:`FiringBatch`: the heads
     (:func:`_group_heads`) as id rows, built a column at a time, and
-    one record per firing from each positive join's matched rows.
+    each positive join's matched rows as its relation's row numbers.
     """
     interner = GLOBAL_INTERNER
     n = state.n
@@ -563,9 +562,9 @@ def _emit(rule_id, prog, state, registry) -> FiringBatch:
         for col in id_cols
     ]
     head_ids = list(zip(*columns)) if columns else [()] * u
-    body = [map(source.refs().__getitem__, rows.tolist()) for source, rows in state.prov]
-    return FiringBatch(rule_id, None, index, list(zip(repeat(rule_id, n), *body)),
-                       head_ids)
+    body = [(source.rel, source.relation_rows(rows)) if type(source) is _DeltaSource
+            else (source, rows) for source, rows in state.prov]
+    return FiringBatch(rule_id, index, head_ids=head_ids, body=body)
 
 
 def execute_batch(

@@ -405,7 +405,7 @@ class TestFiringBatch:
         first_col = np.array([9, 3, 9, 5] * 4, dtype=np.int64)
         second_col = np.array([1, 1, 1, 2] * 4, dtype=np.int64)
         index, first = core_vector._group_heads([first_col, second_col], 16)
-        assert index == [0, 1, 0, 2] * 4
+        assert index.tolist() == [0, 1, 0, 2] * 4
         assert first.tolist() == [0, 1, 3]
 
     @settings(max_examples=60, deadline=None)
@@ -428,7 +428,7 @@ class TestFiringBatch:
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
         index, got_first = core_vector._group_heads(arrays, n)
-        assert index == rank[inverse.ravel()].tolist()
+        assert index.tolist() == rank[inverse.ravel()].tolist()
         assert got_first.tolist() == first[order].tolist()
 
     def test_wide_ids_re_densify_the_packed_key(self, monkeypatch):

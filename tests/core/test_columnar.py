@@ -424,7 +424,7 @@ class TestRelationDifferential:
         _, row_c = rel.add_row(const_tuple((1.0, 2)))
         assert row_c != row_a and rel.refs()[row_c] == refs[row_a]
 
-    def test_delta_refs_name_the_stored_rows(self):
+    def test_delta_rows_name_the_stored_rows(self):
         from repro.core.vector import _DeltaSource
 
         rel = Relation("t")
@@ -433,8 +433,10 @@ class TestRelationDifferential:
         _, tomb = rel.add_row(const_tuple((9, 9)))
         rel.discard(const_tuple((9, 9)))
         delta = _DeltaSource(rel, [tomb, row])
-        assert delta.refs()[1] is rel.refs()[row]  # one ref object per stored fact
-        assert delta.refs()[0] == self.ref("t", (9, 9))  # a tombstone keeps its ref
+        # Batch rows translate to the relation's own rows, whose refs a
+        # batch's records are built from: a tombstone keeps its ref.
+        assert delta.relation_rows(np.array([1, 0, 1])).tolist() == [row, tomb, row]
+        assert rel.refs()[tomb] == self.ref("t", (9, 9))
         assert delta.np_column(0).tolist() == [GLOBAL_INTERNER.get(Constant(9)),
                                                GLOBAL_INTERNER.get(Constant(1))]
         vals, order = delta.sorted_probe(0)

@@ -121,6 +121,48 @@ class TestOrderBody:
         evaluate(parse_program("p(T1, T) :- a(T1), b(T), T1 = T + 1."), db)
         assert db.rows("p") == {(2, 1)}
 
+    @staticmethod
+    def computed(rule_text):
+        db = Database()
+        db.assert_fact("a", (1,))
+        db.assert_fact("b", (2,))
+        evaluate(parse_program(rule_text), db)
+        return db.rows("q")
+
+    @pytest.mark.parametrize("rule_text", [
+        "q(X) :- b(X + 1), a(X).",
+        "q(X) :- a(X), b(X + 1).",
+        # The assignment binds Z once a(X) has bound X.
+        "q(X) :- b(Z + 1), a(X), Z = X * 1.",
+    ])
+    def test_a_computed_argument_waits_for_its_variables(self, rule_text):
+        # No number matches X + 1 before X is bound: in either textual
+        # order b(X + 1) is joined after a(X), and q(1) is derived.
+        ordered = order_body(parse_rule(rule_text))
+        names = [getattr(lit, "name", None) or lit.predicate for lit in ordered]
+        assert names.index("b") > names.index("a")
+        assert self.computed(rule_text) == {(1,)}
+
+    def test_a_function_term_still_binds(self):
+        rule = parse_rule("q(X) :- b(f(X)), a(X).")
+        assert [lit.predicate for lit in order_body(rule)] == ["b", "a"]
+        db = Database()
+        db.assert_fact("a", (1,))
+        db.assert_atom(parse_rule("b(f(1)).").head)
+        evaluate(parse_program("q(X) :- b(f(X)), a(X)."), db)
+        assert db.rows("q") == {(1,)}
+
+    @pytest.mark.parametrize("rule_text", [
+        "q(X) :- b(X + 1).",
+        "q(X) :- b(X, X + 1).",
+        "q(X) :- b(X + 1, Y), c(Y + 1, X).",
+    ])
+    def test_a_computed_argument_nothing_binds_is_refused(self, rule_text):
+        with pytest.raises(ProgramError, match="cannot order body"):
+            order_body(parse_rule(rule_text))
+        with pytest.raises(ProgramError, match="cannot order body"):
+            self.computed(rule_text)
+
 
 class TestNonRecursive:
     def test_projection(self):

@@ -30,6 +30,7 @@ from repro.core.eval import (
     evaluate,
     fire_rule,
 )
+from repro.core.errors import ProgramError
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.parser import parse_program
 from repro.core.plan import (
@@ -352,10 +353,11 @@ class TestCompiledPlanStructure:
         for x, holds in [(1, True), (1.0, True), (2, False)]:
             regs[plan.slots[Variable("X")]] = Constant(x)
             assert plan_module.seed_holds(check, regs, trigger, DEFAULT_REGISTRY) is holds
-        # A computed argument the rest of the body cannot bind is
-        # matched as a pattern, as the central executor matches it.
+        # A computed argument nothing else binds is refused at plan
+        # time: no order of the body could match it.
         rule = parse_program("q(X) :- b(X + 1).").rules[0]
-        assert CompiledPlan(rule).seed(0, (Constant(2),), DEFAULT_REGISTRY, False) is None
+        with pytest.raises(ProgramError, match="cannot order body"):
+            CompiledPlan(rule)
 
 
 class TestOneCompiler:

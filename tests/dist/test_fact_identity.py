@@ -34,14 +34,24 @@ def terms(args):
 
 def central(program, facts):
     """Rows and ``{head ref: {record}}`` of central evaluation over
-    ``facts``: the derivation store's own records."""
+    ``facts``: the derivation store's records."""
     db = Database()
     for pred, args in facts:
         db.assert_fact(pred, args)
     parsed = parse_program(program)
     evaluate(parsed, db)
     rows = {p: db.rows(p) for p in parsed.idb_predicates()}
-    return rows, {head: set(records) for head, records in db.derivations._records.items()}
+    return rows, store_records(db)
+
+
+def store_records(db):
+    """``{head ref: {record}}`` of ``db``'s derivation store, read
+    through its public :meth:`snapshot` and put back in id space (a
+    stored spelling interns to the ids of every spelling of its fact)."""
+    return {
+        fact_ref(fact): {(d.rule_id, *map(fact_ref, d.body_facts)) for d in derivations}
+        for fact, derivations in db.derivations.snapshot().items()
+    }
 
 
 def spelled(store):

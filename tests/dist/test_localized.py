@@ -5,13 +5,13 @@ from unittest import mock
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import obs
 from repro.core.builtins import eval_builtin, normalize_partial
 from repro.core.columnar import GLOBAL_INTERNER
 from repro.core.derivations import fact_ref
-from repro.core.errors import EvaluationError, PlanError
+from repro.core.errors import EvaluationError, PlanError, ProgramError
 from repro.core.eval import ground_head
 from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
 from repro.core.unify import match_sequences
@@ -602,7 +602,13 @@ class TestCompiledDeltaJoin:
         data=st.data(),
     )
     def test_matches_interpretive_enumerator(self, rule, tables, data):
-        engine, sent = differential_engine(rule)
+        try:
+            engine, sent = differential_engine(rule)
+        except ProgramError as exc:
+            # A computed argument no order binds first is refused at
+            # plan time: there is no join to compare.
+            assert "computed argument" in str(exc)
+            assume(False)
         firings = data.draw(st.lists(
             st.tuples(
                 st.sampled_from(sorted(engine.plan.positive_triggers)),

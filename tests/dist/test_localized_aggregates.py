@@ -23,6 +23,7 @@ from repro.dist.localized import (
 from repro.net.network import GridNetwork, RandomNetwork
 
 from tests.core.test_incremental import AGGREGATES, AGGREGATE_FACTS
+from tests.dist.test_fact_identity import store_records
 
 #: Every AGGREGATES program as localized mode runs it, every fact placed
 #: on its first argument: as it is where every join is local and every
@@ -47,7 +48,7 @@ def central(program, facts):
         db.assert_fact(pred, args)
     evaluate(program, db)
     rows = {p: db.rows(p) for p in program.idb_predicates()}
-    return rows, {head: set(records) for head, records in db.derivations._records.items()}
+    return rows, store_records(db)
 
 
 def run_localized(program, updates):
