@@ -421,11 +421,12 @@ class DerivationStore:
 
     def remove_support(self, removed: FactKey) -> List[FactKey]:
         """Delete every derivation that uses ``removed``; return the facts
-        whose derivation sets became empty (they must now be deleted)."""
+        whose derivation sets became empty (they must now be deleted),
+        in ref order."""
         supports = self._support_index()
         ref = _find(removed)
         emptied: List[FactKey] = []
-        for head in supports.pop(ref, ()):
+        for head in sorted(supports.pop(ref, ())):
             records = self._records[head]
             dropped = {record for record in records if ref in record}
             kept = records - dropped

@@ -218,7 +218,9 @@ class IncrementalEvaluator(_Maintainer):
     recorded through :meth:`DerivationStore.add_batch
     <repro.core.derivations.DerivationStore.add_batch>`, the writer
     central evaluation uses, so the store equals :func:`evaluate`'s
-    after any update sequence.
+    after any update sequence of base facts.  A fact of a derived
+    predicate inserted as a base fact is not kept as one: it goes when
+    a deletion cascade empties its derivation set.
 
     Supports any program whose execution is locally non-recursive
     (which includes all non-recursive and XY-stratified programs run
@@ -261,10 +263,15 @@ class IncrementalEvaluator(_Maintainer):
                                                Derivation(plan.rule_id, used)):
                         self._queue.append((-1, head_pred, head))
             return
+        fact: FactKey = (pred, args)
+        if store.has_fact(fact):
+            # Derived again since its deletion was queued (a cascade
+            # can re-derive a fact before it reaches the fact): it
+            # stays, as evaluate() would derive it.
+            return
         if not rel.discard(args):
             return
         self.stats.facts_deleted += 1
-        fact: FactKey = (pred, args)
         # Derivations that used this fact positively die with it.
         for emptied_pred, emptied_args in store.remove_support(fact):
             self._queue.append((-1, emptied_pred, emptied_args))

@@ -11,8 +11,9 @@ registers.  Three consumers read the same steps — the tuple executor
 here (:meth:`CompiledPlan.execute`), the batch kernels of
 :mod:`repro.core.vector` and the distributed joins of
 :mod:`repro.dist.plans` — and all compile through one :class:`PlanCache`.
-A join that starts from one arriving fact — a GPA token, a maintainer's
-blocker update — starts from :meth:`CompiledPlan.seed`.
+A join that starts from one arriving fact — a GPA token, a localized
+node's delta-join, a maintainer's blocker update — starts from
+:meth:`CompiledPlan.seed`.
 :func:`seed_engine` routes evaluation through the original recursive
 enumerator instead, the reference oracle of the differential tests.
 
@@ -418,10 +419,11 @@ class CompiledPlan:
     (:mod:`repro.core.aggregates`).  A subgoal is compiled per set of
     registers bound before it, on first use (:meth:`step`), so the
     subgoals can be joined in any order: the central executors take them
-    in ``body`` order (:meth:`program`), the distributed engines in the
-    order a trigger (:meth:`seed`) and its path meet them, finishing a
-    match with :meth:`conclusion`.  ``rule_id`` is the rule's id, -1
-    for a rule without one.
+    in ``body`` order (:meth:`program`); a join that starts from one
+    fact starts from :meth:`seed` — a GPA token then takes them in the
+    order its path meets them, a localized node in the fixed order of
+    :meth:`walk` — and finishes a match with :meth:`conclusion`.
+    ``rule_id`` is the rule's id, -1 for a rule without one.
     """
 
     __slots__ = (
@@ -465,7 +467,8 @@ class CompiledPlan:
         #: (index, mask, negated) -> Step, and mask -> conclusion.
         self._compiled: Dict[Any, tuple] = {}
         self._programs: Dict[int, tuple] = {}
-        #: (index, negated) -> (Step, check) of a trigger (see seed).
+        #: (index, negated) -> (Step, check, walk) of a trigger (see
+        #: seed and walk).
         self._seeds: Dict[Tuple[int, bool], tuple] = {}
 
     def __getstate__(self):
@@ -518,18 +521,19 @@ class CompiledPlan:
         they are bound.  ``check`` lists those arguments,
         ``((position, expression), ...)`` (None when there are none),
         and a match survives only if :func:`seed_holds` finds them equal
-        to ``args`` under its final registers.  Raises what normalizing
-        a structural pattern raises."""
-        found = self._seeds.get((idx, negated))
-        if found is None:
-            found = self._seeds[idx, negated] = self._seed_step(idx, negated)
-        step, check = found
+        to ``args`` under its final registers (the distributed engines
+        check it in :func:`repro.dist.plans.conclude`).  Raises what
+        normalizing a structural pattern raises."""
+        step, check, _walk = self._seeds.get((idx, negated)) or self._seeded(idx, negated)
         regs: List[Optional[Term]] = [None] * len(self.slots)
         structural = step.structural
         if structural is None:
-            want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in step.known]
-            if not _scan_rows((args,), step.arity, want, step.rechecks):
+            if len(args) != step.arity:
                 return None
+            if step.known or step.rechecks:
+                want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in step.known]
+                if not _scan_rows((args,), step.arity, want, step.rechecks):
+                    return None
             for pos, slot in step.binds:
                 regs[slot] = args[pos]
         else:
@@ -541,9 +545,23 @@ class CompiledPlan:
                 regs[slot] = matched[0][1][var]
         return regs, step.after, check
 
+    def walk(self, idx: int) -> tuple:
+        """How a join seeded from subgoal ``idx`` of ``positive`` goes
+        on in a fixed order: ``(((index, Step), ...), conclusion)``, the
+        other positive subgoals in ``positive`` order, each compiled
+        against the registers bound before it, and :meth:`conclusion`
+        of the complete match."""
+        return (self._seeds.get((idx, False)) or self._seeded(idx, False))[2]
+
+    def _seeded(self, idx: int, negated: bool) -> tuple:
+        """:meth:`_seed_step`, kept for :meth:`seed` and :meth:`walk`."""
+        found = self._seeds[idx, negated] = self._seed_step(idx, negated)
+        return found
+
     def _seed_step(self, idx: int, negated: bool) -> tuple:
         """The trigger's :class:`Step` against no registers, its deferred
-        computed arguments wildcarded, and their check (see :meth:`seed`)."""
+        computed arguments wildcarded, their check (see :meth:`seed`)
+        and the fixed-order join that follows it (see :meth:`walk`)."""
         lit = (self.negative if negated else self.positive)[idx]
         # What the rest of the body binds: the other positive subgoals,
         # then the assignments they feed.
@@ -569,16 +587,23 @@ class CompiledPlan:
             # The complete match must conclude without what the deferred
             # arguments would have bound (a built-in may read one before
             # the assignment that binds it); if not, match them here.
-            mask = step.after
-            for i in range(len(self.positive)):
-                if negated or i != idx:
-                    mask = self.step(i, mask).after
             try:
-                self.conclusion(mask)
-                return step, tuple(check)
+                return step, tuple(check), self._walk(idx, negated, step.after)
             except PlanError:
                 pass
-        return self.step(idx, 0, negated), None
+        step = self.step(idx, 0, negated)
+        return step, None, self._walk(idx, negated, step.after)
+
+    def _walk(self, idx: int, negated: bool, mask: int) -> tuple:
+        """:meth:`walk` from the registers in ``mask`` (every positive
+        subgoal after a negated trigger).  Raises PlanError when the
+        complete match cannot conclude."""
+        steps = []
+        for i in range(len(self.positive)):
+            if negated or i != idx:
+                steps.append((i, self.step(i, mask)))
+                mask = steps[-1][1].after
+        return tuple(steps), self.conclusion(mask)
 
     def program(self, mask: int = 0) -> Tuple[tuple, Optional[tuple]]:
         """The rule as the central executors run it, subgoals in

@@ -49,10 +49,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.aggregates import Aggregate
 from ..core.builtins import BuiltinRegistry, eval_term
-from ..core.errors import EvaluationError, NetworkError, PlanError
+from ..core.errors import NetworkError, PlanError
 from ..core.eval import _freeze_value
 from ..core.parser import parse_program
-from ..core.plan import CompiledPlan, seed_holds
+from ..core.plan import CompiledPlan
 from ..core.stratify import ProgramClass, rule_releases
 from ..core.terms import term_size
 from ..net.messages import Message
@@ -1100,17 +1100,10 @@ class GPAEngine:
         # Built-ins run locally once all positive subgoals are bound.
         builtins, head, negs = rp.conclusion(partial.mask)
         regs = partial.regs[:]  # assignments write registers
-        head_args = conclude(builtins, head, regs, self.registry)
+        head_args = conclude(builtins, head, regs, self.registry,
+                             partial.check, token.trigger.args)
         if head_args is None:
             return
-        if partial.check is not None:
-            # The trigger's computed arguments its seed deferred; a
-            # match whose check raises is dropped, as conclude drops one.
-            try:
-                if not seed_holds(partial.check, regs, token.trigger.args, self.registry):
-                    return
-            except EvaluationError:
-                return
         derivation = WireDerivation(rp.rule_id, partial.used)
         result_op = self._result_op(token)
         neg_patterns = [

@@ -17,11 +17,12 @@ Mechanics:
   the primary ships each visibility flip, stamped, as the fact's rule
   -1 derivation there);
 * an insertion visible at a node delta-fires the rules there — each
-  (rule, trigger occurrence) is compiled at ``install()`` into a
-  :class:`~repro.dist.plans.DeltaJoin`, Section V's "list of
-  join-conditions" in program flash; complete results are sent to
-  their head's placement node carrying the derivation and the
-  instantiated negated subgoals to watch;
+  (rule, trigger occurrence) joins through
+  :func:`~repro.dist.plans.delta_join`, from the rule's compiled seed
+  along its compiled walk (Section V's "list of join-conditions" in
+  program flash, the same one GPA and the maintainers read); complete
+  results are sent to their head's placement node carrying the
+  derivation and the instantiated negated subgoals to watch;
 * a result, like a replica, is a :class:`~repro.dist.derived.ResultMsg`
   carrying its firing's stamp (:func:`_stamp`), ranked at the
   placement node by :meth:`~repro.dist.derived.DerivedTable.update` as
@@ -64,6 +65,7 @@ from ..core.derivations import fact_ref
 from ..core.errors import PlanError
 from ..core.eval import _freeze_value
 from ..core.parser import parse_program
+from ..core.plan import CompiledPlan
 from ..core.terms import Term, to_term
 from ..net.network import SensorNetwork
 from ..net.node import Node
@@ -72,7 +74,7 @@ from ..obs import state as _obs
 from ..obs.spans import CountedHandler
 from ..streams.tuples import ArgsTuple
 from .derived import DerivedFact, DerivedTable, ResultMsg
-from .plans import DeltaJoin, DistributedPlan
+from .plans import DistributedPlan, delta_join
 
 
 class Placement:
@@ -133,6 +135,21 @@ def _check_blockers_at_home(plan: DistributedPlan, placements: Dict[str, Placeme
                     f"at {rp.head!r}'s home {home!r}: localized mode checks a "
                     "negated atom in the head's home's own tables"
                 )
+
+
+def _check_ground_negation(rp: CompiledPlan, occurrence: int) -> None:
+    """Localized mode ships a match's negated atoms to be watched, so
+    each must be ground once the join seeded at ``occurrence`` is
+    complete (rows are ground: they are ground heads or seeded values).
+    Raises :class:`PlanError` otherwise."""
+    _steps, (_builtins, _head, negs) = rp.walk(occurrence)
+    for nlit, step in zip(rp.negative, negs):
+        if step.structural is not None or len(step.known) != step.arity:
+            free = [v for v in nlit.variables() if not step.after >> rp.slots[v] & 1]
+            raise PlanError(
+                "localized mode requires ground negated subgoals; "
+                f"{nlit!r} in rule {rp.rule!r} leaves {free!r} unbound"
+            )
 
 
 def _stamp(node: Node) -> tuple:
@@ -246,16 +263,15 @@ class LocalizedEngine:
     def install(self) -> "LocalizedEngine":
         if self._installed:
             return self
-        # One delta-join per positive trigger occurrence; raises
-        # PlanError for a rule localized mode cannot run.
-        joins = {
-            pred: [DeltaJoin(rp, occurrence) for rp, occurrence in triggers]
-            for pred, triggers in self.plan.positive_triggers.items()
-        }
+        triggers = self.plan.positive_triggers
+        for rp, occurrence in (t for ts in triggers.values() for t in ts):
+            _check_ground_negation(rp, occurrence)
         blocks = self.plan.negative_triggers.__contains__
-        self._joins = {  # per op: blockers first for an add, last for a sub
-            op: {p: sorted(js, key=lambda j: blocks(j.head_pred) == last)
-                 for p, js in joins.items()}
+        #: Per op, pred -> the (rule plan, occurrence) pairs it fires:
+        #: blockers first for an add, last for a sub.
+        self._joins = {
+            op: {p: sorted(ts, key=lambda t: blocks(t[0].head.predicate) == last)
+                 for p, ts in triggers.items()}
             for op, last in (("add", False), ("sub", True))
         }
         on_result, on_replica = (
@@ -451,33 +467,34 @@ class LocalizedEngine:
         and last for a removed one: a fact the row both supports and
         blocks never flashes visible in between, to be carried on by
         its replicas (under loss, without end)."""
-        for join in self._joins[op].get(pred, ()):
-            self._fire_rule(node, join, args, ref, op)
+        for rp, occurrence in self._joins[op].get(pred, ()):
+            self._fire_rule(node, rp, occurrence, args, ref, op)
 
-    def _fire_rule(self, node: Node, join: DeltaJoin, args: ArgsTuple, ref: tuple,
-                   op: str) -> None:
+    def _fire_rule(self, node: Node, rp: CompiledPlan, occurrence: int, args: ArgsTuple,
+                   ref: tuple, op: str) -> None:
         tables = self.runtimes[node.id].tables
         # The join is complete before anything is emitted: locally
         # delivered results mutate the very tables it reads.
         if _obs.enabled:
             stats = [0, 0]  # rows scanned, rows matched
-            results = join.fire(tables, args, ref, self.registry, stats)
+            results = delta_join(rp, occurrence, tables, args, ref, self.registry, stats)
             if stats[0]:
-                _inst.join_selectivity.labels(rule=join.label).observe(
+                _inst.join_selectivity.labels(rule=rp.label).observe(
                     stats[1] / stats[0]
                 )
         else:
-            results = join.fire(tables, args, ref, self.registry)
+            results = delta_join(rp, occurrence, tables, args, ref, self.registry)
         if not results:
             return
         stamp = _stamp(node)
-        placement = self.placements[join.head_pred]
+        head_pred = rp.head.predicate
+        placement = self.placements[head_pred]
         for head_args, derivation, neg_atoms in results:
             # A fact is its ref, the same at every node: duplicate
             # firings (primary + replicas) dedupe at the home.
             home = placement.primary_node(head_args, self.registry)
             self._send(node, home, ResultMsg(
-                join.head_pred, head_args, derivation, op, stamp, neg_atoms, kind="loc_result"
+                head_pred, head_args, derivation, op, stamp, neg_atoms, kind="loc_result"
             ))
 
 

@@ -12,11 +12,13 @@ arguments are classified once per set of registers bound before it
 (:meth:`CompiledPlan.step <repro.core.plan.CompiledPlan.step>`), so a
 node joins without unifying.  This module is the distributed consumer of
 those steps: the engines read each rule's process-wide
-:class:`~repro.core.plan.CompiledPlan` directly.  Localized mode fixes
-the join order per trigger (:class:`DeltaJoin`); a GPA token starts
-from :meth:`CompiledPlan.seed <repro.core.plan.CompiledPlan.seed>` and
-joins in whatever order its path meets the replicas (:func:`probe`,
-:func:`matching`, :func:`bind`).
+:class:`~repro.core.plan.CompiledPlan` directly.  Both modes start a
+join from :meth:`CompiledPlan.seed <repro.core.plan.CompiledPlan.seed>`
+and finish a complete match through :func:`conclude`.  Localized mode
+joins the other subgoals in the fixed order of
+:meth:`CompiledPlan.walk <repro.core.plan.CompiledPlan.walk>`
+(:func:`delta_join`); a GPA token joins in whatever order its path
+meets the replicas (:func:`probe`, :func:`matching`, :func:`bind`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from ..core.plan import (
     _structural_pattern,
     _structural_rows,
     run_builtin,
+    seed_holds,
 )
 from ..core.safety import check_program_safety
 from ..core.stratify import Analysis, ProgramClass, classify
@@ -103,15 +106,20 @@ class DistributedPlan:
 # ---------------------------------------------------------------------------
 
 
-def conclude(builtins: tuple, head: tuple, regs: list, registry) -> Optional[tuple]:
+def conclude(builtins: tuple, head: tuple, regs: list, registry,
+             check: Optional[tuple], args: tuple) -> Optional[tuple]:
     """Head arguments of one complete positive match, assignments
-    written to ``regs`` — None when a built-in fails or it or the head
-    raises EvaluationError: a node drops the match where the central
-    engine raises."""
+    written to ``regs`` — None when a built-in fails, when the trigger
+    ``args`` fail the ``check`` its seed deferred
+    (:func:`~repro.core.plan.seed_holds`), or when any of them or the
+    head raises EvaluationError: a node drops the match where the
+    central engine raises."""
     try:
         for step in builtins:
             if not run_builtin(step, regs, registry):
                 return None
+        if check is not None and not seed_holds(check, regs, args, registry):
+            return None
         return tuple([_eval_term(a, regs, registry) for a in head])
     except EvaluationError:
         return None
@@ -183,135 +191,90 @@ def bind(step: Step, regs: list, tup, bindings) -> list:
     return regs
 
 
-class DeltaJoin:
-    """One rule's delta-join for one trigger occurrence, compiled once.
+def delta_join(
+    rp: CompiledPlan, occurrence: int, tables: Dict[str, Dict[tuple, tuple]],
+    args: tuple, ref: tuple, registry: BuiltinRegistry,
+    stats: Optional[List[int]] = None,
+) -> List[Tuple[tuple, tuple, tuple]]:
+    """Localized mode's join of the trigger fact ``args``, whose ref is
+    ``ref``, as subgoal ``occurrence`` of ``rp.positive``, against a
+    node's ``tables`` (pred -> {row: ref}): one ``(head args, record,
+    negated atoms)`` per derivation, in match order.
 
-    The trigger literal comes first, then the rule's other positive
-    literals in textual order; a literal whose arguments are all fixed
-    by then is one lookup, any other scans the node's table itself, so
-    matches come out in the order nested loops over those tables give.
-    A node's table maps each row to its fact ref, the central store's
-    ``(pred, id_1, ..., id_n)`` (:func:`repro.core.derivations.fact_ref`);
-    a match files each row's ref at its literal's body position
-    (``order``), so it yields its derivation as the central record
-    ``(rule_id, ref_1, ..., ref_k)``.  Built-ins, head and negated atoms
-    are evaluated from the registers per complete match.
+    The join starts from :meth:`CompiledPlan.seed` and takes the other
+    positive subgoals in the fixed order of :meth:`CompiledPlan.walk`;
+    a subgoal whose arguments are all fixed by then is one lookup, any
+    other scans the node's table itself, so matches come out in the
+    order nested loops over those tables give.  A match files each
+    row's ref at its subgoal's body position, so it yields the central
+    record ``(rule_id, ref_1, ..., ref_k)``; it is finished by
+    :func:`conclude`, and its negated atoms are evaluated from the
+    registers (every one is ground: ``LocalizedEngine.install`` checks).
 
-    Tables must hold ground rows (they do: rows are ground heads or
-    seeded values).  Every variable of a negated atom is then bound to
-    a ground term by a positive literal or an assignment — checked here,
-    at compile time — so the atoms shipped to be watched are ground.
+    The join is complete before any match is concluded, so a caller may
+    change the tables while it consumes the result.  ``stats``, when
+    given, collects [rows scanned, rows matched] over the table
+    subgoals.
     """
-
-    __slots__ = (
-        "rule_id", "label", "head_pred", "order", "literals",
-        "builtins", "head", "negs", "n_slots",
-    )
-
-    def __init__(self, rp: CompiledPlan, occurrence: int):
-        self.rule_id = rp.rule_id
-        self.label = rp.label
-        self.head_pred = rp.head.predicate
-        order = [occurrence] + [
-            i for i in range(len(rp.positive)) if i != occurrence
-        ]
-        #: Record position of each literal's ref, in join order (a
-        #: record leads with its rule id).
-        self.order = tuple(i + 1 for i in order)
-        mask, literals = 0, []
-        for i in order:
-            literals.append(rp.step(i, mask))
-            mask = literals[-1].after
-        self.literals = tuple(literals)
-        self.builtins, self.head, negs = rp.conclusion(mask)
-        for nlit, step in zip(rp.negative, negs):
-            if step.structural is not None or len(step.known) != step.arity:
-                free = [v for v in nlit.variables() if not step.after >> rp.slots[v] & 1]
-                raise PlanError(
-                    "localized mode requires ground negated subgoals; "
-                    f"{nlit!r} in rule {rp.rule!r} leaves {free!r} unbound"
-                )
-        self.negs = tuple(
-            (step.pred, tuple(expr for _pos, expr in step.known)) for step in negs
-        )
-        self.n_slots = len(rp.slots)
-
-    def fire(
-        self, tables: Dict[str, Dict[tuple, tuple]], args: tuple, ref: tuple,
-        registry: BuiltinRegistry, stats: Optional[List[int]] = None,
-    ) -> List[Tuple[tuple, tuple, tuple]]:
-        """Delta-join the trigger fact ``args``, whose ref is ``ref``,
-        against a node's ``tables`` (pred -> {row: ref}): one ``(head
-        args, record, negated atoms)`` per derivation, in match order.
-        ``record`` is the derivation ``(rule_id, ref_1, ..., ref_k)``,
-        its refs in body order.
-
-        The join is complete before any match is concluded, so a
-        caller may change the tables while it consumes the result.
-        ``stats``, when given, collects [rows scanned, rows matched]
-        over the table literals.
-        """
+    seeded = rp.seed(occurrence, args, registry, False)
+    if seeded is None:
+        return []
+    regs, _mask, check = seeded
+    steps, (builtins, head, negs) = rp.walk(occurrence)
+    record = [None] * (len(steps) + 2)
+    record[0] = rp.rule_id
+    record[occurrence + 1] = ref
+    if steps:
         matches: List[Tuple[list, tuple]] = []
-        record = [None] * (len(self.literals) + 1)
-        record[0] = self.rule_id
-        self._join(
-            0, {args: ref}, tables, [None] * self.n_slots, record,
-            registry, stats, matches,
-        )
-        out = []
-        for regs, record in matches:
-            # Errors normalizing a negated atom propagate, as they did.
-            head = conclude(self.builtins, self.head, regs, registry)
-            if head is not None:
-                out.append((head, record, tuple([
-                    (pred, tuple([_eval_term(a, regs, registry) for a in exprs]))
-                    for pred, exprs in self.negs
-                ])))
-        return out
+        _join(steps, 0, tables, regs, record, registry, stats, matches)
+    else:
+        matches = [(regs, tuple(record))]
+    out = []
+    for regs, record in matches:
+        head_args = conclude(builtins, head, regs, registry, check, args)
+        if head_args is not None:
+            # Errors normalizing a negated atom propagate.
+            out.append((head_args, record, tuple([
+                (step.pred, tuple([_eval_term(e, regs, registry) for _pos, e in step.known]))
+                for step in negs
+            ])))
+    return out
 
-    def _join(self, depth, table, tables, regs, record, registry, stats,
-              matches) -> None:
-        literals = self.literals
-        position = self.order[depth]
-        _pred, arity, known, binds, rechecks, structural, _after = literals[depth]
-        scanned = len(table)
-        if structural is not None:
-            pattern = _structural_pattern(structural, regs, registry)
-            rows = ((row, table[row]) for row in _structural_rows(
-                _structural_matches(pattern, table), structural[2], regs
-            ))
+
+def _join(steps, depth, tables, regs, record, registry, stats, matches) -> None:
+    index, (pred, arity, known, binds, rechecks, structural, _after) = steps[depth]
+    table = tables.get(pred, {})
+    scanned = len(table)
+    if structural is not None:
+        pattern = _structural_pattern(structural, regs, registry)
+        rows = ((row, table[row]) for row in _structural_rows(
+            _structural_matches(pattern, table), structural[2], regs
+        ))
+    else:
+        want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in known]
+        if len(want) == arity:
+            # Every argument is fixed: one lookup instead of a scan.  A
+            # hit hands out the stored row's ref, which is the probe's
+            # too (1 == 1.0 is one fact); nothing is bound.
+            probe = tuple([term for _pos, term in want])
+            ref = table.get(probe)
+            rows = () if ref is None else ((probe, ref),)
+            scanned = 1
         else:
-            want = [(pos, _eval_term(expr, regs, registry)) for pos, expr in known]
-            if len(want) == arity:
-                # Every argument is fixed: one lookup instead of a scan.
-                # A hit hands out the stored row's ref, which is the
-                # probe's too (1 == 1.0 is one fact); nothing is bound.
-                probe = tuple([term for _pos, term in want])
-                ref = table.get(probe)
-                rows = () if ref is None else ((probe, ref),)
-                scanned = 1
-            else:
-                rows = _scan_items(table, arity, want, rechecks)
-        counted = stats if depth else None  # the trigger is not a table row
-        if counted is not None:
-            counted[0] += scanned
-        deeper = depth + 1
-        for row, ref in rows:
-            if counted is not None:
-                counted[1] += 1
-            for pos, slot in binds:
-                regs[slot] = row[pos]
-            record[position] = ref
-            if deeper == len(literals):
-                matches.append((regs[:], tuple(record)))
-            else:
-                self._join(
-                    deeper, tables.get(literals[deeper][0], {}), tables, regs,
-                    record, registry, stats, matches,
-                )
-
-    def __repr__(self) -> str:
-        return f"DeltaJoin({self.label}, trigger {self.literals[0].pred})"
+            rows = _scan_items(table, arity, want, rechecks)
+    if stats is not None:
+        stats[0] += scanned
+    position, deeper = index + 1, depth + 1
+    for row, ref in rows:
+        if stats is not None:
+            stats[1] += 1
+        for pos, slot in binds:
+            regs[slot] = row[pos]
+        record[position] = ref
+        if deeper == len(steps):
+            matches.append((regs[:], tuple(record)))
+        else:
+            _join(steps, deeper, tables, regs, record, registry, stats, matches)
 
 
 def _scan_items(table: Dict[tuple, tuple], arity: int, want: list,

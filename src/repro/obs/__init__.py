@@ -44,7 +44,6 @@ from .registry import (
     Gauge,
     Histogram,
     Registry,
-    log_buckets,
 )
 from .spans import Span, current_span, span
 from . import instrument as _inst  # after spans: keeps family order stable
@@ -83,7 +82,7 @@ def reset() -> None:
 __all__ = [
     "COUNT_BUCKETS", "DEFAULT_BUCKETS", "Counter", "EventSink", "Family",
     "Gauge", "Histogram", "REGISTRY", "Registry", "SINK", "Span",
-    "current_span", "disable", "enable", "enabled", "event", "log_buckets",
+    "current_span", "disable", "enable", "enabled", "event",
     "program_hash", "prometheus_snapshot", "read_jsonl", "reset",
     "run_manifest", "span", "state", "write_run_artifacts",
 ]

@@ -19,27 +19,11 @@ import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
-def log_buckets(
-    start: float = 1e-6, stop: float = 1e4, per_decade: int = 2
-) -> Tuple[float, ...]:
-    """Log-scale bucket upper bounds from ``start`` to ``stop``
-    inclusive, ``per_decade`` buckets per decade."""
-    if start <= 0 or stop <= start or per_decade < 1:
-        raise ValueError("need 0 < start < stop and per_decade >= 1")
-    bounds: List[float] = []
-    factor = 10.0 ** (1.0 / per_decade)
-    bound = start
-    while bound < stop * (1 + 1e-12):
-        # Rounded to 3 significant digits so exposition output stays
-        # readable (3.16e-06, not 3.1622776601683795e-06).
-        bounds.append(float(f"{bound:.3g}"))
-        bound *= factor
-    return tuple(bounds)
-
-
 #: Default bounds: 1µs .. 10ks in half-decade steps — wide enough for
-#: both wall-clock section timings and simulated phase latencies.
-DEFAULT_BUCKETS = log_buckets()
+#: both wall-clock section timings and simulated phase latencies —
+#: rounded to 3 significant digits so exposition output stays readable
+#: (3.16e-06, not 3.1622776601683795e-06).
+DEFAULT_BUCKETS = tuple(float(f"{10.0 ** (k / 2):.3g}") for k in range(-12, 9))
 
 #: Bounds suited to integer work counts (delta sizes, iterations).
 COUNT_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000,

@@ -35,6 +35,9 @@ class Vehicle:
 #: Simulated seconds between two detection epochs.
 EPOCH_INTERVAL = 1.0
 
+#: Distance a vehicle covers per simulated second.
+SPEED = 0.5
+
 
 class BattlefieldWorkload:
     """Generates detections for a mix of enemy and friendly vehicles."""
@@ -45,7 +48,6 @@ class BattlefieldWorkload:
         n_enemy: int = 3,
         n_friendly: int = 2,
         epochs: int = 5,
-        speed: float = 0.5,
         seed: int = 0,
     ):
         self.topology = topology
@@ -57,7 +59,7 @@ class BattlefieldWorkload:
             kind = "enemy" if i < n_enemy else "friendly"
             start = (rng.uniform(x0, x1), rng.uniform(y0, y1))
             angle = rng.uniform(0, 2 * math.pi)
-            velocity = (speed * math.cos(angle), speed * math.sin(angle))
+            velocity = (SPEED * math.cos(angle), SPEED * math.sin(angle))
             self.vehicles.append(Vehicle(kind, start, velocity))
 
     def detections(self) -> List[Detection]:

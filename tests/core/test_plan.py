@@ -385,15 +385,18 @@ class TestOneCompiler:
             db.assert_fact("e", (i, i + 1))
         evaluate(program, db)
         plan = dist_plans.DistributedPlan(program)
-        joins = [dist_plans.DeltaJoin(rp, occ) for rp, occ in plan.positive_triggers["e"]]
+        rp, occurrence = plan.positive_triggers["e"][1]
+        steps, _conclusion = rp.walk(occurrence)
         assert ordered == program.rules
-        assert plan.rule_plans[1] is GLOBAL_PLAN_CACHE.get(program.rules[1])
-        assert joins[1].literals[0] is plan.rule_plans[1].step(0, 0)
+        assert rp is plan.rule_plans[1] is GLOBAL_PLAN_CACHE.get(program.rules[1])
+        seed_step = rp._seed_step(occurrence, False)[0]
+        assert seed_step is rp.step(0, 0)
+        assert steps == ((1, rp.step(1, seed_step.after)),)
 
     def test_distributed_plan_pickles_after_batch_analysis(self):
         program = parse_program("j(K, A, B) :- r(K, A), s(K, B).")
         plan = dist_plans.DistributedPlan(program)
-        dist_plans.DeltaJoin(plan.rule_plans[0], 0)
+        plan.rule_plans[0].walk(0)
         central = GLOBAL_PLAN_CACHE.get(program.rules[0])
         assert central.batch_program() is not None
         copy = pickle.loads(pickle.dumps(plan))
@@ -406,8 +409,8 @@ class TestOneCompiler:
         assert rp.batch_program() is not None
         row = lambda *values: tuple(Constant(v) for v in values)
         ref = lambda pred, *values: fact_ref((pred, row(*values)))
-        fired = dist_plans.DeltaJoin(rp, 0).fire(
-            {"s": {row(1, "b"): ref("s", 1, "b"), row(2, "c"): ref("s", 2, "c")}},
+        fired = dist_plans.delta_join(
+            rp, 0, {"s": {row(1, "b"): ref("s", 1, "b"), row(2, "c"): ref("s", 2, "c")}},
             row(1, "a"), ref("r", 1, "a"), DEFAULT_REGISTRY,
         )
         assert fired == [

@@ -93,10 +93,10 @@ def attempt(call, eager):
 
 
 def in_ref_order(remove_support):
-    """``remove_support`` handing back the emptied facts sorted by ref.
-    Each store walks a set there, and where a maintainer's deletion
-    cascade starts changes what it ends with on a recursive program, so
-    both runs cascade in one order."""
+    """``remove_support`` handing back the emptied facts sorted by ref,
+    the order the production store states.  The reference store walks a
+    set there, and the order a deletion cascade takes changes the order
+    the store records in, so both runs cascade in one order."""
     return lambda removed: sorted(remove_support(removed), key=fact_ref)
 
 

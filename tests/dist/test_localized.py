@@ -8,16 +8,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import obs
+from repro.core.ast import Atom, Program, RelLiteral, Rule
 from repro.core.builtins import eval_builtin, normalize_partial
 from repro.core.columnar import GLOBAL_INTERNER
 from repro.core.derivations import fact_ref
 from repro.core.errors import EvaluationError, PlanError, ProgramError
-from repro.core.eval import ground_head
+from repro.core.eval import Database, evaluate, ground_head
+from repro.core.plan import GLOBAL_PLAN_CACHE
 from repro.core.terms import Constant, FunctionTerm, Substitution, make_list
 from repro.core.unify import match_sequences
 from repro.dist.baselines import ProceduralBFS
 from repro.dist import localized
 from repro.dist.derived import ResultMsg
+from repro.dist.plans import delta_join
 from repro.dist.localized import (
     LocalizedEngine,
     Placement,
@@ -556,12 +559,65 @@ def stored_table(pred, rows):
     return table
 
 
+def deferred(rp, occurrence):
+    """Does the seed of positive subgoal ``occurrence`` leave a computed
+    argument (``b(X + 1)``) to the complete match?  The oracle matches
+    it structurally, so no number ever matches it there."""
+    return rp._seed_step(occurrence, False)[1] is not None
+
+
+def evaluated_firing(rp, occurrence, tables, args):
+    """What :func:`evaluate` derives with ``args`` as subgoal
+    ``occurrence`` of ``rp.positive`` and the other subgoals over
+    ``tables``: the sorted ``(head ref, record, negated atom refs)`` of
+    every match, or None when evaluation raises (a node drops the match
+    there, and evaluation may run a built-in before a subgoal the node
+    finds no row for).  The rule runs with its trigger subgoal renamed to a
+    relation holding only ``args``, and with its negated subgoals'
+    arguments appended to its head instead of checked: a node ships
+    the negated atoms of a match, it does not check them."""
+    trigger = rp.positive[occurrence]
+    body = [RelLiteral(Atom("seeded", trigger.atom.args)) if lit is trigger else lit
+            for lit in rp.rule.body if not (isinstance(lit, RelLiteral) and lit.negated)]
+    negs = [(n.predicate, len(n.atom.args)) for n in rp.negative]
+    head = Atom("fired", [*rp.head.args, *(a for n in rp.negative for a in n.atom.args)])
+    rule = Rule(head, body, rule_id=0)
+    positive = [lit.atom.args for lit in GLOBAL_PLAN_CACHE.get(rule).positive]
+    assert positive == [lit.atom.args for lit in rp.positive]  # one body order
+    db = Database()
+    for pred, rows in tables.items():
+        for row in rows:
+            db.assert_fact(pred, row)
+    db.assert_fact("seeded", args)
+    try:
+        evaluate(Program([rule]), db)
+    except (EvaluationError, TypeError, ValueError):
+        # Also an ordered comparison of a number with a string, or an
+        # improper list evaluated as a probe.
+        return None
+    ref = fact_ref((trigger.predicate, args))
+    out = []
+    for (_pred, fired), derivations in db.derivations.snapshot().items():
+        at, neg_refs = len(rp.head.args), []
+        for pred, arity in negs:
+            neg_refs.append(fact_ref((pred, fired[at:at + arity])))
+            at += arity
+        for d in derivations:
+            record = [ref if f[0] == "seeded" else fact_ref(f) for f in d.body_facts]
+            out.append((fact_ref((rp.head.predicate, fired[:len(rp.head.args)])),
+                        (rp.rule_id, *record), tuple(neg_refs)))
+    return sorted(out)
+
+
 def assert_fires_like_interpreter(engine, sent, tables, pred, args, op):
     """Add / remove ('sub') the visible row ``pred(args)`` at node 0 and
     compare what the engine sends, in order, with the interpretive
     oracle run on the very tables the engine read (insertion order is
     the match order).  A sent derivation is the central record; the
-    oracle's used facts are made one through ``fact_ref``."""
+    oracle's used facts are made one through ``fact_ref``.  A trigger
+    whose seed defers a computed argument is compared, as a set, with
+    :func:`evaluated_firing` instead; where evaluation raises, nothing
+    is compared (returns None)."""
     live = {p: stored_table(p, rs) for p, rs in tables.items()}
     # an insert must be new, a delete must be stored
     if op == "add":
@@ -575,20 +631,38 @@ def assert_fires_like_interpreter(engine, sent, tables, pred, args, op):
         engine._table_update(engine.network.node(0), pred, args, op)
     except Exception as exc:
         raised = type(exc)
-    expected = []
+    segments = []  # (exact, expected sends) per firing, in firing order
     try:
         for rp, occurrence in engine.plan.positive_triggers.get(pred, ()):
-            expected += [
+            if deferred(rp, occurrence):
+                fired = evaluated_firing(rp, occurrence, live, args)
+                if fired is None:
+                    return None
+                segments.append((False, fired))
+                continue
+            segments.append((True, [
                 (1, "out", head, (rp.rule_id, *map(fact_ref, used)), negs, op)
                 for head, used, negs in reference_fire(
                     rp, occurrence, live, args, engine.registry
                 )
-            ]
+            ]))
     except Exception as exc:
         expected_error = type(exc)
     assert raised == expected_error
-    if raised is None:
-        assert sent == expected
+    if raised is not None:
+        return []
+    at, expected = 0, []
+    for exact, fired in segments:
+        got = sent[at:at + len(fired)]
+        at += len(fired)
+        if exact:
+            assert got == fired
+        else:
+            assert all(home == 1 and sub == op for home, *_, sub in got)
+            assert sorted((fact_ref(("out", head)), record, tuple(map(fact_ref, negs)))
+                          for _home, _pred, head, record, negs, _op in got) == fired
+        expected += fired
+    assert at == len(sent)
     return expected
 
 
@@ -620,7 +694,8 @@ class TestCompiledDeltaJoin:
         for pred, pick, op in firings:
             stored = tables[pred]
             args = stored[pick] if pick < len(stored) else data.draw(rows(pred))
-            assert_fires_like_interpreter(engine, sent, tables, pred, args, op)
+            assume(assert_fires_like_interpreter(engine, sent, tables, pred, args, op)
+                   is not None)
 
     def test_structural_literals(self):
         """Complex arguments with variables of their own — matched
@@ -650,6 +725,27 @@ class TestCompiledDeltaJoin:
                             engine, sent, tables, pred, args, op
                         ))
         assert results >= 20  # the cases do derive
+
+    def test_computed_trigger_against_evaluate(self):
+        """A trigger on ``b(X + 1, Y)`` seeds its join with the computed
+        argument deferred; the oracle matches it structurally, so these
+        firings are compared with :func:`evaluate` (every row of ``b``
+        of either subgoal order, added and removed)."""
+        ints = lambda *ks: tuple(Constant(k) for k in ks)
+        tables = {"a": [ints(0, 1), ints(1, 1), ints(1, 2), ints(2, 0)],
+                  "b": [ints(1, 1), ints(2, 1), ints(2, 2), ints(0, 0)], "c": []}
+        results = 0
+        for rule in ["out(1, X, Y) :- a(X, Y), b(X + 1, Y).",
+                     "out(1, X, Y) :- b(X + 1, Y), a(X, Y), not c(X, Y, 0)."]:
+            engine, sent = differential_engine(rule)
+            rp, occurrence = engine.plan.positive_triggers["b"][0]
+            assert deferred(rp, occurrence)
+            for args in tables["b"]:
+                for op in ("add", "sub"):
+                    results += len(assert_fires_like_interpreter(
+                        engine, sent, tables, "b", args, op
+                    ))
+        assert results == 12  # (0,1), (1,1), (1,2): twice per rule and op
 
     def test_probe_hands_out_stored_row(self):
         """1 == 1.0: a lookup of the ``1`` spelling hands out the ref of
@@ -685,10 +781,11 @@ class TestCompiledDeltaJoin:
         copies = pickle.loads(pickle.dumps((engine.plan, joins)))[1]
         tables = engine.runtimes[4].tables
         for pred, pred_joins in joins.items():
-            for join, copy in zip(pred_joins, copies[pred]):
+            for (rp, occurrence), (copy, at) in zip(pred_joins, copies[pred]):
+                assert at == occurrence and copy is not rp
                 for args, ref in tables[pred].items():
-                    assert copy.fire(tables, args, ref, engine.registry) == join.fire(
-                        tables, args, ref, engine.registry
+                    assert delta_join(copy, at, tables, args, ref, engine.registry) == (
+                        delta_join(rp, occurrence, tables, args, ref, engine.registry)
                     )
 
     # Recorded on 9fe6e71, the last commit that unified per row:

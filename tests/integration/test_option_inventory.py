@@ -99,7 +99,7 @@ PINNED = {
     ),
     "BattlefieldWorkload": (
         BattlefieldWorkload,
-        "topology, n_enemy=3, n_friendly=2, epochs=5, speed=0.5, seed=0",
+        "topology, n_enemy=3, n_friendly=2, epochs=5, seed=0",
     ),
     "heatmap": (heatmap, "network, values, title=''"),
 }

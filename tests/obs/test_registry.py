@@ -4,11 +4,11 @@ import pytest
 
 from repro.obs.registry import (
     COUNT_BUCKETS,
+    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     Registry,
-    log_buckets,
 )
 
 
@@ -72,18 +72,12 @@ class TestHistogram:
         assert h.quantile(1.0) == 8
         assert Histogram().quantile(0.5) == 0.0
 
-    def test_log_buckets_shape(self):
-        bounds = log_buckets(1e-3, 1e3, per_decade=1)
-        assert bounds[0] == pytest.approx(1e-3)
-        assert bounds[-1] == pytest.approx(1e3)
-        assert len(bounds) == 7
-        assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
-
-    def test_log_buckets_validation(self):
-        with pytest.raises(ValueError):
-            log_buckets(0, 1)
-        with pytest.raises(ValueError):
-            log_buckets(10, 1)
+    def test_default_buckets(self):
+        """1µs .. 10ks, two per decade, at 3 significant digits."""
+        assert DEFAULT_BUCKETS[0] == 1e-6 and DEFAULT_BUCKETS[-1] == 1e4
+        assert len(DEFAULT_BUCKETS) == 21
+        assert DEFAULT_BUCKETS[1] == 3.16e-6 and DEFAULT_BUCKETS[12] == 1.0
+        assert all(b2 > b1 for b1, b2 in zip(DEFAULT_BUCKETS, DEFAULT_BUCKETS[1:]))
 
 
 class TestFamiliesAndLabels:

@@ -37,8 +37,7 @@ class TestBattlefield:
 
     def test_vehicles_move(self):
         topo = GridTopology(8)
-        w = BattlefieldWorkload(topo, n_enemy=1, n_friendly=0, epochs=2,
-                                speed=1.0, seed=5)
+        w = BattlefieldWorkload(topo, n_enemy=1, n_friendly=0, epochs=2, seed=5)
         v = w.vehicles[0]
         assert v.position(0.0) != v.position(1.0)
 
