@@ -292,12 +292,18 @@ def compare_values(name: str, left: Any, right: Any) -> bool:
             f"ordered comparison {name!r} on non-numeric values "
             f"{left!r}, {right!r}"
         )
-    if name == "<":
-        return left < right
-    if name == "<=":
-        return left <= right
-    if name == ">":
-        return left > right
-    if name == ">=":
-        return left >= right
+    try:
+        if name == "<":
+            return left < right
+        if name == "<=":
+            return left <= right
+        if name == ">":
+            return left > right
+        if name == ">=":
+            return left >= right
+    except TypeError as exc:  # a number beside a string
+        raise BuiltinError(
+            f"ordered comparison {name!r} on incomparable values "
+            f"{left!r}, {right!r}"
+        ) from exc
     raise BuiltinError(f"unknown comparison {name!r}")

@@ -17,6 +17,8 @@ from __future__ import annotations
 from decimal import Decimal
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from .errors import EvaluationError
+
 #: Python values allowed inside constants.
 ConstValue = Union[int, float, str, bool, tuple, frozenset, None]
 
@@ -281,14 +283,14 @@ def is_list_term(term: Term) -> bool:
 def list_elements(term: Term) -> List[Term]:
     """Flatten a ground cons-list term into a Python list of terms.
 
-    Raises ``ValueError`` on improper lists (tail that is neither ``nil``
-    nor a cons cell).
+    Raises ``EvaluationError`` on improper lists (tail that is neither
+    ``nil`` nor a cons cell).
     """
     out: List[Term] = []
     cur = term
     while cur != NIL:
         if not (isinstance(cur, FunctionTerm) and cur.functor == "cons" and cur.arity == 2):
-            raise ValueError(f"not a proper list: {term!r}")
+            raise EvaluationError(f"not a proper list: {term!r}")
         out.append(cur.args[0])
         cur = cur.args[1]
     return out

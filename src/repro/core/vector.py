@@ -15,8 +15,10 @@ into (batch row, relation row) pairs without a Python loop.
 
 A rule is *vectorizable* when every step fits the supported shapes:
 
-* positive/negated relational subgoals whose arguments are constants or
-  bare variables (no nested function terms in the pattern);
+* positive/negated relational subgoals whose arguments are constants,
+  bare variables or arithmetic over bound variables (``hp(Y, D + 1)``:
+  the computed argument becomes a column, see :func:`analyze_plan`), but
+  no nested function terms in the pattern;
 * builtin comparisons / equality tests / ``=`` assignments over
   arithmetic expression trees of numeric constants and bound variables;
 * head arguments that are constants, ground terms, bound variables, or
@@ -24,9 +26,9 @@ A rule is *vectorizable* when every step fits the supported shapes:
 
 :func:`analyze_plan` decides this once per plan, from the step and
 expression tuples the rule compiler produced, and returns None otherwise
-— the caller then uses the tuple executor.  Vectorizable
-rules can still bail *at runtime* (:class:`_Fallback`): non-numeric ids
-reaching arithmetic, integers beyond float64's exact range (2**53),
+— the caller then uses the tuple executor.  Vectorizable rules can
+still bail *at runtime* (:class:`_Fallback`): non-numeric ids reaching
+arithmetic, integer results at or beyond float64's exact range (2**53),
 ``//``/``mod`` operands at or above 2**25, zero divisors, ragged
 relations.  Fallback happens before any result is emitted and before
 any probe counter is committed, so the tuple executor re-runs the call
@@ -110,7 +112,8 @@ class _JoinOp(NamedTuple):
     negated: bool
     arity: int
     #: merged probe columns, pattern order: ("c", pos, id) for
-    #: constants, ("v", pos, slot) for already-bound variables.
+    #: constants, ("v", pos, slot) for already-bound variables and
+    #: computed arguments.
     ground_specs: list
     #: (pos, slot) — the step's ``binds``.
     out_specs: tuple
@@ -155,12 +158,19 @@ def _vectorizes(expr: tuple) -> bool:
 
 def analyze_plan(plan) -> Optional[BatchProgram]:
     """The BatchProgram for ``plan``, or None when any step (or the
-    head) falls outside the vectorizable shapes."""
+    head) falls outside the vectorizable shapes.
+
+    A subgoal's computed argument (``D + 1``) becomes a column: an
+    ``_ASSIGN`` op right before the subgoal's op writes it to a scratch
+    register past the plan's slots, interned as a head expression is
+    (so ``3.0`` finds a stored ``3``), and the probe reads that register
+    like a bound variable."""
     rule = plan.rule
     steps, head_exprs = plan.program()
     if rule.has_aggregates or head_exprs is None:
         return None
     ops: List[object] = []
+    scratches = 0
     for step_idx, (kind, step, _index) in enumerate(steps):
         if kind == _TEST:
             # The kernels run assignments and comparisons; a registered
@@ -178,8 +188,13 @@ def analyze_plan(plan) -> Optional[BatchProgram]:
                 ground.append(("c", pos, GLOBAL_INTERNER.intern(expr[1])))
             elif expr[0] == _SLOT:
                 ground.append(("v", pos, expr[1]))
+            elif _vectorizes(expr):
+                scratch = len(plan.slots) + scratches
+                scratches += 1
+                ops.append((_ASSIGN, scratch, expr))
+                ground.append(("v", pos, scratch))
             else:
-                return None  # a computed argument in the pattern
+                return None  # a term that goes through eval_term
         # In a negated subgoal an unbound variable is a free
         # (unconstrained) position — order_body only admits anonymous
         # ones there.
@@ -286,7 +301,9 @@ class _State:
 
 
 def _check_int_range(res):
-    if np.any(np.abs(res) > MAX_EXACT_INT):
+    # An exact result above 2**53 may round down onto 2**53 itself, so
+    # that bound is refused too.
+    if np.any(np.abs(res) >= MAX_EXACT_INT):
         raise _Fallback
 
 

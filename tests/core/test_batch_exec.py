@@ -234,6 +234,9 @@ class TestThreeWayDifferential:
         ("bad(X / Y) :- d(X, Y).", [("d", (4, 2)), ("d", (1, 0))],
          ZeroDivisionError),
         ("bad(X) :- d(X, Y), X mod Y > 0.", [("d", (1, 0))], ZeroDivisionError),
+        ("bad(X) :- a(X, W), 0 <= W.", [("a", (0, "s"))], BuiltinError),
+        ("bad(X) :- d(X, Y), l([X | X]).", [("d", (0, 1)), ("l", ((0, 1),))],
+         EvaluationError),
     ])
     def test_errors_raise_alike(self, tuple_executor, text, facts, error):
         for executor in (seed_engine, nullcontext, tuple_executor):
@@ -319,6 +322,17 @@ class TestFallbacks:
         assert rows["next"] == {(big + 1,), (8,)}
         assert VECTOR_STATS["fallback_steps"] > before
 
+    def test_a_sum_that_rounds_onto_two_to_the_53_falls_back(self, tuple_executor):
+        # float64(2**53 + 1) == 2**53: the kernel cannot tell the sum
+        # from an exact 2**53, so it refuses both.
+        big = 2 ** 53
+        before = VECTOR_STATS["fallback_steps"]
+        rows, _ = assert_all_engines_agree(
+            tuple_executor, "next(X + 1) :- e(X).", [("e", (big,)), ("e", (7,))],
+        )
+        assert rows["next"] == {(big + 1,), (8,)}
+        assert VECTOR_STATS["fallback_steps"] > before
+
     def test_small_deltas_use_tuple_path_identically(self, tuple_executor):
         # Below _MIN_BATCH the dispatcher skips vectorization entirely;
         # results must not depend on which side ran.
@@ -327,12 +341,53 @@ class TestFallbacks:
         assert rows["tc"] == {(0, 1), (1, 2), (0, 2)}
 
 
+class TestComputedProbes:
+    """A computed argument of a subgoal (``hp(Y, D + 1)``) is assigned
+    to a scratch column and probed like a bound variable."""
+
+    def test_every_logich_rule_vectorizes(self):
+        for rule in parse_program(LOGICH).rules:
+            assert GLOBAL_PLAN_CACHE.get(rule).batch_program() is not None, rule
+
+    def test_mixed_int_float_stage_column(self, tuple_executor):
+        # 2.0 + 1 == 3 finds p's int row, 3 + 1 == 4 its float row; the
+        # derivations spell the stored rows.
+        text = """
+            next(X, Z) :- s(X, D), p(Z, D + 1).
+            last(X) :- s(X, D), not p(_, D + 1).
+        """
+        facts = [("s", ("a", 2.0)), ("s", ("b", 3)), ("s", ("c", 0)),
+                 ("s", ("d", 5.5)), ("p", ("z", 3)), ("p", ("y", 4.0)),
+                 ("p", ("x", 6.5))]
+        before = dict(VECTOR_STATS)
+        rows, _ = assert_all_engines_agree(tuple_executor, text, facts)
+        assert rows["next"] == {("a", "z"), ("b", "y"), ("d", "x")}
+        assert rows["last"] == {("c",)}
+        assert VECTOR_STATS["batch_calls"] > before["batch_calls"]
+        assert VECTOR_STATS["fallback_steps"] == before["fallback_steps"]
+
+    def test_a_column_past_exact_range_falls_back(self, tuple_executor):
+        # 2**53 + 1 rounds to 2**53 in float64: only the fallback keeps
+        # p(2**53) from matching.
+        big = 2 ** 53
+        text = "out(X) :- s(X, D), p(D + 1). gap(X) :- s(X, D), not p(D + 1)."
+        facts = [("s", ("a", big)), ("s", ("b", 7)), ("p", (big,)), ("p", (8,))]
+        before = VECTOR_STATS["fallback_steps"]
+        rows, _ = assert_all_engines_agree(tuple_executor, text, facts)
+        assert rows["out"] == {("b",)}
+        assert rows["gap"] == {("a",)}
+        assert VECTOR_STATS["fallback_steps"] > before
+
+
 class TestRoutes:
     """``fire_rule`` picks an executor per firing; every route of one
     program's fixpoint must land in the oracle's snapshot."""
 
+    # fe's head and skip's fe(f(Y), Z) are terms through eval_term: the
+    # analyzer refuses both rules.
     PROGRAM = TC + """
-        skip(X, Z) :- e(X, Y), e(Y + 1, Z).
+        fe(f(X), Y) :- e(X, Y).
+        skip(X, Z) :- e(X, Y), fe(f(Y), Z).
         next(X + 1) :- w(X).
     """
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import EvaluationError
 from repro.core.terms import (
     Constant,
     FunctionTerm,
@@ -123,7 +124,7 @@ class TestLists:
 
     def test_improper_list_raises(self):
         improper = FunctionTerm("cons", (Constant(1), Constant(2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(EvaluationError):
             list_elements(improper)
 
     def test_tail_extension(self):

@@ -591,9 +591,7 @@ def evaluated_firing(rp, occurrence, tables, args):
     db.assert_fact("seeded", args)
     try:
         evaluate(Program([rule]), db)
-    except (EvaluationError, TypeError, ValueError):
-        # Also an ordered comparison of a number with a string, or an
-        # improper list evaluated as a probe.
+    except EvaluationError:
         return None
     ref = fact_ref((trigger.predicate, args))
     out = []

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.errors import PlanError
+from repro.core.errors import BuiltinError, EvaluationError, PlanError
+from repro.core.eval import Database, evaluate
 from repro.core.parser import parse_program
 from repro.core.stratify import ProgramClass
 from repro.core.builtins import DEFAULT_REGISTRY
 from repro.core.plan import GLOBAL_PLAN_CACHE
 from repro.core.terms import Constant, Variable
-from repro.dist.plans import DistributedPlan
+from repro.dist.plans import DistributedPlan, conclude
 
 
 class TestRulePlan:
@@ -41,6 +42,35 @@ class TestRulePlan:
         assert regs[rp.slots[Variable("Y")]] == Constant(0)
         assert mask == 1 << rp.slots[Variable("Y")]
         assert [pos for pos, _ in check] == [1]
+
+
+#: (rule, trigger fact, error): an ordered comparison of a number with a
+#: string, and an improper list ``[X | X]`` evaluated for the head.
+TYPED_ERRORS = [
+    ("out(X) :- a(X, W), 0 <= W.", (0, "s"), BuiltinError),
+    ("out([X | X]) :- a(X, W).", (0, 1), EvaluationError),
+]
+
+
+class TestTypedErrors:
+    """A bad value raises an EvaluationError centrally, so a node's
+    ``conclude`` drops the match instead of raising out of its handler."""
+
+    @pytest.mark.parametrize("text, args, error", TYPED_ERRORS)
+    def test_evaluate_raises_the_typed_error(self, text, args, error):
+        db = Database()
+        db.assert_fact("a", args)
+        with pytest.raises(error):
+            evaluate(parse_program(text), db)
+
+    @pytest.mark.parametrize("text, args, error", TYPED_ERRORS)
+    def test_conclude_drops_the_match(self, text, args, error):
+        (rp,) = DistributedPlan(parse_program(text)).rule_plans
+        args = tuple(map(Constant, args))
+        regs, _mask, check = rp.seed(0, args, DEFAULT_REGISTRY, False)
+        steps, (builtins, head, _negs) = rp.walk(0)
+        assert steps == ()
+        assert conclude(builtins, head, regs, DEFAULT_REGISTRY, check, args) is None
 
 
 class TestDistributedPlan:
