@@ -25,7 +25,9 @@ Both scales end with the ``sptree`` scaling rows: logicH on an 8x8 and a
 of the two wall times does not depend on the host, so ``--check`` gates
 it absolutely (``BENCH_e17.json`` ``scaling``): a stage driver that
 re-joins the whole database at every stage reads 10.7, one that fires
-on the stage frontier about 6.
+on the stage frontier about 6.  So are the 16x16 production run's index
+probes (``sptree_probes_max``), a count: a tiny delta joined in body
+order instead of first scans and probes the other subgoals per row.
 """
 
 import json
@@ -241,7 +243,8 @@ def run_scaling(rows):
         f"{ratio:.2f}x", f"{large['derived'] / small['derived']:.2f}x",
         "", "", "", "",
     ])
-    return {"production": {"identical": identical, "ratio": ratio}}
+    return {"production": {"identical": identical, "ratio": ratio,
+                           "probes": large["probes"]}}
 
 
 def check_baseline(results):
@@ -275,6 +278,13 @@ def check_baseline(results):
     print(f"[baseline] sptree {SCALING_GRIDS[1]}/{SCALING_GRIDS[0]} grid "
           f"wall ratio: {ratio:.2f} (ceiling {ceiling}) {status}")
     if ratio > ceiling:
+        failed = True
+    probes = results["scaling"]["production"]["probes"]
+    ceiling = baseline["scaling"]["sptree_probes_max"]
+    status = "ok" if probes <= ceiling else "REGRESSED"
+    print(f"[baseline] sptree {SCALING_GRIDS[1]}x{SCALING_GRIDS[1]} production "
+          f"probes: {probes} (ceiling {ceiling}) {status}")
+    if probes > ceiling:
         failed = True
     if failed:
         sys.exit(1)

@@ -49,6 +49,7 @@ from .derivations import (
 from .errors import EvaluationError, ProgramError
 from .plan import (
     GLOBAL_PLAN_CACHE,
+    _MIN_BATCH,
     _eval_term,
     order_body,
     rule_label,
@@ -333,6 +334,11 @@ class Relation:
         """Every live row's argument ids, in insertion order."""
         return self._row_of.keys()
 
+    def id_columns(self) -> Optional[List[List[int]]]:
+        """The per-position id columns when they hold exactly the live
+        rows — no tombstone, one arity of at least 1 — else None."""
+        return None if self._dead or not self._cols else self._cols
+
     def np_column(self, pos: int):
         """Id column ``pos`` as an int64 array (tombstones included)."""
         import numpy as np
@@ -413,15 +419,21 @@ class Database:
         come back as Terms.  Values are read off the rows' ids, each
         distinct id evaluated once, so a number reads in the spelling
         the interner first met (``1`` and ``1.0`` are one id and equal
-        values).
+        values).  A relation with no tombstone and one arity is read a
+        column at a time (:meth:`Relation.id_columns`); any other row
+        by row.
         """
-        keys = self.relation(predicate).id_tuples()
+        rel = self.relation(predicate)
+        cols = rel.id_columns()
+        ids = rel.id_tuples() if cols is None else cols
         terms, registry = _INTERNER.terms, self.registry
         value = {
             tid: _freeze_value(eval_term(terms[tid], registry))
-            for tid in set(itertools.chain.from_iterable(keys))
+            for tid in set(itertools.chain.from_iterable(ids))
         }.__getitem__
-        return {tuple(map(value, key)) for key in keys}
+        if cols is None:
+            return {tuple(map(value, key)) for key in ids}
+        return set(zip(*[map(value, col) for col in cols]))
 
     def predicates(self) -> List[str]:
         return sorted(self._relations)
@@ -541,13 +553,6 @@ def ground_head(rule: Rule, subst: Substitution, registry: BuiltinRegistry) -> A
             )
         out.append(value_to_term(eval_term(bound, registry)))
     return tuple(out)
-
-
-#: Row deltas smaller than this run tuple-at-a-time: the numpy kernels'
-#: per-call overhead beats Python loops only once a few rows amortize it
-#: (the incremental maintainers' one-row deltas always take the tuple
-#: path).
-_MIN_BATCH = 4
 
 
 def fire_rule(

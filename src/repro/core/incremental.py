@@ -99,6 +99,12 @@ class _Maintainer:
     predicate, or an aggregate rule's valuation predicate.  A subclass
     calls :meth:`_refold` once valuations changed visibility, and
     :meth:`_move` says what moving a row means to it.
+
+    A fact of a derived predicate inserted as a base fact stays until it
+    is deleted as one, as it would in :func:`~repro.core.eval.evaluate`
+    over the base facts: a cascade that empties its derivation set
+    leaves it in place.  Of a database handed in, the facts of derived
+    predicates with no derivation are the base ones.
     """
 
     def __init__(self, program: Program, registry: Optional[BuiltinRegistry],
@@ -116,6 +122,8 @@ class _Maintainer:
         #: predicate -> its rule's fold.
         self._derives: Dict[int, str] = {}
         self._aggregates: Dict[str, Aggregate] = {}
+        #: Facts of derived predicates inserted as base facts.
+        self._base: Set[FactKey] = set()
         for rule in program.rules:
             plan = GLOBAL_PLAN_CACHE.get(rule)
             self._derives[rule.rule_id] = plan.head.predicate
@@ -125,17 +133,32 @@ class _Maintainer:
                 self._positive_rules.setdefault(pred, []).append((rule, len(occurrences)))
             for i, lit in enumerate(plan.negative):
                 self._negative_rules.setdefault(lit.predicate, []).append((plan, i))
+        #: The predicates a firing or a fold derives.
+        self._derived = {*self._derives.values(),
+                         *(aggregate.head for aggregate in self._aggregates.values())}
+        if db is not None:
+            store = self.db.derivations
+            self._base.update(
+                (pred, args) for pred in self._derived
+                for args in self.db.relation(pred)
+                if not store.has_fact((pred, args)))
         for fact in program.facts:
             self.insert(fact.predicate, fact.args)
 
     def insert(self, predicate: str, args: Iterable) -> None:
-        """Insert a base (or derived, for testing) fact and propagate."""
-        self._queue.append((+1, predicate, _coerce(args)))
+        """Insert a base fact and propagate."""
+        args = _coerce(args)
+        if predicate in self._derived:
+            self._base.add((predicate, args))
+        self._queue.append((+1, predicate, args))
         self._drain()
 
     def delete(self, predicate: str, args: Iterable) -> None:
-        """Delete a fact and propagate retractions."""
-        self._queue.append((-1, predicate, _coerce(args)))
+        """Delete a base fact and propagate retractions; a fact some
+        derivation still holds stays."""
+        args = _coerce(args)
+        self._base.discard((predicate, args))
+        self._queue.append((-1, predicate, args))
         self._drain()
 
     def rows(self, predicate: str):
@@ -218,9 +241,7 @@ class IncrementalEvaluator(_Maintainer):
     recorded through :meth:`DerivationStore.add_batch
     <repro.core.derivations.DerivationStore.add_batch>`, the writer
     central evaluation uses, so the store equals :func:`evaluate`'s
-    after any update sequence of base facts.  A fact of a derived
-    predicate inserted as a base fact is not kept as one: it goes when
-    a deletion cascade empties its derivation set.
+    after any update sequence of base facts.
 
     Supports any program whose execution is locally non-recursive
     (which includes all non-recursive and XY-stratified programs run
@@ -264,10 +285,10 @@ class IncrementalEvaluator(_Maintainer):
                         self._queue.append((-1, head_pred, head))
             return
         fact: FactKey = (pred, args)
-        if store.has_fact(fact):
-            # Derived again since its deletion was queued (a cascade
-            # can re-derive a fact before it reaches the fact): it
-            # stays, as evaluate() would derive it.
+        if fact in self._base or store.has_fact(fact):
+            # A base fact, or derived again since its deletion was
+            # queued (a cascade can re-derive a fact before it reaches
+            # the fact): it stays, as evaluate() would keep it.
             return
         if not rel.discard(args):
             return
@@ -334,6 +355,8 @@ class CountingEvaluator(_Maintainer):
         rel = self.db.relation(pred)
         if (args in rel) == (sign > 0):
             return
+        if sign < 0 and ((pred, args) in self._base or self.counts.get((pred, args))):
+            return  # a base fact, or one a derivation still holds
         if sign > 0:
             blocked = self._negated_firings(pred, args)
             rel.add(args)
@@ -413,6 +436,7 @@ class DRedEvaluator(IncrementalEvaluator):
     def delete(self, predicate: str, args: Iterable) -> None:
         """Over-delete then re-derive."""
         deleted = (predicate, _coerce(args))
+        self._base.discard(deleted)
         if not self.db.relation(predicate).discard(deleted[1]):
             return
         self.stats.facts_deleted += 1
@@ -432,14 +456,20 @@ class DRedEvaluator(IncrementalEvaluator):
             store.discard_fact((pred, fargs))
         overdeleted = gone[1:]
         self.stats.facts_overdeleted += len(overdeleted)
+        # A base fact survives its over-deletion; re-derivation records
+        # its derivations again.
+        for pred, fargs in overdeleted:
+            if (pred, fargs) in self._base:
+                self.db.relation(pred).add(fargs)
         # Phase 2: re-derivation, a stratum at a time (what a negated
         # subgoal reads is final first).  Every rule for an over-deleted
         # fact fires against the surviving database, recording each
         # derivation it finds, until a pass re-derives nothing: that
         # pass saw the final database, so a re-derived fact holds
-        # evaluate()'s derivations.
+        # evaluate()'s derivations.  A deleted fact of a derived
+        # predicate is re-derived too when a derivation still holds it.
         lost: Dict[int, Dict[str, Set[ArgsTuple]]] = {}
-        for pred, fargs in overdeleted:
+        for pred, fargs in gone if predicate in self._derived else overdeleted:
             lost.setdefault(self._stratum[pred], {}).setdefault(pred, set()).add(fargs)
         for level in sorted(lost):
             rederived = True

@@ -23,7 +23,9 @@ matched-row list instead of re-probing the relation index, and the
 semi-naive delta occurrence is joined through a transient per-execution
 hash index instead of a linear scan per outer row.  Both are safe
 because a relation only ever grows during evaluation and anything a
-snapshot misses is re-derived from the next round's delta.
+snapshot misses is re-derived from the next round's delta.  A delta of
+a few rows is joined first, so the rest of the body is probed on what
+it binds.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _computed_vars(term: Term) -> Set[Variable]:
     return set().union(*map(_computed_vars, term.args))
 
 
-def order_body(rule: Rule) -> List[Literal]:
+def order_body(rule: Rule, lead: Optional[RelLiteral] = None) -> List[Literal]:
     """Order subgoals for left-to-right evaluation.
 
     Greedy: at each step emit any built-in or negated subgoal whose
@@ -87,10 +89,21 @@ def order_body(rule: Rule) -> List[Literal]:
     argument (``b(X + 1)``) waits while another pending subgoal or
     assignment can still bind that argument's variables; a rule where no
     order binds them before the subgoal is refused.
+
+    ``lead``, a positive subgoal of ``rule.body`` (the very object),
+    goes first — the delta a tiny semi-naive or maintenance call ranges
+    over — and the next positive subgoal is then the first in textual
+    order that shares a bound variable, so each probes on what came
+    before it (``h(_, X, D)``, ``g(X, Y)``, ``h(_, Y, Dp)``).  Without
+    ``lead`` nothing is preferred.
     """
     pending = list(rule.body)
     ordered: List[Literal] = []
     bound: Set[Variable] = set()
+    if lead is not None:
+        del pending[next(i for i, lit in enumerate(pending) if lit is lead)]
+        ordered.append(lead)
+        bound.update(lead.variables())
 
     def ready(lit: Literal) -> bool:
         if isinstance(lit, BuiltinLiteral):
@@ -122,40 +135,45 @@ def order_body(rule: Rule) -> List[Literal]:
             return {arg for arg in lit.args if isinstance(arg, Variable)}
         return set()
 
+    def joinable(lit: Literal) -> bool:
+        """Can positive subgoal ``lit`` join now: are the variables of
+        its computed arguments bound?  Raises when no pending subgoal or
+        assignment can ever bind them."""
+        missing = set().union(*map(_computed_vars, lit.atom.args)) - bound
+        if missing and not missing & set().union(
+                *(binders(o) for o in pending if o is not lit)):
+            raise ProgramError(
+                f"cannot order body of rule {rule!r}: no subgoal binds "
+                f"{', '.join(sorted(map(repr, missing)))} before the "
+                f"computed argument of {lit!r}"
+            )
+        return not missing
+
+    def shares(lit: Literal) -> bool:
+        return any(v in bound for v in lit.variables() if not v.is_anonymous)
+
     while pending:
-        for lit in pending:
-            if ready(lit):
-                ordered.append(lit)
-                pending.remove(lit)
-                bound.update(v for v in lit.variables())
-                break
-        else:
-            positive = [lit for lit in pending
+        at = next((i for i, lit in enumerate(pending) if ready(lit)), None)
+        if at is None:
+            positive = [i for i, lit in enumerate(pending)
                         if isinstance(lit, RelLiteral) and not lit.negated]
             if not positive:
                 raise ProgramError(
                     f"cannot order body of rule {rule!r}: unbound built-in "
                     "or negated subgoal (rule is unsafe?)"
                 )
-            for lit in positive:
-                missing = set().union(*map(_computed_vars, lit.atom.args)) - bound
-                if not missing:
-                    break
-                others = set().union(*(binders(o) for o in pending if o is not lit))
-                if not missing & others:
-                    raise ProgramError(
-                        f"cannot order body of rule {rule!r}: no subgoal binds "
-                        f"{', '.join(sorted(map(repr, missing)))} before the "
-                        f"computed argument of {lit!r}"
-                    )
-            else:
+            at = next((i for i in positive if joinable(pending[i])), None)
+            if at is None:
                 raise ProgramError(
                     f"cannot order body of rule {rule!r}: every positive subgoal "
                     "has a computed argument whose variables another binds"
                 )
-            ordered.append(lit)
-            pending.remove(lit)
-            bound.update(lit.variables())
+            if lead is not None and not shares(pending[at]):
+                at = next((i for i in positive if i > at and shares(pending[i])
+                           and joinable(pending[i])), at)
+        lit = pending.pop(at)
+        ordered.append(lit)
+        bound.update(lit.variables())
     return ordered
 
 
@@ -401,6 +419,12 @@ def seed_holds(check: tuple, regs: list, args: tuple, registry) -> bool:
 # The compiled plan
 # ---------------------------------------------------------------------------
 
+#: Row deltas smaller than this run tuple-at-a-time, their own subgoal
+#: joined first: the numpy kernels' per-call overhead beats Python loops
+#: only once a few rows amortize it (the incremental maintainers'
+#: one-row deltas always take the tuple path).
+_MIN_BATCH = 4
+
 # What a body position is to the central executor: a positive subgoal
 # (its rows join), a negated one (an existence probe) or a built-in.
 _JOIN, _NOT, _TEST = range(3)
@@ -419,7 +443,8 @@ class CompiledPlan:
     (:mod:`repro.core.aggregates`).  A subgoal is compiled per set of
     registers bound before it, on first use (:meth:`step`), so the
     subgoals can be joined in any order: the central executors take them
-    in ``body`` order (:meth:`program`); a join that starts from one
+    in ``body`` order (:meth:`program`), a tiny delta's occurrence
+    first (:meth:`delta_program`); a join that starts from one
     fact starts from :meth:`seed` — a GPA token then takes them in the
     order its path meets them, a localized node in the fixed order of
     :meth:`walk` — and finishes a match with :meth:`conclusion`.
@@ -466,7 +491,8 @@ class CompiledPlan:
         }
         #: (index, mask, negated) -> Step, and mask -> conclusion.
         self._compiled: Dict[Any, tuple] = {}
-        self._programs: Dict[int, tuple] = {}
+        #: mask -> program, and (mask, body position) -> delta program.
+        self._programs: Dict[Any, tuple] = {}
         #: (index, negated) -> (Step, check, walk) of a trigger (see
         #: seed and walk).
         self._seeds: Dict[Tuple[int, bool], tuple] = {}
@@ -615,27 +641,61 @@ class CompiledPlan:
         unsafe)."""
         found = self._programs.get(mask)
         if found is None:
-            ops, start, index = [], mask, [0, 0, 0]
-            for lit in self.body:
-                if isinstance(lit, BuiltinLiteral):
-                    kind = _TEST
-                    step = _compile_builtin(lit, _bound(self.slots, mask), self.slots)
-                    if step[0] == _ASSIGN:
-                        mask |= 1 << step[1]
-                else:
-                    kind = _NOT if lit.negated else _JOIN
-                    step = self.step(index[kind], mask, lit.negated)
-                    if kind == _JOIN:  # a negated subgoal binds nothing
-                        mask = step.after
-                ops.append((kind, step, index[kind]))
-                index[kind] += 1
-            try:
-                bound = _bound(self.slots, mask)
-                head = tuple(_compile_expr(a, bound) for a in self.head.args)
-            except PlanError:
-                head = None
-            found = self._programs[start] = (tuple(ops), head)
+            found = self._programs[mask] = self._compile(range(len(self.body)), mask)
         return found
+
+    def delta_program(self, pos: int, mask: int = 0) -> Tuple[tuple, int]:
+        """The ops of :meth:`program` with body position ``pos``, a
+        positive subgoal, joined first (``order_body``'s ``lead``), and
+        the depth it sits at: 0, or ``pos`` when the subgoal has a
+        computed or structural argument, which keeps the body order.
+        Cached next to :meth:`program`."""
+        key = (mask, pos)
+        found = self._programs.get(key)
+        if found is None:
+            lead = self.body[pos]
+            if any(isinstance(arg, FunctionTerm) and not arg.is_ground()
+                   for arg in lead.atom.args):
+                found = self.program(mask)[0], pos
+            else:
+                # order_body hands back the body's own literal objects:
+                # find each one's body position (the lead's is pos).
+                order = [pos]
+                for lit in order_body(self.rule, lead)[1:]:
+                    order.append(next(
+                        i for i, other in enumerate(self.body)
+                        if other is lit and i not in order))
+                found = self._compile(order, mask)[0], 0
+            self._programs[key] = found
+        return found
+
+    def _compile(self, order, mask: int) -> Tuple[tuple, Optional[tuple]]:
+        """:meth:`program` with the subgoals joined in ``order``, a
+        sequence of body positions."""
+        kinds, counts = [], [0, 0, 0]
+        for lit in self.body:
+            kind = (_TEST if isinstance(lit, BuiltinLiteral)
+                    else _NOT if lit.negated else _JOIN)
+            kinds.append((kind, counts[kind]))
+            counts[kind] += 1
+        ops = []
+        for pos in order:
+            kind, index = kinds[pos]
+            if kind == _TEST:
+                step = _compile_builtin(self.body[pos], _bound(self.slots, mask), self.slots)
+                if step[0] == _ASSIGN:
+                    mask |= 1 << step[1]
+            else:
+                step = self.step(index, mask, kind == _NOT)
+                if kind == _JOIN:  # a negated subgoal binds nothing
+                    mask = step.after
+            ops.append((kind, step, index))
+        try:
+            bound = _bound(self.slots, mask)
+            head = tuple(_compile_expr(a, bound) for a in self.head.args)
+        except PlanError:
+            head = None
+        return tuple(ops), head
 
     def batch_program(self):
         """The vectorized form of this plan (see
@@ -672,14 +732,21 @@ class CompiledPlan:
         facts, one per positive subgoal in ``positive`` order — the
         derivation.  Both lists are rewritten in place from one match to
         the next.  See :meth:`delta_step` for the delta arguments.
+        A delta of fewer than :data:`_MIN_BATCH` rows — a maintainer's
+        one updated fact, the tail of a semi-naive or XY stage — is
+        joined first (:meth:`delta_program`), so the other subgoals are
+        probed on what it binds instead of scanned.
         Raises what a built-in raises on the match that reaches it."""
-        ops = self.program(mask)[0]
+        delta_step = self.delta_step(delta_pred, delta_occurrence)
+        delta = delta_tuples or ()
+        if delta_step >= 0 and len(delta) < _MIN_BATCH:
+            ops, delta_step = self.delta_program(delta_step, mask)
+        else:
+            ops = self.program(mask)[0]
         used = [None] * len(self.positive)
         if not ops:
             yield used
             return
-        delta_step = self.delta_step(delta_pred, delta_occurrence)
-        delta = delta_tuples or ()
         # Per-execution caches: probe -> matched rows, plus the
         # transient hash index over the delta tuples.  stats counts
         # (candidate rows scanned, rows matched) for the selectivity

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import columnar
-from repro.core.builtins import BuiltinRegistry
+from repro.core.builtins import BuiltinRegistry, eval_term
 from repro.core.columnar import (
     F_FN,
     F_INT,
@@ -28,8 +28,9 @@ from repro.core.columnar import (
     Interner,
     MAX_EXACT_INT,
 )
-from repro.core.eval import Relation
-from repro.core.terms import Constant, FunctionTerm, Substitution, Variable
+from repro.core.eval import Database, Relation
+from repro.core.parser import parse_program
+from repro.core.terms import Constant, FunctionTerm, Substitution, Variable, make_list
 
 
 def const_tuple(values):
@@ -442,3 +443,85 @@ class TestRelationDifferential:
         vals, order = delta.sorted_probe(0)
         assert vals.tolist() == sorted(vals.tolist())
         assert delta.np_column(0)[order].tolist() == vals.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Database.rows: the column read against the row read
+# ---------------------------------------------------------------------------
+
+
+def _frozen(value):
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
+def rows_by_key(db, pred):
+    """What ``Database.rows`` reads, row by row: each live row's ids,
+    each id evaluated to a value in the spelling the interner met
+    first."""
+    terms = GLOBAL_INTERNER.terms
+    return {
+        tuple(_frozen(eval_term(terms[tid], db.registry)) for tid in key)
+        for key in db.relation(pred).id_tuples()
+    }
+
+
+#: Ground terms of every kind a row holds: numbers that are one fact in
+#: two spellings, strings, cons lists and uninterpreted terms.
+ROW_TERMS = st.sampled_from([
+    Constant(3), Constant(3.0), Constant(2.5), Constant("a"), Constant("b"),
+    make_list([Constant(1), Constant(2.0)]), make_list([]),
+    FunctionTerm("f", (Constant(1), Constant("a"))),
+    FunctionTerm("f", (Constant(1.0), Constant("a"))),
+])
+
+
+class TestDatabaseRows:
+    """``Database.rows`` reads a relation with no tombstone and one
+    arity a column at a time, any other row by row: both read what the
+    per-key reference reads."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(
+        st.booleans(),
+        st.lists(ROW_TERMS, min_size=1, max_size=3),
+    ), max_size=25), st.booleans())
+    def test_rows_equal_the_per_key_read(self, ops, ragged):
+        db = Database()
+        rel = db.relation("r")
+        for is_add, args in ops:
+            args = tuple(args if ragged else (args * 3)[:2])
+            (rel.add if is_add else rel.discard)(args)
+            assert db.rows("r") == rows_by_key(db, "r")
+        assert (rel.id_columns() is not None) == (
+            not rel.ragged and not rel._dead and len(rel) > 0)
+
+    def test_first_spelling_wins(self):
+        # Numbers no other test interns: the float is met first.
+        db = Database()
+        db.assert_fact("s", (918273645.0, "x"))
+        db.assert_fact("t", (918273645, "y"))
+        assert db.relation("t").id_columns() is not None
+        (value, _), = db.rows("t")
+        assert value == 918273645 and isinstance(value, float)
+        assert db.rows("t") == rows_by_key(db, "t") == {(918273645.0, "y")}
+
+    def test_lists_and_terms_read_as_values(self):
+        db = Database()
+        for fact in parse_program("p([1, 2], f(a)). p([], f(b)).").facts:
+            db.assert_atom(fact)
+        assert db.relation("p").id_columns() is not None
+        rows = db.rows("p")
+        assert rows == rows_by_key(db, "p")
+        assert ((1, 2), FunctionTerm("f", (Constant("a"),))) in rows
+
+    def test_tombstones_and_mixed_arities_read_by_key(self):
+        db = Database()
+        for args in [(1, 2), (3, 4), (5, 6)]:
+            db.assert_fact("d", args)
+        db.retract_fact("d", (3, 4))
+        db.assert_fact("m", (1, 2))
+        db.assert_fact("m", (1,))
+        assert db.relation("d").id_columns() is None
+        assert db.relation("m").id_columns() is None
+        assert db.rows("d") == rows_by_key(db, "d") == {(1, 2), (5, 6)}
+        assert db.rows("m") == rows_by_key(db, "m") == {(1, 2), (1,)}

@@ -401,9 +401,10 @@ XY_EDB = ("e", "start", "a", "jump")
 def test_xy_update_scripts_match_evaluate(order, data, case):
     """Insert / delete scripts of base facts on XY-stratified programs,
     the cascade in either order: rows and store are :func:`evaluate`'s.
-    Base facts of derived predicates are left out: the maintainer does
-    not know them as base, and deletes one when a cascade empties its
-    derivation set."""
+    Base facts of derived predicates are left out here: of a database
+    handed in, the maintainer knows as base only the facts with no
+    derivation (test_xy_base_facts_of_derived_predicates_stay inserts
+    them through the maintainer)."""
     text, base = case
     base = [fact for fact in base if fact[0] in XY_EDB]
     updates = st.one_of(
@@ -415,6 +416,52 @@ def test_xy_update_scripts_match_evaluate(order, data, case):
         cascade_in(order, monkeypatch)
         assert_script_matches_evaluate(
             text, base, data.draw(st.lists(st.tuples(st.booleans(), updates), max_size=8)))
+
+
+@pytest.mark.parametrize("order", ["ref", "reversed"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), case=staged_programs())
+def test_xy_base_facts_of_derived_predicates_stay(order, data, case):
+    """The XY half of the base-fact property (the other is
+    ``MAINTAINED``'s "base facts of derived predicates"): base facts of
+    ``p``, ``q`` and ``w`` inserted and deleted beside those of the
+    other predicates, the cascade in either order, and the maintainer's
+    rows and store are :func:`evaluate`'s over the base facts left.  A
+    base fact stays until it is deleted as one, whatever cascade
+    empties its derivation set.  Only the set-of-derivations maintainer
+    holds XY-stratified programs."""
+    text, base = case
+    updates = st.one_of(
+        st.sampled_from(base),
+        st.tuples(st.sampled_from(["p", "q", "w", "start"]), st.tuples(nodes, stages)),
+        st.tuples(st.just("e"), st.tuples(nodes, nodes)),
+    )
+    script = [(True, fact) for fact in base] + data.draw(
+        st.lists(st.tuples(st.booleans(), updates), max_size=8))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cascade_in(order, monkeypatch)
+        assert_maintainers_match(text, script, [IncrementalEvaluator])
+
+
+@pytest.mark.parametrize("maintainer", ALL_MAINTAINERS)
+@pytest.mark.parametrize("first", ["p", "q"])
+def test_a_base_fact_outlives_its_derivations(maintainer, first):
+    """``q(1)`` inserted as a base fact beside ``p(1)``, in either
+    order: deleting ``p(1)`` leaves it, deleting it as a base fact
+    while ``p(1)`` derives it leaves it too."""
+    ev = maintainer(parse_program("q(X) :- p(X)."))
+    for pred in (first, "q" if first == "p" else "p"):
+        ev.insert(pred, (1,))
+    ev.delete("p", (1,))
+    assert ev.rows("q") == {(1,)}
+    ev.delete("q", (1,))
+    assert ev.rows("q") == set()
+    ev.insert("q", (1,))
+    ev.insert("p", (1,))
+    ev.delete("q", (1,))
+    assert ev.rows("q") == {(1,)}
+    ev.delete("p", (1,))
+    assert ev.rows("q") == set()
 
 
 #: Three derivations but two valuations: r(1, a) and r(1, b) are one
@@ -548,6 +595,15 @@ MAINTAINED = {
     "two-rule rederivation": (
         TWO_RULE_REDERIVATION, _facts(("m", 1), ("n", 1), ("b", 1), ("c", 1)),
     ),
+    # Base facts of derived predicates, read positively, negated and
+    # on top: each stays until deleted as a base fact.
+    "base facts of derived predicates": (
+        "q(X) :- p(X). r(X, Y) :- q(X), e(X, Y), not q(Y).",
+        _facts(("p", 1), ("q", 1), ("e", 2), ("r", 2)),
+    ),
+    "base facts of a closure": (
+        TC, _facts(("e", 2), ("t", 2)).filter(lambda f: f[1][0] < f[1][1]),
+    ),
     # Head aggregates (see AGGREGATES): every function, grouped and
     # ungrouped, over float values too.
     **{name: (text, AGGREGATE_FACTS) for name, text in AGGREGATES.items()},
@@ -562,13 +618,20 @@ def test_maintainers_agree_with_from_scratch_evaluation(name, data):
     are :func:`evaluate`'s, the set-of-derivations and DRed stores are
     too, and counting counts each fact's derivations in that store."""
     text, fact = MAINTAINED[name]
+    classes = [cls for cls in ALL_MAINTAINERS
+               if cls is not CountingEvaluator or not is_recursive(parse_program(text))]
+    assert_maintainers_match(
+        text, data.draw(st.lists(st.tuples(st.booleans(), fact), max_size=12)), classes)
+
+
+def assert_maintainers_match(text, script, classes):
+    """Play the insert / delete ``script`` on a fresh maintainer of each
+    of ``classes``: rows, and the store or counts, are
+    :func:`evaluate`'s over the base facts left."""
     program = parse_program(text)
-    maintainers = [cls(program) for cls in ALL_MAINTAINERS
-                   if cls is not CountingEvaluator or not is_recursive(program)]
+    maintainers = [cls(program) for cls in classes]
     live = set()
-    for is_insert, (pred, args) in data.draw(
-        st.lists(st.tuples(st.booleans(), fact), max_size=12)
-    ):
+    for is_insert, (pred, args) in script:
         for ev in maintainers:
             (ev.insert if is_insert else ev.delete)(pred, args)
         (live.add if is_insert else live.discard)((pred, args))

@@ -360,6 +360,126 @@ class TestCompiledPlanStructure:
             CompiledPlan(rule)
 
 
+class TestDeltaFirst:
+    """A delta of fewer than ``_MIN_BATCH`` rows is joined first
+    (:meth:`CompiledPlan.delta_program`): the other subgoals are probed
+    on what it binds, never scanned."""
+
+    TC = "tc(X, Y) :- e(X, Y). tc(X, Z) :- e(X, Y), tc(Y, Z)."
+    GRID = [("g", (u, v)) for u, v in
+            [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a"), ("b", "d"),
+             ("d", "b"), ("c", "d"), ("d", "c")]]
+
+    def fixpoint(self, text, facts):
+        db = Database()
+        for pred, args in facts:
+            db.assert_fact(pred, args)
+        program = parse_program(text)
+        evaluate(program, db)
+        return program, db
+
+    def fire_one_row(self, db, rule, pred, occurrence, row):
+        """Fire ``rule`` with the one-row delta ``row`` of ``pred`` on
+        its ``occurrence``-th occurrence: the batch, and the probes and
+        scans of every relation it cost."""
+        totals = lambda kind: [getattr(db.relation(p), kind) for p in db.predicates()]
+        probes, scans = totals("probes"), totals("scans")
+        batch = fire_rule(rule, db, db.registry, delta_pred=pred,
+                          delta_rows=[row], delta_occurrence=occurrence)
+        spent = [after - before for after, before in zip(totals("probes"), probes)]
+        assert totals("scans") == scans
+        return batch, sum(spent)
+
+    def oracle_batch(self, db, rule, pred, occurrence, row):
+        with seed_engine():
+            return fire_rule(rule, db, db.registry, delta_pred=pred,
+                             delta_rows=[row], delta_occurrence=occurrence)
+
+    @pytest.mark.production
+    @pytest.mark.parametrize("text, facts, head, pred", [
+        (TC, [("e", (i, i + 1)) for i in range(6)], "tc", "tc"),
+        (LOGICH, GRID, "h", "h"),
+        (LOGICH, GRID, "hp", "h"),
+    ])
+    def test_a_one_row_delta_scans_nothing(self, text, facts, head, pred):
+        """tc, logicH's h rule and its hp rule (both occurrences of
+        ``h``): every row of the delta predicate as a one-row delta
+        probes and scans no relation, and fires what the oracle
+        fires."""
+        program, db = self.fixpoint(text, facts)
+        for rule in program.rules:
+            plan = GLOBAL_PLAN_CACHE.get(rule)
+            if rule.head.predicate != head or len(plan.positive) < 2:
+                continue
+            for occurrence in range(len(plan.occurrences[pred])):
+                probes = 0
+                for row in range(len(db.relation(pred).terms_rows)):
+                    batch, spent = self.fire_one_row(db, rule, pred, occurrence, row)
+                    probes += spent
+                    oracle = self.oracle_batch(db, rule, pred, occurrence, row)
+                    assert sorted(zip(batch.heads, batch.records), key=repr) == sorted(
+                        zip(oracle.heads, oracle.records), key=repr)
+                assert probes > 0
+                pos = plan.delta_step(pred, occurrence)
+                assert plan.delta_program(pos)[1] == 0
+
+    @pytest.mark.production
+    def test_hp_joins_from_its_frontier(self):
+        """``hp``'s frontier ``h(_, X, D)`` leads, then the subgoal that
+        shares X, then the one that shares Y, then the comparison; the
+        record lists the facts in ``positive`` order."""
+        program, db = self.fixpoint(LOGICH, self.GRID)
+        rule = next(r for r in program.rules if r.head.predicate == "hp")
+        plan = GLOBAL_PLAN_CACHE.get(rule)
+        X, Y, D, Dp = map(Variable, ("X", "Y", "D", "Dp"))
+        assert [(lit.predicate, lit.atom.args[-2:]) for lit in plan.positive] == [
+            ("h", (Y, Dp)), ("h", (X, D)), ("g", (X, Y))]
+        ops, depth = plan.delta_program(plan.delta_step("h", 1))
+        assert depth == 0
+        assert [(kind, index) for kind, _step, index in ops] == [
+            (plan_module._JOIN, 1), (plan_module._JOIN, 2),
+            (plan_module._JOIN, 0), (plan_module._TEST, 0)]
+        # h(a, b, 1): X = b, D = 1; g(b, a) and h(a, a, 0) make hp(a, 2).
+        trigger = ("h", (Constant("a"), Constant("b"), Constant(1)))
+        row = db.relation("h").row(trigger[1])
+        batch, _ = self.fire_one_row(db, rule, "h", 1, row)
+        oracle = self.oracle_batch(db, rule, "h", 1, row)
+        assert batch.heads == [(Constant("a"), Constant(2))]
+        assert batch.records == oracle.records == [(
+            plan.rule_id,
+            fact_ref(("h", (Constant("a"), Constant("a"), Constant(0)))),
+            fact_ref(trigger),
+            fact_ref(("g", (Constant("b"), Constant("a")))),
+        )]
+
+    @pytest.mark.production
+    def test_a_computed_delta_keeps_the_body_order(self):
+        """``b(X + 1)`` cannot lead (no stored number matches ``X + 1``
+        before X is bound): a delta on it keeps the body order, and
+        fires what the oracle fires."""
+        program, db = self.fixpoint(
+            "q(X) :- a(X), b(X + 1).",
+            [("a", (1,)), ("a", (2,)), ("b", (2,)), ("b", (4,))])
+        rule = program.rules[0]
+        plan = GLOBAL_PLAN_CACHE.get(rule)
+        pos = plan.delta_step("b", 0)
+        assert pos == 1
+        assert plan.delta_program(pos) == (plan.program()[0], pos)
+        for row in range(2):
+            batch = fire_rule(rule, db, db.registry, delta_pred="b",
+                              delta_rows=[row], delta_occurrence=0)
+            oracle = self.oracle_batch(db, rule, "b", 0, row)
+            assert (batch.heads, batch.records) == (oracle.heads, oracle.records)
+        assert db.rows("q") == {(1,)}
+
+    def test_without_a_lead_the_order_is_the_body_order(self):
+        for text in (self.TC, LOGICH, "q(X) :- a(X), b(X + 1).",
+                     "p(X) :- e(X, Y), not f(Y), Y > 1, e(Y, X)."):
+            for rule in parse_program(text).rules:
+                assert plan_module.order_body(rule) == list(
+                    CompiledPlan(rule).body)
+
+
 class TestOneCompiler:
     """The distributed engines join the central engine's plans."""
 
@@ -368,12 +488,15 @@ class TestOneCompiler:
 
     @pytest.mark.production
     def test_a_rule_is_ordered_once(self, monkeypatch):
+        # The body order is computed once per rule; a tiny delta's
+        # delta-first order (a lead subgoal) is the only other call.
         ordered = []
         order_body = plan_module.order_body
 
-        def counting(rule):
-            ordered.append(rule)
-            return order_body(rule)
+        def counting(rule, lead=None):
+            if lead is None:
+                ordered.append(rule)
+            return order_body(rule, lead)
 
         monkeypatch.setattr(plan_module, "order_body", counting)
         GLOBAL_PLAN_CACHE.clear()
